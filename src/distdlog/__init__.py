@@ -7,9 +7,9 @@ alignment routine that stitches distributed measurements together, and
 ships the property suites and CLI used to validate the whole stack.
 """
 
-from .bits import BitString, FractionWindow, circ_dist, fraction_bits, nearest_window, wrap_add
-from .dist import DistPlan, NodeMeasurements, correct, make_plan, solve_distributed
-from .dlp import RunRecord, ShorConfig, postprocess, solve
+from .bits import BitString, circ_dist, fraction_bits, wrap_add
+from .dist import DistPlan, NodeMeasurements, correct_with_flag, make_plan, solve_distributed
+from .dlp import RunRecord, ShorConfig, postprocess_detail, solve
 from .numtheory import (
     InstanceError,
     NotInvertibleError,
@@ -44,19 +44,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitString",
-    "FractionWindow",
     "circ_dist",
     "fraction_bits",
-    "nearest_window",
     "wrap_add",
     "DistPlan",
     "NodeMeasurements",
-    "correct",
+    "correct_with_flag",
     "make_plan",
     "solve_distributed",
     "RunRecord",
     "ShorConfig",
-    "postprocess",
+    "postprocess_detail",
     "solve",
     "InstanceError",
     "NotInvertibleError",

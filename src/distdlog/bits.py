@@ -9,7 +9,6 @@ threads and processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 MAX_WIDTH = 64
 
@@ -89,54 +88,8 @@ def fraction_bits(numerator: int, denominator: int, i: int, j: int) -> BitString
     return BitString(width, prefix & ((1 << width) - 1))
 
 
-def nearest_window(numerator: int, denominator: int, t: int) -> BitString:
-    """The t-bit word minimising the circular deviation |2^t*w - m| mod 2^t,
-    where w = numerator/denominator.
-
-    A deviation of exactly 1/2 resolves to the truncation, so fixtures built
-    from this are deterministic.
-    """
-    _check_proper_fraction(numerator, denominator)
-    if not 1 <= t <= MAX_WIDTH:
-        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {t}")
-    q, rem = divmod(numerator << t, denominator)
-    if 2 * rem > denominator:
-        q += 1
-    return BitString(t, q % (1 << t))
-
-
 def _check_proper_fraction(numerator: int, denominator: int) -> None:
     if denominator <= 0:
         raise ValueError("denominator must be positive")
     if not 0 <= numerator < denominator:
         raise ValueError(f"need 0 <= numerator < denominator, got {numerator}/{denominator}")
-
-
-@dataclass(frozen=True)
-class FractionWindow:
-    """A window [start, end] into the binary expansion of a rational in [0, 1)."""
-
-    numerator: int
-    denominator: int
-    start: int
-    end: int
-
-    def __post_init__(self) -> None:
-        _check_proper_fraction(self.numerator, self.denominator)
-        if not 1 <= self.start <= self.end:
-            raise ValueError(f"bad window [{self.start},{self.end}]")
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def bits(self) -> BitString:
-        return fraction_bits(self.numerator, self.denominator, self.start, self.end)
-
-    def tail_fraction(self) -> Fraction:
-        """The value 0.b_start b_{start+1} ... as an exact rational.
-
-        This is the fractional part of 2^(start-1) * numerator/denominator.
-        """
-        shifted = (self.numerator << (self.start - 1)) % self.denominator
-        return Fraction(shifted, self.denominator)

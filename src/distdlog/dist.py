@@ -29,7 +29,14 @@ import numpy as np
 
 from . import phase, statevec
 from .bits import BitString, circ_dist, fraction_bits, wrap_add
-from .dlp import RunRecord, _branch_exponent, postprocess_detail
+from .dlp import (  # postprocess_detail: bench/tests checks dist's binding of it
+    RunRecord,
+    _branch_exponent,
+    build_stage_state,
+    joint_cdf,
+    postprocess_detail,
+    retry,
+)
 from .numtheory import ProblemInstance, ceil_log2, to_fraction
 from .resources import (
     ResourceReport,
@@ -183,11 +190,6 @@ def correct_with_flag(measurements: list[BitString], plan: DistPlan) -> tuple[Bi
     return combined, fallback
 
 
-def correct(measurements: list[BitString], plan: DistPlan) -> BitString:
-    value, _ = correct_with_flag(measurements, plan)
-    return value
-
-
 def brute_force_correct_oracle(
     w: BitString, perturbations: list[int], plan: DistPlan
 ) -> BitString:
@@ -215,7 +217,7 @@ def brute_force_correct_oracle(
     last_window = w.slice(plan.l[plan.k - 1], plan.l[plan.k])
     inputs.append(wrap_add(last_window, perturbations[-1]))
 
-    output = correct(inputs, plan)
+    output, _ = correct_with_flag(inputs, plan)
     got = circ_dist(output, w)
     want = circ_dist(inputs[-1], last_window)
     if got != want or want != abs(perturbations[-1]):
@@ -243,35 +245,11 @@ def node_phase(instance: ProblemInstance, plan: DistPlan, node: int, s: int, fam
     return Fraction(shifted, r)
 
 
-def _simulate_node(
-    instance: ProblemInstance, plan: DistPlan, node: int, work_vector: np.ndarray
-) -> statevec.QuantumState:
-    """Dense pre-measurement state of one node given the incoming work register."""
-    t = plan.t[node]
-    required = 2 * t + instance.L
-    if required > statevec.MAX_QUBITS:
-        raise statevec.QubitBudgetError(
-            f"node {node + 1} needs {required} qubits (cap {statevec.MAX_QUBITS}); "
-            "use analytic mode"
-        )
-    layout = statevec.RegisterLayout((("a", t), ("b", t), ("work", instance.L)))
-    state = statevec.init_product(layout, {"work": work_vector})
-    state = statevec.hadamard_layer(state, "a")
-    state = statevec.hadamard_layer(state, "b")
-    exponent = plan.l[node] - 1
-    state = statevec.controlled_modmul_power(state, "a", "work", instance.a, exponent, instance.N)
-    state = statevec.controlled_modmul_power(state, "b", "work", instance.b, exponent, instance.N)
-    state = statevec.inverse_qft(state, "a")
-    state = statevec.inverse_qft(state, "b")
-    return state
-
-
 def run_distributed_quantum(
     instance: ProblemInstance,
     plan: DistPlan,
     rng: np.random.Generator,
     mode: str = "statevector",
-    account_comm: bool = True,
 ) -> NodeMeasurements:
     """One pass of the k-node quantum stage.
 
@@ -286,12 +264,10 @@ def run_distributed_quantum(
     if mode != "statevector":
         raise ValueError(f"unknown mode {mode!r}")
 
-    work = np.zeros(1 << instance.L, dtype=np.complex128)
-    work[1] = 1.0
+    work: int | np.ndarray = 1
     results = []
-    comm = 0
     for j in range(plan.k):
-        state = _simulate_node(instance, plan, j, work)
+        state = build_stage_state(instance, plan.t[j], plan.l[j] - 1, work)
         out_a, state = statevec.measure_register(state, "a", rng)
         out_b, state = statevec.measure_register(state, "b", rng)
         results.append(
@@ -301,9 +277,9 @@ def run_distributed_quantum(
             work = statevec.register_vector(
                 state, "work", {"a": out_a.bits.value, "b": out_b.bits.value}
             )
-            if account_comm:
-                comm += instance.L
-    return NodeMeasurements(nodes=tuple(results), comm_qubits=comm)
+    return NodeMeasurements(
+        nodes=tuple(results), comm_qubits=communication_qubits(plan.k, instance.L)
+    )
 
 
 def _run_nodes_analytic(
@@ -345,9 +321,7 @@ def _node_transfer_states(
         )
     stack = np.empty(((1 << (2 * t)) * dim_c, len(columns)), dtype=np.complex128)
     for i, c in enumerate(columns):
-        basis = np.zeros(dim_c, dtype=np.complex128)
-        basis[c] = 1.0
-        stack[:, i] = _simulate_node(instance, plan, node, basis).amps
+        stack[:, i] = build_stage_state(instance, t, plan.l[node] - 1, int(c)).amps
     return stack.reshape(1 << (2 * t), dim_c, len(columns))
 
 
@@ -387,13 +361,6 @@ def statevector_joint_distribution(instance: ProblemInstance, plan: DistPlan) ->
         raise AssertionError(f"joint law mass {total!r} drifted from 1")
     flat.setflags(write=False)
     return flat
-
-
-@lru_cache(maxsize=4)
-def _statevector_joint_cdf(instance: ProblemInstance, plan: DistPlan) -> np.ndarray:
-    cdf = np.cumsum(statevector_joint_distribution(instance, plan))
-    cdf.setflags(write=False)
-    return cdf
 
 
 def analytic_joint_distribution(instance: ProblemInstance, plan: DistPlan) -> np.ndarray:
@@ -437,64 +404,40 @@ def solve_distributed(
     the cached exact joint law of the sequential protocol, which is the same
     distribution as running the nodes afresh each attempt.
     """
-    if max_retries < 1:
-        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
     use_reuse = mode == "statevector" and reuse_state
     if use_reuse:
         try:
-            _statevector_joint_cdf(instance, plan)
+            joint_cdf(statevector_joint_distribution, instance, plan)
         except statevec.QubitBudgetError:
             use_reuse = False  # cached joint too large; run nodes per attempt
-    attempts = 0
-    success = False
-    detail = None
-    measurements = None
-    fallback = False
-    m_a = m_b = None
-    latent_s = None
-    while attempts < max_retries:
-        attempts += 1
+
+    def attempt() -> tuple[BitString, BitString, dict]:
         if use_reuse:
-            flat = statevec.sample_cdf(rng, _statevector_joint_cdf(instance, plan))
+            cdf = joint_cdf(statevector_joint_distribution, instance, plan)
+            flat = statevec.sample_cdf(rng, cdf)
             measurements = NodeMeasurements(
                 nodes=decode_joint_index(flat, plan),
                 comm_qubits=communication_qubits(plan.k, instance.L),
             )
         else:
             measurements = run_distributed_quantum(instance, plan, rng, mode=mode)
-        latent_s = measurements.latent_s
         m_a, fb_a = correct_with_flag([ma for ma, _ in measurements.nodes], plan)
         m_b, fb_b = correct_with_flag([mb for _, mb in measurements.nodes], plan)
-        fallback = fb_a or fb_b
-        detail = postprocess_detail(m_a, m_b, instance)
-        if detail.g_hat is not None:
-            success = True
-            break
-    simulated = (
-        per_node_qubits_from_widths(plan.t, instance.L) if mode == "statevector" else 0
-    )
+        return m_a, m_b, {
+            "latent_s": measurements.latent_s,
+            "node_measurements": measurements.nodes,
+            "comm_qubits": measurements.comm_qubits,
+            "correct_fallback": fb_a or fb_b,
+        }
+
+    per_node = per_node_qubits_from_widths(plan.t, instance.L)
     report = ResourceReport(
         qubits_single_node_alg2=single_node_qubits(instance.r, instance.L, plan.epsilon),
-        qubits_per_node_alg4=per_node_qubits_from_widths(plan.t, instance.L),
+        qubits_per_node_alg4=per_node,
         comm_qubits=communication_qubits(plan.k, instance.L),
-        simulated_qubits_actual=simulated,
+        simulated_qubits_actual=per_node if mode == "statevector" else 0,
     )
-    assert detail is not None and measurements is not None
-    return RunRecord(
-        m_a=m_a,
-        m_b=m_b,
-        mhat_a=detail.mhat_a,
-        mhat_b=detail.mhat_b,
-        g_hat=detail.g_hat,
-        retries=attempts - 1,
-        success=success,
-        mode=mode,
-        latent_s=latent_s,
-        node_measurements=measurements.nodes,
-        comm_qubits=measurements.comm_qubits,
-        correct_fallback=fallback,
-        resources=report,
-    )
+    return retry(instance, max_retries, attempt, mode=mode, resources=report)
 
 
 def node_window_mass(
@@ -573,8 +516,8 @@ def compare_step7_state(instance: ProblemInstance, plan: DistPlan) -> Step7Repor
         u = phase.build_eigenstate(phase.EigenstateSpec(instance, s))
         max_w, max_a, dev = [], [], []
         for j in range(plan.k):
-            state = _simulate_node(instance, plan, j, u)
             t = plan.t[j]
+            state = build_stage_state(instance, t, plan.l[j] - 1, u)
             cube = state.amps.reshape(1 << t, 1 << t, dim_c)
             w = np.tensordot(cube, u.conj(), axes=([2], [0]))
             residual = float(np.linalg.norm(cube - w[:, :, None] * u[None, None, :]))

@@ -4,9 +4,14 @@ inversion, and the retry loop.
 Two quantum-stage backends exist. The state-vector backend runs the actual
 circuit on the simulator; it never reads the instance's hidden exponent.
 The analytic backend samples the latent branch index s and then draws the
-two counting-register outcomes from the closed-form distributions; it is
-distribution-identical to the circuit (the test suites check this exactly)
-and scales past the dense-vector qubit cap.
+two counting-register outcomes from the closed-form distributions, whose
+phases need the exponent g as an oracle (``hidden_g``, or the eigenphase
+extraction when it is absent); it is distribution-identical to the circuit
+(the test suites check this exactly) and scales past the dense-vector
+qubit cap.
+
+The distributed solver in ``dist`` reuses this module's node circuit,
+joint-law cache and retry loop.
 """
 
 from __future__ import annotations
@@ -15,20 +20,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from . import phase, statevec
 from .bits import BitString
-from .numtheory import (
-    ProblemInstance,
-    ceil_log2,
-    ceil_log2_ratio,
-    mod_inverse,
-    mod_pow,
-    to_fraction,
+from .numtheory import ProblemInstance, mod_inverse, mod_pow, to_fraction
+from .resources import (
+    ResourceReport,
+    communication_qubits,
+    order_register_width,
+    single_node_qubits,
+    slack_bits_single,
 )
-from .resources import ResourceReport, communication_qubits, single_node_qubits
 
 MODES = ("statevector", "analytic")
 
@@ -63,8 +68,7 @@ class ShorConfig:
 
 def counting_width(r: int, epsilon: Fraction) -> int:
     """t = ceil(log2 r + 1) + ceil(log2(2 + 1/epsilon)), computed exactly."""
-    p, q = epsilon.numerator, epsilon.denominator
-    return ceil_log2(2 * r) + ceil_log2_ratio(2 * p + q, p)
+    return order_register_width(r) + slack_bits_single(epsilon)
 
 
 @dataclass(frozen=True)
@@ -111,19 +115,31 @@ class RunRecord:
         return record
 
 
-def build_stage_state(instance: ProblemInstance, t: int) -> statevec.QuantumState:
-    """The pre-measurement state of the two-counting-register circuit."""
+def build_stage_state(
+    instance: ProblemInstance,
+    t: int,
+    exponent: int = 0,
+    work: int | np.ndarray = 1,
+) -> statevec.QuantumState:
+    """The pre-measurement state of the two-counting-register circuit.
+
+    The counting registers control c^(j 2^exponent) for c = a and c = b,
+    and the work register starts in the basis state |work> or in the given
+    amplitude vector. The single-node solver runs it with exponent 0 on
+    |1>; node j of the distributed solver runs it with exponent l_j - 1 on
+    the work register the previous node handed over.
+    """
     required = 2 * t + instance.L
     if required > statevec.MAX_QUBITS:
         raise statevec.QubitBudgetError(
             f"circuit needs {required} qubits (cap {statevec.MAX_QUBITS}); use analytic mode"
         )
     layout = statevec.RegisterLayout((("a", t), ("b", t), ("work", instance.L)))
-    state = statevec.init_basis(layout, {"work": 1})
+    state = statevec.init_product(layout, {"work": work})
     state = statevec.hadamard_layer(state, "a")
     state = statevec.hadamard_layer(state, "b")
-    state = statevec.controlled_modmul_power(state, "a", "work", instance.a, 0, instance.N)
-    state = statevec.controlled_modmul_power(state, "b", "work", instance.b, 0, instance.N)
+    state = statevec.controlled_modmul_power(state, "a", "work", instance.a, exponent, instance.N)
+    state = statevec.controlled_modmul_power(state, "b", "work", instance.b, exponent, instance.N)
     state = statevec.inverse_qft(state, "a")
     state = statevec.inverse_qft(state, "b")
     return state
@@ -143,8 +159,9 @@ def statevector_joint_distribution(instance: ProblemInstance, t: int) -> np.ndar
 
 
 @lru_cache(maxsize=8)
-def _statevector_joint_cdf(instance: ProblemInstance, t: int) -> np.ndarray:
-    cdf = np.cumsum(statevector_joint_distribution(instance, t))
+def joint_cdf(law, *key) -> np.ndarray:
+    """Cumulative form of the joint law ``law(*key)``, cached for sampling."""
+    cdf = np.cumsum(law(*key))
     cdf.setflags(write=False)
     return cdf
 
@@ -240,8 +257,37 @@ def postprocess_detail(
     return PostprocessResult(mhat_a, mhat_b, g_hat)
 
 
-def postprocess(m_a: BitString, m_b: BitString, instance: ProblemInstance) -> int | None:
-    return postprocess_detail(m_a, m_b, instance).g_hat
+def retry(
+    instance: ProblemInstance,
+    max_retries: int,
+    attempt: Callable[[], tuple[BitString, BitString, dict]],
+    **fields,
+) -> RunRecord:
+    """Quantum stage plus post-processing, retried up to max_retries attempts.
+
+    ``attempt()`` runs one quantum stage and returns the two full-width
+    estimates (m_a, m_b) with the record fields that attempt sets; the
+    record reports the last attempt. ``fields`` are the record fields fixed
+    for the whole solve.
+    """
+    if max_retries < 1:
+        raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+    for attempts in range(1, max_retries + 1):
+        m_a, m_b, extra = attempt()
+        detail = postprocess_detail(m_a, m_b, instance)
+        if detail.g_hat is not None:
+            break
+    return RunRecord(
+        m_a=m_a,
+        m_b=m_b,
+        mhat_a=detail.mhat_a,
+        mhat_b=detail.mhat_b,
+        g_hat=detail.g_hat,
+        retries=attempts - 1,
+        success=detail.g_hat is not None,
+        **extra,
+        **fields,
+    )
 
 
 def solve(
@@ -250,52 +296,31 @@ def solve(
     rng: np.random.Generator,
     reuse_state: bool = True,
 ) -> RunRecord:
-    """Quantum stage plus post-processing, retried up to max_retries attempts.
+    """The single-node solver: quantum stage, post-processing, retries.
 
     With reuse_state (the default) the state-vector backend draws outcomes
     from the cached exact measurement law of the pre-measurement state,
     which is distribution-identical to re-running the circuit per attempt.
     """
-    latent_s = None
-    attempts = 0
-    detail = None
-    m_a = m_b = None
-    success = False
-    while attempts < config.max_retries:
-        attempts += 1
+    t = config.t
+
+    def attempt() -> tuple[BitString, BitString, dict]:
         if config.mode == "analytic":
             m_a, m_b, latent_s = quantum_stage_analytic(instance, config, rng)
-        elif reuse_state:
-            cdf = _statevector_joint_cdf(instance, config.t)
+            return m_a, m_b, {"latent_s": latent_s}
+        if reuse_state:
+            cdf = joint_cdf(statevector_joint_distribution, instance, t)
             flat = statevec.sample_cdf(rng, cdf)
-            m_a = BitString(config.t, flat >> config.t)
-            m_b = BitString(config.t, flat & ((1 << config.t) - 1))
-        else:
-            m_a, m_b = quantum_stage_statevector(instance, config, rng)
-        detail = postprocess_detail(m_a, m_b, instance)
-        if detail.g_hat is not None:
-            success = True
-            break
-    simulated = 2 * config.t + instance.L if config.mode == "statevector" else 0
+            return BitString(t, flat >> t), BitString(t, flat & ((1 << t) - 1)), {}
+        return (*quantum_stage_statevector(instance, config, rng), {})
+
     report = ResourceReport(
         qubits_single_node_alg2=single_node_qubits(instance.r, instance.L, config.epsilon),
         qubits_per_node_alg4=None,
         comm_qubits=communication_qubits(1, instance.L),
-        simulated_qubits_actual=simulated,
+        simulated_qubits_actual=2 * t + instance.L if config.mode == "statevector" else 0,
     )
-    assert detail is not None and m_a is not None and m_b is not None
-    return RunRecord(
-        m_a=m_a,
-        m_b=m_b,
-        mhat_a=detail.mhat_a,
-        mhat_b=detail.mhat_b,
-        g_hat=detail.g_hat,
-        retries=attempts - 1,
-        success=success,
-        mode=config.mode,
-        latent_s=latent_s,
-        resources=report,
-    )
+    return retry(instance, config.max_retries, attempt, mode=config.mode, resources=report)
 
 
 def analytic_joint_distribution(instance: ProblemInstance, t: int) -> np.ndarray:

@@ -109,8 +109,10 @@ class ProblemInstance:
     """A validated discrete-log problem: find g with a**g = b mod N.
 
     ``r`` is the multiplicative order of ``a`` and ``L`` the work-register
-    width floor(log2 N) + 1. ``hidden_g`` is retained for test assertions
-    only; solver code never reads it.
+    width floor(log2 N) + 1. ``hidden_g`` is the exponent found during
+    validation. Tests assert against it, and the analytic backends read it
+    as their oracle for the branch phases s g / r. The state-vector
+    backends never read it.
     """
 
     N: int

@@ -99,7 +99,10 @@ def phase_outcome_distribution(omega: Fraction, t: int) -> np.ndarray:
         probs = np.zeros(size)
         probs[0] = 1.0
     else:
-        peak = math.sin(math.pi * ((num << t) % den) / den) ** 2
+        # sin^2 is symmetric about pi/2: fold the residue to the half-turn
+        # nearer 0, so the peak factor is never evaluated next to pi.
+        res = (num << t) % den
+        peak = math.sin(math.pi * min(res, den - res) / den) ** 2
         args = math.pi * (diff / float(den << t))
         with np.errstate(divide="ignore", invalid="ignore"):
             probs = peak / (float(size) ** 2 * np.sin(args) ** 2)

@@ -12,11 +12,10 @@ makes independent trials safe to run concurrently.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import IO, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -106,13 +105,6 @@ class QuantumState:
     def tensor(self) -> np.ndarray:
         """The amplitude vector reshaped to one axis per register."""
         return self.amps.reshape(self.layout.axis_shape())
-
-    def dump_csv(self, stream: IO[str]) -> None:
-        """Debug dump as (basis index, re, im) rows; not a stable format."""
-        writer = csv.writer(stream)
-        writer.writerow(["basis_index", "re", "im"])
-        for i, amp in enumerate(self.amps):
-            writer.writerow([i, repr(float(amp.real)), repr(float(amp.imag))])
 
 
 def init_basis(layout: RegisterLayout, assignments: Mapping[str, int] | None = None) -> QuantumState:
@@ -256,23 +248,10 @@ def inverse_qft(state: QuantumState, register: str) -> QuantumState:
     Implemented as a radix-2 butterfly (FFT) along the register axis; this
     is numerically exact to ~1e-15 and much faster than a dense matrix.
     """
-    return _fourier(state, register, inverse=True)
-
-
-def forward_qft(state: QuantumState, register: str) -> QuantumState:
-    return _fourier(state, register, inverse=False)
-
-
-def _fourier(state: QuantumState, register: str, inverse: bool) -> QuantumState:
     layout = state.layout
-    start = layout.start_of(register)
-    width = layout.width_of(register)
-    dim = 1 << width
-    cube = state.amps.reshape(1 << start, dim, -1)
-    if inverse:
-        out = np.fft.fft(cube, axis=1) / math.sqrt(dim)
-    else:
-        out = np.fft.ifft(cube, axis=1) * math.sqrt(dim)
+    dim = 1 << layout.width_of(register)
+    cube = state.amps.reshape(1 << layout.start_of(register), dim, -1)
+    out = np.fft.fft(cube, axis=1) / math.sqrt(dim)
     return QuantumState(layout, np.ascontiguousarray(out.reshape(-1)))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dist, dlp, phase
 from .bits import BitString, circ_dist, wrap_add
-from .numtheory import ProblemInstance, to_fraction, validate_instance
+from .numtheory import to_fraction, validate_instance
 
 PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -262,27 +262,6 @@ def suite_dlp_mass(
                 )
             )
     return checks
-
-
-def suite_node_accuracy(
-    instance: ProblemInstance, plan: dist.DistPlan
-) -> list[CheckResult]:
-    """Per-branch window masses of the distributed stage against 1 - eps'."""
-    bound = 1.0 - float(plan.epsilon_prime)
-    worst = 1.0
-    ok = True
-    for s in range(instance.r):
-        mass = dist.branch_event_mass(instance, plan, s)
-        worst = min(worst, mass)
-        ok &= mass >= bound
-    return [
-        _result(
-            f"per-branch window masses k={plan.k} h={plan.h}",
-            ok,
-            f"worst {worst:.6f}",
-            f">= {bound:.6f}",
-        )
-    ]
 
 
 SUITES = ("metric", "prefix", "alignment", "accuracy", "correct", "dlp-mass", "all")

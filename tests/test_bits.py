@@ -1,15 +1,11 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from distdlog.bits import (
     BitString,
-    FractionWindow,
     circ_dist,
     fraction_bits,
-    nearest_window,
     wrap_add,
 )
 
@@ -156,54 +152,3 @@ class TestFractionBits:
             fraction_bits(5, 5, 1, 3)
         with pytest.raises(ValueError):
             fraction_bits(1, 5, 3, 2)
-
-
-class TestNearestWindow:
-    def exhaustive_best(self, numerator, denominator, t):
-        """Oracle: argmin over all t-bit m of the circular deviation, exact."""
-        size = 1 << t
-        omega = Fraction(numerator << t, denominator)
-        best_m, best_dev = None, None
-        for m in range(size):
-            dev = min(abs(omega - m), size - abs(omega - m))
-            if best_dev is None or dev < best_dev:
-                best_m, best_dev = m, dev
-        return best_m, best_dev
-
-    def test_examples(self):
-        # 2/5 * 32 = 12.8 -> 13; 1/5 * 32 = 6.4 -> 6; 1/2 exactly representable
-        assert str(nearest_window(2, 5, 5)) == format(13, "05b") == "01101"
-        assert str(nearest_window(1, 5, 5)) == format(6, "05b") == "00110"
-        assert str(nearest_window(1, 2, 3)) == "100"
-
-    @given(st.integers(2, 200), st.integers(1, 10))
-    def test_matches_exhaustive_argmin(self, denominator, t):
-        numerator = denominator // 2
-        got = nearest_window(numerator, denominator, t)
-        best_m, best_dev = self.exhaustive_best(numerator, denominator, t)
-        omega = Fraction(numerator << t, denominator)
-        size = 1 << t
-        got_dev = min(abs(omega - got.value), size - abs(omega - got.value))
-        assert got_dev == best_dev
-        if got.value != best_m:  # a tie; ours must be the truncation
-            assert got.value == fraction_bits(numerator, denominator, 1, t).value
-
-    def test_wraparound_above_full_scale(self):
-        # 7/8 at width 1: deviation to 0 wraps to 1/4 of the circle? 2*7/8=1.75,
-        # candidates 0 and 1: |1.75-1| = 0.75 vs wrap |2-1.75| = 0.25 -> 0.
-        assert nearest_window(7, 8, 1).value == 0
-
-
-class TestFractionWindow:
-    def test_bits_and_tail(self):
-        window = FractionWindow(2, 5, 2, 5)
-        assert str(window.bits()) == str(fraction_bits(2, 5, 2, 5))
-        # tail starting at position 2 is frac(2 * 2/5) = 4/5
-        assert window.tail_fraction() == Fraction(4, 5)
-        assert window.fraction == Fraction(2, 5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FractionWindow(5, 5, 1, 2)
-        with pytest.raises(ValueError):
-            FractionWindow(1, 5, 2, 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -87,6 +88,34 @@ class TestSolveDistCommand:
         )
         assert code == 2
         assert "infeasible" in err
+
+
+class TestGoldenOutput:
+    """sha256 of seeded stdout: a refactor of either solver must keep every
+    seeded record byte for byte. Records hold only integers, bit strings and
+    bools, so the digests do not depend on the platform."""
+
+    BASE = ["--N", "11", "--a", "3", "--b", "9", "--epsilon", "0.25", "--seed", "7"]
+    DIST = ["--k", "2", "--h", "2", "--epsilon-prime", "0.2"]
+
+    @pytest.mark.parametrize(
+        "command, extra, digest",
+        [
+            ("solve", ["--trials", "100", "--max-retries", "1"],
+             "e74cf8575164339d2db4cddc295eeb2b3b8a8ae8f230b101c05f6d4a846ffa60"),
+            ("solve", ["--trials", "10", "--max-retries", "1", "--no-reuse"],
+             "f20652012fec1b7147a7d3b8235805bc73f6d722e424114a805f6cf9f9336b8e"),
+            ("solve-dist", DIST + ["--trials", "100"],
+             "100d064757175526612814ad02c7d10664c32394fe0d2a99576b60d10220a13f"),
+            ("solve-dist", DIST + ["--trials", "5", "--no-reuse"],
+             "19a4e9cafc25d2976dda5c2f692dfc3606d17a9c95d3fa3b00d5a83dcf021c59"),
+        ],
+        ids=["solve", "solve-no-reuse", "solve-dist", "solve-dist-no-reuse"],
+    )
+    def test_stdout_digest(self, capsys, command, extra, digest):
+        code, out, _ = run_cli(capsys, [command] + self.BASE + extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestResourcesCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from distdlog.dist import (
     branch_event_mass,
     brute_force_correct_oracle,
     compare_step7_state,
-    correct,
     correct_with_flag,
     decode_joint_index,
     make_plan,
@@ -22,6 +22,7 @@ from distdlog.dist import (
     solve_distributed,
     statevector_joint_distribution,
 )
+from distdlog.dlp import ShorConfig, solve
 from distdlog.numtheory import mod_pow
 from distdlog.resources import per_node_qubits_from_widths
 
@@ -87,7 +88,7 @@ class TestCorrect:
                 w.slice(plan.l[0], plan.l[1] + plan.h),
                 w.slice(plan.l[1], plan.l[2]),
             ]
-            assert correct(parts, plan) == w
+            assert correct_with_flag(parts, plan)[0] == w
 
     def test_single_node_degenerate(self):
         plan = DistPlan(
@@ -95,13 +96,13 @@ class TestCorrect:
             l=(1, 5), t=(8,), measured=(5,), total_width=5,
         )
         m = bs("10110")
-        assert correct([m], plan) == m
+        assert correct_with_flag([m], plan)[0] == m
 
     def test_width_validation(self, acceptance_plan):
         with pytest.raises(PlanError):
-            correct([bs("0101")], acceptance_plan)
+            correct_with_flag([bs("0101")], acceptance_plan)
         with pytest.raises(PlanError):
-            correct([bs("01011"), bs("1110")], acceptance_plan)
+            correct_with_flag([bs("01011"), bs("1110")], acceptance_plan)
 
     def test_fallback_flag_fires_outside_window(self, acceptance_plan):
         fired = False
@@ -177,14 +178,15 @@ class TestQuantumStage:
         assert result.comm_qubits == (acceptance_plan.k - 1) * instance.L
 
     def test_handoff_accounting_neutral(self, instance, acceptance_plan):
-        a = run_distributed_quantum(
-            instance, acceptance_plan, np.random.default_rng(9), account_comm=True
-        )
-        b = run_distributed_quantum(
-            instance, acceptance_plan, np.random.default_rng(9), account_comm=False
+        """Both backends charge the (k - 1) L hand-off qubits, and a seeded
+        rerun draws the same node measurements."""
+        a = run_distributed_quantum(instance, acceptance_plan, np.random.default_rng(9))
+        b = run_distributed_quantum(instance, acceptance_plan, np.random.default_rng(9))
+        analytic = run_distributed_quantum(
+            instance, acceptance_plan, np.random.default_rng(9), mode="analytic"
         )
         assert a.nodes == b.nodes
-        assert b.comm_qubits == 0 and a.comm_qubits == 4
+        assert a.comm_qubits == analytic.comm_qubits == 4
 
     def test_analytic_zero_branch_zero_strings(self, instance, acceptance_plan):
         class ZeroRng:
@@ -248,12 +250,12 @@ class TestStepSevenState:
         """The first node's counting-register law equals the branch average
         of the closed-form distributions; the work register is never measured."""
         from distdlog import statevec
-        from distdlog.dist import _simulate_node
+        from distdlog.dlp import build_stage_state
         from distdlog.phase import phase_outcome_distribution
 
-        work = np.zeros(1 << instance.L, dtype=np.complex128)
-        work[1] = 1.0
-        state = _simulate_node(instance, acceptance_plan, 0, work)
+        state = build_stage_state(
+            instance, acceptance_plan.t[0], acceptance_plan.l[0] - 1, 1
+        )
         got = statevec.marginal_distribution(state, "a", acceptance_plan.t[0])
         want = sum(
             phase_outcome_distribution(
@@ -343,3 +345,23 @@ class TestSolveDistributed:
         payload = record.to_json_dict()
         assert len(payload["node_measurements"]) == 2
         json.dumps(payload)
+
+
+def test_statevector_solvers_never_read_hidden_g(small_instance, small_plan):
+    """With a wrong stored exponent, both state-vector solvers, cached and
+    fresh, produce the same records and still recover the true exponent."""
+    instance = small_instance
+    wrong = dataclasses.replace(instance, hidden_g=(instance.hidden_g + 1) % instance.r)
+    config = ShorConfig.for_instance(instance, "0.5", max_retries=20)
+    runs = {
+        "solve": lambda inst, rng: solve(inst, config, rng),
+        "solve fresh": lambda inst, rng: solve(inst, config, rng, reuse_state=False),
+        "dist": lambda inst, rng: solve_distributed(inst, small_plan, rng, max_retries=20),
+        "dist fresh": lambda inst, rng: solve_distributed(
+            inst, small_plan, rng, max_retries=20, reuse_state=False
+        ),
+    }
+    for name, run in runs.items():
+        got = run(wrong, np.random.default_rng(11))
+        assert got == run(instance, np.random.default_rng(11)), name
+        assert got.success and got.g_hat == instance.hidden_g, name

@@ -11,7 +11,6 @@ from distdlog.dlp import (
     analytic_joint_distribution,
     build_stage_state,
     eigenphase_dlog,
-    postprocess,
     postprocess_detail,
     quantum_stage_analytic,
     quantum_stage_statevector,
@@ -64,19 +63,19 @@ class TestRounding:
         assert mod_pow(3, 2, 11) == 9
 
     def test_zero_round_retries(self, instance):
-        assert postprocess(bs("00000"), bs("01101"), instance) is None
+        assert postprocess_detail(bs("00000"), bs("01101"), instance).g_hat is None
 
     def test_full_scale_alias_retries(self, instance):
         # 31 * 5 / 32 rounds to 5 = r, the wrap-around alias of s = 0
         assert round_scaled(bs("11111"), 5) == 5
-        assert postprocess(bs("11111"), bs("01101"), instance) is None
+        assert postprocess_detail(bs("11111"), bs("01101"), instance).g_hat is None
 
     def test_never_returns_unverified(self, instance):
         rng = np.random.default_rng(7)
         for _ in range(500):
             m_a = BitString(7, int(rng.integers(1 << 7)))
             m_b = BitString(7, int(rng.integers(1 << 7)))
-            g_hat = postprocess(m_a, m_b, instance)
+            g_hat = postprocess_detail(m_a, m_b, instance).g_hat
             if g_hat is not None:
                 assert mod_pow(instance.a, g_hat, instance.N) == instance.b
 
@@ -98,7 +97,8 @@ class TestRounding:
             assert window_a and window_b
             for ma in window_a:
                 for mb in window_b:
-                    got = postprocess(BitString(t, ma), BitString(t, mb), instance)
+                    detail = postprocess_detail(BitString(t, ma), BitString(t, mb), instance)
+                    got = detail.g_hat
                     assert got == g
 
 
@@ -227,6 +227,7 @@ class TestExactMass:
                 if da[ma] == 0.0:
                     continue
                 for mb in range(1 << t):
-                    if postprocess(BitString(t, ma), BitString(t, mb), small_instance) is not None:
+                    detail = postprocess_detail(BitString(t, ma), BitString(t, mb), small_instance)
+                    if detail.g_hat is not None:
                         total += da[ma] * db[mb]
         assert mass == pytest.approx(total / r, abs=1e-12)

@@ -107,6 +107,29 @@ class TestOutcomeDistribution:
         assert folded.sum() == pytest.approx(1.0)
         assert folded[2] == pytest.approx(dist[8:12].sum())
 
+    def test_mass_drift_repro(self):
+        """(47 << 17) mod 16001 = 16000: the peak angle sits next to pi."""
+        dist = phase_outcome_distribution(Fraction(47, 16001), 17)
+        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [13, 14, 18])
+    @pytest.mark.parametrize("distance", [1, 4])
+    def test_mass_near_full_turn_residue(self, t, distance):
+        """Residues den - 1 and den - 4 of 2^t w put the peak angle next to
+        pi, where an unfolded float sine is off by about 1e-12 relative."""
+        r = 16001
+        num = (r - distance) * pow(pow(2, t, r), -1, r) % r
+        assert (num << t) % r == r - distance
+        dist = phase_outcome_distribution(Fraction(num, r), t)
+        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+        # sin^2(pi (2^t w - m)) is sin^2(pi d / r) for every m
+        m = int(np.argmax(dist))
+        diff = (num << t) - m * r  # exact 2^t r (w - m / 2^t)
+        want = math.sin(math.pi * distance / r) ** 2 / (
+            (1 << (2 * t)) * math.sin(math.pi * diff / (r << t)) ** 2
+        )
+        assert dist[m] == pytest.approx(want, rel=1e-9)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             phase_outcome_distribution(Fraction(3, 2), 4)
