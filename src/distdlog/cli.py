@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,11 +33,23 @@ def _json_line(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+_BIGINT_BITS_CAP = 1 << 16
+
+
 def _parse_bigint(text: str) -> int:
-    """Plain integers plus the power form 'b**e' for huge symbolic orders."""
+    """Plain integers plus the power form 'b**e' for huge symbolic orders.
+
+    A power of more than _BIGINT_BITS_CAP bits is refused before it is
+    computed.
+    """
     if "**" in text:
         base, _, exponent = text.partition("**")
-        return int(base) ** int(exponent)
+        base, exponent = int(base), int(exponent)
+        if abs(base) > 1 and exponent * math.log2(abs(base)) > _BIGINT_BITS_CAP:
+            raise argparse.ArgumentTypeError(
+                f"{text} has more than {_BIGINT_BITS_CAP} bits"
+            )
+        return base**exponent
     return int(text)
 
 

@@ -28,10 +28,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import phase, statevec
-from .bits import BitString, circ_dist, fraction_bits, wrap_add
+from .bits import BitString, circ_dist, wrap_add
 from .dlp import (  # postprocess_detail: bench/tests checks dist's binding of it
     RunRecord,
-    _branch_exponent,
+    branch_exponent,
     build_stage_state,
     joint_cdf,
     postprocess_detail,
@@ -240,7 +240,7 @@ class NodeMeasurements:
 def node_phase(instance: ProblemInstance, plan: DistPlan, node: int, s: int, family: str) -> Fraction:
     """The exact phase node ``node`` (0-based) estimates on branch s."""
     r = instance.r
-    numerator = s if family == "a" else (s * _branch_exponent(instance)) % r
+    numerator = s if family == "a" else (s * branch_exponent(instance)) % r
     shifted = (numerator * pow(2, plan.l[node] - 1, r)) % r
     return Fraction(shifted, r)
 
@@ -438,36 +438,6 @@ def solve_distributed(
         simulated_qubits_actual=per_node if mode == "statevector" else 0,
     )
     return retry(instance, max_retries, attempt, mode=mode, resources=report)
-
-
-def node_window_mass(
-    instance: ProblemInstance, plan: DistPlan, node: int, s: int, family: str
-) -> float:
-    """Probability that one node's measured prefix lands within its window.
-
-    The window is the node's slice of the branch phase's expansion; the
-    allowed circular deviation is 2^(h-2) for overlap nodes and 1 for the
-    final node.
-    """
-    m = plan.measured[node]
-    omega = node_phase(instance, plan, node, s, family)
-    dist = phase.phase_outcome_distribution(omega, plan.t[node])
-    folded = phase.prefix_marginal(dist, m)
-    target = fraction_bits(omega.numerator, omega.denominator, 1, m).value
-    outcomes = np.arange(1 << m, dtype=np.int64)
-    diff = np.abs(outcomes - target)
-    circular = np.minimum(diff, (1 << m) - diff)
-    threshold = (1 << (plan.h - 2)) if node < plan.k - 1 else 1
-    return float(folded[circular <= threshold].sum())
-
-
-def branch_event_mass(instance: ProblemInstance, plan: DistPlan, s: int) -> float:
-    """Probability that every node of branch s lands in its window (both families)."""
-    mass = 1.0
-    for j in range(plan.k):
-        for family in ("a", "b"):
-            mass *= node_window_mass(instance, plan, j, s, family)
-    return mass
 
 
 @dataclass(frozen=True)

@@ -128,21 +128,47 @@ def build_stage_state(
     amplitude vector. The single-node solver runs it with exponent 0 on
     |1>; node j of the distributed solver runs it with exponent l_j - 1 on
     the work register the previous node handed over.
+
+    This is the fused node kernel; the gate-level oracle it equals
+    amplitude for amplitude is init_product, hadamard_layer on a and b,
+    controlled_modmul_power for a and b and inverse_qft on a and b. Both
+    counting registers start in |0>, so the Hadamards only scale the work
+    vector, and the multiplications make amplitude [j_a, j_b, y] the scaled
+    work amplitude at a^(-j_a 2^e) b^(-j_b 2^e) y. The Fourier transforms
+    run only on the columns y in the orbit of the work vector's support;
+    every other column is zero throughout.
     """
     required = 2 * t + instance.L
     if required > statevec.MAX_QUBITS:
         raise statevec.QubitBudgetError(
             f"circuit needs {required} qubits (cap {statevec.MAX_QUBITS}); use analytic mode"
         )
-    layout = statevec.RegisterLayout((("a", t), ("b", t), ("work", instance.L)))
-    state = statevec.init_product(layout, {"work": work})
-    state = statevec.hadamard_layer(state, "a")
-    state = statevec.hadamard_layer(state, "b")
-    state = statevec.controlled_modmul_power(state, "a", "work", instance.a, exponent, instance.N)
-    state = statevec.controlled_modmul_power(state, "b", "work", instance.b, exponent, instance.N)
-    state = statevec.inverse_qft(state, "a")
-    state = statevec.inverse_qft(state, "b")
-    return state
+    L, N = instance.L, instance.N
+    layout = statevec.RegisterLayout((("a", t), ("b", t), ("work", L)))
+    vec = statevec.register_factor("work", L, work)
+    if isinstance(vec, int):
+        vec = np.zeros(1 << L, dtype=np.complex128)
+        vec[work] = 1.0
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for _ in range(2 * t):  # rounds exactly as one Hadamard on a |0> qubit
+        vec = (vec + 0) * inv_sqrt2
+    src_a = statevec.modmul_sources(t, L, instance.a, exponent, N)
+    src_b = statevec.modmul_sources(t, L, instance.b, exponent, N)
+    live = np.flatnonzero(vec)
+    for c in (pow(instance.a, 1 << exponent, N), pow(instance.b, 1 << exponent, N)):
+        for _ in range(N.bit_length()):  # after step i: every power below 2^(i+1)
+            live = np.union1d(live, np.where(live < N, live * c % N, live))
+            c = c * c % N
+    block = vec[src_a[:, src_b[:, live]]]
+    scale = math.sqrt(1 << t)
+    block = np.fft.fft(block, axis=0)
+    block /= scale
+    block = np.fft.fft(block, axis=1)
+    block /= scale
+    amps = np.zeros((1 << t, 1 << t, 1 << L), dtype=np.complex128)
+    amps[:, :, live] = block
+    del block  # before the norm check allocates its temporaries
+    return statevec.QuantumState(layout, amps.reshape(-1))
 
 
 @lru_cache(maxsize=8)
@@ -198,7 +224,7 @@ def eigenphase_dlog(instance: ProblemInstance) -> int:
     return g
 
 
-def _branch_exponent(instance: ProblemInstance) -> int:
+def branch_exponent(instance: ProblemInstance) -> int:
     if instance.hidden_g is not None:
         return instance.hidden_g
     return eigenphase_dlog(instance)
@@ -215,7 +241,7 @@ def quantum_stage_analytic(
     """
     r = instance.r
     s = int(rng.integers(r))
-    g = _branch_exponent(instance)
+    g = branch_exponent(instance)
     dist_a = phase.phase_outcome_distribution(Fraction(s, r), config.t)
     dist_b = phase.phase_outcome_distribution(Fraction((s * g) % r, r), config.t)
     m_a = statevec.sample_outcome(rng, dist_a)
@@ -329,7 +355,7 @@ def analytic_joint_distribution(instance: ProblemInstance, t: int) -> np.ndarray
     Flat index = m_a * 2^t + m_b, matching the state-vector joint.
     """
     r = instance.r
-    g = _branch_exponent(instance)
+    g = branch_exponent(instance)
     size = 1 << t
     joint = np.zeros(size * size)
     for s in range(r):
@@ -352,7 +378,7 @@ def single_shot_success_mass(
     eps = to_fraction(epsilon)
     t = counting_width(instance.r, eps)
     r = instance.r
-    g = _branch_exponent(instance)
+    g = branch_exponent(instance)
     size = 1 << t
     outcomes = np.arange(size, dtype=np.int64)
     classes = ((2 * outcomes * r + size) >> (t + 1)) % r

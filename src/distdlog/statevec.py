@@ -3,11 +3,17 @@
 Basis convention: registers appear in declaration order, most significant
 first, and within a register the first qubit is the most significant bit.
 All index arithmetic follows from that single rule, so marginals and
-permutations reduce to reshapes and integer shifts.
+permutations reduce to reshapes and table gathers.
 
 Operations are pure: each returns a fresh QuantumState and re-checks the
 unit-norm invariant. A state is never mutated after construction, which
 makes independent trials safe to run concurrently.
+
+The gates here (init_product, hadamard_layer, controlled_modmul_power,
+inverse_qft) apply one general operation to the whole vector. They are the
+gate-level oracle: the fused node kernel ``dlp.build_stage_state`` uses only
+``register_factor`` and ``modmul_sources`` from this module, and the tests
+check that it equals their composition exactly.
 """
 
 from __future__ import annotations
@@ -74,10 +80,6 @@ class RegisterLayout:
             offset += w
         raise LayoutError(f"unknown register {name!r}")
 
-    def right_shift_of(self, name: str) -> int:
-        """Bit shift that brings the register value to the low bits of an index."""
-        return self.total_width - self.start_of(name) - self.width_of(name)
-
     def axis_shape(self) -> tuple[int, ...]:
         return tuple(1 << w for _, w in self.registers)
 
@@ -112,16 +114,23 @@ def init_basis(layout: RegisterLayout, assignments: Mapping[str, int] | None = N
 
     Unassigned registers default to 0.
     """
-    assignments = dict(assignments or {})
-    index = 0
-    for name, value in assignments.items():
-        width = layout.width_of(name)
-        if not 0 <= value < (1 << width):
-            raise LayoutError(f"value {value} does not fit register {name!r} of width {width}")
-        index |= value << layout.right_shift_of(name)
-    amps = np.zeros(1 << layout.total_width, dtype=np.complex128)
-    amps[index] = 1.0
-    return QuantumState(layout, amps)
+    return init_product(layout, assignments)
+
+
+def register_factor(name: str, width: int, factor: "int | np.ndarray") -> "int | np.ndarray":
+    """One register's factor: a basis value, or an amplitude vector that is
+    unit norm to 1e-9, returned renormalised exactly."""
+    if isinstance(factor, (int, np.integer)):
+        if not 0 <= factor < (1 << width):
+            raise LayoutError(f"value {factor} does not fit register {name!r} of width {width}")
+        return int(factor)
+    vec = np.asarray(factor, dtype=np.complex128)
+    if vec.shape != (1 << width,):
+        raise LayoutError(f"factor for {name!r} has shape {vec.shape}")
+    norm = math.sqrt(float(np.sum(vec.real**2 + vec.imag**2)))
+    if abs(norm - 1.0) > 1e-9:
+        raise LayoutError(f"factor for {name!r} has norm {norm}")
+    return vec / norm
 
 
 def init_product(
@@ -129,31 +138,25 @@ def init_product(
 ) -> QuantumState:
     """Tensor-product state from per-register basis values or amplitude vectors.
 
-    Vector factors must be unit norm to 1e-9; they are renormalised exactly
-    before the product is formed.
+    Only the vector factors are multiplied out; basis values fix the
+    position of that block in the otherwise zero state.
     """
     factors = dict(factors or {})
-    parts = []
+    index: list[object] = []
+    vectors = []
     for name, width in layout.registers:
-        factor = factors.pop(name, 0)
-        if isinstance(factor, (int, np.integer)):
-            if not 0 <= factor < (1 << width):
-                raise LayoutError(f"value {factor} does not fit register {name!r}")
-            vec = np.zeros(1 << width, dtype=np.complex128)
-            vec[factor] = 1.0
+        factor = register_factor(name, width, factors.pop(name, 0))
+        if isinstance(factor, int):
+            index.append(factor)
         else:
-            vec = np.asarray(factor, dtype=np.complex128)
-            if vec.shape != (1 << width,):
-                raise LayoutError(f"factor for {name!r} has shape {vec.shape}")
-            norm = math.sqrt(float(np.sum(vec.real**2 + vec.imag**2)))
-            if abs(norm - 1.0) > 1e-9:
-                raise LayoutError(f"factor for {name!r} has norm {norm}")
-            vec = vec / norm
-        parts.append(vec)
+            index.append(slice(None))
+            vectors.append(factor)
     if factors:
         raise LayoutError(f"unknown registers in factors: {sorted(factors)}")
-    amps = reduce(np.kron, parts)
-    return QuantumState(layout, amps)
+    amps = np.zeros(layout.axis_shape(), dtype=np.complex128)
+    block = reduce(np.kron, vectors, np.ones(1))
+    amps[tuple(index)] = block.reshape([len(v) for v in vectors])
+    return QuantumState(layout, amps.reshape(-1))
 
 
 def hadamard_layer(state: QuantumState, register: str) -> QuantumState:
@@ -173,23 +176,12 @@ def hadamard_layer(state: QuantumState, register: str) -> QuantumState:
 
 
 @lru_cache(maxsize=64)
-def _modmul_destinations(
-    registers: tuple[tuple[str, int], ...],
-    control: str,
-    work: str,
-    base: int,
-    power_exponent: int,
-    N: int,
-) -> np.ndarray:
-    """Destination index per basis index for a controlled modular multiply.
+def _modmul_destinations(t: int, w: int, base: int, power_exponent: int, N: int) -> np.ndarray:
+    """The (2^t, 2^w) table of c^j * x mod N over control j and work x.
 
-    Basis |j>_control |x>_work maps to |j>|c^j * x mod N> with
-    c = base^(2^power_exponent) mod N; work values >= N are fixed points so
-    the map stays a permutation of the whole index space.
+    c = base^(2^power_exponent) mod N; work values >= N are fixed points,
+    so every row is a permutation of range(2^w).
     """
-    layout = RegisterLayout(registers)
-    t = layout.width_of(control)
-    w = layout.width_of(work)
     if (1 << w) < N:
         raise LayoutError(f"work register of width {w} cannot hold residues mod {N}")
     c = pow(base, 1 << power_exponent, N)
@@ -199,16 +191,26 @@ def _modmul_destinations(
         powers[j] = acc
         acc = (acc * c) % N
     xs = np.arange(1 << w, dtype=np.int64)
-    in_range = xs < N
-    table = np.where(in_range[None, :], (powers[:, None] * xs[None, :]) % N, xs[None, :])
-    idx = np.arange(1 << layout.total_width, dtype=np.int64)
-    cshift = layout.right_shift_of(control)
-    wshift = layout.right_shift_of(work)
-    j = (idx >> cshift) & ((1 << t) - 1)
-    x = (idx >> wshift) & ((1 << w) - 1)
-    dest = idx + ((table[j, x] - x) << wshift)
-    dest.setflags(write=False)
-    return dest
+    table = np.where(xs[None, :] < N, (powers[:, None] * xs[None, :]) % N, xs[None, :])
+    table.setflags(write=False)
+    return table
+
+
+def modmul_sources(t: int, w: int, base: int, power_exponent: int, N: int) -> np.ndarray:
+    """The (2^t, 2^w) table whose entry [j, y] is the x with c^j x = y mod N.
+
+    Gathering a work axis through row j applies the multiplication by c^j,
+    with c = base^(2^power_exponent) mod N.
+    """
+    if N < 2:
+        raise ValueError(f"modulus must be >= 2, got {N}")
+    if math.gcd(base, N) != 1:
+        raise ValueError(
+            f"base {base} is not a unit mod {N}: multiplication is not a permutation"
+        )
+    if power_exponent < 0:
+        raise ValueError(f"power exponent must be >= 0, got {power_exponent}")
+    return _modmul_destinations(t, w, pow(base, -1, N), power_exponent, N)
 
 
 def controlled_modmul_power(
@@ -226,20 +228,15 @@ def controlled_modmul_power(
     which is what makes the same call serve both the two-register and the
     bystander-register controlled forms.
     """
-    if N < 2:
-        raise ValueError(f"modulus must be >= 2, got {N}")
-    if math.gcd(base, N) != 1:
-        raise ValueError(
-            f"base {base} is not a unit mod {N}: multiplication is not a permutation"
-        )
-    if power_exponent < 0:
-        raise ValueError(f"power exponent must be >= 0, got {power_exponent}")
-    dest = _modmul_destinations(
-        state.layout.registers, control, work, base % N, power_exponent, N
+    layout = state.layout
+    sources = modmul_sources(
+        layout.width_of(control), layout.width_of(work), base, power_exponent, N
     )
-    amps = np.empty_like(state.amps)
-    amps[dest] = state.amps
-    return QuantumState(state.layout, amps)
+    axes = (layout.names.index(control), layout.names.index(work))
+    tensor = np.moveaxis(state.tensor(), axes, (-2, -1))
+    gathered = tensor[..., np.arange(sources.shape[0])[:, None], sources]
+    amps = np.ascontiguousarray(np.moveaxis(gathered, (-2, -1), axes))
+    return QuantumState(layout, amps.reshape(-1))
 
 
 def inverse_qft(state: QuantumState, register: str) -> QuantumState:

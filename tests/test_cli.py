@@ -137,6 +137,17 @@ class TestResourcesCommand:
         assert row_big["alg4_less_than_alg2"] == "true"
         assert lines[-1].startswith("# note:")
 
+    def test_readme_power_form_parses(self, capsys):
+        code, out, _ = run_cli(capsys, ["resources", "--r", "2**1024", "--k", "2"])
+        assert code == 0
+        assert out.splitlines()[1].startswith(str(2**1024) + ",")
+
+    def test_oversized_power_refused_before_computing(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, ["resources", "--r", "2**65537", "--k", "2"])
+        assert exc.value.code == 2
+        assert "more than 65536 bits" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_metric_suite_passes(self, capsys):

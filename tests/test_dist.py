@@ -4,31 +4,60 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from distdlog.bits import BitString, circ_dist
+from distdlog import phase
+from distdlog.bits import BitString, circ_dist, fraction_bits
 from distdlog.dist import (
     DistPlan,
     PlanError,
     analytic_joint_distribution,
-    branch_event_mass,
     brute_force_correct_oracle,
     compare_step7_state,
     correct_with_flag,
     decode_joint_index,
     make_plan,
     node_phase,
-    node_window_mass,
     plan_for_order,
     run_distributed_quantum,
     solve_distributed,
     statevector_joint_distribution,
 )
 from distdlog.dlp import ShorConfig, solve
-from distdlog.numtheory import mod_pow
+from distdlog.numtheory import ProblemInstance, mod_pow
 from distdlog.resources import per_node_qubits_from_widths
 
 
 def bs(text):
     return BitString.from_string(text)
+
+
+def node_window_mass(
+    instance: ProblemInstance, plan: DistPlan, node: int, s: int, family: str
+) -> float:
+    """Probability that one node's measured prefix lands within its window.
+
+    The window is the node's slice of the branch phase's expansion; the
+    allowed circular deviation is 2^(h-2) for overlap nodes and 1 for the
+    final node.
+    """
+    m = plan.measured[node]
+    omega = node_phase(instance, plan, node, s, family)
+    dist = phase.phase_outcome_distribution(omega, plan.t[node])
+    folded = phase.prefix_marginal(dist, m)
+    target = fraction_bits(omega.numerator, omega.denominator, 1, m).value
+    outcomes = np.arange(1 << m, dtype=np.int64)
+    diff = np.abs(outcomes - target)
+    circular = np.minimum(diff, (1 << m) - diff)
+    threshold = (1 << (plan.h - 2)) if node < plan.k - 1 else 1
+    return float(folded[circular <= threshold].sum())
+
+
+def branch_event_mass(instance: ProblemInstance, plan: DistPlan, s: int) -> float:
+    """Probability that every node of branch s lands in its window (both families)."""
+    mass = 1.0
+    for j in range(plan.k):
+        for family in ("a", "b"):
+            mass *= node_window_mass(instance, plan, j, s, family)
+    return mass
 
 
 class TestPlan:

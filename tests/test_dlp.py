@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from distdlog import statevec
+from distdlog import phase, statevec
 from distdlog.bits import BitString
 from distdlog.dlp import (
     ShorConfig,
@@ -148,6 +149,58 @@ class TestStageEquivalence:
         for N, a, b in ((11, 3, 9), (7, 2, 4), (23, 2, 8)):
             instance = validate_instance(N, a, b)
             assert eigenphase_dlog(instance) == instance.hidden_g
+
+
+def gate_stage_state(instance, t, exponent, work):
+    """The node circuit applied gate by gate: the oracle for the fused kernel."""
+    layout = statevec.RegisterLayout((("a", t), ("b", t), ("work", instance.L)))
+    state = statevec.init_product(layout, {"work": work})
+    state = statevec.hadamard_layer(state, "a")
+    state = statevec.hadamard_layer(state, "b")
+    state = statevec.controlled_modmul_power(state, "a", "work", instance.a, exponent, instance.N)
+    state = statevec.controlled_modmul_power(state, "b", "work", instance.b, exponent, instance.N)
+    state = statevec.inverse_qft(state, "a")
+    return statevec.inverse_qft(state, "b")
+
+
+def node_inputs(instance):
+    """|1>, a fixed point |x >= N>, every eigenvector u_s and a random
+    normalised vector with full support."""
+    rng = np.random.default_rng(2024)
+    full = rng.normal(size=1 << instance.L) + 1j * rng.normal(size=1 << instance.L)
+    eigen = [phase.build_eigenstate(phase.EigenstateSpec(instance, s)) for s in range(instance.r)]
+    return [1, instance.N + 1, *eigen, full / np.linalg.norm(full)]
+
+
+class TestNodeKernel:
+    @pytest.mark.parametrize("exponent", [0, 1, 3])
+    @pytest.mark.parametrize("t", range(2, 9))
+    def test_equals_gate_composition(self, instance, t, exponent):
+        for work in node_inputs(instance):
+            got = build_stage_state(instance, t, exponent, work)
+            want = gate_stage_state(instance, t, exponent, work)
+            assert got.layout == want.layout
+            assert np.array_equal(got.amps, want.amps)
+
+    def test_input_checks(self, instance):
+        with pytest.raises(statevec.LayoutError):
+            build_stage_state(instance, 3, 0, 1 << instance.L)
+        with pytest.raises(statevec.LayoutError):
+            build_stage_state(instance, 3, 0, np.ones(1 << instance.L))
+        with pytest.raises(ValueError, match="power exponent"):
+            build_stage_state(instance, 3, -1)
+
+    def test_peak_memory_within_three_outputs(self, instance):
+        t = 9  # 2 t + L = 22 qubits
+        build_stage_state(instance, 2)  # import-time and table allocations
+        tracemalloc.start()
+        try:
+            state = build_stage_state(instance, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.layout.total_width == 22
+        assert peak <= 3 * state.amps.nbytes
 
 
 class TestSolve:
