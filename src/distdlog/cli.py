@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -33,24 +32,31 @@ def _json_line(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-_BIGINT_BITS_CAP = 1 << 16
+# The widest bit length whose integers all print within Python's default
+# limit of 4300 decimal digits, which the resources CSV row needs.
+_BIGINT_BITS_CAP = 14_284
 
 
 def _parse_bigint(text: str) -> int:
     """Plain integers plus the power form 'b**e' for huge symbolic orders.
 
-    A power of more than _BIGINT_BITS_CAP bits is refused before it is
-    computed.
+    A power of more than _BIGINT_BITS_CAP bits is refused; a clearly larger
+    one is refused before it is computed.
     """
-    if "**" in text:
-        base, _, exponent = text.partition("**")
-        base, exponent = int(base), int(exponent)
-        if abs(base) > 1 and exponent * math.log2(abs(base)) > _BIGINT_BITS_CAP:
-            raise argparse.ArgumentTypeError(
-                f"{text} has more than {_BIGINT_BITS_CAP} bits"
-            )
-        return base**exponent
-    return int(text)
+    if "**" not in text:
+        return int(text)
+    base, exponent = (int(part) for part in text.split("**", 1))
+    if exponent < 0:
+        raise argparse.ArgumentTypeError(f"{text} has a negative exponent")
+    too_big = argparse.ArgumentTypeError(f"{text} has more than {_BIGINT_BITS_CAP} bits")
+    # b**e has more than (bit_length(|b|) - 1) * e bits, and once that is
+    # below the cap it has fewer than twice the cap
+    if (abs(base).bit_length() - 1) * exponent >= _BIGINT_BITS_CAP:
+        raise too_big
+    value = base**exponent
+    if value.bit_length() > _BIGINT_BITS_CAP:
+        raise too_big
+    return value
 
 
 def _emit(lines: list[str], output: str | None) -> None:

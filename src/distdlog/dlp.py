@@ -134,8 +134,10 @@ def build_stage_state(
     controlled_modmul_power for a and b and inverse_qft on a and b. Both
     counting registers start in |0>, so the Hadamards only scale the work
     vector, and the multiplications make amplitude [j_a, j_b, y] the scaled
-    work amplitude at a^(-j_a 2^e) b^(-j_b 2^e) y. The Fourier transforms
-    run only on the columns y in the orbit of the work vector's support;
+    work amplitude at a^(-j_a 2^e) b^(-j_b 2^e) y. The a-register transform
+    acts along j_a alone, so it runs on the (2^t, 2^L) gather through the a
+    table before the b table spreads it over j_b. The b-register transform
+    runs only on the columns y in the orbit of the work vector's support;
     every other column is zero throughout.
     """
     required = 2 * t + instance.L
@@ -146,9 +148,6 @@ def build_stage_state(
     L, N = instance.L, instance.N
     layout = statevec.RegisterLayout((("a", t), ("b", t), ("work", L)))
     vec = statevec.register_factor("work", L, work)
-    if isinstance(vec, int):
-        vec = np.zeros(1 << L, dtype=np.complex128)
-        vec[work] = 1.0
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for _ in range(2 * t):  # rounds exactly as one Hadamard on a |0> qubit
         vec = (vec + 0) * inv_sqrt2
@@ -159,11 +158,9 @@ def build_stage_state(
         for _ in range(N.bit_length()):  # after step i: every power below 2^(i+1)
             live = np.union1d(live, np.where(live < N, live * c % N, live))
             c = c * c % N
-    block = vec[src_a[:, src_b[:, live]]]
     scale = math.sqrt(1 << t)
-    block = np.fft.fft(block, axis=0)
-    block /= scale
-    block = np.fft.fft(block, axis=1)
+    cols = np.fft.fft(vec[src_a], axis=0) / scale
+    block = np.fft.fft(cols[:, src_b[:, live]], axis=1)
     block /= scale
     amps = np.zeros((1 << t, 1 << t, 1 << L), dtype=np.complex128)
     amps[:, :, live] = block

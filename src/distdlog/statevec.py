@@ -80,6 +80,10 @@ class RegisterLayout:
             offset += w
         raise LayoutError(f"unknown register {name!r}")
 
+    def right_shift_of(self, name: str) -> int:
+        """Bit shift that brings the register value to the low bits of an index."""
+        return self.total_width - self.start_of(name) - self.width_of(name)
+
     def axis_shape(self) -> tuple[int, ...]:
         return tuple(1 << w for _, w in self.registers)
 
@@ -117,13 +121,15 @@ def init_basis(layout: RegisterLayout, assignments: Mapping[str, int] | None = N
     return init_product(layout, assignments)
 
 
-def register_factor(name: str, width: int, factor: "int | np.ndarray") -> "int | np.ndarray":
-    """One register's factor: a basis value, or an amplitude vector that is
-    unit norm to 1e-9, returned renormalised exactly."""
+def register_factor(name: str, width: int, factor: "int | np.ndarray") -> np.ndarray:
+    """One register's amplitude vector from a basis value or from a vector
+    that is unit norm to 1e-9, which is returned renormalised exactly."""
     if isinstance(factor, (int, np.integer)):
         if not 0 <= factor < (1 << width):
             raise LayoutError(f"value {factor} does not fit register {name!r} of width {width}")
-        return int(factor)
+        vec = np.zeros(1 << width, dtype=np.complex128)
+        vec[factor] = 1.0
+        return vec
     vec = np.asarray(factor, dtype=np.complex128)
     if vec.shape != (1 << width,):
         raise LayoutError(f"factor for {name!r} has shape {vec.shape}")
@@ -136,27 +142,12 @@ def register_factor(name: str, width: int, factor: "int | np.ndarray") -> "int |
 def init_product(
     layout: RegisterLayout, factors: Mapping[str, "int | np.ndarray"] | None = None
 ) -> QuantumState:
-    """Tensor-product state from per-register basis values or amplitude vectors.
-
-    Only the vector factors are multiplied out; basis values fix the
-    position of that block in the otherwise zero state.
-    """
+    """Tensor-product state from per-register basis values or amplitude vectors."""
     factors = dict(factors or {})
-    index: list[object] = []
-    vectors = []
-    for name, width in layout.registers:
-        factor = register_factor(name, width, factors.pop(name, 0))
-        if isinstance(factor, int):
-            index.append(factor)
-        else:
-            index.append(slice(None))
-            vectors.append(factor)
+    parts = [register_factor(name, width, factors.pop(name, 0)) for name, width in layout.registers]
     if factors:
         raise LayoutError(f"unknown registers in factors: {sorted(factors)}")
-    amps = np.zeros(layout.axis_shape(), dtype=np.complex128)
-    block = reduce(np.kron, vectors, np.ones(1))
-    amps[tuple(index)] = block.reshape([len(v) for v in vectors])
-    return QuantumState(layout, amps.reshape(-1))
+    return QuantumState(layout, reduce(np.kron, parts))
 
 
 def hadamard_layer(state: QuantumState, register: str) -> QuantumState:

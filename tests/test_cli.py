@@ -137,16 +137,29 @@ class TestResourcesCommand:
         assert row_big["alg4_less_than_alg2"] == "true"
         assert lines[-1].startswith("# note:")
 
-    def test_readme_power_form_parses(self, capsys):
-        code, out, _ = run_cli(capsys, ["resources", "--r", "2**1024", "--k", "2"])
+    @pytest.mark.parametrize(
+        "power, value",
+        [("2**1024", 2**1024), ("2**14283", 2**14283)],  # README example; widest allowed
+    )
+    def test_power_form_parses(self, capsys, power, value):
+        code, out, _ = run_cli(capsys, ["resources", "--r", power, "--k", "2"])
         assert code == 0
-        assert out.splitlines()[1].startswith(str(2**1024) + ",")
+        assert out.splitlines()[1].startswith(str(value) + ",")
 
-    def test_oversized_power_refused_before_computing(self, capsys):
+    @pytest.mark.parametrize(
+        "power, message",
+        [
+            ("2**14284", "more than 14284 bits"),  # one bit over the cap
+            ("3**9013", "more than 14284 bits"),  # 14,286 bits from a small exponent
+            ("2**1" + "0" * 400, "more than 14284 bits"),  # too large for a float
+            ("2**-1", "negative exponent"),
+        ],
+    )
+    def test_bad_power_refused(self, capsys, power, message):
         with pytest.raises(SystemExit) as exc:
-            run_cli(capsys, ["resources", "--r", "2**65537", "--k", "2"])
+            run_cli(capsys, ["resources", "--r", power, "--k", "2"])
         assert exc.value.code == 2
-        assert "more than 65536 bits" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestVerifyCommand:

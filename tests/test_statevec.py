@@ -36,6 +36,8 @@ class TestLayout:
         layout = RegisterLayout((("a", 3), ("b", 2), ("c", 4)))
         assert layout.total_width == 9
         assert layout.start_of("b") == 3
+        assert layout.right_shift_of("a") == 6
+        assert layout.right_shift_of("c") == 0
         assert layout.axis_shape() == (8, 4, 16)
 
     def test_validation(self):
