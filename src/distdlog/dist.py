@@ -7,11 +7,12 @@ rounding and inversion.
 
 The nodes act in sequence on a shared L-qubit work register. A register
 that a node has finished with is never touched by any later operation, so
-the state-vector backend simulates one node at a time: it holds only that
-node's 2 t_j + L qubits, measures the node's registers in full (measuring
-the unmeasured tail early changes no reported statistic, by the deferred
-measurement principle), and hands the then-pure work register to the next
-node. The per-node footprint therefore matches the claimed space cost
+the state-vector backend simulates one node of 2 t_j + L logical qubits at
+a time: ``dlp.measure_node`` measures its registers in full from its live
+block, the work values the state reaches (measuring the unmeasured tail
+early changes no reported statistic, by the deferred measurement
+principle), and hands the then-pure work register to the next node. The
+per-node footprint therefore matches the claimed space cost
 max_j (2 t_j + L) exactly, and the hand-off is the (k-1) L communication
 cost. A single flat vector over all nodes' registers would need
 2 (t_1 + ... + t_k) + L qubits, which exceeds the dense cap for every
@@ -34,6 +35,7 @@ from .dlp import (  # postprocess_detail: bench/tests checks dist's binding of i
     branch_exponent,
     build_stage_state,
     joint_cdf,
+    measure_node,
     postprocess_detail,
     retry,
 )
@@ -267,16 +269,8 @@ def run_distributed_quantum(
     work: int | np.ndarray = 1
     results = []
     for j in range(plan.k):
-        state = build_stage_state(instance, plan.t[j], plan.l[j] - 1, work)
-        out_a, state = statevec.measure_register(state, "a", rng)
-        out_b, state = statevec.measure_register(state, "b", rng)
-        results.append(
-            (out_a.bits.slice(1, plan.measured[j]), out_b.bits.slice(1, plan.measured[j]))
-        )
-        if j < plan.k - 1:
-            work = statevec.register_vector(
-                state, "work", {"a": out_a.bits.value, "b": out_b.bits.value}
-            )
+        m_a, m_b, work = measure_node(instance, plan.t[j], plan.l[j] - 1, work, rng)
+        results.append((m_a.slice(1, plan.measured[j]), m_b.slice(1, plan.measured[j])))
     return NodeMeasurements(
         nodes=tuple(results), comm_qubits=communication_qubits(plan.k, instance.L)
     )
@@ -303,6 +297,11 @@ def _run_nodes_analytic(
     )
 
 
+def _refuse_above_cap(nbytes: int, what: str) -> None:
+    if nbytes > _STACK_BYTES_CAP:
+        raise statevec.QubitBudgetError(f"{what} would need {nbytes >> 20} MiB")
+
+
 def _node_transfer_states(
     instance: ProblemInstance, plan: DistPlan, node: int, columns: np.ndarray
 ) -> np.ndarray:
@@ -310,19 +309,21 @@ def _node_transfer_states(
 
     Returns an array of shape (2^2t, 2^L, len(columns)): the node circuit is
     linear in the incoming work register, so these columns determine its
-    action on any incoming state.
+    action on any incoming state. The node runs once, on |1>: it commutes
+    with multiplying the work register by a unit c, so the output for |c>
+    is that for |1> gathered along the work axis through y -> c^-1 y mod N
+    (y >= N stays put). Non-units are unreachable from |1> and refused.
     """
-    t = plan.t[node]
+    t, N = plan.t[node], instance.N
     dim_c = 1 << instance.L
-    stack_bytes = (1 << (2 * t)) * dim_c * len(columns) * 16
-    if stack_bytes > _STACK_BYTES_CAP:
-        raise statevec.QubitBudgetError(
-            f"node transfer stack would need {stack_bytes >> 20} MiB"
-        )
-    stack = np.empty(((1 << (2 * t)) * dim_c, len(columns)), dtype=np.complex128)
-    for i, c in enumerate(columns):
-        stack[:, i] = build_stage_state(instance, t, plan.l[node] - 1, int(c)).amps
-    return stack.reshape(1 << (2 * t), dim_c, len(columns))
+    _refuse_above_cap((1 << (2 * t)) * dim_c * len(columns) * 16, "node transfer stack")
+    for c in columns:
+        if not (0 < c < N and math.gcd(int(c), N) == 1):
+            raise ValueError(f"work column {c} is not a unit mod {N}")
+    one = build_stage_state(instance, t, plan.l[node] - 1, 1).amps.reshape(1 << (2 * t), dim_c)
+    inverses = np.array([pow(int(c), -1, N) for c in columns], dtype=np.int64)
+    ys = np.arange(dim_c)[:, None]
+    return one[:, np.where(ys < N, ys * inverses % N, ys)]
 
 
 @lru_cache(maxsize=4)
@@ -341,6 +342,8 @@ def statevector_joint_distribution(instance: ProblemInstance, plan: DistPlan) ->
 
     for j in range(plan.k):
         t, m = plan.t[j], plan.measured[j]
+        if j < plan.k - 1:  # refuse the next R before any contraction
+            _refuse_above_cap(R.shape[0] * (1 << (2 * m)) * dim_c * dim_c * 16, f"R after node {j}")
         diag = np.einsum("mcc->c", R).real
         columns = np.where(diag > 1e-15)[0]
         theta = _node_transfer_states(instance, plan, j, columns)

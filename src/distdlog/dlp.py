@@ -10,8 +10,10 @@ extraction when it is absent); it is distribution-identical to the circuit
 (the test suites check this exactly) and scales past the dense-vector
 qubit cap.
 
-The distributed solver in ``dist`` reuses this module's node circuit,
-joint-law cache and retry loop.
+The node circuit is ``node_block``, a fused kernel that keeps only the live
+work values. Fresh runs sample it through ``measure_node``, and
+``build_stage_state`` scatters it into a full state. The distributed solver
+in ``dist`` reuses the node circuit, joint-law cache and retry loop.
 """
 
 from __future__ import annotations
@@ -115,19 +117,18 @@ class RunRecord:
         return record
 
 
-def build_stage_state(
-    instance: ProblemInstance,
-    t: int,
-    exponent: int = 0,
-    work: int | np.ndarray = 1,
-) -> statevec.QuantumState:
-    """The pre-measurement state of the two-counting-register circuit.
+def node_block(
+    instance: ProblemInstance, t: int, exponent: int = 0, work: int | np.ndarray = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """The node circuit's pre-measurement amplitudes on its live work values.
 
-    The counting registers control c^(j 2^exponent) for c = a and c = b,
-    and the work register starts in the basis state |work> or in the given
-    amplitude vector. The single-node solver runs it with exponent 0 on
-    |1>; node j of the distributed solver runs it with exponent l_j - 1 on
-    the work register the previous node handed over.
+    The counting registers control c^(j 2^exponent) for c = a and c = b on
+    the work register, which starts in |work> or in the given vector: the
+    single-node solver runs exponent 0 on |1>, node j of the distributed
+    solver exponent l_j - 1 on the previous node's hand-off. Returns
+    ``(block, live)``: ``block[j_a, j_b, i]`` is the amplitude of
+    |j_a>|j_b>|live[i]>; work values outside ``live``, the orbit of the
+    input's support under a^(2^e) and b^(2^e), have amplitude 0.
 
     This is the fused node kernel; the gate-level oracle it equals
     amplitude for amplitude is init_product, hadamard_layer on a and b,
@@ -137,8 +138,7 @@ def build_stage_state(
     work amplitude at a^(-j_a 2^e) b^(-j_b 2^e) y. The a-register transform
     acts along j_a alone, so it runs on the (2^t, 2^L) gather through the a
     table before the b table spreads it over j_b. The b-register transform
-    runs only on the columns y in the orbit of the work vector's support;
-    every other column is zero throughout.
+    runs only on the live columns.
     """
     required = 2 * t + instance.L
     if required > statevec.MAX_QUBITS:
@@ -146,7 +146,6 @@ def build_stage_state(
             f"circuit needs {required} qubits (cap {statevec.MAX_QUBITS}); use analytic mode"
         )
     L, N = instance.L, instance.N
-    layout = statevec.RegisterLayout((("a", t), ("b", t), ("work", L)))
     vec = statevec.register_factor("work", L, work)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for _ in range(2 * t):  # rounds exactly as one Hadamard on a |0> qubit
@@ -162,10 +161,43 @@ def build_stage_state(
     cols = np.fft.fft(vec[src_a], axis=0) / scale
     block = np.fft.fft(cols[:, src_b[:, live]], axis=1)
     block /= scale
-    amps = np.zeros((1 << t, 1 << t, 1 << L), dtype=np.complex128)
+    return block, live
+
+
+def build_stage_state(
+    instance: ProblemInstance, t: int, exponent: int = 0, work: int | np.ndarray = 1
+) -> statevec.QuantumState:
+    """The node circuit's full pre-measurement state over (a, b, work):
+    ``node_block`` scattered onto its live work values."""
+    block, live = node_block(instance, t, exponent, work)
+    layout = statevec.RegisterLayout((("a", t), ("b", t), ("work", instance.L)))
+    amps = np.zeros((1 << t, 1 << t, 1 << instance.L), dtype=np.complex128)
     amps[:, :, live] = block
     del block  # before the norm check allocates its temporaries
     return statevec.QuantumState(layout, amps.reshape(-1))
+
+
+def measure_node(
+    instance: ProblemInstance, t: int, exponent: int, work: int | np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[BitString, BitString, np.ndarray]:
+    """Run the node circuit once and measure both counting registers in full.
+
+    Returns (m_a, m_b) and the renormalised 2^L work vector they leave
+    behind: the draws of measure_register on a, then b, then register_vector
+    (the tests hold it to that oracle), read off the live block alone.
+    """
+    block, live = node_block(instance, t, exponent, work)
+    rows = (block.real**2 + block.imag**2).sum(axis=2)  # [j_a, j_b]: mass over the work register
+    marginal_a = rows.sum(axis=1)
+    norm2 = float(marginal_a.sum())
+    if abs(norm2 - 1.0) > statevec.NORM_TOL:
+        raise statevec.LayoutError(f"node norm**2 = {norm2!r} drifted beyond {statevec.NORM_TOL}")
+    j_a, p_a = statevec.draw_outcome(rng, marginal_a)
+    j_b, _ = statevec.draw_outcome(rng, rows[j_a] / p_a)
+    work_out = np.zeros(1 << instance.L, dtype=np.complex128)
+    work_out[live] = block[j_a, j_b] / math.sqrt(float(rows[j_a, j_b]))
+    return BitString(t, j_a), BitString(t, j_b), work_out
 
 
 @lru_cache(maxsize=8)
@@ -193,10 +225,7 @@ def quantum_stage_statevector(
     instance: ProblemInstance, config: ShorConfig, rng: np.random.Generator
 ) -> tuple[BitString, BitString]:
     """Run the circuit once and measure both counting registers in full."""
-    state = build_stage_state(instance, config.t)
-    out_a, state = statevec.measure_register(state, "a", rng)
-    out_b, _ = statevec.measure_register(state, "b", rng)
-    return out_a.bits, out_b.bits
+    return measure_node(instance, config.t, 0, 1, rng)[:2]
 
 
 @lru_cache(maxsize=32)

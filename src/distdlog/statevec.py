@@ -9,11 +9,11 @@ Operations are pure: each returns a fresh QuantumState and re-checks the
 unit-norm invariant. A state is never mutated after construction, which
 makes independent trials safe to run concurrently.
 
-The gates here (init_product, hadamard_layer, controlled_modmul_power,
-inverse_qft) apply one general operation to the whole vector. They are the
-gate-level oracle: the fused node kernel ``dlp.build_stage_state`` uses only
-``register_factor`` and ``modmul_sources`` from this module, and the tests
-check that it equals their composition exactly.
+The gates (init_product, hadamard_layer, controlled_modmul_power,
+inverse_qft) and measurements (measure_prefix, measure_register,
+register_vector) act on the whole vector: they are the gate-level oracle.
+The solvers' kernel ``dlp.node_block`` and sampler ``dlp.measure_node`` use
+only register_factor, modmul_sources and draw_outcome from here.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .bits import BitString
 
 MAX_QUBITS = 24
-_NORM_TOL = 1e-12
+NORM_TOL = 1e-12
 
 
 class LayoutError(ValueError):
@@ -100,8 +100,8 @@ class QuantumState:
             raise LayoutError(f"amplitude vector has shape {amps.shape}, expected ({expected},)")
         if check:
             norm2 = float(np.sum(amps.real**2 + amps.imag**2))
-            if abs(norm2 - 1.0) > _NORM_TOL:
-                raise LayoutError(f"state norm**2 = {norm2!r} drifted beyond {_NORM_TOL}")
+            if abs(norm2 - 1.0) > NORM_TOL:
+                raise LayoutError(f"state norm**2 = {norm2!r} drifted beyond {NORM_TOL}")
         self.layout = layout
         self.amps = amps
 
@@ -290,6 +290,15 @@ def sample_cdf(rng: np.random.Generator, cdf: np.ndarray) -> int:
     return int(min(np.searchsorted(cdf, u, side="right"), len(cdf) - 1))
 
 
+def draw_outcome(rng: np.random.Generator, probabilities: np.ndarray) -> tuple[int, float]:
+    """One measurement draw and its probability; refuses an unsupported outcome."""
+    outcome = sample_outcome(rng, probabilities)
+    p = float(probabilities[outcome])
+    if p < 1e-15:
+        raise LayoutError(f"sampled outcome {outcome} has no support (p = {p!r})")
+    return outcome, p
+
+
 def measure_prefix(
     state: QuantumState, register: str, prefix_width: int, rng: np.random.Generator
 ) -> tuple[MeasurementOutcome, QuantumState]:
@@ -299,11 +308,7 @@ def measure_prefix(
     collapsed, renormalised state.
     """
     layout = state.layout
-    marginal = marginal_distribution(state, register, prefix_width)
-    outcome = sample_outcome(rng, marginal)
-    p = float(marginal[outcome])
-    if p < 1e-15:
-        raise LayoutError(f"sampled outcome {outcome} has no support (p = {p!r})")
+    outcome, p = draw_outcome(rng, marginal_distribution(state, register, prefix_width))
     start = layout.start_of(register)
     cube = state.amps.reshape(1 << start, 1 << prefix_width, -1)
     collapsed = np.zeros_like(cube)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from distdlog.bits import BitString, circ_dist, fraction_bits
 from distdlog.dist import (
     DistPlan,
     PlanError,
+    _node_transfer_states,
     analytic_joint_distribution,
     brute_force_correct_oracle,
     compare_step7_state,
@@ -21,9 +23,10 @@ from distdlog.dist import (
     solve_distributed,
     statevector_joint_distribution,
 )
-from distdlog.dlp import ShorConfig, solve
+from distdlog.dlp import ShorConfig, build_stage_state, solve
 from distdlog.numtheory import ProblemInstance, mod_pow
 from distdlog.resources import per_node_qubits_from_widths
+from distdlog.statevec import QubitBudgetError
 
 
 def bs(text):
@@ -262,6 +265,24 @@ class TestQuantumStage:
             counts[result.nodes[0][0].value] += 1
         assert 0.5 * np.abs(counts / runs - rest).sum() < 0.25
 
+    def test_transfer_stack_equals_per_column_builds(
+        self, instance, acceptance_plan, small_instance, small_plan
+    ):
+        """The stack built from one simulation on |1> equals simulating the
+        node on every unit column, amplitude for amplitude."""
+        for inst, plan in ((small_instance, small_plan), (instance, acceptance_plan)):
+            units = np.array([c for c in range(1, inst.N) if math.gcd(c, inst.N) == 1])
+            for node in range(plan.k):
+                stack = _node_transfer_states(inst, plan, node, units)
+                for i, c in enumerate(units):
+                    state = build_stage_state(inst, plan.t[node], plan.l[node] - 1, int(c))
+                    assert np.array_equal(stack[:, :, i].reshape(-1), state.amps), (node, c)
+
+    def test_transfer_stack_refuses_non_units(self, instance, acceptance_plan):
+        for column in (0, instance.N, instance.N + 1):
+            with pytest.raises(ValueError, match="not a unit"):
+                _node_transfer_states(instance, acceptance_plan, 0, np.array([1, column]))
+
     def test_decode_round_trip(self, acceptance_plan):
         rng = np.random.default_rng(2)
         for _ in range(50):
@@ -349,7 +370,6 @@ class TestSolveDistributed:
         """When the cached joint law is too large to build, the solver falls
         back to honest per-attempt sequential runs."""
         from distdlog.numtheory import validate_instance
-        from distdlog.statevec import QubitBudgetError
 
         instance = validate_instance(23, 2, 8)  # r = 11, L = 5
         plan = make_plan(instance, k=3, h=2, epsilon="0.6", epsilon_prime="0.5")
@@ -359,6 +379,29 @@ class TestSolveDistributed:
         record = solve_distributed(
             instance, plan, np.random.default_rng(13), max_retries=2
         )
+        assert record.m_a.width == plan.total_width
+        assert all(
+            ma.width == width
+            for (ma, _), width in zip(record.node_measurements, plan.measured)
+        )
+
+    def test_joint_tensor_guard_falls_back(self, instance, monkeypatch):
+        """A conditioned work-register tensor over the byte cap is refused at
+        node 0 before any contraction runs, and the solver then runs the
+        nodes per attempt."""
+        from distdlog import dist
+
+        plan = make_plan(instance, k=2, h=2, epsilon="0.3", epsilon_prime="0.2")
+        r_bytes = (1 << (2 * plan.measured[0])) * (1 << (2 * instance.L)) * 16
+        monkeypatch.setattr(dist, "_STACK_BYTES_CAP", r_bytes - 1)
+
+        def no_einsum(*args, **kwargs):
+            raise AssertionError("einsum ran")
+
+        monkeypatch.setattr(np, "einsum", no_einsum)
+        with pytest.raises(QubitBudgetError, match="after node 0"):
+            statevector_joint_distribution(instance, plan)
+        record = solve_distributed(instance, plan, np.random.default_rng(3), max_retries=3)
         assert record.m_a.width == plan.total_width
         assert all(
             ma.width == width

@@ -12,6 +12,7 @@ from distdlog.dlp import (
     analytic_joint_distribution,
     build_stage_state,
     eigenphase_dlog,
+    measure_node,
     postprocess_detail,
     quantum_stage_analytic,
     quantum_stage_statevector,
@@ -201,6 +202,39 @@ class TestNodeKernel:
             tracemalloc.stop()
         assert state.layout.total_width == 22
         assert peak <= 3 * state.amps.nbytes
+
+
+class TestMeasureNode:
+    @pytest.mark.parametrize("exponent", [0, 1, 3])
+    @pytest.mark.parametrize("t", range(2, 9))
+    def test_equals_gate_measurements(self, instance, t, exponent):
+        """The same draws as measuring a then b on the full state and reading
+        the work register off the collapsed state."""
+        for work in node_inputs(instance):
+            for seed in range(3):
+                m_a, m_b, handoff = measure_node(
+                    instance, t, exponent, work, np.random.default_rng(seed)
+                )
+                rng = np.random.default_rng(seed)
+                state = build_stage_state(instance, t, exponent, work)
+                out_a, state = statevec.measure_register(state, "a", rng)
+                out_b, state = statevec.measure_register(state, "b", rng)
+                want = statevec.register_vector(
+                    state, "work", {"a": out_a.bits.value, "b": out_b.bits.value}
+                )
+                assert (m_a, m_b) == (out_a.bits, out_b.bits)
+                assert np.allclose(handoff, want, rtol=0, atol=1e-12)
+
+    def test_peak_memory_below_one_state(self, instance):
+        t = 9  # 2 t + L = 22 qubits
+        measure_node(instance, 2, 0, 1, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            measure_node(instance, t, 0, 1, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << (2 * t + instance.L)  # bytes of one full state
 
 
 class TestSolve:
