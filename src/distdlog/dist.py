@@ -17,6 +17,11 @@ max_j (2 t_j + L) exactly, and the hand-off is the (k-1) L communication
 cost. A single flat vector over all nodes' registers would need
 2 (t_1 + ... + t_k) + L qubits, which exceeds the dense cap for every
 feasible plan.
+
+The cached backend needs no such vector either: given the branch s (an
+eigenvector of multiplication by a) the nodes are independent, so
+``dlp.joint_law`` builds the law of all measured prefixes as the mixture
+(1/r) sum_s prod_j P_j(. | s) from one run of each node.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .dlp import (  # postprocess_detail: bench/tests checks dist's binding of i
     branch_exponent,
     build_stage_state,
     joint_cdf,
+    joint_law,
     measure_node,
     postprocess_detail,
     retry,
@@ -47,9 +53,6 @@ from .resources import (
     single_node_qubits,
     slack_bits_distributed,
 )
-
-_STACK_BYTES_CAP = 1 << 28
-
 
 class PlanError(ValueError):
     pass
@@ -297,73 +300,16 @@ def _run_nodes_analytic(
     )
 
 
-def _refuse_above_cap(nbytes: int, what: str) -> None:
-    if nbytes > _STACK_BYTES_CAP:
-        raise statevec.QubitBudgetError(f"{what} would need {nbytes >> 20} MiB")
-
-
-def _node_transfer_states(
-    instance: ProblemInstance, plan: DistPlan, node: int, columns: np.ndarray
-) -> np.ndarray:
-    """Stacked node outputs for work-register basis inputs ``columns``.
-
-    Returns an array of shape (2^2t, 2^L, len(columns)): the node circuit is
-    linear in the incoming work register, so these columns determine its
-    action on any incoming state. The node runs once, on |1>: it commutes
-    with multiplying the work register by a unit c, so the output for |c>
-    is that for |1> gathered along the work axis through y -> c^-1 y mod N
-    (y >= N stays put). Non-units are unreachable from |1> and refused.
-    """
-    t, N = plan.t[node], instance.N
-    dim_c = 1 << instance.L
-    _refuse_above_cap((1 << (2 * t)) * dim_c * len(columns) * 16, "node transfer stack")
-    for c in columns:
-        if not (0 < c < N and math.gcd(int(c), N) == 1):
-            raise ValueError(f"work column {c} is not a unit mod {N}")
-    one = build_stage_state(instance, t, plan.l[node] - 1, 1).amps.reshape(1 << (2 * t), dim_c)
-    inverses = np.array([pow(int(c), -1, N) for c in columns], dtype=np.int64)
-    ys = np.arange(dim_c)[:, None]
-    return one[:, np.where(ys < N, ys * inverses % N, ys)]
-
-
 @lru_cache(maxsize=4)
 def statevector_joint_distribution(instance: ProblemInstance, plan: DistPlan) -> np.ndarray:
     """Exact joint law of all measured prefixes under the sequential protocol.
 
     Flat index concatenates (m_1a, m_1b, ..., m_ka, m_kb), first node most
-    significant. Conditioning on a node's full measurement record is carried
-    forward as one positive-semidefinite matrix over the work register per
-    joint prefix class, which keeps the computation polynomial in 2^L
-    instead of exponential in the total register count.
+    significant: ``dlp.joint_law`` over the plan's nodes, the branch mixture
+    of independent per-node prefix laws.
     """
-    dim_c = 1 << instance.L
-    R = np.zeros((1, dim_c, dim_c), dtype=np.complex128)
-    R[0, 1, 1] = 1.0  # work register starts in |1>
-
-    for j in range(plan.k):
-        t, m = plan.t[j], plan.measured[j]
-        if j < plan.k - 1:  # refuse the next R before any contraction
-            _refuse_above_cap(R.shape[0] * (1 << (2 * m)) * dim_c * dim_c * 16, f"R after node {j}")
-        diag = np.einsum("mcc->c", R).real
-        columns = np.where(diag > 1e-15)[0]
-        theta = _node_transfer_states(instance, plan, j, columns)
-        shape = (1 << m, 1 << (t - m), 1 << m, 1 << (t - m), dim_c, len(columns))
-        theta = theta.reshape(shape)
-        Rsub = R[np.ix_(range(R.shape[0]), columns, columns)]
-        if j < plan.k - 1:
-            R = np.einsum(
-                "atbuxc,mcd,atbuyd->mabxy", theta, Rsub, theta.conj(), optimize=True
-            )
-            R = R.reshape(-1, dim_c, dim_c)
-        else:
-            H = np.einsum("atbuxc,atbuxd->abcd", theta, theta.conj(), optimize=True)
-            P = np.einsum("mcd,abcd->mab", Rsub, H, optimize=True).real
-            flat = np.ascontiguousarray(P.reshape(-1))
-    total = float(flat.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise AssertionError(f"joint law mass {total!r} drifted from 1")
-    flat.setflags(write=False)
-    return flat
+    nodes = tuple(zip(plan.t, (l - 1 for l in plan.l), plan.measured))
+    return joint_law(instance, nodes)
 
 
 def analytic_joint_distribution(instance: ProblemInstance, plan: DistPlan) -> np.ndarray:

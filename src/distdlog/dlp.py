@@ -12,8 +12,11 @@ qubit cap.
 
 The node circuit is ``node_block``, a fused kernel that keeps only the live
 work values. Fresh runs sample it through ``measure_node``, and
-``build_stage_state`` scatters it into a full state. The distributed solver
-in ``dist`` reuses the node circuit, joint-law cache and retry loop.
+``build_stage_state`` scatters it into a full state. Cached runs draw from
+``joint_law``: the law of a chain of nodes as the branch mixture
+(1/r) sum_s prod_j P_j(. | s) over the eigenvectors of multiplication by a,
+whose one-node case is the single-node law. ``dist`` reuses the node
+circuit, joint law and retry loop.
 """
 
 from __future__ import annotations
@@ -200,17 +203,65 @@ def measure_node(
     return BitString(t, j_a), BitString(t, j_b), work_out
 
 
+_LAW_BYTES_CAP = 1 << 28
+
+
+def joint_law(
+    instance: ProblemInstance, nodes: tuple[tuple[int, int, int], ...]
+) -> np.ndarray:
+    """Exact joint law of the measured prefixes of a chain of node circuits.
+
+    ``nodes`` lists ``(t, exponent, measured)`` per node, which keeps the
+    leading ``measured`` bits of both counting registers. Flat index
+    concatenates (m_1a, m_1b, ..., m_ka, m_kb), first node most significant.
+
+    The work register starts in |1> = r^(-1/2) sum_s |u_s>, with u_s =
+    r^(-1/2) sum_k exp(-2 pi i s k / r) |a^k>, and every node circuit is
+    block-diagonal in the u_s, so the law is the branch mixture
+    (1/r) sum_s prod_j P_j(. | s). Each node runs once on |1>: its live
+    block at a^k is (1/r) sum_s w_s exp(-2 pi i s k / r), so the r-point
+    FFT along k returns branch s's counting amplitudes w_s at index -s mod r
+    (the same relabelling on every node), and P_j(. | s) is the prefix
+    marginal of |w_s|^2. Only the orbit of a is used.
+    """
+    size = 1 << (2 * sum(m for _, _, m in nodes))
+    nbytes = 3 * 8 * size  # the law, one branch term and joint_cdf's cumsum
+    if nbytes > _LAW_BYTES_CAP:
+        raise statevec.QubitBudgetError(
+            f"joint law needs {nbytes >> 20} MiB (cap {_LAW_BYTES_CAP >> 20} MiB)"
+        )
+    r, N = instance.r, instance.N
+    orbit = np.array([pow(instance.a, k, N) for k in range(r)])
+    branches = []  # per node: (r, 2^m * 2^m) prefix laws P_j(. | s)
+    for t, exponent, m in nodes:
+        block, live = node_block(instance, t, exponent, 1)
+        if not np.array_equal(live, np.sort(orbit)):
+            raise statevec.LayoutError(f"live work values are not the {r} powers of {instance.a}")
+        w = np.fft.fft(block[:, :, np.searchsorted(live, orbit)], axis=2)
+        p = (w.real**2 + w.imag**2).reshape(1 << m, 1 << (t - m), 1 << m, 1 << (t - m), r)
+        branches.append(p.sum(axis=(1, 3)).reshape(-1, r).T)
+    law = np.zeros(size)
+    for s in range(r):
+        term = branches[0][s]
+        for node in branches[1:]:
+            term = np.kron(term, node[s])
+        law += term
+    law /= r
+    total = float(law.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise AssertionError(f"joint law mass {total!r} drifted from 1")
+    law.setflags(write=False)
+    return law
+
+
 @lru_cache(maxsize=8)
 def statevector_joint_distribution(instance: ProblemInstance, t: int) -> np.ndarray:
     """Exact joint law of the two full counting-register measurements.
 
-    Flat index = m_a * 2^t + m_b. Cached so trial batches can reuse the
-    pre-measurement amplitudes instead of rebuilding the circuit per draw.
+    Flat index = m_a * 2^t + m_b: the one-node case of ``joint_law``,
+    cached so trial batches do not rerun the circuit per draw.
     """
-    state = build_stage_state(instance, t)
-    joint = statevec.joint_distribution(state, ["a", "b"])
-    joint.setflags(write=False)
-    return joint
+    return joint_law(instance, ((t, 0, t),))
 
 
 @lru_cache(maxsize=8)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from distdlog.bits import BitString, circ_dist, fraction_bits
 from distdlog.dist import (
     DistPlan,
     PlanError,
-    _node_transfer_states,
     analytic_joint_distribution,
     brute_force_correct_oracle,
     compare_step7_state,
@@ -24,7 +24,7 @@ from distdlog.dist import (
     statevector_joint_distribution,
 )
 from distdlog.dlp import ShorConfig, build_stage_state, solve
-from distdlog.numtheory import ProblemInstance, mod_pow
+from distdlog.numtheory import ProblemInstance, mod_pow, validate_instance
 from distdlog.resources import per_node_qubits_from_widths
 from distdlog.statevec import QubitBudgetError
 
@@ -61,6 +61,73 @@ def branch_event_mass(instance: ProblemInstance, plan: DistPlan, s: int) -> floa
         for family in ("a", "b"):
             mass *= node_window_mass(instance, plan, j, s, family)
     return mass
+
+
+def _node_transfer_states(
+    instance: ProblemInstance, plan: DistPlan, node: int, columns: np.ndarray
+) -> np.ndarray:
+    """Stacked node outputs for work-register basis inputs ``columns``.
+
+    Returns an array of shape (2^2t, 2^L, len(columns)): the node circuit is
+    linear in the incoming work register, so these columns determine its
+    action on any incoming state. The node runs once, on |1>: it commutes
+    with multiplying the work register by a unit c, so the output for |c>
+    is that for |1> gathered along the work axis through y -> c^-1 y mod N
+    (y >= N stays put). Non-units are unreachable from |1> and refused.
+    """
+    t, N = plan.t[node], instance.N
+    dim_c = 1 << instance.L
+    for c in columns:
+        if not (0 < c < N and math.gcd(int(c), N) == 1):
+            raise ValueError(f"work column {c} is not a unit mod {N}")
+    one = build_stage_state(instance, t, plan.l[node] - 1, 1).amps.reshape(1 << (2 * t), dim_c)
+    inverses = np.array([pow(int(c), -1, N) for c in columns], dtype=np.int64)
+    ys = np.arange(dim_c)[:, None]
+    return one[:, np.where(ys < N, ys * inverses % N, ys)]
+
+
+def r_chain_joint_distribution(instance: ProblemInstance, plan: DistPlan) -> np.ndarray:
+    """The joint law of all measured prefixes without assuming it factorises
+    per branch: the oracle for ``statevector_joint_distribution``.
+
+    Conditioning on a node's full measurement record is carried forward as
+    one positive-semidefinite matrix R over the work register per joint
+    prefix class, polynomial in 2^L instead of exponential in the total
+    register count.
+    """
+    dim_c = 1 << instance.L
+    R = np.zeros((1, dim_c, dim_c), dtype=np.complex128)
+    R[0, 1, 1] = 1.0  # work register starts in |1>
+
+    for j in range(plan.k):
+        t, m = plan.t[j], plan.measured[j]
+        diag = np.einsum("mcc->c", R).real
+        columns = np.where(diag > 1e-15)[0]
+        theta = _node_transfer_states(instance, plan, j, columns)
+        shape = (1 << m, 1 << (t - m), 1 << m, 1 << (t - m), dim_c, len(columns))
+        theta = theta.reshape(shape)
+        Rsub = R[np.ix_(range(R.shape[0]), columns, columns)]
+        if j < plan.k - 1:
+            R = np.einsum(
+                "atbuxc,mcd,atbuyd->mabxy", theta, Rsub, theta.conj(), optimize=True
+            )
+            R = R.reshape(-1, dim_c, dim_c)
+        else:
+            H = np.einsum("atbuxc,atbuxd->abcd", theta, theta.conj(), optimize=True)
+            P = np.einsum("mcd,abcd->mab", Rsub, H, optimize=True).real
+            flat = np.ascontiguousarray(P.reshape(-1))
+    total = float(flat.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise AssertionError(f"joint law mass {total!r} drifted from 1")
+    return flat
+
+
+# Hand-picked small widths with a middle node; any widths describe a valid
+# sequential protocol, so both joint laws apply.
+THREE_NODE_PLAN = DistPlan(
+    r=5, k=3, h=2, epsilon=Fraction(1, 2), epsilon_prime=Fraction(1, 4),
+    l=(1, 2, 3, 5), t=(4, 4, 4), measured=(2, 2, 3), total_width=5,
+)
 
 
 class TestPlan:
@@ -239,17 +306,42 @@ class TestQuantumStage:
         assert 0.5 * np.abs(sv - an).sum() < 1e-9
 
     def test_joint_laws_agree_three_nodes(self, instance):
-        """Exercises the middle-node step of the conditional chain. The plan
-        widths are hand-picked small; the law equality holds for any widths
-        since both sides describe the same sequential protocol."""
-        plan = DistPlan(
-            r=5, k=3, h=2, epsilon=Fraction(1, 2), epsilon_prime=Fraction(1, 4),
-            l=(1, 2, 3, 5), t=(4, 4, 4), measured=(2, 2, 3), total_width=5,
-        )
-        sv = statevector_joint_distribution(instance, plan)
-        an = analytic_joint_distribution(instance, plan)
+        """Exercises a middle node of the chain."""
+        sv = statevector_joint_distribution(instance, THREE_NODE_PLAN)
+        an = analytic_joint_distribution(instance, THREE_NODE_PLAN)
         assert sv.shape == an.shape == (1 << 14,)
         assert 0.5 * np.abs(sv - an).sum() < 1e-9
+
+    @pytest.mark.parametrize("which", ["small", "acceptance", "three_nodes"])
+    def test_joint_law_matches_r_chain(
+        self, which, instance, acceptance_plan, small_instance, small_plan
+    ):
+        """The branch mixture equals the chain that does not assume it."""
+        inst, plan = {
+            "small": (small_instance, small_plan),
+            "acceptance": (instance, acceptance_plan),
+            "three_nodes": (instance, THREE_NODE_PLAN),
+        }[which]
+        got = statevector_joint_distribution(inst, plan)
+        assert np.abs(got - r_chain_joint_distribution(inst, plan)).max() <= 1e-15
+
+    def test_joint_law_reaches_wide_work_register(self):
+        """N = 311 (r = 5, L = 9): the R chain would need 1 GiB after node 0;
+        the branch mixture needs only the per-node blocks."""
+        inst = validate_instance(311, 6, 36)
+        plan = make_plan(inst, k=2, h=2, epsilon="0.5", epsilon_prime="0.45")
+        sv = statevector_joint_distribution(inst, plan)
+        an = analytic_joint_distribution(inst, plan)
+        assert 0.5 * np.abs(sv - an).sum() < 1e-9
+
+    def test_joint_law_peak_memory(self, instance, acceptance_plan):
+        tracemalloc.start()
+        try:
+            statevector_joint_distribution.__wrapped__(instance, acceptance_plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
     def test_sequential_sampling_consistent(self, small_instance, small_plan):
         """Honest per-trial sequential runs land in the exact joint law
@@ -385,27 +477,39 @@ class TestSolveDistributed:
             for (ma, _), width in zip(record.node_measurements, plan.measured)
         )
 
-    def test_joint_tensor_guard_falls_back(self, instance, monkeypatch):
-        """A conditioned work-register tensor over the byte cap is refused at
-        node 0 before any contraction runs, and the solver then runs the
-        nodes per attempt."""
-        from distdlog import dist
+    def test_joint_tensor_guard_falls_back(self, instance, acceptance_plan, monkeypatch):
+        """A joint law whose three float64 arrays (law, branch term, CDF)
+        exceed the byte cap is refused before any node runs, and the solver
+        then runs the nodes per attempt."""
+        from distdlog import dlp
 
-        plan = make_plan(instance, k=2, h=2, epsilon="0.3", epsilon_prime="0.2")
-        r_bytes = (1 << (2 * plan.measured[0])) * (1 << (2 * instance.L)) * 16
-        monkeypatch.setattr(dist, "_STACK_BYTES_CAP", r_bytes - 1)
+        law_bytes = 3 * 8 * (1 << (2 * sum(acceptance_plan.measured)))
+        monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", law_bytes - 1)
+        statevector_joint_distribution.cache_clear()
+        dlp.joint_cdf.cache_clear()
+        calls = []
+        node_block = dlp.node_block
 
-        def no_einsum(*args, **kwargs):
-            raise AssertionError("einsum ran")
+        def refuse(*args, **kwargs):
+            raise AssertionError("node_block ran")
 
-        monkeypatch.setattr(np, "einsum", no_einsum)
-        with pytest.raises(QubitBudgetError, match="after node 0"):
-            statevector_joint_distribution(instance, plan)
-        record = solve_distributed(instance, plan, np.random.default_rng(3), max_retries=3)
-        assert record.m_a.width == plan.total_width
+        def count(*args, **kwargs):
+            calls.append(args)
+            return node_block(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dlp, "node_block", refuse)
+            with pytest.raises(QubitBudgetError, match="joint law needs"):
+                statevector_joint_distribution(instance, acceptance_plan)
+        monkeypatch.setattr(dlp, "node_block", count)
+        record = solve_distributed(
+            instance, acceptance_plan, np.random.default_rng(3), max_retries=3
+        )
+        assert len(calls) == acceptance_plan.k * (record.retries + 1)  # fresh runs
+        assert record.m_a.width == acceptance_plan.total_width
         assert all(
             ma.width == width
-            for (ma, _), width in zip(record.node_measurements, plan.measured)
+            for (ma, _), width in zip(record.node_measurements, acceptance_plan.measured)
         )
 
     def test_record_serialises(self, instance, acceptance_plan):

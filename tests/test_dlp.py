@@ -111,6 +111,15 @@ class TestStageEquivalence:
         an = analytic_joint_distribution(instance, config.t)
         assert 0.5 * np.abs(sv - an).sum() < 1e-9
 
+    @pytest.mark.parametrize("N, a, b", [(7, 2, 4), (11, 3, 9), (23, 2, 8)])
+    def test_joint_law_matches_full_state(self, N, a, b):
+        """The branch mixture equals summing the full state over the work
+        register."""
+        inst = validate_instance(N, a, b)
+        t = ShorConfig.for_instance(inst, "0.25").t
+        want = statevec.joint_distribution(build_stage_state(inst, t), ["a", "b"])
+        assert np.abs(statevector_joint_distribution(inst, t) - want).max() <= 1e-15
+
     def test_counting_marginal_is_branch_average(self, instance):
         config = ShorConfig.for_instance(instance, "0.25")
         state = build_stage_state(instance, config.t)
