@@ -259,10 +259,12 @@ def run_distributed_quantum(
     """One pass of the k-node quantum stage.
 
     State-vector mode simulates the nodes sequentially as described in the
-    module docstring. Analytic mode draws the latent branch s uniformly and
-    then samples each node's measured prefix from the closed-form law of its
-    counting register; conditional independence across nodes given s is
-    exactly the factorised structure of the pre-measurement state.
+    module docstring. Analytic mode draws the latent branch s uniformly (the
+    generator's first draw) and then, node by node and a before b, draws
+    each counting register's full t_j-bit outcome from its closed-form law
+    with ``phase.sample_phase_outcome`` and keeps its leading measured_j
+    bits; conditional independence across nodes given s is exactly the
+    factorised structure of the pre-measurement state.
     """
     if mode == "analytic":
         return _run_nodes_analytic(instance, plan, rng)
@@ -284,14 +286,11 @@ def _run_nodes_analytic(
 ) -> NodeMeasurements:
     s = int(rng.integers(instance.r))
     results = []
-    for j in range(plan.k):
+    for j, (t, m) in enumerate(zip(plan.t, plan.measured)):
         pair = []
         for family in ("a", "b"):
-            dist = phase.phase_outcome_distribution(
-                node_phase(instance, plan, j, s, family), plan.t[j]
-            )
-            folded = phase.prefix_marginal(dist, plan.measured[j])
-            pair.append(BitString(plan.measured[j], statevec.sample_outcome(rng, folded)))
+            full = phase.sample_phase_outcome(rng, node_phase(instance, plan, j, s, family), t)
+            pair.append(BitString(m, full >> (t - m)))  # its leading m bits
         results.append(tuple(pair))
     return NodeMeasurements(
         nodes=tuple(results),

@@ -6,9 +6,11 @@ circuit on the simulator; it never reads the instance's hidden exponent.
 The analytic backend samples the latent branch index s and then draws the
 two counting-register outcomes from the closed-form distributions, whose
 phases need the exponent g as an oracle (``hidden_g``, or the eigenphase
-extraction when it is absent); it is distribution-identical to the circuit
-(the test suites check this exactly) and scales past the dense-vector
-qubit cap.
+extraction when it is absent). Each outcome is one exact rejection draw
+(``phase.sample_phase_outcome``) in O(1) expected time and memory, so its
+cost does not grow with the register width. It is distribution-identical
+to the circuit: the test suites check the sampler against the closed-form
+law, and that law against the circuit exactly.
 
 The node circuit is ``node_block``, a fused kernel that keeps only the live
 work values. Fresh runs sample it through ``measure_node``, and
@@ -314,15 +316,15 @@ def quantum_stage_analytic(
 
     The branch index s is uniform and, conditioned on it, the two
     measurements are independent with phases s/r and (s g mod r)/r. This is
-    exactly the joint law of the circuit backend.
+    exactly the joint law of the circuit backend. s is the generator's
+    first draw; each measurement is then one ``phase.sample_phase_outcome``
+    rejection draw, O(1) expected work with no 2^t array.
     """
     r = instance.r
     s = int(rng.integers(r))
     g = branch_exponent(instance)
-    dist_a = phase.phase_outcome_distribution(Fraction(s, r), config.t)
-    dist_b = phase.phase_outcome_distribution(Fraction((s * g) % r, r), config.t)
-    m_a = statevec.sample_outcome(rng, dist_a)
-    m_b = statevec.sample_outcome(rng, dist_b)
+    m_a = phase.sample_phase_outcome(rng, Fraction(s, r), config.t)
+    m_b = phase.sample_phase_outcome(rng, Fraction((s * g) % r, r), config.t)
     return BitString(config.t, m_a), BitString(config.t, m_b), s
 
 

@@ -4,7 +4,10 @@ The circuit form runs on the state-vector simulator; the analytic form
 evaluates the exact closed-form outcome distribution of the post-transform
 counting register. The two serve as mutual oracles: every distribution the
 circuit can produce is also available in closed form, and the test suites
-hold them against each other.
+hold them against each other. The analytic solvers draw from that law one
+outcome at a time by rejection (``sample_phase_outcome``), which builds no
+2^t array; the full law (``phase_outcome_distribution``) is the oracle for
+the tests, the joint laws and the exact success masses.
 
 Phases are exact rationals throughout. Accuracy statements live at the
 2^-t scale, where float phases would poison every window test.
@@ -75,6 +78,26 @@ def build_eigenstate(spec: EigenstateSpec) -> np.ndarray:
     return vec
 
 
+def _exact_phase(omega: Fraction, t: int) -> tuple[int, int]:
+    """Check a phase and register width; return the phase's numerator and
+    denominator, whose products with 2^t stay exact int64 values."""
+    omega = Fraction(omega)
+    if not 0 <= omega < 1:
+        raise ValueError(f"phase must be in [0,1), got {omega}")
+    if not 1 <= t <= _MAX_T:
+        raise ValueError(f"register width must be in 1..{_MAX_T}, got {t}")
+    num, den = omega.numerator, omega.denominator
+    if t + den.bit_length() > 62:
+        raise ValueError(f"width {t} with denominator {den} exceeds exact integer range")
+    return num, den
+
+
+def _peak_factor(res: int, den: int) -> float:
+    """sin^2(pi res / den), with the residue folded to the half-turn nearer
+    0 (sin^2 is symmetric about pi/2), so it is never evaluated next to pi."""
+    return math.sin(math.pi * min(res, den - res) / den) ** 2
+
+
 @lru_cache(maxsize=512)
 def phase_outcome_distribution(omega: Fraction, t: int) -> np.ndarray:
     """Exact outcome distribution of a t-qubit estimation of phase omega.
@@ -84,14 +107,7 @@ def phase_outcome_distribution(omega: Fraction, t: int) -> np.ndarray:
     by exact integer comparison, never by float thresholding, and the
     numerator is folded modulo 1 before any float enters.
     """
-    omega = Fraction(omega)
-    if not 0 <= omega < 1:
-        raise ValueError(f"phase must be in [0,1), got {omega}")
-    if not 1 <= t <= _MAX_T:
-        raise ValueError(f"register width must be in 1..{_MAX_T}, got {t}")
-    num, den = omega.numerator, omega.denominator
-    if t + den.bit_length() > 62:
-        raise ValueError(f"width {t} with denominator {den} exceeds exact integer range")
+    num, den = _exact_phase(omega, t)
     size = 1 << t
     ms = np.arange(size, dtype=np.int64)
     diff = (num << t) - ms * den  # 2^t * (w - m/2^t) * den, exact
@@ -99,10 +115,7 @@ def phase_outcome_distribution(omega: Fraction, t: int) -> np.ndarray:
         probs = np.zeros(size)
         probs[0] = 1.0
     else:
-        # sin^2 is symmetric about pi/2: fold the residue to the half-turn
-        # nearer 0, so the peak factor is never evaluated next to pi.
-        res = (num << t) % den
-        peak = math.sin(math.pi * min(res, den - res) / den) ** 2
+        peak = _peak_factor((num << t) % den, den)
         args = math.pi * (diff / float(den << t))
         with np.errstate(divide="ignore", invalid="ignore"):
             probs = peak / (float(size) ** 2 * np.sin(args) ** 2)
@@ -112,6 +125,55 @@ def phase_outcome_distribution(omega: Fraction, t: int) -> np.ndarray:
         raise AssertionError(f"distribution mass {total!r} drifted from 1")
     probs.setflags(write=False)
     return probs
+
+
+def sample_phase_outcome(rng: np.random.Generator, omega: Fraction, t: int) -> int:
+    """Draw one outcome of a t-qubit estimation of phase omega, exactly,
+    in O(1) expected time and without building the 2^t law.
+
+    Write 2^t w = c + f with c an integer. If f = 0 the outcome is c with
+    certainty and nothing is drawn. Otherwise outcome c + j (mod 2^t), for
+    the offset j in (-2^(t-1), 2^(t-1)], has probability
+    p(j) = F(d) = sin^2(pi d) / (T^2 sin^2(pi d / T)) with d = f - j and
+    T = 2^t, evaluated with the same folded-peak float formula as
+    ``phase_outcome_distribution``. The offset is drawn by rejection from
+    the rounded Cauchy proposal j = floor(f + tan(pi (U - 1/2)) + 1/2),
+    whose mass Q(j) = (atan(j - f + 1/2) - atan(j - f - 1/2)) / pi
+    = atan(1 / ((j - f)^2 + 3/4)) / pi has no cancellation in the tail;
+    offsets out of range are rejected and j is kept with probability
+    p(j) / (4 Q(j)). The accepted j then has law p exactly, and each
+    proposal is accepted with probability sum_j p(j) / 4 = 1/4.
+
+    The envelope p <= 4 Q holds for every in-range j. The Fejer kernel F is
+    at most 1, and |d| < T/2 puts pi d / T in (-pi/2, pi/2), where
+    |sin y| >= 2 |y| / pi, so F(d) <= min(1, sin^2(pi d) / (4 d^2)). For
+    d^2 <= 1/4, 4 Q >= (4/pi) atan(1) = 1. For d^2 > 1/4, x = 1/(d^2 + 3/4)
+    lies in (0, 1), where concavity gives atan(x) >= (pi/4) x, so
+    4 Q >= 1/(d^2 + 3/4) >= 1/(4 d^2) because d^2 + 3/4 <= 4 d^2.
+    """
+    num, den = _exact_phase(omega, t)
+    size = 1 << t
+    c, rem = divmod(num << t, den)
+    if rem == 0:
+        return c % size
+    half = size >> 1
+    f = rem / den
+    peak = _peak_factor(rem, den)
+    while True:
+        j = math.floor(f + math.tan(math.pi * (rng.random() - 0.5)) + 0.5)
+        if not -half < j <= half:
+            continue
+        envelope = 4.0 * math.atan(1.0 / ((j - f) ** 2 + 0.75)) / math.pi
+        if rng.random() * envelope < _offset_probability(peak, rem, den, t, j):
+            return (c + j) % size
+
+
+def _offset_probability(peak: float, rem: int, den: int, t: int, j: int) -> float:
+    """p(j): the entry of phase_outcome_distribution at outcome c + j, where
+    2^t w = c + rem/den, 0 < rem < den, and peak = _peak_factor(rem, den).
+    Its exact numerator 2^t den (w - (c + j)/2^t) is rem - j den."""
+    args = math.pi * ((rem - j * den) / float(den << t))
+    return peak / (float(1 << t) ** 2 * math.sin(args) ** 2)
 
 
 def phase_state_amplitudes(omega: Fraction, t: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -258,24 +258,6 @@ def marginal_distribution(state: QuantumState, register: str, prefix_width: int)
     start = layout.start_of(register)
     cube = state.probabilities().reshape(1 << start, 1 << prefix_width, -1)
     return cube.sum(axis=(0, 2))
-
-
-def joint_distribution(state: QuantumState, registers: Iterable[str]) -> np.ndarray:
-    """Exact joint distribution of whole registers, in the order given.
-
-    The result is a flat vector indexed by the concatenated register values
-    (first name most significant).
-    """
-    names = list(registers)
-    layout = state.layout
-    order = [layout.names.index(n) for n in names]
-    rest = [i for i in range(len(layout.names)) if i not in order]
-    probs = state.probabilities().reshape(layout.axis_shape())
-    moved = np.transpose(probs, order + rest)
-    selected = 1
-    for n in names:
-        selected <<= layout.width_of(n)
-    return moved.reshape(selected, -1).sum(axis=1)
 
 
 def sample_outcome(rng: np.random.Generator, probabilities: np.ndarray) -> int:

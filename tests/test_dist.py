@@ -299,6 +299,23 @@ class TestQuantumStage:
         assert result.latent_s == 0
         assert all(ma.value == 0 and mb.value == 0 for ma, mb in result.nodes)
 
+    def test_analytic_nodes_match_joint_law(self, instance, acceptance_plan):
+        """20000 seeded analytic node passes against the closed-form joint
+        law of all prefixes. Exact multinomial draws of this size from this
+        law (65536 cells) have a mean TV of 0.015 and stayed below 0.020 in
+        200 simulated batches."""
+        law = analytic_joint_distribution(instance, acceptance_plan)
+        draws = 20_000
+        rng = np.random.default_rng(5)
+        counts = np.zeros_like(law)
+        for _ in range(draws):
+            flat = 0
+            nodes = run_distributed_quantum(instance, acceptance_plan, rng, mode="analytic").nodes
+            for (m_a, m_b), m in zip(nodes, acceptance_plan.measured):
+                flat = (((flat << m) | m_a.value) << m) | m_b.value
+            counts[flat] += 1
+        assert 0.5 * np.abs(counts / draws - law).sum() < 0.025
+
     def test_joint_laws_agree(self, instance, acceptance_plan):
         sv = statevector_joint_distribution(instance, acceptance_plan)
         an = analytic_joint_distribution(instance, acceptance_plan)
@@ -541,3 +558,47 @@ def test_statevector_solvers_never_read_hidden_g(small_instance, small_plan):
         got = run(wrong, np.random.default_rng(11))
         assert got == run(instance, np.random.default_rng(11)), name
         assert got.success and got.g_hat == instance.hidden_g, name
+
+
+def test_analytic_solvers_build_no_full_law(instance, acceptance_plan, monkeypatch):
+    """Analytic solves draw each outcome by rejection: neither solver builds
+    a 2^t law, folds one or samples one by its CDF."""
+    from distdlog import statevec
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an analytic solve built or sampled a full law")
+
+    monkeypatch.setattr(phase, "phase_outcome_distribution", refuse)
+    monkeypatch.setattr(phase, "prefix_marginal", refuse)
+    monkeypatch.setattr(statevec, "sample_outcome", refuse)
+    config = ShorConfig.for_instance(instance, "0.25", mode="analytic", max_retries=8)
+    for i in range(20):
+        assert solve(instance, config, np.random.default_rng((6, i))).latent_s is not None
+        record = solve_distributed(
+            instance, acceptance_plan, np.random.default_rng((6, i)), mode="analytic"
+        )
+        assert record.node_measurements is not None
+
+
+def test_analytic_solvers_run_in_flat_memory_at_large_order():
+    """r = 1,000,151 (t = 24 for Alg. 2), where one 2^t law takes 128 MiB:
+    200 solves of each solver stay under 8 MiB of tracemalloc peak, so none
+    builds a law. The instance is validated before tracing starts, because
+    its O(r) order scan is slow under tracing."""
+    inst = validate_instance(2000303, 4, 482074)
+    assert inst.r == 1_000_151
+    config = ShorConfig.for_instance(inst, "0.25", mode="analytic")
+    assert config.t == 24
+    plan = make_plan(inst, 2, None, "0.25", "0.2")
+    tracemalloc.start()
+    try:
+        records = [solve(inst, config, np.random.default_rng((7, i))) for i in range(200)]
+        records += [
+            solve_distributed(inst, plan, np.random.default_rng((7, i)), mode="analytic")
+            for i in range(200)
+        ]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert all(rec.success and rec.g_hat == inst.hidden_g for rec in records)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distdlog import statevec
+from distdlog import phase, statevec
 from distdlog.phase import (
     AccuracyReport,
     EigenstateSpec,
@@ -17,6 +17,7 @@ from distdlog.phase import (
     phase_state_amplitudes,
     prefix_marginal,
     run_phase_estimation,
+    sample_phase_outcome,
 )
 
 
@@ -133,6 +134,111 @@ class TestOutcomeDistribution:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             phase_outcome_distribution(Fraction(3, 2), 4)
+
+
+SAMPLER_DENOMINATORS = (3, 5, 7, 11, 13, 31, 37, 101)
+
+
+@pytest.fixture(scope="module")
+def offset_law_extremes():
+    """One pass over every non-grid numerator of the sampler denominators at
+    t = 1..12: the largest p(j) / (4 Q(j)) over in-range offsets j, the
+    largest TV between the sampler's normalised weights p(j) on outcomes
+    c + j mod 2^t and the closed-form law, and whether every outcome got
+    exactly one weight."""
+    worst_ratio = worst_tv = 0.0
+    covers = True
+    for den in SAMPLER_DENOMINATORS:
+        for t in range(1, 13):
+            size = 1 << t
+            js = np.arange(-(size >> 1) + 1, (size >> 1) + 1)
+            for num in range(1, den):
+                c, rem = divmod(num << t, den)
+                if rem == 0:
+                    continue
+                peak = phase._peak_factor(rem, den)
+                p = np.array([phase._offset_probability(peak, rem, den, t, int(j)) for j in js])
+                q = np.arctan(1.0 / ((js - rem / den) ** 2 + 0.75)) / np.pi
+                worst_ratio = max(worst_ratio, float((p / (4.0 * q)).max()))
+                implied = np.zeros(size)
+                implied[(c + js) % size] = p
+                covers = covers and np.count_nonzero(implied) == size
+                law = phase_outcome_distribution(Fraction(num, den), t)
+                tv = 0.5 * float(np.abs(implied / implied.sum() - law).sum())
+                worst_tv = max(worst_tv, tv)
+    return worst_ratio, worst_tv, covers
+
+
+def chi_square_critical(df: int, z: float = 3.719) -> float:
+    """Upper chi-square quantile by the Wilson-Hilferty approximation;
+    z = 3.719 is the normal quantile at p = 1e-4."""
+    k = 2.0 / (9.0 * df)
+    return df * (1.0 - k + z * math.sqrt(k)) ** 3
+
+
+class NoDrawRng:
+    def random(self):
+        raise AssertionError("an exact-grid phase drew a uniform")
+
+
+class TestPhaseSampler:
+    def test_envelope_bounds_every_offset(self, offset_law_extremes):
+        """p(j) <= 4 Q(j) at every in-range offset, so every acceptance
+        probability is at most 1 (the docstring proves it; this checks the
+        floats)."""
+        worst_ratio, _, _ = offset_law_extremes
+        assert worst_ratio <= 0.85  # 0.8468...
+
+    def test_implied_law_matches_closed_form(self, offset_law_extremes):
+        """The sampler's weights cover each outcome once and, normalised,
+        are the closed-form law."""
+        _, worst_tv, covers = offset_law_extremes
+        assert covers
+        assert worst_tv <= 1e-13
+
+    @pytest.mark.parametrize(
+        "omega, t",
+        [(Fraction(1, 3), 3), (Fraction(2, 5), 6), (Fraction(7, 13), 8),
+         (Fraction(17, 101), 10), (Fraction(5, 37), 12), (Fraction(30, 31), 12)],
+    )
+    def test_draws_pass_chi_square(self, omega, t):
+        """20000 seeded draws against the closed-form law; outcomes with an
+        expected count below 5 share one pooled cell."""
+        law = phase_outcome_distribution(omega, t)
+        draws = 20_000
+        rng = np.random.default_rng(2024)
+        counts = np.bincount(
+            [sample_phase_outcome(rng, omega, t) for _ in range(draws)], minlength=1 << t
+        )
+        expected = law * draws
+        big = expected >= 5
+        observed = np.append(counts[big], counts[~big].sum())
+        wanted = np.append(expected[big], expected[~big].sum())
+        keep = wanted > 0
+        stat = float((((observed - wanted) ** 2)[keep] / wanted[keep]).sum())
+        assert stat <= chi_square_critical(int(keep.sum()) - 1)
+
+    @pytest.mark.parametrize(
+        "omega, t, outcome",
+        [(Fraction(0), 1, 0), (Fraction(0), 9, 0), (Fraction(3, 8), 5, 12),
+         (Fraction(1, 2), 1, 1), (Fraction(5, 16), 4, 5)],
+    )
+    def test_exact_grid_phase_draws_nothing(self, omega, t, outcome):
+        assert sample_phase_outcome(NoDrawRng(), omega, t) == outcome
+        assert phase_outcome_distribution(omega, t)[outcome] == 1.0
+
+    @pytest.mark.parametrize(
+        "omega, t",
+        [(Fraction(3, 2), 4), (Fraction(1), 4), (Fraction(-1, 5), 4), (Fraction(1, 5), 0),
+         (Fraction(1, 5), 27), (Fraction(1, (1 << 40) + 1), 22)],
+        ids=["above-one", "one", "negative", "t-zero", "t-above-cap", "62-bit-limit"],
+    )
+    def test_rejects_what_the_law_rejects(self, omega, t):
+        with pytest.raises(ValueError) as law_error:
+            phase_outcome_distribution(omega, t)
+        with pytest.raises(ValueError) as sampler_error:
+            sample_phase_outcome(NoDrawRng(), omega, t)
+        assert str(sampler_error.value) == str(law_error.value)
 
 
 class TestPhaseTask:

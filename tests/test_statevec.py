@@ -16,12 +16,13 @@ from distdlog.statevec import (
     init_basis,
     init_product,
     inverse_qft,
-    joint_distribution,
     marginal_distribution,
     measure_prefix,
     measure_register,
     register_vector,
 )
+
+from gatelevel import joint_distribution
 
 
 def random_state(layout, seed):
