@@ -8,7 +8,7 @@ ships the property suites and CLI used to validate the whole stack.
 """
 
 from .bits import BitString, circ_dist, fraction_bits, wrap_add
-from .dist import DistPlan, NodeMeasurements, correct_with_flag, make_plan, solve_distributed
+from .dist import DistPlan, correct_with_flag, make_plan, solve_distributed
 from .dlp import RunRecord, ShorConfig, postprocess_detail, solve
 from .numtheory import (
     InstanceError,
@@ -25,7 +25,6 @@ from .phase import (
     build_eigenstate,
     check_accuracy_bound,
     phase_outcome_distribution,
-    run_phase_estimation,
 )
 from .resources import ResourceReport
 from .statevec import (
@@ -48,7 +47,6 @@ __all__ = [
     "fraction_bits",
     "wrap_add",
     "DistPlan",
-    "NodeMeasurements",
     "correct_with_flag",
     "make_plan",
     "solve_distributed",
@@ -68,7 +66,6 @@ __all__ = [
     "build_eigenstate",
     "check_accuracy_bound",
     "phase_outcome_distribution",
-    "run_phase_estimation",
     "ResourceReport",
     "MeasurementOutcome",
     "QuantumState",

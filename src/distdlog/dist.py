@@ -5,18 +5,20 @@ windows overlap by h + 1 bits, and a classical alignment pass stitches the
 per-node measurements into one full-width estimate before the usual
 rounding and inversion.
 
-The nodes act in sequence on a shared L-qubit work register. A register
-that a node has finished with is never touched by any later operation, so
-the state-vector backend simulates one node of 2 t_j + L logical qubits at
-a time: ``dlp.measure_node`` measures its registers in full from its live
-block, the work values the state reaches (measuring the unmeasured tail
-early changes no reported statistic, by the deferred measurement
-principle), and hands the then-pure work register to the next node. The
-per-node footprint therefore matches the claimed space cost
-max_j (2 t_j + L) exactly, and the hand-off is the (k-1) L communication
-cost. A single flat vector over all nodes' registers would need
-2 (t_1 + ... + t_k) + L qubits, which exceeds the dense cap for every
-feasible plan.
+The quantum stage and both joint laws are ``dlp``'s chain pieces over
+``plan.nodes``, the chain of ``(t_j, l_j - 1, measured_j)``; a stage pass
+returns ``(pairs, latent_s)``. The nodes act in sequence on a shared
+L-qubit work register. A register that a node has finished with is never
+touched by any later operation, so the state-vector backend simulates one
+node of 2 t_j + L logical qubits at a time: ``dlp.measure_chain`` measures
+its registers in full from its live block, the work values the state
+reaches (measuring the unmeasured tail early changes no reported
+statistic, by the deferred measurement principle), and hands the then-pure
+work register to the next node. The per-node footprint therefore matches
+the claimed space cost max_j (2 t_j + L) exactly, and the hand-off is the
+(k-1) L communication cost. A single flat vector over all nodes' registers
+would need 2 (t_1 + ... + t_k) + L qubits, which exceeds the dense cap for
+every feasible plan.
 
 The cached backend needs no such vector either: given the branch s (an
 eigenvector of multiplication by a) the nodes are independent, so
@@ -36,14 +38,18 @@ import numpy as np
 from . import phase, statevec
 from .bits import BitString, circ_dist, wrap_add
 from .dlp import (  # postprocess_detail: bench/tests checks dist's binding of it
+    Chain,
+    Pairs,
     RunRecord,
-    branch_exponent,
+    analytic_joint_law,
     build_stage_state,
     joint_cdf,
     joint_law,
-    measure_node,
+    measure_chain,
+    node_phase,
     postprocess_detail,
     retry,
+    sample_chain,
 )
 from .numtheory import ProblemInstance, ceil_log2, to_fraction
 from .resources import (
@@ -88,6 +94,11 @@ class DistPlan:
             "measured": list(self.measured),
             "total_width": self.total_width,
         }
+
+    @property
+    def nodes(self) -> Chain:
+        """``(t_j, l_j - 1, measured_j)`` per node, the chain ``dlp`` runs."""
+        return tuple(zip(self.t, (l - 1 for l in self.l), self.measured))
 
 
 def plan_for_order(
@@ -233,70 +244,19 @@ def brute_force_correct_oracle(
     return output
 
 
-@dataclass(frozen=True)
-class NodeMeasurements:
-    """Per-node measured prefixes for the two phase families."""
-
-    nodes: tuple[tuple[BitString, BitString], ...]
-    comm_qubits: int = 0
-    latent_s: int | None = None
-
-
-def node_phase(instance: ProblemInstance, plan: DistPlan, node: int, s: int, family: str) -> Fraction:
-    """The exact phase node ``node`` (0-based) estimates on branch s."""
-    r = instance.r
-    numerator = s if family == "a" else (s * branch_exponent(instance)) % r
-    shifted = (numerator * pow(2, plan.l[node] - 1, r)) % r
-    return Fraction(shifted, r)
-
-
 def run_distributed_quantum(
     instance: ProblemInstance,
     plan: DistPlan,
     rng: np.random.Generator,
     mode: str = "statevector",
-) -> NodeMeasurements:
-    """One pass of the k-node quantum stage.
-
-    State-vector mode simulates the nodes sequentially as described in the
-    module docstring. Analytic mode draws the latent branch s uniformly (the
-    generator's first draw) and then, node by node and a before b, draws
-    each counting register's full t_j-bit outcome from its closed-form law
-    with ``phase.sample_phase_outcome`` and keeps its leading measured_j
-    bits; conditional independence across nodes given s is exactly the
-    factorised structure of the pre-measurement state.
-    """
+) -> tuple[Pairs, int | None]:
+    """One pass of the k-node quantum stage: ``dlp.measure_chain`` or
+    ``dlp.sample_chain`` over ``plan.nodes``; the circuit has no latent s."""
     if mode == "analytic":
-        return _run_nodes_analytic(instance, plan, rng)
+        return sample_chain(instance, plan.nodes, rng)
     if mode != "statevector":
         raise ValueError(f"unknown mode {mode!r}")
-
-    work: int | np.ndarray = 1
-    results = []
-    for j in range(plan.k):
-        m_a, m_b, work = measure_node(instance, plan.t[j], plan.l[j] - 1, work, rng)
-        results.append((m_a.slice(1, plan.measured[j]), m_b.slice(1, plan.measured[j])))
-    return NodeMeasurements(
-        nodes=tuple(results), comm_qubits=communication_qubits(plan.k, instance.L)
-    )
-
-
-def _run_nodes_analytic(
-    instance: ProblemInstance, plan: DistPlan, rng: np.random.Generator
-) -> NodeMeasurements:
-    s = int(rng.integers(instance.r))
-    results = []
-    for j, (t, m) in enumerate(zip(plan.t, plan.measured)):
-        pair = []
-        for family in ("a", "b"):
-            full = phase.sample_phase_outcome(rng, node_phase(instance, plan, j, s, family), t)
-            pair.append(BitString(m, full >> (t - m)))  # its leading m bits
-        results.append(tuple(pair))
-    return NodeMeasurements(
-        nodes=tuple(results),
-        comm_qubits=communication_qubits(plan.k, instance.L),
-        latent_s=s,
-    )
+    return measure_chain(instance, plan.nodes, rng), None
 
 
 @lru_cache(maxsize=4)
@@ -304,26 +264,15 @@ def statevector_joint_distribution(instance: ProblemInstance, plan: DistPlan) ->
     """Exact joint law of all measured prefixes under the sequential protocol.
 
     Flat index concatenates (m_1a, m_1b, ..., m_ka, m_kb), first node most
-    significant: ``dlp.joint_law`` over the plan's nodes, the branch mixture
-    of independent per-node prefix laws.
+    significant: ``dlp.joint_law`` over ``plan.nodes``.
     """
-    nodes = tuple(zip(plan.t, (l - 1 for l in plan.l), plan.measured))
-    return joint_law(instance, nodes)
+    return joint_law(instance, plan.nodes)
 
 
 def analytic_joint_distribution(instance: ProblemInstance, plan: DistPlan) -> np.ndarray:
-    """Closed-form joint law of all measured prefixes (same indexing)."""
-    joint = None
-    for s in range(instance.r):
-        term = np.ones(1)
-        for j in range(plan.k):
-            for family in ("a", "b"):
-                dist = phase.phase_outcome_distribution(
-                    node_phase(instance, plan, j, s, family), plan.t[j]
-                )
-                term = np.kron(term, phase.prefix_marginal(dist, plan.measured[j]))
-        joint = term if joint is None else joint + term
-    return joint / instance.r
+    """Closed-form joint law of all measured prefixes (same indexing):
+    ``dlp.analytic_joint_law`` over ``plan.nodes``."""
+    return analytic_joint_law(instance, plan.nodes)
 
 
 def decode_joint_index(flat: int, plan: DistPlan) -> tuple[tuple[BitString, BitString], ...]:
@@ -362,19 +311,14 @@ def solve_distributed(
     def attempt() -> tuple[BitString, BitString, dict]:
         if use_reuse:
             cdf = joint_cdf(statevector_joint_distribution, instance, plan)
-            flat = statevec.sample_cdf(rng, cdf)
-            measurements = NodeMeasurements(
-                nodes=decode_joint_index(flat, plan),
-                comm_qubits=communication_qubits(plan.k, instance.L),
-            )
+            pairs, latent_s = decode_joint_index(statevec.sample_cdf(rng, cdf), plan), None
         else:
-            measurements = run_distributed_quantum(instance, plan, rng, mode=mode)
-        m_a, fb_a = correct_with_flag([ma for ma, _ in measurements.nodes], plan)
-        m_b, fb_b = correct_with_flag([mb for _, mb in measurements.nodes], plan)
+            pairs, latent_s = run_distributed_quantum(instance, plan, rng, mode=mode)
+        m_a, fb_a = correct_with_flag([ma for ma, _ in pairs], plan)
+        m_b, fb_b = correct_with_flag([mb for _, mb in pairs], plan)
         return m_a, m_b, {
-            "latent_s": measurements.latent_s,
-            "node_measurements": measurements.nodes,
-            "comm_qubits": measurements.comm_qubits,
+            "latent_s": latent_s,
+            "node_measurements": pairs,
             "correct_fallback": fb_a or fb_b,
         }
 
@@ -385,7 +329,10 @@ def solve_distributed(
         comm_qubits=communication_qubits(plan.k, instance.L),
         simulated_qubits_actual=per_node if mode == "statevector" else 0,
     )
-    return retry(instance, max_retries, attempt, mode=mode, resources=report)
+    return retry(
+        instance, max_retries, attempt,
+        mode=mode, resources=report, comm_qubits=report.comm_qubits,
+    )
 
 
 @dataclass(frozen=True)
@@ -433,16 +380,15 @@ def compare_step7_state(instance: ProblemInstance, plan: DistPlan) -> Step7Repor
     for s in range(r):
         u = phase.build_eigenstate(phase.EigenstateSpec(instance, s))
         max_w, max_a, dev = [], [], []
-        for j in range(plan.k):
-            t = plan.t[j]
-            state = build_stage_state(instance, t, plan.l[j] - 1, u)
+        for t, exponent, _ in plan.nodes:
+            state = build_stage_state(instance, t, exponent, u)
             cube = state.amps.reshape(1 << t, 1 << t, dim_c)
             w = np.tensordot(cube, u.conj(), axes=([2], [0]))
             residual = float(np.linalg.norm(cube - w[:, :, None] * u[None, None, :]))
             residual_sum += residual
             residual_max = max(residual_max, residual)
-            amp_a = phase.phase_state_amplitudes(node_phase(instance, plan, j, s, "a"), t)
-            amp_b = phase.phase_state_amplitudes(node_phase(instance, plan, j, s, "b"), t)
+            amp_a = phase.phase_state_amplitudes(node_phase(instance, exponent, s, "a"), t)
+            amp_b = phase.phase_state_amplitudes(node_phase(instance, exponent, s, "b"), t)
             analytic = np.outer(amp_a, amp_b)
             max_w.append(float(np.abs(w).max()))
             max_a.append(float(np.abs(analytic).max()))

@@ -1,24 +1,21 @@
 """End-to-end discrete-log solver: quantum stage, classical rounding and
 inversion, and the retry loop.
 
-Two quantum-stage backends exist. The state-vector backend runs the actual
-circuit on the simulator; it never reads the instance's hidden exponent.
-The analytic backend samples the latent branch index s and then draws the
-two counting-register outcomes from the closed-form distributions, whose
-phases need the exponent g as an oracle (``hidden_g``, or the eigenphase
-extraction when it is absent). Each outcome is one exact rejection draw
-(``phase.sample_phase_outcome``) in O(1) expected time and memory, so its
-cost does not grow with the register width. It is distribution-identical
-to the circuit: the test suites check the sampler against the closed-form
-law, and that law against the circuit exactly.
-
+Every stage piece runs over a chain of node circuits, given as ``(t,
+exponent, measured)`` per node: the counting registers control powers
+c^(j 2^exponent) of c = a and c = b, and their leading ``measured`` bits
+are kept. This solver is the one-node chain ``((t, 0, t),)``, and ``dist``
+runs its plan's chain through the same pieces and the same retry loop.
 The node circuit is ``node_block``, a fused kernel that keeps only the live
-work values. Fresh runs sample it through ``measure_node``, and
-``build_stage_state`` scatters it into a full state. Cached runs draw from
-``joint_law``: the law of a chain of nodes as the branch mixture
-(1/r) sum_s prod_j P_j(. | s) over the eigenvectors of multiplication by a,
-whose one-node case is the single-node law. ``dist`` reuses the node
-circuit, joint law and retry loop.
+work values. Fresh runs measure it node by node (``measure_chain``); they
+never read the instance's hidden exponent. Cached runs draw from
+``joint_law``: the branch mixture (1/r) sum_s prod_j P_j(. | s) over the
+eigenvectors of multiplication by a. The analytic backend draws the latent
+branch s and then each register exactly at its phase (``node_phase``) by one
+O(1) rejection draw (``sample_chain``); ``analytic_joint_law`` is its
+closed-form law. The phases need the exponent g as an oracle (``hidden_g``,
+or the eigenphase extraction when it is absent). The test suites hold the
+sampler to the closed form, and the closed form to the circuit exactly.
 """
 
 from __future__ import annotations
@@ -43,6 +40,9 @@ from .resources import (
 )
 
 MODES = ("statevector", "analytic")
+
+Chain = tuple[tuple[int, int, int], ...]  # (t, exponent, measured) per node
+Pairs = tuple[tuple[BitString, BitString], ...]  # (m_a, m_b) prefixes per node
 
 
 @dataclass(frozen=True)
@@ -205,12 +205,21 @@ def measure_node(
     return BitString(t, j_a), BitString(t, j_b), work_out
 
 
+def measure_chain(instance: ProblemInstance, nodes: Chain, rng: np.random.Generator) -> Pairs:
+    """Run the chain afresh: ``measure_node`` on each node in turn, from |1>
+    and then on the work vector the node before hands on."""
+    work: int | np.ndarray = 1
+    pairs = []
+    for t, exponent, m in nodes:
+        m_a, m_b, work = measure_node(instance, t, exponent, work, rng)
+        pairs.append((m_a.slice(1, m), m_b.slice(1, m)))
+    return tuple(pairs)
+
+
 _LAW_BYTES_CAP = 1 << 28
 
 
-def joint_law(
-    instance: ProblemInstance, nodes: tuple[tuple[int, int, int], ...]
-) -> np.ndarray:
+def joint_law(instance: ProblemInstance, nodes: Chain) -> np.ndarray:
     """Exact joint law of the measured prefixes of a chain of node circuits.
 
     ``nodes`` lists ``(t, exponent, measured)`` per node, which keeps the
@@ -277,8 +286,10 @@ def joint_cdf(law, *key) -> np.ndarray:
 def quantum_stage_statevector(
     instance: ProblemInstance, config: ShorConfig, rng: np.random.Generator
 ) -> tuple[BitString, BitString]:
-    """Run the circuit once and measure both counting registers in full."""
-    return measure_node(instance, config.t, 0, 1, rng)[:2]
+    """Run the circuit once and measure both counting registers in full:
+    ``measure_chain`` on the one-node chain."""
+    ((m_a, m_b),) = measure_chain(instance, ((config.t, 0, config.t),), rng)
+    return m_a, m_b
 
 
 @lru_cache(maxsize=32)
@@ -309,23 +320,55 @@ def branch_exponent(instance: ProblemInstance) -> int:
     return eigenphase_dlog(instance)
 
 
+def node_phase(instance: ProblemInstance, exponent: int, s: int, family: str) -> Fraction:
+    """The exact phase that a node with controlled powers c^(j 2^exponent)
+    estimates on branch s: s/r for c = a and (s g mod r)/r for c = b, each
+    multiplied by 2^exponent mod 1."""
+    r = instance.r
+    numerator = s if family == "a" else (s * branch_exponent(instance)) % r
+    return Fraction((numerator * pow(2, exponent, r)) % r, r)
+
+
+def sample_chain(
+    instance: ProblemInstance, nodes: Chain, rng: np.random.Generator
+) -> tuple[Pairs, int]:
+    """Draw the chain's prefixes from the closed form; returns them and s.
+
+    The branch s is uniform, the generator's first draw; given s the
+    registers are independent at their ``node_phase``. Node by node, a
+    before b, each full t-bit outcome is one ``phase.sample_phase_outcome``
+    rejection draw, with no 2^t array.
+    """
+    s = int(rng.integers(instance.r))
+    pairs = []
+    for t, exponent, m in nodes:
+        a = phase.sample_phase_outcome(rng, node_phase(instance, exponent, s, "a"), t)
+        b = phase.sample_phase_outcome(rng, node_phase(instance, exponent, s, "b"), t)
+        pairs.append((BitString(m, a >> (t - m)), BitString(m, b >> (t - m))))
+    return tuple(pairs), s
+
+
+def analytic_joint_law(instance: ProblemInstance, nodes: Chain) -> np.ndarray:
+    """Closed-form counterpart of ``joint_law``, same nodes and indexing:
+    the branch mixture of the products of every register's prefix law."""
+    law = None
+    for s in range(instance.r):
+        term = np.ones(1)
+        for t, exponent, m in nodes:
+            for family in "ab":
+                dist = phase.phase_outcome_distribution(node_phase(instance, exponent, s, family), t)
+                term = np.kron(term, phase.prefix_marginal(dist, m))
+        law = term if law is None else law + term
+    return law / instance.r
+
+
 def quantum_stage_analytic(
     instance: ProblemInstance, config: ShorConfig, rng: np.random.Generator
 ) -> tuple[BitString, BitString, int]:
-    """Sample (m_a, m_b) from the closed-form joint law; returns latent s.
-
-    The branch index s is uniform and, conditioned on it, the two
-    measurements are independent with phases s/r and (s g mod r)/r. This is
-    exactly the joint law of the circuit backend. s is the generator's
-    first draw; each measurement is then one ``phase.sample_phase_outcome``
-    rejection draw, O(1) expected work with no 2^t array.
-    """
-    r = instance.r
-    s = int(rng.integers(r))
-    g = branch_exponent(instance)
-    m_a = phase.sample_phase_outcome(rng, Fraction(s, r), config.t)
-    m_b = phase.sample_phase_outcome(rng, Fraction((s * g) % r, r), config.t)
-    return BitString(config.t, m_a), BitString(config.t, m_b), s
+    """Sample (m_a, m_b) from the closed-form joint law; returns latent s:
+    ``sample_chain`` on the one-node chain."""
+    ((m_a, m_b),), s = sample_chain(instance, ((config.t, 0, config.t),), rng)
+    return m_a, m_b, s
 
 
 def round_scaled(m: BitString, r: int) -> int:
@@ -428,22 +471,6 @@ def solve(
     return retry(instance, config.max_retries, attempt, mode=config.mode, resources=report)
 
 
-def analytic_joint_distribution(instance: ProblemInstance, t: int) -> np.ndarray:
-    """Closed-form joint law of (m_a, m_b): the branch-averaged product.
-
-    Flat index = m_a * 2^t + m_b, matching the state-vector joint.
-    """
-    r = instance.r
-    g = branch_exponent(instance)
-    size = 1 << t
-    joint = np.zeros(size * size)
-    for s in range(r):
-        dist_a = phase.phase_outcome_distribution(Fraction(s, r), t)
-        dist_b = phase.phase_outcome_distribution(Fraction((s * g) % r, r), t)
-        joint += np.kron(dist_a, dist_b)
-    return joint / r
-
-
 def single_shot_success_mass(
     instance: ProblemInstance, epsilon: Fraction | float | str
 ) -> float:
@@ -457,7 +484,6 @@ def single_shot_success_mass(
     eps = to_fraction(epsilon)
     t = counting_width(instance.r, eps)
     r = instance.r
-    g = branch_exponent(instance)
     size = 1 << t
     outcomes = np.arange(size, dtype=np.int64)
     classes = ((2 * outcomes * r + size) >> (t + 1)) % r
@@ -471,8 +497,8 @@ def single_shot_success_mass(
 
     total = 0.0
     for s in range(r):
-        dist_a = phase.phase_outcome_distribution(Fraction(s, r), t)
-        dist_b = phase.phase_outcome_distribution(Fraction((s * g) % r, r), t)
+        dist_a = phase.phase_outcome_distribution(node_phase(instance, 0, s, "a"), t)
+        dist_b = phase.phase_outcome_distribution(node_phase(instance, 0, s, "b"), t)
         mass_a = np.bincount(classes, weights=dist_a, minlength=r)
         mass_b = np.bincount(classes, weights=dist_b, minlength=r)
         total += float(mass_a @ success_table @ mass_b)

@@ -1,13 +1,13 @@
-"""Phase estimation in two interchangeable forms.
+"""Phase estimation in closed form.
 
-The circuit form runs on the state-vector simulator; the analytic form
-evaluates the exact closed-form outcome distribution of the post-transform
-counting register. The two serve as mutual oracles: every distribution the
-circuit can produce is also available in closed form, and the test suites
-hold them against each other. The analytic solvers draw from that law one
-outcome at a time by rejection (``sample_phase_outcome``), which builds no
-2^t array; the full law (``phase_outcome_distribution``) is the oracle for
-the tests, the joint laws and the exact success masses.
+The exact outcome distribution and amplitudes of the post-transform
+counting register. They are the circuit's oracle: the test suites hold
+every distribution the circuit produces (the gate-level estimation circuit
+lives with them, in ``tests/gatelevel.py``) against its closed form. The
+analytic solvers draw from that law one outcome at a time by rejection
+(``sample_phase_outcome``), which builds no 2^t array; the full law
+(``phase_outcome_distribution``) is the oracle for the tests, the joint
+laws and the exact success masses.
 
 Phases are exact rationals throughout. Accuracy statements live at the
 2^-t scale, where float phases would poison every window test.
@@ -22,8 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import statevec
-from .bits import BitString, fraction_bits
+from .bits import fraction_bits
 from .numtheory import ProblemInstance, ceil_log2_ratio, to_fraction
 
 _MAX_T = 26
@@ -182,12 +181,7 @@ def phase_state_amplitudes(omega: Fraction, t: int) -> np.ndarray:
     amp[v] = (1/2^t) sum_u exp(2 pi i u (w - v/2^t)), evaluated as a closed
     geometric sum. Squared moduli reproduce phase_outcome_distribution.
     """
-    omega = Fraction(omega)
-    if not 0 <= omega < 1:
-        raise ValueError(f"phase must be in [0,1), got {omega}")
-    if not 1 <= t <= _MAX_T:
-        raise ValueError(f"register width must be in 1..{_MAX_T}, got {t}")
-    num, den = omega.numerator, omega.denominator
+    num, den = _exact_phase(omega, t)
     size = 1 << t
     vs = np.arange(size, dtype=np.int64)
     diff = (num << t) - vs * den
@@ -207,31 +201,6 @@ def prefix_marginal(distribution: np.ndarray, width: int) -> np.ndarray:
     if size % (1 << width) != 0 or (1 << width) > size:
         raise ValueError(f"cannot fold length {size} to {width} prefix bits")
     return distribution.reshape(1 << width, -1).sum(axis=1)
-
-
-def run_phase_estimation(
-    task: PhaseTask,
-    unitary: tuple[int, int],
-    eigenstate: EigenstateSpec,
-    rng: np.random.Generator,
-    power_exponent: int = 0,
-) -> BitString:
-    """Execute the estimation circuit and return the measured t-bit string.
-
-    ``unitary`` is (base, N): the multiplication-by-base map mod N, raised
-    to 2^power_exponent before being controlled on the counting register.
-    """
-    base, N = unitary
-    inst = eigenstate.instance
-    if N != inst.N:
-        raise ValueError(f"unitary modulus {N} differs from instance modulus {inst.N}")
-    layout = statevec.RegisterLayout((("x", task.t), ("work", inst.L)))
-    state = statevec.init_product(layout, {"work": build_eigenstate(eigenstate)})
-    state = statevec.hadamard_layer(state, "x")
-    state = statevec.controlled_modmul_power(state, "x", "work", base, power_exponent, N)
-    state = statevec.inverse_qft(state, "x")
-    outcome, _ = statevec.measure_register(state, "x", rng)
-    return outcome.bits
 
 
 @dataclass(frozen=True)

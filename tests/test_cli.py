@@ -109,8 +109,13 @@ class TestGoldenOutput:
              "100d064757175526612814ad02c7d10664c32394fe0d2a99576b60d10220a13f"),
             ("solve-dist", DIST + ["--trials", "5", "--no-reuse"],
              "19a4e9cafc25d2976dda5c2f692dfc3606d17a9c95d3fa3b00d5a83dcf021c59"),
+            ("solve", ["--mode", "analytic", "--trials", "100", "--max-retries", "1"],
+             "9d350829c913473f4f47b8bc04b911a678252815a2c36e4cdb73dfb2f137ec94"),
+            ("solve-dist", DIST + ["--mode", "analytic", "--trials", "100"],
+             "06bf48120bc6e004b1eb71229f8f127b76cf7e369c294e3301c28e2751d7e424"),
         ],
-        ids=["solve", "solve-no-reuse", "solve-dist", "solve-dist-no-reuse"],
+        ids=["solve", "solve-no-reuse", "solve-dist", "solve-dist-no-reuse",
+             "solve-analytic", "solve-dist-analytic"],
     )
     def test_stdout_digest(self, capsys, command, extra, digest):
         code, out, _ = run_cli(capsys, [command] + self.BASE + extra)

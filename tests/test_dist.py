@@ -17,13 +17,12 @@ from distdlog.dist import (
     correct_with_flag,
     decode_joint_index,
     make_plan,
-    node_phase,
     plan_for_order,
     run_distributed_quantum,
     solve_distributed,
     statevector_joint_distribution,
 )
-from distdlog.dlp import ShorConfig, build_stage_state, solve
+from distdlog.dlp import ShorConfig, build_stage_state, node_phase, solve
 from distdlog.numtheory import ProblemInstance, mod_pow, validate_instance
 from distdlog.resources import per_node_qubits_from_widths
 from distdlog.statevec import QubitBudgetError
@@ -43,7 +42,7 @@ def node_window_mass(
     final node.
     """
     m = plan.measured[node]
-    omega = node_phase(instance, plan, node, s, family)
+    omega = node_phase(instance, plan.l[node] - 1, s, family)
     dist = phase.phase_outcome_distribution(omega, plan.t[node])
     folded = phase.prefix_marginal(dist, m)
     target = fraction_bits(omega.numerator, omega.denominator, 1, m).value
@@ -241,10 +240,12 @@ class TestCorrectOracle:
 class TestNodePhases:
     def test_tail_phases(self, instance, acceptance_plan):
         # node 1 sees s/r itself; node 2 sees frac(2^(l_2 - 1) s / r)
-        assert node_phase(instance, acceptance_plan, 0, 2, "a") == Fraction(2, 5)
-        assert node_phase(instance, acceptance_plan, 1, 2, "a") == Fraction(4, 5)
+        (_, e0, _), (_, e1, _) = acceptance_plan.nodes
+        assert (e0, e1) == (0, acceptance_plan.l[1] - 1)
+        assert node_phase(instance, e0, 2, "a") == Fraction(2, 5)
+        assert node_phase(instance, e1, 2, "a") == Fraction(4, 5)
         # family b carries the exponent: g = 2, so s = 1 gives 2/5
-        assert node_phase(instance, acceptance_plan, 0, 1, "b") == Fraction(2, 5)
+        assert node_phase(instance, e0, 1, "b") == Fraction(2, 5)
 
     def test_window_masses_meet_budget(self, instance, acceptance_plan):
         bound = 1.0 - float(acceptance_plan.epsilon_prime)
@@ -270,22 +271,22 @@ class TestNodePhases:
 class TestQuantumStage:
     def test_sequential_run_shapes(self, instance, acceptance_plan):
         rng = np.random.default_rng(5)
-        result = run_distributed_quantum(instance, acceptance_plan, rng)
-        assert len(result.nodes) == 2
-        for (m_a, m_b), width in zip(result.nodes, acceptance_plan.measured):
+        pairs, latent_s = run_distributed_quantum(instance, acceptance_plan, rng)
+        assert len(pairs) == 2 and latent_s is None
+        for (m_a, m_b), width in zip(pairs, acceptance_plan.measured):
             assert m_a.width == width and m_b.width == width
-        assert result.comm_qubits == (acceptance_plan.k - 1) * instance.L
 
     def test_handoff_accounting_neutral(self, instance, acceptance_plan):
         """Both backends charge the (k - 1) L hand-off qubits, and a seeded
         rerun draws the same node measurements."""
         a = run_distributed_quantum(instance, acceptance_plan, np.random.default_rng(9))
         b = run_distributed_quantum(instance, acceptance_plan, np.random.default_rng(9))
-        analytic = run_distributed_quantum(
-            instance, acceptance_plan, np.random.default_rng(9), mode="analytic"
-        )
-        assert a.nodes == b.nodes
-        assert a.comm_qubits == analytic.comm_qubits == 4
+        assert a == b
+        for mode in ("statevector", "analytic"):
+            record = solve_distributed(
+                instance, acceptance_plan, np.random.default_rng(9), mode=mode, reuse_state=False
+            )
+            assert record.comm_qubits == 4
 
     def test_analytic_zero_branch_zero_strings(self, instance, acceptance_plan):
         class ZeroRng:
@@ -295,9 +296,11 @@ class TestQuantumStage:
             def random(self):
                 return 0.0
 
-        result = run_distributed_quantum(instance, acceptance_plan, ZeroRng(), mode="analytic")
-        assert result.latent_s == 0
-        assert all(ma.value == 0 and mb.value == 0 for ma, mb in result.nodes)
+        pairs, latent_s = run_distributed_quantum(
+            instance, acceptance_plan, ZeroRng(), mode="analytic"
+        )
+        assert latent_s == 0
+        assert all(ma.value == 0 and mb.value == 0 for ma, mb in pairs)
 
     def test_analytic_nodes_match_joint_law(self, instance, acceptance_plan):
         """20000 seeded analytic node passes against the closed-form joint
@@ -310,7 +313,7 @@ class TestQuantumStage:
         counts = np.zeros_like(law)
         for _ in range(draws):
             flat = 0
-            nodes = run_distributed_quantum(instance, acceptance_plan, rng, mode="analytic").nodes
+            nodes, _ = run_distributed_quantum(instance, acceptance_plan, rng, mode="analytic")
             for (m_a, m_b), m in zip(nodes, acceptance_plan.measured):
                 flat = (((flat << m) | m_a.value) << m) | m_b.value
             counts[flat] += 1
@@ -370,8 +373,8 @@ class TestQuantumStage:
         runs = 150
         for i in range(runs):
             rng = np.random.default_rng((31, i))
-            result = run_distributed_quantum(small_instance, small_plan, rng)
-            counts[result.nodes[0][0].value] += 1
+            pairs, _ = run_distributed_quantum(small_instance, small_plan, rng)
+            counts[pairs[0][0].value] += 1
         assert 0.5 * np.abs(counts / runs - rest).sum() < 0.25
 
     def test_transfer_stack_equals_per_column_builds(
@@ -418,7 +421,7 @@ class TestStepSevenState:
         got = statevec.marginal_distribution(state, "a", acceptance_plan.t[0])
         want = sum(
             phase_outcome_distribution(
-                node_phase(instance, acceptance_plan, 0, s, "a"), acceptance_plan.t[0]
+                node_phase(instance, acceptance_plan.l[0] - 1, s, "a"), acceptance_plan.t[0]
             )
             for s in range(instance.r)
         ) / instance.r

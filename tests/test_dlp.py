@@ -9,7 +9,7 @@ from distdlog import phase, statevec
 from distdlog.bits import BitString
 from distdlog.dlp import (
     ShorConfig,
-    analytic_joint_distribution,
+    analytic_joint_law,
     build_stage_state,
     eigenphase_dlog,
     measure_node,
@@ -110,7 +110,7 @@ class TestStageEquivalence:
     def test_joint_laws_agree(self, instance):
         config = ShorConfig.for_instance(instance, "0.25")
         sv = statevector_joint_distribution(instance, config.t)
-        an = analytic_joint_distribution(instance, config.t)
+        an = analytic_joint_law(instance, ((config.t, 0, config.t),))
         assert 0.5 * np.abs(sv - an).sum() < 1e-9
 
     @pytest.mark.parametrize("N, a, b", [(7, 2, 4), (11, 3, 9), (23, 2, 8)])
@@ -150,7 +150,7 @@ class TestStageEquivalence:
         cells) have a mean TV of 0.038 and stayed below 0.046 in 200
         simulated batches."""
         config = ShorConfig.for_instance(instance, "0.25")
-        law = analytic_joint_distribution(instance, config.t)
+        law = analytic_joint_law(instance, ((config.t, 0, config.t),))
         draws = 20_000
         rng = np.random.default_rng(5)
         counts = np.zeros_like(law)

@@ -16,9 +16,10 @@ from distdlog.phase import (
     phase_outcome_distribution,
     phase_state_amplitudes,
     prefix_marginal,
-    run_phase_estimation,
     sample_phase_outcome,
 )
+
+from gatelevel import run_phase_estimation
 
 
 def double_sum_distribution(omega: Fraction, t: int) -> np.ndarray:
@@ -230,15 +231,22 @@ class TestPhaseSampler:
     @pytest.mark.parametrize(
         "omega, t",
         [(Fraction(3, 2), 4), (Fraction(1), 4), (Fraction(-1, 5), 4), (Fraction(1, 5), 0),
-         (Fraction(1, 5), 27), (Fraction(1, (1 << 40) + 1), 22)],
-        ids=["above-one", "one", "negative", "t-zero", "t-above-cap", "62-bit-limit"],
+         (Fraction(1, 5), 27), (Fraction(1, (1 << 40) + 1), 22),
+         (Fraction(12345678901, (1 << 45) + 59), 20)],
+        ids=["above-one", "one", "negative", "t-zero", "t-above-cap", "62-bit-limit",
+             "int64-overflow"],
     )
     def test_rejects_what_the_law_rejects(self, omega, t):
+        """The sampler and the amplitudes refuse exactly what the law does;
+        past the 62-bit range the amplitudes' int64 products would wrap."""
         with pytest.raises(ValueError) as law_error:
             phase_outcome_distribution(omega, t)
         with pytest.raises(ValueError) as sampler_error:
             sample_phase_outcome(NoDrawRng(), omega, t)
+        with pytest.raises(ValueError) as amplitude_error:
+            phase_state_amplitudes(omega, t)
         assert str(sampler_error.value) == str(law_error.value)
+        assert str(amplitude_error.value) == str(law_error.value)
 
 
 class TestPhaseTask:
