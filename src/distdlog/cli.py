@@ -59,6 +59,19 @@ def _parse_bigint(text: str) -> int:
     return value
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers of at least ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
+    return parse
+
+
 def _emit(lines: list[str], output: str | None) -> None:
     if output is None:
         for line in lines:
@@ -229,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_cmd = sub.add_parser("verify", help="run the property suites")
     verify_cmd.add_argument("--suite", choices=verify.SUITES, default="all")
-    verify_cmd.add_argument("--r", type=int, default=None)
+    verify_cmd.add_argument("--r", type=_int_at_least(2), default=None)
     verify_cmd.add_argument("--epsilon", default=None)
-    verify_cmd.add_argument("--cases", type=int, default=10_000)
+    verify_cmd.add_argument("--cases", type=_int_at_least(1), default=10_000)
     verify_cmd.add_argument("--seed", type=int, default=1)
 
     compare = sub.add_parser("dist-compare", help="simulated vs closed-form final state")

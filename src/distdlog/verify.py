@@ -5,11 +5,20 @@ bounds, the alignment oracle, and the exact solver success masses.
 Each suite returns CheckResult rows so the CLI and the tests can share one
 implementation; exhaustive ranges are vectorised where the state space is
 large.
+
+The alignment oracle (``suite_correct``) runs the solvers' own alignment
+pass, ``dist.align_values``, on int64 arrays: one oracle call per sweep.
+That pass is closed form: each node's shift is the signed residue
+s = 2^h - ((2^h - (target - tail)) mod 2^(h+1)), in (-2^h, 2^h], clamped
+to [-2^(h-1), 2^(h-1)], with the fallback flag set when |s| > 2^(h-1); the
+midpoint s = 2^h, a tie between +2^(h-1) and -2^(h-1), goes to +2^(h-1).
+Its body is integer arithmetic only, so ``correct_with_flag`` runs the same
+body on Python ints. The tests hold it equal to a scan over the candidate
+shifts (``tests/alignscan.py``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -206,36 +215,43 @@ def feasible_correct_combos(
     return plans
 
 
+def _oracle_failures(w, perturbations, plan: dist.DistPlan) -> int:
+    try:
+        dist.brute_force_correct_oracle(w, perturbations, plan)
+    except dist.AlignmentMismatch as err:
+        return err.failures
+    return 0
+
+
 def suite_correct(cases: int = 10_000, seed: int = 1) -> list[CheckResult]:
     """The alignment oracle: randomized cases per feasible plan shape, plus
-    exhaustive enumeration of every (word, perturbation) combination."""
+    exhaustive enumeration of every (word, perturbation) combination.
+
+    Each check is one ``dist.brute_force_correct_oracle`` call on int64
+    arrays: the random cases are drawn as arrays, the exhaustive sweep is a
+    ``np.meshgrid`` over w and every perturbation. The oracle runs the
+    solvers' own closed-form pass, ``dist.align_values`` (the shift is the
+    signed residue of target - tail mod 2^(h+1) clamped to
+    [-2^(h-1), 2^(h-1)], +2^(h-1) at the midpoint), elementwise, and the
+    check reports how many cases it moved off the ground truth.
+    """
     checks = []
     rng = np.random.default_rng(seed)
     for plan in feasible_correct_combos():
         label = f"r={plan.r} k={plan.k} h={plan.h}"
         bound = 1 << (plan.h - 2)
-        failures = 0
-        for _ in range(cases):
-            w = BitString(plan.total_width, int(rng.integers(1 << plan.total_width)))
-            perturbations = [int(rng.integers(-bound, bound + 1)) for _ in range(plan.k - 1)]
-            perturbations.append(int(rng.integers(-1, 2)))
-            try:
-                dist.brute_force_correct_oracle(w, perturbations, plan)
-            except AssertionError:
-                failures += 1
+        w = rng.integers(1 << plan.total_width, size=cases)
+        perturbations = [rng.integers(-bound, bound + 1, size=cases) for _ in range(plan.k - 1)]
+        perturbations.append(rng.integers(-1, 2, size=cases))
+        failures = _oracle_failures(w, perturbations, plan)
         checks.append(_result(f"alignment oracle random {label} ({cases} cases)",
                               failures == 0, f"{failures} failures", "0 failures"))
 
         if plan.total_width <= 8:
-            failures = 0
-            spans = [range(-bound, bound + 1)] * (plan.k - 1) + [range(-1, 2)]
-            for wv in range(1 << plan.total_width):
-                w = BitString(plan.total_width, wv)
-                for perturbations in itertools.product(*spans):
-                    try:
-                        dist.brute_force_correct_oracle(w, list(perturbations), plan)
-                    except AssertionError:
-                        failures += 1
+            spans = [np.arange(-bound, bound + 1)] * (plan.k - 1) + [np.arange(-1, 2)]
+            grid = np.meshgrid(np.arange(1 << plan.total_width), *spans, indexing="ij")
+            w, *perturbations = (axis.ravel() for axis in grid)
+            failures = _oracle_failures(w, perturbations, plan)
             checks.append(_result(f"alignment oracle exhaustive {label}",
                                   failures == 0, f"{failures} failures", "0 failures"))
     return checks
@@ -281,7 +297,7 @@ def run_suite(
     if name == "alignment":
         return suite_alignment_facts()
     if name == "accuracy":
-        rs = (r,) if r else PRIMES_TO_31
+        rs = (r,) if r is not None else PRIMES_TO_31
         eps = (epsilon,) if epsilon else ("0.5", "0.25", "0.1")
         return suite_accuracy(rs=rs, epsilons=eps)
     if name == "correct":

@@ -187,6 +187,21 @@ class TestVerifyCommand:
         assert code == 0
         assert "accuracy masses" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--suite", "correct", "--cases", "-5"], "argument --cases: -5 is below the minimum 1"),
+            (["--suite", "accuracy", "--r", "-3"], "argument --r: -3 is below the minimum 2"),
+            (["--suite", "accuracy", "--r", "0"], "argument --r: 0 is below the minimum 2"),
+        ],
+        ids=["cases-negative", "r-negative", "r-zero"],
+    )
+    def test_vacuous_input_refused(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, ["verify"] + argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestDistCompareCommand:
     def test_report(self, capsys):

@@ -1,16 +1,20 @@
 import dataclasses
+import inspect
 import math
+import textwrap
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from distdlog import phase
+from alignscan import scan_values
+from distdlog import dist, phase, verify
 from distdlog.bits import BitString, circ_dist, fraction_bits
 from distdlog.dist import (
     DistPlan,
     PlanError,
+    align_values,
     analytic_joint_distribution,
     brute_force_correct_oracle,
     compare_step7_state,
@@ -23,7 +27,7 @@ from distdlog.dist import (
     statevector_joint_distribution,
 )
 from distdlog.dlp import ShorConfig, build_stage_state, node_phase, solve
-from distdlog.numtheory import ProblemInstance, mod_pow, validate_instance
+from distdlog.numtheory import ProblemInstance, ceil_log2, mod_pow, validate_instance
 from distdlog.resources import per_node_qubits_from_widths
 from distdlog.statevec import QubitBudgetError
 
@@ -235,6 +239,68 @@ class TestCorrectOracle:
             brute_force_correct_oracle(bs("01101"), [5, 0], acceptance_plan)
         with pytest.raises(ValueError):
             brute_force_correct_oracle(bs("01101"), [0, 2], acceptance_plan)
+        # int64 arrays: one oversized entry, or one w outside 5 bits, refuses the batch
+        words = np.arange(32)
+        first = np.zeros(32, dtype=np.int64)
+        first[7] = 2
+        with pytest.raises(ValueError):
+            brute_force_correct_oracle(words, [first, 0], acceptance_plan)
+        with pytest.raises(ValueError):
+            brute_force_correct_oracle(words, [0, np.full(32, -2)], acceptance_plan)
+        with pytest.raises(ValueError):
+            brute_force_correct_oracle(words + 1, [0, 0], acceptance_plan)
+
+
+# Every feasible (r, k, h) with h from 2 to h_max for these orders.
+ALIGNMENT_PLANS = [
+    plan_for_order(r, k, h, "0.25", "0.2")
+    for r in (5, 7, 11, 13, 37, 67, 131)
+    for k in (2, 3)
+    for h in range(2, (ceil_log2(2 * r) + 1) // k + 1)
+]
+
+
+class TestAlignValues:
+    @pytest.mark.parametrize(
+        "plan", ALIGNMENT_PLANS, ids=[f"r{p.r}-k{p.k}-h{p.h}" for p in ALIGNMENT_PLANS]
+    )
+    def test_matches_candidate_scan(self, plan):
+        """The closed form equals the candidate scan, value and flag, on every
+        input when a plan has at most 2^16 and on 10^5 seeded ones otherwise;
+        called once per input on ints and once on all inputs as int64 arrays."""
+        bits = sum(plan.measured)
+        if bits <= 16:
+            flat = np.arange(1 << bits, dtype=np.int64)
+        else:
+            flat = np.random.default_rng(bits).integers(1 << bits, size=100_000)
+        ends = np.cumsum(plan.measured)
+        values = [(flat >> (bits - end)) & ((1 << m) - 1) for end, m in zip(ends, plan.measured)]
+        rows = np.stack(values, axis=1).tolist()
+        want = [scan_values(row, plan) for row in rows]
+        got = [align_values(row, plan) for row in rows]
+        assert got == want
+        assert all(type(value) is int and type(flag) is bool for value, flag in got)
+        assert any(flag for _, flag in want)  # the fallback path is compared too
+        value, flag = align_values(values, plan)
+        assert value.dtype == np.int64 and flag.dtype == bool
+        assert value.tolist() == [v for v, _ in want]
+        assert flag.tolist() == [f for _, f in want]
+
+    def test_midpoint_tie_goes_positive(self, acceptance_plan):
+        # h = 2: node 1's tail 000 against target 100 is s = 4 = 2^h; both
+        # +2 and -2 land at distance 2, and the clamp takes +2: 0010 then 0
+        assert scan_values([0b0000, 0b1000], acceptance_plan) == (0b00100, True)
+        assert align_values([0b0000, 0b1000], acceptance_plan) == (0b00100, True)
+
+    def test_oracle_catches_flipped_shift(self, monkeypatch):
+        source = textwrap.dedent(inspect.getsource(dist.align_values))
+        assert source.count("values[j] + shift") == 1
+        namespace = dict(vars(dist))
+        exec(source.replace("values[j] + shift", "values[j] - shift"), namespace)
+        monkeypatch.setattr(dist, "align_values", namespace["align_values"])
+        checks = verify.suite_correct(cases=1000)
+        assert len(checks) == 16
+        assert all(not check.ok and check.achieved != "0 failures" for check in checks)
 
 
 class TestNodePhases:
