@@ -193,7 +193,8 @@ def _cmd_dist_compare(args: argparse.Namespace) -> int:
         "comm_qubits": communication_qubits(plan.k, instance.L),
     }
     _emit([_json_line(payload)], args.output)
-    return 0
+    # the gates of acceptance criteria 4 and 5
+    return 0 if report.max_amplitude_deviation <= 1e-9 and tv <= 1e-9 else 1
 
 
 def _add_instance_args(parser: argparse.ArgumentParser) -> None:

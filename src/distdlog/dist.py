@@ -23,7 +23,11 @@ every feasible plan.
 The cached backend needs no such vector either: given the branch s (an
 eigenvector of multiplication by a) the nodes are independent, so
 ``dlp.joint_law`` builds the law of all measured prefixes as the mixture
-(1/r) sum_s prod_j P_j(. | s) from one run of each node.
+(1/r) sum_s prod_j P_j(. | s) from one run of each node. It and its CDF are
+cached per chain in ``dlp``, and a draw is split back into node pairs by
+``dlp.decode_joint_index``, exactly as for the single-node solver. The
+step-7 check (``compare_step7_state``) runs each node once per branch on
+its live block, never on the whole state.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,10 +45,11 @@ from .dlp import (  # postprocess_detail: bench/tests checks dist's binding of i
     Pairs,
     RunRecord,
     analytic_joint_law,
-    build_stage_state,
+    decode_joint_index,
     joint_cdf,
     joint_law,
     measure_chain,
+    node_block,
     node_phase,
     postprocess_detail,
     retry,
@@ -310,12 +314,12 @@ def run_distributed_quantum(
     return measure_chain(instance, plan.nodes, rng), None
 
 
-@lru_cache(maxsize=4)
 def statevector_joint_distribution(instance: ProblemInstance, plan: DistPlan) -> np.ndarray:
     """Exact joint law of all measured prefixes under the sequential protocol.
 
     Flat index concatenates (m_1a, m_1b, ..., m_ka, m_kb), first node most
-    significant: ``dlp.joint_law`` over ``plan.nodes``.
+    significant: ``dlp.joint_law`` over ``plan.nodes``, whose cached,
+    read-only array it returns.
     """
     return joint_law(instance, plan.nodes)
 
@@ -324,18 +328,6 @@ def analytic_joint_distribution(instance: ProblemInstance, plan: DistPlan) -> np
     """Closed-form joint law of all measured prefixes (same indexing):
     ``dlp.analytic_joint_law`` over ``plan.nodes``."""
     return analytic_joint_law(instance, plan.nodes)
-
-
-def decode_joint_index(flat: int, plan: DistPlan) -> tuple[tuple[BitString, BitString], ...]:
-    """Split a flat joint-law index back into per-node measurement pairs."""
-    fields = []
-    for m in reversed(plan.measured):
-        fields.append(BitString(m, flat & ((1 << m) - 1)))
-        flat >>= m
-        fields.append(BitString(m, flat & ((1 << m) - 1)))
-        flat >>= m
-    fields.reverse()
-    return tuple((fields[2 * j], fields[2 * j + 1]) for j in range(plan.k))
 
 
 def solve_distributed(
@@ -352,17 +344,18 @@ def solve_distributed(
     the cached exact joint law of the sequential protocol, which is the same
     distribution as running the nodes afresh each attempt.
     """
+    nodes = plan.nodes
     use_reuse = mode == "statevector" and reuse_state
     if use_reuse:
         try:
-            joint_cdf(statevector_joint_distribution, instance, plan)
+            joint_cdf(instance, nodes)
         except statevec.QubitBudgetError:
             use_reuse = False  # cached joint too large; run nodes per attempt
 
     def attempt() -> tuple[BitString, BitString, dict]:
         if use_reuse:
-            cdf = joint_cdf(statevector_joint_distribution, instance, plan)
-            pairs, latent_s = decode_joint_index(statevec.sample_cdf(rng, cdf), plan), None
+            flat = statevec.sample_cdf(rng, joint_cdf(instance, nodes))
+            pairs, latent_s = decode_joint_index(flat, nodes), None
         else:
             pairs, latent_s = run_distributed_quantum(instance, plan, rng, mode=mode)
         m_a, fb_a = correct_with_flag([ma for ma, _ in pairs], plan)
@@ -406,36 +399,33 @@ class Step7Report:
 def compare_step7_state(instance: ProblemInstance, plan: DistPlan) -> Step7Report:
     """Check the factorised form of the pre-measurement state (all branches).
 
-    Per branch s the work register is prepared in the shared eigenvector,
-    each node circuit is run densely, and the node output is split into
-    (counting-register part) x (eigenvector) with an explicitly measured
-    residual. The counting-register part is compared entry-wise with the
-    closed-form amplitude profile. Branch results combine into a sup-norm
-    bound via |W1 W2 - A1 A2| <= |W1 - A1||W2| + |A1||W2 - A2| applied
-    entry-wise, plus the measured residuals and the expansion residual of
-    |1> over the eigenvector basis.
+    Per branch s each node circuit runs once on the shared eigenvector u_s
+    (``dlp.node_block``), and its output is split into (counting-register
+    part) x (eigenvector) with an explicitly measured residual. u_s lives on
+    the powers of a, which are the block's live work values, and the output
+    is zero off them, so the overlap with u_s and the residual are taken
+    over the live columns alone. The counting-register part is compared
+    entry-wise with the closed-form amplitude profile. Branch results
+    combine into a sup-norm bound via |W1 W2 - A1 A2| <= |W1 - A1||W2| +
+    |A1||W2 - A2| applied entry-wise, plus the measured residuals and the
+    expansion residual of |1> over the eigenvector basis.
     """
     r = instance.r
-    dim_c = 1 << instance.L
-
-    one = np.zeros(dim_c, dtype=np.complex128)
+    one = np.zeros(1 << instance.L, dtype=np.complex128)
     one[1] = 1.0
-    recon = sum(
-        phase.build_eigenstate(phase.EigenstateSpec(instance, s)) for s in range(r)
-    ) / math.sqrt(r)
-    basis_residual = float(np.linalg.norm(one - recon))
+    eigen = [phase.build_eigenstate(phase.EigenstateSpec(instance, s)) for s in range(r)]
+    basis_residual = float(np.linalg.norm(one - sum(eigen) / math.sqrt(r)))
 
     per_branch = []
     residual_sum = 0.0
     residual_max = 0.0
-    for s in range(r):
-        u = phase.build_eigenstate(phase.EigenstateSpec(instance, s))
+    for s, u in enumerate(eigen):
         max_w, max_a, dev = [], [], []
         for t, exponent, _ in plan.nodes:
-            state = build_stage_state(instance, t, exponent, u)
-            cube = state.amps.reshape(1 << t, 1 << t, dim_c)
-            w = np.tensordot(cube, u.conj(), axes=([2], [0]))
-            residual = float(np.linalg.norm(cube - w[:, :, None] * u[None, None, :]))
+            block, live = node_block(instance, t, exponent, u)
+            u_live = u[live]
+            w = block @ u_live.conj()
+            residual = float(np.linalg.norm(block - w[:, :, None] * u_live))
             residual_sum += residual
             residual_max = max(residual_max, residual)
             amp_a = phase.phase_state_amplitudes(node_phase(instance, exponent, s, "a"), t)

@@ -8,14 +8,15 @@ are kept. This solver is the one-node chain ``((t, 0, t),)``, and ``dist``
 runs its plan's chain through the same pieces and the same retry loop.
 The node circuit is ``node_block``, a fused kernel that keeps only the live
 work values. Fresh runs measure it node by node (``measure_chain``); they
-never read the instance's hidden exponent. Cached runs draw from
-``joint_law``: the branch mixture (1/r) sum_s prod_j P_j(. | s) over the
-eigenvectors of multiplication by a. The analytic backend draws the latent
-branch s and then each register exactly at its phase (``node_phase``) by one
-O(1) rejection draw (``sample_chain``); ``analytic_joint_law`` is its
-closed-form law. The phases need the exponent g as an oracle (``hidden_g``,
-or the eigenphase extraction when it is absent). The test suites hold the
-sampler to the closed form, and the closed form to the circuit exactly.
+never read the instance's hidden exponent. Cached runs draw a flat index
+from ``joint_cdf`` and split it with ``decode_joint_index``; the CDF and
+``joint_law``, the branch mixture (1/r) sum_s prod_j P_j(. | s) over the
+eigenvectors of multiplication by a, are cached per (instance, chain). The
+analytic backend draws the latent branch s and then each register exactly
+at its phase (``node_phase``) by one O(1) rejection draw (``sample_chain``);
+``analytic_joint_law`` is its closed-form law. The phases read the exponent
+g from ``hidden_g`` as an oracle. The test suites hold the sampler to the
+closed form, and the closed form to the circuit exactly.
 """
 
 from __future__ import annotations
@@ -169,19 +170,6 @@ def node_block(
     return block, live
 
 
-def build_stage_state(
-    instance: ProblemInstance, t: int, exponent: int = 0, work: int | np.ndarray = 1
-) -> statevec.QuantumState:
-    """The node circuit's full pre-measurement state over (a, b, work):
-    ``node_block`` scattered onto its live work values."""
-    block, live = node_block(instance, t, exponent, work)
-    layout = statevec.RegisterLayout((("a", t), ("b", t), ("work", instance.L)))
-    amps = np.zeros((1 << t, 1 << t, 1 << instance.L), dtype=np.complex128)
-    amps[:, :, live] = block
-    del block  # before the norm check allocates its temporaries
-    return statevec.QuantumState(layout, amps.reshape(-1))
-
-
 def measure_node(
     instance: ProblemInstance, t: int, exponent: int, work: int | np.ndarray,
     rng: np.random.Generator,
@@ -219,6 +207,7 @@ def measure_chain(instance: ProblemInstance, nodes: Chain, rng: np.random.Genera
 _LAW_BYTES_CAP = 1 << 28
 
 
+@lru_cache(maxsize=8)
 def joint_law(instance: ProblemInstance, nodes: Chain) -> np.ndarray:
     """Exact joint law of the measured prefixes of a chain of node circuits.
 
@@ -234,6 +223,9 @@ def joint_law(instance: ProblemInstance, nodes: Chain) -> np.ndarray:
     FFT along k returns branch s's counting amplitudes w_s at index -s mod r
     (the same relabelling on every node), and P_j(. | s) is the prefix
     marginal of |w_s|^2. Only the orbit of a is used.
+
+    Cached per (instance, chain), read-only: both solvers' cached draws and
+    ``dist.statevector_joint_distribution`` share the one entry per chain.
     """
     size = 1 << (2 * sum(m for _, _, m in nodes))
     nbytes = 3 * 8 * size  # the law, one branch term and joint_cdf's cumsum
@@ -266,21 +258,22 @@ def joint_law(instance: ProblemInstance, nodes: Chain) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def statevector_joint_distribution(instance: ProblemInstance, t: int) -> np.ndarray:
-    """Exact joint law of the two full counting-register measurements.
-
-    Flat index = m_a * 2^t + m_b: the one-node case of ``joint_law``,
-    cached so trial batches do not rerun the circuit per draw.
-    """
-    return joint_law(instance, ((t, 0, t),))
-
-
-@lru_cache(maxsize=8)
-def joint_cdf(law, *key) -> np.ndarray:
-    """Cumulative form of the joint law ``law(*key)``, cached for sampling."""
-    cdf = np.cumsum(law(*key))
+def joint_cdf(instance: ProblemInstance, nodes: Chain) -> np.ndarray:
+    """Cumulative form of ``joint_law(instance, nodes)``, cached for sampling."""
+    cdf = np.cumsum(joint_law(instance, nodes))
     cdf.setflags(write=False)
     return cdf
+
+
+def decode_joint_index(flat: int, nodes: Chain) -> Pairs:
+    """Split a flat joint-law index back into the chain's (m_a, m_b) prefixes."""
+    pairs = []
+    for _, _, m in reversed(nodes):
+        m_b = BitString(m, flat & ((1 << m) - 1))
+        flat >>= m
+        pairs.append((BitString(m, flat & ((1 << m) - 1)), m_b))
+        flat >>= m
+    return tuple(reversed(pairs))
 
 
 def quantum_stage_statevector(
@@ -292,40 +285,12 @@ def quantum_stage_statevector(
     return m_a, m_b
 
 
-@lru_cache(maxsize=32)
-def eigenphase_dlog(instance: ProblemInstance) -> int:
-    """Recover the exponent linking the two multiplication maps from their
-    shared eigenvector, without touching the instance's stored answer.
-
-    Applying multiplication-by-b to the s = 1 eigenvector scales it by
-    exp(2 pi i g / r); the angle is read off one non-zero component and
-    snapped to the nearest multiple of 1/r.
-    """
-    vec = phase.build_eigenstate(phase.EigenstateSpec(instance, 1))
-    permuted = np.zeros_like(vec)
-    for x in range(instance.N):
-        permuted[(instance.b * x) % instance.N] = vec[x]
-    idx = int(np.argmax(np.abs(vec)))
-    ratio = permuted[idx] / vec[idx]
-    angle = math.atan2(ratio.imag, ratio.real) / (2.0 * math.pi)
-    g = round(angle * instance.r) % instance.r
-    if abs(angle * instance.r - round(angle * instance.r)) > 1e-6:
-        raise AssertionError(f"eigenphase {angle} is not a multiple of 1/{instance.r}")
-    return g
-
-
-def branch_exponent(instance: ProblemInstance) -> int:
-    if instance.hidden_g is not None:
-        return instance.hidden_g
-    return eigenphase_dlog(instance)
-
-
 def node_phase(instance: ProblemInstance, exponent: int, s: int, family: str) -> Fraction:
     """The exact phase that a node with controlled powers c^(j 2^exponent)
     estimates on branch s: s/r for c = a and (s g mod r)/r for c = b, each
     multiplied by 2^exponent mod 1."""
     r = instance.r
-    numerator = s if family == "a" else (s * branch_exponent(instance)) % r
+    numerator = s if family == "a" else (s * instance.hidden_g) % r
     return Fraction((numerator * pow(2, exponent, r)) % r, r)
 
 
@@ -451,15 +416,16 @@ def solve(
     which is distribution-identical to re-running the circuit per attempt.
     """
     t = config.t
+    nodes = ((t, 0, t),)
 
     def attempt() -> tuple[BitString, BitString, dict]:
         if config.mode == "analytic":
             m_a, m_b, latent_s = quantum_stage_analytic(instance, config, rng)
             return m_a, m_b, {"latent_s": latent_s}
         if reuse_state:
-            cdf = joint_cdf(statevector_joint_distribution, instance, t)
-            flat = statevec.sample_cdf(rng, cdf)
-            return BitString(t, flat >> t), BitString(t, flat & ((1 << t) - 1)), {}
+            flat = statevec.sample_cdf(rng, joint_cdf(instance, nodes))
+            ((m_a, m_b),) = decode_joint_index(flat, nodes)
+            return m_a, m_b, {}
         return (*quantum_stage_statevector(instance, config, rng), {})
 
     report = ResourceReport(

@@ -120,7 +120,7 @@ class ProblemInstance:
     b: int
     r: int
     L: int
-    hidden_g: int | None = None
+    hidden_g: int
 
 
 def validate_instance(N: int, a: int, b: int) -> ProblemInstance:

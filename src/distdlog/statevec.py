@@ -93,15 +93,14 @@ class QuantumState:
 
     __slots__ = ("layout", "amps")
 
-    def __init__(self, layout: RegisterLayout, amps: np.ndarray, check: bool = True):
+    def __init__(self, layout: RegisterLayout, amps: np.ndarray):
         amps = np.asarray(amps, dtype=np.complex128)
         expected = 1 << layout.total_width
         if amps.shape != (expected,):
             raise LayoutError(f"amplitude vector has shape {amps.shape}, expected ({expected},)")
-        if check:
-            norm2 = float(np.sum(amps.real**2 + amps.imag**2))
-            if abs(norm2 - 1.0) > NORM_TOL:
-                raise LayoutError(f"state norm**2 = {norm2!r} drifted beyond {NORM_TOL}")
+        norm2 = float(np.sum(amps.real**2 + amps.imag**2))
+        if abs(norm2 - 1.0) > NORM_TOL:
+            raise LayoutError(f"state norm**2 = {norm2!r} drifted beyond {NORM_TOL}")
         self.layout = layout
         self.amps = amps
 

@@ -94,7 +94,7 @@ def test_criterion_5_distribution_equivalence(instance, acceptance_plan):
     assert t <= 7
     tv_mono = 0.5 * float(
         np.abs(
-            dlp.statevector_joint_distribution(instance, t)
+            dlp.joint_law(instance, ((t, 0, t),))
             - dlp.analytic_joint_law(instance, ((t, 0, t),))
         ).sum()
     )

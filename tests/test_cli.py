@@ -216,6 +216,23 @@ class TestDistCompareCommand:
         assert payload["joint_total_variation"] <= 1e-9
         assert payload["comm_qubits"] == 4
 
+    def test_failed_bound_exits_1(self, capsys, monkeypatch):
+        """A certified deviation above 1e-9 is a failed verified property:
+        exit 1, with the same JSON line on stdout."""
+        from distdlog import dist
+
+        report = dist.Step7Report(1e-6, (1e-6,) * 5, 0.0, 0.0)
+        monkeypatch.setattr(dist, "compare_step7_state", lambda *a: report)
+        code, out, _ = run_cli(
+            capsys,
+            ["dist-compare", "--N", "11", "--a", "3", "--b", "9", "--k", "2",
+             "--h", "2", "--epsilon", "0.25", "--epsilon-prime", "0.2"],
+        )
+        assert code == 1
+        payload = json.loads(out.strip())
+        assert payload["max_amplitude_deviation"] == 1e-6
+        assert payload["joint_total_variation"] <= 1e-9
+
 
 class TestHarness:
     def test_wilson_interval_brackets(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from alignscan import scan_values
-from distdlog import dist, phase, verify
+from distdlog import dist, dlp, phase, verify
 from distdlog.bits import BitString, circ_dist, fraction_bits
 from distdlog.dist import (
     DistPlan,
@@ -19,17 +19,17 @@ from distdlog.dist import (
     brute_force_correct_oracle,
     compare_step7_state,
     correct_with_flag,
-    decode_joint_index,
     make_plan,
     plan_for_order,
     run_distributed_quantum,
     solve_distributed,
     statevector_joint_distribution,
 )
-from distdlog.dlp import ShorConfig, build_stage_state, node_phase, solve
+from distdlog.dlp import ShorConfig, decode_joint_index, node_phase, solve
 from distdlog.numtheory import ProblemInstance, ceil_log2, mod_pow, validate_instance
 from distdlog.resources import per_node_qubits_from_widths
 from distdlog.statevec import QubitBudgetError
+from gatelevel import build_stage_state, whole_state_step7
 
 
 def bs(text):
@@ -423,7 +423,7 @@ class TestQuantumStage:
     def test_joint_law_peak_memory(self, instance, acceptance_plan):
         tracemalloc.start()
         try:
-            statevector_joint_distribution.__wrapped__(instance, acceptance_plan)
+            dlp.joint_law.__wrapped__(instance, acceptance_plan.nodes)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -465,7 +465,7 @@ class TestQuantumStage:
         rng = np.random.default_rng(2)
         for _ in range(50):
             flat = int(rng.integers(1 << 16))
-            nodes = decode_joint_index(flat, acceptance_plan)
+            nodes = decode_joint_index(flat, acceptance_plan.nodes)
             rebuilt = 0
             for m_a, m_b in nodes:
                 rebuilt = (rebuilt << m_a.width) | m_a.value
@@ -478,7 +478,6 @@ class TestStepSevenState:
         """The first node's counting-register law equals the branch average
         of the closed-form distributions; the work register is never measured."""
         from distdlog import statevec
-        from distdlog.dlp import build_stage_state
         from distdlog.phase import phase_outcome_distribution
 
         state = build_stage_state(
@@ -499,6 +498,28 @@ class TestStepSevenState:
         assert report.factorization_residual <= 1e-12
         assert report.basis_residual <= 1e-12
         assert len(report.per_branch_deviation) == instance.r
+
+    @pytest.mark.parametrize("which", ["small", "acceptance", "three_nodes"])
+    def test_live_blocks_match_whole_state(
+        self, which, instance, acceptance_plan, small_instance, small_plan
+    ):
+        """Projecting each branch's live block gives the report of the same
+        check on every node's full state, field by field."""
+        inst, plan = {
+            "small": (small_instance, small_plan),
+            "acceptance": (instance, acceptance_plan),
+            "three_nodes": (instance, THREE_NODE_PLAN),
+        }[which]
+        got = compare_step7_state(inst, plan)
+        want = whole_state_step7(inst, plan)
+        assert len(got.per_branch_deviation) == len(want.per_branch_deviation) == inst.r
+        pairs = [
+            (got.max_amplitude_deviation, want.max_amplitude_deviation),
+            (got.factorization_residual, want.factorization_residual),
+            (got.basis_residual, want.basis_residual),
+            *zip(got.per_branch_deviation, want.per_branch_deviation),
+        ]
+        assert all(abs(x - y) <= 1e-15 for x, y in pairs), pairs
 
 
 class TestSolveDistributed:
@@ -567,11 +588,9 @@ class TestSolveDistributed:
         """A joint law whose three float64 arrays (law, branch term, CDF)
         exceed the byte cap is refused before any node runs, and the solver
         then runs the nodes per attempt."""
-        from distdlog import dlp
-
         law_bytes = 3 * 8 * (1 << (2 * sum(acceptance_plan.measured)))
         monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", law_bytes - 1)
-        statevector_joint_distribution.cache_clear()
+        dlp.joint_law.cache_clear()
         dlp.joint_cdf.cache_clear()
         calls = []
         node_block = dlp.node_block
@@ -597,6 +616,23 @@ class TestSolveDistributed:
             ma.width == width
             for (ma, _), width in zip(record.node_measurements, acceptance_plan.measured)
         )
+
+    def test_one_cached_law_per_chain(self, instance, acceptance_plan):
+        """Both solvers and ``statevector_joint_distribution`` share
+        ``dlp.joint_law``'s cache: one entry per chain, built once."""
+        dlp.joint_law.cache_clear()
+        dlp.joint_cdf.cache_clear()
+        law = statevector_joint_distribution(instance, acceptance_plan)
+        assert law is dlp.joint_law(instance, acceptance_plan.nodes)
+        config = ShorConfig.for_instance(instance, "0.25", max_retries=2)
+        for i in range(20):
+            solve(instance, config, np.random.default_rng((12, i)))
+            rng = np.random.default_rng((12, i))
+            solve_distributed(instance, acceptance_plan, rng, max_retries=2)
+        for cached in (dlp.joint_law, dlp.joint_cdf):
+            info = cached.cache_info()
+            assert (info.currsize, info.misses) == (2, 2), cached.__name__
+        assert statevector_joint_distribution(instance, acceptance_plan) is law
 
     def test_record_serialises(self, instance, acceptance_plan):
         import json

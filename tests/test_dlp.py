@@ -10,8 +10,7 @@ from distdlog.bits import BitString
 from distdlog.dlp import (
     ShorConfig,
     analytic_joint_law,
-    build_stage_state,
-    eigenphase_dlog,
+    joint_law,
     measure_node,
     postprocess_detail,
     quantum_stage_analytic,
@@ -19,12 +18,11 @@ from distdlog.dlp import (
     round_scaled,
     single_shot_success_mass,
     solve,
-    statevector_joint_distribution,
 )
 from distdlog.numtheory import mod_pow, validate_instance
 from distdlog.phase import phase_outcome_distribution
 
-from gatelevel import joint_distribution
+from gatelevel import build_stage_state, joint_distribution
 
 
 def bs(text):
@@ -109,7 +107,7 @@ class TestRounding:
 class TestStageEquivalence:
     def test_joint_laws_agree(self, instance):
         config = ShorConfig.for_instance(instance, "0.25")
-        sv = statevector_joint_distribution(instance, config.t)
+        sv = joint_law(instance, ((config.t, 0, config.t),))
         an = analytic_joint_law(instance, ((config.t, 0, config.t),))
         assert 0.5 * np.abs(sv - an).sum() < 1e-9
 
@@ -120,7 +118,7 @@ class TestStageEquivalence:
         inst = validate_instance(N, a, b)
         t = ShorConfig.for_instance(inst, "0.25").t
         want = joint_distribution(build_stage_state(inst, t), ["a", "b"])
-        assert np.abs(statevector_joint_distribution(inst, t) - want).max() <= 1e-15
+        assert np.abs(joint_law(inst, ((t, 0, t),)) - want).max() <= 1e-15
 
     def test_counting_marginal_is_branch_average(self, instance):
         config = ShorConfig.for_instance(instance, "0.25")
@@ -135,7 +133,7 @@ class TestStageEquivalence:
     def test_circuit_sampling_consistent(self, small_instance):
         """Fresh circuit runs sample from the same joint law (statistical)."""
         config = ShorConfig.for_instance(small_instance, "0.5")
-        joint = statevector_joint_distribution(small_instance, config.t)
+        joint = joint_law(small_instance, ((config.t, 0, config.t),))
         counts = np.zeros_like(joint)
         runs = 500
         for i in range(runs):
@@ -171,11 +169,6 @@ class TestStageEquivalence:
 
         m_a, m_b, s = quantum_stage_analytic(instance, config, ZeroRng())
         assert s == 0 and m_a.value == 0 and m_b.value == 0
-
-    def test_eigenphase_extraction(self):
-        for N, a, b in ((11, 3, 9), (7, 2, 4), (23, 2, 8)):
-            instance = validate_instance(N, a, b)
-            assert eigenphase_dlog(instance) == instance.hidden_g
 
 
 def gate_stage_state(instance, t, exponent, work):
