@@ -26,23 +26,8 @@ class BitString:
         if not 0 <= self.value < (1 << self.width):
             raise ValueError(f"value {self.value} does not fit in {self.width} bits")
 
-    @classmethod
-    def from_string(cls, text: str) -> "BitString":
-        if not text or set(text) - {"0", "1"}:
-            raise ValueError(f"not a binary string: {text!r}")
-        return cls(len(text), int(text, 2))
-
     def __str__(self) -> str:
         return format(self.value, f"0{self.width}b")
-
-    def __len__(self) -> int:
-        return self.width
-
-    def bit(self, i: int) -> int:
-        """Bit at position ``i``, counting 1-based from the MSB."""
-        if not 1 <= i <= self.width:
-            raise IndexError(f"bit index {i} outside 1..{self.width}")
-        return (self.value >> (self.width - i)) & 1
 
     def slice(self, i: int, j: int) -> "BitString":
         """Bits ``i..j`` inclusive, 1-based from the MSB."""
@@ -50,9 +35,6 @@ class BitString:
             raise IndexError(f"slice [{i},{j}] outside 1..{self.width}")
         width = j - i + 1
         return BitString(width, (self.value >> (self.width - j)) & ((1 << width) - 1))
-
-    def concat(self, other: "BitString") -> "BitString":
-        return BitString(self.width + other.width, (self.value << other.width) | other.value)
 
 
 def circ_dist(x: BitString, y: BitString) -> int:

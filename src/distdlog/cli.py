@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -18,13 +19,11 @@ from . import dist, verify
 from .harness import BatchResult, ExperimentConfig, run_batch
 from .numtheory import InstanceError, to_fraction, validate_instance
 from .resources import (
+    ResourceReport,
     communication_qubits,
     per_node_qubits_from_widths,
     per_node_qubits_formula,
     single_node_qubits,
-    GATE_COMPLEXITY_CLASS,
-    DEPTH_CLASS,
-    ANCILLA_NOTE,
 )
 
 
@@ -146,20 +145,14 @@ def _cmd_resources(args: argparse.Namespace) -> int:
                     str(alg4),
                     str(formula),
                     str(comm),
-                    GATE_COMPLEXITY_CLASS,
-                    DEPTH_CLASS,
+                    ResourceReport.gate_complexity_class,
+                    ResourceReport.depth_class,
                     advantage,
                 ]
             )
-    if args.output is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerows(rows)
-        print(f"# note: {ANCILLA_NOTE}")
-    else:
-        with open(args.output, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerows(rows)
-            fh.write(f"# note: {ANCILLA_NOTE}\n")
+    table = io.StringIO()
+    csv.writer(table).writerows(rows)  # rows end in \r\n, the csv default
+    _emit([table.getvalue() + f"# note: {ResourceReport.ancilla_note}"], args.output)
     return 0
 
 

@@ -247,24 +247,19 @@ def brute_force_correct_oracle(w, perturbations, plan: DistPlan):
     offsets; the reassembled output must sit at exactly the last node's
     deviation from its window, which is |perturbations[-1]|.
 
-    ``w`` is a ``BitString`` of the plan's total width, or an int64 array of
-    such values; each perturbation is an int or an int64 array broadcasting
-    against ``w``. The windows are cut by shift and mask, the pass is
+    ``w`` is an int or an int64 array of values of the plan's total width;
+    each perturbation is an int or an int64 array broadcasting against
+    ``w``. The windows are cut by shift and mask, the pass is
     ``align_values`` over all cases at once, and every case is checked.
-    Returns the output in ``w``'s form; raises ``AlignmentMismatch``
-    carrying the number of failing cases.
+    Returns the output, an int64 scalar or array; raises
+    ``AlignmentMismatch`` carrying the number of failing cases.
     """
     width = plan.total_width
     if width > 62:
         raise ValueError(f"plan width {width} overflows the int64 oracle (at most 62)")
-    if isinstance(w, BitString):
-        if w.width != width:
-            raise ValueError(f"w has width {w.width}, plan needs {width}")
-        values = np.int64(w.value)
-    else:
-        values = np.asarray(w, dtype=np.int64)
-        if ((values < 0) | (values >> width != 0)).any():
-            raise ValueError(f"w has values outside {width} bits")
+    values = np.asarray(w, dtype=np.int64)
+    if ((values < 0) | (values >> width != 0)).any():
+        raise ValueError(f"w has values outside {width} bits")
     if len(perturbations) != plan.k:
         raise ValueError(f"expected {plan.k} perturbations")
     offsets = [np.asarray(p, dtype=np.int64) for p in perturbations]
@@ -294,8 +289,6 @@ def brute_force_correct_oracle(w, perturbations, plan: DistPlan):
             f"first: d(out, w) = {got.flat[first]}, "
             f"d(x_k, window) = {want.flat[first]}, |p_k| = {p_k.flat[first]}",
         )
-    if isinstance(w, BitString):
-        return BitString(width, int(output))
     return output
 
 
@@ -413,7 +406,7 @@ def compare_step7_state(instance: ProblemInstance, plan: DistPlan) -> Step7Repor
     r = instance.r
     one = np.zeros(1 << instance.L, dtype=np.complex128)
     one[1] = 1.0
-    eigen = [phase.build_eigenstate(phase.EigenstateSpec(instance, s)) for s in range(r)]
+    eigen = [phase.build_eigenstate(instance, s) for s in range(r)]
     basis_residual = float(np.linalg.norm(one - sum(eigen) / math.sqrt(r)))
 
     per_branch = []

@@ -23,8 +23,9 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval for a binomial proportion."""
+    z = _WILSON_Z
     if trials <= 0:
         return (0.0, 1.0)
     phat = successes / trials

@@ -97,10 +97,6 @@ def to_fraction(value: Fraction | float | int | str) -> Fraction:
     Strings are parsed as exact decimals, so CLI input like "0.1" means
     one tenth rather than the nearest binary float.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
     return Fraction(value)
 
 

@@ -28,52 +28,30 @@ from .numtheory import ProblemInstance, ceil_log2_ratio, to_fraction
 _MAX_T = 26
 
 
-@dataclass(frozen=True)
-class PhaseTask:
-    """An estimation task for a phase omega with a t-qubit counting register."""
-
-    omega: Fraction
-    t: int
-    n: int
-    epsilon: Fraction
-
-    @classmethod
-    def from_accuracy(
-        cls, omega: Fraction, n: int, epsilon: Fraction | float | str
-    ) -> "PhaseTask":
-        """Derive t from the target accuracy: t = n + ceil(log2(2 + 1/(2 eps)))."""
-        eps = to_fraction(epsilon)
-        if not 0 < eps < 1:
-            raise ValueError(f"epsilon must be in (0,1), got {eps}")
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        p, q = eps.numerator, eps.denominator
-        t = n + ceil_log2_ratio(4 * p + q, 2 * p)
-        return cls(omega=omega, t=t, n=n, epsilon=eps)
+def accuracy_width(n: int, epsilon: Fraction | float | str) -> int:
+    """Counting width for n accurate bits with failure mass at most epsilon:
+    t = n + ceil(log2(2 + 1/(2 eps)))."""
+    eps = to_fraction(epsilon)
+    if not 0 < eps < 1:
+        raise ValueError(f"epsilon must be in (0,1), got {eps}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    p, q = eps.numerator, eps.denominator
+    return n + ceil_log2_ratio(4 * p + q, 2 * p)
 
 
-@dataclass(frozen=True)
-class EigenstateSpec:
-    """Selects the s-th shared eigenvector of the two multiplication maps."""
-
-    instance: ProblemInstance
-    s: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.s < self.instance.r:
-            raise ValueError(f"s = {self.s} outside 0..{self.instance.r - 1}")
-
-
-def build_eigenstate(spec: EigenstateSpec) -> np.ndarray:
-    """The unit vector (1/sqrt r) sum_k exp(-2 pi i s k / r) |a^k mod N>."""
-    inst = spec.instance
-    vec = np.zeros(1 << inst.L, dtype=np.complex128)
+def build_eigenstate(instance: ProblemInstance, s: int) -> np.ndarray:
+    """The s-th shared eigenvector of the two multiplication maps, the unit
+    vector (1/sqrt r) sum_k exp(-2 pi i s k / r) |a^k mod N>."""
+    if not 0 <= s < instance.r:
+        raise ValueError(f"s = {s} outside 0..{instance.r - 1}")
+    vec = np.zeros(1 << instance.L, dtype=np.complex128)
     point = 1
-    scale = 1.0 / math.sqrt(inst.r)
-    for k in range(inst.r):
-        angle = -2.0 * math.pi * ((spec.s * k) % inst.r) / inst.r
+    scale = 1.0 / math.sqrt(instance.r)
+    for k in range(instance.r):
+        angle = -2.0 * math.pi * ((s * k) % instance.r) / instance.r
         vec[point] += scale * complex(math.cos(angle), math.sin(angle))
-        point = (point * inst.a) % inst.N
+        point = (point * instance.a) % instance.N
     return vec
 
 

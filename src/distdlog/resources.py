@@ -11,18 +11,11 @@ multiplications as basis permutations and uses no ancillas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .numtheory import ceil_log2, ceil_log2_ratio, to_fraction
-
-GATE_COMPLEXITY_CLASS = "O(L^3)"
-DEPTH_CLASS = "O(L^3)"
-ANCILLA_NOTE = (
-    "excludes the c = L + O(1) auxiliary qubits of a gate-level controlled "
-    "multiplier; the simulator applies multiplications as basis permutations "
-    "and uses no ancillas"
-)
 
 
 def order_register_width(r: int) -> int:
@@ -88,10 +81,14 @@ class ResourceReport:
     qubits_single_node_alg2: int
     qubits_per_node_alg4: int | None
     comm_qubits: int
-    gate_complexity_class: str = GATE_COMPLEXITY_CLASS
-    depth_class: str = DEPTH_CLASS
     simulated_qubits_actual: int = 0
-    ancilla_note: str = field(default=ANCILLA_NOTE, repr=False)
+    gate_complexity_class: ClassVar[str] = "O(L^3)"
+    depth_class: ClassVar[str] = "O(L^3)"
+    ancilla_note: ClassVar[str] = (
+        "excludes the c = L + O(1) auxiliary qubits of a gate-level controlled "
+        "multiplier; the simulator applies multiplications as basis permutations "
+        "and uses no ancillas"
+    )
 
     def to_json_dict(self) -> dict:
         return {

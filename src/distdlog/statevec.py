@@ -80,10 +80,6 @@ class RegisterLayout:
             offset += w
         raise LayoutError(f"unknown register {name!r}")
 
-    def right_shift_of(self, name: str) -> int:
-        """Bit shift that brings the register value to the low bits of an index."""
-        return self.total_width - self.start_of(name) - self.width_of(name)
-
     def axis_shape(self) -> tuple[int, ...]:
         return tuple(1 << w for _, w in self.registers)
 

@@ -28,7 +28,24 @@ from . import dist, dlp, phase
 from .bits import BitString, circ_dist, wrap_add
 from .numtheory import to_fraction, validate_instance
 
+# The sizes of the suites; the check names print most of them.
 PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+METRIC_EXHAUSTIVE_T = 6
+METRIC_RANDOM_CASES = 2000
+PREFIX_MAX_T = 8
+ALIGNMENT_MAX_T = 6
+ACCURACY_MAX_N = 6
+CORRECT_RS = (5, 7, 11, 13)
+CORRECT_KS = (2, 3)
+CORRECT_HS = (2, 3)
+DLP_MASS_INSTANCES = ((7, 2, 4), (11, 3, 9))
+
+# suite_correct's tracemalloc peak is about 131 bytes per random case at 10^5
+# and 10^6 cases (w, the perturbations, and the oracle's windows, inputs and
+# pass temporaries, all int64 arrays of that length); rounded up here. The cap
+# admits about two million cases.
+_CASE_BYTES = 136
+_CASES_BYTES_CAP = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -49,7 +66,7 @@ def _circ_table(t: int) -> np.ndarray:
     return np.minimum(diff, (1 << t) - diff)
 
 
-def suite_metric(max_exhaustive_t: int = 6, seed: int = 0, random_cases: int = 2000) -> list[CheckResult]:
+def suite_metric(seed: int = 0) -> list[CheckResult]:
     """Distance axioms, the minimal-shift characterisation, and the one-bit
     prefix consequence, exhaustively for small widths and sampled above."""
     checks: list[CheckResult] = []
@@ -57,7 +74,7 @@ def suite_metric(max_exhaustive_t: int = 6, seed: int = 0, random_cases: int = 2
     axioms_ok = True
     shift_ok = True
     prefix_ok = True
-    for t in range(1, max_exhaustive_t + 1):
+    for t in range(1, METRIC_EXHAUSTIVE_T + 1):
         size = 1 << t
         D = _circ_table(t)
         vals = np.arange(size, dtype=np.int64)
@@ -78,13 +95,13 @@ def suite_metric(max_exhaustive_t: int = 6, seed: int = 0, random_cases: int = 2
             pd = np.minimum(pdiff, (1 << t0) - pdiff)
             prefix_ok &= bool((pd[mask] <= 1).all())
 
-    checks.append(_result(f"distance axioms exhaustive t<={max_exhaustive_t}", axioms_ok, axioms_ok, "all hold"))
-    checks.append(_result(f"minimal-shift form exhaustive t<={max_exhaustive_t}", shift_ok, shift_ok, "all hold"))
-    checks.append(_result(f"one-bit prefix fact exhaustive t<={max_exhaustive_t}", prefix_ok, prefix_ok, "all hold"))
+    checks.append(_result(f"distance axioms exhaustive t<={METRIC_EXHAUSTIVE_T}", axioms_ok, axioms_ok, "all hold"))
+    checks.append(_result(f"minimal-shift form exhaustive t<={METRIC_EXHAUSTIVE_T}", shift_ok, shift_ok, "all hold"))
+    checks.append(_result(f"one-bit prefix fact exhaustive t<={METRIC_EXHAUSTIVE_T}", prefix_ok, prefix_ok, "all hold"))
 
     rng = np.random.default_rng(seed)
     random_ok = True
-    for _ in range(random_cases):
+    for _ in range(METRIC_RANDOM_CASES):
         t = int(rng.integers(2, 17))
         size = 1 << t
         xv, yv, zv = (int(v) for v in rng.integers(0, size, size=3))
@@ -95,15 +112,15 @@ def suite_metric(max_exhaustive_t: int = 6, seed: int = 0, random_cases: int = 2
         t0 = int(rng.integers(1, t))
         if circ_dist(x, y) < (1 << (t - t0)):
             random_ok &= circ_dist(x.slice(1, t0), y.slice(1, t0)) <= 1
-    checks.append(_result(f"distance axioms random t<=16 ({random_cases} cases)", random_ok, random_ok, "all hold"))
+    checks.append(_result(f"distance axioms random t<=16 ({METRIC_RANDOM_CASES} cases)", random_ok, random_ok, "all hold"))
     return checks
 
 
-def suite_prefix_bound(max_t: int = 8) -> list[CheckResult]:
+def suite_prefix_bound() -> list[CheckResult]:
     """Exhaustive check of the general prefix-distance bound:
     d_t(x,y) < 2^(t-t0) implies d_t1(prefixes) <= 2^(t1-t0) for t0 <= t1 <= t."""
     ok = True
-    for t in range(2, max_t + 1):
+    for t in range(2, PREFIX_MAX_T + 1):
         D = _circ_table(t)
         vals = np.arange(1 << t, dtype=np.int64)
         for t0 in range(1, t + 1):
@@ -113,17 +130,17 @@ def suite_prefix_bound(max_t: int = 8) -> list[CheckResult]:
                 pdiff = np.abs(prefix[:, None] - prefix[None, :])
                 pd = np.minimum(pdiff, (1 << t1) - pdiff)
                 ok &= bool((pd[mask] <= (1 << (t1 - t0))).all())
-    return [_result(f"prefix-distance bound exhaustive t<={max_t}", ok, ok, "all hold")]
+    return [_result(f"prefix-distance bound exhaustive t<={PREFIX_MAX_T}", ok, ok, "all hold")]
 
 
-def suite_alignment_facts(max_t: int = 6) -> list[CheckResult]:
+def suite_alignment_facts() -> list[CheckResult]:
     """Enumerated checks of the two facts the alignment pass rests on:
     the unique small shift between overlapping windows decomposes as
     b_1 + b_2, and a bounded shift acts on a word iff it acts on the
     word's trailing h bits."""
     unique_ok = True
     decompose_ok = True
-    for t in range(3, max_t + 1):
+    for t in range(3, ALIGNMENT_MAX_T + 1):
         for h in range(2, min(t - 1, 4) + 1):
             tail_lo = t - h  # window [t-h, t], h+1 bits
             for wv in range(1 << t):
@@ -143,7 +160,7 @@ def suite_alignment_facts(max_t: int = 6) -> list[CheckResult]:
                         decompose_ok &= matches == [b1 + b2]
 
     restrict_ok = True
-    for t in range(3, max_t + 1):
+    for t in range(3, ALIGNMENT_MAX_T + 1):
         for h in range(2, t + 1):
             bound = 1 << (h - 2)
             for xv in range(1 << t):
@@ -163,17 +180,15 @@ def suite_alignment_facts(max_t: int = 6) -> list[CheckResult]:
                         tail = wrap_add(x_tail, b).value == y_tail.value
                         restrict_ok &= full == tail
     return [
-        _result(f"overlap shift unique and b1+b2 (t<={max_t})", unique_ok and decompose_ok,
+        _result(f"overlap shift unique and b1+b2 (t<={ALIGNMENT_MAX_T})", unique_ok and decompose_ok,
                 unique_ok and decompose_ok, "all hold"),
-        _result(f"shift acts on word iff on trailing h bits (t<={max_t})", restrict_ok,
+        _result(f"shift acts on word iff on trailing h bits (t<={ALIGNMENT_MAX_T})", restrict_ok,
                 restrict_ok, "all hold"),
     ]
 
 
 def suite_accuracy(
-    rs: tuple[int, ...] = PRIMES_TO_31,
-    epsilons: tuple = ("0.5", "0.25", "0.1"),
-    max_n: int = 6,
+    rs: tuple[int, ...] = PRIMES_TO_31, epsilons: tuple = ("0.5", "0.25", "0.1")
 ) -> list[CheckResult]:
     """Exhaustive estimation-accuracy masses over all phases s/r."""
     checks = []
@@ -181,16 +196,16 @@ def suite_accuracy(
         eps = to_fraction(eps_raw)
         worst = 1.0
         ok = True
+        widths = {n: phase.accuracy_width(n, eps) for n in range(1, ACCURACY_MAX_N + 1)}
         for r in rs:
             for s in range(r):
-                for n in range(1, max_n + 1):
-                    task = phase.PhaseTask.from_accuracy(Fraction(s, r), n, eps)
-                    report = phase.check_accuracy_bound(task.omega, task.t, n, eps)
+                for n, t in widths.items():
+                    report = phase.check_accuracy_bound(Fraction(s, r), t, n, eps)
                     ok &= report.ok
                     worst = min(worst, report.window_mass, *report.prefix_masses.values())
         checks.append(
             _result(
-                f"accuracy masses eps={eps} over r in {rs}, n<={max_n}",
+                f"accuracy masses eps={eps} over r in {rs}, n<={ACCURACY_MAX_N}",
                 ok,
                 f"worst mass {worst:.6f}",
                 f">= {1.0 - float(eps):.6f}",
@@ -199,15 +214,11 @@ def suite_accuracy(
     return checks
 
 
-def feasible_correct_combos(
-    rs: tuple[int, ...] = (5, 7, 11, 13),
-    ks: tuple[int, ...] = (2, 3),
-    hs: tuple[int, ...] = (2, 3),
-) -> list[dist.DistPlan]:
+def feasible_correct_combos() -> list[dist.DistPlan]:
     plans = []
-    for r in rs:
-        for k in ks:
-            for h in hs:
+    for r in CORRECT_RS:
+        for k in CORRECT_KS:
+            for h in CORRECT_HS:
                 try:
                     plans.append(dist.plan_for_order(r, k, h, Fraction(1, 4), Fraction(1, 5)))
                 except dist.PlanError:
@@ -233,8 +244,15 @@ def suite_correct(cases: int = 10_000, seed: int = 1) -> list[CheckResult]:
     solvers' own closed-form pass, ``dist.align_values`` (the shift is the
     signed residue of target - tail mod 2^(h+1) clamped to
     [-2^(h-1), 2^(h-1)], +2^(h-1) at the midpoint), elementwise, and the
-    check reports how many cases it moved off the ground truth.
+    check reports how many cases it moved off the ground truth. A case count
+    whose arrays would pass _CASES_BYTES_CAP is refused before any is drawn.
     """
+    nbytes = cases * _CASE_BYTES
+    if nbytes > _CASES_BYTES_CAP:
+        raise ValueError(
+            f"{cases} alignment cases need about {nbytes >> 20} MiB "
+            f"(cap {_CASES_BYTES_CAP >> 20} MiB)"
+        )
     checks = []
     rng = np.random.default_rng(seed)
     for plan in feasible_correct_combos():
@@ -257,13 +275,10 @@ def suite_correct(cases: int = 10_000, seed: int = 1) -> list[CheckResult]:
     return checks
 
 
-def suite_dlp_mass(
-    instances: tuple[tuple[int, int, int], ...] = ((7, 2, 4), (11, 3, 9)),
-    epsilons: tuple = ("0.5", "0.25"),
-) -> list[CheckResult]:
+def suite_dlp_mass(epsilons: tuple = ("0.5", "0.25")) -> list[CheckResult]:
     """Exact one-attempt success masses against the (r-1)/r (1-eps) bound."""
     checks = []
-    for N, a, b in instances:
+    for N, a, b in DLP_MASS_INSTANCES:
         instance = validate_instance(N, a, b)
         for eps_raw in epsilons:
             eps = to_fraction(eps_raw)

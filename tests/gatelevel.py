@@ -7,8 +7,10 @@ live block on its eigenvector, and the tests hold all three to these
 whole-state computations. ``build_stage_state`` scatters the live block onto
 the full (a, b, work) state, and ``whole_state_step7`` is the step-7 check
 run on that full state with a dense contraction over all 2^L work values.
-The one-register phase estimation circuit (``run_phase_estimation``) is the
-gate-level oracle of the closed-form outcome law in ``phase``.
+The one-register phase estimation circuit (``run_phase_estimation(t,
+unitary, instance, s, rng)``, t counting qubits on the eigenvector
+``phase.build_eigenstate(instance, s)``) is the gate-level oracle of the
+closed-form outcome law in ``phase``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from distdlog.bits import BitString
 from distdlog.dist import DistPlan, Step7Report
 from distdlog.dlp import node_block, node_phase
 from distdlog.numtheory import ProblemInstance
-from distdlog.phase import EigenstateSpec, PhaseTask, build_eigenstate
+from distdlog.phase import build_eigenstate
 from distdlog.statevec import QuantumState
 
 
@@ -47,14 +49,14 @@ def whole_state_step7(instance: ProblemInstance, plan: DistPlan) -> Step7Report:
     dim_c = 1 << instance.L
     one = np.zeros(dim_c, dtype=np.complex128)
     one[1] = 1.0
-    recon = sum(build_eigenstate(EigenstateSpec(instance, s)) for s in range(r)) / math.sqrt(r)
+    recon = sum(build_eigenstate(instance, s) for s in range(r)) / math.sqrt(r)
     basis_residual = float(np.linalg.norm(one - recon))
 
     per_branch = []
     residual_sum = 0.0
     residual_max = 0.0
     for s in range(r):
-        u = build_eigenstate(EigenstateSpec(instance, s))
+        u = build_eigenstate(instance, s)
         max_w, max_a, dev = [], [], []
         for t, exponent, _ in plan.nodes:
             cube = build_stage_state(instance, t, exponent, u).amps.reshape(1 << t, 1 << t, dim_c)
@@ -105,23 +107,24 @@ def joint_distribution(state: QuantumState, registers: Iterable[str]) -> np.ndar
 
 
 def run_phase_estimation(
-    task: PhaseTask,
+    t: int,
     unitary: tuple[int, int],
-    eigenstate: EigenstateSpec,
+    instance: ProblemInstance,
+    s: int,
     rng: np.random.Generator,
     power_exponent: int = 0,
 ) -> BitString:
-    """Execute the estimation circuit and return the measured t-bit string.
+    """Execute the t-qubit estimation circuit on the s-th eigenvector of
+    ``instance`` and return the measured t-bit string.
 
     ``unitary`` is (base, N): the multiplication-by-base map mod N, raised
     to 2^power_exponent before being controlled on the counting register.
     """
     base, N = unitary
-    inst = eigenstate.instance
-    if N != inst.N:
-        raise ValueError(f"unitary modulus {N} differs from instance modulus {inst.N}")
-    layout = statevec.RegisterLayout((("x", task.t), ("work", inst.L)))
-    state = statevec.init_product(layout, {"work": build_eigenstate(eigenstate)})
+    if N != instance.N:
+        raise ValueError(f"unitary modulus {N} differs from instance modulus {instance.N}")
+    layout = statevec.RegisterLayout((("x", t), ("work", instance.L)))
+    state = statevec.init_product(layout, {"work": build_eigenstate(instance, s)})
     state = statevec.hadamard_layer(state, "x")
     state = statevec.controlled_modmul_power(state, "x", "work", base, power_exponent, N)
     state = statevec.inverse_qft(state, "x")

@@ -142,6 +142,18 @@ class TestResourcesCommand:
         assert row_big["alg4_less_than_alg2"] == "true"
         assert lines[-1].startswith("# note:")
 
+    def test_output_file_matches_stdout(self, capsys, tmp_path):
+        """--output writes the bytes stdout gets, CRLF rows included."""
+        argv = ["resources", "--r", "5", "2**1024", "--k", "2", "16",
+                "--epsilon", "0.25", "--epsilon-prime", "0.2"]  # the README command
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        path = tmp_path / "resources.csv"
+        assert main(argv + ["--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == out.encode()
+        assert b"\r\n" in path.read_bytes()
+
     @pytest.mark.parametrize(
         "power, value",
         [("2**1024", 2**1024), ("2**14283", 2**14283)],  # README example; widest allowed
@@ -168,6 +180,34 @@ class TestResourcesCommand:
 
 
 class TestVerifyCommand:
+    def test_suite_list_digest(self):
+        """The names and bounds of every check of ``verify --suite all``
+        (sha256 of the ``name|bound`` lines, computed before the suites'
+        sizes became module constants)."""
+        from distdlog import verify
+
+        lines = "\n".join(f"{c.name}|{c.bound}" for c in verify.run_suite("all", seed=1))
+        assert len(lines.splitlines()) == 30
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "29b2fa2d4aa09a3d7e1194335434fcbcaeea93fef2df4c30d8ad37b0308fb707"
+        )
+
+    def test_oversized_cases_refused_before_drawing(self, capsys, monkeypatch):
+        """10^8 cases would need about 13 GB of arrays: exit 2 before any draw."""
+        from distdlog import verify
+
+        class NoDrawRng:
+            def integers(self, *args, **kwargs):
+                raise AssertionError("drew cases before checking their size")
+
+        monkeypatch.setattr(verify.np.random, "default_rng", lambda *a, **k: NoDrawRng())
+        code, out, err = run_cli(
+            capsys, ["verify", "--suite", "correct", "--cases", "100000000"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "100000000 alignment cases need about 12969 MiB (cap 256 MiB)" in err
+
     def test_metric_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--suite", "metric"])
         assert code == 0

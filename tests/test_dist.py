@@ -33,7 +33,7 @@ from gatelevel import build_stage_state, whole_state_step7
 
 
 def bs(text):
-    return BitString.from_string(text)
+    return BitString(len(text), int(text, 2))
 
 
 def node_window_mass(
@@ -219,26 +219,25 @@ class TestCorrect:
 
 class TestCorrectOracle:
     def test_zero_perturbations(self, acceptance_plan):
-        w = bs("11010")
+        w = 0b11010
         assert brute_force_correct_oracle(w, [0, 0], acceptance_plan) == w
 
     def test_worked_perturbations(self, acceptance_plan):
-        w = bs("01101")
-        out = brute_force_correct_oracle(w, [-1, 1], acceptance_plan)
-        assert str(out) == "01110"
+        out = brute_force_correct_oracle(0b01101, [-1, 1], acceptance_plan)
+        assert out == 0b01110
 
     def test_randomized_small_batch(self, acceptance_plan):
         rng = np.random.default_rng(17)
         for _ in range(500):
-            w = BitString(5, int(rng.integers(32)))
+            w = int(rng.integers(32))
             perturbations = [int(rng.integers(-1, 2)), int(rng.integers(-1, 2))]
             brute_force_correct_oracle(w, perturbations, acceptance_plan)
 
     def test_rejects_oversized_perturbation(self, acceptance_plan):
         with pytest.raises(ValueError):
-            brute_force_correct_oracle(bs("01101"), [5, 0], acceptance_plan)
+            brute_force_correct_oracle(0b01101, [5, 0], acceptance_plan)
         with pytest.raises(ValueError):
-            brute_force_correct_oracle(bs("01101"), [0, 2], acceptance_plan)
+            brute_force_correct_oracle(0b01101, [0, 2], acceptance_plan)
         # int64 arrays: one oversized entry, or one w outside 5 bits, refuses the batch
         words = np.arange(32)
         first = np.zeros(32, dtype=np.int64)

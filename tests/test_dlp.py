@@ -26,7 +26,7 @@ from gatelevel import build_stage_state, joint_distribution
 
 
 def bs(text):
-    return BitString.from_string(text)
+    return BitString(len(text), int(text, 2))
 
 
 class TestConfig:
@@ -188,7 +188,7 @@ def node_inputs(instance):
     normalised vector with full support."""
     rng = np.random.default_rng(2024)
     full = rng.normal(size=1 << instance.L) + 1j * rng.normal(size=1 << instance.L)
-    eigen = [phase.build_eigenstate(phase.EigenstateSpec(instance, s)) for s in range(instance.r)]
+    eigen = [phase.build_eigenstate(instance, s) for s in range(instance.r)]
     return [1, instance.N + 1, *eigen, full / np.linalg.norm(full)]
 
 

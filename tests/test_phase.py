@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from distdlog import phase, statevec
 from distdlog.phase import (
     AccuracyReport,
-    EigenstateSpec,
-    PhaseTask,
+    accuracy_width,
     build_eigenstate,
     check_accuracy_bound,
     phase_outcome_distribution,
@@ -35,7 +34,7 @@ def double_sum_distribution(omega: Fraction, t: int) -> np.ndarray:
 
 class TestEigenstates:
     def test_zero_branch_uniform_on_orbit(self, instance):
-        vec = build_eigenstate(EigenstateSpec(instance, 0))
+        vec = build_eigenstate(instance, 0)
         orbit = {pow(instance.a, k, instance.N) for k in range(instance.r)}
         for x in range(1 << instance.L):
             if x in orbit:
@@ -44,23 +43,21 @@ class TestEigenstates:
                 assert vec[x] == 0
 
     def test_orthonormality(self, instance):
-        vecs = [build_eigenstate(EigenstateSpec(instance, s)) for s in range(instance.r)]
+        vecs = [build_eigenstate(instance, s) for s in range(instance.r)]
         for i, u in enumerate(vecs):
             for j, v in enumerate(vecs):
                 inner = np.vdot(u, v)
                 assert abs(inner - (1.0 if i == j else 0.0)) < 1e-12
 
     def test_sum_collapses_to_one_state(self, instance):
-        total = sum(
-            build_eigenstate(EigenstateSpec(instance, s)) for s in range(instance.r)
-        ) / math.sqrt(instance.r)
+        total = sum(build_eigenstate(instance, s) for s in range(instance.r)) / math.sqrt(instance.r)
         expected = np.zeros(1 << instance.L)
         expected[1] = 1.0
         assert np.abs(total - expected).max() < 1e-12
 
     def test_bad_branch_index(self, instance):
         with pytest.raises(ValueError):
-            EigenstateSpec(instance, instance.r)
+            build_eigenstate(instance, instance.r)
 
 
 class TestOutcomeDistribution:
@@ -249,60 +246,52 @@ class TestPhaseSampler:
         assert str(amplitude_error.value) == str(law_error.value)
 
 
-class TestPhaseTask:
+class TestAccuracyWidth:
     def test_width_formula(self):
-        task = PhaseTask.from_accuracy(Fraction(1, 5), n=3, epsilon="0.25")
         # ceil(log2(2 + 1/(2 * 1/4))) = ceil(log2 4) = 2
-        assert task.t == 5
-        task = PhaseTask.from_accuracy(Fraction(1, 5), n=4, epsilon="0.1")
+        assert accuracy_width(3, "0.25") == 5
         # ceil(log2(2 + 5)) = 3
-        assert task.t == 7
+        assert accuracy_width(4, "0.1") == 7
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
-            PhaseTask.from_accuracy(Fraction(1, 3), 2, "1.5")
+            accuracy_width(2, "1.5")
 
 
 class TestCircuitEstimation:
     def test_zero_phase_deterministic(self, instance):
-        task = PhaseTask.from_accuracy(Fraction(0), n=3, epsilon="0.25")
+        t = accuracy_width(3, "0.25")
         for seed in range(5):
             bits = run_phase_estimation(
-                task,
-                (instance.a, instance.N),
-                EigenstateSpec(instance, 0),
-                np.random.default_rng(seed),
+                t, (instance.a, instance.N), instance, 0, np.random.default_rng(seed)
             )
             assert bits.value == 0
 
     def test_exact_marginal_matches_analytic(self, instance):
         s = 2
-        task = PhaseTask.from_accuracy(Fraction(s, instance.r), n=3, epsilon="0.25")
-        layout = statevec.RegisterLayout((("x", task.t), ("work", instance.L)))
-        state = statevec.init_product(
-            layout, {"work": build_eigenstate(EigenstateSpec(instance, s))}
-        )
+        t = accuracy_width(3, "0.25")
+        layout = statevec.RegisterLayout((("x", t), ("work", instance.L)))
+        state = statevec.init_product(layout, {"work": build_eigenstate(instance, s)})
         state = statevec.hadamard_layer(state, "x")
         state = statevec.controlled_modmul_power(
             state, "x", "work", instance.a, 0, instance.N
         )
         state = statevec.inverse_qft(state, "x")
-        got = statevec.marginal_distribution(state, "x", task.t)
-        want = phase_outcome_distribution(Fraction(s, instance.r), task.t)
+        got = statevec.marginal_distribution(state, "x", t)
+        want = phase_outcome_distribution(Fraction(s, instance.r), t)
         assert 0.5 * np.abs(got - want).sum() < 1e-9
 
     def test_empirical_distribution(self, instance):
         s = 1
-        task = PhaseTask.from_accuracy(Fraction(s, instance.r), n=3, epsilon="0.25")
-        spec = EigenstateSpec(instance, s)
-        counts = np.zeros(1 << task.t)
+        t = accuracy_width(3, "0.25")
+        counts = np.zeros(1 << t)
         runs = 10_000
         rng = np.random.default_rng(12345)
         for _ in range(runs):
-            bits = run_phase_estimation(task, (instance.a, instance.N), spec, rng)
+            bits = run_phase_estimation(t, (instance.a, instance.N), instance, s, rng)
             counts[bits.value] += 1
         tv = 0.5 * np.abs(
-            counts / runs - phase_outcome_distribution(Fraction(s, instance.r), task.t)
+            counts / runs - phase_outcome_distribution(Fraction(s, instance.r), t)
         ).sum()
         assert tv <= 0.05
 
@@ -311,43 +300,37 @@ class TestCircuitEstimation:
         the circuit marginal matches the closed form at the shifted phase."""
         s, n = 2, 3
         shifted = Fraction((s * pow(2, n - 1, instance.r)) % instance.r, instance.r)
-        task = PhaseTask.from_accuracy(shifted, n=3, epsilon="0.25")
-        layout = statevec.RegisterLayout((("x", task.t), ("work", instance.L)))
-        state = statevec.init_product(
-            layout, {"work": build_eigenstate(EigenstateSpec(instance, s))}
-        )
+        t = accuracy_width(3, "0.25")
+        layout = statevec.RegisterLayout((("x", t), ("work", instance.L)))
+        state = statevec.init_product(layout, {"work": build_eigenstate(instance, s)})
         state = statevec.hadamard_layer(state, "x")
         state = statevec.controlled_modmul_power(
             state, "x", "work", instance.a, n - 1, instance.N
         )
         state = statevec.inverse_qft(state, "x")
-        got = statevec.marginal_distribution(state, "x", task.t)
-        want = phase_outcome_distribution(shifted, task.t)
+        got = statevec.marginal_distribution(state, "x", t)
+        want = phase_outcome_distribution(shifted, t)
         assert 0.5 * np.abs(got - want).sum() < 1e-9
 
     def test_modulus_mismatch_rejected(self, instance):
-        task = PhaseTask.from_accuracy(Fraction(1, 5), n=2, epsilon="0.5")
+        t = accuracy_width(2, "0.5")
         with pytest.raises(ValueError):
-            run_phase_estimation(
-                task, (3, 13), EigenstateSpec(instance, 1), np.random.default_rng(0)
-            )
+            run_phase_estimation(t, (3, 13), instance, 1, np.random.default_rng(0))
 
 
 class TestAccuracyBounds:
     def test_example(self):
-        task = PhaseTask.from_accuracy(Fraction(1, 5), n=3, epsilon="0.25")
-        report = check_accuracy_bound(Fraction(1, 5), task.t, 3, "0.25")
+        report = check_accuracy_bound(Fraction(1, 5), accuracy_width(3, "0.25"), 3, "0.25")
         assert isinstance(report, AccuracyReport)
         assert report.ok
         assert report.window_mass >= 0.75
 
     def test_exact_phase_full_mass(self):
-        task = PhaseTask.from_accuracy(Fraction(3, 8), n=3, epsilon="0.25")
-        report = check_accuracy_bound(Fraction(3, 8), task.t, 3, "0.25")
+        report = check_accuracy_bound(Fraction(3, 8), accuracy_width(3, "0.25"), 3, "0.25")
         assert report.window_mass == pytest.approx(1.0)
         assert all(m == pytest.approx(1.0) for m in report.prefix_masses.values())
 
     def test_prefix_levels_cover_n_to_t(self):
-        task = PhaseTask.from_accuracy(Fraction(1, 3), n=2, epsilon="0.5")
-        report = check_accuracy_bound(Fraction(1, 3), task.t, 2, "0.5")
-        assert sorted(report.prefix_masses) == list(range(2, task.t + 1))
+        t = accuracy_width(2, "0.5")
+        report = check_accuracy_bound(Fraction(1, 3), t, 2, "0.5")
+        assert sorted(report.prefix_masses) == list(range(2, t + 1))

@@ -37,8 +37,6 @@ class TestLayout:
         layout = RegisterLayout((("a", 3), ("b", 2), ("c", 4)))
         assert layout.total_width == 9
         assert layout.start_of("b") == 3
-        assert layout.right_shift_of("a") == 6
-        assert layout.right_shift_of("c") == 0
         assert layout.axis_shape() == (8, 4, 16)
 
     def test_validation(self):
@@ -122,7 +120,7 @@ class TestControlledModMul:
 
     def test_zero_control_is_identity(self):
         layout = RegisterLayout((("ctl", 3), ("wrk", 4)))
-        spread = phase.build_eigenstate(phase.EigenstateSpec(validate_instance(11, 3, 9), 1))
+        spread = phase.build_eigenstate(validate_instance(11, 3, 9), 1)
         state = init_product(layout, {"ctl": 0, "wrk": spread})
         out = controlled_modmul_power(state, "ctl", "wrk", 3, 0, 11)
         assert np.abs(out.amps - state.amps).max() < 1e-15
@@ -139,7 +137,7 @@ class TestControlledModMul:
         unit phase: s/r for the base, (s g mod r)/r for the target."""
         layout = RegisterLayout((("ctl", 1), ("wrk", instance.L)))
         for s in range(instance.r):
-            u = phase.build_eigenstate(phase.EigenstateSpec(instance, s))
+            u = phase.build_eigenstate(instance, s)
             for base, numerator in ((instance.a, s), (instance.b, (s * instance.hidden_g) % instance.r)):
                 state = init_product(layout, {"ctl": 1, "wrk": u})
                 out = controlled_modmul_power(state, "ctl", "wrk", base, 0, instance.N)
