@@ -11,10 +11,10 @@ returns ``(pairs, latent_s)``. The nodes act in sequence on a shared
 L-qubit work register. A register that a node has finished with is never
 touched by any later operation, so the state-vector backend simulates one
 node of 2 t_j + L logical qubits at a time: ``dlp.measure_chain`` measures
-its registers in full from its live block, the work values the state
-reaches (measuring the unmeasured tail early changes no reported
-statistic, by the deferred measurement principle), and hands the then-pure
-work register to the next node. The per-node footprint therefore matches
+its registers in full on the work values the state reaches, register a
+before the b stage and b on the one drawn row (measuring the unmeasured
+tail early changes no reported statistic, by the deferred measurement
+principle), and hands the then-pure work register to the next node. The per-node footprint therefore matches
 the claimed space cost max_j (2 t_j + L) exactly, and the hand-off is the
 (k-1) L communication cost. A single flat vector over all nodes' registers
 would need 2 (t_1 + ... + t_k) + L qubits, which exceeds the dense cap for

@@ -6,14 +6,19 @@ exponent, measured)`` per node: the counting registers control powers
 c^(j 2^exponent) of c = a and c = b, and their leading ``measured`` bits
 are kept. This solver is the one-node chain ``((t, 0, t),)``, and ``dist``
 runs its plan's chain through the same pieces and the same retry loop.
-The node circuit is ``node_block``, a fused kernel that keeps only the live
-work values. Fresh runs measure it node by node (``measure_chain``); they
-never read the instance's hidden exponent. Cached runs draw a flat index
-from ``joint_cdf`` and split it with ``decode_joint_index``; the CDF and
-``joint_law``, the branch mixture (1/r) sum_s prod_j P_j(. | s) over the
-eigenvectors of multiplication by a, are cached per (instance, chain). The
-analytic backend draws the latent branch s and then each register exactly
-at its phase (``node_phase``) by one O(1) rejection draw (``sample_chain``);
+The node circuit is a fused kernel in two stages that keeps only the live
+work values: ``node_columns`` runs it to the end of register a's inverse
+QFT, and ``node_rows`` runs the b stage on the rows it is given;
+``node_block`` is both on every row. Fresh runs measure node by node
+(``measure_chain``): ``measure_node`` draws register a from the a stage
+before b's transform, as nothing later acts on a, and runs the b stage on
+the drawn row alone. They never read the instance's hidden exponent.
+Cached runs draw a flat index from ``joint_cdf`` and split it with
+``decode_joint_index``; the CDF and ``joint_law``, the branch mixture
+(1/r) sum_s prod_j P_j(. | s) over the eigenvectors of multiplication by
+a, are cached per (instance, chain). The analytic backend draws the
+latent branch s and then each register exactly at its phase
+(``node_phase``) by one O(1) rejection draw (``sample_chain``);
 ``analytic_joint_law`` is its closed-form law. The phases read the exponent
 g from ``hidden_g`` as an oracle. The test suites hold the sampler to the
 closed form, and the closed form to the circuit exactly.
@@ -123,28 +128,23 @@ class RunRecord:
         return record
 
 
-def node_block(
+def node_columns(
     instance: ProblemInstance, t: int, exponent: int = 0, work: int | np.ndarray = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The node circuit's pre-measurement amplitudes on its live work values.
+    """The node circuit up to the end of the a-register inverse QFT.
 
     The counting registers control c^(j 2^exponent) for c = a and c = b on
     the work register, which starts in |work> or in the given vector: the
     single-node solver runs exponent 0 on |1>, node j of the distributed
     solver exponent l_j - 1 on the previous node's hand-off. Returns
-    ``(block, live)``: ``block[j_a, j_b, i]`` is the amplitude of
-    |j_a>|j_b>|live[i]>; work values outside ``live``, the orbit of the
-    input's support under a^(2^e) and b^(2^e), have amplitude 0.
+    ``(cols, live)``: ``cols[j_a, y]`` is the amplitude, before the b stage,
+    of a-outcome j_a with the work register at y, and ``live``, the orbit of
+    the input's support under a^(2^e) and b^(2^e), holds every y the state
+    reaches; ``cols`` is 0 off it.
 
-    This is the fused node kernel; the gate-level oracle it equals
-    amplitude for amplitude is init_product, hadamard_layer on a and b,
-    controlled_modmul_power for a and b and inverse_qft on a and b. Both
-    counting registers start in |0>, so the Hadamards only scale the work
-    vector, and the multiplications make amplitude [j_a, j_b, y] the scaled
-    work amplitude at a^(-j_a 2^e) b^(-j_b 2^e) y. The a-register transform
-    acts along j_a alone, so it runs on the (2^t, 2^L) gather through the a
-    table before the b table spreads it over j_b. The b-register transform
-    runs only on the live columns.
+    Both counting registers start in |0>, so the Hadamards only scale the
+    work vector, and the a multiplications make ``cols`` the scaled work
+    amplitude at a^(-j_a 2^e) y, transformed along j_a.
     """
     required = 2 * t + instance.L
     if required > statevec.MAX_QUBITS:
@@ -157,17 +157,49 @@ def node_block(
     for _ in range(2 * t):  # rounds exactly as one Hadamard on a |0> qubit
         vec = (vec + 0) * inv_sqrt2
     src_a = statevec.modmul_sources(t, L, instance.a, exponent, N)
-    src_b = statevec.modmul_sources(t, L, instance.b, exponent, N)
     live = np.flatnonzero(vec)
     for c in (pow(instance.a, 1 << exponent, N), pow(instance.b, 1 << exponent, N)):
         for _ in range(N.bit_length()):  # after step i: every power below 2^(i+1)
             live = np.union1d(live, np.where(live < N, live * c % N, live))
             c = c * c % N
-    scale = math.sqrt(1 << t)
-    cols = np.fft.fft(vec[src_a], axis=0) / scale
-    block = np.fft.fft(cols[:, src_b[:, live]], axis=1)
-    block /= scale
-    return block, live
+    cols = np.fft.fft(vec[src_a], axis=0) / math.sqrt(1 << t)
+    return cols, live
+
+
+def node_rows(
+    instance: ProblemInstance, t: int, exponent: int, cols: np.ndarray, live: np.ndarray
+) -> np.ndarray:
+    """The b stage of the node circuit on the given rows of ``node_columns``.
+
+    ``cols`` holds some leading-index rows of the a-stage output; returns
+    ``rows[i, j_b, k]``, the amplitude of |j_b>|live[k]> in row i. The b
+    multiplications make it the row's amplitude at b^(-j_b 2^e) live[k],
+    and the b-register transform runs only on the live columns.
+    """
+    src_b = statevec.modmul_sources(t, instance.L, instance.b, exponent, instance.N)
+    rows = np.fft.fft(cols[:, src_b[:, live]], axis=1)
+    rows /= math.sqrt(1 << t)
+    return rows
+
+
+def node_block(
+    instance: ProblemInstance, t: int, exponent: int = 0, work: int | np.ndarray = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """The node circuit's pre-measurement amplitudes on its live work values.
+
+    Returns ``(block, live)``: ``block[j_a, j_b, i]`` is the amplitude of
+    |j_a>|j_b>|live[i]>, the b stage (``node_rows``) run on every row of
+    the a stage (``node_columns``); work values outside ``live`` have
+    amplitude 0.
+
+    This is the fused node kernel; the gate-level oracle it equals
+    amplitude for amplitude is init_product, hadamard_layer on a and b,
+    controlled_modmul_power for a and b and inverse_qft on a and b. The
+    a-register transform acts along j_a alone, so it runs on the (2^t, 2^L)
+    gather through the a table before the b table spreads it over j_b.
+    """
+    cols, live = node_columns(instance, t, exponent, work)
+    return node_rows(instance, t, exponent, cols, live), live
 
 
 def measure_node(
@@ -178,18 +210,27 @@ def measure_node(
 
     Returns (m_a, m_b) and the renormalised 2^L work vector they leave
     behind: the draws of measure_register on a, then b, then register_vector
-    (the tests hold it to that oracle), read off the live block alone.
+    (the tests hold it to that oracle). Register a is measured before the b
+    stage, which never acts on it: every row of the b table permutes the
+    live values and the b transform is unitary, so by Parseval the
+    a-marginal is 2^t sum_{y in live} |cols[j_a, y]|^2, and only the drawn
+    row goes through the b stage. Its mass must equal that marginal.
     """
-    block, live = node_block(instance, t, exponent, work)
-    rows = (block.real**2 + block.imag**2).sum(axis=2)  # [j_a, j_b]: mass over the work register
-    marginal_a = rows.sum(axis=1)
+    cols, live = node_columns(instance, t, exponent, work)
+    live_cols = cols[:, live]
+    marginal_a = (live_cols.real**2 + live_cols.imag**2).sum(axis=1) * (1 << t)
     norm2 = float(marginal_a.sum())
     if abs(norm2 - 1.0) > statevec.NORM_TOL:
         raise statevec.LayoutError(f"node norm**2 = {norm2!r} drifted beyond {statevec.NORM_TOL}")
     j_a, p_a = statevec.draw_outcome(rng, marginal_a)
-    j_b, _ = statevec.draw_outcome(rng, rows[j_a] / p_a)
+    (row,) = node_rows(instance, t, exponent, cols[j_a : j_a + 1], live)
+    marginal_b = (row.real**2 + row.imag**2).sum(axis=1)  # [j_b]: mass over the work register
+    mass = float(marginal_b.sum())
+    if abs(mass - p_a) > statevec.NORM_TOL:
+        raise statevec.LayoutError(f"row {j_a} mass {mass!r} differs from its marginal {p_a!r}")
+    j_b, _ = statevec.draw_outcome(rng, marginal_b / p_a)
     work_out = np.zeros(1 << instance.L, dtype=np.complex128)
-    work_out[live] = block[j_a, j_b] / math.sqrt(float(rows[j_a, j_b]))
+    work_out[live] = row[j_b] / math.sqrt(float(marginal_b[j_b]))
     return BitString(t, j_a), BitString(t, j_b), work_out
 
 

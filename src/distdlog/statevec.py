@@ -12,8 +12,10 @@ makes independent trials safe to run concurrently.
 The gates (init_product, hadamard_layer, controlled_modmul_power,
 inverse_qft) and measurements (measure_prefix, measure_register,
 register_vector) act on the whole vector: they are the gate-level oracle.
-The solvers' kernel ``dlp.node_block`` and sampler ``dlp.measure_node`` use
-only register_factor, modmul_sources and draw_outcome from here.
+The solvers' kernel (``dlp.node_columns``, the a stage, and ``dlp.node_rows``,
+the b stage) and sampler ``dlp.measure_node`` use only register_factor,
+modmul_sources and draw_outcome from here; fresh runs measure register a
+before b's transform, so they never build the 2^t x 2^t block.
 """
 
 from __future__ import annotations

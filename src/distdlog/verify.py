@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dist, dlp, phase
-from .bits import BitString, circ_dist, wrap_add
+from .bits import BitString, circ_dist, wrap_add  # wrap_add: bench/tests checks verify's binding of it
 from .numtheory import to_fraction, validate_instance
 
 # The sizes of the suites; the check names print most of them.
@@ -134,51 +134,42 @@ def suite_prefix_bound() -> list[CheckResult]:
 
 
 def suite_alignment_facts() -> list[CheckResult]:
-    """Enumerated checks of the two facts the alignment pass rests on:
+    """Exhaustive checks of the two facts the alignment pass rests on:
     the unique small shift between overlapping windows decomposes as
     b_1 + b_2, and a bounded shift acts on a word iff it acts on the
-    word's trailing h bits."""
+    word's trailing h bits.
+
+    Each (t, h) is one sweep of int64 arrays broadcast over the word, the
+    shifts and the candidate shift q: a word's trailing n bits are its
+    value mod 2^n, and ``wrap_add`` on them is + mod 2^n. The tests hold it
+    to the same enumeration over ``BitString`` words (``tests/alignfacts.py``).
+    """
     unique_ok = True
     decompose_ok = True
     for t in range(3, ALIGNMENT_MAX_T + 1):
         for h in range(2, min(t - 1, 4) + 1):
-            tail_lo = t - h  # window [t-h, t], h+1 bits
-            for wv in range(1 << t):
-                w = BitString(t, wv)
-                w_tail = w.slice(tail_lo, t)
-                for b1 in (0, 1, -1):
-                    x = wrap_add(w, -b1)  # so that x + b1 == w
-                    x_tail = x.slice(tail_lo, t)
-                    for b2 in range(-(1 << (h - 2)), (1 << (h - 2)) + 1):
-                        z = wrap_add(w_tail, b2)
-                        matches = [
-                            q
-                            for q in range(-(1 << (h - 1)), (1 << (h - 1)) + 1)
-                            if wrap_add(x_tail, q).value == z.value
-                        ]
-                        unique_ok &= len(matches) == 1
-                        decompose_ok &= matches == [b1 + b2]
+            overlap = 1 << (h + 1)  # window [t-h, t], h+1 bits
+            w = np.arange(1 << t, dtype=np.int64)[:, None, None, None]
+            b1 = np.array([0, 1, -1], dtype=np.int64)[None, :, None, None]
+            b2 = np.arange(-(1 << (h - 2)), (1 << (h - 2)) + 1, dtype=np.int64)[None, None, :, None]
+            q = np.arange(-(1 << (h - 1)), (1 << (h - 1)) + 1, dtype=np.int64)
+            x_tail = (w - b1) % (1 << t) % overlap  # so that x + b1 == w
+            z = (w % overlap + b2) % overlap
+            matches = (x_tail + q) % overlap == z
+            unique_ok &= bool((matches.sum(axis=3) == 1).all())
+            decompose_ok &= bool((matches == (q == b1 + b2)).all())
 
     restrict_ok = True
     for t in range(3, ALIGNMENT_MAX_T + 1):
         for h in range(2, t + 1):
             bound = 1 << (h - 2)
-            for xv in range(1 << t):
-                x = BitString(t, xv)
-                x_tail = x.slice(t - h + 1, t)
-                for b0 in range(-bound, bound + 1):
-                    y = wrap_add(x, b0)
-                    y_tail = y.slice(t - h + 1, t)
-                    solutions = [
-                        b
-                        for b in range(-bound, bound + 1)
-                        if wrap_add(x, b).value == y.value
-                    ]
-                    restrict_ok &= solutions == [b0]
-                    for b in range(-bound, bound + 1):
-                        full = wrap_add(x, b).value == y.value
-                        tail = wrap_add(x_tail, b).value == y_tail.value
-                        restrict_ok &= full == tail
+            x = np.arange(1 << t, dtype=np.int64)[:, None, None]
+            b0 = np.arange(-bound, bound + 1, dtype=np.int64)[None, :, None]
+            b = np.arange(-bound, bound + 1, dtype=np.int64)
+            y = (x + b0) % (1 << t)
+            full = (x + b) % (1 << t) == y
+            tail = (x % (1 << h) + b) % (1 << h) == y % (1 << h)
+            restrict_ok &= bool((full == (b == b0)).all()) and bool((full == tail).all())
     return [
         _result(f"overlap shift unique and b1+b2 (t<={ALIGNMENT_MAX_T})", unique_ok and decompose_ok,
                 unique_ok and decompose_ok, "all hold"),
@@ -244,15 +235,8 @@ def suite_correct(cases: int = 10_000, seed: int = 1) -> list[CheckResult]:
     solvers' own closed-form pass, ``dist.align_values`` (the shift is the
     signed residue of target - tail mod 2^(h+1) clamped to
     [-2^(h-1), 2^(h-1)], +2^(h-1) at the midpoint), elementwise, and the
-    check reports how many cases it moved off the ground truth. A case count
-    whose arrays would pass _CASES_BYTES_CAP is refused before any is drawn.
+    check reports how many cases it moved off the ground truth.
     """
-    nbytes = cases * _CASE_BYTES
-    if nbytes > _CASES_BYTES_CAP:
-        raise ValueError(
-            f"{cases} alignment cases need about {nbytes >> 20} MiB "
-            f"(cap {_CASES_BYTES_CAP >> 20} MiB)"
-        )
     checks = []
     rng = np.random.default_rng(seed)
     for plan in feasible_correct_combos():
@@ -305,6 +289,14 @@ def run_suite(
     cases: int = 10_000,
     seed: int = 1,
 ) -> list[CheckResult]:
+    """Run one suite, or all of them. A case count whose alignment arrays
+    would pass _CASES_BYTES_CAP is refused here, before any suite runs."""
+    nbytes = cases * _CASE_BYTES
+    if nbytes > _CASES_BYTES_CAP:
+        raise ValueError(
+            f"{cases} alignment cases need about {nbytes >> 20} MiB "
+            f"(cap {_CASES_BYTES_CAP >> 20} MiB)"
+        )
     if name == "metric":
         return suite_metric(seed=seed)
     if name == "prefix":

@@ -208,6 +208,45 @@ class TestVerifyCommand:
         assert out == ""
         assert "100000000 alignment cases need about 12969 MiB (cap 256 MiB)" in err
 
+    def test_oversized_cases_refused_before_any_suite(self, capsys, monkeypatch):
+        """``--suite all`` refuses the count before the suites that ignore it."""
+        from distdlog import verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("suite_metric ran before the case count was checked")
+
+        monkeypatch.setattr(verify, "suite_metric", refuse)
+        code, out, err = run_cli(
+            capsys, ["verify", "--suite", "all", "--cases", "100000000"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "100000000 alignment cases need about 12969 MiB (cap 256 MiB)" in err
+
+    def test_alignment_facts_equal_loop_reference(self):
+        from alignfacts import alignment_facts_loops
+        from distdlog import verify
+
+        assert verify.suite_alignment_facts() == alignment_facts_loops()
+
+    @pytest.mark.parametrize(
+        "good, bad",
+        [("(q == b1 + b2)", "(q == b1 - b2)"), ("(x % (1 << h) + b)", "(x % (1 << (h - 1)) + b)")],
+        ids=["decomposition", "trailing-bits"],
+    )
+    def test_alignment_facts_catch_a_false_fact(self, monkeypatch, good, bad):
+        import inspect
+        import textwrap
+
+        from distdlog import verify
+
+        source = textwrap.dedent(inspect.getsource(verify.suite_alignment_facts))
+        assert source.count(good) == 1
+        namespace = dict(vars(verify))
+        exec(source.replace(good, bad), namespace)
+        checks = namespace["suite_alignment_facts"]()
+        assert [check.ok for check in checks].count(False) == 1
+
     def test_metric_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--suite", "metric"])
         assert code == 0

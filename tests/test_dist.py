@@ -592,20 +592,20 @@ class TestSolveDistributed:
         dlp.joint_law.cache_clear()
         dlp.joint_cdf.cache_clear()
         calls = []
-        node_block = dlp.node_block
+        measure_node = dlp.measure_node
 
         def refuse(*args, **kwargs):
             raise AssertionError("node_block ran")
 
         def count(*args, **kwargs):
             calls.append(args)
-            return node_block(*args, **kwargs)
+            return measure_node(*args, **kwargs)
 
         with monkeypatch.context() as patch:
             patch.setattr(dlp, "node_block", refuse)
             with pytest.raises(QubitBudgetError, match="joint law needs"):
                 statevector_joint_distribution(instance, acceptance_plan)
-        monkeypatch.setattr(dlp, "node_block", count)
+        monkeypatch.setattr(dlp, "measure_node", count)
         record = solve_distributed(
             instance, acceptance_plan, np.random.default_rng(3), max_retries=3
         )

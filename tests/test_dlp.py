@@ -5,13 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from distdlog import phase, statevec
+from distdlog import dlp, phase, statevec
 from distdlog.bits import BitString
 from distdlog.dlp import (
     ShorConfig,
     analytic_joint_law,
     joint_law,
     measure_node,
+    node_block,
+    node_columns,
     postprocess_detail,
     quantum_stage_analytic,
     quantum_stage_statevector,
@@ -244,7 +246,30 @@ class TestMeasureNode:
                 assert (m_a, m_b) == (out_a.bits, out_b.bits)
                 assert np.allclose(handoff, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("exponent", [0, 1, 3])
+    @pytest.mark.parametrize("t", range(2, 9))
+    def test_parseval_marginal_equals_block_marginal(self, instance, t, exponent):
+        """The a-marginal read off the a stage, 2^t sum_{y in live}
+        |cols[j_a, y]|^2, is the full block's marginal over j_b and work."""
+        for work in node_inputs(instance):
+            cols, live = node_columns(instance, t, exponent, work)
+            got = (1 << t) * (np.abs(cols[:, live]) ** 2).sum(axis=1)
+            block, block_live = node_block(instance, t, exponent, work)
+            assert np.array_equal(live, block_live)
+            want = (np.abs(block) ** 2).sum(axis=(1, 2))
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_row_mass_checked_against_marginal(self, instance, monkeypatch):
+        node_rows = dlp.node_rows
+        monkeypatch.setattr(dlp, "node_rows", lambda *args: node_rows(*args) * 1.001)
+        with pytest.raises(statevec.LayoutError, match="differs from its marginal"):
+            measure_node(instance, 4, 0, 1, np.random.default_rng(0))
+
     def test_peak_memory_below_one_state(self, instance):
+        """Far below one state: a fresh node never holds a 2^t x 2^t block,
+        and its peak is at most four (2^t, 2^L) complex arrays, the a gather,
+        its transform, the scaled copy and the first-use modmul tables
+        (about 3.5 of them at t = 9)."""
         t = 9  # 2 t + L = 22 qubits
         measure_node(instance, 2, 0, 1, np.random.default_rng(0))
         tracemalloc.start()
@@ -253,7 +278,7 @@ class TestMeasureNode:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 << (2 * t + instance.L)  # bytes of one full state
+        assert peak < 4 * (16 << (t + instance.L))  # bytes of four a-column arrays
 
 
 class TestSolve:
