@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -323,6 +324,19 @@ def analytic_joint_distribution(instance: ProblemInstance, plan: DistPlan) -> np
     return analytic_joint_law(instance, plan.nodes)
 
 
+@lru_cache(maxsize=16)
+def resource_report(instance: ProblemInstance, plan: DistPlan, mode: str) -> ResourceReport:
+    """The accounting every record of a distributed solve carries. It
+    depends only on (instance, plan, mode), so it is built once for them."""
+    per_node = per_node_qubits_from_widths(plan.t, instance.L)
+    return ResourceReport(
+        qubits_single_node_alg2=single_node_qubits(instance.r, instance.L, plan.epsilon),
+        qubits_per_node_alg4=per_node,
+        comm_qubits=communication_qubits(plan.k, instance.L),
+        simulated_qubits_actual=per_node if mode == "statevector" else 0,
+    )
+
+
 def solve_distributed(
     instance: ProblemInstance,
     plan: DistPlan,
@@ -338,16 +352,16 @@ def solve_distributed(
     distribution as running the nodes afresh each attempt.
     """
     nodes = plan.nodes
-    use_reuse = mode == "statevector" and reuse_state
-    if use_reuse:
+    cdf = None
+    if mode == "statevector" and reuse_state:
         try:
-            joint_cdf(instance, nodes)
+            cdf = joint_cdf(instance, nodes)
         except statevec.QubitBudgetError:
-            use_reuse = False  # cached joint too large; run nodes per attempt
+            pass  # cached joint too large; run nodes per attempt
 
     def attempt() -> tuple[BitString, BitString, dict]:
-        if use_reuse:
-            flat = statevec.sample_cdf(rng, joint_cdf(instance, nodes))
+        if cdf is not None:
+            flat = statevec.sample_cdf(rng, cdf)
             pairs, latent_s = decode_joint_index(flat, nodes), None
         else:
             pairs, latent_s = run_distributed_quantum(instance, plan, rng, mode=mode)
@@ -359,13 +373,7 @@ def solve_distributed(
             "correct_fallback": fb_a or fb_b,
         }
 
-    per_node = per_node_qubits_from_widths(plan.t, instance.L)
-    report = ResourceReport(
-        qubits_single_node_alg2=single_node_qubits(instance.r, instance.L, plan.epsilon),
-        qubits_per_node_alg4=per_node,
-        comm_qubits=communication_qubits(plan.k, instance.L),
-        simulated_qubits_actual=per_node if mode == "statevector" else 0,
-    )
+    report = resource_report(instance, plan, mode)
     return retry(
         instance, max_retries, attempt,
         mode=mode, resources=report, comm_qubits=report.comm_qubits,

@@ -9,7 +9,10 @@ runs its plan's chain through the same pieces and the same retry loop.
 The node circuit is a fused kernel in two stages that keeps only the live
 work values: ``node_columns`` runs it to the end of register a's inverse
 QFT, and ``node_rows`` runs the b stage on the rows it is given;
-``node_block`` is both on every row. Fresh runs measure node by node
+``node_block`` is both on every row. The live values, the closure of the
+input's support under a^(2^e) and b^(2^e), come from ``live_orbit``, cached
+per (instance, exponent, support), so repeated fresh runs reuse them and
+only the circuit runs again. Fresh runs measure node by node
 (``measure_chain``): ``measure_node`` draws register a from the a stage
 before b's transform, as nothing later acts on a, and runs the b stage on
 the drawn row alone. They never read the instance's hidden exponent.
@@ -41,7 +44,6 @@ from .resources import (
     ResourceReport,
     communication_qubits,
     order_register_width,
-    single_node_qubits,
     slack_bits_single,
 )
 
@@ -128,6 +130,26 @@ class RunRecord:
         return record
 
 
+@lru_cache(maxsize=32)
+def live_orbit(instance: ProblemInstance, exponent: int, support: bytes) -> np.ndarray:
+    """The closure of ``support`` under multiplication by a^(2^e) and
+    b^(2^e), values >= N fixed: every work value a node circuit on an input
+    with that support reaches, sorted.
+
+    ``support`` is the bytes of the input's ``np.flatnonzero``. Cached per
+    (instance, exponent, support), read-only: a fresh chain meets the same
+    few supports on every attempt.
+    """
+    N = instance.N
+    live = np.frombuffer(support, dtype=np.intp)
+    for c in (pow(instance.a, 1 << exponent, N), pow(instance.b, 1 << exponent, N)):
+        for _ in range(N.bit_length()):  # after step i: every power below 2^(i+1)
+            live = np.union1d(live, np.where(live < N, live * c % N, live))
+            c = c * c % N
+    live.setflags(write=False)
+    return live
+
+
 def node_columns(
     instance: ProblemInstance, t: int, exponent: int = 0, work: int | np.ndarray = 1
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -140,28 +162,31 @@ def node_columns(
     ``(cols, live)``: ``cols[j_a, y]`` is the amplitude, before the b stage,
     of a-outcome j_a with the work register at y, and ``live``, the orbit of
     the input's support under a^(2^e) and b^(2^e), holds every y the state
-    reaches; ``cols`` is 0 off it.
+    reaches; ``cols`` is 0 off it. ``live`` is ``live_orbit``'s cached,
+    read-only array, one per (instance, exponent, support).
 
     Both counting registers start in |0>, so the Hadamards only scale the
     work vector, and the a multiplications make ``cols`` the scaled work
-    amplitude at a^(-j_a 2^e) y, transformed along j_a.
+    amplitude at a^(-j_a 2^e) y, transformed along j_a. A basis input is
+    scaled as one float: its other entries are 0, so the result is the same.
     """
     required = 2 * t + instance.L
     if required > statevec.MAX_QUBITS:
         raise statevec.QubitBudgetError(
             f"circuit needs {required} qubits (cap {statevec.MAX_QUBITS}); use analytic mode"
         )
-    L, N = instance.L, instance.N
-    vec = statevec.register_factor("work", L, work)
+    vec = statevec.register_factor("work", instance.L, work)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for _ in range(2 * t):  # rounds exactly as one Hadamard on a |0> qubit
-        vec = (vec + 0) * inv_sqrt2
-    src_a = statevec.modmul_sources(t, L, instance.a, exponent, N)
-    live = np.flatnonzero(vec)
-    for c in (pow(instance.a, 1 << exponent, N), pow(instance.b, 1 << exponent, N)):
-        for _ in range(N.bit_length()):  # after step i: every power below 2^(i+1)
-            live = np.union1d(live, np.where(live < N, live * c % N, live))
-            c = c * c % N
+    if isinstance(work, (int, np.integer)):
+        scale = 1.0
+        for _ in range(2 * t):
+            scale *= inv_sqrt2
+        vec[work] = scale
+    else:
+        for _ in range(2 * t):  # rounds exactly as one Hadamard on a |0> qubit
+            vec = (vec + 0) * inv_sqrt2
+    src_a = statevec.modmul_sources(t, instance.L, instance.a, exponent, instance.N)
+    live = live_orbit(instance, exponent, np.flatnonzero(vec).tobytes())
     cols = np.fft.fft(vec[src_a], axis=0) / math.sqrt(1 << t)
     return cols, live
 
@@ -458,22 +483,23 @@ def solve(
     """
     t = config.t
     nodes = ((t, 0, t),)
+    cdf = joint_cdf(instance, nodes) if config.mode == "statevector" and reuse_state else None
 
     def attempt() -> tuple[BitString, BitString, dict]:
         if config.mode == "analytic":
             m_a, m_b, latent_s = quantum_stage_analytic(instance, config, rng)
             return m_a, m_b, {"latent_s": latent_s}
-        if reuse_state:
-            flat = statevec.sample_cdf(rng, joint_cdf(instance, nodes))
-            ((m_a, m_b),) = decode_joint_index(flat, nodes)
+        if cdf is not None:
+            ((m_a, m_b),) = decode_joint_index(statevec.sample_cdf(rng, cdf), nodes)
             return m_a, m_b, {}
         return (*quantum_stage_statevector(instance, config, rng), {})
 
+    width = 2 * t + instance.L  # single_node_qubits(r, L, epsilon): t = counting_width(r, epsilon)
     report = ResourceReport(
-        qubits_single_node_alg2=single_node_qubits(instance.r, instance.L, config.epsilon),
+        qubits_single_node_alg2=width,
         qubits_per_node_alg4=None,
         comm_qubits=communication_qubits(1, instance.L),
-        simulated_qubits_actual=2 * t + instance.L if config.mode == "statevector" else 0,
+        simulated_qubits_actual=width if config.mode == "statevector" else 0,
     )
     return retry(instance, config.max_retries, attempt, mode=config.mode, resources=report)
 

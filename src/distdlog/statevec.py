@@ -15,7 +15,9 @@ register_vector) act on the whole vector: they are the gate-level oracle.
 The solvers' kernel (``dlp.node_columns``, the a stage, and ``dlp.node_rows``,
 the b stage) and sampler ``dlp.measure_node`` use only register_factor,
 modmul_sources and draw_outcome from here; fresh runs measure register a
-before b's transform, so they never build the 2^t x 2^t block.
+before b's transform, so they never build the 2^t x 2^t block, and take
+the live work values from ``dlp.live_orbit``'s cache instead of closing
+the orbit again on every run.
 """
 
 from __future__ import annotations

@@ -122,6 +122,25 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    STRICT = ["--N", "23", "--a", "2", "--b", "3", "--epsilon", "0.25", "--seed", "7"]
+
+    @pytest.mark.parametrize(
+        "command, extra, digest",
+        [
+            ("solve", ["--trials", "200", "--max-retries", "1", "--no-reuse"],
+             "df4223b1471f2b0f19a6fb5ea03b7c7c4956a61f8a51134f9fa49a6b58c5877e"),
+            ("solve-dist", DIST + ["--trials", "100", "--no-reuse"],
+             "d5e422f768aecd192d01d62bd09c2150c85bf870be2b85cb3cae89eb948f0f64"),
+        ],
+        ids=["solve-no-reuse", "solve-dist-no-reuse"],
+    )
+    def test_strict_orbit_digest(self, capsys, command, extra, digest):
+        """Fresh runs on N = 23, a = 2 (r = 11, L = 5), whose orbit is a
+        strict subset of the units, so the live closure is not all of them."""
+        code, out, _ = run_cli(capsys, [command] + self.STRICT + extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestResourcesCommand:
     def test_toy_and_symbolic_rows(self, capsys):

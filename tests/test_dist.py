@@ -27,7 +27,7 @@ from distdlog.dist import (
 )
 from distdlog.dlp import ShorConfig, decode_joint_index, node_phase, solve
 from distdlog.numtheory import ProblemInstance, ceil_log2, mod_pow, validate_instance
-from distdlog.resources import per_node_qubits_from_widths
+from distdlog.resources import communication_qubits, per_node_qubits_from_widths, single_node_qubits
 from distdlog.statevec import QubitBudgetError
 from gatelevel import build_stage_state, whole_state_step7
 
@@ -532,6 +532,24 @@ class TestSolveDistributed:
         assert record.m_a.width == acceptance_plan.total_width
         assert record.comm_qubits == 4
         assert record.resources.qubits_per_node_alg4 == 20
+
+    @pytest.mark.parametrize("mode", ["statevector", "analytic"])
+    def test_resource_report_built_once(self, instance, acceptance_plan, mode):
+        """Every record of a (instance, plan, mode) shares one report, and
+        its fields are the ``resources`` formulas."""
+        first, second = (
+            solve_distributed(instance, acceptance_plan, np.random.default_rng(i), mode=mode)
+            for i in range(2)
+        )
+        report = first.resources
+        assert second.resources is report
+        assert report.qubits_single_node_alg2 == single_node_qubits(
+            instance.r, instance.L, acceptance_plan.epsilon
+        )
+        per_node = per_node_qubits_from_widths(acceptance_plan.t, instance.L)
+        assert report.qubits_per_node_alg4 == per_node
+        assert report.comm_qubits == communication_qubits(acceptance_plan.k, instance.L)
+        assert report.simulated_qubits_actual == per_node * (mode == "statevector")
 
     def test_fresh_runs_and_reuse_agree_in_law(self, small_instance, small_plan):
         wins_reuse = sum(

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from distdlog import dlp, phase, statevec
+from distdlog import dlp, phase, resources, statevec
 from distdlog.bits import BitString
+from distdlog.dist import solve_distributed
 from distdlog.dlp import (
     ShorConfig,
     analytic_joint_law,
@@ -21,10 +22,12 @@ from distdlog.dlp import (
     single_shot_success_mass,
     solve,
 )
+from distdlog.harness import ExperimentConfig, run_batch
 from distdlog.numtheory import mod_pow, validate_instance
 from distdlog.phase import phase_outcome_distribution
 
 from gatelevel import build_stage_state, joint_distribution
+from orbitbfs import bfs_closure
 
 
 def bs(text):
@@ -281,6 +284,69 @@ class TestMeasureNode:
         assert peak < 4 * (16 << (t + instance.L))  # bytes of four a-column arrays
 
 
+class TestLiveOrbit:
+    @pytest.mark.parametrize("exponent", [0, 1, 3])
+    @pytest.mark.parametrize("t", range(2, 9))
+    @pytest.mark.parametrize("N, a, b", [(11, 3, 9), (23, 2, 3)])
+    def test_equals_bfs_closure(self, N, a, b, t, exponent):
+        """The cached closure is the breadth-first one for every input, on
+        orbits that are strict subsets of the units, and it is read-only."""
+        instance = validate_instance(N, a, b)
+        for work in node_inputs(instance):
+            _, live = node_columns(instance, t, exponent, work)
+            support = [work] if isinstance(work, int) else np.flatnonzero(work)
+            assert live.tolist() == bfs_closure(instance, exponent, support)
+            assert not live.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                live[0] = live[0]
+
+    def test_one_miss_per_exponent_and_support(self, instance, acceptance_plan, monkeypatch):
+        """Fresh runs of both solvers compute each closure once: every
+        further node on the same (exponent, support) is a cache hit."""
+        cached = dlp.live_orbit
+        cached.cache_clear()
+        keys = []
+
+        def record(*key):
+            keys.append(key)
+            return cached(*key)
+
+        monkeypatch.setattr(dlp, "live_orbit", record)
+        config = ShorConfig.for_instance(instance, "0.25", max_retries=2)
+        for i in range(20):
+            solve(instance, config, np.random.default_rng((13, i)), reuse_state=False)
+            solve_distributed(
+                instance, acceptance_plan, np.random.default_rng((13, i)),
+                max_retries=2, reuse_state=False,
+            )
+        info = cached.cache_info()
+        assert info.hits + info.misses == len(keys) >= 60
+        assert info.misses <= len({(exponent, support) for _, exponent, support in keys})
+
+    def test_warm_cache_gives_cold_records(self):
+        """50 seeded fresh solves give the same records on a warm cache as
+        on a cold one."""
+
+        def batch():
+            return [
+                record.to_json_dict()
+                for algorithm in ("shor", "distributed")
+                for record in run_batch(ExperimentConfig(
+                    11, 3, 9, algorithm=algorithm, epsilon="0.25", epsilon_prime="0.2",
+                    h=2, trials=25, max_retries=1, seed=7, reuse_state=False,
+                )).records
+            ]
+
+        batch()
+        misses = dlp.live_orbit.cache_info().misses
+        warm = batch()
+        assert dlp.live_orbit.cache_info().misses == misses
+        dlp.live_orbit.cache_clear()
+        cold = batch()
+        assert dlp.live_orbit.cache_info().misses > 0
+        assert warm == cold
+
+
 class TestSolve:
     def test_statevector_and_reuse_agree_in_law(self, instance):
         config = ShorConfig.for_instance(instance, "0.25", max_retries=1)
@@ -301,6 +367,20 @@ class TestSolve:
         assert record.g_hat == instance.hidden_g
         assert record.retries < 20
         assert record.resources.simulated_qubits_actual == 18
+
+    @pytest.mark.parametrize("epsilon", ["0.25", "0.1", "0.5"])
+    @pytest.mark.parametrize("mode", ["statevector", "analytic"])
+    def test_resources_match_formulas(self, instance, epsilon, mode):
+        """The record's Alg. 2 width, taken as 2 t + L from the config, is
+        ``resources.single_node_qubits`` of (r, L, epsilon)."""
+        config = ShorConfig.for_instance(instance, epsilon, max_retries=1, mode=mode)
+        report = solve(instance, config, np.random.default_rng(0)).resources
+        assert report.qubits_single_node_alg2 == resources.single_node_qubits(
+            instance.r, instance.L, epsilon
+        )
+        simulated = 2 * config.t + instance.L if mode == "statevector" else 0
+        assert report.simulated_qubits_actual == simulated
+        assert report.comm_qubits == 0 and report.qubits_per_node_alg4 is None
 
     def test_identity_target(self):
         instance = validate_instance(11, 3, 1)
