@@ -1,5 +1,4 @@
-"""Fixed-width bit strings with 1-based, MSB-first indexing, plus exact
-binary-fraction windows.
+"""Fixed-width bit strings with 1-based, MSB-first indexing.
 
 Everything here is pure integer arithmetic; no float ever enters a bit
 computation. All values are immutable, so they are safe to share across
@@ -52,26 +51,3 @@ def wrap_add(x: BitString, b: int) -> BitString:
     """
     return BitString(x.width, (x.value + b) % (1 << x.width))
 
-
-def fraction_bits(numerator: int, denominator: int, i: int, j: int) -> BitString:
-    """Bits ``i..j`` of the binary expansion of numerator/denominator.
-
-    Bit m is floor(2^m * numerator / denominator) mod 2; terminating
-    expansions continue with zeros. Computed by exact integer doubling so
-    the window is bit-perfect at any depth.
-    """
-    _check_proper_fraction(numerator, denominator)
-    if not 1 <= i <= j:
-        raise ValueError(f"bad window [{i},{j}]")
-    width = j - i + 1
-    if width > MAX_WIDTH:
-        raise ValueError(f"window wider than {MAX_WIDTH} bits")
-    prefix = (numerator << j) // denominator
-    return BitString(width, prefix & ((1 << width) - 1))
-
-
-def _check_proper_fraction(numerator: int, denominator: int) -> None:
-    if denominator <= 0:
-        raise ValueError("denominator must be positive")
-    if not 0 <= numerator < denominator:
-        raise ValueError(f"need 0 <= numerator < denominator, got {numerator}/{denominator}")

@@ -512,7 +512,8 @@ def single_shot_success_mass(
     For each branch s the rounded values are classified mod r, and the
     success of every (class_a, class_b) pair is decided by actually
     verifying the exponent it would produce, so no assumption about which
-    outcomes succeed leaks in.
+    outcomes succeed leaks in. The laws of every branch come from one
+    ``phase.outcome_laws`` call per register: s/r for a, (s g mod r)/r for b.
     """
     eps = to_fraction(epsilon)
     t = counting_width(instance.r, eps)
@@ -528,11 +529,12 @@ def single_shot_success_mass(
             g_hat = (inv * vb) % r
             success_table[va, vb] = mod_pow(instance.a, g_hat, instance.N) == instance.b
 
+    s = np.arange(r, dtype=np.int64)
+    laws_a = phase.outcome_laws(s, r, t)
+    laws_b = phase.outcome_laws(s * instance.hidden_g % r, r, t)
     total = 0.0
-    for s in range(r):
-        dist_a = phase.phase_outcome_distribution(node_phase(instance, 0, s, "a"), t)
-        dist_b = phase.phase_outcome_distribution(node_phase(instance, 0, s, "b"), t)
-        mass_a = np.bincount(classes, weights=dist_a, minlength=r)
-        mass_b = np.bincount(classes, weights=dist_b, minlength=r)
+    for law_a, law_b in zip(laws_a, laws_b):
+        mass_a = np.bincount(classes, weights=law_a, minlength=r)
+        mass_b = np.bincount(classes, weights=law_b, minlength=r)
         total += float(mass_a @ success_table @ mass_b)
     return total / r

@@ -5,9 +5,15 @@ counting register. They are the circuit's oracle: the test suites hold
 every distribution the circuit produces (the gate-level estimation circuit
 lives with them, in ``tests/gatelevel.py``) against its closed form. The
 analytic solvers draw from that law one outcome at a time by rejection
-(``sample_phase_outcome``), which builds no 2^t array; the full law
-(``phase_outcome_distribution``) is the oracle for the tests, the joint
-laws and the exact success masses.
+(``sample_phase_outcome``), which builds no 2^t array.
+
+One row kernel builds the full laws: ``outcome_laws`` takes many phases at
+one width and returns their laws as one (rows, 2^t) array, the oracle for
+the tests, the joint laws and the exact success masses.
+``phase_outcome_distribution`` is its cached one-row case. Likewise
+``accuracy_masses`` takes the window and prefix accuracy masses of many
+phases at once, and ``check_accuracy_bound`` is its one-phase case; the
+accuracy suite sweeps every phase s/r through the two kernels.
 
 Phases are exact rationals throughout. Accuracy statements live at the
 2^-t scale, where float phases would poison every window test.
@@ -22,7 +28,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bits import fraction_bits
 from .numtheory import ProblemInstance, ceil_log2_ratio, to_fraction
 
 _MAX_T = 26
@@ -75,31 +80,62 @@ def _peak_factor(res: int, den: int) -> float:
     return math.sin(math.pi * min(res, den - res) / den) ** 2
 
 
-@lru_cache(maxsize=512)
-def phase_outcome_distribution(omega: Fraction, t: int) -> np.ndarray:
-    """Exact outcome distribution of a t-qubit estimation of phase omega.
+def outcome_laws(nums: np.ndarray | int, dens: np.ndarray | int, t: int) -> np.ndarray:
+    """Exact outcome laws of t-qubit estimations of many phases at once.
 
-    Pr[m] = sin^2(pi (2^t w - m)) / (2^2t sin^2(pi (w - m/2^t))), with
-    Pr[m] = 1 at the removable singularity. The singular outcomes are found
-    by exact integer comparison, never by float thresholding, and the
-    numerator is folded modulo 1 before any float enters.
+    Row i of the returned (rows, 2^t) array is the law of the phase
+    nums[i]/dens[i], taken in lowest terms (``dens`` may be one shared
+    denominator): Pr[m] = sin^2(pi (2^t w - m)) / (2^2t sin^2(pi (w - m/2^t))),
+    with Pr[m] = 1 at the removable singularity. The singular outcomes are
+    found by exact integer comparison, never by float thresholding, and each
+    row's numerator is folded modulo 1 before any float enters. A phase
+    outside [0, 1), a width outside 1.._MAX_T or a reduced denominator too
+    wide for exact int64 products raises ValueError; a row whose mass is not
+    1 within 1e-12 raises AssertionError.
     """
-    num, den = _exact_phase(omega, t)
+    nums, dens = np.broadcast_arrays(
+        np.asarray(nums, dtype=np.int64).reshape(-1), np.asarray(dens, dtype=np.int64)
+    )
+    outside = (nums < 0) | (nums >= dens)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"phase must be in [0,1), got {Fraction(int(nums[i]), int(dens[i]))}")
+    if not 1 <= t <= _MAX_T:
+        raise ValueError(f"register width must be in 1..{_MAX_T}, got {t}")
+    common = np.gcd(nums, dens)
+    nums, dens = nums // common, dens // common
+    wide = dens >= 1 << (62 - t)  # t + bits(den) > 62
+    if wide.any():
+        den = int(dens[np.argmax(wide)])
+        raise ValueError(f"width {t} with denominator {den} exceeds exact integer range")
     size = 1 << t
     ms = np.arange(size, dtype=np.int64)
-    diff = (num << t) - ms * den  # 2^t * (w - m/2^t) * den, exact
-    if num == 0:
-        probs = np.zeros(size)
-        probs[0] = 1.0
-    else:
-        peak = _peak_factor((num << t) % den, den)
-        args = math.pi * (diff / float(den << t))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            probs = peak / (float(size) ** 2 * np.sin(args) ** 2)
-        probs[diff == 0] = 1.0
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-12:
+    diff = (nums << t)[:, None] - ms * dens[:, None]  # 2^t * (w - m/2^t) * den, exact
+    residues = ((nums << t) % dens).tolist()
+    peaks = np.array([_peak_factor(res, den) for res, den in zip(residues, dens.tolist())])
+    # peak / (2^2t sin^2(pi diff / (den 2^t))), in place on one float array
+    laws = diff / (dens << t).astype(np.float64)[:, None]
+    laws *= math.pi
+    np.sin(laws, out=laws)
+    np.square(laws, out=laws)
+    laws *= float(size) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(peaks[:, None], laws, out=laws)
+    laws[diff == 0] = 1.0
+    totals = laws.sum(axis=1)
+    drifted = np.abs(totals - 1.0) > 1e-12
+    if drifted.any():
+        total = float(totals[np.argmax(drifted)])
         raise AssertionError(f"distribution mass {total!r} drifted from 1")
+    return laws
+
+
+@lru_cache(maxsize=512)
+def phase_outcome_distribution(omega: Fraction, t: int) -> np.ndarray:
+    """Exact outcome distribution of a t-qubit estimation of phase omega:
+    the one-row case of ``outcome_laws``, cached and read-only."""
+    num, den = _exact_phase(omega, t)
+    (probs,) = outcome_laws(num, den, t)
     probs.setflags(write=False)
     return probs
 
@@ -191,39 +227,59 @@ class AccuracyReport:
     prefix_masses: dict[int, float]
 
 
+# Float-summation guard on every accuracy-mass comparison.
+MASS_SLACK = 1e-12
+
+
 def check_accuracy_bound(
     omega: Fraction, t: int, n: int, epsilon: Fraction | float | str
 ) -> AccuracyReport:
-    """Verify both accuracy guarantees for one phase by exact mass summation.
-
-    Full-width form: mass of {m : d_t(m, w_bits) < 2^(t-n)} >= 1 - eps.
-    Prefix form, for each m in [n, t]: mass of outcomes whose m-bit prefix
-    lies within circular distance 2^(m-n) of the phase's m-bit window.
-    """
+    """Verify both accuracy guarantees for one phase by exact mass summation:
+    the one-phase case of ``accuracy_masses``."""
     eps = to_fraction(epsilon)
     omega = Fraction(omega)
     dist = phase_outcome_distribution(omega, t)
+    (masses,) = accuracy_masses(dist[None], omega.numerator, omega.denominator, n).tolist()
     bound = 1.0 - float(eps)
-    slack = 1e-12  # float-summation guard only
+    return AccuracyReport(
+        ok=min(masses) >= bound - MASS_SLACK,
+        bound=bound,
+        window_mass=masses[0],
+        prefix_masses=dict(zip(range(n, t + 1), masses[1:])),
+    )
 
-    window_mass = _window_mass(dist, omega, t, threshold=1 << (t - n), strict=True)
-    prefix_masses: dict[int, float] = {}
-    ok = window_mass >= bound - slack
+
+def accuracy_masses(
+    laws: np.ndarray, nums: np.ndarray | int, dens: np.ndarray | int, n: int
+) -> np.ndarray:
+    """Both accuracy masses of many phases nums/dens, from their t-bit laws
+    (one row each, as ``outcome_laws`` builds them).
+
+    Column 0 is the full-width form: the mass of {m : d_t(m, w_t) < 2^(t-n)}.
+    Column 1 + m - n, for each m in [n, t], is the prefix form: the mass of
+    outcomes whose m-bit prefix lies within circular distance 2^(m-n) of the
+    phase's m-bit window w_m = floor(2^m w).
+    """
+    t = laws.shape[1].bit_length() - 1
+    columns = [_window_mass(laws, nums, dens, t, 1 << (t - n), strict=True)]
     for m in range(n, t + 1):
-        folded = prefix_marginal(dist, m)
-        mass = _window_mass(folded, omega, m, threshold=1 << (m - n), strict=False)
-        prefix_masses[m] = mass
-        ok = ok and mass >= bound - slack
-    return AccuracyReport(ok=ok, bound=bound, window_mass=window_mass, prefix_masses=prefix_masses)
+        folded = laws.reshape(len(laws), 1 << m, -1).sum(axis=2)  # prefix_marginal per row
+        columns.append(_window_mass(folded, nums, dens, m, 1 << (m - n), strict=False))
+    return np.stack(columns, axis=1)
 
 
 def _window_mass(
-    distribution: np.ndarray, omega: Fraction, width: int, threshold: int, strict: bool
-) -> float:
-    target = fraction_bits(omega.numerator, omega.denominator, 1, width).value
+    laws: np.ndarray, nums: np.ndarray | int, dens: np.ndarray | int, width: int,
+    threshold: int, strict: bool,
+) -> np.ndarray:
+    """Per row, the mass of the outcomes within circular distance
+    ``threshold`` (strictly below it if ``strict``) of the integer target
+    floor(2^width num / den). Every row's mask selects the same number of
+    outcomes, so the masked entries split evenly into rows and each row sums
+    its own in outcome order."""
     size = 1 << width
-    outcomes = np.arange(size, dtype=np.int64)
-    diff = np.abs(outcomes - target)
+    targets = (np.asarray(nums, dtype=np.int64) << width) // np.asarray(dens, dtype=np.int64)
+    diff = np.abs(np.arange(size, dtype=np.int64) - np.reshape(targets, (-1, 1)))
     circ = np.minimum(diff, size - diff)
     mask = circ < threshold if strict else circ <= threshold
-    return float(distribution[mask].sum())
+    return laws[mask].reshape(len(laws), -1).sum(axis=1)

@@ -6,6 +6,13 @@ Each suite returns CheckResult rows so the CLI and the tests can share one
 implementation; exhaustive ranges are vectorised where the state space is
 large.
 
+The accuracy suite (``suite_accuracy``) sweeps every phase s/r of one
+(eps, n) at once through ``phase``'s row kernels: ``outcome_laws`` builds
+their 2^t laws in row blocks and ``accuracy_masses`` their window and
+prefix masses. ``run_suite`` refuses, before any suite runs, a sweep of
+more law entries than _ACCURACY_ENTRIES_CAP, as it refuses a case count
+whose alignment arrays would pass _CASES_BYTES_CAP.
+
 The alignment oracle (``suite_correct``) runs the solvers' own alignment
 pass, ``dist.align_values``, on int64 arrays: one oracle call per sweep.
 That pass is closed form: each node's shift is the signed residue
@@ -35,6 +42,7 @@ METRIC_RANDOM_CASES = 2000
 PREFIX_MAX_T = 8
 ALIGNMENT_MAX_T = 6
 ACCURACY_MAX_N = 6
+ACCURACY_EPSILONS = ("0.5", "0.25", "0.1")
 CORRECT_RS = (5, 7, 11, 13)
 CORRECT_KS = (2, 3)
 CORRECT_HS = (2, 3)
@@ -46,6 +54,16 @@ DLP_MASS_INSTANCES = ((7, 2, 4), (11, 3, 9))
 # admits about two million cases.
 _CASE_BYTES = 136
 _CASES_BYTES_CAP = 1 << 28
+
+# suite_accuracy builds the laws of one (eps, n) in row blocks of at most
+# this many bytes; the kernel's temporaries are a few times one block. At
+# 256 KiB the default sweep's peak stays under the other suites' peak.
+_ACCURACY_BLOCK_BYTES = 1 << 18
+# The most law entries (accuracy_entries) one accuracy sweep may build: about
+# 2.5 s of sweep at 70 to 80 ns per entry (r = 8009, shared 2-core machine).
+# The default sweep builds 322,560; the cap admits r up to 16,644 at the
+# default epsilons.
+_ACCURACY_ENTRIES_CAP = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -179,30 +197,53 @@ def suite_alignment_facts() -> list[CheckResult]:
 
 
 def suite_accuracy(
-    rs: tuple[int, ...] = PRIMES_TO_31, epsilons: tuple = ("0.5", "0.25", "0.1")
+    rs: tuple[int, ...] = PRIMES_TO_31, epsilons: tuple = ACCURACY_EPSILONS
 ) -> list[CheckResult]:
-    """Exhaustive estimation-accuracy masses over all phases s/r."""
+    """Exhaustive estimation-accuracy masses over all phases s/r.
+
+    Each (eps, n) is one sweep over every s/r, one row per phase:
+    ``phase.outcome_laws`` builds their 2^t laws and ``phase.accuracy_masses``
+    their window and prefix masses, in row blocks of at most
+    _ACCURACY_BLOCK_BYTES of law, so the laws' memory stays flat at any r.
+    ``run_suite`` refuses a sweep of more than _ACCURACY_ENTRIES_CAP law
+    entries. The tests hold it to one law and one mass check per phase
+    (``tests/phaseloop.py``).
+    """
+    nums = np.concatenate([np.arange(r, dtype=np.int64) for r in rs])
+    dens = np.repeat(np.asarray(rs, dtype=np.int64), rs)
     checks = []
     for eps_raw in epsilons:
         eps = to_fraction(eps_raw)
+        bound = 1.0 - float(eps)
         worst = 1.0
         ok = True
-        widths = {n: phase.accuracy_width(n, eps) for n in range(1, ACCURACY_MAX_N + 1)}
-        for r in rs:
-            for s in range(r):
-                for n, t in widths.items():
-                    report = phase.check_accuracy_bound(Fraction(s, r), t, n, eps)
-                    ok &= report.ok
-                    worst = min(worst, report.window_mass, *report.prefix_masses.values())
+        for n in range(1, ACCURACY_MAX_N + 1):
+            t = phase.accuracy_width(n, eps)
+            rows = max(1, _ACCURACY_BLOCK_BYTES >> (t + 3))
+            for start in range(0, len(nums), rows):
+                block = slice(start, start + rows)
+                laws = phase.outcome_laws(nums[block], dens[block], t)
+                low = float(phase.accuracy_masses(laws, nums[block], dens[block], n).min())
+                ok &= low >= bound - phase.MASS_SLACK
+                worst = min(worst, low)
         checks.append(
             _result(
                 f"accuracy masses eps={eps} over r in {rs}, n<={ACCURACY_MAX_N}",
                 ok,
                 f"worst mass {worst:.6f}",
-                f">= {1.0 - float(eps):.6f}",
+                f">= {bound:.6f}",
             )
         )
     return checks
+
+
+def accuracy_entries(rs: tuple[int, ...], epsilons: tuple) -> int:
+    """Law entries an accuracy sweep builds: r * sum_n 2^(t_n) per r and eps."""
+    return sum(rs) * sum(
+        1 << phase.accuracy_width(n, to_fraction(eps))
+        for eps in epsilons
+        for n in range(1, ACCURACY_MAX_N + 1)
+    )
 
 
 def feasible_correct_combos() -> list[dist.DistPlan]:
@@ -290,13 +331,23 @@ def run_suite(
     seed: int = 1,
 ) -> list[CheckResult]:
     """Run one suite, or all of them. A case count whose alignment arrays
-    would pass _CASES_BYTES_CAP is refused here, before any suite runs."""
+    would pass _CASES_BYTES_CAP, or an accuracy sweep of more than
+    _ACCURACY_ENTRIES_CAP law entries, is refused here, before any suite
+    runs."""
     nbytes = cases * _CASE_BYTES
     if nbytes > _CASES_BYTES_CAP:
         raise ValueError(
             f"{cases} alignment cases need about {nbytes >> 20} MiB "
             f"(cap {_CASES_BYTES_CAP >> 20} MiB)"
         )
+    rs = (r,) if r is not None else PRIMES_TO_31
+    accuracy_eps = (epsilon,) if epsilon else ACCURACY_EPSILONS
+    if name in ("accuracy", "all"):
+        entries = accuracy_entries(rs, accuracy_eps)
+        if entries > _ACCURACY_ENTRIES_CAP:
+            raise ValueError(
+                f"accuracy sweep needs {entries} law entries (cap {_ACCURACY_ENTRIES_CAP})"
+            )
     if name == "metric":
         return suite_metric(seed=seed)
     if name == "prefix":
@@ -304,9 +355,7 @@ def run_suite(
     if name == "alignment":
         return suite_alignment_facts()
     if name == "accuracy":
-        rs = (r,) if r is not None else PRIMES_TO_31
-        eps = (epsilon,) if epsilon else ("0.5", "0.25", "0.1")
-        return suite_accuracy(rs=rs, epsilons=eps)
+        return suite_accuracy(rs=rs, epsilons=accuracy_eps)
     if name == "correct":
         return suite_correct(cases=cases, seed=seed)
     if name == "dlp-mass":

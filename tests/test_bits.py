@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from distdlog.bits import (
     BitString,
     circ_dist,
-    fraction_bits,
     wrap_add,
 )
+
+from phaseloop import fraction_bits
 
 
 def min_wrap_shift(x: BitString, y: BitString) -> int:

@@ -211,6 +211,76 @@ class TestVerifyCommand:
             "29b2fa2d4aa09a3d7e1194335434fcbcaeea93fef2df4c30d8ad37b0308fb707"
         )
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--suite", "all", "--seed", "1"],
+             "b4fe8048a15058cca9d499b0f889c31357511f8629b3ad707ad37782f73250d7"),
+            (["--suite", "all", "--seed", "7"],
+             "b4fe8048a15058cca9d499b0f889c31357511f8629b3ad707ad37782f73250d7"),
+            (["--suite", "accuracy", "--r", "5", "--epsilon", "0.25"],
+             "b3960116cc02fc71253c0a4ee2ffc371652443638bfada2607e4cd78c75e4eb3"),
+            (["--suite", "accuracy", "--r", "12", "--epsilon", "0.1"],
+             "50720c1a91ad90c68cf95b97adcd192103ce998fca58778bb3ba482d49b29ff4"),
+        ],
+        ids=["all-seed-1", "all-seed-7", "accuracy-readme", "accuracy-composite"],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        """sha256 of the whole stdout, every printed mass included
+        (computed before the accuracy suite became a row sweep)."""
+        code, out, _ = run_cli(capsys, ["verify"] + argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "rs, epsilons",
+        [(None, None), ((12,), ("0.1",)), ((5,), ("0.25",))],
+        ids=["default", "composite-r12", "readme-r5"],
+    )
+    def test_accuracy_suite_equals_loop_reference(self, rs, epsilons):
+        from distdlog import verify
+        from phaseloop import suite_accuracy_loop
+
+        kwargs = {} if rs is None else {"rs": rs, "epsilons": epsilons}
+        assert verify.suite_accuracy(**kwargs) == suite_accuracy_loop(**kwargs)
+
+    def test_accuracy_suite_builds_no_one_phase_law(self, monkeypatch):
+        """The sweep runs on the row kernels alone: it neither fills the
+        one-row law cache nor checks one phase at a time."""
+        from distdlog import phase, verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the accuracy sweep went one phase at a time")
+
+        monkeypatch.setattr(phase, "phase_outcome_distribution", refuse)
+        monkeypatch.setattr(phase, "check_accuracy_bound", refuse)
+        monkeypatch.setattr(phase, "prefix_marginal", refuse)
+        assert all(check.ok for check in verify.suite_accuracy())
+
+    @pytest.mark.parametrize("suite", ["accuracy", "all"])
+    def test_oversized_accuracy_sweep_refused_before_any_suite(self, capsys, monkeypatch, suite):
+        """r = 2^40 would build about 2.2e15 law entries: exit 2 before any
+        suite runs or any law is built."""
+        from distdlog import phase, verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the accuracy sweep's size was checked")
+
+        monkeypatch.setattr(phase, "outcome_laws", refuse)
+        monkeypatch.setattr(verify, "suite_metric", refuse)
+        code, out, err = run_cli(capsys, ["verify", "--suite", suite, "--r", "1099511627776"])
+        assert code == 2
+        assert out == ""
+        assert "accuracy sweep needs 2216615441596416 law entries (cap 33554432)" in err
+
+    def test_default_accuracy_sweeps_far_below_cap(self):
+        from distdlog import verify
+
+        cap = verify._ACCURACY_ENTRIES_CAP
+        assert verify.accuracy_entries(verify.PRIMES_TO_31, verify.ACCURACY_EPSILONS) * 100 <= cap
+        assert verify.accuracy_entries((5,), ("0.25",)) * 10_000 <= cap
+        assert verify.accuracy_entries((1009,), verify.ACCURACY_EPSILONS) * 10 <= cap
+
     def test_oversized_cases_refused_before_drawing(self, capsys, monkeypatch):
         """10^8 cases would need about 13 GB of arrays: exit 2 before any draw."""
         from distdlog import verify

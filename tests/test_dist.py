@@ -10,7 +10,7 @@ import pytest
 
 from alignscan import scan_values
 from distdlog import dist, dlp, phase, verify
-from distdlog.bits import BitString, circ_dist, fraction_bits
+from distdlog.bits import BitString, circ_dist
 from distdlog.dist import (
     DistPlan,
     PlanError,
@@ -30,6 +30,7 @@ from distdlog.numtheory import ProblemInstance, ceil_log2, mod_pow, validate_ins
 from distdlog.resources import communication_qubits, per_node_qubits_from_widths, single_node_qubits
 from distdlog.statevec import QubitBudgetError
 from gatelevel import build_stage_state, whole_state_step7
+from phaseloop import fraction_bits
 
 
 def bs(text):
@@ -690,6 +691,7 @@ def test_analytic_solvers_build_no_full_law(instance, acceptance_plan, monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("an analytic solve built or sampled a full law")
 
+    monkeypatch.setattr(phase, "outcome_laws", refuse)
     monkeypatch.setattr(phase, "phase_outcome_distribution", refuse)
     monkeypatch.setattr(phase, "prefix_marginal", refuse)
     monkeypatch.setattr(statevec, "sample_outcome", refuse)

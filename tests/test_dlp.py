@@ -28,6 +28,7 @@ from distdlog.phase import phase_outcome_distribution
 
 from gatelevel import build_stage_state, joint_distribution
 from orbitbfs import bfs_closure
+from phaseloop import outcome_distribution
 
 
 def bs(text):
@@ -421,6 +422,39 @@ class TestExactMass:
                 Fraction(inst.r - 1, inst.r) * (1 - Fraction(epsilon))
             )
             assert mass >= bound
+
+    @pytest.mark.parametrize("epsilon", ["0.5", "0.25", "0.1"])
+    def test_equals_per_branch_reference(self, instance, small_instance, epsilon):
+        """Bit for bit the mass of the per-branch loop it replaced: one
+        reference law per register and branch, binned by class mod r."""
+        for inst in (instance, small_instance, validate_instance(23, 2, 3)):
+            r = inst.r
+            t = ShorConfig.for_instance(inst, epsilon).t
+            size = 1 << t
+            classes = ((2 * np.arange(size) * r + size) >> (t + 1)) % r
+            success = np.zeros((r, r), dtype=bool)
+            for va in range(1, r):
+                for vb in range(r):
+                    g_hat = (pow(va, -1, r) * vb) % r
+                    success[va, vb] = pow(inst.a, g_hat, inst.N) == inst.b
+            total = 0.0
+            for s in range(r):
+                da = outcome_distribution(Fraction(s, r), t)
+                db = outcome_distribution(Fraction(s * inst.hidden_g % r, r), t)
+                mass_a = np.bincount(classes, weights=da, minlength=r)
+                mass_b = np.bincount(classes, weights=db, minlength=r)
+                total += float(mass_a @ success @ mass_b)
+            assert single_shot_success_mass(inst, epsilon) == total / r
+
+    def test_builds_no_one_row_law(self, instance, monkeypatch):
+        """Both registers' laws come from one row-kernel call each; the
+        one-row law cache is left to the joint laws and the tests."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a one-row law")
+
+        monkeypatch.setattr(phase, "phase_outcome_distribution", refuse)
+        assert single_shot_success_mass(instance, "0.25") > 0.75 * 4 / 5
 
     def test_matches_brute_force_postprocess_sum(self, small_instance):
         """The classed summation equals a direct sweep over all outcome pairs

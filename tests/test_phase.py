@@ -19,6 +19,7 @@ from distdlog.phase import (
 )
 
 from gatelevel import run_phase_estimation
+from phaseloop import accuracy_report, outcome_distribution
 
 
 def double_sum_distribution(omega: Fraction, t: int) -> np.ndarray:
@@ -134,6 +135,118 @@ class TestOutcomeDistribution:
             phase_outcome_distribution(Fraction(3, 2), 4)
 
 
+REJECTED = [
+    (Fraction(3, 2), 4), (Fraction(1), 4), (Fraction(-1, 5), 4), (Fraction(1, 5), 0),
+    (Fraction(1, 5), 27), (Fraction(1, (1 << 40) + 1), 22),
+    (Fraction(12345678901, (1 << 45) + 59), 20),
+]
+REJECTED_IDS = ["above-one", "one", "negative", "t-zero", "t-above-cap", "62-bit-limit",
+                "int64-overflow"]
+
+
+def kernel_rows(nums, den: int, t: int) -> np.ndarray:
+    """``outcome_laws`` of nums/den in blocks of at most 2^20 entries."""
+    step = max(1, (1 << 20) >> t)
+    return np.concatenate(
+        [phase.outcome_laws(nums[i : i + step], den, t) for i in range(0, len(nums), step)]
+    )
+
+
+class TestOutcomeLaws:
+    """The row kernel against the one-phase body it replaced
+    (``tests/phaseloop.py``), bit for bit."""
+
+    @pytest.mark.parametrize("t", range(1, 11))
+    def test_rows_equal_reference_small_orders(self, t):
+        """Every s/r for r = 2..40, composite r (unreduced s/r) and s = 0
+        included."""
+        for r in range(2, 41):
+            laws = phase.outcome_laws(np.arange(r), r, t)
+            assert laws.shape == (r, 1 << t)
+            for s in range(r):
+                assert np.array_equal(laws[s], outcome_distribution(Fraction(s, r), t)), (s, r)
+
+    def test_rows_equal_reference_large_order(self):
+        r = 16001
+        nums = np.arange(0, r, 97)
+        for t in range(1, 18):
+            laws = kernel_rows(nums, r, t)
+            for num, row in zip(nums.tolist(), laws):
+                assert np.array_equal(row, outcome_distribution(Fraction(num, r), t)), (num, t)
+
+    def test_mass_drift_raises_exactly_where_reference_raises(self):
+        """At r = 16001 a phase within 1/r of 1 puts its peak entry's
+        denominator sine next to pi, and the mass drifts past 1e-12. Over
+        those phases and the residues next to a full turn that
+        ``bench/run.py``'s ``fault_numerators`` tries, the kernel raises
+        AssertionError on exactly the rows the reference does, and a block
+        raises when any of its rows does."""
+        r = 16001
+        raised = 0
+        for t in range(1, 18):
+            inverse = pow(pow(2, t, r), -1, r)
+            nums = sorted({(r - d) * inverse % r for d in range(1, 17)} | set(range(r - 16, r)))
+            want, got = set(), set()
+            for num in nums:
+                try:
+                    outcome_distribution(Fraction(num, r), t)
+                except AssertionError:
+                    want.add(num)
+                try:
+                    phase.outcome_laws([num], r, t)
+                except AssertionError:
+                    got.add(num)
+            assert got == want, t
+            if want:
+                with pytest.raises(AssertionError, match="drifted from 1"):
+                    phase.outcome_laws(nums, r, t)
+            else:
+                phase.outcome_laws(nums, r, t)
+            raised += len(want)
+        assert raised > 0
+
+    @pytest.mark.parametrize("omega, t", REJECTED, ids=REJECTED_IDS)
+    def test_value_errors_match_the_one_row_law(self, omega, t):
+        """A bad row among good ones raises the one-row law's error."""
+        with pytest.raises(ValueError) as law_error:
+            phase_outcome_distribution(omega, t)
+        with pytest.raises(ValueError) as row_error:
+            phase.outcome_laws([0, omega.numerator], [1, omega.denominator], t)
+        assert str(row_error.value) == str(law_error.value)
+
+    def test_one_row_law_is_cached_read_only(self):
+        law = phase_outcome_distribution(Fraction(2, 7), 6)
+        assert phase_outcome_distribution(Fraction(2, 7), 6) is law
+        assert not law.flags.writeable
+        assert np.array_equal(law, phase.outcome_laws([2], 7, 6)[0])
+
+
+class TestAccuracyMasses:
+    """The vectorised window and prefix masses against the one-phase
+    boolean-mask sums they replaced (``tests/phaseloop.py``), bit for bit."""
+
+    def test_rows_equal_one_phase_reports(self):
+        for r in (12, 31, 97):
+            nums = np.arange(r)
+            for eps in ("0.5", "0.1"):
+                for n in range(1, 7):
+                    t = accuracy_width(n, eps)
+                    masses = phase.accuracy_masses(phase.outcome_laws(nums, r, t), nums, r, n)
+                    assert masses.shape == (r, t - n + 2)
+                    for s, row in enumerate(masses.tolist()):
+                        report = accuracy_report(Fraction(s, r), t, n, eps)
+                        assert row == [report.window_mass, *report.prefix_masses.values()], (s, r, n)
+
+    def test_one_phase_report_equals_reference(self):
+        for r in range(2, 25):
+            for s in range(r):
+                for n in (1, 2, 3):
+                    for eps in ("0.5", "0.1"):
+                        t = accuracy_width(n, eps)
+                        want = accuracy_report(Fraction(s, r), t, n, eps)
+                        assert check_accuracy_bound(Fraction(s, r), t, n, eps) == want
+
+
 SAMPLER_DENOMINATORS = (3, 5, 7, 11, 13, 31, 37, 101)
 
 
@@ -225,14 +338,7 @@ class TestPhaseSampler:
         assert sample_phase_outcome(NoDrawRng(), omega, t) == outcome
         assert phase_outcome_distribution(omega, t)[outcome] == 1.0
 
-    @pytest.mark.parametrize(
-        "omega, t",
-        [(Fraction(3, 2), 4), (Fraction(1), 4), (Fraction(-1, 5), 4), (Fraction(1, 5), 0),
-         (Fraction(1, 5), 27), (Fraction(1, (1 << 40) + 1), 22),
-         (Fraction(12345678901, (1 << 45) + 59), 20)],
-        ids=["above-one", "one", "negative", "t-zero", "t-above-cap", "62-bit-limit",
-             "int64-overflow"],
-    )
+    @pytest.mark.parametrize("omega, t", REJECTED, ids=REJECTED_IDS)
     def test_rejects_what_the_law_rejects(self, omega, t):
         """The sampler and the amplitudes refuse exactly what the law does;
         past the 62-bit range the amplitudes' int64 products would wrap."""
