@@ -9,7 +9,11 @@ analytic solvers draw from that law one outcome at a time by rejection
 
 One row kernel builds the full laws: ``outcome_laws`` takes many phases at
 one width and returns their laws as one (rows, 2^t) array, the oracle for
-the tests, the joint laws and the exact success masses.
+the tests, the joint laws and the exact success masses. It takes each entry
+at its offset j in (-2^(t-1), 2^(t-1)] from the row's peak, so the sine in
+its denominator is folded, in integers, to the half-turn nearer 0 and is
+never evaluated next to a full turn; each entry is then the sampler's weight
+``_offset_probability`` at that offset, bit for bit.
 ``phase_outcome_distribution`` is its cached one-row case. Likewise
 ``accuracy_masses`` takes the window and prefix accuracy masses of many
 phases at once, and ``check_accuracy_bound`` is its one-phase case; the
@@ -87,8 +91,10 @@ def outcome_laws(nums: np.ndarray | int, dens: np.ndarray | int, t: int) -> np.n
     nums[i]/dens[i], taken in lowest terms (``dens`` may be one shared
     denominator): Pr[m] = sin^2(pi (2^t w - m)) / (2^2t sin^2(pi (w - m/2^t))),
     with Pr[m] = 1 at the removable singularity. The singular outcomes are
-    found by exact integer comparison, never by float thresholding, and each
-    row's numerator is folded modulo 1 before any float enters. A phase
+    found by exact integer comparison, never by float thresholding. Before
+    any float enters, each row's numerator is folded modulo 1, and each
+    entry's denominator sine is folded by whole turns to the offset of m from
+    the row's peak, as ``_offset_probability`` takes it. A phase
     outside [0, 1), a width outside 1.._MAX_T or a reduced denominator too
     wide for exact int64 products raises ValueError; a row whose mass is not
     1 within 1e-12 raises AssertionError.
@@ -108,11 +114,18 @@ def outcome_laws(nums: np.ndarray | int, dens: np.ndarray | int, t: int) -> np.n
     if wide.any():
         den = int(dens[np.argmax(wide)])
         raise ValueError(f"width {t} with denominator {den} exceeds exact integer range")
-    size = 1 << t
-    ms = np.arange(size, dtype=np.int64)
-    diff = (nums << t)[:, None] - ms * dens[:, None]  # 2^t * (w - m/2^t) * den, exact
-    residues = ((nums << t) % dens).tolist()
-    peaks = np.array([_peak_factor(res, den) for res, den in zip(residues, dens.tolist())])
+    size, lift = 1 << t, (1 << (t - 1)) - 1
+    peaks_at, rems = np.divmod(nums << t, dens)  # 2^t w = c + rem/den
+    # Outcome m sits at offset j = m - c from the peak, taken mod 2^t in
+    # (-2^(t-1), 2^(t-1)]; rem - j den is its exact numerator
+    # 2^t den (w - m/2^t), folded by whole turns to the half-turn nearer 0.
+    # In place on one int64 array: (m - c + lift) mod 2^t = j + lift, and
+    # rem - j den = (rem + lift den) - (j + lift) den.
+    diff = np.arange(size, dtype=np.int64) - (peaks_at - lift)[:, None]
+    diff &= size - 1
+    diff *= dens[:, None]
+    np.subtract((rems + lift * dens)[:, None], diff, out=diff)
+    peaks = np.array([_peak_factor(rem, den) for rem, den in zip(rems.tolist(), dens.tolist())])
     # peak / (2^2t sin^2(pi diff / (den 2^t))), in place on one float array
     laws = diff / (dens << t).astype(np.float64)[:, None]
     laws *= math.pi
@@ -182,11 +195,12 @@ def sample_phase_outcome(rng: np.random.Generator, omega: Fraction, t: int) -> i
 
 
 def _offset_probability(peak: float, rem: int, den: int, t: int, j: int) -> float:
-    """p(j): the entry of phase_outcome_distribution at outcome c + j, where
+    """p(j): the entry of outcome_laws at outcome c + j, bit for bit, where
     2^t w = c + rem/den, 0 < rem < den, and peak = _peak_factor(rem, den).
-    Its exact numerator 2^t den (w - (c + j)/2^t) is rem - j den."""
-    args = math.pi * ((rem - j * den) / float(den << t))
-    return peak / (float(1 << t) ** 2 * math.sin(args) ** 2)
+    Its exact numerator 2^t den (w - (c + j)/2^t) is rem - j den. The sine
+    is squared by one multiplication, as the law kernel squares it."""
+    sine = math.sin(math.pi * ((rem - j * den) / float(den << t)))
+    return peak / (float(1 << t) ** 2 * (sine * sine))
 
 
 def phase_state_amplitudes(omega: Fraction, t: int) -> np.ndarray:

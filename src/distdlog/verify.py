@@ -3,8 +3,14 @@ prefix-distance bound, the alignment-step facts, the estimation accuracy
 bounds, the alignment oracle, and the exact solver success masses.
 
 Each suite returns CheckResult rows so the CLI and the tests can share one
-implementation; exhaustive ranges are vectorised where the state space is
-large.
+implementation; exhaustive ranges and random cases are swept as numpy arrays.
+
+The distance suites (``suite_metric``, ``suite_prefix_bound``) compute every
+circular distance through one formula, ``_circ_dist``. The metric suite
+draws its random cases as arrays (``_metric_cases``) and checks them in one
+pass; the prefix suite builds each prefix-distance table once per width and
+checks it against every shorter prefix. The tests hold them to the per-case
+``BitString`` loops they replaced (``tests/metricloop.py``).
 
 The accuracy suite (``suite_accuracy``) sweeps every phase s/r of one
 (eps, n) at once through ``phase``'s row kernels: ``outcome_laws`` builds
@@ -32,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dist, dlp, phase
-from .bits import BitString, circ_dist, wrap_add  # wrap_add: bench/tests checks verify's binding of it
+from .bits import circ_dist, wrap_add  # bench/tests checks verify's binding of both
 from .numtheory import to_fraction, validate_instance
 
 # The sizes of the suites; the check names print most of them.
@@ -78,15 +84,45 @@ def _result(name: str, ok: bool, achieved, bound) -> CheckResult:
     return CheckResult(name=name, ok=bool(ok), achieved=str(achieved), bound=str(bound))
 
 
+def _circ_dist(x, y, width):
+    """Circular distance min(|x-y|, 2^width - |x-y|), elementwise on int64
+    arrays; ``width`` may be one width or an array of them."""
+    diff = np.abs(x - y)
+    return np.minimum(diff, (1 << width) - diff, out=diff)
+
+
 def _circ_table(t: int) -> np.ndarray:
     vals = np.arange(1 << t, dtype=np.int64)
-    diff = np.abs(vals[:, None] - vals[None, :])
-    return np.minimum(diff, (1 << t) - diff)
+    return _circ_dist(vals[:, None], vals[None, :], t)
+
+
+def _prefix_table(t: int, t1: int) -> np.ndarray:
+    """Circular distances of the t1-bit prefixes of every pair of t-bit words."""
+    prefix = np.arange(1 << t, dtype=np.int64) >> (t - t1)
+    return _circ_dist(prefix[:, None], prefix[None, :], t1)
+
+
+def _metric_cases(seed: int) -> tuple[np.ndarray, ...]:
+    """The random cases of ``suite_metric``: per case a width t in 2..16,
+    three words x, y, z below 2^t and a prefix width t0 in 1..t-1, drawn
+    as int64 arrays."""
+    rng = np.random.default_rng(seed)
+    t = rng.integers(2, 17, size=METRIC_RANDOM_CASES)
+    x, y, z = rng.integers(0, 1 << t, size=(3, METRIC_RANDOM_CASES))
+    t0 = rng.integers(1, t)
+    return t, x, y, z, t0
 
 
 def suite_metric(seed: int = 0) -> list[CheckResult]:
     """Distance axioms, the minimal-shift characterisation, and the one-bit
-    prefix consequence, exhaustively for small widths and sampled above."""
+    prefix consequence, exhaustively for small widths and sampled above.
+
+    Every row runs on int64 arrays through one distance formula,
+    ``_circ_dist``. The minimal-shift scan is one ``np.minimum.at`` over
+    every (word, shift) pair, and the random cases (``_metric_cases``) are
+    checked in one pass. The tests hold the random row to the per-case
+    ``BitString`` loop it replaced (``tests/metricloop.py``).
+    """
     checks: list[CheckResult] = []
 
     axioms_ok = True
@@ -102,51 +138,48 @@ def suite_metric(seed: int = 0) -> list[CheckResult]:
 
         # minimal |b| with (x + b) mod 2^t == y, by explicit scan over b
         best = np.full((size, size), size, dtype=np.int64)
-        for b in range(-(size - 1), size):
-            np.minimum.at(best, (vals, (vals + b) % size), abs(b))
+        b = np.arange(-(size - 1), size, dtype=np.int64)
+        np.minimum.at(best, (vals[:, None], (vals[:, None] + b) % size), np.abs(b))
         shift_ok &= bool((best == D).all())
 
         for t0 in range(1, t):
             mask = D < (1 << (t - t0))
-            prefix = vals >> (t - t0)
-            pdiff = np.abs(prefix[:, None] - prefix[None, :])
-            pd = np.minimum(pdiff, (1 << t0) - pdiff)
-            prefix_ok &= bool((pd[mask] <= 1).all())
+            prefix_ok &= bool((_prefix_table(t, t0)[mask] <= 1).all())
 
     checks.append(_result(f"distance axioms exhaustive t<={METRIC_EXHAUSTIVE_T}", axioms_ok, axioms_ok, "all hold"))
     checks.append(_result(f"minimal-shift form exhaustive t<={METRIC_EXHAUSTIVE_T}", shift_ok, shift_ok, "all hold"))
     checks.append(_result(f"one-bit prefix fact exhaustive t<={METRIC_EXHAUSTIVE_T}", prefix_ok, prefix_ok, "all hold"))
 
-    rng = np.random.default_rng(seed)
-    random_ok = True
-    for _ in range(METRIC_RANDOM_CASES):
-        t = int(rng.integers(2, 17))
-        size = 1 << t
-        xv, yv, zv = (int(v) for v in rng.integers(0, size, size=3))
-        x, y, z = BitString(t, xv), BitString(t, yv), BitString(t, zv)
-        random_ok &= (circ_dist(x, y) == 0) == (xv == yv)
-        random_ok &= circ_dist(x, y) == circ_dist(y, x)
-        random_ok &= circ_dist(x, z) <= circ_dist(x, y) + circ_dist(y, z)
-        t0 = int(rng.integers(1, t))
-        if circ_dist(x, y) < (1 << (t - t0)):
-            random_ok &= circ_dist(x.slice(1, t0), y.slice(1, t0)) <= 1
+    t, x, y, z, t0 = _metric_cases(seed)
+    shift = t - t0  # a t0-bit prefix is the word >> (t - t0)
+    dxy = _circ_dist(x, y, t)
+    close = dxy < (1 << shift)
+    random_ok = bool(
+        ((dxy == 0) == (x == y)).all()
+        and (dxy == _circ_dist(y, x, t)).all()
+        and (_circ_dist(x, z, t) <= dxy + _circ_dist(y, z, t)).all()
+        and (_circ_dist(x >> shift, y >> shift, t0)[close] <= 1).all()
+    )
     checks.append(_result(f"distance axioms random t<=16 ({METRIC_RANDOM_CASES} cases)", random_ok, random_ok, "all hold"))
     return checks
 
 
 def suite_prefix_bound() -> list[CheckResult]:
     """Exhaustive check of the general prefix-distance bound:
-    d_t(x,y) < 2^(t-t0) implies d_t1(prefixes) <= 2^(t1-t0) for t0 <= t1 <= t."""
+    d_t(x,y) < 2^(t-t0) implies d_t1(prefixes) <= 2^(t1-t0) for t0 <= t1 <= t.
+
+    Every (t, t0, t1) and every pair of t-bit words is checked. Each t1's
+    prefix-distance table is built once and checked against every t0 <= t1.
+    The tests hold it to the t0-outer triple loop it replaced
+    (``tests/metricloop.py``).
+    """
     ok = True
     for t in range(2, PREFIX_MAX_T + 1):
         D = _circ_table(t)
-        vals = np.arange(1 << t, dtype=np.int64)
-        for t0 in range(1, t + 1):
-            mask = D < (1 << (t - t0))
-            for t1 in range(t0, t + 1):
-                prefix = vals >> (t - t1)
-                pdiff = np.abs(prefix[:, None] - prefix[None, :])
-                pd = np.minimum(pdiff, (1 << t1) - pdiff)
+        for t1 in range(1, t + 1):
+            pd = _prefix_table(t, t1)
+            for t0 in range(1, t1 + 1):
+                mask = D < (1 << (t - t0))
                 ok &= bool((pd[mask] <= (1 << (t1 - t0))).all())
     return [_result(f"prefix-distance bound exhaustive t<={PREFIX_MAX_T}", ok, ok, "all hold")]
 

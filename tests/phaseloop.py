@@ -1,7 +1,8 @@
 """The per-phase accuracy path, the reference for ``phase.outcome_laws``,
 ``phase.accuracy_masses`` and ``verify.suite_accuracy``.
 
-``outcome_distribution`` builds one phase's 2^t law on its own,
+``outcome_distribution`` builds one phase's 2^t law on its own, each entry
+taken at its offset from the peak as the kernel takes it,
 ``accuracy_report`` sums its window and prefix masses with boolean masks on
 that one law around the window ``fraction_bits`` gives, and
 ``suite_accuracy_loop`` calls it once per (eps, r, s, n), the way the
@@ -51,12 +52,14 @@ def outcome_distribution(omega: Fraction, t: int) -> np.ndarray:
     num, den = _exact_phase(omega, t)
     size = 1 << t
     ms = np.arange(size, dtype=np.int64)
-    diff = (num << t) - ms * den  # 2^t * (w - m/2^t) * den, exact
+    c, rem = divmod(num << t, den)
+    offsets = (ms - c + (size >> 1) - 1) % size - ((size >> 1) - 1)  # in (-2^(t-1), 2^(t-1)]
+    diff = rem - offsets * den  # 2^t * (w - m/2^t) * den, exact, folded by whole turns
     if num == 0:
         probs = np.zeros(size)
         probs[0] = 1.0
     else:
-        peak = _peak_factor((num << t) % den, den)
+        peak = _peak_factor(rem, den)
         args = math.pi * (diff / float(den << t))
         with np.errstate(divide="ignore", invalid="ignore"):
             probs = peak / (float(size) ** 2 * np.sin(args) ** 2)

@@ -13,6 +13,23 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def verify_mutant(names, good, bad) -> dict:
+    """A copy of ``verify``'s namespace in which the named functions are
+    redefined from their source with ``good`` (found exactly once among
+    them) replaced by ``bad``."""
+    import inspect
+    import textwrap
+
+    from distdlog import verify
+
+    sources = [textwrap.dedent(inspect.getsource(getattr(verify, name))) for name in names]
+    assert sum(source.count(good) for source in sources) == 1
+    namespace = dict(vars(verify))
+    for source in sources:
+        exec(source.replace(good, bad), namespace)
+    return namespace
+
+
 class TestSolveCommand:
     def test_records_and_summary(self, capsys):
         code, out, _ = run_cli(
@@ -323,18 +340,68 @@ class TestVerifyCommand:
         [("(q == b1 + b2)", "(q == b1 - b2)"), ("(x % (1 << h) + b)", "(x % (1 << (h - 1)) + b)")],
         ids=["decomposition", "trailing-bits"],
     )
-    def test_alignment_facts_catch_a_false_fact(self, monkeypatch, good, bad):
-        import inspect
-        import textwrap
-
-        from distdlog import verify
-
-        source = textwrap.dedent(inspect.getsource(verify.suite_alignment_facts))
-        assert source.count(good) == 1
-        namespace = dict(vars(verify))
-        exec(source.replace(good, bad), namespace)
+    def test_alignment_facts_catch_a_false_fact(self, good, bad):
+        namespace = verify_mutant(("suite_alignment_facts",), good, bad)
         checks = namespace["suite_alignment_facts"]()
         assert [check.ok for check in checks].count(False) == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_metric_random_row_equals_case_loop(self, seed):
+        """The array row against the per-case ``BitString`` loop it replaced
+        (``tests/metricloop.py``), on the cases the suite draws: the same
+        verdict per case and overall, ``bits.circ_dist`` equal to the array
+        distance on every pair the row compares, and ``BitString.slice(1, t0)``
+        equal to the word shifted right by t - t0."""
+        from metricloop import metric_random_loop, random_case_ok
+        from distdlog import verify
+        from distdlog.bits import BitString, circ_dist
+
+        t, x, y, z, t0 = verify._metric_cases(seed)
+        shift = t - t0
+        pairs = {(0, 1): verify._circ_dist(x, y, t), (1, 0): verify._circ_dist(y, x, t),
+                 (0, 2): verify._circ_dist(x, z, t), (1, 2): verify._circ_dist(y, z, t)}
+        prefix = verify._circ_dist(x >> shift, y >> shift, t0)
+        cases = list(zip(*(column.tolist() for column in (t, x, y, z, t0))))
+        assert len(cases) == verify.METRIC_RANDOM_CASES
+        for i, (tv, xv, yv, zv, t0v) in enumerate(cases):
+            assert random_case_ok(tv, xv, yv, zv, t0v)
+            words = [BitString(tv, v) for v in (xv, yv, zv)]
+            for (a, b), dist in pairs.items():
+                assert circ_dist(words[a], words[b]) == dist[i], (i, a, b)
+            heads = [word.slice(1, t0v) for word in words[:2]]
+            assert [head.value for head in heads] == [xv >> (tv - t0v), yv >> (tv - t0v)]
+            assert circ_dist(*heads) == prefix[i], i
+        assert verify.suite_metric(seed)[-1] == metric_random_loop(cases)
+
+    def test_prefix_bound_equals_triple_loop(self):
+        from metricloop import prefix_bound_loops
+        from distdlog import verify
+
+        assert verify.suite_prefix_bound() == prefix_bound_loops()
+
+    @pytest.mark.parametrize(
+        "bad, oks",
+        [("np.minimum(diff, (1 << width) - diff, out=diff) - (diff != 0)", [False, False, True, False]),
+         ("np.minimum(diff, (1 << width) - diff, out=diff) + (diff != 0)", [True, False, False, False])],
+        ids=["one-short", "one-long"],
+    )
+    def test_metric_rows_catch_a_false_distance(self, bad, oks):
+        """A distance one off at every unequal pair fails the random row.
+        One short makes neighbours distance 0 and fails the axioms; one long
+        is still a metric, so the axiom row holds and the minimal-shift and
+        one-bit prefix rows fail."""
+        names = ("_circ_dist", "_circ_table", "_prefix_table", "suite_metric")
+        namespace = verify_mutant(names, "np.minimum(diff, (1 << width) - diff, out=diff)", bad)
+        for seed in (0, 1, 7):
+            assert [check.ok for check in namespace["suite_metric"](seed)] == oks, seed
+
+    def test_prefix_bound_catches_a_tightened_bound(self):
+        namespace = verify_mutant(
+            ("suite_prefix_bound",),
+            "(pd[mask] <= (1 << (t1 - t0)))",
+            "(pd[mask] <= (1 << (t1 - t0)) - 1)",
+        )
+        assert [check.ok for check in namespace["suite_prefix_bound"]()] == [False]
 
     def test_metric_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--suite", "metric"])

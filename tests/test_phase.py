@@ -144,6 +144,13 @@ REJECTED_IDS = ["above-one", "one", "negative", "t-zero", "t-above-cap", "62-bit
                 "int64-overflow"]
 
 
+def near_turn_numerators(r: int, t: int) -> list[int]:
+    """The last 16 numerators of r and the 16 whose residue (num << t) mod r
+    lies just below r: the phases that put a sine next to a full turn."""
+    inverse = pow(pow(2, t, r), -1, r)
+    return sorted({(r - d) * inverse % r for d in range(1, 17)} | set(range(r - 16, r)))
+
+
 def kernel_rows(nums, den: int, t: int) -> np.ndarray:
     """``outcome_laws`` of nums/den in blocks of at most 2^20 entries."""
     step = max(1, (1 << 20) >> t)
@@ -174,36 +181,48 @@ class TestOutcomeLaws:
             for num, row in zip(nums.tolist(), laws):
                 assert np.array_equal(row, outcome_distribution(Fraction(num, r), t)), (num, t)
 
-    def test_mass_drift_raises_exactly_where_reference_raises(self):
+    def test_rows_next_to_a_full_turn_keep_their_mass(self):
         """At r = 16001 a phase within 1/r of 1 puts its peak entry's
-        denominator sine next to pi, and the mass drifts past 1e-12. Over
-        those phases and the residues next to a full turn that
-        ``bench/run.py``'s ``fault_numerators`` tries, the kernel raises
-        AssertionError on exactly the rows the reference does, and a block
-        raises when any of its rows does."""
+        unfolded denominator sine next to pi, where the mass used to drift
+        by about 1.28e-12. Folded to the offset from the peak, every such
+        row, and every residue next to a full turn that ``bench/run.py``'s
+        ``fault_numerators`` tries, sums to 1 within 1e-12, in the kernel
+        and in the reference, one row at a time and as one block."""
         r = 16001
-        raised = 0
         for t in range(1, 18):
-            inverse = pow(pow(2, t, r), -1, r)
-            nums = sorted({(r - d) * inverse % r for d in range(1, 17)} | set(range(r - 16, r)))
-            want, got = set(), set()
-            for num in nums:
-                try:
-                    outcome_distribution(Fraction(num, r), t)
-                except AssertionError:
-                    want.add(num)
-                try:
-                    phase.outcome_laws([num], r, t)
-                except AssertionError:
-                    got.add(num)
-            assert got == want, t
-            if want:
-                with pytest.raises(AssertionError, match="drifted from 1"):
-                    phase.outcome_laws(nums, r, t)
-            else:
-                phase.outcome_laws(nums, r, t)
-            raised += len(want)
-        assert raised > 0
+            nums = near_turn_numerators(r, t)
+            laws = phase.outcome_laws(nums, r, t)
+            assert np.abs(laws.sum(axis=1) - 1.0).max() <= 1e-12, t
+            for num, row in zip(nums, laws):
+                assert abs(outcome_distribution(Fraction(num, r), t).sum() - 1.0) <= 1e-12
+                assert np.array_equal(phase.outcome_laws([num], r, t)[0], row), (num, t)
+
+    def test_entries_stay_near_the_unfolded_formula(self):
+        """Folding by whole turns moves no entry by more than 1e-9 relative
+        from sin^2(pi (2^t w - m)) / (2^2t sin^2(pi (w - m/2^t))) evaluated
+        unfolded: every s/r for r = 2..40 at t = 1..10, and at r = 16001
+        the phases next to a full turn at t = 1..17 and every 97th phase at
+        t = 1..12."""
+        cases = [(np.arange(r), r, t) for r in range(2, 41) for t in range(1, 11)]
+        r = 16001
+        for t in range(1, 18):
+            nums = set(near_turn_numerators(r, t))
+            if t <= 12:
+                nums |= set(range(0, r, 97))
+            cases.append((np.array(sorted(nums)), r, t))
+        for nums, den, t in cases:
+            common = np.gcd(nums, den)
+            num, dens = (nums // common)[:, None], (den // common)[:, None]
+            diff = (num << t) - np.arange(1 << t) * dens  # unfolded
+            peaks = np.array([phase._peak_factor(int(n << t) % int(d), int(d))
+                              for n, d in zip(num.ravel(), dens.ravel())])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = peaks[:, None] / (
+                    float(1 << t) ** 2 * np.sin(np.pi * (diff / (dens << t).astype(float))) ** 2
+                )
+            want[diff == 0] = 1.0
+            got = kernel_rows(nums, den, t)
+            assert np.allclose(got, want, rtol=1e-9, atol=0.0), (den, t)
 
     @pytest.mark.parametrize("omega, t", REJECTED, ids=REJECTED_IDS)
     def test_value_errors_match_the_one_row_law(self, omega, t):
@@ -255,10 +274,10 @@ def offset_law_extremes():
     """One pass over every non-grid numerator of the sampler denominators at
     t = 1..12: the largest p(j) / (4 Q(j)) over in-range offsets j, the
     largest TV between the sampler's normalised weights p(j) on outcomes
-    c + j mod 2^t and the closed-form law, and whether every outcome got
-    exactly one weight."""
+    c + j mod 2^t and the closed-form law, whether every outcome got
+    exactly one weight, and whether every weight is the law's entry."""
     worst_ratio = worst_tv = 0.0
-    covers = True
+    covers = exact = True
     for den in SAMPLER_DENOMINATORS:
         for t in range(1, 13):
             size = 1 << t
@@ -275,9 +294,10 @@ def offset_law_extremes():
                 implied[(c + js) % size] = p
                 covers = covers and np.count_nonzero(implied) == size
                 law = phase_outcome_distribution(Fraction(num, den), t)
+                exact = exact and np.array_equal(implied, law)
                 tv = 0.5 * float(np.abs(implied / implied.sum() - law).sum())
                 worst_tv = max(worst_tv, tv)
-    return worst_ratio, worst_tv, covers
+    return worst_ratio, worst_tv, covers, exact
 
 
 def chi_square_critical(df: int, z: float = 3.719) -> float:
@@ -297,15 +317,33 @@ class TestPhaseSampler:
         """p(j) <= 4 Q(j) at every in-range offset, so every acceptance
         probability is at most 1 (the docstring proves it; this checks the
         floats)."""
-        worst_ratio, _, _ = offset_law_extremes
+        worst_ratio, _, _, _ = offset_law_extremes
         assert worst_ratio <= 0.85  # 0.8468...
 
     def test_implied_law_matches_closed_form(self, offset_law_extremes):
         """The sampler's weights cover each outcome once and, normalised,
         are the closed-form law."""
-        _, worst_tv, covers = offset_law_extremes
+        _, worst_tv, covers, _ = offset_law_extremes
         assert covers
         assert worst_tv <= 1e-13
+
+    def test_law_entries_are_the_sampler_weights(self, offset_law_extremes):
+        """Every entry of ``outcome_laws`` is ``_offset_probability`` at its
+        offset from the peak, bit for bit: the law and the sampler share one
+        formula. Checked on the sampler denominators at t = 1..12 and on the
+        r = 16001 phases next to a full turn at t = 1..10."""
+        *_, exact = offset_law_extremes
+        assert exact
+        r = 16001
+        for t in range(1, 11):
+            size = 1 << t
+            js = range(-(size >> 1) + 1, (size >> 1) + 1)
+            nums = near_turn_numerators(r, t)
+            for num, law in zip(nums, phase.outcome_laws(nums, r, t)):
+                c, rem = divmod(num << t, r)
+                peak = phase._peak_factor(rem, r)
+                for j in js:
+                    assert law[(c + j) % size] == phase._offset_probability(peak, rem, r, t, j), (num, t, j)
 
     @pytest.mark.parametrize(
         "omega, t",
