@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -100,9 +100,10 @@ class DistPlan:
             "total_width": self.total_width,
         }
 
-    @property
+    @cached_property
     def nodes(self) -> Chain:
-        """``(t_j, l_j - 1, measured_j)`` per node, the chain ``dlp`` runs."""
+        """``(t_j, l_j - 1, measured_j)`` per node, the chain ``dlp`` runs;
+        built once per plan."""
         return tuple(zip(self.t, (l - 1 for l in self.l), self.measured))
 
 

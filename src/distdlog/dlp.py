@@ -20,11 +20,14 @@ Cached runs draw a flat index from ``joint_cdf`` and split it with
 ``decode_joint_index``; the CDF and ``joint_law``, the branch mixture
 (1/r) sum_s prod_j P_j(. | s) over the eigenvectors of multiplication by
 a, are cached per (instance, chain). The analytic backend draws the
-latent branch s and then each register exactly at its phase
-(``node_phase``) by one O(1) rejection draw (``sample_chain``);
-``analytic_joint_law`` is its closed-form law. The phases read the exponent
-g from ``hidden_g`` as an oracle. The test suites hold the sampler to the
-closed form, and the closed form to the circuit exactly.
+latent branch s and then each register exactly at its phase by one O(1)
+rejection draw (``sample_chain``). The draws take the phases' int
+numerators over r from ``node_numerators``, which computes 2^exponent mod r
+once per node; ``node_phase`` wraps the same numerators as Fractions for
+the laws and amplitudes, and ``analytic_joint_law`` is the closed-form
+law. The phases read the exponent g from ``hidden_g`` as an oracle. The
+test suites hold the sampler to the closed form, and the closed form to
+the circuit exactly.
 """
 
 from __future__ import annotations
@@ -351,13 +354,20 @@ def quantum_stage_statevector(
     return m_a, m_b
 
 
-def node_phase(instance: ProblemInstance, exponent: int, s: int, family: str) -> Fraction:
-    """The exact phase that a node with controlled powers c^(j 2^exponent)
-    estimates on branch s: s/r for c = a and (s g mod r)/r for c = b, each
-    multiplied by 2^exponent mod 1."""
+def node_numerators(instance: ProblemInstance, exponent: int, s: int) -> tuple[int, int]:
+    """The numerators over r of the exact phases that a node with controlled
+    powers c^(j 2^exponent) estimates on branch s: s for c = a and s g mod r
+    for c = b, each multiplied by 2^exponent mod r."""
     r = instance.r
-    numerator = s if family == "a" else (s * instance.hidden_g) % r
-    return Fraction((numerator * pow(2, exponent, r)) % r, r)
+    shift = pow(2, exponent, r)
+    return s * shift % r, s * instance.hidden_g % r * shift % r
+
+
+def node_phase(instance: ProblemInstance, exponent: int, s: int, family: str) -> Fraction:
+    """The phase of register ``family`` ("a" or "b"): its ``node_numerators``
+    entry over r, as the Fraction the laws and amplitudes take."""
+    num_a, num_b = node_numerators(instance, exponent, s)
+    return Fraction(num_a if family == "a" else num_b, instance.r)
 
 
 def sample_chain(
@@ -366,15 +376,18 @@ def sample_chain(
     """Draw the chain's prefixes from the closed form; returns them and s.
 
     The branch s is uniform, the generator's first draw; given s the
-    registers are independent at their ``node_phase``. Node by node, a
-    before b, each full t-bit outcome is one ``phase.sample_phase_outcome``
-    rejection draw, with no 2^t array.
+    registers are independent at their phases. Node by node, a before b,
+    each full t-bit outcome is one ``phase.sample_phase_outcome`` rejection
+    draw on the int numerator from ``node_numerators`` over r, with no 2^t
+    array and no Fraction.
     """
-    s = int(rng.integers(instance.r))
+    r = instance.r
+    s = int(rng.integers(r))
     pairs = []
     for t, exponent, m in nodes:
-        a = phase.sample_phase_outcome(rng, node_phase(instance, exponent, s, "a"), t)
-        b = phase.sample_phase_outcome(rng, node_phase(instance, exponent, s, "b"), t)
+        num_a, num_b = node_numerators(instance, exponent, s)
+        a = phase.sample_phase_outcome(rng, num_a, r, t)
+        b = phase.sample_phase_outcome(rng, num_b, r, t)
         pairs.append((BitString(m, a >> (t - m)), BitString(m, b >> (t - m))))
     return tuple(pairs), s
 

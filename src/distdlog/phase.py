@@ -5,7 +5,10 @@ counting register. They are the circuit's oracle: the test suites hold
 every distribution the circuit produces (the gate-level estimation circuit
 lives with them, in ``tests/gatelevel.py``) against its closed form. The
 analytic solvers draw from that law one outcome at a time by rejection
-(``sample_phase_outcome``), which builds no 2^t array.
+(``sample_phase_outcome``), which builds no 2^t array. The sampler takes
+its phase as two ints, num and den, checks and reduces them in ints, and
+sets the weight's float constants once per draw; no Fraction is built on
+the way to an outcome.
 
 One row kernel builds the full laws: ``outcome_laws`` takes many phases at
 one width and returns their laws as one (rows, 2^t) array, the oracle for
@@ -13,14 +16,16 @@ the tests, the joint laws and the exact success masses. It takes each entry
 at its offset j in (-2^(t-1), 2^(t-1)] from the row's peak, so the sine in
 its denominator is folded, in integers, to the half-turn nearer 0 and is
 never evaluated next to a full turn; each entry is then the sampler's weight
-``_offset_probability`` at that offset, bit for bit.
+``_offset_weight`` at that offset, bit for bit.
 ``phase_outcome_distribution`` is its cached one-row case. Likewise
 ``accuracy_masses`` takes the window and prefix accuracy masses of many
 phases at once, and ``check_accuracy_bound`` is its one-phase case; the
 accuracy suite sweeps every phase s/r through the two kernels.
 
-Phases are exact rationals throughout. Accuracy statements live at the
-2^-t scale, where float phases would poison every window test.
+Phases are exact rationals throughout: Fractions at the law's interface,
+and int numerators and denominators in the sampler and the kernels.
+Accuracy statements live at the 2^-t scale, where float phases would
+poison every window test.
 """
 
 from __future__ import annotations
@@ -64,15 +69,16 @@ def build_eigenstate(instance: ProblemInstance, s: int) -> np.ndarray:
     return vec
 
 
-def _exact_phase(omega: Fraction, t: int) -> tuple[int, int]:
-    """Check a phase and register width; return the phase's numerator and
-    denominator, whose products with 2^t stay exact int64 values."""
-    omega = Fraction(omega)
-    if not 0 <= omega < 1:
-        raise ValueError(f"phase must be in [0,1), got {omega}")
+def _exact_phase(num: int, den: int, t: int) -> tuple[int, int]:
+    """Check a phase num/den and a register width by int comparisons; return
+    the phase in lowest terms, whose products with 2^t stay exact int64
+    values. A Fraction is built only to format the error."""
+    if not 0 <= num < den:
+        raise ValueError(f"phase must be in [0,1), got {Fraction(num, den)}")
     if not 1 <= t <= _MAX_T:
         raise ValueError(f"register width must be in 1..{_MAX_T}, got {t}")
-    num, den = omega.numerator, omega.denominator
+    common = math.gcd(num, den)
+    num, den = num // common, den // common
     if t + den.bit_length() > 62:
         raise ValueError(f"width {t} with denominator {den} exceeds exact integer range")
     return num, den
@@ -94,7 +100,7 @@ def outcome_laws(nums: np.ndarray | int, dens: np.ndarray | int, t: int) -> np.n
     found by exact integer comparison, never by float thresholding. Before
     any float enters, each row's numerator is folded modulo 1, and each
     entry's denominator sine is folded by whole turns to the offset of m from
-    the row's peak, as ``_offset_probability`` takes it. A phase
+    the row's peak, as ``_offset_weight`` takes it. A phase
     outside [0, 1), a width outside 1.._MAX_T or a reduced denominator too
     wide for exact int64 products raises ValueError; a row whose mass is not
     1 within 1e-12 raises AssertionError.
@@ -147,28 +153,34 @@ def outcome_laws(nums: np.ndarray | int, dens: np.ndarray | int, t: int) -> np.n
 def phase_outcome_distribution(omega: Fraction, t: int) -> np.ndarray:
     """Exact outcome distribution of a t-qubit estimation of phase omega:
     the one-row case of ``outcome_laws``, cached and read-only."""
-    num, den = _exact_phase(omega, t)
+    num, den = _exact_phase(omega.numerator, omega.denominator, t)
     (probs,) = outcome_laws(num, den, t)
     probs.setflags(write=False)
     return probs
 
 
-def sample_phase_outcome(rng: np.random.Generator, omega: Fraction, t: int) -> int:
-    """Draw one outcome of a t-qubit estimation of phase omega, exactly,
-    in O(1) expected time and without building the 2^t law.
+def sample_phase_outcome(rng: np.random.Generator, num: int, den: int, t: int) -> int:
+    """Draw one outcome of a t-qubit estimation of the phase w = num/den,
+    exactly, in O(1) expected time and without building the 2^t law.
+
+    The phase is two ints, checked by int comparisons and reduced to lowest
+    terms as the law reduces it, so the weights below are the law's entries
+    bit for bit; a bad phase or width raises the law's ValueError.
 
     Write 2^t w = c + f with c an integer. If f = 0 the outcome is c with
     certainty and nothing is drawn. Otherwise outcome c + j (mod 2^t), for
     the offset j in (-2^(t-1), 2^(t-1)], has probability
     p(j) = F(d) = sin^2(pi d) / (T^2 sin^2(pi d / T)) with d = f - j and
-    T = 2^t, evaluated with the same folded-peak float formula as
-    ``phase_outcome_distribution``. The offset is drawn by rejection from
-    the rounded Cauchy proposal j = floor(f + tan(pi (U - 1/2)) + 1/2),
-    whose mass Q(j) = (atan(j - f + 1/2) - atan(j - f - 1/2)) / pi
+    T = 2^t, evaluated by ``_offset_weight``, the float formula of
+    ``outcome_laws``. The offset is drawn by rejection from the rounded
+    Cauchy proposal j = floor(f + tan(pi (U - 1/2)) + 1/2), whose mass
+    Q(j) = (atan(j - f + 1/2) - atan(j - f - 1/2)) / pi
     = atan(1 / ((j - f)^2 + 3/4)) / pi has no cancellation in the tail;
     offsets out of range are rejected and j is kept with probability
     p(j) / (4 Q(j)). The accepted j then has law p exactly, and each
-    proposal is accepted with probability sum_j p(j) / 4 = 1/4.
+    proposal is accepted with probability sum_j p(j) / 4 = 1/4. The
+    weight's constants, 2^t den and T^2 as floats, and the generator and
+    math functions the loop calls are set once per draw.
 
     The envelope p <= 4 Q holds for every in-range j. The Fejer kernel F is
     at most 1, and |d| < T/2 puts pi d / T in (-pi/2, pi/2), where
@@ -177,7 +189,7 @@ def sample_phase_outcome(rng: np.random.Generator, omega: Fraction, t: int) -> i
     lies in (0, 1), where concavity gives atan(x) >= (pi/4) x, so
     4 Q >= 1/(d^2 + 3/4) >= 1/(4 d^2) because d^2 + 3/4 <= 4 d^2.
     """
-    num, den = _exact_phase(omega, t)
+    num, den = _exact_phase(num, den, t)
     size = 1 << t
     c, rem = divmod(num << t, den)
     if rem == 0:
@@ -185,22 +197,26 @@ def sample_phase_outcome(rng: np.random.Generator, omega: Fraction, t: int) -> i
     half = size >> 1
     f = rem / den
     peak = _peak_factor(rem, den)
+    scale, norm = float(den << t), float(size) ** 2
+    random, floor, tan, atan, pi = rng.random, math.floor, math.tan, math.atan, math.pi
     while True:
-        j = math.floor(f + math.tan(math.pi * (rng.random() - 0.5)) + 0.5)
+        j = floor(f + tan(pi * (random() - 0.5)) + 0.5)
         if not -half < j <= half:
             continue
-        envelope = 4.0 * math.atan(1.0 / ((j - f) ** 2 + 0.75)) / math.pi
-        if rng.random() * envelope < _offset_probability(peak, rem, den, t, j):
+        envelope = 4.0 * atan(1.0 / ((j - f) ** 2 + 0.75)) / pi
+        if random() * envelope < _offset_weight(peak, rem - j * den, scale, norm):
             return (c + j) % size
 
 
-def _offset_probability(peak: float, rem: int, den: int, t: int, j: int) -> float:
-    """p(j): the entry of outcome_laws at outcome c + j, bit for bit, where
-    2^t w = c + rem/den, 0 < rem < den, and peak = _peak_factor(rem, den).
-    Its exact numerator 2^t den (w - (c + j)/2^t) is rem - j den. The sine
-    is squared by one multiplication, as the law kernel squares it."""
-    sine = math.sin(math.pi * ((rem - j * den) / float(den << t)))
-    return peak / (float(1 << t) ** 2 * (sine * sine))
+def _offset_weight(peak: float, numerator: int, scale: float, norm: float) -> float:
+    """p(j): the entry of outcome_laws at offset j from the peak, bit for
+    bit. With 2^t w = c + rem/den, 0 < rem < den, the arguments are
+    peak = _peak_factor(rem, den), the exact numerator rem - j den of
+    2^t den (w - (c + j)/2^t), scale = float(2^t den) and
+    norm = float(2^t) ** 2. The sine is squared by one multiplication, as
+    the law kernel squares it."""
+    sine = math.sin(math.pi * (numerator / scale))
+    return peak / (norm * (sine * sine))
 
 
 def phase_state_amplitudes(omega: Fraction, t: int) -> np.ndarray:
@@ -209,7 +225,7 @@ def phase_state_amplitudes(omega: Fraction, t: int) -> np.ndarray:
     amp[v] = (1/2^t) sum_u exp(2 pi i u (w - v/2^t)), evaluated as a closed
     geometric sum. Squared moduli reproduce phase_outcome_distribution.
     """
-    num, den = _exact_phase(omega, t)
+    num, den = _exact_phase(omega.numerator, omega.denominator, t)
     size = 1 << t
     vs = np.arange(size, dtype=np.int64)
     diff = (num << t) - vs * den

@@ -134,7 +134,8 @@ def suite_metric(seed: int = 0) -> list[CheckResult]:
         vals = np.arange(size, dtype=np.int64)
         axioms_ok &= bool(((D == 0) == np.eye(size, dtype=bool)).all())
         axioms_ok &= bool((D == D.T).all())
-        axioms_ok &= bool((D[:, None, :] <= D[:, :, None] + D[None, :, :]).all())
+        # triangle, one x at a time: D[x, z] <= D[x, y] + D[y, z] over (y, z)
+        axioms_ok &= all(bool((row <= row[:, None] + D).all()) for row in D)
 
         # minimal |b| with (x + b) mod 2^t == y, by explicit scan over b
         best = np.full((size, size), size, dtype=np.int64)

@@ -49,7 +49,7 @@ def fraction_bits(numerator: int, denominator: int, i: int, j: int) -> BitString
 
 
 def outcome_distribution(omega: Fraction, t: int) -> np.ndarray:
-    num, den = _exact_phase(omega, t)
+    num, den = _exact_phase(omega.numerator, omega.denominator, t)
     size = 1 << t
     ms = np.arange(size, dtype=np.int64)
     c, rem = divmod(num << t, den)

@@ -158,6 +158,27 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    LARGE = ["--N", "32003", "--a", "4", "--b", "17236", "--epsilon", "0.25", "--seed", "7",
+             "--mode", "analytic"]
+
+    @pytest.mark.parametrize(
+        "command, extra, digest",
+        [
+            ("solve", ["--trials", "200", "--max-retries", "1"],
+             "70173f10f9c867a42929bba3a811362c4d7c993b45ccf442769e449ec31d8b41"),
+            ("solve-dist", ["--k", "2", "--epsilon-prime", "0.2", "--trials", "200"],
+             "55ae00adce09a0f65d929562d0dfa17dc68b8de2fcf9ffafb1b3beb389abae69"),
+        ],
+        ids=["solve-analytic", "solve-dist-analytic"],
+    )
+    def test_large_order_analytic_digest(self, capsys, command, extra, digest):
+        """Analytic runs at the benchmark's order r = 16001 (N = 32003),
+        whose registers are 18 bits wide for Alg. 2 and 14 and 13 bits for
+        the two Alg. 4 nodes: draws far from the N = 11 widths."""
+        code, out, _ = run_cli(capsys, [command] + self.LARGE + extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestResourcesCommand:
     def test_toy_and_symbolic_rows(self, capsys):
@@ -394,6 +415,23 @@ class TestVerifyCommand:
         namespace = verify_mutant(names, "np.minimum(diff, (1 << width) - diff, out=diff)", bad)
         for seed in (0, 1, 7):
             assert [check.ok for check in namespace["suite_metric"](seed)] == oks, seed
+
+    def test_axiom_row_catches_a_broken_triangle(self):
+        """The squared circular distance keeps the zero and symmetry axioms
+        and breaks only the triangle inequality (d(0, 2) = 4 > 1 + 1), so
+        the exhaustive axiom row fails on the triangle check alone."""
+        import numpy as np
+
+        from distdlog import verify
+
+        names = ("_circ_dist", "_circ_table", "_prefix_table", "suite_metric")
+        good = "np.minimum(diff, (1 << width) - diff, out=diff)"
+        namespace = verify_mutant(names, good, f"{good} ** 2")
+        for t in range(1, verify.METRIC_EXHAUSTIVE_T + 1):
+            D = namespace["_circ_table"](t)
+            assert ((D == 0) == np.eye(1 << t, dtype=bool)).all() and (D == D.T).all()
+        for seed in (0, 1, 7):
+            assert [check.ok for check in namespace["suite_metric"](seed)] == [False, False, True, False]
 
     def test_prefix_bound_catches_a_tightened_bound(self):
         namespace = verify_mutant(

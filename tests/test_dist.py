@@ -25,7 +25,7 @@ from distdlog.dist import (
     solve_distributed,
     statevector_joint_distribution,
 )
-from distdlog.dlp import ShorConfig, decode_joint_index, node_phase, solve
+from distdlog.dlp import ShorConfig, decode_joint_index, node_numerators, node_phase, solve
 from distdlog.numtheory import ProblemInstance, ceil_log2, mod_pow, validate_instance
 from distdlog.resources import communication_qubits, per_node_qubits_from_widths, single_node_qubits
 from distdlog.statevec import QubitBudgetError
@@ -167,6 +167,12 @@ class TestPlan:
         assert plan.l == (1, 2, 4, 6)
         assert plan.measured == (4, 5, 3)
         assert all(m <= t for m, t in zip(plan.measured, plan.t))
+
+    def test_nodes_built_once_per_plan(self, acceptance_plan):
+        nodes = acceptance_plan.nodes
+        assert nodes == ((8, 0, 4), (8, 1, 4))
+        assert acceptance_plan.nodes is nodes
+        assert THREE_NODE_PLAN.nodes == ((4, 0, 2), (4, 1, 2), (4, 2, 3))
 
     def test_json_round_trip(self, acceptance_plan):
         payload = acceptance_plan.to_json_dict()
@@ -312,6 +318,17 @@ class TestNodePhases:
         assert node_phase(instance, e1, 2, "a") == Fraction(4, 5)
         # family b carries the exponent: g = 2, so s = 1 gives 2/5
         assert node_phase(instance, e0, 1, "b") == Fraction(2, 5)
+
+    def test_numerators_are_the_phases(self, instance):
+        """The sampler's int numerators over r are the phases' numerators:
+        s 2^e mod r for a and s g 2^e mod r for b."""
+        r, g = instance.r, instance.hidden_g
+        for exponent in range(6):
+            for s in range(r):
+                num_a, num_b = node_numerators(instance, exponent, s)
+                assert (num_a, num_b) == (s * 2**exponent % r, s * g * 2**exponent % r)
+                assert node_phase(instance, exponent, s, "a") == Fraction(num_a, r)
+                assert node_phase(instance, exponent, s, "b") == Fraction(num_b, r)
 
     def test_window_masses_meet_budget(self, instance, acceptance_plan):
         bound = 1.0 - float(acceptance_plan.epsilon_prime)

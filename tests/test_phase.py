@@ -287,7 +287,8 @@ def offset_law_extremes():
                 if rem == 0:
                     continue
                 peak = phase._peak_factor(rem, den)
-                p = np.array([phase._offset_probability(peak, rem, den, t, int(j)) for j in js])
+                scale, norm = float(den << t), float(size) ** 2
+                p = np.array([phase._offset_weight(peak, rem - int(j) * den, scale, norm) for j in js])
                 q = np.arctan(1.0 / ((js - rem / den) ** 2 + 0.75)) / np.pi
                 worst_ratio = max(worst_ratio, float((p / (4.0 * q)).max()))
                 implied = np.zeros(size)
@@ -328,22 +329,25 @@ class TestPhaseSampler:
         assert worst_tv <= 1e-13
 
     def test_law_entries_are_the_sampler_weights(self, offset_law_extremes):
-        """Every entry of ``outcome_laws`` is ``_offset_probability`` at its
-        offset from the peak, bit for bit: the law and the sampler share one
-        formula. Checked on the sampler denominators at t = 1..12 and on the
-        r = 16001 phases next to a full turn at t = 1..10."""
+        """Every entry of ``outcome_laws`` is ``_offset_weight``, the
+        weight the sampler's loop calls, at its offset from the peak, bit for
+        bit: the law and the sampler share one formula. Checked on the
+        sampler denominators at t = 1..12 and on the r = 16001 phases next
+        to a full turn at t = 1..10."""
         *_, exact = offset_law_extremes
         assert exact
         r = 16001
         for t in range(1, 11):
             size = 1 << t
             js = range(-(size >> 1) + 1, (size >> 1) + 1)
+            scale, norm = float(r << t), float(size) ** 2
             nums = near_turn_numerators(r, t)
             for num, law in zip(nums, phase.outcome_laws(nums, r, t)):
                 c, rem = divmod(num << t, r)
                 peak = phase._peak_factor(rem, r)
                 for j in js:
-                    assert law[(c + j) % size] == phase._offset_probability(peak, rem, r, t, j), (num, t, j)
+                    want = phase._offset_weight(peak, rem - j * r, scale, norm)
+                    assert law[(c + j) % size] == want, (num, t, j)
 
     @pytest.mark.parametrize(
         "omega, t",
@@ -357,7 +361,8 @@ class TestPhaseSampler:
         draws = 20_000
         rng = np.random.default_rng(2024)
         counts = np.bincount(
-            [sample_phase_outcome(rng, omega, t) for _ in range(draws)], minlength=1 << t
+            [sample_phase_outcome(rng, omega.numerator, omega.denominator, t) for _ in range(draws)],
+            minlength=1 << t,
         )
         expected = law * draws
         big = expected >= 5
@@ -373,8 +378,21 @@ class TestPhaseSampler:
          (Fraction(1, 2), 1, 1), (Fraction(5, 16), 4, 5)],
     )
     def test_exact_grid_phase_draws_nothing(self, omega, t, outcome):
-        assert sample_phase_outcome(NoDrawRng(), omega, t) == outcome
+        assert sample_phase_outcome(NoDrawRng(), omega.numerator, omega.denominator, t) == outcome
         assert phase_outcome_distribution(omega, t)[outcome] == 1.0
+
+    def test_unreduced_phase_draws_as_its_lowest_terms(self):
+        """The sampler reduces num/den by their gcd before the width check and
+        before any weight, as the law does: a phase given in other terms
+        consumes the same uniforms and draws the same outcomes, even where
+        only the reduced denominator fits the exact range (factor 2^50)."""
+        for num, den, t in [(2, 5, 6), (17, 101, 10), (5, 37, 12)]:
+            for factor in (3, 1 << 50):
+                reduced, scaled = np.random.default_rng(5), np.random.default_rng(5)
+                want = [sample_phase_outcome(reduced, num, den, t) for _ in range(200)]
+                got = [sample_phase_outcome(scaled, num * factor, den * factor, t) for _ in range(200)]
+                assert got == want, (num, den, t, factor)
+                assert scaled.bit_generator.state == reduced.bit_generator.state
 
     @pytest.mark.parametrize("omega, t", REJECTED, ids=REJECTED_IDS)
     def test_rejects_what_the_law_rejects(self, omega, t):
@@ -383,7 +401,7 @@ class TestPhaseSampler:
         with pytest.raises(ValueError) as law_error:
             phase_outcome_distribution(omega, t)
         with pytest.raises(ValueError) as sampler_error:
-            sample_phase_outcome(NoDrawRng(), omega, t)
+            sample_phase_outcome(NoDrawRng(), omega.numerator, omega.denominator, t)
         with pytest.raises(ValueError) as amplitude_error:
             phase_state_amplitudes(omega, t)
         assert str(sampler_error.value) == str(law_error.value)
