@@ -172,9 +172,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_dist_compare(args: argparse.Namespace) -> int:
     instance = validate_instance(args.N, args.a, args.b)
     plan = dist.make_plan(instance, args.k, args.h, args.epsilon, args.epsilon_prime)
-    report = dist.compare_step7_state(instance, plan)
+    # both laws first: their byte cap refuses an oversize run before the check
     sv = dist.statevector_joint_distribution(instance, plan)
     an = dist.analytic_joint_distribution(instance, plan)
+    report = dist.compare_step7_state(instance, plan)
     tv = 0.5 * float(np.abs(sv - an).sum())
     payload = {
         "plan": plan.to_json_dict(),

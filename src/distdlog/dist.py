@@ -23,11 +23,11 @@ every feasible plan.
 The cached backend needs no such vector either: given the branch s (an
 eigenvector of multiplication by a) the nodes are independent, so
 ``dlp.joint_law`` builds the law of all measured prefixes as the mixture
-(1/r) sum_s prod_j P_j(. | s) from one run of each node. It and its CDF are
-cached per chain in ``dlp``, and a draw is split back into node pairs by
-``dlp.decode_joint_index``, exactly as for the single-node solver. The
-step-7 check (``compare_step7_state``) runs each node once per branch on
-its live block, never on the whole state.
+(1/r) sum_s prod_j P_j(. | s) of ``dlp.branch_laws``' rows, from one run of
+each node or in closed form, cached per chain in ``dlp``; a draw is split
+back into node pairs by ``dlp.decode_joint_index``, as for the single-node
+solver. The step-7 check (``compare_step7_state``) runs each node once per
+branch on its live block, never on the whole state.
 """
 
 from __future__ import annotations
@@ -45,13 +45,12 @@ from .dlp import (  # postprocess_detail: bench/tests checks dist's binding of i
     Chain,
     Pairs,
     RunRecord,
-    analytic_joint_law,
     decode_joint_index,
     joint_cdf,
     joint_law,
     measure_chain,
     node_block,
-    node_phase,
+    node_numerators,
     postprocess_detail,
     retry,
     sample_chain,
@@ -320,9 +319,8 @@ def statevector_joint_distribution(instance: ProblemInstance, plan: DistPlan) ->
 
 
 def analytic_joint_distribution(instance: ProblemInstance, plan: DistPlan) -> np.ndarray:
-    """Closed-form joint law of all measured prefixes (same indexing):
-    ``dlp.analytic_joint_law`` over ``plan.nodes``."""
-    return analytic_joint_law(instance, plan.nodes)
+    """Closed-form joint law (same indexing): ``dlp.joint_law``'s analytic entry."""
+    return joint_law(instance, plan.nodes, "analytic")
 
 
 @lru_cache(maxsize=16)
@@ -401,9 +399,10 @@ class Step7Report:
 def compare_step7_state(instance: ProblemInstance, plan: DistPlan) -> Step7Report:
     """Check the factorised form of the pre-measurement state (all branches).
 
-    Per branch s each node circuit runs once on the shared eigenvector u_s
-    (``dlp.node_block``), and its output is split into (counting-register
-    part) x (eigenvector) with an explicitly measured residual. u_s lives on
+    Per branch s each node circuit runs once on the eigenvector u_s
+    (``dlp.node_block``); one u_s is built at a time, so an over-budget node
+    fails after one. Its output is split into (counting-register part) x
+    (eigenvector) with an explicitly measured residual. u_s lives on
     the powers of a, which are the block's live work values, and the output
     is zero off them, so the overlap with u_s and the residual are taken
     over the live columns alone. The counting-register part is compared
@@ -413,15 +412,13 @@ def compare_step7_state(instance: ProblemInstance, plan: DistPlan) -> Step7Repor
     expansion residual of |1> over the eigenvector basis.
     """
     r = instance.r
-    one = np.zeros(1 << instance.L, dtype=np.complex128)
-    one[1] = 1.0
-    eigen = [phase.build_eigenstate(instance, s) for s in range(r)]
-    basis_residual = float(np.linalg.norm(one - sum(eigen) / math.sqrt(r)))
-
+    expansion = 0  # sum_s u_s, added in the order of s
     per_branch = []
     residual_sum = 0.0
     residual_max = 0.0
-    for s, u in enumerate(eigen):
+    for s in range(r):
+        u = phase.build_eigenstate(instance, s)
+        expansion = expansion + u
         max_w, max_a, dev = [], [], []
         for t, exponent, _ in plan.nodes:
             block, live = node_block(instance, t, exponent, u)
@@ -430,8 +427,9 @@ def compare_step7_state(instance: ProblemInstance, plan: DistPlan) -> Step7Repor
             residual = float(np.linalg.norm(block - w[:, :, None] * u_live))
             residual_sum += residual
             residual_max = max(residual_max, residual)
-            amp_a = phase.phase_state_amplitudes(node_phase(instance, exponent, s, "a"), t)
-            amp_b = phase.phase_state_amplitudes(node_phase(instance, exponent, s, "b"), t)
+            num_a, num_b = node_numerators(instance, exponent, s)
+            amp_a = phase.phase_state_amplitudes(Fraction(num_a, r), t)
+            amp_b = phase.phase_state_amplitudes(Fraction(num_b, r), t)
             analytic = np.outer(amp_a, amp_b)
             max_w.append(float(np.abs(w).max()))
             max_a.append(float(np.abs(analytic).max()))
@@ -446,9 +444,10 @@ def compare_step7_state(instance: ProblemInstance, plan: DistPlan) -> Step7Repor
             telescoped += term
         per_branch.append(telescoped)
 
-    bound = (
-        sum(per_branch) / r + residual_sum / math.sqrt(r) + basis_residual
-    )
+    one = np.zeros(1 << instance.L, dtype=np.complex128)
+    one[1] = 1.0
+    basis_residual = float(np.linalg.norm(one - expansion / math.sqrt(r)))
+    bound = sum(per_branch) / r + residual_sum / math.sqrt(r) + basis_residual
     return Step7Report(
         max_amplitude_deviation=bound,
         per_branch_deviation=tuple(per_branch),

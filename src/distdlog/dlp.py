@@ -17,17 +17,16 @@ only the circuit runs again. Fresh runs measure node by node
 before b's transform, as nothing later acts on a, and runs the b stage on
 the drawn row alone. They never read the instance's hidden exponent.
 Cached runs draw a flat index from ``joint_cdf`` and split it with
-``decode_joint_index``; the CDF and ``joint_law``, the branch mixture
-(1/r) sum_s prod_j P_j(. | s) over the eigenvectors of multiplication by
-a, are cached per (instance, chain). The analytic backend draws the
-latent branch s and then each register exactly at its phase by one O(1)
-rejection draw (``sample_chain``). The draws take the phases' int
-numerators over r from ``node_numerators``, which computes 2^exponent mod r
-once per node; ``node_phase`` wraps the same numerators as Fractions for
-the laws and amplitudes, and ``analytic_joint_law`` is the closed-form
-law. The phases read the exponent g from ``hidden_g`` as an oracle. The
-test suites hold the sampler to the closed form, and the closed form to
-the circuit exactly.
+``decode_joint_index``. ``branch_laws`` gives each node's laws P_j(. | s)
+on the eigenvectors of multiplication by a, from the circuit or in closed
+form, and ``joint_law``, cached per (instance, chain) with its CDF, is the
+one branch mixture (1/r) sum_s prod_j P_j(. | s) of either backend. The
+analytic backend draws the latent branch s and then each register exactly
+at its phase by one O(1) rejection draw (``sample_chain``). Every branch
+phase is an int numerator over r from ``node_numerators``, for one branch
+or an int64 array of them. The phases read the exponent g from
+``hidden_g`` as an oracle. The test suites hold the sampler to the closed
+form, and the closed form to the circuit exactly.
 """
 
 from __future__ import annotations
@@ -276,25 +275,53 @@ def measure_chain(instance: ProblemInstance, nodes: Chain, rng: np.random.Genera
 _LAW_BYTES_CAP = 1 << 28
 
 
+def branch_laws(instance: ProblemInstance, nodes: Chain, mode: str) -> list[np.ndarray]:
+    """Per node, the ``(r, 4^m)`` table of its prefix laws P_j(m_a, m_b | s),
+    flat index m_a 2^m + m_b; row i is branch s = -i mod r on both backends.
+
+    |1> is r^(-1/2) sum_s |u_s>, u_s = r^(-1/2) sum_k exp(-2 pi i s k / r)
+    |a^k>, and each node circuit is block-diagonal in the u_s. State-vector:
+    the node runs once on |1>, and the r-point FFT of its block along the
+    orbit a^k returns branch s's amplitudes at index -s mod r. Analytic: one
+    ``phase.outcome_laws`` call per register on every row's numerators,
+    folded to m bits; given s the registers are independent.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    r = instance.r
+    laws = []
+    if mode == "analytic":
+        s = -np.arange(r, dtype=np.int64) % r
+        for t, exponent, m in nodes:
+            nums_a, nums_b = node_numerators(instance, exponent, s)
+            p_a = phase.outcome_laws(nums_a, r, t).reshape(r, 1 << m, -1).sum(axis=2)
+            p_b = phase.outcome_laws(nums_b, r, t).reshape(r, 1 << m, -1).sum(axis=2)
+            laws.append((p_a[:, :, None] * p_b[:, None, :]).reshape(r, -1))
+        return laws
+    orbit = np.array([pow(instance.a, k, instance.N) for k in range(r)])
+    for t, exponent, m in nodes:
+        block, live = node_block(instance, t, exponent, 1)
+        if not np.array_equal(live, np.sort(orbit)):
+            raise statevec.LayoutError(f"live work values are not the {r} powers of {instance.a}")
+        w = np.fft.fft(block[:, :, np.searchsorted(live, orbit)], axis=2)
+        p = (w.real**2 + w.imag**2).reshape(1 << m, 1 << (t - m), 1 << m, 1 << (t - m), r)
+        laws.append(p.sum(axis=(1, 3)).reshape(-1, r).T)
+    return laws
+
+
 @lru_cache(maxsize=8)
-def joint_law(instance: ProblemInstance, nodes: Chain) -> np.ndarray:
+def joint_law(instance: ProblemInstance, nodes: Chain, mode: str = "statevector") -> np.ndarray:
     """Exact joint law of the measured prefixes of a chain of node circuits.
 
     ``nodes`` lists ``(t, exponent, measured)`` per node, which keeps the
     leading ``measured`` bits of both counting registers. Flat index
     concatenates (m_1a, m_1b, ..., m_ka, m_kb), first node most significant.
+    It is the branch mixture (1/r) sum_s prod_j P_j(. | s) of either
+    backend's ``branch_laws``, refused before any row is built past the cap.
 
-    The work register starts in |1> = r^(-1/2) sum_s |u_s>, with u_s =
-    r^(-1/2) sum_k exp(-2 pi i s k / r) |a^k>, and every node circuit is
-    block-diagonal in the u_s, so the law is the branch mixture
-    (1/r) sum_s prod_j P_j(. | s). Each node runs once on |1>: its live
-    block at a^k is (1/r) sum_s w_s exp(-2 pi i s k / r), so the r-point
-    FFT along k returns branch s's counting amplitudes w_s at index -s mod r
-    (the same relabelling on every node), and P_j(. | s) is the prefix
-    marginal of |w_s|^2. Only the orbit of a is used.
-
-    Cached per (instance, chain), read-only: both solvers' cached draws and
-    ``dist.statevector_joint_distribution`` share the one entry per chain.
+    Cached per (instance, chain, mode), read-only: both solvers' cached draws
+    and ``dist.statevector_joint_distribution`` pass no mode, so they share
+    the one state-vector entry per chain.
     """
     size = 1 << (2 * sum(m for _, _, m in nodes))
     nbytes = 3 * 8 * size  # the law, one branch term and joint_cdf's cumsum
@@ -302,23 +329,14 @@ def joint_law(instance: ProblemInstance, nodes: Chain) -> np.ndarray:
         raise statevec.QubitBudgetError(
             f"joint law needs {nbytes >> 20} MiB (cap {_LAW_BYTES_CAP >> 20} MiB)"
         )
-    r, N = instance.r, instance.N
-    orbit = np.array([pow(instance.a, k, N) for k in range(r)])
-    branches = []  # per node: (r, 2^m * 2^m) prefix laws P_j(. | s)
-    for t, exponent, m in nodes:
-        block, live = node_block(instance, t, exponent, 1)
-        if not np.array_equal(live, np.sort(orbit)):
-            raise statevec.LayoutError(f"live work values are not the {r} powers of {instance.a}")
-        w = np.fft.fft(block[:, :, np.searchsorted(live, orbit)], axis=2)
-        p = (w.real**2 + w.imag**2).reshape(1 << m, 1 << (t - m), 1 << m, 1 << (t - m), r)
-        branches.append(p.sum(axis=(1, 3)).reshape(-1, r).T)
+    branches = branch_laws(instance, nodes, mode)
     law = np.zeros(size)
-    for s in range(r):
+    for s in range(instance.r):
         term = branches[0][s]
         for node in branches[1:]:
             term = np.kron(term, node[s])
         law += term
-    law /= r
+    law /= instance.r
     total = float(law.sum())
     if abs(total - 1.0) > 1e-9:
         raise AssertionError(f"joint law mass {total!r} drifted from 1")
@@ -354,20 +372,15 @@ def quantum_stage_statevector(
     return m_a, m_b
 
 
-def node_numerators(instance: ProblemInstance, exponent: int, s: int) -> tuple[int, int]:
+def node_numerators(
+    instance: ProblemInstance, exponent: int, s: int | np.ndarray
+) -> tuple[int, int] | tuple[np.ndarray, np.ndarray]:
     """The numerators over r of the exact phases that a node with controlled
     powers c^(j 2^exponent) estimates on branch s: s for c = a and s g mod r
-    for c = b, each multiplied by 2^exponent mod r."""
+    for c = b, each times 2^exponent mod r; s may be an int64 array (r < 2^31)."""
     r = instance.r
     shift = pow(2, exponent, r)
     return s * shift % r, s * instance.hidden_g % r * shift % r
-
-
-def node_phase(instance: ProblemInstance, exponent: int, s: int, family: str) -> Fraction:
-    """The phase of register ``family`` ("a" or "b"): its ``node_numerators``
-    entry over r, as the Fraction the laws and amplitudes take."""
-    num_a, num_b = node_numerators(instance, exponent, s)
-    return Fraction(num_a if family == "a" else num_b, instance.r)
 
 
 def sample_chain(
@@ -390,20 +403,6 @@ def sample_chain(
         b = phase.sample_phase_outcome(rng, num_b, r, t)
         pairs.append((BitString(m, a >> (t - m)), BitString(m, b >> (t - m))))
     return tuple(pairs), s
-
-
-def analytic_joint_law(instance: ProblemInstance, nodes: Chain) -> np.ndarray:
-    """Closed-form counterpart of ``joint_law``, same nodes and indexing:
-    the branch mixture of the products of every register's prefix law."""
-    law = None
-    for s in range(instance.r):
-        term = np.ones(1)
-        for t, exponent, m in nodes:
-            for family in "ab":
-                dist = phase.phase_outcome_distribution(node_phase(instance, exponent, s, family), t)
-                term = np.kron(term, phase.prefix_marginal(dist, m))
-        law = term if law is None else law + term
-    return law / instance.r
 
 
 def quantum_stage_analytic(
@@ -542,9 +541,9 @@ def single_shot_success_mass(
             g_hat = (inv * vb) % r
             success_table[va, vb] = mod_pow(instance.a, g_hat, instance.N) == instance.b
 
-    s = np.arange(r, dtype=np.int64)
-    laws_a = phase.outcome_laws(s, r, t)
-    laws_b = phase.outcome_laws(s * instance.hidden_g % r, r, t)
+    nums_a, nums_b = node_numerators(instance, 0, np.arange(r, dtype=np.int64))
+    laws_a = phase.outcome_laws(nums_a, r, t)
+    laws_b = phase.outcome_laws(nums_b, r, t)
     total = 0.0
     for law_a, law_b in zip(laws_a, laws_b):
         mass_a = np.bincount(classes, weights=law_a, minlength=r)

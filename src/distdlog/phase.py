@@ -12,14 +12,15 @@ the way to an outcome.
 
 One row kernel builds the full laws: ``outcome_laws`` takes many phases at
 one width and returns their laws as one (rows, 2^t) array, the oracle for
-the tests, the joint laws and the exact success masses. It takes each entry
-at its offset j in (-2^(t-1), 2^(t-1)] from the row's peak, so the sine in
-its denominator is folded, in integers, to the half-turn nearer 0 and is
-never evaluated next to a full turn; each entry is then the sampler's weight
-``_offset_weight`` at that offset, bit for bit.
-``phase_outcome_distribution`` is its cached one-row case. Likewise
-``accuracy_masses`` takes the window and prefix accuracy masses of many
-phases at once, and ``check_accuracy_bound`` is its one-phase case; the
+the tests, the closed-form joint laws and the exact success masses. It takes
+each entry at its offset j in (-2^(t-1), 2^(t-1)] from the row's peak, so
+the sine in its denominator is folded, in integers, to the half-turn nearer
+0 and is never evaluated next to a full turn; each entry is then the
+sampler's weight ``_offset_weight`` at that offset, bit for bit. Its cached
+one-row case ``phase_outcome_distribution`` is filled by no solver or law
+path; the cache stays for the tests and ``bench/worker.py``'s ``CACHES``.
+Likewise ``accuracy_masses`` takes the window and prefix accuracy masses of
+many phases at once, and ``check_accuracy_bound`` is its one-phase case; the
 accuracy suite sweeps every phase s/r through the two kernels.
 
 Phases are exact rationals throughout: Fractions at the law's interface,

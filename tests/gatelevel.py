@@ -16,6 +16,7 @@ closed-form outcome law in ``phase``.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from distdlog import phase, statevec
 from distdlog.bits import BitString
 from distdlog.dist import DistPlan, Step7Report
-from distdlog.dlp import node_block, node_phase
+from distdlog.dlp import node_block, node_numerators
 from distdlog.numtheory import ProblemInstance
 from distdlog.phase import build_eigenstate
 from distdlog.statevec import QuantumState
@@ -64,8 +65,9 @@ def whole_state_step7(instance: ProblemInstance, plan: DistPlan) -> Step7Report:
             residual = float(np.linalg.norm(cube - w[:, :, None] * u[None, None, :]))
             residual_sum += residual
             residual_max = max(residual_max, residual)
-            amp_a = phase.phase_state_amplitudes(node_phase(instance, exponent, s, "a"), t)
-            amp_b = phase.phase_state_amplitudes(node_phase(instance, exponent, s, "b"), t)
+            num_a, num_b = node_numerators(instance, exponent, s)
+            amp_a = phase.phase_state_amplitudes(Fraction(num_a, r), t)
+            amp_b = phase.phase_state_amplitudes(Fraction(num_b, r), t)
             analytic = np.outer(amp_a, amp_b)
             max_w.append(float(np.abs(w).max()))
             max_a.append(float(np.abs(analytic).max()))

@@ -7,6 +7,9 @@ taken at its offset from the peak as the kernel takes it,
 that one law around the window ``fraction_bits`` gives, and
 ``suite_accuracy_loop`` calls it once per (eps, r, s, n), the way the
 accuracy suite ran before it swept every s/r in one call.
+``analytic_joint_law_loop`` is the closed-form joint law built branch by
+branch, the way ``dlp`` built it before ``dlp.branch_laws`` took every
+branch's laws in one row-kernel call per register.
 """
 
 from __future__ import annotations
@@ -17,12 +20,14 @@ from fractions import Fraction
 import numpy as np
 
 from distdlog.bits import MAX_WIDTH, BitString
-from distdlog.numtheory import to_fraction
+from distdlog.dlp import Chain, node_numerators
+from distdlog.numtheory import ProblemInstance, to_fraction
 from distdlog.phase import (
     AccuracyReport,
     _exact_phase,
     _peak_factor,
     accuracy_width,
+    phase_outcome_distribution,
     prefix_marginal,
 )
 from distdlog.verify import ACCURACY_MAX_N, PRIMES_TO_31, CheckResult, _result
@@ -121,3 +126,19 @@ def suite_accuracy_loop(
             )
         )
     return checks
+
+
+def analytic_joint_law_loop(instance: ProblemInstance, nodes: Chain) -> np.ndarray:
+    """The closed-form joint law of a chain, same nodes and indexing as
+    ``dlp.joint_law``: per branch s, every register's cached one-phase law,
+    folded to its prefix and joined by ``np.kron``, summed over s in order."""
+    r = instance.r
+    law = None
+    for s in range(r):
+        term = np.ones(1)
+        for t, exponent, m in nodes:
+            for num in node_numerators(instance, exponent, s):
+                dist = phase_outcome_distribution(Fraction(num, r), t)
+                term = np.kron(term, prefix_marginal(dist, m))
+        law = term if law is None else law + term
+    return law / r

@@ -95,7 +95,7 @@ def test_criterion_5_distribution_equivalence(instance, acceptance_plan):
     tv_mono = 0.5 * float(
         np.abs(
             dlp.joint_law(instance, ((t, 0, t),))
-            - dlp.analytic_joint_law(instance, ((t, 0, t),))
+            - dlp.joint_law(instance, ((t, 0, t),), "analytic")
         ).sum()
     )
     tv_dist = 0.5 * float(

@@ -489,6 +489,30 @@ class TestDistCompareCommand:
         assert payload["joint_total_variation"] <= 1e-9
         assert payload["comm_qubits"] == 4
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--N", "32003", "--a", "4", "--b", "17236", "--k", "2",
+              "--epsilon", "0.25", "--epsilon-prime", "0.2"], "joint law needs"),
+            (["--N", "23", "--a", "2", "--b", "3", "--k", "3", "--h", "2",
+              "--epsilon", "0.5", "--epsilon-prime", "0.25"], "joint law needs 384 MiB"),
+        ],
+        ids=["r16001", "N23-k3"],
+    )
+    def test_oversize_run_refused_before_step7(self, capsys, monkeypatch, argv, message):
+        """An oversize joint law is a configuration error, exit 2, found
+        before the step-7 check builds any eigenvector."""
+        from distdlog import dist
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the step-7 check ran before the laws were sized")
+
+        monkeypatch.setattr(dist, "compare_step7_state", refuse)
+        code, out, err = run_cli(capsys, ["dist-compare", *argv])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_failed_bound_exits_1(self, capsys, monkeypatch):
         """A certified deviation above 1e-9 is a failed verified property:
         exit 1, with the same JSON line on stdout."""

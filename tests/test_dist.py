@@ -25,16 +25,23 @@ from distdlog.dist import (
     solve_distributed,
     statevector_joint_distribution,
 )
-from distdlog.dlp import ShorConfig, decode_joint_index, node_numerators, node_phase, solve
+from distdlog.dlp import ShorConfig, decode_joint_index, node_numerators, solve
 from distdlog.numtheory import ProblemInstance, ceil_log2, mod_pow, validate_instance
 from distdlog.resources import communication_qubits, per_node_qubits_from_widths, single_node_qubits
 from distdlog.statevec import QubitBudgetError
 from gatelevel import build_stage_state, whole_state_step7
-from phaseloop import fraction_bits
+from phaseloop import analytic_joint_law_loop, fraction_bits
 
 
 def bs(text):
     return BitString(len(text), int(text, 2))
+
+
+def branch_phase(instance: ProblemInstance, exponent: int, s: int, family: str) -> Fraction:
+    """Register ``family``'s phase on branch s: its ``node_numerators``
+    entry over r."""
+    num_a, num_b = node_numerators(instance, exponent, s)
+    return Fraction(num_a if family == "a" else num_b, instance.r)
 
 
 def node_window_mass(
@@ -47,7 +54,7 @@ def node_window_mass(
     final node.
     """
     m = plan.measured[node]
-    omega = node_phase(instance, plan.l[node] - 1, s, family)
+    omega = branch_phase(instance, plan.l[node] - 1, s, family)
     dist = phase.phase_outcome_distribution(omega, plan.t[node])
     folded = phase.prefix_marginal(dist, m)
     target = fraction_bits(omega.numerator, omega.denominator, 1, m).value
@@ -314,21 +321,23 @@ class TestNodePhases:
         # node 1 sees s/r itself; node 2 sees frac(2^(l_2 - 1) s / r)
         (_, e0, _), (_, e1, _) = acceptance_plan.nodes
         assert (e0, e1) == (0, acceptance_plan.l[1] - 1)
-        assert node_phase(instance, e0, 2, "a") == Fraction(2, 5)
-        assert node_phase(instance, e1, 2, "a") == Fraction(4, 5)
+        assert branch_phase(instance, e0, 2, "a") == Fraction(2, 5)
+        assert branch_phase(instance, e1, 2, "a") == Fraction(4, 5)
         # family b carries the exponent: g = 2, so s = 1 gives 2/5
-        assert node_phase(instance, e0, 1, "b") == Fraction(2, 5)
+        assert branch_phase(instance, e0, 1, "b") == Fraction(2, 5)
 
     def test_numerators_are_the_phases(self, instance):
-        """The sampler's int numerators over r are the phases' numerators:
-        s 2^e mod r for a and s g 2^e mod r for b."""
+        """The int numerators over r are the phases' numerators, s 2^e mod r
+        for a and s g 2^e mod r for b, and the array form over every branch
+        equals the int form branch by branch."""
         r, g = instance.r, instance.hidden_g
         for exponent in range(6):
+            nums_a, nums_b = node_numerators(instance, exponent, np.arange(r, dtype=np.int64))
+            assert nums_a.dtype == nums_b.dtype == np.int64
             for s in range(r):
                 num_a, num_b = node_numerators(instance, exponent, s)
                 assert (num_a, num_b) == (s * 2**exponent % r, s * g * 2**exponent % r)
-                assert node_phase(instance, exponent, s, "a") == Fraction(num_a, r)
-                assert node_phase(instance, exponent, s, "b") == Fraction(num_b, r)
+                assert (nums_a[s], nums_b[s]) == (num_a, num_b)
 
     def test_window_masses_meet_budget(self, instance, acceptance_plan):
         bound = 1.0 - float(acceptance_plan.epsilon_prime)
@@ -490,6 +499,82 @@ class TestQuantumStage:
             assert rebuilt == flat
 
 
+BRANCH_CHAINS = ["N7", "N11", "N23", "acceptance", "three_nodes", "N311"]
+
+
+def branch_chain(which: str) -> tuple[ProblemInstance, dlp.Chain]:
+    """The one-node chains N = 7, 11 and 23 at eps = 1/4, the acceptance and
+    three-node plans on N = 11, and N = 311 (k = 2, h = 2, eps = 1/2,
+    eps' = 0.45), whose work register is the widest."""
+    one_node = {"N7": (7, 2, 4), "N11": (11, 3, 9), "N23": (23, 2, 8)}
+    if which in one_node:
+        inst = validate_instance(*one_node[which])
+        t = ShorConfig.for_instance(inst, "0.25").t
+        return inst, ((t, 0, t),)
+    if which == "N311":
+        inst = validate_instance(311, 6, 36)
+        return inst, make_plan(inst, k=2, h=2, epsilon="0.5", epsilon_prime="0.45").nodes
+    inst = validate_instance(11, 3, 9)
+    if which == "acceptance":
+        return inst, make_plan(inst, k=2, h=2, epsilon="0.25", epsilon_prime="0.2").nodes
+    return inst, THREE_NODE_PLAN.nodes
+
+
+class TestBranchLaws:
+    @pytest.mark.parametrize("which", BRANCH_CHAINS)
+    def test_backends_agree_row_for_row(self, which):
+        """Row i of both backends is branch -i mod r: the circuit's and the
+        closed form's per-branch laws agree row for row, and each row is a
+        law. The mixture cannot see a relabelling of the branches; this can."""
+        inst, nodes = branch_chain(which)
+        sv = dlp.branch_laws(inst, nodes, "statevector")
+        an = dlp.branch_laws(inst, nodes, "analytic")
+        assert len(sv) == len(an) == len(nodes)
+        for (_, _, m), got, want in zip(nodes, sv, an):
+            assert got.shape == want.shape == (inst.r, 1 << (2 * m))
+            assert np.abs(got - want).max() <= 1e-12
+            assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-12
+            assert np.abs(want.sum(axis=1) - 1.0).max() <= 1e-12
+
+    def test_refuses_unknown_mode(self, instance, acceptance_plan):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            dlp.branch_laws(instance, acceptance_plan.nodes, "dense")
+
+    @pytest.mark.parametrize("which", BRANCH_CHAINS)
+    def test_analytic_law_equals_per_branch_loop(self, which):
+        inst, nodes = branch_chain(which)
+        got = dlp.joint_law(inst, nodes, "analytic")
+        assert np.abs(got - analytic_joint_law_loop(inst, nodes)).max() <= 1e-15
+        assert not got.flags.writeable
+
+    def test_analytic_law_builds_no_one_phase_law(self, monkeypatch):
+        """Every branch's laws come from one row-kernel call per register:
+        no one-phase law is built or folded."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the analytic law went one phase at a time")
+
+        inst, nodes = branch_chain("three_nodes")
+        want = analytic_joint_law_loop(inst, nodes)
+        monkeypatch.setattr(phase, "phase_outcome_distribution", refuse)
+        monkeypatch.setattr(phase, "prefix_marginal", refuse)
+        got = dlp.joint_law.__wrapped__(inst, nodes, "analytic")
+        assert np.abs(got - want).max() <= 1e-15
+
+    def test_analytic_law_refused_over_cap(self, instance, acceptance_plan, monkeypatch):
+        """The analytic law shares the state-vector law's byte cap, checked
+        before any law row is built."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a law row was built")
+
+        law_bytes = 3 * 8 * (1 << (2 * sum(acceptance_plan.measured)))
+        monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", law_bytes - 1)
+        monkeypatch.setattr(phase, "outcome_laws", refuse)
+        with pytest.raises(QubitBudgetError, match="joint law needs"):
+            dlp.joint_law.__wrapped__(instance, acceptance_plan.nodes, "analytic")
+
+
 class TestStepSevenState:
     def test_node_register_marginal_is_branch_average(self, instance, acceptance_plan):
         """The first node's counting-register law equals the branch average
@@ -503,7 +588,7 @@ class TestStepSevenState:
         got = statevec.marginal_distribution(state, "a", acceptance_plan.t[0])
         want = sum(
             phase_outcome_distribution(
-                node_phase(instance, acceptance_plan.l[0] - 1, s, "a"), acceptance_plan.t[0]
+                branch_phase(instance, acceptance_plan.l[0] - 1, s, "a"), acceptance_plan.t[0]
             )
             for s in range(instance.r)
         ) / instance.r
@@ -515,6 +600,29 @@ class TestStepSevenState:
         assert report.factorization_residual <= 1e-12
         assert report.basis_residual <= 1e-12
         assert len(report.per_branch_deviation) == instance.r
+
+    def test_one_eigenvector_at_a_time(self, instance, acceptance_plan, monkeypatch):
+        """Each eigenvector goes through the nodes before the next is built,
+        so an over-budget node is refused after one eigenvector; the report
+        is unchanged."""
+        want = compare_step7_state(instance, acceptance_plan)
+        build, block = phase.build_eigenstate, dist.node_block
+        calls = {"eigen": 0, "nodes": 0}
+
+        def eigen(*args, **kwargs):
+            if calls["eigen"] and not calls["nodes"]:
+                raise AssertionError("a second eigenvector was built before any node ran")
+            calls["eigen"] += 1
+            return build(*args, **kwargs)
+
+        def node(*args, **kwargs):
+            calls["nodes"] += 1
+            return block(*args, **kwargs)
+
+        monkeypatch.setattr(phase, "build_eigenstate", eigen)
+        monkeypatch.setattr(dist, "node_block", node)
+        assert compare_step7_state(instance, acceptance_plan) == want
+        assert calls == {"eigen": instance.r, "nodes": instance.r * acceptance_plan.k}
 
     @pytest.mark.parametrize("which", ["small", "acceptance", "three_nodes"])
     def test_live_blocks_match_whole_state(

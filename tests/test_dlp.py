@@ -10,7 +10,6 @@ from distdlog.bits import BitString
 from distdlog.dist import solve_distributed
 from distdlog.dlp import (
     ShorConfig,
-    analytic_joint_law,
     joint_law,
     measure_node,
     node_block,
@@ -114,7 +113,7 @@ class TestStageEquivalence:
     def test_joint_laws_agree(self, instance):
         config = ShorConfig.for_instance(instance, "0.25")
         sv = joint_law(instance, ((config.t, 0, config.t),))
-        an = analytic_joint_law(instance, ((config.t, 0, config.t),))
+        an = joint_law(instance, ((config.t, 0, config.t),), "analytic")
         assert 0.5 * np.abs(sv - an).sum() < 1e-9
 
     @pytest.mark.parametrize("N, a, b", [(7, 2, 4), (11, 3, 9), (23, 2, 8)])
@@ -154,7 +153,7 @@ class TestStageEquivalence:
         cells) have a mean TV of 0.038 and stayed below 0.046 in 200
         simulated batches."""
         config = ShorConfig.for_instance(instance, "0.25")
-        law = analytic_joint_law(instance, ((config.t, 0, config.t),))
+        law = joint_law(instance, ((config.t, 0, config.t),), "analytic")
         draws = 20_000
         rng = np.random.default_rng(5)
         counts = np.zeros_like(law)
@@ -448,7 +447,7 @@ class TestExactMass:
 
     def test_builds_no_one_row_law(self, instance, monkeypatch):
         """Both registers' laws come from one row-kernel call each; the
-        one-row law cache is left to the joint laws and the tests."""
+        one-row law cache is left to the tests."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("built a one-row law")
