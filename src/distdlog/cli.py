@@ -12,11 +12,12 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
-from . import dist, verify
-from .harness import BatchResult, ExperimentConfig, run_batch
+from . import dist, dlp, verify
+from .harness import run_batch
 from .numtheory import InstanceError, to_fraction, validate_instance
 from .resources import (
     ResourceReport,
@@ -81,24 +82,21 @@ def _emit(lines: list[str], output: str | None) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace, distributed: bool) -> int:
-    config = ExperimentConfig(
-        N=args.N,
-        a=args.a,
-        b=args.b,
-        algorithm="distributed" if distributed else "shor",
-        mode=args.mode,
-        epsilon=args.epsilon,
-        epsilon_prime=getattr(args, "epsilon_prime", None),
-        k=getattr(args, "k", 2),
-        h=getattr(args, "h", None),
-        trials=args.trials,
-        max_retries=args.max_retries,
-        seed=args.seed,
-        reuse_state=not args.no_reuse,
-    )
-    result: BatchResult = run_batch(config)
-    lines = [_json_line(record.to_json_dict()) for record in result.records]
-    lines.append(_json_line({"summary": result.summary}))
+    instance = validate_instance(args.N, args.a, args.b)
+    fields: dict = {"algorithm": "distributed" if distributed else "shor", "mode": args.mode}
+    if distributed:
+        plan = dist.make_plan(instance, args.k, args.h, args.epsilon, args.epsilon_prime)
+        fields["plan"] = plan.to_json_dict()
+        solve = partial(
+            dist.solve_distributed, instance, plan, mode=args.mode,
+            max_retries=args.max_retries, reuse_state=not args.no_reuse,
+        )
+    else:
+        config = dlp.ShorConfig.for_instance(instance, args.epsilon, args.max_retries, args.mode)
+        solve = partial(dlp.solve, instance, config, reuse_state=not args.no_reuse)
+    records, summary = run_batch(solve, args.trials, args.seed, **fields)
+    lines = [_json_line(record.to_json_dict()) for record in records]
+    lines.append(_json_line({"summary": summary}))
     _emit(lines, args.output)
     return 0
 

@@ -5,17 +5,20 @@ windows overlap by h + 1 bits, and a classical alignment pass stitches the
 per-node measurements into one full-width estimate before the usual
 rounding and inversion.
 
-The quantum stage and both joint laws are ``dlp``'s chain pieces over
-``plan.nodes``, the chain of ``(t_j, l_j - 1, measured_j)``; a stage pass
-returns ``(pairs, latent_s)``. The nodes act in sequence on a shared
-L-qubit work register. A register that a node has finished with is never
-touched by any later operation, so the state-vector backend simulates one
-node of 2 t_j + L logical qubits at a time: ``dlp.measure_chain`` measures
-its registers in full on the work values the state reaches, register a
-before the b stage and b on the one drawn row (measuring the unmeasured
-tail early changes no reported statistic, by the deferred measurement
-principle), and hands the then-pure work register to the next node. The per-node footprint therefore matches
-the claimed space cost max_j (2 t_j + L) exactly, and the hand-off is the
+The solver is a join plus a resource report: ``solve_distributed`` hands
+``dlp.solve_chain``, the one solve loop of both solvers, the plan's chain
+``plan.nodes`` of ``(t_j, l_j - 1, measured_j)`` and a join that aligns
+each family's node prefixes (``correct_with_flag``). The quantum stage,
+both joint laws and the retries are ``dlp``'s. The nodes act in sequence
+on a shared L-qubit work register. A register that a node has finished
+with is never touched by any later operation, so the state-vector backend
+simulates one node of 2 t_j + L logical qubits at a time:
+``dlp.measure_chain`` measures its registers in full on the work values
+the state reaches, register a before the b stage and b on the one drawn
+row (measuring the unmeasured tail early changes no reported statistic,
+by the deferred measurement principle), and hands the then-pure work
+register to the next node. The per-node footprint therefore matches the
+claimed space cost max_j (2 t_j + L) exactly, and the hand-off is the
 (k-1) L communication cost. A single flat vector over all nodes' registers
 would need 2 (t_1 + ... + t_k) + L qubits, which exceeds the dense cap for
 every feasible plan.
@@ -39,21 +42,20 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import phase, statevec
+from . import phase
 from .bits import BitString, circ_dist, wrap_add  # circ_dist: bench/tests checks dist's binding of it
-from .dlp import (  # postprocess_detail: bench/tests checks dist's binding of it
+from .dlp import (  # decode_joint_index, postprocess_detail: bench/ binds them by these names
     Chain,
     Pairs,
     RunRecord,
     decode_joint_index,
-    joint_cdf,
     joint_law,
     measure_chain,
     node_block,
     node_numerators,
     postprocess_detail,
-    retry,
     sample_chain,
+    solve_chain,
 )
 from .numtheory import ProblemInstance, ceil_log2, to_fraction
 from .resources import (
@@ -344,38 +346,23 @@ def solve_distributed(
     max_retries: int = 64,
     reuse_state: bool = True,
 ) -> RunRecord:
-    """Distributed quantum stage, alignment, rounding, verification, retries.
+    """Distributed quantum stage, alignment, rounding, verification, retries:
+    ``dlp.solve_chain`` over ``plan.nodes``, joined by the alignment pass.
 
     With reuse_state the state-vector backend draws node measurements from
     the cached exact joint law of the sequential protocol, which is the same
     distribution as running the nodes afresh each attempt.
     """
-    nodes = plan.nodes
-    cdf = None
-    if mode == "statevector" and reuse_state:
-        try:
-            cdf = joint_cdf(instance, nodes)
-        except statevec.QubitBudgetError:
-            pass  # cached joint too large; run nodes per attempt
 
-    def attempt() -> tuple[BitString, BitString, dict]:
-        if cdf is not None:
-            flat = statevec.sample_cdf(rng, cdf)
-            pairs, latent_s = decode_joint_index(flat, nodes), None
-        else:
-            pairs, latent_s = run_distributed_quantum(instance, plan, rng, mode=mode)
+    def join(pairs: Pairs) -> tuple[BitString, BitString, dict]:
         m_a, fb_a = correct_with_flag([ma for ma, _ in pairs], plan)
         m_b, fb_b = correct_with_flag([mb for _, mb in pairs], plan)
-        return m_a, m_b, {
-            "latent_s": latent_s,
-            "node_measurements": pairs,
-            "correct_fallback": fb_a or fb_b,
-        }
+        return m_a, m_b, {"node_measurements": pairs, "correct_fallback": fb_a or fb_b}
 
     report = resource_report(instance, plan, mode)
-    return retry(
-        instance, max_retries, attempt,
-        mode=mode, resources=report, comm_qubits=report.comm_qubits,
+    return solve_chain(
+        instance, plan.nodes, rng, mode, max_retries, reuse_state, join,
+        resources=report, comm_qubits=report.comm_qubits,
     )
 
 

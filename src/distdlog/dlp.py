@@ -1,11 +1,15 @@
 """End-to-end discrete-log solver: quantum stage, classical rounding and
-inversion, and the retry loop.
+inversion, and the one solve loop of both solvers.
 
 Every stage piece runs over a chain of node circuits, given as ``(t,
 exponent, measured)`` per node: the counting registers control powers
 c^(j 2^exponent) of c = a and c = b, and their leading ``measured`` bits
-are kept. This solver is the one-node chain ``((t, 0, t),)``, and ``dist``
-runs its plan's chain through the same pieces and the same retry loop.
+are kept. ``solve_chain`` is the one solve loop: it picks every attempt's
+stage (the analytic draw, the cached law, or a fresh run of the chain,
+also when the cached law is over its byte cap), hands the drawn pairs to
+the solver's join, then rounds, inverts and retries. This solver is it on
+the one-node chain ``((t, 0, t),)`` with the identity join, and ``dist``
+runs its plan's chain through it with the alignment pass as the join.
 The node circuit is a fused kernel in two stages that keeps only the live
 work values: ``node_columns`` runs it to the end of register a's inverse
 QFT, and ``node_rows`` runs the b stage on the rows it is given;
@@ -274,6 +278,12 @@ def measure_chain(instance: ProblemInstance, nodes: Chain, rng: np.random.Genera
 
 _LAW_BYTES_CAP = 1 << 28
 
+# branch_laws' analytic tracemalloc peak, less the (r, 4^m) tables it keeps,
+# is at most about 17.5 bytes per entry of the widest (r, 2^t) outcome_laws
+# table (r = 16001, t = 5 to 8, one or two nodes: the int64 offsets, the
+# float64 laws and the bool mask of the singular entries); rounded up here.
+_ROW_BYTES = 18
+
 
 def branch_laws(instance: ProblemInstance, nodes: Chain, mode: str) -> list[np.ndarray]:
     """Per node, the ``(r, 4^m)`` table of its prefix laws P_j(m_a, m_b | s),
@@ -317,7 +327,9 @@ def joint_law(instance: ProblemInstance, nodes: Chain, mode: str = "statevector"
     leading ``measured`` bits of both counting registers. Flat index
     concatenates (m_1a, m_1b, ..., m_ka, m_kb), first node most significant.
     It is the branch mixture (1/r) sum_s prod_j P_j(. | s) of either
-    backend's ``branch_laws``, refused before any row is built past the cap.
+    backend's ``branch_laws``, refused before any row is built past the cap;
+    the analytic build also counts its ``(r, 2^t)`` row tables and the
+    ``(r, 4^m)`` per-node tables it keeps.
 
     Cached per (instance, chain, mode), read-only: both solvers' cached draws
     and ``dist.statevector_joint_distribution`` pass no mode, so they share
@@ -325,6 +337,10 @@ def joint_law(instance: ProblemInstance, nodes: Chain, mode: str = "statevector"
     """
     size = 1 << (2 * sum(m for _, _, m in nodes))
     nbytes = 3 * 8 * size  # the law, one branch term and joint_cdf's cumsum
+    if mode == "analytic":  # the widest row table at its peak, and every node's kept table
+        widest = max(1 << t for t, _, _ in nodes)
+        kept = sum(1 << (2 * m) for _, _, m in nodes)
+        nbytes += instance.r * (_ROW_BYTES * widest + 8 * kept)
     if nbytes > _LAW_BYTES_CAP:
         raise statevec.QubitBudgetError(
             f"joint law needs {nbytes >> 20} MiB (cap {_LAW_BYTES_CAP >> 20} MiB)"
@@ -448,23 +464,47 @@ def postprocess_detail(
     return PostprocessResult(mhat_a, mhat_b, g_hat)
 
 
-def retry(
+def solve_chain(
     instance: ProblemInstance,
+    nodes: Chain,
+    rng: np.random.Generator,
+    mode: str,
     max_retries: int,
-    attempt: Callable[[], tuple[BitString, BitString, dict]],
+    reuse_state: bool,
+    join: Callable[[Pairs], tuple[BitString, BitString, dict]],
     **fields,
 ) -> RunRecord:
-    """Quantum stage plus post-processing, retried up to max_retries attempts.
+    """The one solve loop of both solvers: the chain's quantum stage,
+    ``join``, post-processing, retried up to max_retries attempts.
 
-    ``attempt()`` runs one quantum stage and returns the two full-width
-    estimates (m_a, m_b) with the record fields that attempt sets; the
-    record reports the last attempt. ``fields`` are the record fields fixed
-    for the whole solve.
+    Each attempt draws the chain's pairs by ``sample_chain`` (analytic),
+    from the cached ``joint_cdf`` (state-vector with reuse_state) or by
+    ``measure_chain`` (state-vector, fresh). A cached law over its byte
+    cap falls back to fresh runs on every attempt, so an oversize circuit
+    is refused by its qubit cap. ``join(pairs)`` returns the two
+    full-width estimates (m_a, m_b) with the record fields that attempt
+    sets; the record reports the last attempt. ``fields`` are the record
+    fields fixed for the whole solve.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if max_retries < 1:
         raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+    cdf = None
+    if mode == "statevector" and reuse_state:
+        try:
+            cdf = joint_cdf(instance, nodes)
+        except statevec.QubitBudgetError:
+            pass  # cached law too large; run the chain per attempt
+    latent_s = None
     for attempts in range(1, max_retries + 1):
-        m_a, m_b, extra = attempt()
+        if mode == "analytic":
+            pairs, latent_s = sample_chain(instance, nodes, rng)
+        elif cdf is not None:
+            pairs = decode_joint_index(statevec.sample_cdf(rng, cdf), nodes)
+        else:
+            pairs = measure_chain(instance, nodes, rng)
+        m_a, m_b, extra = join(pairs)
         detail = postprocess_detail(m_a, m_b, instance)
         if detail.g_hat is not None:
             break
@@ -476,6 +516,8 @@ def retry(
         g_hat=detail.g_hat,
         retries=attempts - 1,
         success=detail.g_hat is not None,
+        mode=mode,
+        latent_s=latent_s,
         **extra,
         **fields,
     )
@@ -487,25 +529,14 @@ def solve(
     rng: np.random.Generator,
     reuse_state: bool = True,
 ) -> RunRecord:
-    """The single-node solver: quantum stage, post-processing, retries.
+    """The single-node solver: ``solve_chain`` on the one-node chain, whose
+    one pair is the estimate.
 
     With reuse_state (the default) the state-vector backend draws outcomes
     from the cached exact measurement law of the pre-measurement state,
     which is distribution-identical to re-running the circuit per attempt.
     """
     t = config.t
-    nodes = ((t, 0, t),)
-    cdf = joint_cdf(instance, nodes) if config.mode == "statevector" and reuse_state else None
-
-    def attempt() -> tuple[BitString, BitString, dict]:
-        if config.mode == "analytic":
-            m_a, m_b, latent_s = quantum_stage_analytic(instance, config, rng)
-            return m_a, m_b, {"latent_s": latent_s}
-        if cdf is not None:
-            ((m_a, m_b),) = decode_joint_index(statevec.sample_cdf(rng, cdf), nodes)
-            return m_a, m_b, {}
-        return (*quantum_stage_statevector(instance, config, rng), {})
-
     width = 2 * t + instance.L  # single_node_qubits(r, L, epsilon): t = counting_width(r, epsilon)
     report = ResourceReport(
         qubits_single_node_alg2=width,
@@ -513,7 +544,10 @@ def solve(
         comm_qubits=communication_qubits(1, instance.L),
         simulated_qubits_actual=width if config.mode == "statevector" else 0,
     )
-    return retry(instance, config.max_retries, attempt, mode=config.mode, resources=report)
+    return solve_chain(
+        instance, ((t, 0, t),), rng, config.mode, config.max_retries, reuse_state,
+        lambda pairs: (*pairs[0], {}), resources=report,
+    )
 
 
 def single_shot_success_mass(

@@ -1,20 +1,19 @@
-"""Batch experiment orchestration with reproducible per-trial randomness.
+"""Seeded batches of a given solver, and their summary.
 
-Every trial derives its own random stream from (seed, trial index), so a
-batch is byte-reproducible regardless of execution order and the records
-of parallel and serial runs are identical.
+The solver is a function of one random generator. Every trial derives its
+own generator from (seed, trial index), so a trial's record depends only
+on the seed and its index, never on the trials run before it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
-from . import dist, dlp
-from .numtheory import ProblemInstance, to_fraction, validate_instance
+from .dlp import RunRecord
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -35,88 +34,29 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated parameters for one batch of solves."""
+def run_batch(
+    solve: Callable[[np.random.Generator], RunRecord], trials: int, seed: int, **summary_fields
+) -> tuple[list[RunRecord], dict]:
+    """Run ``trials`` seeded solves and summarise them.
 
-    N: int
-    a: int
-    b: int
-    algorithm: str = "shor"  # or "distributed"
-    mode: str = "statevector"  # or "analytic"
-    epsilon: Fraction | float | str = Fraction(1, 4)
-    epsilon_prime: Fraction | float | str | None = None
-    k: int = 2
-    h: int | None = None
-    trials: int = 100
-    max_retries: int = 64
-    seed: int = 0
-    reuse_state: bool = True
-
-    def __post_init__(self) -> None:
-        if self.algorithm not in ("shor", "distributed"):
-            raise ValueError(f"algorithm must be 'shor' or 'distributed', got {self.algorithm!r}")
-        if self.mode not in dlp.MODES:
-            raise ValueError(f"mode must be one of {dlp.MODES}, got {self.mode!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        self.epsilon = to_fraction(self.epsilon)
-        if self.epsilon_prime is not None:
-            self.epsilon_prime = to_fraction(self.epsilon_prime)
-
-    def instance(self) -> ProblemInstance:
-        return validate_instance(self.N, self.a, self.b)
-
-
-@dataclass
-class BatchResult:
-    records: list[dlp.RunRecord]
-    summary: dict
-
-
-def run_batch(config: ExperimentConfig) -> BatchResult:
-    """Run `trials` independent solves and summarise them."""
-    instance = config.instance()
-    plan = None
-    shor_config = None
-    if config.algorithm == "distributed":
-        plan = dist.make_plan(
-            instance, config.k, config.h, config.epsilon, config.epsilon_prime
-        )
-    else:
-        shor_config = dlp.ShorConfig.for_instance(
-            instance, config.epsilon, max_retries=config.max_retries, mode=config.mode
-        )
-
-    records = []
-    for i in range(config.trials):
-        rng = trial_rng(config.seed, i)
-        if plan is not None:
-            record = dist.solve_distributed(
-                instance,
-                plan,
-                rng,
-                mode=config.mode,
-                max_retries=config.max_retries,
-                reuse_state=config.reuse_state,
-            )
-        else:
-            record = dlp.solve(instance, shor_config, rng, reuse_state=config.reuse_state)
-        records.append(replace(record, seed=i))
-
+    Trial i runs ``solve(trial_rng(seed, i))`` and its record carries seed
+    i. Returns the records and the summary, which holds ``summary_fields``
+    (what the caller solved, for example the algorithm, the mode and the
+    plan) next to the counts and the Wilson interval.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    records = [replace(solve(trial_rng(seed, i)), seed=i) for i in range(trials)]
     successes = sum(r.success for r in records)
-    low, high = wilson_interval(successes, config.trials)
+    low, high = wilson_interval(successes, trials)
     summary = {
-        "algorithm": config.algorithm,
-        "mode": config.mode,
-        "trials": config.trials,
+        **summary_fields,
+        "trials": trials,
         "successes": successes,
-        "success_rate": successes / config.trials,
-        "mean_retries": sum(r.retries for r in records) / config.trials,
+        "success_rate": successes / trials,
+        "mean_retries": sum(r.retries for r in records) / trials,
         "wilson_low": low,
         "wilson_high": high,
-        "seed": config.seed,
+        "seed": seed,
     }
-    if plan is not None:
-        summary["plan"] = plan.to_json_dict()
-    return BatchResult(records=records, summary=summary)
+    return records, summary

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from distdlog import dist, dlp, resources, verify
-from distdlog.harness import ExperimentConfig, run_batch
+from distdlog.harness import run_batch
 from distdlog.numtheory import validate_instance
 
 
@@ -21,15 +21,13 @@ def _verdict(tag: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_single_shot_success_bound():
-    config = ExperimentConfig(
-        N=11, a=3, b=9, algorithm="shor", mode="statevector",
-        epsilon="0.25", trials=2000, max_retries=1, seed=7,
-    )
+    instance = validate_instance(11, 3, 9)
+    config = dlp.ShorConfig.for_instance(instance, "0.25", max_retries=1)
     started = time.time()
-    result = run_batch(config)
+    _, summary = run_batch(lambda rng: dlp.solve(instance, config, rng), trials=2000, seed=7)
     elapsed = time.time() - started
-    low = result.summary["wilson_low"]
-    rate = result.summary["success_rate"]
+    low = summary["wilson_low"]
+    rate = summary["success_rate"]
     _verdict(
         "criterion 1 (single-node success rate)",
         low >= 0.567 and elapsed < 120,
@@ -57,14 +55,13 @@ def test_criterion_2_exact_success_mass():
 
 
 def test_criterion_3_distributed_success_bound():
-    config = ExperimentConfig(
-        N=11, a=3, b=9, algorithm="distributed", mode="statevector",
-        epsilon="0.25", epsilon_prime="0.2", k=2, h=2,
-        trials=2000, max_retries=1, seed=7,
+    instance = validate_instance(11, 3, 9)
+    plan = dist.make_plan(instance, 2, 2, "0.25", "0.2")
+    _, summary = run_batch(
+        lambda rng: dist.solve_distributed(instance, plan, rng, max_retries=1), trials=2000, seed=7
     )
-    result = run_batch(config)
-    low = result.summary["wilson_low"]
-    rate = result.summary["success_rate"]
+    low = summary["wilson_low"]
+    rate = summary["success_rate"]
     # bound ordering is a formula-level fact: epsilon' < epsilon
     r = 5
     bound_dist = Fraction(r - 1, r) * (1 - Fraction("0.2"))

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from distdlog.cli import main
-from distdlog.harness import ExperimentConfig, run_batch, wilson_interval
+from distdlog.dlp import ShorConfig, solve
+from distdlog.harness import run_batch, wilson_interval
 
 
 def run_cli(capsys, argv):
@@ -70,6 +71,26 @@ class TestSolveCommand:
         )
         assert code == 2
         assert "promise violated" in err
+
+    def test_oversize_statevector_run_refused_by_qubit_cap(self, capsys):
+        """At r = 16001 the cached law is over its byte cap, so the solver
+        falls back to fresh runs, and the circuit's qubit cap refuses them
+        with the message ``solve-dist`` gives."""
+        code, out, err = run_cli(
+            capsys,
+            ["solve", "--N", "32003", "--a", "4", "--b", "17236", "--epsilon", "0.25",
+             "--trials", "5", "--seed", "7"],
+        )
+        assert (code, out) == (2, "")
+        assert "circuit needs 51 qubits (cap 24); use analytic mode" in err
+
+    @pytest.mark.parametrize("command", ["solve", "solve-dist"])
+    def test_zero_trials_exit_2(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, [command, "--N", "11", "--a", "3", "--b", "9", "--trials", "0", "--seed", "7"]
+        )
+        assert (code, out) == (2, "")
+        assert "trials must be >= 1" in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "records.ndjson"
@@ -539,17 +560,16 @@ class TestHarness:
         exact_low, exact_high = wilson_interval(100, 100)
         assert exact_high == 1.0 and exact_low > 0.95
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(N=11, a=3, b=9, algorithm="quantum")
-        with pytest.raises(ValueError):
-            ExperimentConfig(N=11, a=3, b=9, trials=0)
+    def test_config_validation(self, instance):
+        config = ShorConfig.for_instance(instance, "0.25")
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_batch(lambda rng: solve(instance, config, rng), trials=0, seed=9)
 
-    def test_run_batch_assigns_trial_seeds(self):
-        config = ExperimentConfig(N=11, a=3, b=9, trials=4, seed=9)
-        result = run_batch(config)
-        assert [r.seed for r in result.records] == [0, 1, 2, 3]
-        assert result.summary["successes"] == sum(r.success for r in result.records)
+    def test_run_batch_assigns_trial_seeds(self, instance):
+        config = ShorConfig.for_instance(instance, "0.25")
+        records, summary = run_batch(lambda rng: solve(instance, config, rng), trials=4, seed=9)
+        assert [r.seed for r in records] == [0, 1, 2, 3]
+        assert summary["successes"] == sum(r.success for r in records)
 
     def test_resource_report_recomputes_identically(self):
         from distdlog import dist, resources

@@ -574,6 +574,37 @@ class TestBranchLaws:
         with pytest.raises(QubitBudgetError, match="joint law needs"):
             dlp.joint_law.__wrapped__(instance, acceptance_plan.nodes, "analytic")
 
+    def test_analytic_row_tables_refused_over_cap(self, monkeypatch):
+        """At r = 16001 the chain ((14, 0, 2),) has a 16-entry law, but its
+        two (r, 2^14) row tables come to GiBs: the cap counts them, so the
+        build is refused before the row kernel runs."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row table was built")
+
+        inst = validate_instance(32003, 4, 17236)
+        monkeypatch.setattr(phase, "outcome_laws", refuse)
+        with pytest.raises(QubitBudgetError, match="joint law needs"):
+            dlp.joint_law.__wrapped__(inst, ((14, 0, 2),), "analytic")
+
+    @pytest.mark.parametrize(
+        "nodes", [((7, 0, 1),), ((6, 0, 2), (5, 3, 3))], ids=["one-node", "two-node"]
+    )
+    def test_analytic_row_bytes_bound_the_build(self, nodes):
+        """``_ROW_BYTES`` per entry of the widest row table, plus the kept
+        (r, 4^m) tables, bounds ``branch_laws``' tracemalloc peak."""
+        inst = validate_instance(32003, 4, 17236)
+        widest = max(1 << t for t, _, _ in nodes)
+        kept = sum(1 << (2 * m) for _, _, m in nodes)
+        tracemalloc.start()
+        try:
+            laws = dlp.branch_laws(inst, nodes, "analytic")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(laws) == len(nodes)
+        assert peak <= inst.r * (dlp._ROW_BYTES * widest + 8 * kept)
+
 
 class TestStepSevenState:
     def test_node_register_marginal_is_branch_average(self, instance, acceptance_plan):
@@ -727,39 +758,6 @@ class TestSolveDistributed:
             for (ma, _), width in zip(record.node_measurements, plan.measured)
         )
 
-    def test_joint_tensor_guard_falls_back(self, instance, acceptance_plan, monkeypatch):
-        """A joint law whose three float64 arrays (law, branch term, CDF)
-        exceed the byte cap is refused before any node runs, and the solver
-        then runs the nodes per attempt."""
-        law_bytes = 3 * 8 * (1 << (2 * sum(acceptance_plan.measured)))
-        monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", law_bytes - 1)
-        dlp.joint_law.cache_clear()
-        dlp.joint_cdf.cache_clear()
-        calls = []
-        measure_node = dlp.measure_node
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("node_block ran")
-
-        def count(*args, **kwargs):
-            calls.append(args)
-            return measure_node(*args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(dlp, "node_block", refuse)
-            with pytest.raises(QubitBudgetError, match="joint law needs"):
-                statevector_joint_distribution(instance, acceptance_plan)
-        monkeypatch.setattr(dlp, "measure_node", count)
-        record = solve_distributed(
-            instance, acceptance_plan, np.random.default_rng(3), max_retries=3
-        )
-        assert len(calls) == acceptance_plan.k * (record.retries + 1)  # fresh runs
-        assert record.m_a.width == acceptance_plan.total_width
-        assert all(
-            ma.width == width
-            for (ma, _), width in zip(record.node_measurements, acceptance_plan.measured)
-        )
-
     def test_one_cached_law_per_chain(self, instance, acceptance_plan):
         """Both solvers and ``statevector_joint_distribution`` share
         ``dlp.joint_law``'s cache: one entry per chain, built once."""
@@ -786,6 +784,61 @@ class TestSolveDistributed:
         payload = record.to_json_dict()
         assert len(payload["node_measurements"]) == 2
         json.dumps(payload)
+
+
+class TestSolveChain:
+    """Both solvers run ``dlp.solve_chain``, so they share its checks and
+    its stage policy."""
+
+    @pytest.mark.parametrize("algorithm", ["alg2", "alg4"])
+    def test_joint_tensor_guard_falls_back(
+        self, instance, acceptance_plan, monkeypatch, algorithm
+    ):
+        """A joint law whose three float64 arrays (law, branch term, CDF)
+        exceed the byte cap is refused before any node runs, and either
+        solver then runs the nodes per attempt, with full-width pairs."""
+        if algorithm == "alg2":
+            config = ShorConfig.for_instance(instance, "0.25", max_retries=3)
+            nodes, width = ((config.t, 0, config.t),), config.t
+            run = lambda rng: solve(instance, config, rng)
+        else:
+            nodes, width = acceptance_plan.nodes, acceptance_plan.total_width
+            run = lambda rng: solve_distributed(instance, acceptance_plan, rng, max_retries=3)
+        law_bytes = 3 * 8 * (1 << (2 * sum(m for _, _, m in nodes)))
+        monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", law_bytes - 1)
+        dlp.joint_law.cache_clear()
+        dlp.joint_cdf.cache_clear()
+        calls = []
+        measure_node = dlp.measure_node
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("node_block ran")
+
+        def count(*args, **kwargs):
+            calls.append(args)
+            return measure_node(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dlp, "node_block", refuse)
+            with pytest.raises(QubitBudgetError, match="joint law needs"):
+                dlp.joint_law(instance, nodes)
+        monkeypatch.setattr(dlp, "measure_node", count)
+        record = run(np.random.default_rng(3))
+        assert len(calls) == len(nodes) * (record.retries + 1)  # fresh runs
+        assert record.m_a.width == record.m_b.width == width
+        pairs = record.node_measurements or ((record.m_a, record.m_b),)
+        assert [(ma.width, mb.width) for ma, mb in pairs] == [(m, m) for _, _, m in nodes]
+
+    def test_checks_mode_and_attempts(self, instance, acceptance_plan):
+        """Both solvers get the loop's checks, before any stage runs."""
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="mode must be one of"):
+            solve_distributed(instance, acceptance_plan, rng, mode="dense")
+        with pytest.raises(ValueError, match="max_retries must be >= 1"):
+            solve_distributed(instance, acceptance_plan, rng, max_retries=0)
+        config = ShorConfig(epsilon=Fraction(1, 4), t=7, max_retries=0)
+        with pytest.raises(ValueError, match="max_retries must be >= 1"):
+            solve(instance, config, rng)
 
 
 def test_statevector_solvers_never_read_hidden_g(small_instance, small_plan):

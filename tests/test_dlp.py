@@ -21,7 +21,7 @@ from distdlog.dlp import (
     single_shot_success_mass,
     solve,
 )
-from distdlog.harness import ExperimentConfig, run_batch
+from distdlog.harness import run_batch
 from distdlog.numtheory import mod_pow, validate_instance
 from distdlog.phase import phase_outcome_distribution
 
@@ -323,18 +323,22 @@ class TestLiveOrbit:
         assert info.hits + info.misses == len(keys) >= 60
         assert info.misses <= len({(exponent, support) for _, exponent, support in keys})
 
-    def test_warm_cache_gives_cold_records(self):
+    def test_warm_cache_gives_cold_records(self, instance, acceptance_plan):
         """50 seeded fresh solves give the same records on a warm cache as
         on a cold one."""
+        config = ShorConfig.for_instance(instance, "0.25", max_retries=1)
+        solvers = (
+            lambda rng: solve(instance, config, rng, reuse_state=False),
+            lambda rng: solve_distributed(
+                instance, acceptance_plan, rng, max_retries=1, reuse_state=False
+            ),
+        )
 
         def batch():
             return [
                 record.to_json_dict()
-                for algorithm in ("shor", "distributed")
-                for record in run_batch(ExperimentConfig(
-                    11, 3, 9, algorithm=algorithm, epsilon="0.25", epsilon_prime="0.2",
-                    h=2, trials=25, max_retries=1, seed=7, reuse_state=False,
-                )).records
+                for one in solvers
+                for record in run_batch(one, trials=25, seed=7)[0]
             ]
 
         batch()
