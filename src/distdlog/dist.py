@@ -163,10 +163,14 @@ def align_values(values, plan: DistPlan):
     """The alignment pass on per-node measured values: ``(value, fallback)``.
 
     ``values`` holds one value per node, node j of width ``plan.measured[j]``.
-    The body uses only ``+ - % >> & <<``, comparisons and bool-times-int
+    The body uses only ``+ - >> & <<``, comparisons and bool-times-int
     arithmetic, so it runs unchanged on Python ints (returning an ``int`` and
-    a ``bool``) and elementwise on int64 arrays (returning two arrays). Arrays
-    hold ``plan.total_width`` bits, so they need a plan narrower than 63 bits.
+    a ``bool``) and elementwise on int64 arrays (returning two arrays). Every
+    reduction mod 2^k is ``& (2^k - 1)``, which gives the same residue in
+    [0, 2^k) as ``%`` for negative values too, on ints (infinite two's
+    complement) and on int64 arrays, and costs a fraction of an array ``%``.
+    Arrays hold ``plan.total_width`` bits, so they need a plan narrower than
+    63 bits.
 
     Walking from the last node back, node j's trailing h + 1 bits are moved
     onto the leading h + 1 bits of the part already assembled. The needed
@@ -188,11 +192,11 @@ def align_values(values, plan: DistPlan):
     fallback = False
     for j in range(plan.k - 2, -1, -1):
         rest = width - h - 1  # bits of the assembled part below the overlap
-        s = half - (half - ((combined >> rest) - values[j])) % (2 * half)
+        s = half - ((half - ((combined >> rest) - values[j])) & (2 * half - 1))
         over, under = s > reach, s < -reach
         shift = s - over * (s - reach) - under * (s + reach)
         fallback = fallback | over | under
-        aligned = (values[j] + shift) % (1 << plan.measured[j])
+        aligned = (values[j] + shift) & ((1 << plan.measured[j]) - 1)
         combined = (aligned << rest) + (combined & ((1 << rest) - 1))
         width = plan.measured[j] + rest
     return combined, fallback
@@ -239,7 +243,7 @@ class AlignmentMismatch(AssertionError):
 
 def _circ(diff, width: int):
     """Circular distance of a difference of ``width``-bit values (ints or arrays)."""
-    d = diff % (1 << width)
+    d = diff & ((1 << width) - 1)
     return np.minimum(d, (1 << width) - d)
 
 
@@ -277,7 +281,7 @@ def brute_force_correct_oracle(w, perturbations, plan: DistPlan):
     windows = [
         (values >> (width - end)) & ((1 << m) - 1) for end, m in zip(ends, plan.measured)
     ]
-    inputs = [(x + p) % (1 << m) for x, p, m in zip(windows, offsets, plan.measured)]
+    inputs = [(x + p) & ((1 << m) - 1) for x, p, m in zip(windows, offsets, plan.measured)]
 
     output, _ = align_values(inputs, plan)
     got = _circ(output - values, width)

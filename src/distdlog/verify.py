@@ -9,15 +9,19 @@ The distance suites (``suite_metric``, ``suite_prefix_bound``) compute every
 circular distance through one formula, ``_circ_dist``. The metric suite
 draws its random cases as arrays (``_metric_cases``) and checks them in one
 pass; the prefix suite builds each prefix-distance table once per width and
-checks it against every shorter prefix. The tests hold them to the per-case
-``BitString`` loops they replaced (``tests/metricloop.py``).
+checks it against every shorter prefix. Their exhaustive tables are int16,
+a quarter of the int64 size (128 KiB at t = 8). The tests hold them to the
+per-case ``BitString`` loops they replaced (``tests/metricloop.py``).
 
-The accuracy suite (``suite_accuracy``) sweeps every phase s/r of one
-(eps, n) at once through ``phase``'s row kernels: ``outcome_laws`` builds
-their 2^t laws in row blocks and ``accuracy_masses`` their window and
-prefix masses. ``run_suite`` refuses, before any suite runs, a sweep of
-more law entries than _ACCURACY_ENTRIES_CAP, as it refuses a case count
-whose alignment arrays would pass _CASES_BYTES_CAP.
+The accuracy suite (``suite_accuracy``) sweeps every phase s/r at once
+through ``phase``'s row kernels: ``outcome_laws`` builds their 2^t laws
+once per width t, in row blocks, and ``accuracy_masses`` takes the window
+and prefix masses of every (t, n) that the epsilons need from each block.
+``run_suite`` refuses, before any suite runs, a sweep of more law entries
+than _ACCURACY_ENTRIES_CAP, as it refuses a case count whose alignment
+arrays would pass _CASES_BYTES_CAP. Every temporary of the prefix and
+accuracy suites is at most 128 KiB, glibc's default mmap threshold, so a
+warm pass reuses the heap instead of faulting its working set back in.
 
 The alignment oracle (``suite_correct``) runs the solvers' own alignment
 pass, ``dist.align_values``, on int64 arrays: one oracle call per sweep.
@@ -25,9 +29,9 @@ That pass is closed form: each node's shift is the signed residue
 s = 2^h - ((2^h - (target - tail)) mod 2^(h+1)), in (-2^h, 2^h], clamped
 to [-2^(h-1), 2^(h-1)], with the fallback flag set when |s| > 2^(h-1); the
 midpoint s = 2^h, a tie between +2^(h-1) and -2^(h-1), goes to +2^(h-1).
-Its body is integer arithmetic only, so ``correct_with_flag`` runs the same
-body on Python ints. The tests hold it equal to a scan over the candidate
-shifts (``tests/alignscan.py``).
+Its body is integer arithmetic only, with every mod 2^k taken as a mask,
+so ``correct_with_flag`` runs the same body on Python ints. The tests hold
+it equal to a scan over the candidate shifts (``tests/alignscan.py``).
 """
 
 from __future__ import annotations
@@ -61,14 +65,19 @@ DLP_MASS_INSTANCES = ((7, 2, 4), (11, 3, 9))
 _CASE_BYTES = 136
 _CASES_BYTES_CAP = 1 << 28
 
-# suite_accuracy builds the laws of one (eps, n) in row blocks of at most
-# this many bytes; the kernel's temporaries are a few times one block. At
-# 256 KiB the default sweep's peak stays under the other suites' peak.
-_ACCURACY_BLOCK_BYTES = 1 << 18
-# The most law entries (accuracy_entries) one accuracy sweep may build: about
-# 2.5 s of sweep at 70 to 80 ns per entry (r = 8009, shared 2-core machine).
-# The default sweep builds 322,560; the cap admits r up to 16,644 at the
-# default epsilons.
+# suite_accuracy builds the laws of one width in row blocks of at most this
+# many bytes. Each temporary of the law and mass kernels is at most one
+# block, so at 64 KiB none reaches glibc's default 128 KiB mmap threshold:
+# the sweep's memory stays on the heap between passes instead of being
+# unmapped and faulted back in (1,000 to 1,500 minor faults per warm
+# default pass at 256 KiB, 0 to 16 at 64 KiB, counted with getrusage), and
+# its tracemalloc peak is 335 KiB.
+_ACCURACY_BLOCK_BYTES = 1 << 16
+# The most law entries (accuracy_entries) one accuracy sweep may take: about
+# 1.8 s of sweep at 55 ns per counted entry with the default epsilons, which
+# share widths (r = 8009), and 2.9 s at 85 ns with one epsilon, which shares
+# none (r = 16001); shared 2-core machine. The default sweep counts 322,560;
+# the cap admits r up to 16,644 at the default epsilons.
 _ACCURACY_ENTRIES_CAP = 1 << 25
 
 
@@ -85,20 +94,23 @@ def _result(name: str, ok: bool, achieved, bound) -> CheckResult:
 
 
 def _circ_dist(x, y, width):
-    """Circular distance min(|x-y|, 2^width - |x-y|), elementwise on int64
-    arrays; ``width`` may be one width or an array of them."""
+    """Circular distance min(|x-y|, 2^width - |x-y|), elementwise on int
+    arrays, in their dtype; ``width`` may be one width or an array of them."""
     diff = np.abs(x - y)
     return np.minimum(diff, (1 << width) - diff, out=diff)
 
 
 def _circ_table(t: int) -> np.ndarray:
-    vals = np.arange(1 << t, dtype=np.int64)
+    """Circular distances of every pair of t-bit words, as int16: every
+    intermediate is at most 2^t, so t <= 14 fits."""
+    vals = np.arange(1 << t, dtype=np.int16)
     return _circ_dist(vals[:, None], vals[None, :], t)
 
 
 def _prefix_table(t: int, t1: int) -> np.ndarray:
-    """Circular distances of the t1-bit prefixes of every pair of t-bit words."""
-    prefix = np.arange(1 << t, dtype=np.int64) >> (t - t1)
+    """Circular distances of the t1-bit prefixes of every pair of t-bit
+    words, as int16 (see ``_circ_table``)."""
+    prefix = np.arange(1 << t, dtype=np.int16) >> (t - t1)
     return _circ_dist(prefix[:, None], prefix[None, :], t1)
 
 
@@ -235,16 +247,31 @@ def suite_accuracy(
 ) -> list[CheckResult]:
     """Exhaustive estimation-accuracy masses over all phases s/r.
 
-    Each (eps, n) is one sweep over every s/r, one row per phase:
-    ``phase.outcome_laws`` builds their 2^t laws and ``phase.accuracy_masses``
-    their window and prefix masses, in row blocks of at most
-    _ACCURACY_BLOCK_BYTES of law, so the laws' memory stays flat at any r.
-    ``run_suite`` refuses a sweep of more than _ACCURACY_ENTRIES_CAP law
-    entries. The tests hold it to one law and one mass check per phase
-    (``tests/phaseloop.py``).
+    Each (eps, n) needs the laws of every s/r at width t = accuracy_width(n,
+    eps), one row per phase, and several (eps, n) share a width (the default
+    epsilons need 7 widths for 18 sweeps). So each width's laws are built
+    once by ``phase.outcome_laws``, in row blocks of at most
+    _ACCURACY_BLOCK_BYTES of law, and ``phase.accuracy_masses`` takes their
+    window and prefix masses once per (t, n) and block. Each eps then reads
+    the minima of its own (t, n) blocks in (n, block) order. The laws'
+    memory stays flat at any r. ``run_suite`` refuses a sweep of more than
+    _ACCURACY_ENTRIES_CAP law entries. The tests hold it to one law and one
+    mass check per phase (``tests/phaseloop.py``).
     """
     nums = np.concatenate([np.arange(r, dtype=np.int64) for r in rs])
     dens = np.repeat(np.asarray(rs, dtype=np.int64), rs)
+    # per width t, each n it serves mapped to the block minima of that (t, n)
+    widths: dict[int, dict[int, list[float]]] = {}
+    for eps_raw in epsilons:
+        for n in range(1, ACCURACY_MAX_N + 1):
+            widths.setdefault(phase.accuracy_width(n, eps_raw), {})[n] = []
+    for t, minima in widths.items():
+        rows = max(1, _ACCURACY_BLOCK_BYTES >> (t + 3))
+        for start in range(0, len(nums), rows):
+            block = slice(start, start + rows)
+            laws = phase.outcome_laws(nums[block], dens[block], t)
+            for n, lows in minima.items():
+                lows.append(float(phase.accuracy_masses(laws, nums[block], dens[block], n).min()))
     checks = []
     for eps_raw in epsilons:
         eps = to_fraction(eps_raw)
@@ -252,12 +279,7 @@ def suite_accuracy(
         worst = 1.0
         ok = True
         for n in range(1, ACCURACY_MAX_N + 1):
-            t = phase.accuracy_width(n, eps)
-            rows = max(1, _ACCURACY_BLOCK_BYTES >> (t + 3))
-            for start in range(0, len(nums), rows):
-                block = slice(start, start + rows)
-                laws = phase.outcome_laws(nums[block], dens[block], t)
-                low = float(phase.accuracy_masses(laws, nums[block], dens[block], n).min())
+            for low in widths[phase.accuracy_width(n, eps)][n]:
                 ok &= low >= bound - phase.MASS_SLACK
                 worst = min(worst, low)
         checks.append(
@@ -272,7 +294,9 @@ def suite_accuracy(
 
 
 def accuracy_entries(rs: tuple[int, ...], epsilons: tuple) -> int:
-    """Law entries an accuracy sweep builds: r * sum_n 2^(t_n) per r and eps."""
+    """Law entries an accuracy sweep takes masses over: r * sum_n 2^(t_n) per
+    r and eps. A width that several (eps, n) share is built once but counted
+    once per (eps, n), as each takes its own masses from it."""
     return sum(rs) * sum(
         1 << phase.accuracy_width(n, to_fraction(eps))
         for eps in epsilons

@@ -340,6 +340,92 @@ class TestVerifyCommand:
         assert verify.accuracy_entries((5,), ("0.25",)) * 10_000 <= cap
         assert verify.accuracy_entries((1009,), verify.ACCURACY_EPSILONS) * 10 <= cap
 
+    def test_accuracy_suite_builds_each_width_once(self, monkeypatch):
+        """The default sweep's 18 (eps, n) need 7 widths and 12 (t, n): each
+        width's row blocks are built once and cover every phase once, and the
+        masses are taken once per (t, n) and block."""
+        from collections import Counter
+
+        from distdlog import phase, verify
+
+        built, massed = Counter(), Counter()
+        outcome_laws, accuracy_masses = phase.outcome_laws, phase.accuracy_masses
+
+        def count_laws(nums, dens, t):
+            built[t, tuple(nums.tolist()), tuple(dens.tolist())] += 1
+            return outcome_laws(nums, dens, t)
+
+        def count_masses(laws, nums, dens, n):
+            t = laws.shape[1].bit_length() - 1
+            massed[t, n, tuple(nums.tolist()), tuple(dens.tolist())] += 1
+            return accuracy_masses(laws, nums, dens, n)
+
+        monkeypatch.setattr(phase, "outcome_laws", count_laws)
+        monkeypatch.setattr(phase, "accuracy_masses", count_masses)
+        assert all(check.ok for check in verify.suite_accuracy())
+
+        pairs = {
+            (phase.accuracy_width(n, eps), n)
+            for eps in verify.ACCURACY_EPSILONS
+            for n in range(1, verify.ACCURACY_MAX_N + 1)
+        }
+        assert len(pairs) == 12
+        assert set(built.values()) == {1} and set(massed.values()) == {1}
+        phases = [(s, r) for r in verify.PRIMES_TO_31 for s in range(r)]
+        blocks = {t: [] for t, _ in pairs}
+        for t, nums, dens in built:
+            blocks[t].append((nums, dens))
+        assert sorted(blocks) == list(range(3, 10))
+        for t, keys in blocks.items():
+            assert sorted(p for nums, dens in keys for p in zip(nums, dens)) == sorted(phases)
+        assert Counter((t, n) for t, n, _, _ in massed) == {
+            (t, n): len(blocks[t]) for t, n in pairs
+        }
+        assert {(t, nums, dens) for t, _, nums, dens in massed} == set(built)
+
+    @pytest.mark.parametrize("suite", ["suite_prefix_bound", "suite_accuracy"])
+    def test_suite_working_set_under_one_mib(self, suite):
+        """No temporary of the prefix or default accuracy sweep grows back to
+        the size that glibc hands back to the kernel on every pass."""
+        import tracemalloc
+
+        from distdlog import verify
+
+        run = getattr(verify, suite)
+        run()  # import-time and first-call allocations out of the way
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    def test_int16_distance_tables_equal_int64_formula(self):
+        """Every table the distance suites build is int16 and equals the
+        int64 formula. A table's intermediates reach 2^t, so raising either
+        width constant past 14 fails here before any table is built."""
+        import numpy as np
+
+        from distdlog import verify
+
+        top = max(verify.PREFIX_MAX_T, verify.METRIC_EXHAUSTIVE_T)
+        assert 1 << top <= np.iinfo(np.int16).max, top
+
+        def formula(words, width):
+            diff = np.abs(words[:, None] - words[None, :])
+            return np.minimum(diff, (1 << width) - diff)
+
+        for t in range(1, top + 1):
+            vals = np.arange(1 << t, dtype=np.int64)
+            table = verify._circ_table(t)
+            assert table.dtype == np.int16
+            assert (table == formula(vals, t)).all(), t
+            for t1 in range(1, t + 1):
+                table = verify._prefix_table(t, t1)
+                assert table.dtype == np.int16
+                assert (table == formula(vals >> (t - t1), t1)).all(), (t, t1)
+
     def test_oversized_cases_refused_before_drawing(self, capsys, monkeypatch):
         """10^8 cases would need about 13 GB of arrays: exit 2 before any draw."""
         from distdlog import verify
