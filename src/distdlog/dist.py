@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +106,12 @@ class DistPlan:
         """``(t_j, l_j - 1, measured_j)`` per node, the chain ``dlp`` runs;
         built once per plan."""
         return tuple(zip(self.t, (l - 1 for l in self.l), self.measured))
+
+    @cached_property
+    def reports(self) -> dict[tuple[int, int, str], ResourceReport]:
+        """``resource_report``'s reports for this plan, keyed by (r, L, mode):
+        a solve finds its report without hashing the plan's Fractions."""
+        return {}
 
 
 def plan_for_order(
@@ -329,17 +335,21 @@ def analytic_joint_distribution(instance: ProblemInstance, plan: DistPlan) -> np
     return joint_law(instance, plan.nodes, "analytic")
 
 
-@lru_cache(maxsize=16)
 def resource_report(instance: ProblemInstance, plan: DistPlan, mode: str) -> ResourceReport:
     """The accounting every record of a distributed solve carries. It
-    depends only on (instance, plan, mode), so it is built once for them."""
-    per_node = per_node_qubits_from_widths(plan.t, instance.L)
-    return ResourceReport(
-        qubits_single_node_alg2=single_node_qubits(instance.r, instance.L, plan.epsilon),
-        qubits_per_node_alg4=per_node,
-        comm_qubits=communication_qubits(plan.k, instance.L),
-        simulated_qubits_actual=per_node if mode == "statevector" else 0,
-    )
+    depends only on the plan, the instance's r and L and the mode, so it is
+    built once for them and kept in ``plan.reports``."""
+    key = (instance.r, instance.L, mode)
+    report = plan.reports.get(key)
+    if report is None:
+        per_node = per_node_qubits_from_widths(plan.t, instance.L)
+        report = plan.reports[key] = ResourceReport(
+            qubits_single_node_alg2=single_node_qubits(instance.r, instance.L, plan.epsilon),
+            qubits_per_node_alg4=per_node,
+            comm_qubits=communication_qubits(plan.k, instance.L),
+            simulated_qubits_actual=per_node if mode == "statevector" else 0,
+        )
+    return report
 
 
 def solve_distributed(

@@ -284,6 +284,31 @@ _LAW_BYTES_CAP = 1 << 28
 # float64 laws and the bool mask of the singular entries); rounded up here.
 _ROW_BYTES = 18
 
+# branch_laws' state-vector tracemalloc peak, less the kept tables, is about
+# 32.2 bytes per entry of a node's (2^t, 2^t, r) block (its b stage and its
+# r-point FFT each hold two complex copies), plus at most about 42 per entry
+# of the node's (2^t, 2^L) a-stage arrays (the gathered columns, their
+# transform and the first-use modmul tables), plus under 2 MiB for the
+# first import of numpy.fft and the orbit's small arrays (N = 7 to 16381,
+# t = 3 to 9, one to three nodes, cold caches); rounded up here.
+_BLOCK_BYTES = 34
+_COLUMN_BYTES = 42
+_BUILD_BYTES_BASE = 2 << 20
+
+
+def _build_bytes(instance: ProblemInstance, nodes: Chain, mode: str) -> int:
+    """An upper bound on what ``branch_laws`` holds at its peak, the
+    ``(r, 4^m)`` tables it keeps included: the widest node's row tables
+    (analytic) or its block and a-stage arrays (state-vector)."""
+    r = instance.r
+    nbytes = 8 * r * sum(1 << (2 * m) for _, _, m in nodes)
+    if mode == "analytic":
+        return nbytes + _ROW_BYTES * r * max(1 << t for t, _, _ in nodes)
+    return nbytes + _BUILD_BYTES_BASE + max(
+        _BLOCK_BYTES * (r << (2 * t)) + _COLUMN_BYTES * (1 << (t + instance.L))
+        for t, _, _ in nodes
+    )
+
 
 def branch_laws(instance: ProblemInstance, nodes: Chain, mode: str) -> list[np.ndarray]:
     """Per node, the ``(r, 4^m)`` table of its prefix laws P_j(m_a, m_b | s),
@@ -309,14 +334,26 @@ def branch_laws(instance: ProblemInstance, nodes: Chain, mode: str) -> list[np.n
             laws.append((p_a[:, :, None] * p_b[:, None, :]).reshape(r, -1))
         return laws
     orbit = np.array([pow(instance.a, k, instance.N) for k in range(r)])
-    for t, exponent, m in nodes:
-        block, live = node_block(instance, t, exponent, 1)
-        if not np.array_equal(live, np.sort(orbit)):
-            raise statevec.LayoutError(f"live work values are not the {r} powers of {instance.a}")
-        w = np.fft.fft(block[:, :, np.searchsorted(live, orbit)], axis=2)
-        p = (w.real**2 + w.imag**2).reshape(1 << m, 1 << (t - m), 1 << m, 1 << (t - m), r)
-        laws.append(p.sum(axis=(1, 3)).reshape(-1, r).T)
-    return laws
+    return [_orbit_laws(instance, t, exponent, m, orbit) for t, exponent, m in nodes]
+
+
+def _orbit_laws(
+    instance: ProblemInstance, t: int, exponent: int, m: int, orbit: np.ndarray
+) -> np.ndarray:
+    """``branch_laws``' state-vector table of one node, whose temporaries
+    are freed before the next node's are built.
+
+    The b stage runs on the live values in orbit order, so entry k of its
+    block is the amplitude at a^k and the r-point FFT needs no gather; at
+    its peak the build holds two complex (2^t, 2^t, r) arrays.
+    """
+    r = instance.r
+    cols, live = node_columns(instance, t, exponent, 1)
+    if not np.array_equal(live, np.sort(orbit)):
+        raise statevec.LayoutError(f"live work values are not the {r} powers of {instance.a}")
+    w = np.fft.fft(node_rows(instance, t, exponent, cols, orbit), axis=2)
+    p = (w.real**2 + w.imag**2).reshape(1 << m, 1 << (t - m), 1 << m, 1 << (t - m), r)
+    return p.sum(axis=(1, 3)).reshape(-1, r).T
 
 
 @lru_cache(maxsize=8)
@@ -327,23 +364,20 @@ def joint_law(instance: ProblemInstance, nodes: Chain, mode: str = "statevector"
     leading ``measured`` bits of both counting registers. Flat index
     concatenates (m_1a, m_1b, ..., m_ka, m_kb), first node most significant.
     It is the branch mixture (1/r) sum_s prod_j P_j(. | s) of either
-    backend's ``branch_laws``, refused before any row is built past the cap;
-    the analytic build also counts its ``(r, 2^t)`` row tables and the
-    ``(r, 4^m)`` per-node tables it keeps.
+    backend's ``branch_laws``, refused before any row is built when the law
+    and its build (``_build_bytes``) would pass the cap together.
 
     Cached per (instance, chain, mode), read-only: both solvers' cached draws
     and ``dist.statevector_joint_distribution`` pass no mode, so they share
     the one state-vector entry per chain.
     """
     size = 1 << (2 * sum(m for _, _, m in nodes))
-    nbytes = 3 * 8 * size  # the law, one branch term and joint_cdf's cumsum
-    if mode == "analytic":  # the widest row table at its peak, and every node's kept table
-        widest = max(1 << t for t, _, _ in nodes)
-        kept = sum(1 << (2 * m) for _, _, m in nodes)
-        nbytes += instance.r * (_ROW_BYTES * widest + 8 * kept)
-    if nbytes > _LAW_BYTES_CAP:
+    law_bytes = 3 * 8 * size  # the law, one branch term and joint_cdf's cumsum
+    build_bytes = _build_bytes(instance, nodes, mode)
+    if law_bytes + build_bytes > _LAW_BYTES_CAP:
         raise statevec.QubitBudgetError(
-            f"joint law needs {nbytes >> 20} MiB (cap {_LAW_BYTES_CAP >> 20} MiB)"
+            f"joint law needs {law_bytes >> 20} MiB and its build {build_bytes >> 20} MiB"
+            f" more (cap {_LAW_BYTES_CAP >> 20} MiB)"
         )
     branches = branch_laws(instance, nodes, mode)
     law = np.zeros(size)

@@ -200,6 +200,28 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    WIDE_SEED = str(2**64 + 5)  # three 32-bit words of entropy before the index
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["solve-dist", "--N", "11", "--a", "3", "--b", "9", "--epsilon", "0.25", *DIST,
+              "--trials", "50"],
+             "087e7d292f477995f439f13c0790bd89ae454455b103d81b41474f7a36151f62"),
+            (["solve", "--N", "32003", "--a", "4", "--b", "17236", "--epsilon", "0.25",
+              "--mode", "analytic", "--trials", "200", "--max-retries", "1"],
+             "14be6a69fc7d821a9be7e64809db4d7e4cb5d5fff97e63444ee5220a87a233ee"),
+        ],
+        ids=["solve-dist", "solve-analytic-large"],
+    )
+    def test_wide_seed_digest(self, capsys, argv, digest):
+        """A seed past 64 bits, whose trial generators hash more entropy
+        words than the pool holds: the digests were taken with
+        ``np.random.default_rng((seed, i))`` as every trial's generator."""
+        code, out, _ = run_cli(capsys, argv + ["--seed", self.WIDE_SEED])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestResourcesCommand:
     def test_toy_and_symbolic_rows(self, capsys):

@@ -605,6 +605,47 @@ class TestBranchLaws:
         assert len(laws) == len(nodes)
         assert peak <= inst.r * (dlp._ROW_BYTES * widest + 8 * kept)
 
+    @pytest.mark.parametrize(
+        "N, a, nodes",
+        [(11, 3, ((7, 0, 7),)), (11, 3, ((8, 0, 4), (8, 1, 4))), (23, 2, ((8, 0, 8),)),
+         (8209, 3265, ((5, 0, 5),))],
+        ids=["N11-one-node", "N11-two-node", "N23-one-node", "N8209-wide-register"],
+    )
+    def test_statevector_build_bytes_bound_the_build(self, N, a, nodes):
+        """``_build_bytes`` bounds ``branch_laws``' state-vector tracemalloc
+        peak from cold modmul and orbit caches, kept tables included. At
+        N = 8209 (r = 3, L = 14) the (2^t, 2^L) a-stage arrays outweigh the
+        block. The bound allows about two complex copies of the block, where
+        the build once held three, and more while the next node ran."""
+        from distdlog import statevec
+
+        inst = validate_instance(N, a, a * a % N)
+        statevec._modmul_destinations.cache_clear()
+        dlp.live_orbit.cache_clear()
+        tracemalloc.start()
+        try:
+            laws = dlp.branch_laws(inst, nodes, "statevector")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(laws) == len(nodes)
+        assert peak <= dlp._build_bytes(inst, nodes, "statevector")
+
+    def test_statevector_build_counted_against_cap(self, monkeypatch):
+        """N = 59, a = 3 (r = 29, L = 6) at t = 9 fits the qubit cap and its
+        law is 6 MiB, but its node block has 7.6 M entries: the build is
+        refused before the node runs (the solvers then run the chain fresh)."""
+        from distdlog import statevec
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the node ran")
+
+        inst = validate_instance(59, 3, 9)
+        monkeypatch.setattr(dlp, "node_columns", refuse)
+        with pytest.raises(QubitBudgetError, match="joint law needs 6 MiB and its build 307 MiB more"):
+            dlp.joint_law.__wrapped__(inst, ((9, 0, 9),))
+        assert 2 * 9 + inst.L <= statevec.MAX_QUBITS
+
 
 class TestStepSevenState:
     def test_node_register_marginal_is_branch_average(self, instance, acceptance_plan):
