@@ -27,9 +27,11 @@ The cached backend needs no such vector either: given the branch s (an
 eigenvector of multiplication by a) the nodes are independent, so
 ``dlp.joint_law`` builds the law of all measured prefixes as the mixture
 (1/r) sum_s prod_j P_j(. | s) of ``dlp.branch_laws``' rows, from one run of
-each node or in closed form, cached per chain in ``dlp``; a draw is split
-back into node pairs by ``dlp.decode_joint_index``, as for the single-node
-solver. The step-7 check (``compare_step7_state``) runs each node once per
+each node or in closed form, cached per chain in ``dlp``; as for the
+single-node solver, the first draw of a flat index is split back into node
+pairs by ``dlp.decode_joint_index``, aligned and verified, and repeat draws
+reuse that outcome from the chain's memo, keyed by the plan's ``join``.
+The step-7 check (``compare_step7_state``) runs each node once per
 branch on its live block, never on the whole state.
 """
 
@@ -106,6 +108,15 @@ class DistPlan:
         """``(t_j, l_j - 1, measured_j)`` per node, the chain ``dlp`` runs;
         built once per plan."""
         return tuple(zip(self.t, (l - 1 for l in self.l), self.measured))
+
+    def join(self, pairs: Pairs) -> tuple[BitString, BitString, dict]:
+        """The solver's join: the alignment pass (``correct_with_flag``) on
+        each family of the chain's pairs. A bound method hashes and compares
+        by the plan's identity, so ``dlp.solve_chain`` keys the outcomes it
+        memoises by it cheaply, apart from every other plan's and join's."""
+        m_a, fb_a = correct_with_flag([ma for ma, _ in pairs], self)
+        m_b, fb_b = correct_with_flag([mb for _, mb in pairs], self)
+        return m_a, m_b, {"node_measurements": pairs, "correct_fallback": fb_a or fb_b}
 
     @cached_property
     def reports(self) -> dict[tuple[int, int, str], ResourceReport]:
@@ -367,15 +378,9 @@ def solve_distributed(
     the cached exact joint law of the sequential protocol, which is the same
     distribution as running the nodes afresh each attempt.
     """
-
-    def join(pairs: Pairs) -> tuple[BitString, BitString, dict]:
-        m_a, fb_a = correct_with_flag([ma for ma, _ in pairs], plan)
-        m_b, fb_b = correct_with_flag([mb for _, mb in pairs], plan)
-        return m_a, m_b, {"node_measurements": pairs, "correct_fallback": fb_a or fb_b}
-
     report = resource_report(instance, plan, mode)
     return solve_chain(
-        instance, plan.nodes, rng, mode, max_retries, reuse_state, join,
+        instance, plan.nodes, rng, mode, max_retries, reuse_state, plan.join,
         resources=report, comm_qubits=report.comm_qubits,
     )
 

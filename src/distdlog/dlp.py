@@ -20,17 +20,19 @@ only the circuit runs again. Fresh runs measure node by node
 (``measure_chain``): ``measure_node`` draws register a from the a stage
 before b's transform, as nothing later acts on a, and runs the b stage on
 the drawn row alone. They never read the instance's hidden exponent.
-Cached runs draw a flat index from ``joint_cdf`` and split it with
-``decode_joint_index``. ``branch_laws`` gives each node's laws P_j(. | s)
-on the eigenvectors of multiplication by a, from the circuit or in closed
-form, and ``joint_law``, cached per (instance, chain) with its CDF, is the
-one branch mixture (1/r) sum_s prod_j P_j(. | s) of either backend. The
-analytic backend draws the latent branch s and then each register exactly
-at its phase by one O(1) rejection draw (``sample_chain``). Every branch
-phase is an int numerator over r from ``node_numerators``, for one branch
-or an int64 array of them. The phases read the exponent g from
-``hidden_g`` as an oracle. The test suites hold the sampler to the closed
-form, and the closed form to the circuit exactly.
+Cached runs draw a flat index from ``joint_cdf``; the first draw of an
+index in a chain splits it with ``decode_joint_index``, joins and verifies
+it, and the outcome is kept in the memo of ``joint_cdf``'s entry, so a
+repeat draw is one CDF search and one lookup. ``branch_laws`` gives each
+node's laws P_j(. | s) on the eigenvectors of multiplication by a, from the
+circuit or in closed form, and ``joint_law``, cached per (instance, chain)
+with its CDF, is the one branch mixture (1/r) sum_s prod_j P_j(. | s) of
+either backend. The analytic backend draws the latent branch s and then
+each register exactly at its phase by one O(1) rejection draw
+(``sample_chain``). Every branch phase is an int numerator over r from
+``node_numerators``, for one branch or an int64 array of them. The phases
+read the exponent g from ``hidden_g`` as an oracle. The test suites hold
+the sampler to the closed form, and the closed form to the circuit exactly.
 """
 
 from __future__ import annotations
@@ -394,12 +396,29 @@ def joint_law(instance: ProblemInstance, nodes: Chain, mode: str = "statevector"
     return law
 
 
+# Outcomes a chain's memo keeps (``joint_cdf``); a miss past it is computed
+# and not stored. By tracemalloc an entry (its key, the decoded pairs, the
+# joined estimates, the join's record fields and the post-processing
+# result) takes about 0.5 KB on a one-node chain and 1.1 KB on two (N = 11
+# to 47). No law of three or more nodes fits the byte cap: their prefixes
+# come to at least 12 bits a register, a 2^24-entry law. At a worst case of
+# 1.25 KB an entry, a memo holds at most 5 MiB, and ``joint_cdf``'s 8
+# entries 40 MiB.
+_OUTCOMES_CAP = 1 << 12
+
+
 @lru_cache(maxsize=8)
-def joint_cdf(instance: ProblemInstance, nodes: Chain) -> np.ndarray:
-    """Cumulative form of ``joint_law(instance, nodes)``, cached for sampling."""
+def joint_cdf(instance: ProblemInstance, nodes: Chain) -> tuple[np.ndarray, dict]:
+    """Cumulative form of ``joint_law(instance, nodes)``, cached for sampling,
+    with the memo of the chain's drawn outcomes.
+
+    ``solve_chain`` fills the memo: per (join, flat index), the attempt's
+    ``(m_a, m_b, extra, detail)``, at most ``_OUTCOMES_CAP`` of them. It
+    lives in the same cache entry as the CDF, so ``cache_clear`` empties both.
+    """
     cdf = np.cumsum(joint_law(instance, nodes))
     cdf.setflags(write=False)
-    return cdf
+    return cdf, {}
 
 
 def decode_joint_index(flat: int, nodes: Chain) -> Pairs:
@@ -498,6 +517,22 @@ def postprocess_detail(
     return PostprocessResult(mhat_a, mhat_b, g_hat)
 
 
+def _outcome(
+    instance: ProblemInstance,
+    pairs: Pairs,
+    join: Callable[[Pairs], tuple[BitString, BitString, dict]],
+) -> tuple[BitString, BitString, dict, PostprocessResult]:
+    """One attempt's ``(m_a, m_b, extra, detail)``: the drawn pairs joined,
+    rounded, inverted and verified."""
+    m_a, m_b, extra = join(pairs)
+    return m_a, m_b, extra, postprocess_detail(m_a, m_b, instance)
+
+
+def identity_join(pairs: Pairs) -> tuple[BitString, BitString, dict]:
+    """The single-node solver's join: the one pair is the estimate."""
+    return (*pairs[0], {})
+
+
 def solve_chain(
     instance: ProblemInstance,
     nodes: Chain,
@@ -519,6 +554,17 @@ def solve_chain(
     full-width estimates (m_a, m_b) with the record fields that attempt
     sets; the record reports the last attempt. ``fields`` are the record
     fields fixed for the whole solve.
+
+    A cached attempt's outcome, ``(m_a, m_b, extra, detail)``, is a pure
+    function of the drawn flat index and the join, so it is kept in the
+    memo of ``joint_cdf``'s entry under ``(join, index)``: each index is
+    decoded, joined and verified by ``postprocess_detail`` once per chain
+    and join, and a repeat draw costs one ``statevec.sample_cdf`` and one
+    lookup. Records share the memo's immutable values. Past
+    ``_OUTCOMES_CAP`` entries a miss is computed and not kept. ``join``
+    is hashed by identity, so it should be one object per join rule (the
+    module-level ``identity_join``, a plan's bound ``join``). The generator
+    is read as without the memo: one ``rng.random()`` per cached attempt.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -527,19 +573,24 @@ def solve_chain(
     cdf = None
     if mode == "statevector" and reuse_state:
         try:
-            cdf = joint_cdf(instance, nodes)
+            cdf, outcomes = joint_cdf(instance, nodes)
         except statevec.QubitBudgetError:
             pass  # cached law too large; run the chain per attempt
     latent_s = None
     for attempts in range(1, max_retries + 1):
         if mode == "analytic":
             pairs, latent_s = sample_chain(instance, nodes, rng)
-        elif cdf is not None:
-            pairs = decode_joint_index(statevec.sample_cdf(rng, cdf), nodes)
+            outcome = _outcome(instance, pairs, join)
+        elif cdf is None:
+            outcome = _outcome(instance, measure_chain(instance, nodes, rng), join)
         else:
-            pairs = measure_chain(instance, nodes, rng)
-        m_a, m_b, extra = join(pairs)
-        detail = postprocess_detail(m_a, m_b, instance)
+            key = (join, statevec.sample_cdf(rng, cdf))
+            outcome = outcomes.get(key)
+            if outcome is None:
+                outcome = _outcome(instance, decode_joint_index(key[1], nodes), join)
+                if len(outcomes) < _OUTCOMES_CAP:
+                    outcomes[key] = outcome
+        m_a, m_b, extra, detail = outcome
         if detail.g_hat is not None:
             break
     return RunRecord(
@@ -580,7 +631,7 @@ def solve(
     )
     return solve_chain(
         instance, ((t, 0, t),), rng, config.mode, config.max_retries, reuse_state,
-        lambda pairs: (*pairs[0], {}), resources=report,
+        identity_join, resources=report,
     )
 
 

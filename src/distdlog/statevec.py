@@ -266,9 +266,8 @@ def sample_outcome(rng: np.random.Generator, probabilities: np.ndarray) -> int:
 
 
 def sample_cdf(rng: np.random.Generator, cdf: np.ndarray) -> int:
-    total = cdf[-1]
-    u = rng.random() * total
-    return int(min(np.searchsorted(cdf, u, side="right"), len(cdf) - 1))
+    u = rng.random() * cdf[-1]
+    return min(int(cdf.searchsorted(u, side="right")), len(cdf) - 1)
 
 
 def draw_outcome(rng: np.random.Generator, probabilities: np.ndarray) -> tuple[int, float]:

@@ -837,7 +837,8 @@ class TestSolveChain:
     ):
         """A joint law whose three float64 arrays (law, branch term, CDF)
         exceed the byte cap is refused before any node runs, and either
-        solver then runs the nodes per attempt, with full-width pairs."""
+        solver then runs the nodes per attempt, with full-width pairs,
+        and keeps no memo of cached outcomes."""
         if algorithm == "alg2":
             config = ShorConfig.for_instance(instance, "0.25", max_retries=3)
             nodes, width = ((config.t, 0, config.t),), config.t
@@ -853,7 +854,7 @@ class TestSolveChain:
         measure_node = dlp.measure_node
 
         def refuse(*args, **kwargs):
-            raise AssertionError("node_block ran")
+            raise AssertionError("a law was built or drawn from")
 
         def count(*args, **kwargs):
             calls.append(args)
@@ -864,8 +865,10 @@ class TestSolveChain:
             with pytest.raises(QubitBudgetError, match="joint law needs"):
                 dlp.joint_law(instance, nodes)
         monkeypatch.setattr(dlp, "measure_node", count)
+        monkeypatch.setattr(dlp, "decode_joint_index", refuse)
         record = run(np.random.default_rng(3))
         assert len(calls) == len(nodes) * (record.retries + 1)  # fresh runs
+        assert dlp.joint_cdf.cache_info().currsize == 0  # no memo made or filled
         assert record.m_a.width == record.m_b.width == width
         pairs = record.node_measurements or ((record.m_a, record.m_b),)
         assert [(ma.width, mb.width) for ma, mb in pairs] == [(m, m) for _, _, m in nodes]
@@ -880,6 +883,163 @@ class TestSolveChain:
         config = ShorConfig(epsilon=Fraction(1, 4), t=7, max_retries=0)
         with pytest.raises(ValueError, match="max_retries must be >= 1"):
             solve(instance, config, rng)
+
+
+class TestCachedOutcomes:
+    """``dlp.solve_chain``'s cached-law attempts: each drawn flat index is
+    decoded, joined and verified once per chain and join, and a repeat
+    draw reuses that outcome from the memo in ``joint_cdf``'s entry."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memos(self):
+        """Each test starts with no ``joint_cdf`` entry and leaves none, so
+        no filled memo outlives it."""
+        dlp.joint_cdf.cache_clear()
+        yield
+        dlp.joint_cdf.cache_clear()
+
+    @staticmethod
+    def chains(instance, plan):
+        config = ShorConfig.for_instance(instance, "0.25")
+        return {
+            "alg2": (((config.t, 0, config.t),), dlp.identity_join),
+            "alg4": (plan.nodes, plan.join),
+        }
+
+    @staticmethod
+    def draw_in_turn(monkeypatch, flats):
+        """Make every cached draw return the next of ``flats``."""
+        flats = iter(flats)
+        monkeypatch.setattr(dlp.statevec, "sample_cdf", lambda rng, cdf: next(flats))
+
+    @staticmethod
+    def expected(instance, nodes, join, flat):
+        """A fresh decode, join and post-processing of one flat index, as a
+        one-attempt record."""
+        m_a, m_b, extra = join(decode_joint_index(flat, nodes))
+        detail = dlp.postprocess_detail(m_a, m_b, instance)
+        return dlp.RunRecord(
+            m_a=m_a, m_b=m_b, mhat_a=detail.mhat_a, mhat_b=detail.mhat_b,
+            g_hat=detail.g_hat, retries=0, success=detail.g_hat is not None,
+            mode="statevector", **extra,
+        )
+
+    @pytest.mark.parametrize("which", ["alg2", "alg4"])
+    def test_every_index_equals_a_fresh_outcome(
+        self, instance, acceptance_plan, monkeypatch, which
+    ):
+        """Every flat index of the N = 11 Alg. 2 chain's law (16,384) and of
+        the acceptance plan's (65,536), drawn twice: the first draw stores
+        its outcome and the second reuses it without decoding or verifying
+        again, and both records equal a fresh decode, join and
+        post-processing of that index."""
+        nodes, join = self.chains(instance, acceptance_plan)[which]
+        size = len(dlp.joint_law(instance, nodes))
+        assert size == (1 << 14 if which == "alg2" else 1 << 16)
+        monkeypatch.setattr(dlp, "_OUTCOMES_CAP", size)
+        flats = range(size)
+        rng = np.random.default_rng(0)  # unread: the draws are patched
+        run = lambda: dlp.solve_chain(instance, nodes, rng, "statevector", 1, True, join)
+        self.draw_in_turn(monkeypatch, flats)
+        records = []
+        for flat in flats:
+            records.append(run())
+            assert records[-1] == self.expected(instance, nodes, join, flat)
+        _, outcomes = dlp.joint_cdf(instance, nodes)
+        assert list(outcomes) == [(join, flat) for flat in flats]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a memoised draw was decoded or verified again")
+
+        monkeypatch.setattr(dlp, "decode_joint_index", refuse)
+        monkeypatch.setattr(dlp, "postprocess_detail", refuse)
+        self.draw_in_turn(monkeypatch, flats)
+        for record in records:
+            assert run() == record
+        assert len(outcomes) == size
+
+    def test_memo_bounded_and_cleared(self, instance, acceptance_plan, monkeypatch):
+        """A uniform CDF over the acceptance plan's 65,536 indices drives the
+        memo past its cap: it never holds more than ``_OUTCOMES_CAP``
+        outcomes, a miss past the cap is still decoded and verified afresh,
+        and ``joint_cdf.cache_clear()`` drops the memo with the CDF."""
+        nodes, join = acceptance_plan.nodes, acceptance_plan.join
+        cap = dlp._OUTCOMES_CAP
+        size = 1 << (2 * sum(acceptance_plan.measured))
+        uniform = np.arange(1, size + 1) / size
+        _, outcomes = dlp.joint_cdf(instance, nodes)
+        monkeypatch.setattr(dlp, "joint_cdf", lambda inst, chain: (uniform, outcomes))
+        drawn = set()
+        for i in range(cap + cap // 2):
+            rng = np.random.default_rng((22, i))
+            flat = dlp.statevec.sample_cdf(np.random.default_rng((22, i)), uniform)
+            drawn.add(flat)
+            record = dlp.solve_chain(instance, nodes, rng, "statevector", 1, True, join)
+            assert record == self.expected(instance, nodes, join, flat)
+            assert len(outcomes) <= cap
+        assert len(drawn) > cap and len(outcomes) == cap
+        monkeypatch.undo()
+        dlp.joint_cdf.cache_clear()
+        cdf, fresh = dlp.joint_cdf(instance, nodes)
+        assert fresh == {} and fresh is not outcomes and cdf is not uniform
+
+    @pytest.mark.parametrize("which", ["alg2", "alg4"])
+    def test_entry_bytes_within_stated_worst_case(
+        self, instance, acceptance_plan, monkeypatch, which
+    ):
+        """A memo filled to its cap by distinct draws takes at most the
+        1.25 KB an entry that ``dlp._OUTCOMES_CAP``'s comment states
+        (tracemalloc; the records are dropped as they come)."""
+        nodes, join = self.chains(instance, acceptance_plan)[which]
+        cap = dlp._OUTCOMES_CAP
+        _, outcomes = dlp.joint_cdf(instance, nodes)
+        flats = np.random.default_rng(23).permutation(1 << (2 * sum(m for _, _, m in nodes)))
+        self.draw_in_turn(monkeypatch, (int(f) for f in flats))
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(cap):
+                dlp.solve_chain(instance, nodes, rng, "statevector", 1, True, join)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(outcomes) == cap
+        assert (after - before) / cap <= 1280
+
+    def test_joins_keep_separate_entries(self, instance, acceptance_plan, monkeypatch):
+        """Alg. 2 and Alg. 4 on one instance fill their own chains' memos,
+        keyed by their own joins; on one chain, two joins, even two equal
+        plans' alignment passes, never share an entry."""
+        config = ShorConfig.for_instance(instance, "0.25", max_retries=4)
+        for i in range(50):
+            solve(instance, config, np.random.default_rng((24, i)))
+            solve_distributed(instance, acceptance_plan, np.random.default_rng((24, i)))
+        chains = self.chains(instance, acceptance_plan)
+        memos = [dlp.joint_cdf(instance, nodes)[1] for nodes, _ in chains.values()]
+        assert memos[0] is not memos[1]
+        for (_, join), memo in zip(chains.values(), memos):
+            assert memo and {key[0] for key in memo} == {join}
+
+        nodes = acceptance_plan.nodes
+        twin = plan_for_order(instance.r, 2, 2, "0.25", "0.2")
+        assert twin == acceptance_plan and twin is not acceptance_plan
+        first_pair = lambda pairs: (*pairs[0], {})
+        dlp.joint_cdf.cache_clear()
+        records = {}
+        for name, join in (("plan", acceptance_plan.join), ("twin", twin.join),
+                           ("first pair", first_pair)):
+            self.draw_in_turn(monkeypatch, [7, 7])
+            for _ in range(2):
+                records.setdefault(name, []).append(dlp.solve_chain(
+                    instance, nodes, np.random.default_rng(0), "statevector", 1, True, join
+                ))
+        _, outcomes = dlp.joint_cdf(instance, nodes)
+        assert set(outcomes) == {(acceptance_plan.join, 7), (twin.join, 7), (first_pair, 7)}
+        assert records["plan"] == records["twin"]
+        assert records["plan"][0] == records["plan"][1]
+        assert records["first pair"][0].m_a.width == acceptance_plan.measured[0]
+        assert records["plan"][0].m_a.width == acceptance_plan.total_width
 
 
 def test_statevector_solvers_never_read_hidden_g(small_instance, small_plan):

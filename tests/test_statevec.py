@@ -266,6 +266,40 @@ class TestMeasurement:
         assert np.abs(results[0] - results[2]).max() < 1e-12
 
 
+class TestSampleCdf:
+    class Fixed:
+        """A generator stand-in whose ``random()`` returns the given uniforms."""
+
+        def __init__(self, *uniforms):
+            self.uniforms = iter(uniforms)
+
+        def random(self):
+            return next(self.uniforms)
+
+    def test_same_index_as_the_searchsorted_draw(self):
+        """The method call draws the index of ``np.searchsorted(cdf, u,
+        side="right")`` at u = rng.random() * cdf[-1], clamped to the last
+        entry, as a Python int; zero-mass entries are never drawn."""
+        law = np.random.default_rng(2).random(4096)
+        law[::7] = 0.0
+        cdf = np.cumsum(law)
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(20_000):
+            got = statevec.sample_cdf(rng, cdf)
+            u = twin.random() * cdf[-1]
+            assert type(got) is int
+            assert got == min(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+            assert law[got] > 0.0
+
+    def test_clamps_to_the_last_entry(self):
+        """u at the top of the CDF (rounding can reach it) and at its exact
+        steps: ties go right, and nothing past the end is drawn."""
+        cdf = np.array([0.25, 0.5, 1.0, 1.0])
+        assert statevec.sample_cdf(self.Fixed(1.0), cdf) == 3
+        assert statevec.sample_cdf(self.Fixed(0.25), cdf) == 1
+        assert statevec.sample_cdf(self.Fixed(0.0), cdf) == 0
+
+
 class TestRegisterVector:
     def test_extract_after_measurement(self):
         layout = RegisterLayout((("x", 2), ("w", 2)))
