@@ -31,8 +31,9 @@ each node or in closed form, cached per chain in ``dlp``; as for the
 single-node solver, the first draw of a flat index is split back into node
 pairs by ``dlp.decode_joint_index``, aligned and verified, and repeat draws
 reuse that outcome from the chain's memo, keyed by the plan's ``join``.
-The step-7 check (``compare_step7_state``) runs each node once per
-branch on its live block, never on the whole state.
+The step-7 check (``compare_step7_state``) reads the same branches off
+``dlp.branch_amplitudes``, two runs of each node, and holds them to the
+closed-form amplitudes.
 """
 
 from __future__ import annotations
@@ -44,16 +45,16 @@ from functools import cached_property
 
 import numpy as np
 
-from . import phase
+from . import dlp, phase
 from .bits import BitString, circ_dist, wrap_add  # circ_dist: bench/tests checks dist's binding of it
 from .dlp import (  # decode_joint_index, postprocess_detail: bench/ binds them by these names
     Chain,
     Pairs,
     RunRecord,
+    branch_amplitudes,
     decode_joint_index,
     joint_law,
     measure_chain,
-    node_block,
     node_numerators,
     postprocess_detail,
     sample_chain,
@@ -67,6 +68,7 @@ from .resources import (
     single_node_qubits,
     slack_bits_distributed,
 )
+from .statevec import QubitBudgetError
 
 class PlanError(ValueError):
     pass
@@ -389,74 +391,68 @@ def solve_distributed(
 class Step7Report:
     """Certified comparison of the simulated and closed-form final states.
 
-    ``max_amplitude_deviation`` is a rigorous upper bound on the sup-norm
-    difference between the full pre-measurement state and its closed-form
-    tensor reconstruction, assembled branch-by-branch: the full tensor is
-    never materialised (it would not fit in memory for any feasible plan),
-    but every term of the bound is computed exactly from per-node objects.
+    Given branch s, node j leaves its counting registers in W_j(s), slice
+    -s mod r of ``dlp.branch_amplitudes``, times the shared eigenvector u_s;
+    the closed form A_j(s) is the outer product of both registers'
+    ``phase.phase_state_amplitudes``. The bound is assembled from per-node
+    terms, never from the full tensor (no feasible plan's would fit).
+    ``per_branch_deviation[s]`` bounds max |W_1(s) x ... x W_k(s) - A_1(s)
+    x ... x A_k(s)| by the sum over j of max |W_j - A_j| times max |W_v| for
+    v < j and max |A_v| for v > j, as |W1 W2 - A1 A2| <= |W1 - A1| |A2| +
+    |W1| |W2 - A2|. ``factorization_residual`` is max_j d_j, d_j the 2-norm
+    distance of node j's block on |a> from its block on |1> shifted one
+    place along the orbit. The kernel treats every power of a alike, so its
+    block on |a^k> is within k d_j of the shifted |1> block, and the chain's
+    state within sqrt(r) (r - 1) sum_j d_j of its FFT reconstruction. Each
+    entry of u_s has modulus r^(-1/2), so ``max_amplitude_deviation`` is
+    sum_s per_branch_deviation[s] / r plus that term.
     """
 
     max_amplitude_deviation: float
     per_branch_deviation: tuple[float, ...]
     factorization_residual: float
-    basis_residual: float
+
+
+def _node_terms(instance: ProblemInstance, t: int, exponent: int) -> tuple[np.ndarray, float]:
+    """One node's rows max |W(s)|, max |A(s)| and max |W(s) - A(s)| over the
+    branches s, and its one-shift residual; its blocks are freed on return."""
+    r = instance.r
+    w = branch_amplitudes(instance, t, exponent)
+    shifted = branch_amplitudes(instance, t, exponent, instance.a) - w
+    residual = float(np.linalg.norm(shifted)) / math.sqrt(r)  # the FFT scales norms by sqrt(r)
+    terms = np.empty((3, r))
+    for s in range(r):
+        num_a, num_b = node_numerators(instance, exponent, s)
+        analytic = np.outer(
+            phase.phase_state_amplitudes(Fraction(num_a, r), t),
+            phase.phase_state_amplitudes(Fraction(num_b, r), t),
+        )
+        branch = w[:, :, -s % r]
+        terms[:, s] = np.abs(branch).max(), np.abs(analytic).max(), np.abs(branch - analytic).max()
+    return terms, residual
 
 
 def compare_step7_state(instance: ProblemInstance, plan: DistPlan) -> Step7Report:
-    """Check the factorised form of the pre-measurement state (all branches).
-
-    Per branch s each node circuit runs once on the eigenvector u_s
-    (``dlp.node_block``); one u_s is built at a time, so an over-budget node
-    fails after one. Its output is split into (counting-register part) x
-    (eigenvector) with an explicitly measured residual. u_s lives on
-    the powers of a, which are the block's live work values, and the output
-    is zero off them, so the overlap with u_s and the residual are taken
-    over the live columns alone. The counting-register part is compared
-    entry-wise with the closed-form amplitude profile. Branch results
-    combine into a sup-norm bound via |W1 W2 - A1 A2| <= |W1 - A1||W2| +
-    |A1||W2 - A2| applied entry-wise, plus the measured residuals and the
-    expansion residual of |1> over the eigenvector basis.
-    """
+    """Check the factorised form of the pre-measurement state (all branches),
+    bounded as ``Step7Report`` says: each node runs on |1> and on |a>
+    (``dlp.branch_amplitudes``), 2k runs in all, one node's blocks at a
+    time. A plan whose law build would pass ``dlp``'s byte cap is refused
+    before any node runs."""
+    build_bytes = dlp._build_bytes(instance, plan.nodes, "statevector")
+    if build_bytes > dlp._LAW_BYTES_CAP:
+        raise QubitBudgetError(
+            f"step-7 check needs {build_bytes >> 20} MiB (cap {dlp._LAW_BYTES_CAP >> 20} MiB)"
+        )
     r = instance.r
-    expansion = 0  # sum_s u_s, added in the order of s
-    per_branch = []
-    residual_sum = 0.0
-    residual_max = 0.0
-    for s in range(r):
-        u = phase.build_eigenstate(instance, s)
-        expansion = expansion + u
-        max_w, max_a, dev = [], [], []
-        for t, exponent, _ in plan.nodes:
-            block, live = node_block(instance, t, exponent, u)
-            u_live = u[live]
-            w = block @ u_live.conj()
-            residual = float(np.linalg.norm(block - w[:, :, None] * u_live))
-            residual_sum += residual
-            residual_max = max(residual_max, residual)
-            num_a, num_b = node_numerators(instance, exponent, s)
-            amp_a = phase.phase_state_amplitudes(Fraction(num_a, r), t)
-            amp_b = phase.phase_state_amplitudes(Fraction(num_b, r), t)
-            analytic = np.outer(amp_a, amp_b)
-            max_w.append(float(np.abs(w).max()))
-            max_a.append(float(np.abs(analytic).max()))
-            dev.append(float(np.abs(w - analytic).max()))
-        telescoped = 0.0
-        for j in range(plan.k):
-            term = dev[j]
-            for v in range(j):
-                term *= max_w[v]
-            for v in range(j + 1, plan.k):
-                term *= max_a[v]
-            telescoped += term
-        per_branch.append(telescoped)
-
-    one = np.zeros(1 << instance.L, dtype=np.complex128)
-    one[1] = 1.0
-    basis_residual = float(np.linalg.norm(one - expansion / math.sqrt(r)))
-    bound = sum(per_branch) / r + residual_sum / math.sqrt(r) + basis_residual
+    per_node = [_node_terms(instance, t, exponent) for t, exponent, _ in plan.nodes]
+    max_w, max_a, dev = np.array([terms for terms, _ in per_node]).transpose(1, 0, 2)
+    per_branch = sum(
+        dev[j] * max_w[:j].prod(axis=0) * max_a[j + 1 :].prod(axis=0) for j in range(plan.k)
+    )
+    residuals = [residual for _, residual in per_node]
     return Step7Report(
-        max_amplitude_deviation=bound,
-        per_branch_deviation=tuple(per_branch),
-        factorization_residual=residual_max,
-        basis_residual=basis_residual,
+        max_amplitude_deviation=float(per_branch.sum()) / r
+        + math.sqrt(r) * (r - 1) * sum(residuals),
+        per_branch_deviation=tuple(per_branch.tolist()),
+        factorization_residual=max(residuals),
     )

@@ -23,13 +23,14 @@ the drawn row alone. They never read the instance's hidden exponent.
 Cached runs draw a flat index from ``joint_cdf``; the first draw of an
 index in a chain splits it with ``decode_joint_index``, joins and verifies
 it, and the outcome is kept in the memo of ``joint_cdf``'s entry, so a
-repeat draw is one CDF search and one lookup. ``branch_laws`` gives each
-node's laws P_j(. | s) on the eigenvectors of multiplication by a, from the
-circuit or in closed form, and ``joint_law``, cached per (instance, chain)
-with its CDF, is the one branch mixture (1/r) sum_s prod_j P_j(. | s) of
-either backend. The analytic backend draws the latent branch s and then
-each register exactly at its phase by one O(1) rejection draw
-(``sample_chain``). Every branch phase is an int numerator over r from
+repeat draw is one CDF search and one lookup. ``branch_amplitudes`` is the
+one source of the circuit's per-branch amplitudes (one run of a node on |1>
+and an r-point FFT along the orbit of a); ``branch_laws`` squares them or
+takes the laws P_j(. | s) in closed form, and ``joint_law``, cached per
+(instance, chain) with its CDF, is the one branch mixture (1/r) sum_s
+prod_j P_j(. | s) of either backend. The analytic backend draws the latent
+branch s and then each register exactly at its phase by one O(1) rejection
+draw (``sample_chain``). Every branch phase is an int numerator over r from
 ``node_numerators``, for one branch or an int64 array of them. The phases
 read the exponent g from ``hidden_g`` as an oracle. The test suites hold
 the sampler to the closed form, and the closed form to the circuit exactly.
@@ -312,16 +313,36 @@ def _build_bytes(instance: ProblemInstance, nodes: Chain, mode: str) -> int:
     )
 
 
+def branch_amplitudes(
+    instance: ProblemInstance, t: int, exponent: int, work: int = 1
+) -> np.ndarray:
+    """The one source of the circuit's per-branch amplitudes: the node run
+    once on |work>, a power a^q of a, and the r-point FFT of its block read
+    along the orbit from a^q; slice ``[:, :, i]`` is branch s = -i mod r's
+    (2^t, 2^t) counting-register block W(s).
+
+    The circuit leaves each u_s = r^(-1/2) sum_k exp(-2 pi i s k / r) |a^k>
+    as W(s) |u_s>, so read from a^q, entry k of the block is (1/r) sum_s
+    W(s) exp(-2 pi i s k / r) for every q. The b stage runs on the orbit in
+    order, so the FFT needs no gather; at its peak this holds two complex
+    (2^t, 2^t, r) arrays.
+    """
+    r, N = instance.r, instance.N
+    orbit = np.array([work * pow(instance.a, k, N) % N for k in range(r)])
+    cols, live = node_columns(instance, t, exponent, work)
+    if not np.array_equal(live, np.sort(orbit)):
+        raise statevec.LayoutError(f"live work values are not the {r} powers of {instance.a}")
+    return np.fft.fft(node_rows(instance, t, exponent, cols, orbit), axis=2)
+
+
 def branch_laws(instance: ProblemInstance, nodes: Chain, mode: str) -> list[np.ndarray]:
     """Per node, the ``(r, 4^m)`` table of its prefix laws P_j(m_a, m_b | s),
     flat index m_a 2^m + m_b; row i is branch s = -i mod r on both backends.
 
-    |1> is r^(-1/2) sum_s |u_s>, u_s = r^(-1/2) sum_k exp(-2 pi i s k / r)
-    |a^k>, and each node circuit is block-diagonal in the u_s. State-vector:
-    the node runs once on |1>, and the r-point FFT of its block along the
-    orbit a^k returns branch s's amplitudes at index -s mod r. Analytic: one
-    ``phase.outcome_laws`` call per register on every row's numerators,
-    folded to m bits; given s the registers are independent.
+    State-vector: ``branch_amplitudes`` squared and folded to m bits, one
+    node's block alive at a time. Analytic: one ``phase.outcome_laws`` call
+    per register on every row's numerators, folded to m bits; given s the
+    registers are independent.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -335,27 +356,12 @@ def branch_laws(instance: ProblemInstance, nodes: Chain, mode: str) -> list[np.n
             p_b = phase.outcome_laws(nums_b, r, t).reshape(r, 1 << m, -1).sum(axis=2)
             laws.append((p_a[:, :, None] * p_b[:, None, :]).reshape(r, -1))
         return laws
-    orbit = np.array([pow(instance.a, k, instance.N) for k in range(r)])
-    return [_orbit_laws(instance, t, exponent, m, orbit) for t, exponent, m in nodes]
-
-
-def _orbit_laws(
-    instance: ProblemInstance, t: int, exponent: int, m: int, orbit: np.ndarray
-) -> np.ndarray:
-    """``branch_laws``' state-vector table of one node, whose temporaries
-    are freed before the next node's are built.
-
-    The b stage runs on the live values in orbit order, so entry k of its
-    block is the amplitude at a^k and the r-point FFT needs no gather; at
-    its peak the build holds two complex (2^t, 2^t, r) arrays.
-    """
-    r = instance.r
-    cols, live = node_columns(instance, t, exponent, 1)
-    if not np.array_equal(live, np.sort(orbit)):
-        raise statevec.LayoutError(f"live work values are not the {r} powers of {instance.a}")
-    w = np.fft.fft(node_rows(instance, t, exponent, cols, orbit), axis=2)
-    p = (w.real**2 + w.imag**2).reshape(1 << m, 1 << (t - m), 1 << m, 1 << (t - m), r)
-    return p.sum(axis=(1, 3)).reshape(-1, r).T
+    for t, exponent, m in nodes:
+        w = branch_amplitudes(instance, t, exponent)
+        p = (w.real**2 + w.imag**2).reshape(1 << m, 1 << (t - m), 1 << m, 1 << (t - m), r)
+        laws.append(p.sum(axis=(1, 3)).reshape(-1, r).T)
+        del w, p  # before the next node's block is built
+    return laws
 
 
 @lru_cache(maxsize=8)

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numtheory import ProblemInstance, ceil_log2_ratio, to_fraction
+from .numtheory import ceil_log2_ratio, to_fraction
 
 _MAX_T = 26
 
@@ -53,21 +53,6 @@ def accuracy_width(n: int, epsilon: Fraction | float | str) -> int:
         raise ValueError(f"need n >= 1, got {n}")
     p, q = eps.numerator, eps.denominator
     return n + ceil_log2_ratio(4 * p + q, 2 * p)
-
-
-def build_eigenstate(instance: ProblemInstance, s: int) -> np.ndarray:
-    """The s-th shared eigenvector of the two multiplication maps, the unit
-    vector (1/sqrt r) sum_k exp(-2 pi i s k / r) |a^k mod N>."""
-    if not 0 <= s < instance.r:
-        raise ValueError(f"s = {s} outside 0..{instance.r - 1}")
-    vec = np.zeros(1 << instance.L, dtype=np.complex128)
-    point = 1
-    scale = 1.0 / math.sqrt(instance.r)
-    for k in range(instance.r):
-        angle = -2.0 * math.pi * ((s * k) % instance.r) / instance.r
-        vec[point] += scale * complex(math.cos(angle), math.sin(angle))
-        point = (point * instance.a) % instance.N
-    return vec
 
 
 def _exact_phase(num: int, den: int, t: int) -> tuple[int, int]:

@@ -2,32 +2,48 @@
 
 No solver or check path calls these: the solvers read the node circuit's
 live block (``dlp.node_block``) and the branch-mixture law
-(``dlp.joint_law``), ``dist.compare_step7_state`` projects each branch's
-live block on its eigenvector, and the tests hold all three to these
-whole-state computations. ``build_stage_state`` scatters the live block onto
-the full (a, b, work) state, and ``whole_state_step7`` is the step-7 check
-run on that full state with a dense contraction over all 2^L work values.
-The one-register phase estimation circuit (``run_phase_estimation(t,
-unitary, instance, s, rng)``, t counting qubits on the eigenvector
-``phase.build_eigenstate(instance, s)``) is the gate-level oracle of the
-closed-form outcome law in ``phase``.
+(``dlp.joint_law``), ``dist.compare_step7_state`` reads each branch's
+amplitudes off one run of each node on |1> (``dlp.branch_amplitudes``), and
+the tests hold all three to these whole-state computations. The shared
+eigenvectors u_s are built here alone (``build_eigenstate``).
+``build_stage_state`` scatters the live block onto the full (a, b, work)
+state, and ``whole_state_step7`` is the step-7 check done directly: every
+node run on every u_s, r k runs, with the projection on u_s and its
+residual taken by a dense contraction over all 2^L work values. The
+one-register phase estimation circuit (``run_phase_estimation(t, unitary,
+instance, s, rng)``, t counting qubits on u_s) is the gate-level oracle of
+the closed-form outcome law in ``phase``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from distdlog import phase, statevec
 from distdlog.bits import BitString
-from distdlog.dist import DistPlan, Step7Report
+from distdlog.dist import DistPlan
 from distdlog.dlp import node_block, node_numerators
 from distdlog.numtheory import ProblemInstance
-from distdlog.phase import build_eigenstate
 from distdlog.statevec import QuantumState
+
+
+def build_eigenstate(instance: ProblemInstance, s: int) -> np.ndarray:
+    """The s-th shared eigenvector of the two multiplication maps, the unit
+    vector (1/sqrt r) sum_k exp(-2 pi i s k / r) |a^k mod N>."""
+    if not 0 <= s < instance.r:
+        raise ValueError(f"s = {s} outside 0..{instance.r - 1}")
+    vec = np.zeros(1 << instance.L, dtype=np.complex128)
+    point = 1
+    scale = 1.0 / math.sqrt(instance.r)
+    for k in range(instance.r):
+        angle = -2.0 * math.pi * ((s * k) % instance.r) / instance.r
+        vec[point] += scale * complex(math.cos(angle), math.sin(angle))
+        point = (point * instance.a) % instance.N
+    return vec
 
 
 def build_stage_state(
@@ -43,9 +59,23 @@ def build_stage_state(
     return QuantumState(layout, amps.reshape(-1))
 
 
-def whole_state_step7(instance: ProblemInstance, plan: DistPlan) -> Step7Report:
-    """``dist.compare_step7_state`` computed on every node's full state: the
-    overlap with u_s and the residual run over all 2^L work values."""
+class WholeStateStep7(NamedTuple):
+    """``whole_state_step7``'s report. The deviations are the check's;
+    ``factorization_residual`` is the largest distance of a node's output on
+    u_s from (its overlap with u_s) x u_s, and ``basis_residual`` the
+    distance of |1> from r^(-1/2) sum_s u_s."""
+
+    max_amplitude_deviation: float
+    per_branch_deviation: tuple[float, ...]
+    factorization_residual: float
+    basis_residual: float
+
+
+def whole_state_step7(instance: ProblemInstance, plan: DistPlan) -> WholeStateStep7:
+    """``dist.compare_step7_state``'s reference: each node run on every u_s
+    and its full state projected on u_s, the overlap and the residual taken
+    over all 2^L work values, with the residuals and the expansion residual
+    of |1> added to the bound."""
     r = instance.r
     dim_c = 1 << instance.L
     one = np.zeros(dim_c, dtype=np.complex128)
@@ -82,7 +112,7 @@ def whole_state_step7(instance: ProblemInstance, plan: DistPlan) -> Step7Report:
             telescoped += term
         per_branch.append(telescoped)
 
-    return Step7Report(
+    return WholeStateStep7(
         max_amplitude_deviation=sum(per_branch) / r + residual_sum / math.sqrt(r) + basis_residual,
         per_branch_deviation=tuple(per_branch),
         factorization_residual=residual_max,

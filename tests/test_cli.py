@@ -118,6 +118,25 @@ class TestSolveDistCommand:
         summary = json.loads(lines[-1])["summary"]
         assert summary["plan"]["l"] == [1, 2, 5]
 
+    def test_law_over_cap_noted_on_stderr(self, capsys):
+        """A cached law over its byte cap gets one note on stderr naming the
+        cap, and the records are those of --no-reuse byte for byte; a law
+        that fits gets no note."""
+        argv = ["solve-dist", "--N", "23", "--a", "2", "--b", "3", "--k", "3", "--h", "2",
+                "--epsilon", "0.5", "--epsilon-prime", "0.25", "--trials", "3", "--seed", "7"]
+        code, out, err = run_cli(capsys, argv)
+        fresh = run_cli(capsys, argv + ["--no-reuse"])
+        assert fresh == (0, out, "")
+        assert code == 0
+        assert err.splitlines() == [
+            "note: joint law needs 384 MiB and its build 96 MiB more (cap 256 MiB),"
+            " so it is not cached; every attempt reruns the circuit"
+        ]
+        code, _, err = run_cli(
+            capsys, ["solve-dist", "--N", "11", "--a", "3", "--b", "9", "--trials", "3", "--seed", "7"]
+        )
+        assert (code, err) == (0, "")
+
     def test_infeasible_plan_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -647,7 +666,7 @@ class TestDistCompareCommand:
         exit 1, with the same JSON line on stdout."""
         from distdlog import dist
 
-        report = dist.Step7Report(1e-6, (1e-6,) * 5, 0.0, 0.0)
+        report = dist.Step7Report(1e-6, (1e-6,) * 5, 0.0)
         monkeypatch.setattr(dist, "compare_step7_state", lambda *a: report)
         code, out, _ = run_cli(
             capsys,

@@ -3,6 +3,7 @@ import inspect
 import math
 import textwrap
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -669,54 +670,90 @@ class TestStepSevenState:
     def test_factorised_form_certified(self, instance, acceptance_plan):
         report = compare_step7_state(instance, acceptance_plan)
         assert report.max_amplitude_deviation <= 1e-9
-        assert report.factorization_residual <= 1e-12
-        assert report.basis_residual <= 1e-12
+        assert report.factorization_residual == 0.0
         assert len(report.per_branch_deviation) == instance.r
 
-    def test_one_eigenvector_at_a_time(self, instance, acceptance_plan, monkeypatch):
-        """Each eigenvector goes through the nodes before the next is built,
-        so an over-budget node is refused after one eigenvector; the report
-        is unchanged."""
-        want = compare_step7_state(instance, acceptance_plan)
-        build, block = phase.build_eigenstate, dist.node_block
-        calls = {"eigen": 0, "nodes": 0}
+    @staticmethod
+    def plan_of(which, instance, acceptance_plan, small_instance, small_plan):
+        return {
+            "small": (small_instance, small_plan),
+            "acceptance": (instance, acceptance_plan),
+            "three_nodes": (instance, THREE_NODE_PLAN),
+        }[which]
 
-        def eigen(*args, **kwargs):
-            if calls["eigen"] and not calls["nodes"]:
-                raise AssertionError("a second eigenvector was built before any node ran")
-            calls["eigen"] += 1
-            return build(*args, **kwargs)
+    @pytest.mark.parametrize("which", ["small", "acceptance", "three_nodes"])
+    def test_node_block_shifts_along_orbit(
+        self, which, instance, acceptance_plan, small_instance, small_plan
+    ):
+        """The premise of reading branches off one run on |1>: every node's
+        block on |a^k> is its block on |1> shifted k places along the orbit,
+        bit for bit."""
+        inst, plan = self.plan_of(which, instance, acceptance_plan, small_instance, small_plan)
+        for t, exponent, _ in plan.nodes:
+            block, live = dlp.node_block(inst, t, exponent, 1)
+            for k in range(inst.r):
+                shifted, shifted_live = dlp.node_block(inst, t, exponent, pow(inst.a, k, inst.N))
+                assert np.array_equal(shifted_live, live)
+                back = np.searchsorted(live, live * pow(inst.a, -k, inst.N) % inst.N)
+                assert np.array_equal(shifted, block[:, :, back])
 
-        def node(*args, **kwargs):
-            calls["nodes"] += 1
-            return block(*args, **kwargs)
+    def test_one_node_block_at_a_time(self, instance, monkeypatch):
+        """Each node runs twice, on |1> and on |a>: 2k runs of the a stage,
+        not r k. A node's branch blocks are freed before the next node runs,
+        and the report is unchanged."""
+        plan = THREE_NODE_PLAN
+        want = compare_step7_state(instance, plan)
+        amplitudes, columns = dlp.branch_amplitudes, dlp.node_columns
+        blocks, works = [], []
 
-        monkeypatch.setattr(phase, "build_eigenstate", eigen)
-        monkeypatch.setattr(dist, "node_block", node)
-        assert compare_step7_state(instance, acceptance_plan) == want
-        assert calls == {"eigen": instance.r, "nodes": instance.r * acceptance_plan.k}
+        def count_columns(*args, **kwargs):
+            works.append(args[3] if len(args) > 3 else kwargs.get("work", 1))
+            return columns(*args, **kwargs)
+
+        def track_blocks(inst, t, exponent, work=1):
+            if any(node != (t, exponent) and ref() is not None for node, ref in blocks):
+                raise AssertionError("another node's branch block is alive")
+            w = amplitudes(inst, t, exponent, work)
+            blocks.append(((t, exponent), weakref.ref(w)))
+            return w
+
+        monkeypatch.setattr(dlp, "node_columns", count_columns)
+        monkeypatch.setattr(dist, "branch_amplitudes", track_blocks)
+        assert compare_step7_state(instance, plan) == want
+        assert works == [1, instance.a] * plan.k
+        assert len(blocks) == 2 * plan.k
+
+    def test_oversize_plan_refused_before_any_node_runs(self, monkeypatch):
+        """The check sizes itself by the law build's bound: at r = 16001 it
+        is refused before the a stage of any node runs."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a node ran")
+
+        inst = validate_instance(32003, 4, 17236)
+        plan = make_plan(inst, k=2, epsilon="0.25", epsilon_prime="0.2")
+        monkeypatch.setattr(dlp, "node_columns", refuse)
+        with pytest.raises(QubitBudgetError, match="step-7 check needs"):
+            compare_step7_state(inst, plan)
 
     @pytest.mark.parametrize("which", ["small", "acceptance", "three_nodes"])
     def test_live_blocks_match_whole_state(
         self, which, instance, acceptance_plan, small_instance, small_plan
     ):
-        """Projecting each branch's live block gives the report of the same
-        check on every node's full state, field by field."""
-        inst, plan = {
-            "small": (small_instance, small_plan),
-            "acceptance": (instance, acceptance_plan),
-            "three_nodes": (instance, THREE_NODE_PLAN),
-        }[which]
+        """The branch blocks read off one run of each node on |1> give the
+        per-branch deviations of the same check run on every node's full
+        state on every u_s, and that reference measures the factorisation
+        and the expansion of |1> over the u_s as exact. Its bound adds those
+        residuals, so it is never below the check's."""
+        inst, plan = self.plan_of(which, instance, acceptance_plan, small_instance, small_plan)
         got = compare_step7_state(inst, plan)
         want = whole_state_step7(inst, plan)
         assert len(got.per_branch_deviation) == len(want.per_branch_deviation) == inst.r
-        pairs = [
-            (got.max_amplitude_deviation, want.max_amplitude_deviation),
-            (got.factorization_residual, want.factorization_residual),
-            (got.basis_residual, want.basis_residual),
-            *zip(got.per_branch_deviation, want.per_branch_deviation),
-        ]
+        pairs = list(zip(got.per_branch_deviation, want.per_branch_deviation))
         assert all(abs(x - y) <= 1e-15 for x, y in pairs), pairs
+        assert got.max_amplitude_deviation <= want.max_amplitude_deviation + 1e-15
+        assert want.factorization_residual <= 1e-12
+        assert want.basis_residual <= 1e-12
 
 
 class TestSolveDistributed:
@@ -861,7 +898,7 @@ class TestSolveChain:
             return measure_node(*args, **kwargs)
 
         with monkeypatch.context() as patch:
-            patch.setattr(dlp, "node_block", refuse)
+            patch.setattr(dlp, "node_columns", refuse)
             with pytest.raises(QubitBudgetError, match="joint law needs"):
                 dlp.joint_law(instance, nodes)
         monkeypatch.setattr(dlp, "measure_node", count)

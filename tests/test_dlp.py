@@ -25,7 +25,7 @@ from distdlog.harness import run_batch
 from distdlog.numtheory import mod_pow, validate_instance
 from distdlog.phase import phase_outcome_distribution
 
-from gatelevel import build_stage_state, joint_distribution
+from gatelevel import build_eigenstate, build_stage_state, joint_distribution
 from orbitbfs import bfs_closure
 from phaseloop import outcome_distribution
 
@@ -193,7 +193,7 @@ def node_inputs(instance):
     normalised vector with full support."""
     rng = np.random.default_rng(2024)
     full = rng.normal(size=1 << instance.L) + 1j * rng.normal(size=1 << instance.L)
-    eigen = [phase.build_eigenstate(instance, s) for s in range(instance.r)]
+    eigen = [build_eigenstate(instance, s) for s in range(instance.r)]
     return [1, instance.N + 1, *eigen, full / np.linalg.norm(full)]
 
 

@@ -10,7 +10,6 @@ from distdlog import phase, statevec
 from distdlog.phase import (
     AccuracyReport,
     accuracy_width,
-    build_eigenstate,
     check_accuracy_bound,
     phase_outcome_distribution,
     phase_state_amplitudes,
@@ -18,7 +17,7 @@ from distdlog.phase import (
     sample_phase_outcome,
 )
 
-from gatelevel import run_phase_estimation
+from gatelevel import build_eigenstate, run_phase_estimation
 from phaseloop import accuracy_report, outcome_distribution
 
 

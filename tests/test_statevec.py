@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from distdlog import phase, statevec
+from distdlog import statevec
 from distdlog.numtheory import validate_instance
 from distdlog.statevec import (
     LayoutError,
@@ -22,7 +22,7 @@ from distdlog.statevec import (
     register_vector,
 )
 
-from gatelevel import joint_distribution
+from gatelevel import build_eigenstate, joint_distribution
 
 
 def random_state(layout, seed):
@@ -120,7 +120,7 @@ class TestControlledModMul:
 
     def test_zero_control_is_identity(self):
         layout = RegisterLayout((("ctl", 3), ("wrk", 4)))
-        spread = phase.build_eigenstate(validate_instance(11, 3, 9), 1)
+        spread = build_eigenstate(validate_instance(11, 3, 9), 1)
         state = init_product(layout, {"ctl": 0, "wrk": spread})
         out = controlled_modmul_power(state, "ctl", "wrk", 3, 0, 11)
         assert np.abs(out.amps - state.amps).max() < 1e-15
@@ -137,7 +137,7 @@ class TestControlledModMul:
         unit phase: s/r for the base, (s g mod r)/r for the target."""
         layout = RegisterLayout((("ctl", 1), ("wrk", instance.L)))
         for s in range(instance.r):
-            u = phase.build_eigenstate(instance, s)
+            u = build_eigenstate(instance, s)
             for base, numerator in ((instance.a, s), (instance.b, (s * instance.hidden_g) % instance.r)):
                 state = init_product(layout, {"ctl": 1, "wrk": u})
                 out = controlled_modmul_power(state, "ctl", "wrk", base, 0, instance.N)
