@@ -32,8 +32,9 @@ single-node solver, the first draw of a flat index is split back into node
 pairs by ``dlp.decode_joint_index``, aligned and verified, and repeat draws
 reuse that outcome from the chain's memo, keyed by the plan's ``join``.
 The step-7 check (``compare_step7_state``) reads the same branches off
-``dlp.branch_amplitudes``, two runs of each node, and holds them to the
-closed-form amplitudes.
+one run of each node on |1>, as ``dlp.branch_amplitudes`` does, holds them
+to the closed-form amplitudes, and checks the run on |a> against the shifted
+run on |1>: two runs of each node.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .dlp import (  # decode_joint_index, postprocess_detail: bench/ binds them 
     Chain,
     Pairs,
     RunRecord,
-    branch_amplitudes,
     decode_joint_index,
     joint_law,
     measure_chain,
@@ -415,11 +415,23 @@ class Step7Report:
 
 def _node_terms(instance: ProblemInstance, t: int, exponent: int) -> tuple[np.ndarray, float]:
     """One node's rows max |W(s)|, max |A(s)| and max |W(s) - A(s)| over the
-    branches s, and its one-shift residual; its blocks are freed on return."""
+    branches s, and its one-shift residual; its blocks are freed on return.
+
+    The residual is taken before the r-point FFT, which scales norms by
+    sqrt(r): the node's block on |1> read along the orbit from 1 against its
+    run on |a> read from a, one j_a row of the latter at a time. The |1>
+    block is then transformed into the branch blocks ``dlp.branch_amplitudes``
+    gives, so at most two complex (2^t, 2^t, r) arrays are alive.
+    """
     r = instance.r
-    w = branch_amplitudes(instance, t, exponent)
-    shifted = branch_amplitudes(instance, t, exponent, instance.a) - w
-    residual = float(np.linalg.norm(shifted)) / math.sqrt(r)  # the FFT scales norms by sqrt(r)
+    block = dlp.node_rows(*dlp.orbit_columns(instance, t, exponent))
+    cols, places = dlp.orbit_columns(instance, t, exponent, instance.a)
+    square = 0.0
+    for j_a in range(1 << t):
+        diff = dlp.node_rows(cols[j_a : j_a + 1], places)[0] - block[j_a]
+        square += float(np.vdot(diff, diff).real)
+    w = np.fft.fft(block, axis=2)
+    del block
     terms = np.empty((3, r))
     for s in range(r):
         num_a, num_b = node_numerators(instance, exponent, s)
@@ -429,15 +441,15 @@ def _node_terms(instance: ProblemInstance, t: int, exponent: int) -> tuple[np.nd
         )
         branch = w[:, :, -s % r]
         terms[:, s] = np.abs(branch).max(), np.abs(analytic).max(), np.abs(branch - analytic).max()
-    return terms, residual
+    return terms, math.sqrt(square)
 
 
 def compare_step7_state(instance: ProblemInstance, plan: DistPlan) -> Step7Report:
     """Check the factorised form of the pre-measurement state (all branches),
     bounded as ``Step7Report`` says: each node runs on |1> and on |a>
-    (``dlp.branch_amplitudes``), 2k runs in all, one node's blocks at a
-    time. A plan whose law build would pass ``dlp``'s byte cap is refused
-    before any node runs."""
+    (``_node_terms``), 2k runs in all, one node's blocks at a time, within
+    the law build's bound ``dlp._build_bytes``. A plan whose bound passes
+    ``dlp``'s byte cap is refused before any node runs."""
     build_bytes = dlp._build_bytes(instance, plan.nodes, "statevector")
     if build_bytes > dlp._LAW_BYTES_CAP:
         raise QubitBudgetError(

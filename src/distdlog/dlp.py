@@ -10,27 +10,30 @@ also when the cached law is over its byte cap), hands the drawn pairs to
 the solver's join, then rounds, inverts and retries. This solver is it on
 the one-node chain ``((t, 0, t),)`` with the identity join, and ``dist``
 runs its plan's chain through it with the alignment pass as the join.
-The node circuit is a fused kernel in two stages that keeps only the live
-work values: ``node_columns`` runs it to the end of register a's inverse
-QFT, and ``node_rows`` runs the b stage on the rows it is given;
-``node_block`` is both on every row. The live values, the closure of the
-input's support under a^(2^e) and b^(2^e), come from ``live_orbit``, cached
-per (instance, exponent, support), so repeated fresh runs reuse them and
-only the circuit runs again. Fresh runs measure node by node
-(``measure_chain``): ``measure_node`` draws register a from the a stage
-before b's transform, as nothing later acts on a, and runs the b stage on
-the drawn row alone. They never read the instance's hidden exponent.
-Cached runs draw a flat index from ``joint_cdf``; the first draw of an
-index in a chain splits it with ``decode_joint_index``, joins and verifies
-it, and the outcome is kept in the memo of ``joint_cdf``'s entry, so a
-repeat draw is one CDF search and one lookup. ``branch_amplitudes`` is the
-one source of the circuit's per-branch amplitudes (one run of a node on |1>
-and an r-point FFT along the orbit of a); ``branch_laws`` squares them or
-takes the laws P_j(. | s) in closed form, and ``joint_law``, cached per
-(instance, chain) with its CDF, is the one branch mixture (1/r) sum_s
-prod_j P_j(. | s) of either backend. The analytic backend draws the latent
-branch s and then each register exactly at its phase by one O(1) rejection
-draw (``sample_chain``). Every branch phase is an int numerator over r from
+The node circuit is a fused kernel in two stages on the live work values
+alone: ``node_columns`` runs it to the end of register a's inverse QFT on
+the (2^t, |live|) live columns, and ``node_rows`` runs the b stage on the
+rows it is given; ``node_block`` is both on every row. The live values, the
+closure of the input's support under a^(2^e) and b^(2^e), come from
+``live_orbit``, cached per (instance, exponent, support), and the a gather
+and the b positions on them from ``node_tables``, cached per (instance, t,
+exponent, support), so repeated fresh runs reuse them and only the circuit
+runs again: a fresh node run does O(2^t |live|) work and holds that much.
+Fresh runs measure node by node (``measure_chain``): ``measure_node`` draws
+register a from the a stage before b's transform, as nothing later acts on
+a, and runs the b stage on the drawn row alone. They never read the
+instance's hidden exponent. Cached runs draw a flat index from
+``joint_cdf``; the first draw of an index in a chain splits it with
+``decode_joint_index``, joins and verifies it, and the outcome is kept in
+the memo of ``joint_cdf``'s entry, so a repeat draw is one CDF search and
+one lookup. ``branch_amplitudes`` is the one source of the circuit's
+per-branch amplitudes (one run of a node on |1> and an r-point FFT along
+the orbit of a); ``branch_laws`` squares them or takes the laws P_j(. | s)
+in closed form, and ``joint_law``, cached per (instance, chain) with its
+CDF, is the one branch mixture (1/r) sum_s prod_j P_j(. | s) of either
+backend. The analytic backend draws the latent branch s and then each
+register exactly at its phase by one O(1) rejection draw
+(``sample_chain``). Every branch phase is an int numerator over r from
 ``node_numerators``, for one branch or an int64 array of them. The phases
 read the exponent g from ``hidden_g`` as an oracle. The test suites hold
 the sampler to the closed form, and the closed form to the circuit exactly.
@@ -159,25 +162,56 @@ def live_orbit(instance: ProblemInstance, exponent: int, support: bytes) -> np.n
     return live
 
 
+@lru_cache(maxsize=32)
+def node_tables(
+    instance: ProblemInstance, t: int, exponent: int, support: bytes
+) -> tuple[np.ndarray, np.ndarray]:
+    """The node circuit's two gathers on ``live``, ``live_orbit(instance,
+    exponent, support)``: ``gather_a[j_a, k]`` is the work value x with
+    a^(j_a 2^e) x = live[k], and ``place_b[j_b, k]`` the position in
+    ``live`` of the x with b^(j_b 2^e) x = live[k].
+
+    Cached per (instance, t, exponent, support), read-only: the (2^t, 2^L)
+    modmul tables are read on a miss only, so a fresh run touches 2^t |live|
+    entries of each. Both are laid out as the modmul tables' own live
+    columns, with the live axis outermost: numpy lays out what it gathers
+    through an index array by that array's layout, and a later sum over the
+    live axis adds in an order that depends on it (with |live| >= 8, numpy
+    sums a contiguous axis pairwise).
+    """
+    L, N = instance.L, instance.N
+    src_a = statevec.modmul_sources(t, L, instance.a, exponent, N)
+    src_b = statevec.modmul_sources(t, L, instance.b, exponent, N)
+    live = live_orbit(instance, exponent, support)
+    gather_a = np.asfortranarray(src_a[:, live])
+    place_b = np.asfortranarray(np.searchsorted(live, src_b[:, live]))
+    gather_a.setflags(write=False)
+    place_b.setflags(write=False)
+    return gather_a, place_b
+
+
 def node_columns(
     instance: ProblemInstance, t: int, exponent: int = 0, work: int | np.ndarray = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """The node circuit up to the end of the a-register inverse QFT.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node circuit up to the end of the a-register inverse QFT, on the
+    live work values only.
 
     The counting registers control c^(j 2^exponent) for c = a and c = b on
     the work register, which starts in |work> or in the given vector: the
     single-node solver runs exponent 0 on |1>, node j of the distributed
     solver exponent l_j - 1 on the previous node's hand-off. Returns
-    ``(cols, live)``: ``cols[j_a, y]`` is the amplitude, before the b stage,
-    of a-outcome j_a with the work register at y, and ``live``, the orbit of
-    the input's support under a^(2^e) and b^(2^e), holds every y the state
-    reaches; ``cols`` is 0 off it. ``live`` is ``live_orbit``'s cached,
-    read-only array, one per (instance, exponent, support).
+    ``(cols, live, place_b)``: ``live``, the orbit of the input's support
+    under a^(2^e) and b^(2^e), holds every work value the state reaches
+    (``live_orbit``'s cached, read-only array), ``cols[j_a, k]`` is the
+    amplitude, before the b stage, of a-outcome j_a with the work register
+    at live[k], and ``place_b`` is ``node_tables``' b table, which
+    ``node_rows`` reads.
 
     Both counting registers start in |0>, so the Hadamards only scale the
     work vector, and the a multiplications make ``cols`` the scaled work
-    amplitude at a^(-j_a 2^e) y, transformed along j_a. A basis input is
-    scaled as one float: its other entries are 0, so the result is the same.
+    amplitude at a^(-j_a 2^e) live[k], transformed along j_a: O(2^t |live|)
+    work and memory. A basis input is scaled as one float: its other
+    entries are 0, so the result is the same.
     """
     required = 2 * t + instance.L
     if required > statevec.MAX_QUBITS:
@@ -194,25 +228,26 @@ def node_columns(
     else:
         for _ in range(2 * t):  # rounds exactly as one Hadamard on a |0> qubit
             vec = (vec + 0) * inv_sqrt2
-    src_a = statevec.modmul_sources(t, instance.L, instance.a, exponent, instance.N)
-    live = live_orbit(instance, exponent, np.flatnonzero(vec).tobytes())
-    cols = np.fft.fft(vec[src_a], axis=0) / math.sqrt(1 << t)
-    return cols, live
+    support = np.flatnonzero(vec).tobytes()
+    gather_a, place_b = node_tables(instance, t, exponent, support)  # checks the exponent
+    live = live_orbit(instance, exponent, support)
+    cols = np.fft.fft(vec[gather_a], axis=0)
+    cols /= math.sqrt(1 << t)
+    return cols, live, place_b
 
 
-def node_rows(
-    instance: ProblemInstance, t: int, exponent: int, cols: np.ndarray, live: np.ndarray
-) -> np.ndarray:
+def node_rows(cols: np.ndarray, places: np.ndarray) -> np.ndarray:
     """The b stage of the node circuit on the given rows of ``node_columns``.
 
-    ``cols`` holds some leading-index rows of the a-stage output; returns
-    ``rows[i, j_b, k]``, the amplitude of |j_b>|live[k]> in row i. The b
-    multiplications make it the row's amplitude at b^(-j_b 2^e) live[k],
-    and the b-register transform runs only on the live columns.
+    ``cols`` holds some rows of the a stage; column k of ``places`` lists,
+    for every j_b, the position in the live columns of b^(-j_b 2^e) w_k for
+    one work value w_k (``place_b``, or its columns in another order, with
+    the same layout). Returns ``rows[i, j_b, k]``, the amplitude of
+    |j_b>|w_k> in row i: the b multiplications make it the row's amplitude
+    at b^(-j_b 2^e) w_k, and the b-register transform runs along j_b.
     """
-    src_b = statevec.modmul_sources(t, instance.L, instance.b, exponent, instance.N)
-    rows = np.fft.fft(cols[:, src_b[:, live]], axis=1)
-    rows /= math.sqrt(1 << t)
+    rows = np.fft.fft(cols[:, places], axis=1)
+    rows /= math.sqrt(len(places))
     return rows
 
 
@@ -229,11 +264,12 @@ def node_block(
     This is the fused node kernel; the gate-level oracle it equals
     amplitude for amplitude is init_product, hadamard_layer on a and b,
     controlled_modmul_power for a and b and inverse_qft on a and b. The
-    a-register transform acts along j_a alone, so it runs on the (2^t, 2^L)
-    gather through the a table before the b table spreads it over j_b.
+    a-register transform acts along j_a alone, so it runs on the
+    (2^t, |live|) gather through the a table before the b table spreads it
+    over j_b; no array spans all 2^L work values.
     """
-    cols, live = node_columns(instance, t, exponent, work)
-    return node_rows(instance, t, exponent, cols, live), live
+    cols, live, place_b = node_columns(instance, t, exponent, work)
+    return node_rows(cols, place_b), live
 
 
 def measure_node(
@@ -247,17 +283,16 @@ def measure_node(
     (the tests hold it to that oracle). Register a is measured before the b
     stage, which never acts on it: every row of the b table permutes the
     live values and the b transform is unitary, so by Parseval the
-    a-marginal is 2^t sum_{y in live} |cols[j_a, y]|^2, and only the drawn
-    row goes through the b stage. Its mass must equal that marginal.
+    a-marginal is 2^t sum_k |cols[j_a, k]|^2, and only the drawn row goes
+    through the b stage. Its mass must equal that marginal.
     """
-    cols, live = node_columns(instance, t, exponent, work)
-    live_cols = cols[:, live]
-    marginal_a = (live_cols.real**2 + live_cols.imag**2).sum(axis=1) * (1 << t)
+    cols, live, place_b = node_columns(instance, t, exponent, work)
+    marginal_a = (cols.real**2 + cols.imag**2).sum(axis=1) * (1 << t)
     norm2 = float(marginal_a.sum())
     if abs(norm2 - 1.0) > statevec.NORM_TOL:
         raise statevec.LayoutError(f"node norm**2 = {norm2!r} drifted beyond {statevec.NORM_TOL}")
     j_a, p_a = statevec.draw_outcome(rng, marginal_a)
-    (row,) = node_rows(instance, t, exponent, cols[j_a : j_a + 1], live)
+    (row,) = node_rows(cols[j_a : j_a + 1], place_b)
     marginal_b = (row.real**2 + row.imag**2).sum(axis=1)  # [j_b]: mass over the work register
     mass = float(marginal_b.sum())
     if abs(mass - p_a) > statevec.NORM_TOL:
@@ -293,7 +328,10 @@ _ROW_BYTES = 18
 # of the node's (2^t, 2^L) a-stage arrays (the gathered columns, their
 # transform and the first-use modmul tables), plus under 2 MiB for the
 # first import of numpy.fft and the orbit's small arrays (N = 7 to 16381,
-# t = 3 to 9, one to three nodes, cold caches); rounded up here.
+# t = 3 to 9, one to three nodes, cold caches); rounded up here. The a stage
+# holds only (2^t, |live|) columns and tables, but a cold build still reads
+# the two (2^t, 2^L) int64 modmul tables, and a smaller column term would
+# move which borderline laws fit the cap (and so stdout), so it is kept.
 _BLOCK_BYTES = 34
 _COLUMN_BYTES = 42
 _BUILD_BYTES_BASE = 2 << 20
@@ -313,26 +351,33 @@ def _build_bytes(instance: ProblemInstance, nodes: Chain, mode: str) -> int:
     )
 
 
-def branch_amplitudes(
+def orbit_columns(
     instance: ProblemInstance, t: int, exponent: int, work: int = 1
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """``node_columns`` on |work>, a power of a, with its b table read along
+    the orbit from work: returns ``(cols, places)``, and ``node_rows(cols,
+    places)[:, :, k]`` is the node's block at work a^k mod N."""
+    r, N = instance.r, instance.N
+    orbit = np.array([work * pow(instance.a, k, N) % N for k in range(r)])
+    cols, live, place_b = node_columns(instance, t, exponent, work)
+    if not np.array_equal(live, np.sort(orbit)):
+        raise statevec.LayoutError(f"live work values are not the {r} powers of {instance.a}")
+    return cols, place_b[:, np.searchsorted(live, orbit)]
+
+
+def branch_amplitudes(instance: ProblemInstance, t: int, exponent: int) -> np.ndarray:
     """The one source of the circuit's per-branch amplitudes: the node run
-    once on |work>, a power a^q of a, and the r-point FFT of its block read
-    along the orbit from a^q; slice ``[:, :, i]`` is branch s = -i mod r's
+    once on |1> and the r-point FFT of its block read along the orbit of a
+    (``orbit_columns``); slice ``[:, :, i]`` is branch s = -i mod r's
     (2^t, 2^t) counting-register block W(s).
 
     The circuit leaves each u_s = r^(-1/2) sum_k exp(-2 pi i s k / r) |a^k>
-    as W(s) |u_s>, so read from a^q, entry k of the block is (1/r) sum_s
-    W(s) exp(-2 pi i s k / r) for every q. The b stage runs on the orbit in
-    order, so the FFT needs no gather; at its peak this holds two complex
-    (2^t, 2^t, r) arrays.
+    as W(s) |u_s>, so entry k of the block is (1/r) sum_s W(s)
+    exp(-2 pi i s k / r). The b stage runs on the orbit in order, so the FFT
+    needs no gather; at its peak this holds two complex (2^t, 2^t, r)
+    arrays.
     """
-    r, N = instance.r, instance.N
-    orbit = np.array([work * pow(instance.a, k, N) % N for k in range(r)])
-    cols, live = node_columns(instance, t, exponent, work)
-    if not np.array_equal(live, np.sort(orbit)):
-        raise statevec.LayoutError(f"live work values are not the {r} powers of {instance.a}")
-    return np.fft.fft(node_rows(instance, t, exponent, cols, orbit), axis=2)
+    return np.fft.fft(node_rows(*orbit_columns(instance, t, exponent)), axis=2)
 
 
 def branch_laws(instance: ProblemInstance, nodes: Chain, mode: str) -> list[np.ndarray]:
@@ -359,8 +404,11 @@ def branch_laws(instance: ProblemInstance, nodes: Chain, mode: str) -> list[np.n
     for t, exponent, m in nodes:
         w = branch_amplitudes(instance, t, exponent)
         p = (w.real**2 + w.imag**2).reshape(1 << m, 1 << (t - m), 1 << m, 1 << (t - m), r)
-        laws.append(p.sum(axis=(1, 3)).reshape(-1, r).T)
+        law = p.sum(axis=(1, 3)).reshape(-1, r).T
         del w, p  # before the next node's block is built
+        # The kept table is copied once the node's temporaries are freed: made
+        # among them, it can pin the top of the heap above their freed space.
+        laws.append(np.copy(law))
     return laws
 
 

@@ -14,10 +14,12 @@ inverse_qft) and measurements (measure_prefix, measure_register,
 register_vector) act on the whole vector: they are the gate-level oracle.
 The solvers' kernel (``dlp.node_columns``, the a stage, and ``dlp.node_rows``,
 the b stage) and sampler ``dlp.measure_node`` use only register_factor,
-modmul_sources and draw_outcome from here; fresh runs measure register a
-before b's transform, so they never build the 2^t x 2^t block, and take
-the live work values from ``dlp.live_orbit``'s cache instead of closing
-the orbit again on every run.
+modmul_sources and draw_outcome from here. Fresh runs measure register a
+before b's transform, so they never build the 2^t x 2^t block, and they
+work on the live work values alone. Those come from ``dlp.live_orbit``'s
+cache, and the two stages gather through (2^t, |live|) tables from
+``dlp.node_tables``' cache, so modmul_sources is read only when that cache
+misses.
 """
 
 from __future__ import annotations

@@ -1,0 +1,82 @@
+"""The full-width node kernel, the bitwise reference for ``dlp``'s one.
+
+``dlp.node_columns`` gathers, transforms and scales only the (2^t, |live|)
+live work columns of the a stage, through tables cached per (instance, t,
+exponent, support). The kernel here runs the a stage on all 2^L work
+columns through the (2^t, 2^L) modmul tables on every run and reads the
+live columns off that; the b stage gathers from the full columns. The
+tests hold every array and every draw of ``dlp``'s kernel to this one with
+``np.array_equal``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from distdlog import statevec
+from distdlog.bits import BitString
+from distdlog.dlp import live_orbit
+from distdlog.numtheory import ProblemInstance
+
+
+def node_columns(
+    instance: ProblemInstance, t: int, exponent: int = 0, work: int | np.ndarray = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(cols, live)``: the a stage on every work column, ``(2^t, 2^L)``,
+    0 off ``live``."""
+    vec = statevec.register_factor("work", instance.L, work)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    if isinstance(work, (int, np.integer)):
+        scale = 1.0
+        for _ in range(2 * t):
+            scale *= inv_sqrt2
+        vec[work] = scale
+    else:
+        for _ in range(2 * t):
+            vec = (vec + 0) * inv_sqrt2
+    src_a = statevec.modmul_sources(t, instance.L, instance.a, exponent, instance.N)
+    live = live_orbit(instance, exponent, np.flatnonzero(vec).tobytes())
+    cols = np.fft.fft(vec[src_a], axis=0) / math.sqrt(1 << t)
+    return cols, live
+
+
+def node_rows(
+    instance: ProblemInstance, t: int, exponent: int, cols: np.ndarray, live: np.ndarray
+) -> np.ndarray:
+    """The b stage on the given rows of the full columns, at the work
+    values ``live`` in the order given."""
+    src_b = statevec.modmul_sources(t, instance.L, instance.b, exponent, instance.N)
+    rows = np.fft.fft(cols[:, src_b[:, live]], axis=1)
+    rows /= math.sqrt(1 << t)
+    return rows
+
+
+def node_block(
+    instance: ProblemInstance, t: int, exponent: int = 0, work: int | np.ndarray = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    cols, live = node_columns(instance, t, exponent, work)
+    return node_rows(instance, t, exponent, cols, live), live
+
+
+def measure_node(
+    instance: ProblemInstance, t: int, exponent: int, work: int | np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[BitString, BitString, np.ndarray]:
+    cols, live = node_columns(instance, t, exponent, work)
+    live_cols = cols[:, live]
+    marginal_a = (live_cols.real**2 + live_cols.imag**2).sum(axis=1) * (1 << t)
+    j_a, p_a = statevec.draw_outcome(rng, marginal_a)
+    (row,) = node_rows(instance, t, exponent, cols[j_a : j_a + 1], live)
+    marginal_b = (row.real**2 + row.imag**2).sum(axis=1)
+    j_b, _ = statevec.draw_outcome(rng, marginal_b / p_a)
+    work_out = np.zeros(1 << instance.L, dtype=np.complex128)
+    work_out[live] = row[j_b] / math.sqrt(float(marginal_b[j_b]))
+    return BitString(t, j_a), BitString(t, j_b), work_out
+
+
+def branch_amplitudes(instance: ProblemInstance, t: int, exponent: int) -> np.ndarray:
+    orbit = np.array([pow(instance.a, k, instance.N) for k in range(instance.r)])
+    cols, _ = node_columns(instance, t, exponent)
+    return np.fft.fft(node_rows(instance, t, exponent, cols, orbit), axis=2)

@@ -699,29 +699,52 @@ class TestStepSevenState:
 
     def test_one_node_block_at_a_time(self, instance, monkeypatch):
         """Each node runs twice, on |1> and on |a>: 2k runs of the a stage,
-        not r k. A node's branch blocks are freed before the next node runs,
-        and the report is unchanged."""
+        not r k. The run on |a> goes through the b stage one row at a time,
+        a node's whole block is freed before the next node runs, and the
+        report is unchanged."""
         plan = THREE_NODE_PLAN
         want = compare_step7_state(instance, plan)
-        amplitudes, columns = dlp.branch_amplitudes, dlp.node_columns
+        rows, columns = dlp.node_rows, dlp.node_columns
         blocks, works = [], []
 
         def count_columns(*args, **kwargs):
             works.append(args[3] if len(args) > 3 else kwargs.get("work", 1))
             return columns(*args, **kwargs)
 
-        def track_blocks(inst, t, exponent, work=1):
-            if any(node != (t, exponent) and ref() is not None for node, ref in blocks):
-                raise AssertionError("another node's branch block is alive")
-            w = amplitudes(inst, t, exponent, work)
-            blocks.append(((t, exponent), weakref.ref(w)))
-            return w
+        def track_blocks(cols, places):
+            if len(cols) > 1 and any(ref() is not None for ref in blocks):
+                raise AssertionError("another node's block is alive")
+            block = rows(cols, places)
+            if len(cols) > 1:
+                blocks.append(weakref.ref(block))
+            return block
 
         monkeypatch.setattr(dlp, "node_columns", count_columns)
-        monkeypatch.setattr(dist, "branch_amplitudes", track_blocks)
+        monkeypatch.setattr(dlp, "node_rows", track_blocks)
         assert compare_step7_state(instance, plan) == want
         assert works == [1, instance.a] * plan.k
-        assert len(blocks) == 2 * plan.k
+        assert len(blocks) == plan.k
+
+    @pytest.mark.parametrize("N, a, b", [(23, 2, 3), (47, 2, 4)])
+    def test_peak_memory_within_build_bound(self, N, a, b):
+        """The check holds at most what the law build may, ``dlp._build_bytes``
+        (about 34 bytes per block entry), from cold caches: the |1> block and
+        its transform, or the |1> block and one row of the |a> run."""
+        from distdlog import statevec
+
+        inst = validate_instance(N, a, b)
+        plan = make_plan(inst, k=2, h=2, epsilon="0.25", epsilon_prime="0.2")
+        statevec._modmul_destinations.cache_clear()
+        dlp.live_orbit.cache_clear()
+        dlp.node_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            report = compare_step7_state(inst, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.factorization_residual == 0.0
+        assert peak <= dlp._build_bytes(inst, plan.nodes, "statevector")
 
     def test_oversize_plan_refused_before_any_node_runs(self, monkeypatch):
         """The check sizes itself by the law build's bound: at r = 16001 it

@@ -7,7 +7,7 @@ import pytest
 
 from distdlog import dlp, phase, resources, statevec
 from distdlog.bits import BitString
-from distdlog.dist import solve_distributed
+from distdlog.dist import make_plan, solve_distributed
 from distdlog.dlp import (
     ShorConfig,
     joint_law,
@@ -25,6 +25,7 @@ from distdlog.harness import run_batch
 from distdlog.numtheory import mod_pow, validate_instance
 from distdlog.phase import phase_outcome_distribution
 
+import fullwidth
 from gatelevel import build_eigenstate, build_stage_state, joint_distribution
 from orbitbfs import bfs_closure
 from phaseloop import outcome_distribution
@@ -252,11 +253,12 @@ class TestMeasureNode:
     @pytest.mark.parametrize("exponent", [0, 1, 3])
     @pytest.mark.parametrize("t", range(2, 9))
     def test_parseval_marginal_equals_block_marginal(self, instance, t, exponent):
-        """The a-marginal read off the a stage, 2^t sum_{y in live}
-        |cols[j_a, y]|^2, is the full block's marginal over j_b and work."""
+        """The a-marginal read off the a stage's live columns, 2^t sum_k
+        |cols[j_a, k]|^2, is the full block's marginal over j_b and work."""
         for work in node_inputs(instance):
-            cols, live = node_columns(instance, t, exponent, work)
-            got = (1 << t) * (np.abs(cols[:, live]) ** 2).sum(axis=1)
+            cols, live, _ = node_columns(instance, t, exponent, work)
+            assert cols.shape == (1 << t, len(live))
+            got = (1 << t) * (np.abs(cols) ** 2).sum(axis=1)
             block, block_live = node_block(instance, t, exponent, work)
             assert np.array_equal(live, block_live)
             want = (np.abs(block) ** 2).sum(axis=(1, 2))
@@ -270,18 +272,20 @@ class TestMeasureNode:
 
     def test_peak_memory_below_one_state(self, instance):
         """Far below one state: a fresh node never holds a 2^t x 2^t block,
-        and its peak is at most four (2^t, 2^L) complex arrays, the a gather,
-        its transform, the scaled copy and the first-use modmul tables
-        (about 3.5 of them at t = 9)."""
+        and with its tables warm its peak is at most four (2^t, |live|)
+        complex arrays: the live columns, the drawn row (its gather and its
+        transform) and the float squares summed for a marginal (about 3.6 of
+        them at t = 9). No array spans all 2^L work values."""
         t = 9  # 2 t + L = 22 qubits
-        measure_node(instance, 2, 0, 1, np.random.default_rng(0))
+        measure_node(instance, t, 0, 1, np.random.default_rng(0))  # tables and FFT plans
+        _, live, _ = node_columns(instance, t, 0, 1)
         tracemalloc.start()
         try:
             measure_node(instance, t, 0, 1, np.random.default_rng(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * (16 << (t + instance.L))  # bytes of four a-column arrays
+        assert peak < 4 * (16 << t) * len(live)  # bytes of four live-column arrays
 
 
 class TestLiveOrbit:
@@ -293,7 +297,7 @@ class TestLiveOrbit:
         orbits that are strict subsets of the units, and it is read-only."""
         instance = validate_instance(N, a, b)
         for work in node_inputs(instance):
-            _, live = node_columns(instance, t, exponent, work)
+            _, live, _ = node_columns(instance, t, exponent, work)
             support = [work] if isinstance(work, int) else np.flatnonzero(work)
             assert live.tolist() == bfs_closure(instance, exponent, support)
             assert not live.flags.writeable
@@ -346,9 +350,76 @@ class TestLiveOrbit:
         warm = batch()
         assert dlp.live_orbit.cache_info().misses == misses
         dlp.live_orbit.cache_clear()
+        dlp.node_tables.cache_clear()
         cold = batch()
         assert dlp.live_orbit.cache_info().misses > 0
         assert warm == cold
+
+
+def reference_chain(N, a, b, chain):
+    """The instance and its one-node chain (Alg. 2 at epsilon = 1/4) or its
+    two-node chain (k = 2, h = 2, epsilon = 1/4, epsilon' = 1/5)."""
+    inst = validate_instance(N, a, b)
+    if chain == "one-node":
+        t = ShorConfig.for_instance(inst, "0.25").t
+        return inst, ((t, 0, t),)
+    return inst, make_plan(inst, k=2, h=2, epsilon="0.25", epsilon_prime="0.2").nodes
+
+
+@pytest.mark.parametrize("chain", ["one-node", "two-node"])
+@pytest.mark.parametrize(
+    "N, a, b", [(11, 3, 9), (23, 2, 3), (47, 2, 4)], ids=["N11", "N23", "N47"]
+)
+class TestFullWidthReference:
+    """The live-column kernel equals the full-width one it replaced
+    (``fullwidth``) bit for bit, on orbits that are strict subsets of the
+    units (N = 23 and 47) and on chains of one and two nodes."""
+
+    def test_measure_chain(self, N, a, b, chain):
+        """300 seeded attempts: the same pairs from ``measure_chain``, and
+        at every node the same draws and the same hand-off vector."""
+        inst, nodes = reference_chain(N, a, b, chain)
+        for i in range(300):
+            rng, ref_rng = np.random.default_rng((23, i)), np.random.default_rng((23, i))
+            work = ref_work = 1
+            ref_pairs = []
+            for t, exponent, m in nodes:
+                m_a, m_b, work = measure_node(inst, t, exponent, work, rng)
+                ref_a, ref_b, ref_work = fullwidth.measure_node(
+                    inst, t, exponent, ref_work, ref_rng
+                )
+                assert (m_a, m_b) == (ref_a, ref_b)
+                assert np.array_equal(work, ref_work)
+                ref_pairs.append((ref_a.slice(1, m), ref_b.slice(1, m)))
+            pairs = dlp.measure_chain(inst, nodes, np.random.default_rng((23, i)))
+            assert pairs == tuple(ref_pairs)
+
+    def test_node_block(self, N, a, b, chain):
+        """Each node on the input the chain gives it: |1>, then the hand-off
+        of a seeded run of the node before."""
+        inst, nodes = reference_chain(N, a, b, chain)
+        work = 1
+        for t, exponent, _ in nodes:
+            block, live = node_block(inst, t, exponent, work)
+            ref_block, ref_live = fullwidth.node_block(inst, t, exponent, work)
+            assert np.array_equal(live, ref_live)
+            assert np.array_equal(block, ref_block)
+            del block, ref_block
+            _, _, work = measure_node(inst, t, exponent, work, np.random.default_rng(5))
+
+    def test_branch_amplitudes(self, N, a, b, chain):
+        inst, nodes = reference_chain(N, a, b, chain)
+        for t, exponent, _ in nodes:
+            assert np.array_equal(
+                dlp.branch_amplitudes(inst, t, exponent),
+                fullwidth.branch_amplitudes(inst, t, exponent),
+            )
+
+    def test_joint_law(self, N, a, b, chain, monkeypatch):
+        inst, nodes = reference_chain(N, a, b, chain)
+        law = joint_law.__wrapped__(inst, nodes)
+        monkeypatch.setattr(dlp, "branch_amplitudes", fullwidth.branch_amplitudes)
+        assert np.array_equal(law, joint_law.__wrapped__(inst, nodes))
 
 
 class TestSolve:
