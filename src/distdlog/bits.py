@@ -12,7 +12,7 @@ from dataclasses import dataclass
 MAX_WIDTH = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitString:
     """A word of ``width`` bits; position 1 is the most significant bit."""
 
@@ -26,7 +26,7 @@ class BitString:
             raise ValueError(f"value {self.value} does not fit in {self.width} bits")
 
     def __str__(self) -> str:
-        return format(self.value, f"0{self.width}b")
+        return bin(self.value)[2:].zfill(self.width)
 
     def slice(self, i: int, j: int) -> "BitString":
         """Bits ``i..j`` inclusive, 1-based from the MSB."""

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: solve, solve-dist, resources, verify, dist-compare.
-Records go out as newline-delimited JSON, tables as CSV. Exit codes:
+Records go out as newline-delimited JSON, each line as its trial ends; tables
+as CSV. Exit codes:
 0 ok, 1 a verified property failed, 2 configuration error.
 """
 
@@ -28,8 +29,12 @@ from .resources import (
 )
 
 
+# json.dumps(payload, sort_keys=True) builds this encoder anew on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _json_line(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True)
+    return _ENCODER.encode(payload)
 
 
 # The widest bit length whose integers all print within Python's default
@@ -72,13 +77,25 @@ def _int_at_least(low: int):
     return parse
 
 
-def _emit(lines: list[str], output: str | None) -> None:
-    if output is None:
-        for line in lines:
-            print(line)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+class _Lines:
+    """Writes lines to stdout, or to the file ``output``, which it creates
+    at the first line: a run refused before its first line leaves no file."""
+
+    def __init__(self, output: str | None) -> None:
+        self.output = output
+        self.fh = sys.stdout if output is None else None
+
+    def __call__(self, line: str) -> None:
+        if self.fh is None:
+            self.fh = open(self.output, "w", encoding="utf-8")
+        self.fh.write(line + "\n")
+
+    def __enter__(self) -> "_Lines":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.output is not None and self.fh is not None:
+            self.fh.close()
 
 
 def _cmd_solve(args: argparse.Namespace, distributed: bool) -> int:
@@ -102,10 +119,12 @@ def _cmd_solve(args: argparse.Namespace, distributed: bool) -> int:
         except statevec.QubitBudgetError as exc:
             print(f"note: {exc}, so it is not cached; every attempt reruns the circuit",
                   file=sys.stderr)
-    records, summary = run_batch(solve, args.trials, args.seed, **fields)
-    lines = [_json_line(record.to_json_dict()) for record in records]
-    lines.append(_json_line({"summary": summary}))
-    _emit(lines, args.output)
+    with _Lines(args.output) as write:
+        summary = run_batch(
+            solve, args.trials, args.seed,
+            lambda record: write(_json_line(record.to_json_dict())), **fields,
+        )
+        write(_json_line({"summary": summary}))
     return 0
 
 
@@ -158,7 +177,8 @@ def _cmd_resources(args: argparse.Namespace) -> int:
             )
     table = io.StringIO()
     csv.writer(table).writerows(rows)  # rows end in \r\n, the csv default
-    _emit([table.getvalue() + f"# note: {ResourceReport.ancilla_note}"], args.output)
+    with _Lines(args.output) as write:
+        write(table.getvalue() + f"# note: {ResourceReport.ancilla_note}")
     return 0
 
 
@@ -191,7 +211,8 @@ def _cmd_dist_compare(args: argparse.Namespace) -> int:
         "joint_total_variation": tv,
         "comm_qubits": communication_qubits(plan.k, instance.L),
     }
-    _emit([_json_line(payload)], args.output)
+    with _Lines(args.output) as write:
+        write(_json_line(payload))
     # the gates of acceptance criteria 4 and 5
     return 0 if report.max_amplitude_deviation <= 1e-9 and tv <= 1e-9 else 1
 

@@ -98,9 +98,15 @@ def counting_width(r: int, epsilon: Fraction) -> int:
     return order_register_width(r) + slack_bits_single(epsilon)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RunRecord:
-    """One end-to-end solve: measurements, rounding, verdict, accounting."""
+    """One end-to-end solve: measurements, rounding, verdict, accounting.
+
+    Each solve builds a fresh record, and ``harness.run_batch`` sets its
+    ``seed`` in place. It is not frozen, as a frozen ``__init__`` sets every
+    field through ``object.__setattr__``; the ``BitString``s it holds, which
+    the memo of cached outcomes shares between records, are.
+    """
 
     m_a: BitString
     m_b: BitString
@@ -543,7 +549,7 @@ def round_scaled(m: BitString, r: int) -> int:
     return (2 * m.value * r + (1 << width)) >> (width + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PostprocessResult:
     mhat_a: int
     mhat_b: int

@@ -7,12 +7,14 @@ generator equals ``np.random.default_rng((seed, index))`` bit for bit. Its
 ``SeedSequence`` hashing is derived here a block of 1,024 consecutive
 indices at a time, in array arithmetic, so a trial pays only for seeding
 PCG64 with its cached row.
+
+A batch hands each record on as it is made and keeps only running counts,
+so its memory does not grow with the number of trials.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from functools import cache, lru_cache
 from typing import Callable
 
@@ -151,28 +153,37 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def run_batch(
-    solve: Callable[[np.random.Generator], RunRecord], trials: int, seed: int, **summary_fields
-) -> tuple[list[RunRecord], dict]:
-    """Run ``trials`` seeded solves and summarise them.
+    solve: Callable[[np.random.Generator], RunRecord],
+    trials: int,
+    seed: int,
+    emit: Callable[[RunRecord], object],
+    **summary_fields,
+) -> dict:
+    """Run ``trials`` seeded solves, hand each record on, and summarise them.
 
-    Trial i runs ``solve(trial_rng(seed, i))`` and its record carries seed
-    i. Returns the records and the summary, which holds ``summary_fields``
-    (what the caller solved, for example the algorithm, the mode and the
-    plan) next to the counts and the Wilson interval.
+    Trial i runs ``solve(trial_rng(seed, i))``, sets the seed of the record
+    it returns to i and calls ``emit(record)`` before the next trial runs.
+    Returns the summary, which holds ``summary_fields`` (what the caller
+    solved, for example the algorithm, the mode and the plan) next to the
+    counts and the Wilson interval.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    records = [replace(solve(trial_rng(seed, i)), seed=i) for i in range(trials)]
-    successes = sum(r.success for r in records)
+    successes = retries = 0
+    for i in range(trials):
+        record = solve(trial_rng(seed, i))
+        record.seed = i
+        successes += record.success
+        retries += record.retries
+        emit(record)
     low, high = wilson_interval(successes, trials)
-    summary = {
+    return {
         **summary_fields,
         "trials": trials,
         "successes": successes,
         "success_rate": successes / trials,
-        "mean_retries": sum(r.retries for r in records) / trials,
+        "mean_retries": retries / trials,
         "wilson_low": low,
         "wilson_high": high,
         "seed": seed,
     }
-    return records, summary

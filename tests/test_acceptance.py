@@ -24,7 +24,9 @@ def test_criterion_1_single_shot_success_bound():
     instance = validate_instance(11, 3, 9)
     config = dlp.ShorConfig.for_instance(instance, "0.25", max_retries=1)
     started = time.time()
-    _, summary = run_batch(lambda rng: dlp.solve(instance, config, rng), trials=2000, seed=7)
+    summary = run_batch(
+        lambda rng: dlp.solve(instance, config, rng), trials=2000, seed=7, emit=lambda record: None
+    )
     elapsed = time.time() - started
     low = summary["wilson_low"]
     rate = summary["success_rate"]
@@ -57,8 +59,9 @@ def test_criterion_2_exact_success_mass():
 def test_criterion_3_distributed_success_bound():
     instance = validate_instance(11, 3, 9)
     plan = dist.make_plan(instance, 2, 2, "0.25", "0.2")
-    _, summary = run_batch(
-        lambda rng: dist.solve_distributed(instance, plan, rng, max_retries=1), trials=2000, seed=7
+    summary = run_batch(
+        lambda rng: dist.solve_distributed(instance, plan, rng, max_retries=1),
+        trials=2000, seed=7, emit=lambda record: None,
     )
     low = summary["wilson_low"]
     rate = summary["success_rate"]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -38,8 +40,15 @@ def bs(text: str) -> BitString:
 
 class TestBitString:
     def test_rendering_round_trip(self):
+        """``str`` equals ``format(value, f"0{width}b")`` at both ends and the
+        top bit of every width, and on a seeded sample."""
         assert str(bs("01101")) == "01101"
         assert bs("01101").value == 13
+        cases = [(w, v) for w in range(1, 65) for v in (0, 1, 1 << (w - 1), (1 << w) - 1)]
+        rng = random.Random(24)
+        cases += [(w, rng.getrandbits(w)) for w in (rng.randint(1, 64) for _ in range(2000))]
+        for width, value in cases:
+            assert str(BitString(width, value)) == format(value, f"0{width}b"), (width, value)
 
     def test_validation(self):
         with pytest.raises(ValueError):

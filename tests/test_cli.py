@@ -72,17 +72,19 @@ class TestSolveCommand:
         assert code == 2
         assert "promise violated" in err
 
-    def test_oversize_statevector_run_refused_by_qubit_cap(self, capsys):
+    def test_oversize_statevector_run_refused_by_qubit_cap(self, capsys, tmp_path):
         """At r = 16001 the cached law is over its byte cap, so the solver
         falls back to fresh runs, and the circuit's qubit cap refuses them
-        with the message ``solve-dist`` gives."""
-        code, out, err = run_cli(
-            capsys,
-            ["solve", "--N", "32003", "--a", "4", "--b", "17236", "--epsilon", "0.25",
-             "--trials", "5", "--seed", "7"],
-        )
+        with the message ``solve-dist`` gives. The first trial is refused,
+        so nothing is written: no stdout, and no --output file."""
+        argv = ["solve", "--N", "32003", "--a", "4", "--b", "17236", "--epsilon", "0.25",
+                "--trials", "5", "--seed", "7"]
+        code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
         assert "circuit needs 51 qubits (cap 24); use analytic mode" in err
+        path = tmp_path / "records.ndjson"
+        assert run_cli(capsys, argv + ["--output", str(path)])[:2] == (2, "")
+        assert not path.exists()
 
     @pytest.mark.parametrize("command", ["solve", "solve-dist"])
     def test_zero_trials_exit_2(self, capsys, command):
@@ -93,15 +95,14 @@ class TestSolveCommand:
         assert "trials must be >= 1" in err
 
     def test_output_file(self, capsys, tmp_path):
+        """--output gets the bytes stdout gets."""
+        argv = ["solve", "--N", "11", "--a", "3", "--b", "9", "--trials", "300", "--seed", "2"]
+        code, stdout, _ = run_cli(capsys, argv)
+        assert code == 0 and len(stdout.splitlines()) == 301
         target = tmp_path / "records.ndjson"
-        code, out, _ = run_cli(
-            capsys,
-            ["solve", "--N", "11", "--a", "3", "--b", "9", "--trials", "5",
-             "--seed", "2", "--output", str(target)],
-        )
+        code, out, _ = run_cli(capsys, argv + ["--output", str(target)])
         assert code == 0 and out == ""
-        lines = target.read_text().strip().splitlines()
-        assert len(lines) == 6
+        assert target.read_bytes() == stdout.encode()
 
 
 class TestSolveDistCommand:
@@ -240,6 +241,76 @@ class TestGoldenOutput:
         code, out, _ = run_cli(capsys, argv + ["--seed", self.WIDE_SEED])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestRecordStream:
+    """Records go out as they are made: one line per trial through one shared
+    encoder, with no list of records or lines kept."""
+
+    @pytest.mark.parametrize("kind, reuse", [("statevector", True), ("statevector", False),
+                                             ("analytic", True)], ids=["cached", "fresh", "analytic"])
+    @pytest.mark.parametrize("command", ["solve", "solve-dist"])
+    def test_json_line_equals_sorted_dumps(self, instance, acceptance_plan, command, kind, reuse):
+        """Cached, fresh and analytic records of Alg. 2 and Alg. 4 (only the
+        analytic ones carry ``latent_s``, only Alg. 4's ``node_measurements``)
+        and the summary encode as ``json.dumps(payload, sort_keys=True)``."""
+        from distdlog import dist, dlp
+        from distdlog.cli import _json_line
+
+        if command == "solve":
+            config = ShorConfig.for_instance(instance, "0.25", max_retries=2, mode=kind)
+            one = lambda rng: dlp.solve(instance, config, rng, reuse_state=reuse)
+            fields = {"algorithm": "shor", "mode": kind}
+        else:
+            one = lambda rng: dist.solve_distributed(
+                instance, acceptance_plan, rng, mode=kind, max_retries=2, reuse_state=reuse
+            )
+            fields = {"algorithm": "distributed", "mode": kind,
+                      "plan": acceptance_plan.to_json_dict()}
+        payloads = []
+        summary = run_batch(one, trials=20, seed=11,
+                            emit=lambda record: payloads.append(record.to_json_dict()),
+                            **fields)
+        payloads.append({"summary": summary})
+        for payload in payloads[:-1]:
+            assert ("latent_s" in payload) == (kind == "analytic")
+            assert ("node_measurements" in payload) == (command == "solve-dist")
+        for payload in payloads:
+            assert _json_line(payload) == json.dumps(payload, sort_keys=True)
+
+    def test_dist_compare_line_equals_sorted_dumps(self, capsys):
+        """The ``dist-compare`` payload, with its float deviations, too."""
+        from distdlog.cli import _json_line
+
+        code, out, _ = run_cli(
+            capsys, ["dist-compare", "--N", "11", "--a", "3", "--b", "9", "--k", "2",
+                     "--h", "2", "--epsilon", "0.25", "--epsilon-prime", "0.2"]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert out == _json_line(payload) + "\n" == json.dumps(payload, sort_keys=True) + "\n"
+
+    def test_memory_flat_in_trials(self, tmp_path):
+        """The traced peak of a 20,000-trial run is within 256 KiB of a
+        2,000-trial run's; keeping each record and its line would add about
+        2 KB a trial. A first untraced run fills the cached law's memo of
+        outcomes, which is bounded but grows with the distinct indices drawn;
+        the rest of the margin is the trial generators' cache of four 32 KiB
+        blocks."""
+        import tracemalloc
+
+        argv = ["solve", "--N", "11", "--a", "3", "--b", "9", "--epsilon", "0.25", "--seed", "7",
+                "--max-retries", "1", "--output", str(tmp_path / "records.ndjson")]
+        assert main(argv + ["--trials", "20000"]) == 0
+        peaks = []
+        for trials in (2000, 20000):
+            tracemalloc.start()
+            try:
+                assert main(argv + ["--trials", str(trials)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 256 * 1024
 
 
 class TestResourcesCommand:
@@ -690,11 +761,14 @@ class TestHarness:
     def test_config_validation(self, instance):
         config = ShorConfig.for_instance(instance, "0.25")
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            run_batch(lambda rng: solve(instance, config, rng), trials=0, seed=9)
+            run_batch(lambda rng: solve(instance, config, rng), trials=0, seed=9, emit=print)
 
     def test_run_batch_assigns_trial_seeds(self, instance):
         config = ShorConfig.for_instance(instance, "0.25")
-        records, summary = run_batch(lambda rng: solve(instance, config, rng), trials=4, seed=9)
+        records = []
+        summary = run_batch(
+            lambda rng: solve(instance, config, rng), trials=4, seed=9, emit=records.append
+        )
         assert [r.seed for r in records] == [0, 1, 2, 3]
         assert summary["successes"] == sum(r.success for r in records)
 

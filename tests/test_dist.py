@@ -1018,6 +1018,31 @@ class TestCachedOutcomes:
             assert run() == record
         assert len(outcomes) == size
 
+    @pytest.mark.parametrize("which", ["alg2", "alg4"])
+    def test_repeat_draws_give_distinct_records(
+        self, instance, acceptance_plan, monkeypatch, which
+    ):
+        """Two cached solves that draw the same flat index build two records:
+        setting one's seed, as ``harness.run_batch`` does, or its m_a leaves
+        the other record and the memo's outcome as they were."""
+        nodes, join = self.chains(instance, acceptance_plan)[which]
+        flat = 12345 % len(dlp.joint_law(instance, nodes))
+        self.draw_in_turn(monkeypatch, [flat, flat])
+        rng = np.random.default_rng(0)  # unread: the draws are patched
+        first, second = (
+            dlp.solve_chain(instance, nodes, rng, "statevector", 1, True, join) for _ in range(2)
+        )
+        _, outcomes = dlp.joint_cdf(instance, nodes)
+        outcome = outcomes[(join, flat)]
+        fresh = self.expected(instance, nodes, join, flat)
+        assert first is not second and first == second == fresh
+        first.seed = 7
+        first.m_a = BitString(first.m_a.width, first.m_a.value ^ 1)
+        assert second == fresh and second.seed is None
+        assert outcomes[(join, flat)] is outcome
+        assert outcome == dlp._outcome(instance, decode_joint_index(flat, nodes), join)
+        assert outcome[0] == fresh.m_a != first.m_a
+
     def test_memo_bounded_and_cleared(self, instance, acceptance_plan, monkeypatch):
         """A uniform CDF over the acceptance plan's 65,536 indices drives the
         memo past its cap: it never holds more than ``_OUTCOMES_CAP``

@@ -339,11 +339,10 @@ class TestLiveOrbit:
         )
 
         def batch():
-            return [
-                record.to_json_dict()
-                for one in solvers
-                for record in run_batch(one, trials=25, seed=7)[0]
-            ]
+            records = []
+            for one in solvers:
+                run_batch(one, trials=25, seed=7, emit=lambda r: records.append(r.to_json_dict()))
+            return records
 
         batch()
         misses = dlp.live_orbit.cache_info().misses
