@@ -8,7 +8,8 @@ rounding and inversion.
 The solver is a join plus a resource report: ``solve_distributed`` hands
 ``dlp.solve_chain``, the one solve loop of both solvers, the plan's chain
 ``plan.nodes`` of ``(t_j, l_j - 1, measured_j)`` and a join that aligns
-each family's node prefixes (``correct_with_flag``). The quantum stage,
+each family's node prefixes (``align_values``, on the plain ints the chain
+draws; no bit string is built while solving). The quantum stage,
 both joint laws and the retries are ``dlp``'s. The nodes act in sequence
 on a shared L-qubit work register. A register that a node has finished
 with is never touched by any later operation, so the state-vector backend
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -111,13 +112,13 @@ class DistPlan:
         built once per plan."""
         return tuple(zip(self.t, (l - 1 for l in self.l), self.measured))
 
-    def join(self, pairs: Pairs) -> tuple[BitString, BitString, dict]:
-        """The solver's join: the alignment pass (``correct_with_flag``) on
-        each family of the chain's pairs. A bound method hashes and compares
+    def join(self, pairs: Pairs) -> tuple[int, int, dict]:
+        """The solver's join: the alignment pass (``align_values``) on each
+        family of the chain's int pairs. A bound method hashes and compares
         by the plan's identity, so ``dlp.solve_chain`` keys the outcomes it
         memoises by it cheaply, apart from every other plan's and join's."""
-        m_a, fb_a = correct_with_flag([ma for ma, _ in pairs], self)
-        m_b, fb_b = correct_with_flag([mb for _, mb in pairs], self)
+        m_a, fb_a = align_values([ma for ma, _ in pairs], self)
+        m_b, fb_b = align_values([mb for _, mb in pairs], self)
         return m_a, m_b, {"node_measurements": pairs, "correct_fallback": fb_a or fb_b}
 
     @cached_property
@@ -127,6 +128,7 @@ class DistPlan:
         return {}
 
 
+@lru_cache(maxsize=64)
 def plan_for_order(
     r: int,
     k: int,
@@ -134,7 +136,8 @@ def plan_for_order(
     epsilon: Fraction | float | str = Fraction(1, 4),
     epsilon_prime: Fraction | float | str | None = None,
 ) -> DistPlan:
-    """Derive a distributed plan from the order alone (no instance needed)."""
+    """Derive a distributed plan from the order alone (no instance needed);
+    cached, so equal requests share one plan, its join and its memo."""
     eps = to_fraction(epsilon)
     eps_prime = eps / 2 if epsilon_prime is None else to_fraction(epsilon_prime)
     if not 0 < eps_prime < eps < 1:
@@ -239,7 +242,7 @@ def correct_with_flag(measurements: list[BitString], plan: DistPlan) -> tuple[Bi
     it gives +2^(h-1). The flag reports that this fallback fired so the
     caller can distrust the output. This wrapper checks the widths and
     carries the values in and out of ``BitString``; ``align_values`` is the
-    same pass on ints or int64 arrays.
+    same pass on ints or int64 arrays, and the one the solver runs.
     """
     if len(measurements) != plan.k:
         raise PlanError(f"expected {plan.k} measurements, got {len(measurements)}")
@@ -383,7 +386,8 @@ def solve_distributed(
     report = resource_report(instance, plan, mode)
     return solve_chain(
         instance, plan.nodes, rng, mode, max_retries, reuse_state, plan.join,
-        resources=report, comm_qubits=report.comm_qubits,
+        plan.total_width, measured=plan.measured, resources=report,
+        comm_qubits=report.comm_qubits,
     )
 
 

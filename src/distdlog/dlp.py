@@ -10,10 +10,13 @@ also when the cached law is over its byte cap), hands the drawn pairs to
 the solver's join, then rounds, inverts and retries. This solver is it on
 the one-node chain ``((t, 0, t),)`` with the identity join, and ``dist``
 runs its plan's chain through it with the alignment pass as the join.
+Every prefix is a plain int from the draw to the record, whose ndjson form
+alone writes it as a bit string of its width.
 The node circuit is a fused kernel in two stages on the live work values
 alone: ``node_columns`` runs it to the end of register a's inverse QFT on
 the (2^t, |live|) live columns, and ``node_rows`` runs the b stage on the
-rows it is given; ``node_block`` is both on every row. The live values, the
+rows it is given (the tests' ``gatelevel.node_block`` runs both on every
+row and holds them to the gate-level oracle). The live values, the
 closure of the input's support under a^(2^e) and b^(2^e), come from
 ``live_orbit``, cached per (instance, exponent, support), and the a gather
 and the b positions on them from ``node_tables``, cached per (instance, t,
@@ -50,7 +53,6 @@ from typing import Callable
 import numpy as np
 
 from . import phase, statevec
-from .bits import BitString
 from .numtheory import ProblemInstance, mod_inverse, mod_pow, to_fraction
 from .resources import (
     ResourceReport,
@@ -62,7 +64,8 @@ from .resources import (
 MODES = ("statevector", "analytic")
 
 Chain = tuple[tuple[int, int, int], ...]  # (t, exponent, measured) per node
-Pairs = tuple[tuple[BitString, BitString], ...]  # (m_a, m_b) prefixes per node
+Pairs = tuple[tuple[int, int], ...]  # (m_a, m_b) prefixes per node, of its measured width
+Join = Callable[[Pairs], tuple[int, int, dict]]  # pairs -> (m_a, m_b, record fields)
 
 
 @dataclass(frozen=True)
@@ -102,14 +105,15 @@ def counting_width(r: int, epsilon: Fraction) -> int:
 class RunRecord:
     """One end-to-end solve: measurements, rounding, verdict, accounting.
 
+    ``m_a`` and ``m_b`` are ints of ``width`` bits and node j's pair of
+    ``measured[j]``; ``to_json_dict`` writes them as zero-padded bit strings.
     Each solve builds a fresh record, and ``harness.run_batch`` sets its
-    ``seed`` in place. It is not frozen, as a frozen ``__init__`` sets every
-    field through ``object.__setattr__``; the ``BitString``s it holds, which
-    the memo of cached outcomes shares between records, are.
+    ``seed`` in place, so it is not frozen.
     """
 
-    m_a: BitString
-    m_b: BitString
+    m_a: int
+    m_b: int
+    width: int
     mhat_a: int
     mhat_b: int
     g_hat: int | None
@@ -118,15 +122,16 @@ class RunRecord:
     mode: str
     seed: int | None = None
     latent_s: int | None = None
-    node_measurements: tuple[tuple[BitString, BitString], ...] | None = None
+    node_measurements: Pairs | None = None
+    measured: tuple[int, ...] | None = None
     comm_qubits: int = 0
     correct_fallback: bool = False
     resources: ResourceReport | None = None
 
     def to_json_dict(self) -> dict:
         record = {
-            "m_a": str(self.m_a),
-            "m_b": str(self.m_b),
+            "m_a": bin(self.m_a)[2:].zfill(self.width),
+            "m_b": bin(self.m_b)[2:].zfill(self.width),
             "mhat_a": self.mhat_a,
             "mhat_b": self.mhat_b,
             "g_hat": self.g_hat,
@@ -139,7 +144,8 @@ class RunRecord:
             record["latent_s"] = self.latent_s
         if self.node_measurements is not None:
             record["node_measurements"] = [
-                {"m_a": str(ma), "m_b": str(mb)} for ma, mb in self.node_measurements
+                {"m_a": bin(ma)[2:].zfill(m), "m_b": bin(mb)[2:].zfill(m)}
+                for (ma, mb), m in zip(self.node_measurements, self.measured)
             ]
             record["comm_qubits"] = self.comm_qubits
             record["correct_fallback"] = self.correct_fallback
@@ -158,6 +164,8 @@ def live_orbit(instance: ProblemInstance, exponent: int, support: bytes) -> np.n
     (instance, exponent, support), read-only: a fresh chain meets the same
     few supports on every attempt.
     """
+    if exponent < 0:
+        raise ValueError(f"power exponent must be >= 0, got {exponent}")
     N = instance.N
     live = np.frombuffer(support, dtype=np.intp)
     for c in (pow(instance.a, 1 << exponent, N), pow(instance.b, 1 << exponent, N)):
@@ -171,29 +179,28 @@ def live_orbit(instance: ProblemInstance, exponent: int, support: bytes) -> np.n
 @lru_cache(maxsize=32)
 def node_tables(
     instance: ProblemInstance, t: int, exponent: int, support: bytes
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The node circuit's two gathers on ``live``, ``live_orbit(instance,
-    exponent, support)``: ``gather_a[j_a, k]`` is the work value x with
-    a^(j_a 2^e) x = live[k], and ``place_b[j_b, k]`` the position in
-    ``live`` of the x with b^(j_b 2^e) x = live[k].
+    exponent, support)``: returns ``(gather_a, place_b, live)``, where
+    ``gather_a[j_a, k]`` is the work value x with a^(j_a 2^e) x = live[k],
+    and ``place_b[j_b, k]`` the position in ``live`` of the x with
+    b^(j_b 2^e) x = live[k].
 
-    Cached per (instance, t, exponent, support), read-only: the (2^t, 2^L)
-    modmul tables are read on a miss only, so a fresh run touches 2^t |live|
-    entries of each. Both are laid out as the modmul tables' own live
-    columns, with the live axis outermost: numpy lays out what it gathers
-    through an index array by that array's layout, and a later sum over the
-    live axis adds in an order that depends on it (with |live| >= 8, numpy
-    sums a contiguous axis pairwise).
+    Cached per (instance, t, exponent, support), read-only. Both are built
+    on the live columns alone, with no (2^t, 2^L) modmul table, and laid
+    out with the live axis outermost: numpy lays out what it gathers
+    through an index array by that array's layout, and a later sum over
+    the live axis adds in an order that depends on it (with |live| >= 8,
+    numpy sums a contiguous axis pairwise).
     """
     L, N = instance.L, instance.N
-    src_a = statevec.modmul_sources(t, L, instance.a, exponent, N)
-    src_b = statevec.modmul_sources(t, L, instance.b, exponent, N)
     live = live_orbit(instance, exponent, support)
-    gather_a = np.asfortranarray(src_a[:, live])
-    place_b = np.asfortranarray(np.searchsorted(live, src_b[:, live]))
+    gather_a = statevec.modmul_sources(t, L, instance.a, exponent, N, live)
+    src_b = statevec.modmul_sources(t, L, instance.b, exponent, N, live)
+    place_b = np.searchsorted(live, src_b.T).T
     gather_a.setflags(write=False)
     place_b.setflags(write=False)
-    return gather_a, place_b
+    return gather_a, place_b, live
 
 
 def node_columns(
@@ -235,8 +242,7 @@ def node_columns(
         for _ in range(2 * t):  # rounds exactly as one Hadamard on a |0> qubit
             vec = (vec + 0) * inv_sqrt2
     support = np.flatnonzero(vec).tobytes()
-    gather_a, place_b = node_tables(instance, t, exponent, support)  # checks the exponent
-    live = live_orbit(instance, exponent, support)
+    gather_a, place_b, live = node_tables(instance, t, exponent, support)  # checks the exponent
     cols = np.fft.fft(vec[gather_a], axis=0)
     cols /= math.sqrt(1 << t)
     return cols, live, place_b
@@ -257,40 +263,19 @@ def node_rows(cols: np.ndarray, places: np.ndarray) -> np.ndarray:
     return rows
 
 
-def node_block(
-    instance: ProblemInstance, t: int, exponent: int = 0, work: int | np.ndarray = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """The node circuit's pre-measurement amplitudes on its live work values.
-
-    Returns ``(block, live)``: ``block[j_a, j_b, i]`` is the amplitude of
-    |j_a>|j_b>|live[i]>, the b stage (``node_rows``) run on every row of
-    the a stage (``node_columns``); work values outside ``live`` have
-    amplitude 0.
-
-    This is the fused node kernel; the gate-level oracle it equals
-    amplitude for amplitude is init_product, hadamard_layer on a and b,
-    controlled_modmul_power for a and b and inverse_qft on a and b. The
-    a-register transform acts along j_a alone, so it runs on the
-    (2^t, |live|) gather through the a table before the b table spreads it
-    over j_b; no array spans all 2^L work values.
-    """
-    cols, live, place_b = node_columns(instance, t, exponent, work)
-    return node_rows(cols, place_b), live
-
-
 def measure_node(
     instance: ProblemInstance, t: int, exponent: int, work: int | np.ndarray,
     rng: np.random.Generator,
-) -> tuple[BitString, BitString, np.ndarray]:
+) -> tuple[int, int, np.ndarray]:
     """Run the node circuit once and measure both counting registers in full.
 
-    Returns (m_a, m_b) and the renormalised 2^L work vector they leave
-    behind: the draws of measure_register on a, then b, then register_vector
-    (the tests hold it to that oracle). Register a is measured before the b
-    stage, which never acts on it: every row of the b table permutes the
-    live values and the b transform is unitary, so by Parseval the
-    a-marginal is 2^t sum_k |cols[j_a, k]|^2, and only the drawn row goes
-    through the b stage. Its mass must equal that marginal.
+    Returns the outcomes (j_a, j_b) and the renormalised 2^L work vector
+    they leave behind: the draws of measure_register on a, then b, then
+    register_vector (the tests hold it to that oracle). Register a is
+    measured before the b stage, which never acts on it: every row of the b
+    table permutes the live values and the b transform is unitary, so by
+    Parseval the a-marginal is 2^t sum_k |cols[j_a, k]|^2, and only the
+    drawn row goes through the b stage. Its mass must equal that marginal.
     """
     cols, live, place_b = node_columns(instance, t, exponent, work)
     marginal_a = (cols.real**2 + cols.imag**2).sum(axis=1) * (1 << t)
@@ -306,17 +291,18 @@ def measure_node(
     j_b, _ = statevec.draw_outcome(rng, marginal_b / p_a)
     work_out = np.zeros(1 << instance.L, dtype=np.complex128)
     work_out[live] = row[j_b] / math.sqrt(float(marginal_b[j_b]))
-    return BitString(t, j_a), BitString(t, j_b), work_out
+    return j_a, j_b, work_out
 
 
 def measure_chain(instance: ProblemInstance, nodes: Chain, rng: np.random.Generator) -> Pairs:
     """Run the chain afresh: ``measure_node`` on each node in turn, from |1>
-    and then on the work vector the node before hands on."""
+    and then on the work vector the node before hands on; each node keeps
+    the leading ``measured`` bits of its two t-bit outcomes."""
     work: int | np.ndarray = 1
     pairs = []
     for t, exponent, m in nodes:
-        m_a, m_b, work = measure_node(instance, t, exponent, work, rng)
-        pairs.append((m_a.slice(1, m), m_b.slice(1, m)))
+        j_a, j_b, work = measure_node(instance, t, exponent, work, rng)
+        pairs.append((j_a >> (t - m), j_b >> (t - m)))
     return tuple(pairs)
 
 
@@ -335,9 +321,9 @@ _ROW_BYTES = 18
 # transform and the first-use modmul tables), plus under 2 MiB for the
 # first import of numpy.fft and the orbit's small arrays (N = 7 to 16381,
 # t = 3 to 9, one to three nodes, cold caches); rounded up here. The a stage
-# holds only (2^t, |live|) columns and tables, but a cold build still reads
-# the two (2^t, 2^L) int64 modmul tables, and a smaller column term would
-# move which borderline laws fit the cap (and so stdout), so it is kept.
+# holds only (2^t, |live|) arrays and builds no (2^t, 2^L) modmul table, so
+# the column term over-counts; it is kept, as a smaller one would move which
+# borderline laws fit the cap (and so stdout).
 _BLOCK_BYTES = 34
 _COLUMN_BYTES = 42
 _BUILD_BYTES_BASE = 2 << 20
@@ -457,13 +443,13 @@ def joint_law(instance: ProblemInstance, nodes: Chain, mode: str = "statevector"
 
 
 # Outcomes a chain's memo keeps (``joint_cdf``); a miss past it is computed
-# and not stored. By tracemalloc an entry (its key, the decoded pairs, the
-# joined estimates, the join's record fields and the post-processing
-# result) takes about 0.5 KB on a one-node chain and 1.1 KB on two (N = 11
-# to 47). No law of three or more nodes fits the byte cap: their prefixes
-# come to at least 12 bits a register, a 2^24-entry law. At a worst case of
-# 1.25 KB an entry, a memo holds at most 5 MiB, and ``joint_cdf``'s 8
-# entries 40 MiB.
+# and not stored. By tracemalloc an entry (its key, the decoded int pairs,
+# the joined int estimates, the join's record fields and the
+# post-processing result) takes about 0.25 to 0.31 KB on a one-node chain
+# and 0.54 KB on two (N = 11 to 47). No law of three or more nodes fits the
+# byte cap: their prefixes come to at least 12 bits a register, a 2^24-entry
+# law. At a worst case of 0.75 KB an entry, a memo holds at most 3 MiB, and
+# ``joint_cdf``'s 8 entries 24 MiB.
 _OUTCOMES_CAP = 1 << 12
 
 
@@ -485,16 +471,14 @@ def decode_joint_index(flat: int, nodes: Chain) -> Pairs:
     """Split a flat joint-law index back into the chain's (m_a, m_b) prefixes."""
     pairs = []
     for _, _, m in reversed(nodes):
-        m_b = BitString(m, flat & ((1 << m) - 1))
-        flat >>= m
-        pairs.append((BitString(m, flat & ((1 << m) - 1)), m_b))
-        flat >>= m
+        pairs.append(((flat >> m) & ((1 << m) - 1), flat & ((1 << m) - 1)))
+        flat >>= 2 * m
     return tuple(reversed(pairs))
 
 
 def quantum_stage_statevector(
     instance: ProblemInstance, config: ShorConfig, rng: np.random.Generator
-) -> tuple[BitString, BitString]:
+) -> tuple[int, int]:
     """Run the circuit once and measure both counting registers in full:
     ``measure_chain`` on the one-node chain."""
     ((m_a, m_b),) = measure_chain(instance, ((config.t, 0, config.t),), rng)
@@ -530,23 +514,22 @@ def sample_chain(
         num_a, num_b = node_numerators(instance, exponent, s)
         a = phase.sample_phase_outcome(rng, num_a, r, t)
         b = phase.sample_phase_outcome(rng, num_b, r, t)
-        pairs.append((BitString(m, a >> (t - m)), BitString(m, b >> (t - m))))
+        pairs.append((a >> (t - m), b >> (t - m)))
     return tuple(pairs), s
 
 
 def quantum_stage_analytic(
     instance: ProblemInstance, config: ShorConfig, rng: np.random.Generator
-) -> tuple[BitString, BitString, int]:
+) -> tuple[int, int, int]:
     """Sample (m_a, m_b) from the closed-form joint law; returns latent s:
     ``sample_chain`` on the one-node chain."""
     ((m_a, m_b),), s = sample_chain(instance, ((config.t, 0, config.t),), rng)
     return m_a, m_b, s
 
 
-def round_scaled(m: BitString, r: int) -> int:
+def round_scaled(value: int, width: int, r: int) -> int:
     """round(value * r / 2^width) with exact half-up integer rounding."""
-    width = m.width
-    return (2 * m.value * r + (1 << width)) >> (width + 1)
+    return (2 * value * r + (1 << width)) >> (width + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -557,17 +540,18 @@ class PostprocessResult:
 
 
 def postprocess_detail(
-    m_a: BitString, m_b: BitString, instance: ProblemInstance
+    m_a: int, m_b: int, width: int, instance: ProblemInstance
 ) -> PostprocessResult:
-    """Round both measurements, invert, and verify the candidate exponent.
+    """Round both ``width``-bit measurements, invert, and verify the
+    candidate exponent.
 
     The zero test on the rounded a-measurement is taken mod r: an outcome
     just below full scale rounds to exactly r, which is the wrap-around
     alias of the unusable s = 0 branch.
     """
     r = instance.r
-    mhat_a = round_scaled(m_a, r)
-    mhat_b = round_scaled(m_b, r)
+    mhat_a = round_scaled(m_a, width, r)
+    mhat_b = round_scaled(m_b, width, r)
     v = mhat_a % r
     if v == 0:
         return PostprocessResult(mhat_a, mhat_b, None)
@@ -578,30 +562,22 @@ def postprocess_detail(
 
 
 def _outcome(
-    instance: ProblemInstance,
-    pairs: Pairs,
-    join: Callable[[Pairs], tuple[BitString, BitString, dict]],
-) -> tuple[BitString, BitString, dict, PostprocessResult]:
-    """One attempt's ``(m_a, m_b, extra, detail)``: the drawn pairs joined,
-    rounded, inverted and verified."""
+    instance: ProblemInstance, pairs: Pairs, join: Join, width: int
+) -> tuple[int, int, dict, PostprocessResult]:
+    """One attempt's ``(m_a, m_b, extra, detail)``: the drawn pairs joined
+    into two ``width``-bit estimates, rounded, inverted and verified."""
     m_a, m_b, extra = join(pairs)
-    return m_a, m_b, extra, postprocess_detail(m_a, m_b, instance)
+    return m_a, m_b, extra, postprocess_detail(m_a, m_b, width, instance)
 
 
-def identity_join(pairs: Pairs) -> tuple[BitString, BitString, dict]:
+def identity_join(pairs: Pairs) -> tuple[int, int, dict]:
     """The single-node solver's join: the one pair is the estimate."""
     return (*pairs[0], {})
 
 
 def solve_chain(
-    instance: ProblemInstance,
-    nodes: Chain,
-    rng: np.random.Generator,
-    mode: str,
-    max_retries: int,
-    reuse_state: bool,
-    join: Callable[[Pairs], tuple[BitString, BitString, dict]],
-    **fields,
+    instance: ProblemInstance, nodes: Chain, rng: np.random.Generator, mode: str,
+    max_retries: int, reuse_state: bool, join: Join, width: int, **fields,
 ) -> RunRecord:
     """The one solve loop of both solvers: the chain's quantum stage,
     ``join``, post-processing, retried up to max_retries attempts.
@@ -611,16 +587,16 @@ def solve_chain(
     ``measure_chain`` (state-vector, fresh). A cached law over its byte
     cap falls back to fresh runs on every attempt, so an oversize circuit
     is refused by its qubit cap. ``join(pairs)`` returns the two
-    full-width estimates (m_a, m_b) with the record fields that attempt
-    sets; the record reports the last attempt. ``fields`` are the record
-    fields fixed for the whole solve.
+    ``width``-bit int estimates (m_a, m_b) with the record fields that
+    attempt sets; the record reports the last attempt. ``width`` and
+    ``fields`` are the record fields fixed for the whole solve.
 
     A cached attempt's outcome, ``(m_a, m_b, extra, detail)``, is a pure
     function of the drawn flat index and the join, so it is kept in the
     memo of ``joint_cdf``'s entry under ``(join, index)``: each index is
     decoded, joined and verified by ``postprocess_detail`` once per chain
     and join, and a repeat draw costs one ``statevec.sample_cdf`` and one
-    lookup. Records share the memo's immutable values. Past
+    lookup. Records share the memo's ints, tuples and results. Past
     ``_OUTCOMES_CAP`` entries a miss is computed and not kept. ``join``
     is hashed by identity, so it should be one object per join rule (the
     module-level ``identity_join``, a plan's bound ``join``). The generator
@@ -640,14 +616,14 @@ def solve_chain(
     for attempts in range(1, max_retries + 1):
         if mode == "analytic":
             pairs, latent_s = sample_chain(instance, nodes, rng)
-            outcome = _outcome(instance, pairs, join)
+            outcome = _outcome(instance, pairs, join, width)
         elif cdf is None:
-            outcome = _outcome(instance, measure_chain(instance, nodes, rng), join)
+            outcome = _outcome(instance, measure_chain(instance, nodes, rng), join, width)
         else:
             key = (join, statevec.sample_cdf(rng, cdf))
             outcome = outcomes.get(key)
             if outcome is None:
-                outcome = _outcome(instance, decode_joint_index(key[1], nodes), join)
+                outcome = _outcome(instance, decode_joint_index(key[1], nodes), join, width)
                 if len(outcomes) < _OUTCOMES_CAP:
                     outcomes[key] = outcome
         m_a, m_b, extra, detail = outcome
@@ -656,6 +632,7 @@ def solve_chain(
     return RunRecord(
         m_a=m_a,
         m_b=m_b,
+        width=width,
         mhat_a=detail.mhat_a,
         mhat_b=detail.mhat_b,
         g_hat=detail.g_hat,
@@ -691,7 +668,7 @@ def solve(
     )
     return solve_chain(
         instance, ((t, 0, t),), rng, config.mode, config.max_retries, reuse_state,
-        identity_join, resources=report,
+        identity_join, t, resources=report,
     )
 
 

@@ -18,8 +18,9 @@ modmul_sources and draw_outcome from here. Fresh runs measure register a
 before b's transform, so they never build the 2^t x 2^t block, and they
 work on the live work values alone. Those come from ``dlp.live_orbit``'s
 cache, and the two stages gather through (2^t, |live|) tables from
-``dlp.node_tables``' cache, so modmul_sources is read only when that cache
-misses.
+``dlp.node_tables``' cache, built by modmul_sources on the live columns
+alone: no solver builds a (2^t, 2^w) modmul table. Bit strings appear here
+only in the oracle's measurement outcomes.
 """
 
 from __future__ import annotations
@@ -174,6 +175,17 @@ def _modmul_destinations(t: int, w: int, base: int, power_exponent: int, N: int)
     c = base^(2^power_exponent) mod N; work values >= N are fixed points,
     so every row is a permutation of range(2^w).
     """
+    xs = np.arange(1 << w, dtype=np.int64)
+    table = np.ascontiguousarray(_destination_columns(t, w, base, power_exponent, N, xs))
+    table.setflags(write=False)
+    return table
+
+
+def _destination_columns(
+    t: int, w: int, base: int, power_exponent: int, N: int, xs: np.ndarray
+) -> np.ndarray:
+    """The columns ``xs`` of ``_modmul_destinations``' table, built on them
+    alone, in Fortran order."""
     if (1 << w) < N:
         raise LayoutError(f"work register of width {w} cannot hold residues mod {N}")
     c = pow(base, 1 << power_exponent, N)
@@ -182,14 +194,15 @@ def _modmul_destinations(t: int, w: int, base: int, power_exponent: int, N: int)
     for j in range(1 << t):
         powers[j] = acc
         acc = (acc * c) % N
-    xs = np.arange(1 << w, dtype=np.int64)
-    table = np.where(xs[None, :] < N, (powers[:, None] * xs[None, :]) % N, xs[None, :])
-    table.setflags(write=False)
-    return table
+    col = xs[:, None]
+    return np.where(col < N, col * powers % N, col).T
 
 
-def modmul_sources(t: int, w: int, base: int, power_exponent: int, N: int) -> np.ndarray:
-    """The (2^t, 2^w) table whose entry [j, y] is the x with c^j x = y mod N.
+def modmul_sources(
+    t: int, w: int, base: int, power_exponent: int, N: int, xs: np.ndarray | None = None
+) -> np.ndarray:
+    """The (2^t, 2^w) table whose entry [j, y] is the x with c^j x = y mod N,
+    or, given ``xs``, its columns ``xs`` built on them alone (Fortran order).
 
     Gathering a work axis through row j applies the multiplication by c^j,
     with c = base^(2^power_exponent) mod N.
@@ -202,7 +215,9 @@ def modmul_sources(t: int, w: int, base: int, power_exponent: int, N: int) -> np
         )
     if power_exponent < 0:
         raise ValueError(f"power exponent must be >= 0, got {power_exponent}")
-    return _modmul_destinations(t, w, pow(base, -1, N), power_exponent, N)
+    if xs is None:
+        return _modmul_destinations(t, w, pow(base, -1, N), power_exponent, N)
+    return _destination_columns(t, w, pow(base, -1, N), power_exponent, N, xs)
 
 
 def controlled_modmul_power(

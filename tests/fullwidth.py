@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from distdlog import statevec
-from distdlog.bits import BitString
 from distdlog.dlp import live_orbit
 from distdlog.numtheory import ProblemInstance
 
@@ -63,7 +62,7 @@ def node_block(
 def measure_node(
     instance: ProblemInstance, t: int, exponent: int, work: int | np.ndarray,
     rng: np.random.Generator,
-) -> tuple[BitString, BitString, np.ndarray]:
+) -> tuple[int, int, np.ndarray]:
     cols, live = node_columns(instance, t, exponent, work)
     live_cols = cols[:, live]
     marginal_a = (live_cols.real**2 + live_cols.imag**2).sum(axis=1) * (1 << t)
@@ -73,7 +72,7 @@ def measure_node(
     j_b, _ = statevec.draw_outcome(rng, marginal_b / p_a)
     work_out = np.zeros(1 << instance.L, dtype=np.complex128)
     work_out[live] = row[j_b] / math.sqrt(float(marginal_b[j_b]))
-    return BitString(t, j_a), BitString(t, j_b), work_out
+    return j_a, j_b, work_out
 
 
 def branch_amplitudes(instance: ProblemInstance, t: int, exponent: int) -> np.ndarray:

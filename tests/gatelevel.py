@@ -1,7 +1,8 @@
 """Whole-state helpers of the gate-level oracle that only the tests use.
 
 No solver or check path calls these: the solvers read the node circuit's
-live block (``dlp.node_block``) and the branch-mixture law
+live columns and rows (``node_block`` here runs both stages on every row)
+and the branch-mixture law
 (``dlp.joint_law``), ``dist.compare_step7_state`` reads each branch's
 amplitudes off one run of each node on |1>, as ``dlp.branch_amplitudes``
 does, and the tests hold all three to these whole-state computations. The shared
@@ -26,7 +27,7 @@ import numpy as np
 from distdlog import phase, statevec
 from distdlog.bits import BitString
 from distdlog.dist import DistPlan
-from distdlog.dlp import node_block, node_numerators
+from distdlog.dlp import node_columns, node_numerators, node_rows
 from distdlog.numtheory import ProblemInstance
 from distdlog.statevec import QuantumState
 
@@ -46,11 +47,27 @@ def build_eigenstate(instance: ProblemInstance, s: int) -> np.ndarray:
     return vec
 
 
+def node_block(
+    instance: ProblemInstance, t: int, exponent: int = 0, work: int | np.ndarray = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """The node circuit's pre-measurement amplitudes on its live work values.
+
+    Returns ``(block, live)``: ``block[j_a, j_b, i]`` is the amplitude of
+    |j_a>|j_b>|live[i]>, the b stage (``dlp.node_rows``) run on every row of
+    the a stage (``dlp.node_columns``); work values outside ``live`` have
+    amplitude 0. The gate-level composition it equals amplitude for
+    amplitude is init_product, hadamard_layer on a and b,
+    controlled_modmul_power for a and b and inverse_qft on a and b.
+    """
+    cols, live, place_b = node_columns(instance, t, exponent, work)
+    return node_rows(cols, place_b), live
+
+
 def build_stage_state(
     instance: ProblemInstance, t: int, exponent: int = 0, work: int | np.ndarray = 1
 ) -> QuantumState:
     """The node circuit's full pre-measurement state over (a, b, work):
-    ``dlp.node_block`` scattered onto its live work values."""
+    ``node_block`` scattered onto its live work values."""
     block, live = node_block(instance, t, exponent, work)
     layout = statevec.RegisterLayout((("a", t), ("b", t), ("work", instance.L)))
     amps = np.zeros((1 << t, 1 << t, 1 << instance.L), dtype=np.complex128)

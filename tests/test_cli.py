@@ -242,6 +242,29 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv, fallbacks, digest",
+        [
+            (["solve-dist", *LARGE, "--k", "3", "--epsilon-prime", "0.2", "--trials", "200"], 0,
+             "ead47acc464a87d261ea124b34d5f5daaa2d0c5eeb36be64ce94e9f2d328ec88"),
+            (["solve-dist", "--N", "23", "--a", "2", "--b", "3", "--k", "3", "--h", "2",
+              "--epsilon", "0.5", "--epsilon-prime", "0.25", "--trials", "20", "--seed", "7"], 2,
+             "9319593309d85ca943c787f3f9c6ca8521741ea39fcaaf1f3b298e692b09f58a"),
+            (["solve-dist", *STRICT, *DIST, "--trials", "120", "--max-retries", "1"], 1,
+             "33251be923a67c29c3eae165e65831f8587a63dbb49e6a2c9dcdf2db9945a817"),
+        ],
+        ids=["k3-analytic-large", "k3-over-cap-fresh", "cached-fallback"],
+    )
+    def test_alignment_digest(self, capsys, argv, fallbacks, digest):
+        """Runs that reach more of the alignment pass: three analytic nodes
+        at r = 16001 (two alignment steps), a three-node plan whose law is
+        over the byte cap and so runs fresh, and a cached run at N = 23 with
+        one record whose windows did not align (``correct_fallback``)."""
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out.count('"correct_fallback": true') == fallbacks
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestRecordStream:
     """Records go out as they are made: one line per trial through one shared
@@ -311,6 +334,33 @@ class TestRecordStream:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 256 * 1024
+
+
+class TestNoBitStrings:
+    """The solvers carry every prefix as a plain int: no ``BitString`` is
+    built from the draw to the ndjson line, on any path of either solver."""
+
+    @pytest.mark.parametrize("path", [[], ["--no-reuse"], ["--mode", "analytic"]],
+                             ids=["cached", "fresh", "analytic"])
+    @pytest.mark.parametrize("command, extra", [
+        ("solve", []), ("solve-dist", ["--k", "2", "--h", "2", "--epsilon-prime", "0.2"]),
+    ], ids=["solve", "solve-dist"])
+    def test_solvers_build_no_bit_string(self, capsys, monkeypatch, command, extra, path):
+        from distdlog import bits, dlp
+
+        built = []
+        check = bits.BitString.__post_init__
+        monkeypatch.setattr(bits.BitString, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        bits.BitString(3, 5)
+        assert len(built) == 1  # the count sees every construction
+        built.clear()
+        dlp.joint_cdf.cache_clear()  # the cached path decodes and joins afresh
+        code, out, _ = run_cli(capsys, [command, "--N", "11", "--a", "3", "--b", "9",
+                                        "--epsilon", "0.25", "--trials", "50", "--seed", "7",
+                                        *extra, *path])
+        assert code == 0 and len(out.splitlines()) == 51
+        assert built == []
 
 
 class TestResourcesCommand:

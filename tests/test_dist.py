@@ -30,7 +30,7 @@ from distdlog.dlp import ShorConfig, decode_joint_index, node_numerators, solve
 from distdlog.numtheory import ProblemInstance, ceil_log2, mod_pow, validate_instance
 from distdlog.resources import communication_qubits, per_node_qubits_from_widths, single_node_qubits
 from distdlog.statevec import QubitBudgetError
-from gatelevel import build_stage_state, whole_state_step7
+from gatelevel import build_stage_state, node_block, whole_state_step7
 from phaseloop import analytic_joint_law_loop, fraction_bits
 
 
@@ -367,7 +367,8 @@ class TestQuantumStage:
         pairs, latent_s = run_distributed_quantum(instance, acceptance_plan, rng)
         assert len(pairs) == 2 and latent_s is None
         for (m_a, m_b), width in zip(pairs, acceptance_plan.measured):
-            assert m_a.width == width and m_b.width == width
+            assert type(m_a) is type(m_b) is int
+            assert 0 <= m_a < 1 << width and 0 <= m_b < 1 << width
 
     def test_handoff_accounting_neutral(self, instance, acceptance_plan):
         """Both backends charge the (k - 1) L hand-off qubits, and a seeded
@@ -393,7 +394,7 @@ class TestQuantumStage:
             instance, acceptance_plan, ZeroRng(), mode="analytic"
         )
         assert latent_s == 0
-        assert all(ma.value == 0 and mb.value == 0 for ma, mb in pairs)
+        assert all(ma == 0 and mb == 0 for ma, mb in pairs)
 
     def test_analytic_nodes_match_joint_law(self, instance, acceptance_plan):
         """20000 seeded analytic node passes against the closed-form joint
@@ -408,7 +409,7 @@ class TestQuantumStage:
             flat = 0
             nodes, _ = run_distributed_quantum(instance, acceptance_plan, rng, mode="analytic")
             for (m_a, m_b), m in zip(nodes, acceptance_plan.measured):
-                flat = (((flat << m) | m_a.value) << m) | m_b.value
+                flat = (((flat << m) | m_a) << m) | m_b
             counts[flat] += 1
         assert 0.5 * np.abs(counts / draws - law).sum() < 0.025
 
@@ -467,7 +468,7 @@ class TestQuantumStage:
         for i in range(runs):
             rng = np.random.default_rng((31, i))
             pairs, _ = run_distributed_quantum(small_instance, small_plan, rng)
-            counts[pairs[0][0].value] += 1
+            counts[pairs[0][0]] += 1
         assert 0.5 * np.abs(counts / runs - rest).sum() < 0.25
 
     def test_transfer_stack_equals_per_column_builds(
@@ -494,9 +495,9 @@ class TestQuantumStage:
             flat = int(rng.integers(1 << 16))
             nodes = decode_joint_index(flat, acceptance_plan.nodes)
             rebuilt = 0
-            for m_a, m_b in nodes:
-                rebuilt = (rebuilt << m_a.width) | m_a.value
-                rebuilt = (rebuilt << m_b.width) | m_b.value
+            for (m_a, m_b), m in zip(nodes, acceptance_plan.measured):
+                assert 0 <= m_a < 1 << m and 0 <= m_b < 1 << m
+                rebuilt = (((rebuilt << m) | m_a) << m) | m_b
             assert rebuilt == flat
 
 
@@ -690,9 +691,9 @@ class TestStepSevenState:
         bit for bit."""
         inst, plan = self.plan_of(which, instance, acceptance_plan, small_instance, small_plan)
         for t, exponent, _ in plan.nodes:
-            block, live = dlp.node_block(inst, t, exponent, 1)
+            block, live = node_block(inst, t, exponent, 1)
             for k in range(inst.r):
-                shifted, shifted_live = dlp.node_block(inst, t, exponent, pow(inst.a, k, inst.N))
+                shifted, shifted_live = node_block(inst, t, exponent, pow(inst.a, k, inst.N))
                 assert np.array_equal(shifted_live, live)
                 back = np.searchsorted(live, live * pow(inst.a, -k, inst.N) % inst.N)
                 assert np.array_equal(shifted, block[:, :, back])
@@ -787,7 +788,8 @@ class TestSolveDistributed:
         assert record.success
         assert record.g_hat == instance.hidden_g
         assert mod_pow(instance.a, record.g_hat, instance.N) == instance.b
-        assert record.m_a.width == acceptance_plan.total_width
+        assert record.width == acceptance_plan.total_width
+        assert record.measured == acceptance_plan.measured
         assert record.comm_qubits == 4
         assert record.resources.qubits_per_node_alg4 == 20
 
@@ -853,10 +855,10 @@ class TestSolveDistributed:
         record = solve_distributed(
             instance, plan, np.random.default_rng(13), max_retries=2
         )
-        assert record.m_a.width == plan.total_width
+        assert (record.width, record.measured) == (plan.total_width, plan.measured)
+        assert record.m_a < 1 << plan.total_width
         assert all(
-            ma.width == width
-            for (ma, _), width in zip(record.node_measurements, plan.measured)
+            ma < 1 << width for (ma, _), width in zip(record.node_measurements, plan.measured)
         )
 
     def test_one_cached_law_per_chain(self, instance, acceptance_plan):
@@ -929,9 +931,10 @@ class TestSolveChain:
         record = run(np.random.default_rng(3))
         assert len(calls) == len(nodes) * (record.retries + 1)  # fresh runs
         assert dlp.joint_cdf.cache_info().currsize == 0  # no memo made or filled
-        assert record.m_a.width == record.m_b.width == width
+        assert record.width == width and max(record.m_a, record.m_b) < 1 << width
         pairs = record.node_measurements or ((record.m_a, record.m_b),)
-        assert [(ma.width, mb.width) for ma, mb in pairs] == [(m, m) for _, _, m in nodes]
+        assert len(pairs) == len(nodes)
+        assert all(max(pair) < 1 << m for pair, (_, _, m) in zip(pairs, nodes))
 
     def test_checks_mode_and_attempts(self, instance, acceptance_plan):
         """Both solvers get the loop's checks, before any stage runs."""
@@ -962,8 +965,8 @@ class TestCachedOutcomes:
     def chains(instance, plan):
         config = ShorConfig.for_instance(instance, "0.25")
         return {
-            "alg2": (((config.t, 0, config.t),), dlp.identity_join),
-            "alg4": (plan.nodes, plan.join),
+            "alg2": (((config.t, 0, config.t),), dlp.identity_join, config.t, {}),
+            "alg4": (plan.nodes, plan.join, plan.total_width, {"measured": plan.measured}),
         }
 
     @staticmethod
@@ -973,15 +976,15 @@ class TestCachedOutcomes:
         monkeypatch.setattr(dlp.statevec, "sample_cdf", lambda rng, cdf: next(flats))
 
     @staticmethod
-    def expected(instance, nodes, join, flat):
+    def expected(instance, nodes, join, width, fields, flat):
         """A fresh decode, join and post-processing of one flat index, as a
         one-attempt record."""
         m_a, m_b, extra = join(decode_joint_index(flat, nodes))
-        detail = dlp.postprocess_detail(m_a, m_b, instance)
+        detail = dlp.postprocess_detail(m_a, m_b, width, instance)
         return dlp.RunRecord(
-            m_a=m_a, m_b=m_b, mhat_a=detail.mhat_a, mhat_b=detail.mhat_b,
+            m_a=m_a, m_b=m_b, width=width, mhat_a=detail.mhat_a, mhat_b=detail.mhat_b,
             g_hat=detail.g_hat, retries=0, success=detail.g_hat is not None,
-            mode="statevector", **extra,
+            mode="statevector", **extra, **fields,
         )
 
     @pytest.mark.parametrize("which", ["alg2", "alg4"])
@@ -993,18 +996,20 @@ class TestCachedOutcomes:
         its outcome and the second reuses it without decoding or verifying
         again, and both records equal a fresh decode, join and
         post-processing of that index."""
-        nodes, join = self.chains(instance, acceptance_plan)[which]
+        nodes, join, width, fields = self.chains(instance, acceptance_plan)[which]
         size = len(dlp.joint_law(instance, nodes))
         assert size == (1 << 14 if which == "alg2" else 1 << 16)
         monkeypatch.setattr(dlp, "_OUTCOMES_CAP", size)
         flats = range(size)
         rng = np.random.default_rng(0)  # unread: the draws are patched
-        run = lambda: dlp.solve_chain(instance, nodes, rng, "statevector", 1, True, join)
+        run = lambda: dlp.solve_chain(
+            instance, nodes, rng, "statevector", 1, True, join, width, **fields
+        )
         self.draw_in_turn(monkeypatch, flats)
         records = []
         for flat in flats:
             records.append(run())
-            assert records[-1] == self.expected(instance, nodes, join, flat)
+            assert records[-1] == self.expected(instance, nodes, join, width, fields, flat)
         _, outcomes = dlp.joint_cdf(instance, nodes)
         assert list(outcomes) == [(join, flat) for flat in flats]
 
@@ -1025,22 +1030,23 @@ class TestCachedOutcomes:
         """Two cached solves that draw the same flat index build two records:
         setting one's seed, as ``harness.run_batch`` does, or its m_a leaves
         the other record and the memo's outcome as they were."""
-        nodes, join = self.chains(instance, acceptance_plan)[which]
+        nodes, join, width, fields = self.chains(instance, acceptance_plan)[which]
         flat = 12345 % len(dlp.joint_law(instance, nodes))
         self.draw_in_turn(monkeypatch, [flat, flat])
         rng = np.random.default_rng(0)  # unread: the draws are patched
         first, second = (
-            dlp.solve_chain(instance, nodes, rng, "statevector", 1, True, join) for _ in range(2)
+            dlp.solve_chain(instance, nodes, rng, "statevector", 1, True, join, width, **fields)
+            for _ in range(2)
         )
         _, outcomes = dlp.joint_cdf(instance, nodes)
         outcome = outcomes[(join, flat)]
-        fresh = self.expected(instance, nodes, join, flat)
+        fresh = self.expected(instance, nodes, join, width, fields, flat)
         assert first is not second and first == second == fresh
         first.seed = 7
-        first.m_a = BitString(first.m_a.width, first.m_a.value ^ 1)
+        first.m_a ^= 1
         assert second == fresh and second.seed is None
         assert outcomes[(join, flat)] is outcome
-        assert outcome == dlp._outcome(instance, decode_joint_index(flat, nodes), join)
+        assert outcome == dlp._outcome(instance, decode_joint_index(flat, nodes), join, width)
         assert outcome[0] == fresh.m_a != first.m_a
 
     def test_memo_bounded_and_cleared(self, instance, acceptance_plan, monkeypatch):
@@ -1048,7 +1054,7 @@ class TestCachedOutcomes:
         memo past its cap: it never holds more than ``_OUTCOMES_CAP``
         outcomes, a miss past the cap is still decoded and verified afresh,
         and ``joint_cdf.cache_clear()`` drops the memo with the CDF."""
-        nodes, join = acceptance_plan.nodes, acceptance_plan.join
+        nodes, join, width, fields = self.chains(instance, acceptance_plan)["alg4"]
         cap = dlp._OUTCOMES_CAP
         size = 1 << (2 * sum(acceptance_plan.measured))
         uniform = np.arange(1, size + 1) / size
@@ -1059,8 +1065,10 @@ class TestCachedOutcomes:
             rng = np.random.default_rng((22, i))
             flat = dlp.statevec.sample_cdf(np.random.default_rng((22, i)), uniform)
             drawn.add(flat)
-            record = dlp.solve_chain(instance, nodes, rng, "statevector", 1, True, join)
-            assert record == self.expected(instance, nodes, join, flat)
+            record = dlp.solve_chain(
+                instance, nodes, rng, "statevector", 1, True, join, width, **fields
+            )
+            assert record == self.expected(instance, nodes, join, width, fields, flat)
             assert len(outcomes) <= cap
         assert len(drawn) > cap and len(outcomes) == cap
         monkeypatch.undo()
@@ -1073,9 +1081,9 @@ class TestCachedOutcomes:
         self, instance, acceptance_plan, monkeypatch, which
     ):
         """A memo filled to its cap by distinct draws takes at most the
-        1.25 KB an entry that ``dlp._OUTCOMES_CAP``'s comment states
+        0.75 KB an entry that ``dlp._OUTCOMES_CAP``'s comment states
         (tracemalloc; the records are dropped as they come)."""
-        nodes, join = self.chains(instance, acceptance_plan)[which]
+        nodes, join, width, fields = self.chains(instance, acceptance_plan)[which]
         cap = dlp._OUTCOMES_CAP
         _, outcomes = dlp.joint_cdf(instance, nodes)
         flats = np.random.default_rng(23).permutation(1 << (2 * sum(m for _, _, m in nodes)))
@@ -1085,12 +1093,33 @@ class TestCachedOutcomes:
         try:
             before, _ = tracemalloc.get_traced_memory()
             for _ in range(cap):
-                dlp.solve_chain(instance, nodes, rng, "statevector", 1, True, join)
+                dlp.solve_chain(instance, nodes, rng, "statevector", 1, True, join, width, **fields)
             after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(outcomes) == cap
-        assert (after - before) / cap <= 1280
+        assert (after - before) / cap <= 768
+
+    def test_equal_plans_share_one_memo(self, instance):
+        """Two batches in one process, each with its own ``make_plan`` on the
+        same arguments: both get the one plan, so the second batch draws
+        from the outcomes the first memoised and adds no entry. (A second,
+        equal plan object would key a second set of entries by its own
+        ``join``.)"""
+        from distdlog.harness import run_batch
+
+        def batch():
+            plan = make_plan(instance, 2, 2, "0.25", "0.2")
+            solve = lambda rng: solve_distributed(instance, plan, rng)
+            run_batch(solve, trials=300, seed=3, emit=lambda record: None)
+            return plan
+
+        first = batch()
+        _, outcomes = dlp.joint_cdf(instance, first.nodes)
+        entries = dict(outcomes)
+        assert entries and {join for join, _ in entries} == {first.join}
+        assert batch() is first
+        assert outcomes == entries
 
     def test_joins_keep_separate_entries(self, instance, acceptance_plan, monkeypatch):
         """Alg. 2 and Alg. 4 on one instance fill their own chains' memos,
@@ -1101,13 +1130,13 @@ class TestCachedOutcomes:
             solve(instance, config, np.random.default_rng((24, i)))
             solve_distributed(instance, acceptance_plan, np.random.default_rng((24, i)))
         chains = self.chains(instance, acceptance_plan)
-        memos = [dlp.joint_cdf(instance, nodes)[1] for nodes, _ in chains.values()]
+        memos = [dlp.joint_cdf(instance, nodes)[1] for nodes, *_ in chains.values()]
         assert memos[0] is not memos[1]
-        for (_, join), memo in zip(chains.values(), memos):
+        for (_, join, _, _), memo in zip(chains.values(), memos):
             assert memo and {key[0] for key in memo} == {join}
 
         nodes = acceptance_plan.nodes
-        twin = plan_for_order(instance.r, 2, 2, "0.25", "0.2")
+        twin = dataclasses.replace(acceptance_plan)
         assert twin == acceptance_plan and twin is not acceptance_plan
         first_pair = lambda pairs: (*pairs[0], {})
         dlp.joint_cdf.cache_clear()
@@ -1116,15 +1145,16 @@ class TestCachedOutcomes:
                            ("first pair", first_pair)):
             self.draw_in_turn(monkeypatch, [7, 7])
             for _ in range(2):
+                width = acceptance_plan.measured[0] if name == "first pair" else twin.total_width
                 records.setdefault(name, []).append(dlp.solve_chain(
-                    instance, nodes, np.random.default_rng(0), "statevector", 1, True, join
+                    instance, nodes, np.random.default_rng(0), "statevector", 1, True, join, width
                 ))
         _, outcomes = dlp.joint_cdf(instance, nodes)
         assert set(outcomes) == {(acceptance_plan.join, 7), (twin.join, 7), (first_pair, 7)}
         assert records["plan"] == records["twin"]
         assert records["plan"][0] == records["plan"][1]
-        assert records["first pair"][0].m_a.width == acceptance_plan.measured[0]
-        assert records["plan"][0].m_a.width == acceptance_plan.total_width
+        assert records["first pair"][0].m_a < 1 << acceptance_plan.measured[0]
+        assert records["plan"][0].width == acceptance_plan.total_width
 
 
 def test_statevector_solvers_never_read_hidden_g(small_instance, small_plan):

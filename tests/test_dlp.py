@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from distdlog import dlp, phase, resources, statevec
-from distdlog.bits import BitString
 from distdlog.dist import make_plan, solve_distributed
 from distdlog.dlp import (
     ShorConfig,
     joint_law,
     measure_node,
-    node_block,
     node_columns,
     postprocess_detail,
     quantum_stage_analytic,
@@ -26,13 +24,14 @@ from distdlog.numtheory import mod_pow, validate_instance
 from distdlog.phase import phase_outcome_distribution
 
 import fullwidth
-from gatelevel import build_eigenstate, build_stage_state, joint_distribution
+from gatelevel import build_eigenstate, build_stage_state, joint_distribution, node_block
 from orbitbfs import bfs_closure
 from phaseloop import outcome_distribution
 
 
 def bs(text):
-    return BitString(len(text), int(text, 2))
+    """A bit string as its (value, width)."""
+    return int(text, 2), len(text)
 
 
 class TestConfig:
@@ -60,30 +59,30 @@ class TestConfig:
 class TestRounding:
     def test_half_up_examples(self):
         # 6 * 5 / 32 = 0.9375 -> 1; 13 * 5 / 32 = 2.03 -> 2
-        assert round_scaled(bs("00110"), 5) == 1
-        assert round_scaled(bs("01101"), 5) == 2
+        assert round_scaled(*bs("00110"), 5) == 1
+        assert round_scaled(*bs("01101"), 5) == 2
         # exact .5 rounds up: 8 * 4 / 64 = 0.5
-        assert round_scaled(BitString(6, 8), 4) == 1
+        assert round_scaled(8, 6, 4) == 1
 
     def test_postprocess_worked_example(self, instance):
-        detail = postprocess_detail(bs("00110"), bs("01101"), instance)
+        detail = postprocess_detail(0b00110, 0b01101, 5, instance)
         assert (detail.mhat_a, detail.mhat_b, detail.g_hat) == (1, 2, 2)
         assert mod_pow(3, 2, 11) == 9
 
     def test_zero_round_retries(self, instance):
-        assert postprocess_detail(bs("00000"), bs("01101"), instance).g_hat is None
+        assert postprocess_detail(0b00000, 0b01101, 5, instance).g_hat is None
 
     def test_full_scale_alias_retries(self, instance):
         # 31 * 5 / 32 rounds to 5 = r, the wrap-around alias of s = 0
-        assert round_scaled(bs("11111"), 5) == 5
-        assert postprocess_detail(bs("11111"), bs("01101"), instance).g_hat is None
+        assert round_scaled(*bs("11111"), 5) == 5
+        assert postprocess_detail(0b11111, 0b01101, 5, instance).g_hat is None
 
     def test_never_returns_unverified(self, instance):
         rng = np.random.default_rng(7)
         for _ in range(500):
-            m_a = BitString(7, int(rng.integers(1 << 7)))
-            m_b = BitString(7, int(rng.integers(1 << 7)))
-            g_hat = postprocess_detail(m_a, m_b, instance).g_hat
+            m_a = int(rng.integers(1 << 7))
+            m_b = int(rng.integers(1 << 7))
+            g_hat = postprocess_detail(m_a, m_b, 7, instance).g_hat
             if g_hat is not None:
                 assert mod_pow(instance.a, g_hat, instance.N) == instance.b
 
@@ -105,7 +104,7 @@ class TestRounding:
             assert window_a and window_b
             for ma in window_a:
                 for mb in window_b:
-                    detail = postprocess_detail(BitString(t, ma), BitString(t, mb), instance)
+                    detail = postprocess_detail(ma, mb, t, instance)
                     got = detail.g_hat
                     assert got == g
 
@@ -145,7 +144,7 @@ class TestStageEquivalence:
         for i in range(runs):
             rng = np.random.default_rng((99, i))
             m_a, m_b = quantum_stage_statevector(small_instance, config, rng)
-            counts[(m_a.value << config.t) | m_b.value] += 1
+            counts[(m_a << config.t) | m_b] += 1
         assert 0.5 * np.abs(counts / runs - joint).sum() < 0.15
 
     def test_analytic_stage_matches_joint_law(self, instance):
@@ -160,7 +159,7 @@ class TestStageEquivalence:
         counts = np.zeros_like(law)
         for _ in range(draws):
             m_a, m_b, _ = quantum_stage_analytic(instance, config, rng)
-            counts[(m_a.value << config.t) | m_b.value] += 1
+            counts[(m_a << config.t) | m_b] += 1
         assert 0.5 * np.abs(counts / draws - law).sum() < 0.05
 
     def test_analytic_zero_branch(self, instance):
@@ -174,7 +173,7 @@ class TestStageEquivalence:
                 return 0.0
 
         m_a, m_b, s = quantum_stage_analytic(instance, config, ZeroRng())
-        assert s == 0 and m_a.value == 0 and m_b.value == 0
+        assert s == 0 and m_a == 0 and m_b == 0
 
 
 def gate_stage_state(instance, t, exponent, work):
@@ -247,7 +246,7 @@ class TestMeasureNode:
                 want = statevec.register_vector(
                     state, "work", {"a": out_a.bits.value, "b": out_b.bits.value}
                 )
-                assert (m_a, m_b) == (out_a.bits, out_b.bits)
+                assert (m_a, m_b) == (out_a.bits.value, out_b.bits.value)
                 assert np.allclose(handoff, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("exponent", [0, 1, 3])
@@ -288,6 +287,48 @@ class TestMeasureNode:
         assert peak < 4 * (16 << t) * len(live)  # bytes of four live-column arrays
 
 
+class TestNodeTables:
+    @pytest.mark.parametrize("N, a, b", [(11, 3, 9), (23, 2, 3)])
+    def test_live_columns_of_the_full_tables(self, N, a, b):
+        """The gather and the b positions are the full modmul tables' live
+        columns, value for value, with the same dtype and Fortran layout,
+        for every input of ``node_inputs`` (a fixed point >= N included)."""
+        instance = validate_instance(N, a, b)
+        for t, exponent in ((2, 0), (5, 1), (7, 3)):
+            src_a = statevec.modmul_sources(t, instance.L, a, exponent, N)
+            src_b = statevec.modmul_sources(t, instance.L, b, exponent, N)
+            for work in node_inputs(instance):
+                vec = statevec.register_factor("work", instance.L, work)
+                support = np.flatnonzero(vec).tobytes()
+                gather_a, place_b, live = dlp.node_tables(instance, t, exponent, support)
+                assert live is dlp.live_orbit(instance, exponent, support)
+                want_a = np.asfortranarray(src_a[:, live])
+                want_b = np.asfortranarray(np.searchsorted(live, src_b[:, live]))
+                for got, want in ((gather_a, want_a), (place_b, want_b)):
+                    assert np.array_equal(got, want) and got.dtype == want.dtype
+                    layout = lambda x: (x.flags.f_contiguous, x.flags.c_contiguous)
+                    assert layout(got) == layout(want) and not got.flags.writeable
+
+    def test_build_keeps_no_full_width_table(self):
+        """A state-vector law build at N = 8209 (r = 3, L = 14, t = 5) builds
+        no (2^t, 2^L) modmul table: from cold caches it leaves under 2 MiB
+        allocated, where the two int64 tables alone take 8 MiB."""
+        inst = validate_instance(8209, 3265, pow(3265, 2, 8209))
+        assert (inst.r, inst.L) == (3, 14)
+        dlp.branch_laws(validate_instance(7, 2, 4), ((3, 0, 3),), "statevector")  # imports
+        for cached in (statevec._modmul_destinations, dlp.node_tables, dlp.live_orbit):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            laws = dlp.branch_laws(inst, ((5, 0, 5),), "statevector")
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert laws[0].shape == (3, 1 << 10)
+        assert statevec._modmul_destinations.cache_info().currsize == 0
+        assert held < 2 << 20
+
+
 class TestLiveOrbit:
     @pytest.mark.parametrize("exponent", [0, 1, 3])
     @pytest.mark.parametrize("t", range(2, 9))
@@ -305,17 +346,20 @@ class TestLiveOrbit:
                 live[0] = live[0]
 
     def test_one_miss_per_exponent_and_support(self, instance, acceptance_plan, monkeypatch):
-        """Fresh runs of both solvers compute each closure once: every
-        further node on the same (exponent, support) is a cache hit."""
-        cached = dlp.live_orbit
-        cached.cache_clear()
+        """Fresh runs of both solvers compute each closure once: every node
+        makes one lookup of ``node_tables``, which reads the closure only
+        when it misses, and every further node on the same (exponent,
+        support) is a cache hit."""
+        tables, orbits = dlp.node_tables, dlp.live_orbit
+        tables.cache_clear()
+        orbits.cache_clear()
         keys = []
 
         def record(*key):
             keys.append(key)
-            return cached(*key)
+            return tables(*key)
 
-        monkeypatch.setattr(dlp, "live_orbit", record)
+        monkeypatch.setattr(dlp, "node_tables", record)
         config = ShorConfig.for_instance(instance, "0.25", max_retries=2)
         for i in range(20):
             solve(instance, config, np.random.default_rng((13, i)), reuse_state=False)
@@ -323,9 +367,10 @@ class TestLiveOrbit:
                 instance, acceptance_plan, np.random.default_rng((13, i)),
                 max_retries=2, reuse_state=False,
             )
-        info = cached.cache_info()
+        info = tables.cache_info()
         assert info.hits + info.misses == len(keys) >= 60
-        assert info.misses <= len({(exponent, support) for _, exponent, support in keys})
+        assert orbits.cache_info().hits + orbits.cache_info().misses == info.misses
+        assert orbits.cache_info().misses <= len({(e, support) for _, _, e, support in keys})
 
     def test_warm_cache_gives_cold_records(self, instance, acceptance_plan):
         """50 seeded fresh solves give the same records on a warm cache as
@@ -389,7 +434,7 @@ class TestFullWidthReference:
                 )
                 assert (m_a, m_b) == (ref_a, ref_b)
                 assert np.array_equal(work, ref_work)
-                ref_pairs.append((ref_a.slice(1, m), ref_b.slice(1, m)))
+                ref_pairs.append((ref_a >> (t - m), ref_b >> (t - m)))
             pairs = dlp.measure_chain(inst, nodes, np.random.default_rng((23, i)))
             assert pairs == tuple(ref_pairs)
 
@@ -545,7 +590,7 @@ class TestExactMass:
                 if da[ma] == 0.0:
                     continue
                 for mb in range(1 << t):
-                    detail = postprocess_detail(BitString(t, ma), BitString(t, mb), small_instance)
+                    detail = postprocess_detail(ma, mb, t, small_instance)
                     if detail.g_hat is not None:
                         total += da[ma] * db[mb]
         assert mass == pytest.approx(total / r, abs=1e-12)
