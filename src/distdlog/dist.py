@@ -33,9 +33,9 @@ single-node solver, the first draw of a flat index is split back into node
 pairs by ``dlp.decode_joint_index``, aligned and verified, and repeat draws
 reuse that outcome from the chain's memo, keyed by the plan's ``join``.
 The step-7 check (``compare_step7_state``) reads the same branches off
-one run of each node on |1>, as ``dlp.branch_amplitudes`` does, holds them
-to the closed-form amplitudes, and checks the run on |a> against the shifted
-run on |1>: two runs of each node.
+one run of each node on |1>, one m_a cell of ``dlp.node_cells`` at a time,
+holds them to the closed-form amplitudes, and checks the run on |a> against
+the shifted run on |1>: two runs of each node.
 """
 
 from __future__ import annotations
@@ -396,10 +396,11 @@ class Step7Report:
     """Certified comparison of the simulated and closed-form final states.
 
     Given branch s, node j leaves its counting registers in W_j(s), slice
-    -s mod r of ``dlp.branch_amplitudes``, times the shared eigenvector u_s;
-    the closed form A_j(s) is the outer product of both registers'
-    ``phase.phase_state_amplitudes``. The bound is assembled from per-node
-    terms, never from the full tensor (no feasible plan's would fit).
+    -s mod r of the r-point FFT of ``dlp.node_cells``' cells, times the
+    shared eigenvector u_s; the closed form A_j(s) is the outer product of
+    both registers' ``phase.phase_state_amplitudes``. The bound is assembled
+    from per-node terms, never from the full tensor (no feasible plan's
+    would fit).
     ``per_branch_deviation[s]`` bounds max |W_1(s) x ... x W_k(s) - A_1(s)
     x ... x A_k(s)| by the sum over j of max |W_j - A_j| times max |W_v| for
     v < j and max |A_v| for v > j, as |W1 W2 - A1 A2| <= |W1 - A1| |A2| +
@@ -417,50 +418,51 @@ class Step7Report:
     factorization_residual: float
 
 
-def _node_terms(instance: ProblemInstance, t: int, exponent: int) -> tuple[np.ndarray, float]:
+def _node_terms(
+    instance: ProblemInstance, t: int, exponent: int, m: int
+) -> tuple[np.ndarray, float]:
     """One node's rows max |W(s)|, max |A(s)| and max |W(s) - A(s)| over the
-    branches s, and its one-shift residual; its blocks are freed on return.
+    branches s, and its one-shift residual, one m_a cell (``dlp.node_cells``)
+    of its block on |1> at a time: the maxima over the cells are those over
+    the whole blocks.
 
     The residual is taken before the r-point FFT, which scales norms by
-    sqrt(r): the node's block on |1> read along the orbit from 1 against its
-    run on |a> read from a, one j_a row of the latter at a time. The |1>
-    block is then transformed into the branch blocks ``dlp.branch_amplitudes``
-    gives, so at most two complex (2^t, 2^t, r) arrays are alive.
+    sqrt(r): each row of the cell against the same row of the node's run on
+    |a> read from a, one row at a time in j_a order.
     """
     r = instance.r
-    block = dlp.node_rows(*dlp.orbit_columns(instance, t, exponent))
+    nums = [node_numerators(instance, exponent, s) for s in range(r)]
+    amps = [[phase.phase_state_amplitudes(Fraction(n, r), t) for n in pair] for pair in nums]
     cols, places = dlp.orbit_columns(instance, t, exponent, instance.a)
+    rows = 1 << (t - m)
     square = 0.0
-    for j_a in range(1 << t):
-        diff = dlp.node_rows(cols[j_a : j_a + 1], places)[0] - block[j_a]
-        square += float(np.vdot(diff, diff).real)
-    w = np.fft.fft(block, axis=2)
-    del block
-    terms = np.empty((3, r))
-    for s in range(r):
-        num_a, num_b = node_numerators(instance, exponent, s)
-        analytic = np.outer(
-            phase.phase_state_amplitudes(Fraction(num_a, r), t),
-            phase.phase_state_amplitudes(Fraction(num_b, r), t),
-        )
-        branch = w[:, :, -s % r]
-        terms[:, s] = np.abs(branch).max(), np.abs(analytic).max(), np.abs(branch - analytic).max()
+    terms = np.zeros((3, r))
+    for lo, cell in zip(range(0, 1 << t, rows), dlp.node_cells(instance, t, exponent, m)):
+        for i in range(rows):
+            diff = dlp.node_rows(cols[lo + i : lo + i + 1], places)[0] - cell[i]
+            square += float(np.vdot(diff, diff).real)
+        w = np.fft.fft(cell, axis=2)
+        for s, (amp_a, amp_b) in enumerate(amps):
+            analytic = np.outer(amp_a[lo : lo + rows], amp_b)
+            branch = w[:, :, -s % r]
+            maxima = np.abs(branch).max(), np.abs(analytic).max(), np.abs(branch - analytic).max()
+            terms[:, s] = np.maximum(terms[:, s], maxima)
     return terms, math.sqrt(square)
 
 
 def compare_step7_state(instance: ProblemInstance, plan: DistPlan) -> Step7Report:
     """Check the factorised form of the pre-measurement state (all branches),
     bounded as ``Step7Report`` says: each node runs on |1> and on |a>
-    (``_node_terms``), 2k runs in all, one node's blocks at a time, within
-    the law build's bound ``dlp._build_bytes``. A plan whose bound passes
-    ``dlp``'s byte cap is refused before any node runs."""
+    (``_node_terms``), 2k runs in all, one m_a cell of its block on |1> at a
+    time, within the law build's bound ``dlp._build_bytes``. A plan whose
+    bound passes ``dlp``'s byte cap is refused before any node runs."""
     build_bytes = dlp._build_bytes(instance, plan.nodes, "statevector")
     if build_bytes > dlp._LAW_BYTES_CAP:
         raise QubitBudgetError(
             f"step-7 check needs {build_bytes >> 20} MiB (cap {dlp._LAW_BYTES_CAP >> 20} MiB)"
         )
     r = instance.r
-    per_node = [_node_terms(instance, t, exponent) for t, exponent, _ in plan.nodes]
+    per_node = [_node_terms(instance, t, exponent, m) for t, exponent, m in plan.nodes]
     max_w, max_a, dev = np.array([terms for terms, _ in per_node]).transpose(1, 0, 2)
     per_branch = sum(
         dev[j] * max_w[:j].prod(axis=0) * max_a[j + 1 :].prod(axis=0) for j in range(plan.k)

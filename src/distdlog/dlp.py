@@ -29,13 +29,14 @@ instance's hidden exponent. Cached runs draw a flat index from
 ``joint_cdf``; the first draw of an index in a chain splits it with
 ``decode_joint_index``, joins and verifies it, and the outcome is kept in
 the memo of ``joint_cdf``'s entry, so a repeat draw is one CDF search and
-one lookup. ``branch_amplitudes`` is the one source of the circuit's
-per-branch amplitudes (one run of a node on |1> and an r-point FFT along
-the orbit of a); ``branch_laws`` squares them or takes the laws P_j(. | s)
-in closed form, and ``joint_law``, cached per (instance, chain) with its
-CDF, is the one branch mixture (1/r) sum_s prod_j P_j(. | s) of either
-backend. The analytic backend draws the latent branch s and then each
-register exactly at its phase by one O(1) rejection draw
+one lookup. ``node_cells`` is the one source of the circuit's per-branch
+amplitudes (one run of a node on |1>, one m_a cell of its block at a time,
+split into branches by an r-point FFT along the orbit of a);
+``branch_laws`` squares and folds them cell by cell or takes the laws
+P_j(. | s) in closed form, and ``joint_law``, cached per (instance, chain)
+with its CDF, is the one branch mixture (1/r) sum_s prod_j P_j(. | s) of
+either backend. The analytic backend draws the latent branch s and then
+each register exactly at its phase by one O(1) rejection draw
 (``sample_chain``). Every branch phase is an int numerator over r from
 ``node_numerators``, for one branch or an int64 array of them. The phases
 read the exponent g from ``hidden_g`` as an oracle. The test suites hold
@@ -48,7 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -314,33 +315,26 @@ _LAW_BYTES_CAP = 1 << 28
 # float64 laws and the bool mask of the singular entries); rounded up here.
 _ROW_BYTES = 18
 
-# branch_laws' state-vector tracemalloc peak, less the kept tables, is about
-# 32.2 bytes per entry of a node's (2^t, 2^t, r) block (its b stage and its
-# r-point FFT each hold two complex copies), plus at most about 42 per entry
-# of the node's (2^t, 2^L) a-stage arrays (the gathered columns, their
-# transform and the first-use modmul tables), plus under 2 MiB for the
-# first import of numpy.fft and the orbit's small arrays (N = 7 to 16381,
-# t = 3 to 9, one to three nodes, cold caches); rounded up here. The a stage
-# holds only (2^t, |live|) arrays and builds no (2^t, 2^L) modmul table, so
-# the column term over-counts; it is kept, as a smaller one would move which
-# borderline laws fit the cap (and so stdout).
-_BLOCK_BYTES = 34
-_COLUMN_BYTES = 42
-_BUILD_BYTES_BASE = 2 << 20
+# branch_laws' state-vector tracemalloc peak, less the kept tables and the
+# complex 2^L work vector, is about 75 bytes per entry of a node's widest m_a
+# cell (``node_cells``), 113 when the cell is one row and as large as the
+# node's (2^t, r) a-stage arrays, and 15 KiB more at the smallest cells;
+# compare_step7_state's is about 77. Over every chain of N < 128 (prime r,
+# Alg. 2 at epsilon 1/2 and 1/4, k = 2 and 3 at h = 2) and N = 8209 (r = 3,
+# L = 14), from cold caches, the most is 193 per entry; rounded up here.
+_CELL_BYTES = 200
 
 
 def _build_bytes(instance: ProblemInstance, nodes: Chain, mode: str) -> int:
     """An upper bound on what ``branch_laws`` holds at its peak, the
     ``(r, 4^m)`` tables it keeps included: the widest node's row tables
-    (analytic) or its block and a-stage arrays (state-vector)."""
+    (analytic) or its widest m_a cell and the work vector (state-vector)."""
     r = instance.r
     nbytes = 8 * r * sum(1 << (2 * m) for _, _, m in nodes)
     if mode == "analytic":
         return nbytes + _ROW_BYTES * r * max(1 << t for t, _, _ in nodes)
-    return nbytes + _BUILD_BYTES_BASE + max(
-        _BLOCK_BYTES * (r << (2 * t)) + _COLUMN_BYTES * (1 << (t + instance.L))
-        for t, _, _ in nodes
-    )
+    cell = r * max(1 << (2 * t - m) for t, _, m in nodes)
+    return nbytes + (16 << instance.L) + _CELL_BYTES * cell
 
 
 def orbit_columns(
@@ -357,27 +351,30 @@ def orbit_columns(
     return cols, place_b[:, np.searchsorted(live, orbit)]
 
 
-def branch_amplitudes(instance: ProblemInstance, t: int, exponent: int) -> np.ndarray:
-    """The one source of the circuit's per-branch amplitudes: the node run
-    once on |1> and the r-point FFT of its block read along the orbit of a
-    (``orbit_columns``); slice ``[:, :, i]`` is branch s = -i mod r's
-    (2^t, 2^t) counting-register block W(s).
+def node_cells(instance: ProblemInstance, t: int, exponent: int, m: int) -> Iterator[np.ndarray]:
+    """The one source of the circuit's per-branch amplitudes: the node's
+    block on |1> read along the orbit of a, one m_a cell at a time in j_a
+    order; cell c is rows c 2^(t-m) to (c + 1) 2^(t-m) - 1 of
+    ``orbit_columns``' columns through ``node_rows``, (2^(t-m), 2^t, r).
 
     The circuit leaves each u_s = r^(-1/2) sum_k exp(-2 pi i s k / r) |a^k>
     as W(s) |u_s>, so entry k of the block is (1/r) sum_s W(s)
-    exp(-2 pi i s k / r). The b stage runs on the orbit in order, so the FFT
-    needs no gather; at its peak this holds two complex (2^t, 2^t, r)
-    arrays.
+    exp(-2 pi i s k / r): slice i of a cell's r-point FFT along its last
+    axis is the cell's rows of branch s = -i mod r's (2^t, 2^t) block W(s).
     """
-    return np.fft.fft(node_rows(*orbit_columns(instance, t, exponent)), axis=2)
+    cols, places = orbit_columns(instance, t, exponent)
+    rows = 1 << (t - m)
+    for lo in range(0, 1 << t, rows):
+        yield node_rows(cols[lo : lo + rows], places)
 
 
 def branch_laws(instance: ProblemInstance, nodes: Chain, mode: str) -> list[np.ndarray]:
     """Per node, the ``(r, 4^m)`` table of its prefix laws P_j(m_a, m_b | s),
     flat index m_a 2^m + m_b; row i is branch s = -i mod r on both backends.
 
-    State-vector: ``branch_amplitudes`` squared and folded to m bits, one
-    node's block alive at a time. Analytic: one ``phase.outcome_laws`` call
+    State-vector: each m_a cell of ``node_cells`` transformed into its
+    branch amplitudes, squared and folded to m bits into the cell's 2^m
+    columns of the node's table. Analytic: one ``phase.outcome_laws`` call
     per register on every row's numerators, folded to m bits; given s the
     registers are independent.
     """
@@ -394,13 +391,12 @@ def branch_laws(instance: ProblemInstance, nodes: Chain, mode: str) -> list[np.n
             laws.append((p_a[:, :, None] * p_b[:, None, :]).reshape(r, -1))
         return laws
     for t, exponent, m in nodes:
-        w = branch_amplitudes(instance, t, exponent)
-        p = (w.real**2 + w.imag**2).reshape(1 << m, 1 << (t - m), 1 << m, 1 << (t - m), r)
-        law = p.sum(axis=(1, 3)).reshape(-1, r).T
-        del w, p  # before the next node's block is built
-        # The kept table is copied once the node's temporaries are freed: made
-        # among them, it can pin the top of the heap above their freed space.
-        laws.append(np.copy(law))
+        law = np.empty((r, 1 << (2 * m)))
+        for c, cell in enumerate(node_cells(instance, t, exponent, m)):
+            w = np.fft.fft(cell, axis=2)
+            p = (w.real**2 + w.imag**2).reshape(1 << (t - m), 1 << m, 1 << (t - m), r)
+            law[:, c << m : (c + 1) << m] = p.sum(axis=(0, 2)).T
+        laws.append(law)
     return laws
 
 

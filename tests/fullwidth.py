@@ -1,4 +1,5 @@
-"""The full-width node kernel, the bitwise reference for ``dlp``'s one.
+"""The full-width node kernel and the whole-block builds on it, the
+bitwise references for ``dlp``'s kernel and its cell-by-cell builds.
 
 ``dlp.node_columns`` gathers, transforms and scales only the (2^t, |live|)
 live work columns of the a stage, through tables cached per (instance, t,
@@ -7,17 +8,25 @@ columns through the (2^t, 2^L) modmul tables on every run and reads the
 live columns off that; the b stage gathers from the full columns. The
 tests hold every array and every draw of ``dlp``'s kernel to this one with
 ``np.array_equal``.
+
+``dlp.branch_laws`` and ``dist._node_terms`` go through a node's block on
+|1> one m_a cell at a time (``dlp.node_cells``). ``branch_laws`` and
+``node_terms`` here build each node's whole (2^t, 2^t, r) block and its
+r-point FFT at once, and the tests hold the tables and the step-7 report to
+them exactly.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from distdlog import statevec
-from distdlog.dlp import live_orbit
+from distdlog.dlp import Chain, live_orbit, node_numerators
 from distdlog.numtheory import ProblemInstance
+from distdlog.phase import phase_state_amplitudes
 
 
 def node_columns(
@@ -79,3 +88,44 @@ def branch_amplitudes(instance: ProblemInstance, t: int, exponent: int) -> np.nd
     orbit = np.array([pow(instance.a, k, instance.N) for k in range(instance.r)])
     cols, _ = node_columns(instance, t, exponent)
     return np.fft.fft(node_rows(instance, t, exponent, cols, orbit), axis=2)
+
+
+def branch_laws(instance: ProblemInstance, nodes: Chain) -> list[np.ndarray]:
+    """Per node, the ``(r, 4^m)`` table of its state-vector prefix laws:
+    the whole ``branch_amplitudes`` block squared and folded to m bits."""
+    r = instance.r
+    laws = []
+    for t, exponent, m in nodes:
+        w = branch_amplitudes(instance, t, exponent)
+        p = (w.real**2 + w.imag**2).reshape(1 << m, 1 << (t - m), 1 << m, 1 << (t - m), r)
+        laws.append(p.sum(axis=(1, 3)).reshape(-1, r).T)
+    return laws
+
+
+def node_terms(
+    instance: ProblemInstance, t: int, exponent: int, m: int
+) -> tuple[np.ndarray, float]:
+    """``dist._node_terms`` on the node's whole blocks (``m`` is unused):
+    the residual of the run on |a> against the |1> block, row by row in j_a
+    order, then max |W(s)|, max |A(s)| and max |W(s) - A(s)| per branch on
+    the FFT of the whole |1> block."""
+    r, N, a = instance.r, instance.N, instance.a
+    orbit = np.array([pow(a, k, N) for k in range(r)])
+    cols, _ = node_columns(instance, t, exponent)
+    block = node_rows(instance, t, exponent, cols, orbit)
+    cols, _ = node_columns(instance, t, exponent, a)
+    square = 0.0
+    for j_a in range(1 << t):
+        diff = node_rows(instance, t, exponent, cols[j_a : j_a + 1], orbit * a % N)[0] - block[j_a]
+        square += float(np.vdot(diff, diff).real)
+    w = np.fft.fft(block, axis=2)
+    terms = np.empty((3, r))
+    for s in range(r):
+        num_a, num_b = node_numerators(instance, exponent, s)
+        analytic = np.outer(
+            phase_state_amplitudes(Fraction(num_a, r), t),
+            phase_state_amplitudes(Fraction(num_b, r), t),
+        )
+        branch = w[:, :, -s % r]
+        terms[:, s] = np.abs(branch).max(), np.abs(analytic).max(), np.abs(branch - analytic).max()
+    return terms, math.sqrt(square)

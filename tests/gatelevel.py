@@ -4,8 +4,8 @@ No solver or check path calls these: the solvers read the node circuit's
 live columns and rows (``node_block`` here runs both stages on every row)
 and the branch-mixture law
 (``dlp.joint_law``), ``dist.compare_step7_state`` reads each branch's
-amplitudes off one run of each node on |1>, as ``dlp.branch_amplitudes``
-does, and the tests hold all three to these whole-state computations. The shared
+amplitudes off one run of each node on |1>, one cell of ``dlp.node_cells``
+at a time, and the tests hold all three to these whole-state computations. The shared
 eigenvectors u_s are built here alone (``build_eigenstate``).
 ``build_stage_state`` scatters the live block onto the full (a, b, work)
 state, and ``whole_state_step7`` is the step-7 check done directly: every

@@ -130,7 +130,7 @@ class TestSolveDistCommand:
         assert fresh == (0, out, "")
         assert code == 0
         assert err.splitlines() == [
-            "note: joint law needs 384 MiB and its build 96 MiB more (cap 256 MiB),"
+            "note: joint law needs 384 MiB and its build 17 MiB more (cap 256 MiB),"
             " so it is not cached; every attempt reruns the circuit"
         ]
         code, _, err = run_cli(
@@ -218,6 +218,26 @@ class TestGoldenOutput:
         the two Alg. 4 nodes: draws far from the N = 11 widths."""
         code, out, _ = run_cli(capsys, [command] + self.LARGE + extra)
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    CACHED_59 = ["--N", "59", "--a", "3", "--b", "9", "--epsilon", "0.25", "--seed", "7"]
+
+    @pytest.mark.parametrize(
+        "command, extra, digest",
+        [
+            ("solve", ["--trials", "100", "--max-retries", "1"],
+             "3045c4464c6f2ce4a7546aae2e1eefeab8d7c3cc9ee4551c0cd3ca0e8e901d0c"),
+            ("solve-dist", DIST + ["--trials", "100"],
+             "69ea8de888015682e5965c30aa66469f91b34ac2c295219d6245897f228c7653"),
+        ],
+        ids=["solve", "solve-dist"],
+    )
+    def test_cached_n59_digest(self, capsys, command, extra, digest):
+        """N = 59, a = 3 (r = 29, L = 6): the Alg. 2 law (t = 9, 6 MiB) and
+        the k = 2 law (24 MiB) are built one m_a cell at a time within the
+        byte cap, so the runs draw from them and note nothing on stderr."""
+        code, out, err = run_cli(capsys, [command] + self.CACHED_59 + extra)
+        assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     WIDE_SEED = str(2**64 + 5)  # three 32-bit words of entropy before the index

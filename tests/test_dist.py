@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fullwidth
 from alignscan import scan_values
 from distdlog import dist, dlp, phase, verify
 from distdlog.bits import BitString, circ_dist
@@ -610,20 +611,24 @@ class TestBranchLaws:
     @pytest.mark.parametrize(
         "N, a, nodes",
         [(11, 3, ((7, 0, 7),)), (11, 3, ((8, 0, 4), (8, 1, 4))), (23, 2, ((8, 0, 8),)),
+         (47, 2, ((9, 0, 5), (9, 2, 5))), (59, 3, ((9, 0, 9),)), (59, 3, ((9, 0, 5), (9, 2, 5))),
          (8209, 3265, ((5, 0, 5),))],
-        ids=["N11-one-node", "N11-two-node", "N23-one-node", "N8209-wide-register"],
+        ids=["N11-one-node", "N11-two-node", "N23-one-node", "N47-two-node", "N59-one-node",
+             "N59-two-node", "N8209-wide-register"],
     )
     def test_statevector_build_bytes_bound_the_build(self, N, a, nodes):
         """``_build_bytes`` bounds ``branch_laws``' state-vector tracemalloc
-        peak from cold modmul and orbit caches, kept tables included. At
-        N = 8209 (r = 3, L = 14) the (2^t, 2^L) a-stage arrays outweigh the
-        block. The bound allows about two complex copies of the block, where
-        the build once held three, and more while the next node ran."""
+        peak from cold modmul, orbit and table caches, kept tables included:
+        ``_CELL_BYTES`` per entry of the widest m_a cell, plus the complex
+        work vector. At N = 8209 (r = 3, L = 14) the 2^L work vector
+        outweighs the cell; at N = 59 the one-node chain keeps 58 MiB of
+        tables, and the two-node chain's widest cell has 237,568 entries."""
         from distdlog import statevec
 
         inst = validate_instance(N, a, a * a % N)
-        statevec._modmul_destinations.cache_clear()
-        dlp.live_orbit.cache_clear()
+        dlp.branch_laws(validate_instance(7, 2, 4), ((3, 0, 3),), "statevector")  # imports
+        for cached in (statevec._modmul_destinations, dlp.node_tables, dlp.live_orbit):
+            cached.cache_clear()
         tracemalloc.start()
         try:
             laws = dlp.branch_laws(inst, nodes, "statevector")
@@ -633,20 +638,60 @@ class TestBranchLaws:
         assert len(laws) == len(nodes)
         assert peak <= dlp._build_bytes(inst, nodes, "statevector")
 
+    def test_statevector_build_peak_at_n47(self):
+        """The N = 47 (r = 23), k = 2, h = 2 build from cold caches peaks
+        under 32 MiB by tracemalloc: one m_a cell of 2^4 rows is built at a
+        time, where two complex copies of a node's whole (2^9, 2^9, 23)
+        block came to 185 MiB."""
+        from distdlog import statevec
+
+        inst = validate_instance(47, 2, 4)
+        nodes = make_plan(inst, k=2, h=2, epsilon="0.25", epsilon_prime="0.2").nodes
+        dlp.branch_laws(validate_instance(7, 2, 4), ((3, 0, 3),), "statevector")  # imports
+        for cached in (statevec._modmul_destinations, dlp.node_tables, dlp.live_orbit):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            dlp.branch_laws(inst, nodes, "statevector")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
+    @pytest.mark.parametrize("chain", ["alg2", "k2"])
+    def test_n59_laws_cached_and_exact(self, chain):
+        """N = 59, a = 3 (r = 29, L = 6): Alg. 2 at epsilon = 1/4 (t = 9)
+        and the k = 2, h = 2 plan fit the qubit cap, and their 6 MiB and
+        24 MiB laws, built one cell at a time, fit the byte cap together with
+        their build and are within 1e-9 TV of the analytic laws."""
+        inst = validate_instance(59, 3, 9)
+        nodes = {
+            "alg2": ((ShorConfig.for_instance(inst, "0.25").t, 0, 9),),
+            "k2": make_plan(inst, k=2, h=2, epsilon="0.25", epsilon_prime="0.2").nodes,
+        }[chain]
+        assert nodes in (((9, 0, 9),), ((9, 0, 5), (9, 2, 5)))
+        sv = dlp.joint_law.__wrapped__(inst, nodes)
+        an = dlp.joint_law.__wrapped__(inst, nodes, "analytic")
+        assert 0.5 * np.abs(sv - an).sum() <= 1e-9
+
     def test_statevector_build_counted_against_cap(self, monkeypatch):
-        """N = 59, a = 3 (r = 29, L = 6) at t = 9 fits the qubit cap and its
-        law is 6 MiB, but its node block has 7.6 M entries: the build is
-        refused before the node runs (the solvers then run the chain fresh)."""
+        """The build's charge counts against the cap: with the cap one byte
+        below the N = 59 Alg. 2 law and its build together, the law is
+        refused before the node runs (the solvers then run the chain
+        fresh)."""
         from distdlog import statevec
 
         def refuse(*args, **kwargs):
             raise AssertionError("the node ran")
 
         inst = validate_instance(59, 3, 9)
-        monkeypatch.setattr(dlp, "node_columns", refuse)
-        with pytest.raises(QubitBudgetError, match="joint law needs 6 MiB and its build 307 MiB more"):
-            dlp.joint_law.__wrapped__(inst, ((9, 0, 9),))
+        nodes = ((9, 0, 9),)
         assert 2 * 9 + inst.L <= statevec.MAX_QUBITS
+        need = 3 * 8 * (1 << 18) + dlp._build_bytes(inst, nodes, "statevector")
+        monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", need - 1)
+        monkeypatch.setattr(dlp, "node_columns", refuse)
+        with pytest.raises(QubitBudgetError, match="joint law needs 6 MiB and its build 60 MiB more"):
+            dlp.joint_law.__wrapped__(inst, nodes)
 
 
 class TestStepSevenState:
@@ -698,39 +743,59 @@ class TestStepSevenState:
                 back = np.searchsorted(live, live * pow(inst.a, -k, inst.N) % inst.N)
                 assert np.array_equal(shifted, block[:, :, back])
 
-    def test_one_node_block_at_a_time(self, instance, monkeypatch):
-        """Each node runs twice, on |1> and on |a>: 2k runs of the a stage,
-        not r k. The run on |a> goes through the b stage one row at a time,
-        a node's whole block is freed before the next node runs, and the
-        report is unchanged."""
+    @pytest.mark.parametrize("which", ["small", "acceptance", "three_nodes"])
+    def test_equals_whole_block_reference(
+        self, which, instance, acceptance_plan, small_instance, small_plan, monkeypatch
+    ):
+        """One m_a cell at a time gives the report of the whole blocks
+        exactly: the maxima over the cells are those over the blocks, and the
+        residual adds the same rows in the same order."""
+        inst, plan = self.plan_of(which, instance, acceptance_plan, small_instance, small_plan)
+        got = compare_step7_state(inst, plan)
+        monkeypatch.setattr(dist, "_node_terms", fullwidth.node_terms)
+        assert compare_step7_state(inst, plan) == got
+
+    def test_one_node_cell_at_a_time(self, instance, monkeypatch):
+        """Each node runs twice, on |a> and on |1>: 2k runs of the a stage,
+        not r k. The |1> block goes through the b stage one m_a cell at a
+        time and the run on |a> one row at a time, so no whole block is
+        built; when a cell is built at most the one before it is alive, and
+        the report is unchanged."""
         plan = THREE_NODE_PLAN
         want = compare_step7_state(instance, plan)
-        rows, columns = dlp.node_rows, dlp.node_columns
-        blocks, works = [], []
+        rows, columns, node_cells = dlp.node_rows, dlp.node_columns, dlp.node_cells
+        works, cells = [], []
 
         def count_columns(*args, **kwargs):
             works.append(args[3] if len(args) > 3 else kwargs.get("work", 1))
             return columns(*args, **kwargs)
 
-        def track_blocks(cols, places):
-            if len(cols) > 1 and any(ref() is not None for ref in blocks):
-                raise AssertionError("another node's block is alive")
-            block = rows(cols, places)
-            if len(cols) > 1:
-                blocks.append(weakref.ref(block))
-            return block
+        def no_block(cols, places):
+            if len(cols) == len(places):
+                raise AssertionError("a whole block was built")
+            return rows(cols, places)
+
+        def track_cells(inst, t, exponent, m):
+            for cell in node_cells(inst, t, exponent, m):
+                assert cell.shape == (1 << (t - m), 1 << t, inst.r)
+                if sum(ref() is not None for ref in cells) > 1:
+                    raise AssertionError("more than one earlier cell is alive")
+                cells.append(weakref.ref(cell))
+                yield cell
 
         monkeypatch.setattr(dlp, "node_columns", count_columns)
-        monkeypatch.setattr(dlp, "node_rows", track_blocks)
+        monkeypatch.setattr(dlp, "node_rows", no_block)
+        monkeypatch.setattr(dlp, "node_cells", track_cells)
         assert compare_step7_state(instance, plan) == want
-        assert works == [1, instance.a] * plan.k
-        assert len(blocks) == plan.k
+        assert works == [instance.a, 1] * plan.k
+        assert len(cells) == sum(1 << m for m in plan.measured)
 
-    @pytest.mark.parametrize("N, a, b", [(23, 2, 3), (47, 2, 4)])
+    @pytest.mark.parametrize("N, a, b", [(23, 2, 3), (47, 2, 4), (59, 3, 9)])
     def test_peak_memory_within_build_bound(self, N, a, b):
         """The check holds at most what the law build may, ``dlp._build_bytes``
-        (about 34 bytes per block entry), from cold caches: the |1> block and
-        its transform, or the |1> block and one row of the |a> run."""
+        (``_CELL_BYTES`` per entry of the widest m_a cell), from cold caches:
+        one cell of the |1> block and its transform, one row of the |a> run
+        and the closed-form amplitudes of every branch."""
         from distdlog import statevec
 
         inst = validate_instance(N, a, b)

@@ -452,17 +452,28 @@ class TestFullWidthReference:
             _, _, work = measure_node(inst, t, exponent, work, np.random.default_rng(5))
 
     def test_branch_amplitudes(self, N, a, b, chain):
+        """The r-point FFT of each m_a cell of ``node_cells`` is that cell's
+        rows of the whole block's branch amplitudes."""
         inst, nodes = reference_chain(N, a, b, chain)
-        for t, exponent, _ in nodes:
-            assert np.array_equal(
-                dlp.branch_amplitudes(inst, t, exponent),
-                fullwidth.branch_amplitudes(inst, t, exponent),
-            )
+        for t, exponent, m in nodes:
+            ref = fullwidth.branch_amplitudes(inst, t, exponent)
+            rows = 1 << (t - m)
+            for c, cell in enumerate(dlp.node_cells(inst, t, exponent, m)):
+                assert np.array_equal(np.fft.fft(cell, axis=2), ref[c * rows : (c + 1) * rows])
+            assert c == (1 << m) - 1
+            del ref
 
     def test_joint_law(self, N, a, b, chain, monkeypatch):
+        """The tables built one m_a cell at a time equal the whole-block
+        ones, and so does the law mixed from them."""
         inst, nodes = reference_chain(N, a, b, chain)
+        laws = dlp.branch_laws(inst, nodes, "statevector")
+        ref = fullwidth.branch_laws(inst, nodes)
+        assert len(laws) == len(ref) == len(nodes)
+        assert all(np.array_equal(got, want) for got, want in zip(laws, ref))
         law = joint_law.__wrapped__(inst, nodes)
-        monkeypatch.setattr(dlp, "branch_amplitudes", fullwidth.branch_amplitudes)
+        whole_blocks = lambda inst, nodes, _: fullwidth.branch_laws(inst, nodes)
+        monkeypatch.setattr(dlp, "branch_laws", whole_blocks)
         assert np.array_equal(law, joint_law.__wrapped__(inst, nodes))
 
 
