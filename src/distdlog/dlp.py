@@ -36,11 +36,12 @@ split into branches by an r-point FFT along the orbit of a);
 P_j(. | s) in closed form, and ``joint_law``, cached per (instance, chain)
 with its CDF, is the one branch mixture (1/r) sum_s prod_j P_j(. | s) of
 either backend. The analytic backend draws the latent branch s and then
-each register exactly at its phase by one O(1) rejection draw
-(``sample_chain``). Every branch phase is an int numerator over r from
-``node_numerators``, for one branch or an int64 array of them. The phases
-read the exponent g from ``hidden_g`` as an oracle. The test suites hold
-the sampler to the closed form, and the closed form to the circuit exactly.
+each register exactly at its phase by one O(1) draw, most often of a
+single uniform (``sample_chain``). Every branch phase is an int numerator
+over r from ``node_numerators``, for one branch or an int64 array of
+them. The phases read the exponent g from ``hidden_g`` as an oracle. The
+test suites hold the sampler to the closed form, and the closed form to
+the circuit exactly.
 """
 
 from __future__ import annotations
@@ -224,27 +225,32 @@ def node_columns(
     Both counting registers start in |0>, so the Hadamards only scale the
     work vector, and the a multiplications make ``cols`` the scaled work
     amplitude at a^(-j_a 2^e) live[k], transformed along j_a: O(2^t |live|)
-    work and memory. A basis input is scaled as one float: its other
-    entries are 0, so the result is the same.
+    work and memory. A basis input is scaled as one float and gathered
+    from the gather table alone, with no 2^L vector: its other entries
+    are 0, so the result is the same.
     """
     required = 2 * t + instance.L
     if required > statevec.MAX_QUBITS:
         raise statevec.QubitBudgetError(
             f"circuit needs {required} qubits (cap {statevec.MAX_QUBITS}); use analytic mode"
         )
-    vec = statevec.register_factor("work", instance.L, work)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     if isinstance(work, (int, np.integer)):
+        statevec.check_basis("work", instance.L, work)
         scale = 1.0
         for _ in range(2 * t):
             scale *= inv_sqrt2
-        vec[work] = scale
+        support = np.array([work], dtype=np.intp).tobytes()
+        gather_a, place_b, live = node_tables(instance, t, exponent, support)  # checks the exponent
+        gathered = np.where(gather_a == work, complex(scale), 0j)
     else:
+        vec = statevec.register_factor("work", instance.L, work)
         for _ in range(2 * t):  # rounds exactly as one Hadamard on a |0> qubit
             vec = (vec + 0) * inv_sqrt2
-    support = np.flatnonzero(vec).tobytes()
-    gather_a, place_b, live = node_tables(instance, t, exponent, support)  # checks the exponent
-    cols = np.fft.fft(vec[gather_a], axis=0)
+        support = np.flatnonzero(vec).tobytes()
+        gather_a, place_b, live = node_tables(instance, t, exponent, support)
+        gathered = vec[gather_a]
+    cols = np.fft.fft(gathered, axis=0)
     cols /= math.sqrt(1 << t)
     return cols, live, place_b
 
@@ -499,9 +505,11 @@ def sample_chain(
 
     The branch s is uniform, the generator's first draw; given s the
     registers are independent at their phases. Node by node, a before b,
-    each full t-bit outcome is one ``phase.sample_phase_outcome`` rejection
-    draw on the int numerator from ``node_numerators`` over r, with no 2^t
-    array and no Fraction.
+    each full t-bit outcome is one ``phase.sample_phase_outcome`` draw on
+    the int numerator from ``node_numerators`` over r, with no 2^t array
+    and no Fraction: one uniform inverts the two outcomes next to the
+    peak, and only a draw past them rejects on the tail (about 2.3
+    uniforms per register at r = 16001).
     """
     r = instance.r
     s = int(rng.integers(r))
@@ -655,16 +663,24 @@ def solve(
     which is distribution-identical to re-running the circuit per attempt.
     """
     t = config.t
-    width = 2 * t + instance.L  # single_node_qubits(r, L, epsilon): t = counting_width(r, epsilon)
-    report = ResourceReport(
-        qubits_single_node_alg2=width,
-        qubits_per_node_alg4=None,
-        comm_qubits=communication_qubits(1, instance.L),
-        simulated_qubits_actual=width if config.mode == "statevector" else 0,
-    )
     return solve_chain(
         instance, ((t, 0, t),), rng, config.mode, config.max_retries, reuse_state,
-        identity_join, t, resources=report,
+        identity_join, t, resources=single_node_report(instance.L, t, config.mode),
+    )
+
+
+@lru_cache(maxsize=64)
+def single_node_report(L: int, t: int, mode: str) -> ResourceReport:
+    """The accounting every record of a single-node solve carries, built
+    once per (L, t, mode) and shared by the records: with
+    t = counting_width(r, epsilon), single_node_qubits(r, L, epsilon) is
+    2t + L, so r enters only through t."""
+    width = 2 * t + L
+    return ResourceReport(
+        qubits_single_node_alg2=width,
+        qubits_per_node_alg4=None,
+        comm_qubits=communication_qubits(1, L),
+        simulated_qubits_actual=width if mode == "statevector" else 0,
     )
 
 

@@ -4,8 +4,10 @@ The exact outcome distribution and amplitudes of the post-transform
 counting register. They are the circuit's oracle: the test suites hold
 every distribution the circuit produces (the gate-level estimation circuit
 lives with them, in ``tests/gatelevel.py``) against its closed form. The
-analytic solvers draw from that law one outcome at a time by rejection
-(``sample_phase_outcome``), which builds no 2^t array. The sampler takes
+analytic solvers draw from that law one outcome at a time
+(``sample_phase_outcome``), which builds no 2^t array: one uniform
+inverts the two outcomes next to the peak, and only a draw past them
+rejects from a rounded Cauchy envelope on the tail. The sampler takes
 its phase as two ints, num and den, checks and reduces them in ints, and
 sets the weight's float constants once per draw; no Fraction is built on
 the way to an outcome.
@@ -158,38 +160,51 @@ def sample_phase_outcome(rng: np.random.Generator, num: int, den: int, t: int) -
     the offset j in (-2^(t-1), 2^(t-1)], has probability
     p(j) = F(d) = sin^2(pi d) / (T^2 sin^2(pi d / T)) with d = f - j and
     T = 2^t, evaluated by ``_offset_weight``, the float formula of
-    ``outcome_laws``. The offset is drawn by rejection from the rounded
+    ``outcome_laws``. The two central offsets, 0 and 1, carry at least
+    8/pi^2 > 0.81 of the mass, so the draw inverts them first on one
+    uniform u: it returns c if u < p(0), and c + 1 if u < p(0) + p(1) or if
+    t = 1, where they are the only offsets. Only otherwise does it draw from
+    the tail, the offsets j not in {0, 1}, by rejection from the rounded
     Cauchy proposal j = floor(f + tan(pi (U - 1/2)) + 1/2), whose mass
     Q(j) = (atan(j - f + 1/2) - atan(j - f - 1/2)) / pi
     = atan(1 / ((j - f)^2 + 3/4)) / pi has no cancellation in the tail;
-    offsets out of range are rejected and j is kept with probability
-    p(j) / (4 Q(j)). The accepted j then has law p exactly, and each
-    proposal is accepted with probability sum_j p(j) / 4 = 1/4. The
-    weight's constants, 2^t den and T^2 as floats, and the generator and
-    math functions the loop calls are set once per draw.
+    central and out-of-range offsets are rejected and j is kept with
+    probability p(j) / (M Q(j)), M = 7/4 sin^2(pi f). The accepted j then
+    has the tail's law, p renormalised to 1 - p(0) - p(1), and the outcome
+    has law p exactly. The weight's constants, 2^t den and T^2 as floats,
+    are set once per draw, and the generator and math functions the loop
+    calls once per tail draw.
 
-    The envelope p <= 4 Q holds for every in-range j. The Fejer kernel F is
-    at most 1, and |d| < T/2 puts pi d / T in (-pi/2, pi/2), where
-    |sin y| >= 2 |y| / pi, so F(d) <= min(1, sin^2(pi d) / (4 d^2)). For
-    d^2 <= 1/4, 4 Q >= (4/pi) atan(1) = 1. For d^2 > 1/4, x = 1/(d^2 + 3/4)
-    lies in (0, 1), where concavity gives atan(x) >= (pi/4) x, so
-    4 Q >= 1/(d^2 + 3/4) >= 1/(4 d^2) because d^2 + 3/4 <= 4 d^2.
+    The envelope p <= M Q holds for every tail offset. There |d| >= 1, as
+    f lies in (0, 1) and j <= -1 or j >= 2, and sin^2(pi d) = sin^2(pi f).
+    |d| < T/2 puts pi d / T in (-pi/2, pi/2), where |sin y| >= 2 |y| / pi,
+    so p(j) <= sin^2(pi f) / (4 d^2). x = 1/(d^2 + 3/4) lies in (0, 1),
+    where concavity gives atan(x) >= (pi/4) x, so
+    Q(j) >= 1 / (4 (d^2 + 3/4)). Their ratio is
+    p / (sin^2(pi f) Q) <= (d^2 + 3/4) / d^2 <= 7/4.
     """
     num, den = _exact_phase(num, den, t)
     size = 1 << t
     c, rem = divmod(num << t, den)
     if rem == 0:
         return c % size
-    half = size >> 1
-    f = rem / den
     peak = _peak_factor(rem, den)
     scale, norm = float(den << t), float(size) ** 2
+    u = rng.random()
+    p0 = _offset_weight(peak, rem, scale, norm)
+    if u < p0:
+        return c % size
+    if t == 1 or u < p0 + _offset_weight(peak, rem - den, scale, norm):
+        return (c + 1) % size
+    half = size >> 1
+    f = rem / den
+    bound = 1.75 * peak
     random, floor, tan, atan, pi = rng.random, math.floor, math.tan, math.atan, math.pi
     while True:
         j = floor(f + tan(pi * (random() - 0.5)) + 0.5)
-        if not -half < j <= half:
+        if not -half < j <= half or 0 <= j <= 1:
             continue
-        envelope = 4.0 * atan(1.0 / ((j - f) ** 2 + 0.75)) / pi
+        envelope = bound * atan(1.0 / ((j - f) ** 2 + 0.75)) / pi
         if random() * envelope < _offset_weight(peak, rem - j * den, scale, norm):
             return (c + j) % size
 

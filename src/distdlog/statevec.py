@@ -13,13 +13,13 @@ The gates (init_product, hadamard_layer, controlled_modmul_power,
 inverse_qft) and measurements (measure_prefix, measure_register,
 register_vector) act on the whole vector: they are the gate-level oracle.
 The solvers' kernel (``dlp.node_columns``, the a stage, and ``dlp.node_rows``,
-the b stage) and sampler ``dlp.measure_node`` use only register_factor,
-modmul_sources and draw_outcome from here. Fresh runs measure register a
-before b's transform, so they never build the 2^t x 2^t block, and they
-work on the live work values alone. Those come from ``dlp.live_orbit``'s
-cache, and the two stages gather through (2^t, |live|) tables from
-``dlp.node_tables``' cache, built by modmul_sources on the live columns
-alone: no solver builds a (2^t, 2^w) modmul table. Bit strings appear here
+the b stage) and sampler ``dlp.measure_node`` use only check_basis,
+register_factor, modmul_sources and draw_outcome from here. Fresh runs
+measure register a before b's transform, so they never build the 2^t x
+2^t block, and they work on the live work values alone. Those come from
+``dlp.live_orbit``'s cache, and the two stages gather through (2^t,
+|live|) tables from ``dlp.node_tables``' cache, built by modmul_sources on
+the live columns alone: no solver builds a (2^t, 2^w) modmul table. Bit strings appear here
 only in the oracle's measurement outcomes.
 """
 
@@ -123,12 +123,17 @@ def init_basis(layout: RegisterLayout, assignments: Mapping[str, int] | None = N
     return init_product(layout, assignments)
 
 
+def check_basis(name: str, width: int, value: int) -> None:
+    """Refuse a basis value that does not fit the register."""
+    if not 0 <= value < (1 << width):
+        raise LayoutError(f"value {value} does not fit register {name!r} of width {width}")
+
+
 def register_factor(name: str, width: int, factor: "int | np.ndarray") -> np.ndarray:
     """One register's amplitude vector from a basis value or from a vector
     that is unit norm to 1e-9, which is returned renormalised exactly."""
     if isinstance(factor, (int, np.integer)):
-        if not 0 <= factor < (1 << width):
-            raise LayoutError(f"value {factor} does not fit register {name!r} of width {width}")
+        check_basis(name, width, factor)
         vec = np.zeros(1 << width, dtype=np.complex128)
         vec[factor] = 1.0
         return vec

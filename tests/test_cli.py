@@ -168,9 +168,9 @@ class TestGoldenOutput:
             ("solve-dist", DIST + ["--trials", "5", "--no-reuse"],
              "19a4e9cafc25d2976dda5c2f692dfc3606d17a9c95d3fa3b00d5a83dcf021c59"),
             ("solve", ["--mode", "analytic", "--trials", "100", "--max-retries", "1"],
-             "9d350829c913473f4f47b8bc04b911a678252815a2c36e4cdb73dfb2f137ec94"),
+             "b78e1f1ff00d611f2bca5810ea3aaf2c4998801e4ac40757bc07561a99403aa7"),
             ("solve-dist", DIST + ["--mode", "analytic", "--trials", "100"],
-             "06bf48120bc6e004b1eb71229f8f127b76cf7e369c294e3301c28e2751d7e424"),
+             "1c4c2a3426f1781f6de93ff63867ef1818104f830b085e01e71b86501dcedc15"),
         ],
         ids=["solve", "solve-no-reuse", "solve-dist", "solve-dist-no-reuse",
              "solve-analytic", "solve-dist-analytic"],
@@ -206,9 +206,9 @@ class TestGoldenOutput:
         "command, extra, digest",
         [
             ("solve", ["--trials", "200", "--max-retries", "1"],
-             "70173f10f9c867a42929bba3a811362c4d7c993b45ccf442769e449ec31d8b41"),
+             "d03063df1fe6c8b056505d13295bfe237bb7520c592acef04ccb7f0bba268701"),
             ("solve-dist", ["--k", "2", "--epsilon-prime", "0.2", "--trials", "200"],
-             "55ae00adce09a0f65d929562d0dfa17dc68b8de2fcf9ffafb1b3beb389abae69"),
+             "0cd5f410dbf6f785081c3c010e2404a776def473dfaa92d0ddf7a48201817319"),
         ],
         ids=["solve-analytic", "solve-dist-analytic"],
     )
@@ -250,7 +250,7 @@ class TestGoldenOutput:
              "087e7d292f477995f439f13c0790bd89ae454455b103d81b41474f7a36151f62"),
             (["solve", "--N", "32003", "--a", "4", "--b", "17236", "--epsilon", "0.25",
               "--mode", "analytic", "--trials", "200", "--max-retries", "1"],
-             "14be6a69fc7d821a9be7e64809db4d7e4cb5d5fff97e63444ee5220a87a233ee"),
+             "87f5d6b27f7ff987fabe98d0133db6f7f17c3ecedf05a51c3fb1041f4654f434"),
         ],
         ids=["solve-dist", "solve-analytic-large"],
     )
@@ -266,7 +266,7 @@ class TestGoldenOutput:
         "argv, fallbacks, digest",
         [
             (["solve-dist", *LARGE, "--k", "3", "--epsilon-prime", "0.2", "--trials", "200"], 0,
-             "ead47acc464a87d261ea124b34d5f5daaa2d0c5eeb36be64ce94e9f2d328ec88"),
+             "8451653d35b2891ee6604946030121fcb9ed24eb1b7287486f446a7e1b6ff2b2"),
             (["solve-dist", "--N", "23", "--a", "2", "--b", "3", "--k", "3", "--h", "2",
               "--epsilon", "0.5", "--epsilon-prime", "0.25", "--trials", "20", "--seed", "7"], 2,
              "9319593309d85ca943c787f3f9c6ca8521741ea39fcaaf1f3b298e692b09f58a"),

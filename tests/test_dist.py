@@ -1243,7 +1243,7 @@ def test_statevector_solvers_never_read_hidden_g(small_instance, small_plan):
 
 
 def test_analytic_solvers_build_no_full_law(instance, acceptance_plan, monkeypatch):
-    """Analytic solves draw each outcome by rejection: neither solver builds
+    """Analytic solves draw each outcome in O(1): neither solver builds
     a 2^t law, folds one or samples one by its CDF."""
     from distdlog import statevec
 

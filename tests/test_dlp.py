@@ -328,6 +328,30 @@ class TestNodeTables:
         assert statevec._modmul_destinations.cache_info().currsize == 0
         assert held < 2 << 20
 
+    def test_basis_input_builds_no_work_vector(self):
+        """A basis input is gathered from the gather table alone: the cold
+        N = 8209 (r = 3, L = 14, t = 5) build peaks at about 39 KiB by
+        tracemalloc, under a quarter of the 256 KiB complex 2^L work vector
+        it once built (the peak was 288 KiB)."""
+        inst = validate_instance(8209, 3265, pow(3265, 2, 8209))
+        dlp.branch_laws(validate_instance(7, 2, 4), ((3, 0, 3),), "statevector")  # imports
+        for cached in (statevec._modmul_destinations, dlp.node_tables, dlp.live_orbit):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            dlp.branch_laws(inst, ((5, 0, 5),), "statevector")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 << inst.L) // 4
+
+    def test_basis_input_range_checked(self):
+        """A basis value outside the work register is refused as
+        ``register_factor`` refuses it."""
+        inst = validate_instance(11, 3, 9)
+        with pytest.raises(statevec.LayoutError, match="does not fit register 'work'"):
+            dlp.node_columns(inst, 3, 0, 1 << inst.L)
+
 
 class TestLiveOrbit:
     @pytest.mark.parametrize("exponent", [0, 1, 3])
@@ -511,6 +535,24 @@ class TestSolve:
         simulated = 2 * config.t + instance.L if mode == "statevector" else 0
         assert report.simulated_qubits_actual == simulated
         assert report.comm_qubits == 0 and report.qubits_per_node_alg4 is None
+
+    @pytest.mark.parametrize("mode", ["statevector", "analytic"])
+    def test_solves_share_one_report(self, instance, mode):
+        """Two solves of one configuration carry one report object, whose
+        JSON is the fields written out afresh; the other backend's solves
+        carry their own."""
+        config = ShorConfig.for_instance(instance, "0.25", max_retries=1, mode=mode)
+        first = solve(instance, config, np.random.default_rng(0)).resources
+        second = solve(instance, config, np.random.default_rng(1)).resources
+        assert first is second
+        width = 2 * config.t + instance.L
+        assert first.to_json_dict() == resources.ResourceReport(
+            qubits_single_node_alg2=width, qubits_per_node_alg4=None, comm_qubits=0,
+            simulated_qubits_actual=width if mode == "statevector" else 0,
+        ).to_json_dict()
+        other = "analytic" if mode == "statevector" else "statevector"
+        config = ShorConfig.for_instance(instance, "0.25", max_retries=1, mode=other)
+        assert solve(instance, config, np.random.default_rng(0)).resources is not first
 
     def test_identity_target(self):
         instance = validate_instance(11, 3, 1)

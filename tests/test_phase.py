@@ -268,35 +268,59 @@ class TestAccuracyMasses:
 SAMPLER_DENOMINATORS = (3, 5, 7, 11, 13, 31, 37, 101)
 
 
-@pytest.fixture(scope="module")
-def offset_law_extremes():
-    """One pass over every non-grid numerator of the sampler denominators at
-    t = 1..12: the largest p(j) / (4 Q(j)) over in-range offsets j, the
-    largest TV between the sampler's normalised weights p(j) on outcomes
-    c + j mod 2^t and the closed-form law, whether every outcome got
-    exactly one weight, and whether every weight is the law's entry."""
-    worst_ratio = worst_tv = 0.0
-    covers = exact = True
+def sampler_phases():
+    """(num, den, t) for every non-grid numerator of the sampler
+    denominators at t = 1..12, and at r = 16001 the near-turn phases and
+    those whose residue (num << t) mod r puts f = rem / r next to 0 or 1/2."""
     for den in SAMPLER_DENOMINATORS:
         for t in range(1, 13):
-            size = 1 << t
-            js = np.arange(-(size >> 1) + 1, (size >> 1) + 1)
             for num in range(1, den):
-                c, rem = divmod(num << t, den)
-                if rem == 0:
-                    continue
-                peak = phase._peak_factor(rem, den)
-                scale, norm = float(den << t), float(size) ** 2
-                p = np.array([phase._offset_weight(peak, rem - int(j) * den, scale, norm) for j in js])
-                q = np.arctan(1.0 / ((js - rem / den) ** 2 + 0.75)) / np.pi
-                worst_ratio = max(worst_ratio, float((p / (4.0 * q)).max()))
-                implied = np.zeros(size)
-                implied[(c + js) % size] = p
-                covers = covers and np.count_nonzero(implied) == size
-                law = phase_outcome_distribution(Fraction(num, den), t)
-                exact = exact and np.array_equal(implied, law)
-                tv = 0.5 * float(np.abs(implied / implied.sum() - law).sum())
-                worst_tv = max(worst_tv, tv)
+                if (num << t) % den:
+                    yield num, den, t
+    r = 16001
+    for t in range(1, 13):
+        inverse = pow(pow(2, t, r), -1, r)
+        edges = {res * inverse % r for res in (1, 2, 3, 8000, 8001)}
+        for num in sorted(edges | set(near_turn_numerators(r, t))):
+            yield num, r, t
+
+
+@pytest.fixture(scope="module")
+def offset_law_extremes():
+    """One pass over ``sampler_phases``: the largest p(j) / (M Q(j)) over
+    the tail offsets j not in {0, 1}, M = 7/4 sin^2(pi f), the envelope of
+    the sampler's tail loop; the largest TV between the law the sampler
+    draws on outcomes c + j mod 2^t, p(0), p(1) and the tail renormalised
+    to 1 - p(0) - p(1) (all of 1 - p(0) on offset 1 at t = 1), and the
+    closed-form law; whether every outcome got exactly one weight; and
+    whether every weight is the law's entry."""
+    worst_ratio = worst_tv = 0.0
+    covers = exact = True
+    for num, den, t in sampler_phases():
+        size = 1 << t
+        js = np.arange(-(size >> 1) + 1, (size >> 1) + 1)
+        c, rem = divmod(num << t, den)
+        peak = phase._peak_factor(rem, den)
+        scale, norm = float(den << t), float(size) ** 2
+        p = np.array([phase._offset_weight(peak, rem - int(j) * den, scale, norm) for j in js])
+        tail = (js < 0) | (js > 1)
+        q = np.arctan(1.0 / ((js - rem / den) ** 2 + 0.75)) / np.pi
+        if tail.any():
+            worst_ratio = max(worst_ratio, float((p / (1.75 * peak * q))[tail].max()))
+        implied = np.zeros(size)
+        implied[(c + js) % size] = p
+        covers = covers and np.count_nonzero(implied) == size
+        law = phase.outcome_laws(num, den, t)[0]
+        exact = exact and np.array_equal(implied, law)
+        p0, p1 = p[js == 0][0], p[js == 1][0]
+        drawn = np.zeros(size)
+        drawn[c % size] = p0
+        if t == 1:
+            drawn[(c + 1) % size] = 1.0 - p0
+        else:
+            drawn[(c + 1) % size] = p1
+            drawn[(c + js[tail]) % size] = p[tail] * ((1.0 - p0 - p1) / p[tail].sum())
+        worst_tv = max(worst_tv, 0.5 * float(np.abs(drawn - law).sum()))
     return worst_ratio, worst_tv, covers, exact
 
 
@@ -312,20 +336,55 @@ class NoDrawRng:
         raise AssertionError("an exact-grid phase drew a uniform")
 
 
+class CountingRng:
+    """A generator that counts the uniforms a draw takes."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.uniforms = 0
+
+    def random(self):
+        self.uniforms += 1
+        return self.rng.random()
+
+
 class TestPhaseSampler:
     def test_envelope_bounds_every_offset(self, offset_law_extremes):
-        """p(j) <= 4 Q(j) at every in-range offset, so every acceptance
-        probability is at most 1 (the docstring proves it; this checks the
-        floats)."""
-        worst_ratio, _, _, _ = offset_law_extremes
-        assert worst_ratio <= 0.85  # 0.8468...
+        """p(j) <= 7/4 sin^2(pi f) Q(j) at every tail offset, so every
+        acceptance probability of the tail loop is at most 1 (the docstring
+        proves it; this checks the floats)."""
+        worst_ratio, *_ = offset_law_extremes
+        assert worst_ratio <= 1.0  # 0.54 at 1/16001, t = 2
 
     def test_implied_law_matches_closed_form(self, offset_law_extremes):
-        """The sampler's weights cover each outcome once and, normalised,
-        are the closed-form law."""
+        """The sampler's weights cover each outcome once, and the law it
+        draws, p(0) and p(1) by inversion and the tail by rejection
+        renormalised to the rest, is the closed-form law, at t = 1 and with
+        f next to 0, 1/2 and 1 too."""
         _, worst_tv, covers, _ = offset_law_extremes
         assert covers
         assert worst_tv <= 1e-13
+
+    @pytest.mark.parametrize("num, den", [(1, 3), (2, 5), (1, 16001), (8000, 16001), (16000, 16001)])
+    def test_one_qubit_draw_takes_one_uniform(self, num, den):
+        """At t = 1 offsets 0 and 1 are the whole law: one uniform, no loop."""
+        rng = CountingRng(11)
+        for _ in range(200):
+            sample_phase_outcome(rng, num, den, 1)
+        assert rng.uniforms == 200
+
+    @pytest.mark.parametrize("t", [13, 14, 18])
+    def test_mean_uniforms_per_draw(self, t):
+        """At r = 16001, over every numerator, a draw takes at most 2.5
+        uniforms on average: most draws end at the inversion of the two
+        central outcomes, and the tail loop's expected cost,
+        1.75 sin^2(pi f) proposals, brings the exact mean to 2.317 at each
+        of these widths (the factor-4 envelope took about 8)."""
+        rng = CountingRng(12)
+        nums = range(1, 16001)
+        for num in nums:
+            sample_phase_outcome(rng, num, 16001, t)
+        assert rng.uniforms / len(nums) <= 2.5
 
     def test_law_entries_are_the_sampler_weights(self, offset_law_extremes):
         """Every entry of ``outcome_laws`` is ``_offset_weight``, the
