@@ -111,7 +111,7 @@ def _cmd_solve(args: argparse.Namespace, distributed: bool) -> int:
         )
     else:
         config = dlp.ShorConfig.for_instance(instance, args.epsilon, args.max_retries, args.mode)
-        nodes = ((config.t, 0, config.t),)
+        nodes = config.nodes
         solve = partial(dlp.solve, instance, config, reuse_state=not args.no_reuse)
     if args.mode == "statevector" and not args.no_reuse:
         try:  # the solvers' own cached law, so a law that fits is built once

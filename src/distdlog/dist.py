@@ -114,12 +114,13 @@ class DistPlan:
 
     def join(self, pairs: Pairs) -> tuple[int, int, dict]:
         """The solver's join: the alignment pass (``align_values``) on each
-        family of the chain's int pairs. A bound method hashes and compares
-        by the plan's identity, so ``dlp.solve_chain`` keys the outcomes it
-        memoises by it cheaply, apart from every other plan's and join's."""
+        family of the chain's pairs, ints or int64 arrays (``dlp.success_mass``).
+        A bound method hashes and compares by the plan's identity, so
+        ``dlp.solve_chain`` keys the outcomes it memoises by it cheaply, apart
+        from every other plan's and join's."""
         m_a, fb_a = align_values([ma for ma, _ in pairs], self)
         m_b, fb_b = align_values([mb for _, mb in pairs], self)
-        return m_a, m_b, {"node_measurements": pairs, "correct_fallback": fb_a or fb_b}
+        return m_a, m_b, {"node_measurements": pairs, "correct_fallback": fb_a | fb_b}
 
     @cached_property
     def reports(self) -> dict[tuple[int, int, str], ResourceReport]:

@@ -8,8 +8,10 @@ are kept. ``solve_chain`` is the one solve loop: it picks every attempt's
 stage (the analytic draw, the cached law, or a fresh run of the chain,
 also when the cached law is over its byte cap), hands the drawn pairs to
 the solver's join, then rounds, inverts and retries. This solver is it on
-the one-node chain ``((t, 0, t),)`` with the identity join, and ``dist``
-runs its plan's chain through it with the alignment pass as the join.
+the one-node chain ``((t, 0, t),)`` (``ShorConfig.nodes``) with the identity
+join, and ``dist`` runs its plan's chain through it with the alignment pass
+as the join. ``success_mass`` is both solvers' exact one-attempt success
+mass, through the same chain, join, rounding and check.
 Every prefix is a plain int from the draw to the record, whose ndjson form
 alone writes it as a bit string of its width.
 The node circuit is a fused kernel in two stages on the live work values
@@ -49,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterator
 
 import numpy as np
@@ -96,6 +98,11 @@ class ShorConfig:
             raise ValueError(f"max_retries must be >= 1, got {max_retries}")
         t = counting_width(instance.r, eps)
         return cls(epsilon=eps, t=t, max_retries=max_retries, mode=mode)
+
+    @cached_property
+    def nodes(self) -> Chain:
+        """The one-node chain ``((t, 0, t),)`` the single-node solver runs."""
+        return ((self.t, 0, self.t),)
 
 
 def counting_width(r: int, epsilon: Fraction) -> int:
@@ -374,28 +381,33 @@ def node_cells(instance: ProblemInstance, t: int, exponent: int, m: int) -> Iter
         yield node_rows(cols[lo : lo + rows], places)
 
 
+def register_laws(
+    instance: ProblemInstance, t: int, exponent: int, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A node's closed-form prefix laws of registers a and b, ``(r, 2^m)``
+    each, row i being branch s = -i mod r: one ``phase.outcome_laws`` call
+    per register on every branch's numerators, folded to m bits."""
+    r = instance.r
+    nums = node_numerators(instance, exponent, -np.arange(r, dtype=np.int64) % r)
+    return tuple(phase.outcome_laws(n, r, t).reshape(r, 1 << m, -1).sum(axis=2) for n in nums)
+
+
 def branch_laws(instance: ProblemInstance, nodes: Chain, mode: str) -> list[np.ndarray]:
     """Per node, the ``(r, 4^m)`` table of its prefix laws P_j(m_a, m_b | s),
     flat index m_a 2^m + m_b; row i is branch s = -i mod r on both backends.
 
     State-vector: each m_a cell of ``node_cells`` transformed into its
     branch amplitudes, squared and folded to m bits into the cell's 2^m
-    columns of the node's table. Analytic: one ``phase.outcome_laws`` call
-    per register on every row's numerators, folded to m bits; given s the
-    registers are independent.
+    columns of the node's table. Analytic: the outer product of the node's
+    ``register_laws``; given s the registers are independent.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     r = instance.r
     laws = []
     if mode == "analytic":
-        s = -np.arange(r, dtype=np.int64) % r
-        for t, exponent, m in nodes:
-            nums_a, nums_b = node_numerators(instance, exponent, s)
-            p_a = phase.outcome_laws(nums_a, r, t).reshape(r, 1 << m, -1).sum(axis=2)
-            p_b = phase.outcome_laws(nums_b, r, t).reshape(r, 1 << m, -1).sum(axis=2)
-            laws.append((p_a[:, :, None] * p_b[:, None, :]).reshape(r, -1))
-        return laws
+        registers = (register_laws(instance, *node) for node in nodes)
+        return [(p_a[:, :, None] * p_b[:, None, :]).reshape(r, -1) for p_a, p_b in registers]
     for t, exponent, m in nodes:
         law = np.empty((r, 1 << (2 * m)))
         for c, cell in enumerate(node_cells(instance, t, exponent, m)):
@@ -483,7 +495,7 @@ def quantum_stage_statevector(
 ) -> tuple[int, int]:
     """Run the circuit once and measure both counting registers in full:
     ``measure_chain`` on the one-node chain."""
-    ((m_a, m_b),) = measure_chain(instance, ((config.t, 0, config.t),), rng)
+    ((m_a, m_b),) = measure_chain(instance, config.nodes, rng)
     return m_a, m_b
 
 
@@ -527,7 +539,7 @@ def quantum_stage_analytic(
 ) -> tuple[int, int, int]:
     """Sample (m_a, m_b) from the closed-form joint law; returns latent s:
     ``sample_chain`` on the one-node chain."""
-    ((m_a, m_b),), s = sample_chain(instance, ((config.t, 0, config.t),), rng)
+    ((m_a, m_b),), s = sample_chain(instance, config.nodes, rng)
     return m_a, m_b, s
 
 
@@ -553,16 +565,19 @@ def postprocess_detail(
     just below full scale rounds to exactly r, which is the wrap-around
     alias of the unusable s = 0 branch.
     """
+    mhat_a = round_scaled(m_a, width, instance.r)
+    mhat_b = round_scaled(m_b, width, instance.r)
+    return PostprocessResult(mhat_a, mhat_b, recover_exponent(mhat_a, mhat_b, instance))
+
+
+def recover_exponent(mhat_a: int, mhat_b: int, instance: ProblemInstance) -> int | None:
+    """g_hat = mhat_b / mhat_a mod r if a^g_hat = b, else None (also if r | mhat_a)."""
     r = instance.r
-    mhat_a = round_scaled(m_a, width, r)
-    mhat_b = round_scaled(m_b, width, r)
     v = mhat_a % r
     if v == 0:
-        return PostprocessResult(mhat_a, mhat_b, None)
+        return None
     g_hat = (mod_inverse(v, r) * mhat_b) % r
-    if mod_pow(instance.a, g_hat, instance.N) != instance.b % instance.N:
-        return PostprocessResult(mhat_a, mhat_b, None)
-    return PostprocessResult(mhat_a, mhat_b, g_hat)
+    return g_hat if mod_pow(instance.a, g_hat, instance.N) == instance.b % instance.N else None
 
 
 def _outcome(
@@ -664,7 +679,7 @@ def solve(
     """
     t = config.t
     return solve_chain(
-        instance, ((t, 0, t),), rng, config.mode, config.max_retries, reuse_state,
+        instance, config.nodes, rng, config.mode, config.max_retries, reuse_state,
         identity_join, t, resources=single_node_report(instance.L, t, config.mode),
     )
 
@@ -684,37 +699,43 @@ def single_node_report(L: int, t: int, mode: str) -> ResourceReport:
     )
 
 
-def single_shot_success_mass(
-    instance: ProblemInstance, epsilon: Fraction | float | str
+def success_mass(
+    instance: ProblemInstance, nodes: Chain, join: Join, width: int, mode: str = "analytic"
 ) -> float:
-    """Exact one-attempt success probability, by deterministic summation.
+    """Exact one-attempt success probability of either solver, by summation:
+    (1/r) sum_s mass_a(s)^T success mass_b(s), for a chain whose prefixes
+    the solver's ``join`` turns into ``width``-bit estimates.
 
-    For each branch s the rounded values are classified mod r, and the
-    success of every (class_a, class_b) pair is decided by actually
-    verifying the exponent it would produce, so no assumption about which
-    outcomes succeed leaks in. The laws of every branch come from one
-    ``phase.outcome_laws`` call per register: s/r for a, (s g mod r)/r for b.
+    Every prefix tuple goes through ``join`` at once, as int64 arrays
+    (``np.indices``) given as both families, which the join treats alike,
+    and ``round_scaled`` mod r gives its class.
+    mass_f(s) bins by class the product of the nodes' register-f laws on
+    branch s (given s the registers are independent): ``register_laws``, or
+    the marginals of the ``branch_laws`` tables, which read no ``hidden_g``.
+    success[v_a, v_b] is ``recover_exponent``'s check of a^g_hat = b.
     """
-    eps = to_fraction(epsilon)
-    t = counting_width(instance.r, eps)
     r = instance.r
-    size = 1 << t
-    outcomes = np.arange(size, dtype=np.int64)
-    classes = ((2 * outcomes * r + size) >> (t + 1)) % r
-
-    success_table = np.zeros((r, r), dtype=bool)
-    for va in range(1, r):
-        inv = mod_inverse(va, r)
-        for vb in range(r):
-            g_hat = (inv * vb) % r
-            success_table[va, vb] = mod_pow(instance.a, g_hat, instance.N) == instance.b
-
-    nums_a, nums_b = node_numerators(instance, 0, np.arange(r, dtype=np.int64))
-    laws_a = phase.outcome_laws(nums_a, r, t)
-    laws_b = phase.outcome_laws(nums_b, r, t)
+    values = list(np.indices([1 << m for _, _, m in nodes], np.int64).reshape(len(nodes), -1))
+    classes = round_scaled(join(tuple(zip(values, values)))[0], width, r) % r
+    if mode == "analytic":
+        laws = [register_laws(instance, *node) for node in nodes]
+    else:
+        tables = zip(branch_laws(instance, nodes, mode), nodes)
+        grids = (law.reshape(r, 1 << m, -1) for law, (_, _, m) in tables)
+        laws = [(p.sum(axis=2), p.sum(axis=1)) for p in grids]
+    success = np.array(
+        [[recover_exponent(va, vb, instance) is not None for vb in range(r)] for va in range(r)]
+    )
     total = 0.0
-    for law_a, law_b in zip(laws_a, laws_b):
-        mass_a = np.bincount(classes, weights=law_a, minlength=r)
-        mass_b = np.bincount(classes, weights=law_b, minlength=r)
-        total += float(mass_a @ success_table @ mass_b)
+    for s in range(r):  # row -s mod r of every law is branch s
+        weights = (reduce(np.multiply.outer, [law[f][-s % r] for law in laws]) for f in (0, 1))
+        mass_a, mass_b = (np.bincount(classes, w.ravel(), r) for w in weights)
+        total += float(mass_a @ success @ mass_b)
     return total / r
+
+
+def single_shot_success_mass(instance: ProblemInstance, epsilon: Fraction | float | str) -> float:
+    """Exact one-attempt success probability of the single-node solver:
+    ``success_mass`` on its one-node chain with the identity join."""
+    config = ShorConfig.for_instance(instance, epsilon)
+    return success_mass(instance, config.nodes, identity_join, config.t)

@@ -1,6 +1,6 @@
 """Executable property suites: the circular-distance facts, the
 prefix-distance bound, the alignment-step facts, the estimation accuracy
-bounds, the alignment oracle, and the exact solver success masses.
+bounds, the alignment oracle, and the exact success masses of both solvers.
 
 Each suite returns CheckResult rows so the CLI and the tests can share one
 implementation; exhaustive ranges and random cases are swept as numpy arrays.
@@ -359,22 +359,23 @@ def suite_correct(cases: int = 10_000, seed: int = 1) -> list[CheckResult]:
 
 
 def suite_dlp_mass(epsilons: tuple = ("0.5", "0.25")) -> list[CheckResult]:
-    """Exact one-attempt success masses against the (r-1)/r (1-eps) bound."""
+    """Exact one-attempt success masses (``dlp.success_mass``) against
+    (r-1)/r (1-eps) for Alg. 2 and (r-1)/r (1-eps') for Alg. 4 at k = 2,
+    h = 2 and ``plan_for_order``'s default eps' = eps/2."""
     checks = []
     for N, a, b in DLP_MASS_INSTANCES:
         instance = validate_instance(N, a, b)
+        r = instance.r
         for eps_raw in epsilons:
             eps = to_fraction(eps_raw)
-            mass = dlp.single_shot_success_mass(instance, eps)
-            bound = float(Fraction(instance.r - 1, instance.r) * (1 - eps))
-            checks.append(
-                _result(
-                    f"exact success mass r={instance.r} eps={eps}",
-                    mass >= bound,
-                    f"{mass:.6f}",
-                    f">= {bound:.6f}",
-                )
-            )
+            plan = dist.plan_for_order(r, 2, 2, eps)
+            alg4 = dlp.success_mass(instance, plan.nodes, plan.join, plan.total_width)
+            rows = (("", dlp.single_shot_success_mass(instance, eps), eps),
+                    (f" k=2 h=2 eps'={plan.epsilon_prime}", alg4, plan.epsilon_prime))
+            for label, mass, slack in rows:
+                bound = float(Fraction(r - 1, r) * (1 - slack))
+                checks.append(_result(f"exact success mass r={r} eps={eps}{label}", mass >= bound,
+                                      f"{mass:.6f}", f">= {bound:.6f}"))
     return checks
 
 

@@ -3,6 +3,8 @@
 Statistical criteria use 2000 trials with the stated thresholds, which sit
 three binomial standard deviations under the guaranteed rates; comparisons
 use the Wilson 95% lower bound, which is stricter than the point estimate.
+Each one-attempt rate is printed with the exact success mass of its solver,
+which must lie inside the Wilson 95% interval.
 """
 
 import time
@@ -28,31 +30,41 @@ def test_criterion_1_single_shot_success_bound():
         lambda rng: dlp.solve(instance, config, rng), trials=2000, seed=7, emit=lambda record: None
     )
     elapsed = time.time() - started
-    low = summary["wilson_low"]
+    low, high = summary["wilson_low"], summary["wilson_high"]
     rate = summary["success_rate"]
+    mass = dlp.single_shot_success_mass(instance, "0.25")
     _verdict(
         "criterion 1 (single-node success rate)",
-        low >= 0.567 and elapsed < 120,
-        f"rate {rate:.4f}, wilson low {low:.4f} >= 0.567, {elapsed:.1f}s",
+        low >= 0.567 and low <= mass <= high and elapsed < 120,
+        f"rate {rate:.4f}, wilson [{low:.5f}, {high:.5f}] holds exact mass {mass:.5f}, "
+        f"wilson low >= 0.567, {elapsed:.1f}s",
     )
 
 
 def test_criterion_2_exact_success_mass():
+    """Alg. 2 at eps against (r-1)/r (1-eps), and Alg. 4 (k = 2, h = 2,
+    eps' = eps/2) against (r-1)/r (1-eps'), each at least Alg. 2's mass."""
     started = time.time()
     worst = 1.0
     for N, a, b in ((7, 2, 4), (11, 3, 9)):
         instance = validate_instance(N, a, b)
+        r = instance.r
         for epsilon in ("0.5", "0.25"):
             mass = dlp.single_shot_success_mass(instance, epsilon)
-            bound = float(Fraction(instance.r - 1, instance.r) * (1 - Fraction(epsilon)))
-            worst = min(worst, mass)
-            assert mass >= bound, f"r={instance.r} eps={epsilon}: {mass} < formula {bound}"
-            assert mass >= 0.6, f"r={instance.r} eps={epsilon}: {mass} < 0.6"
+            plan = dist.plan_for_order(r, 2, 2, epsilon)
+            mass4 = dlp.success_mass(instance, plan.nodes, plan.join, plan.total_width)
+            for label, got, slack in (("Alg. 2", mass, Fraction(epsilon)),
+                                      ("Alg. 4", mass4, plan.epsilon_prime)):
+                bound = float(Fraction(r - 1, r) * (1 - slack))
+                assert got >= bound, f"{label} r={r} eps={epsilon}: {got} < formula {bound}"
+                assert got >= 0.6, f"{label} r={r} eps={epsilon}: {got} < 0.6"
+            assert mass4 >= mass, f"r={r} eps={epsilon}: Alg. 4 {mass4} < Alg. 2 {mass}"
+            worst = min(worst, mass, mass4)
     elapsed = time.time() - started
     _verdict(
         "criterion 2 (exact one-shot mass)",
         worst >= 0.6 and elapsed < 30,
-        f"worst mass {worst:.4f} >= 0.6, {elapsed:.1f}s",
+        f"worst mass {worst:.4f} >= 0.6 over Alg. 2 and Alg. 4, {elapsed:.1f}s",
     )
 
 
@@ -63,17 +75,18 @@ def test_criterion_3_distributed_success_bound():
         lambda rng: dist.solve_distributed(instance, plan, rng, max_retries=1),
         trials=2000, seed=7, emit=lambda record: None,
     )
-    low = summary["wilson_low"]
+    low, high = summary["wilson_low"], summary["wilson_high"]
     rate = summary["success_rate"]
+    mass = dlp.success_mass(instance, plan.nodes, plan.join, plan.total_width)
     # bound ordering is a formula-level fact: epsilon' < epsilon
     r = 5
     bound_dist = Fraction(r - 1, r) * (1 - Fraction("0.2"))
     bound_mono = Fraction(r - 1, r) * (1 - Fraction("0.25"))
     _verdict(
         "criterion 3 (distributed success rate)",
-        low >= 0.608 and bound_dist > bound_mono,
-        f"rate {rate:.4f}, wilson low {low:.4f} >= 0.608, "
-        f"bounds {float(bound_dist):.2f} > {float(bound_mono):.2f}",
+        low >= 0.608 and low <= mass <= high and bound_dist > bound_mono,
+        f"rate {rate:.4f}, wilson [{low:.5f}, {high:.5f}] holds exact mass {mass:.5f}, "
+        f"wilson low >= 0.608, bounds {float(bound_dist):.2f} > {float(bound_mono):.2f}",
     )
 
 

@@ -27,7 +27,14 @@ from distdlog.dist import (
     solve_distributed,
     statevector_joint_distribution,
 )
-from distdlog.dlp import ShorConfig, decode_joint_index, node_numerators, solve
+from distdlog.dlp import (
+    ShorConfig,
+    decode_joint_index,
+    joint_law,
+    node_numerators,
+    postprocess_detail,
+    solve,
+)
 from distdlog.numtheory import ProblemInstance, ceil_log2, mod_pow, validate_instance
 from distdlog.resources import communication_qubits, per_node_qubits_from_widths, single_node_qubits
 from distdlog.statevec import QubitBudgetError
@@ -1285,3 +1292,120 @@ def test_analytic_solvers_run_in_flat_memory_at_large_order():
         tracemalloc.stop()
     assert peak < 8 << 20
     assert all(rec.success and rec.g_hat == inst.hidden_g for rec in records)
+
+
+def test_join_on_arrays_equals_join_per_tuple(acceptance_plan):
+    """``DistPlan.join`` runs on int64 arrays, as ``dlp.success_mass`` calls
+    it: on every prefix tuple of the N = 11, k = 2 and N = 23, k = 3 plans
+    (family b takes the tuples in reverse order), value and fallback flag
+    equal the join of each tuple on ints."""
+    k3 = plan_for_order(11, 3, 2, "0.5", "0.25")
+    for plan in (acceptance_plan, k3):
+        bits = sum(plan.measured)
+        ends = np.cumsum(plan.measured)
+        flat = np.arange(1 << bits, dtype=np.int64)
+        values = [(flat >> (bits - end)) & ((1 << m) - 1) for end, m in zip(ends, plan.measured)]
+        pairs = tuple((v, v[::-1]) for v in values)
+        m_a, m_b, extra = plan.join(pairs)
+        want = [plan.join(tuple(zip(a, b))) for a, b in zip(
+            np.stack(values, axis=1).tolist(), np.stack(values, axis=1)[::-1].tolist()
+        )]
+        assert m_a.tolist() == [w[0] for w in want]
+        assert m_b.tolist() == [w[1] for w in want]
+        assert extra["correct_fallback"].tolist() == [w[2]["correct_fallback"] for w in want]
+        assert any(w[2]["correct_fallback"] for w in want)  # the fallback path is compared too
+        assert all(type(w[2]["correct_fallback"]) is bool for w in want)
+
+
+# (N, a, b), k, epsilon, epsilon': the single-node chain when k = 1
+MASS_CHAINS = [
+    ((11, 3, 9), 1, "0.25", None),
+    ((11, 3, 9), 2, "0.25", "0.2"),
+    ((23, 2, 3), 1, "0.25", None),
+    ((23, 2, 3), 2, "0.25", "0.2"),
+    ((47, 2, 4), 1, "0.25", None),
+    ((47, 2, 4), 2, "0.25", "0.2"),
+    ((23, 2, 3), 3, "0.5", "0.25"),
+]
+
+
+def _mass_chain(instance, k, epsilon, epsilon_prime):
+    """The solver's chain, join and width: Alg. 2's when k = 1, else the h = 2 plan's."""
+    if k == 1:
+        config = ShorConfig.for_instance(instance, epsilon)
+        return config.nodes, dlp.identity_join, config.t
+    plan = plan_for_order(instance.r, k, 2, epsilon, epsilon_prime)
+    return plan.nodes, plan.join, plan.total_width
+
+
+class TestSuccessMass:
+    """``dlp.success_mass``, one exact routine over the solvers' own chain,
+    join and rounding, for both algorithms."""
+
+    @pytest.mark.parametrize(
+        "triple, k, epsilon, epsilon_prime, alg4, alg2",
+        [
+            ((11, 3, 9), 2, "0.25", "0.2", 0.7935828, 0.7849270),
+            ((23, 2, 3), 2, "0.25", "0.2", 0.9018229, 0.8920430),
+            ((47, 2, 4), 2, "0.25", "0.2", 0.9469251, 0.9382482),
+            ((23, 2, 3), 3, "0.5", "0.25", 0.9012768, 0.8756644),
+        ],
+        ids=["N11-k2", "N23-k2", "N47-k2", "N23-k3"],
+    )
+    def test_alg4_masses(self, triple, k, epsilon, epsilon_prime, alg4, alg2):
+        """Alg. 4's exact mass meets (r - 1)/r (1 - eps') and beats Alg. 2's at eps."""
+        instance = validate_instance(*triple)
+        r = instance.r
+        mass = dlp.success_mass(instance, *_mass_chain(instance, k, epsilon, epsilon_prime))
+        single = dlp.single_shot_success_mass(instance, epsilon)
+        assert mass == pytest.approx(alg4, abs=1e-7)
+        assert single == pytest.approx(alg2, abs=1e-7)
+        assert mass >= float(Fraction(r - 1, r) * (1 - Fraction(epsilon_prime)))
+        assert mass > single
+
+    def test_equals_brute_force_over_the_joint_law(self, instance, acceptance_plan):
+        """Every flat index of the N = 11 analytic joint law (65,536) split,
+        joined and post-processed one by one, weighted by its law entry."""
+        plan = acceptance_plan
+        law = joint_law(instance, plan.nodes, "analytic")
+        assert law.size == 1 << 16
+        total = 0.0
+        for flat in range(law.size):
+            m_a, m_b, _ = plan.join(decode_joint_index(flat, plan.nodes))
+            if postprocess_detail(m_a, m_b, plan.total_width, instance).g_hat is not None:
+                total += law[flat]
+        mass = dlp.success_mass(instance, plan.nodes, plan.join, plan.total_width)
+        assert abs(mass - total) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "triple, k, epsilon, epsilon_prime", MASS_CHAINS,
+        ids=[f"N{c[0][0]}-k{c[1]}" for c in MASS_CHAINS],
+    )
+    def test_backends_agree(self, triple, k, epsilon, epsilon_prime):
+        """State-vector masses, from the marginals of ``branch_laws``' tables,
+        equal the closed-form ones within 1e-9, also on the N = 23, k = 3
+        chain whose joint law is over its byte cap."""
+        instance = validate_instance(*triple)
+        chain = _mass_chain(instance, k, epsilon, epsilon_prime)
+        analytic = dlp.success_mass(instance, *chain)
+        assert abs(dlp.success_mass(instance, *chain, mode="statevector") - analytic) <= 1e-9
+
+    def test_statevector_mass_reads_no_hidden_g(self, small_instance, small_plan):
+        """A wrong stored exponent leaves the state-vector mass as it is; the
+        analytic mass, which reads it as its oracle, moves."""
+        wrong = dataclasses.replace(
+            small_instance, hidden_g=(small_instance.hidden_g + 1) % small_instance.r
+        )
+        config = ShorConfig.for_instance(small_instance, "0.5")
+        for chain in (
+            (config.nodes, dlp.identity_join, config.t),
+            (small_plan.nodes, small_plan.join, small_plan.total_width),
+        ):
+            right = dlp.success_mass(small_instance, *chain, mode="statevector")
+            assert dlp.success_mass(wrong, *chain, mode="statevector") == right
+            assert dlp.success_mass(wrong, *chain) < right - 0.1
+
+    def test_refuses_unknown_mode(self, instance):
+        config = ShorConfig.for_instance(instance, "0.25")
+        with pytest.raises(ValueError, match="mode must be"):
+            dlp.success_mass(instance, config.nodes, dlp.identity_join, config.t, mode="dense")

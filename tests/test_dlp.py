@@ -55,6 +55,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ShorConfig.for_instance(instance, "0.25", max_retries=0)
 
+    def test_nodes_is_the_one_node_chain(self, instance):
+        """The chain every Alg. 2 stage runs, built once per config."""
+        config = ShorConfig.for_instance(instance, "0.25")
+        assert config.nodes == ((7, 0, 7),)
+        assert config.nodes is config.nodes
+
 
 class TestRounding:
     def test_half_up_examples(self):
