@@ -5,11 +5,12 @@ windows overlap by h + 1 bits, and a classical alignment pass stitches the
 per-node measurements into one full-width estimate before the usual
 rounding and inversion.
 
-The solver is a join plus a resource report: ``solve_distributed`` hands
+The solver is a join plus a record header: ``solve_distributed`` hands
 ``dlp.solve_chain``, the one solve loop of both solvers, the plan's chain
-``plan.nodes`` of ``(t_j, l_j - 1, measured_j)`` and a join that aligns
+``plan.nodes`` of ``(t_j, l_j - 1, measured_j)``, a join that aligns
 each family's node prefixes (``align_values``, on the plain ints the chain
-draws; no bit string is built while solving). The quantum stage,
+draws; no bit string is built while solving) and the plan's header, its
+widths and resource report (``record_header``). The quantum stage,
 both joint laws and the retries are ``dlp``'s. The nodes act in sequence
 on a shared L-qubit work register. A register that a node has finished
 with is never touched by any later operation, so the state-vector backend
@@ -52,6 +53,7 @@ from .bits import BitString, circ_dist, wrap_add  # circ_dist: bench/tests check
 from .dlp import (  # decode_joint_index, postprocess_detail: bench/ binds them by these names
     Chain,
     Pairs,
+    RecordHeader,
     RunRecord,
     decode_joint_index,
     joint_law,
@@ -123,9 +125,9 @@ class DistPlan:
         return m_a, m_b, {"node_measurements": pairs, "correct_fallback": fb_a | fb_b}
 
     @cached_property
-    def reports(self) -> dict[tuple[int, int, str], ResourceReport]:
-        """``resource_report``'s reports for this plan, keyed by (r, L, mode):
-        a solve finds its report without hashing the plan's Fractions."""
+    def headers(self) -> dict[tuple[int, int, str], RecordHeader]:
+        """``record_header``'s record headers for this plan, keyed by (r, L,
+        mode): a solve finds its header without hashing the plan's Fractions."""
         return {}
 
 
@@ -352,21 +354,25 @@ def analytic_joint_distribution(instance: ProblemInstance, plan: DistPlan) -> np
     return joint_law(instance, plan.nodes, "analytic")
 
 
-def resource_report(instance: ProblemInstance, plan: DistPlan, mode: str) -> ResourceReport:
-    """The accounting every record of a distributed solve carries. It
-    depends only on the plan, the instance's r and L and the mode, so it is
-    built once for them and kept in ``plan.reports``."""
+def record_header(instance: ProblemInstance, plan: DistPlan, mode: str) -> RecordHeader:
+    """The header every record of a distributed solve carries, its resource
+    report included. It depends only on the plan, the instance's r and L
+    and the mode, so it is built once for them and kept in
+    ``plan.headers``."""
     key = (instance.r, instance.L, mode)
-    report = plan.reports.get(key)
-    if report is None:
+    header = plan.headers.get(key)
+    if header is None:
         per_node = per_node_qubits_from_widths(plan.t, instance.L)
-        report = plan.reports[key] = ResourceReport(
-            qubits_single_node_alg2=single_node_qubits(instance.r, instance.L, plan.epsilon),
-            qubits_per_node_alg4=per_node,
-            comm_qubits=communication_qubits(plan.k, instance.L),
-            simulated_qubits_actual=per_node if mode == "statevector" else 0,
+        comm = communication_qubits(plan.k, instance.L)
+        header = plan.headers[key] = RecordHeader(
+            plan.total_width, mode, plan.measured, comm, ResourceReport(
+                qubits_single_node_alg2=single_node_qubits(instance.r, instance.L, plan.epsilon),
+                qubits_per_node_alg4=per_node,
+                comm_qubits=comm,
+                simulated_qubits_actual=per_node if mode == "statevector" else 0,
+            ),
         )
-    return report
+    return header
 
 
 def solve_distributed(
@@ -384,11 +390,9 @@ def solve_distributed(
     the cached exact joint law of the sequential protocol, which is the same
     distribution as running the nodes afresh each attempt.
     """
-    report = resource_report(instance, plan, mode)
     return solve_chain(
-        instance, plan.nodes, rng, mode, max_retries, reuse_state, plan.join,
-        plan.total_width, measured=plan.measured, resources=report,
-        comm_qubits=report.comm_qubits,
+        instance, plan.nodes, rng, max_retries, reuse_state, plan.join,
+        record_header(instance, plan, mode),
     )
 
 

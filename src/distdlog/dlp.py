@@ -12,8 +12,14 @@ the one-node chain ``((t, 0, t),)`` (``ShorConfig.nodes``) with the identity
 join, and ``dist`` runs its plan's chain through it with the alignment pass
 as the join. ``success_mass`` is both solvers' exact one-attempt success
 mass, through the same chain, join, rounding and check.
-Every prefix is a plain int from the draw to the record, whose ndjson form
-alone writes it as a bit string of its width.
+A ``RunRecord`` is three parts: the solve's ``RecordHeader`` (width, mode,
+node widths, resources and their JSON fields, built once per solver
+configuration), the last attempt's ``Outcome`` (the joined estimates, their
+post-processing, the node pairs and the fallback flag) and the trial's
+own retries, seed and latent branch. Every prefix is a plain int from the
+draw to the record, whose ndjson form alone writes it as a bit string of
+its width; an outcome builds those JSON fields once, on its first record's
+``to_json_dict``.
 The node circuit is a fused kernel in two stages on the live work values
 alone: ``node_columns`` runs it to the end of register a's inverse QFT on
 the (2^t, |live|) live columns, and ``node_rows`` runs the b stage on the
@@ -31,9 +37,10 @@ instance's hidden exponent. Cached runs draw a flat index from
 ``joint_cdf``; the first draw of an index in a chain splits it with
 ``decode_joint_index``, joins and verifies it, and the outcome is kept in
 the memo of ``joint_cdf``'s entry, so a repeat draw is one CDF search and
-one lookup. ``node_cells`` is the one source of the circuit's per-branch
-amplitudes (one run of a node on |1>, one m_a cell of its block at a time,
-split into branches by an r-point FFT along the orbit of a);
+one lookup, and its record shares the outcome, JSON fields included.
+``node_cells`` is the one source of the circuit's per-branch amplitudes
+(one run of a node on |1>, one m_a cell of its block at a time, split into
+branches by an r-point FFT along the orbit of a);
 ``branch_laws`` squares and folds them cell by cell or takes the laws
 P_j(. | s) in closed form, and ``joint_law``, cached per (instance, chain)
 with its CDF, is the one branch mixture (1/r) sum_s prod_j P_j(. | s) of
@@ -49,9 +56,10 @@ the circuit exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
+from operator import attrgetter
 from typing import Callable, Iterator
 
 import numpy as np
@@ -69,7 +77,7 @@ MODES = ("statevector", "analytic")
 
 Chain = tuple[tuple[int, int, int], ...]  # (t, exponent, measured) per node
 Pairs = tuple[tuple[int, int], ...]  # (m_a, m_b) prefixes per node, of its measured width
-Join = Callable[[Pairs], tuple[int, int, dict]]  # pairs -> (m_a, m_b, record fields)
+Join = Callable[[Pairs], tuple[int, int, dict]]  # pairs -> (m_a, m_b, Outcome fields)
 
 
 @dataclass(frozen=True)
@@ -110,59 +118,6 @@ def counting_width(r: int, epsilon: Fraction) -> int:
     return order_register_width(r) + slack_bits_single(epsilon)
 
 
-@dataclass(slots=True)
-class RunRecord:
-    """One end-to-end solve: measurements, rounding, verdict, accounting.
-
-    ``m_a`` and ``m_b`` are ints of ``width`` bits and node j's pair of
-    ``measured[j]``; ``to_json_dict`` writes them as zero-padded bit strings.
-    Each solve builds a fresh record, and ``harness.run_batch`` sets its
-    ``seed`` in place, so it is not frozen.
-    """
-
-    m_a: int
-    m_b: int
-    width: int
-    mhat_a: int
-    mhat_b: int
-    g_hat: int | None
-    retries: int
-    success: bool
-    mode: str
-    seed: int | None = None
-    latent_s: int | None = None
-    node_measurements: Pairs | None = None
-    measured: tuple[int, ...] | None = None
-    comm_qubits: int = 0
-    correct_fallback: bool = False
-    resources: ResourceReport | None = None
-
-    def to_json_dict(self) -> dict:
-        record = {
-            "m_a": bin(self.m_a)[2:].zfill(self.width),
-            "m_b": bin(self.m_b)[2:].zfill(self.width),
-            "mhat_a": self.mhat_a,
-            "mhat_b": self.mhat_b,
-            "g_hat": self.g_hat,
-            "retries": self.retries,
-            "success": self.success,
-            "mode": self.mode,
-            "seed": self.seed,
-        }
-        if self.latent_s is not None:
-            record["latent_s"] = self.latent_s
-        if self.node_measurements is not None:
-            record["node_measurements"] = [
-                {"m_a": bin(ma)[2:].zfill(m), "m_b": bin(mb)[2:].zfill(m)}
-                for (ma, mb), m in zip(self.node_measurements, self.measured)
-            ]
-            record["comm_qubits"] = self.comm_qubits
-            record["correct_fallback"] = self.correct_fallback
-        if self.resources is not None:
-            record["resources"] = self.resources.to_json_dict()
-        return record
-
-
 @lru_cache(maxsize=32)
 def live_orbit(instance: ProblemInstance, exponent: int, support: bytes) -> np.ndarray:
     """The closure of ``support`` under multiplication by a^(2^e) and
@@ -171,7 +126,10 @@ def live_orbit(instance: ProblemInstance, exponent: int, support: bytes) -> np.n
 
     ``support`` is the bytes of the input's ``np.flatnonzero``. Cached per
     (instance, exponent, support), read-only: a fresh chain meets the same
-    few supports on every attempt.
+    few supports on every attempt. Each step sorts the values and their
+    images together and keeps the first of each run of equal values, which
+    is ``np.union1d``'s result; ``np.union1d`` itself is not called, as it
+    imports ``numpy.ma`` on its first call.
     """
     if exponent < 0:
         raise ValueError(f"power exponent must be >= 0, got {exponent}")
@@ -179,7 +137,10 @@ def live_orbit(instance: ProblemInstance, exponent: int, support: bytes) -> np.n
     live = np.frombuffer(support, dtype=np.intp)
     for c in (pow(instance.a, 1 << exponent, N), pow(instance.b, 1 << exponent, N)):
         for _ in range(N.bit_length()):  # after step i: every power below 2^(i+1)
-            live = np.union1d(live, np.where(live < N, live * c % N, live))
+            both = np.sort(np.concatenate((live, np.where(live < N, live * c % N, live))))
+            first = np.ones(len(both), dtype=bool)
+            first[1:] = both[1:] != both[:-1]
+            live = both[first]
             c = c * c % N
     live.setflags(write=False)
     return live
@@ -337,6 +298,14 @@ _ROW_BYTES = 18
 # L = 14), from cold caches, the most is 193 per entry; rounded up here.
 _CELL_BYTES = 200
 
+# success_mass's tracemalloc peak per prefix tuple of the chain, apart from
+# its laws: the int64 tuples and the join's temporaries (about 68 + 8k bytes
+# at k nodes, at most 100.5 over k <= 5 and N <= 503), then the classes and
+# one branch's product weights; rounded up here. Its fixed part, at most
+# 0.13 MiB over the smallest chains, is _MASS_SLACK.
+_TUPLE_BYTES = 128
+_MASS_SLACK = 1 << 20
+
 
 def _build_bytes(instance: ProblemInstance, nodes: Chain, mode: str) -> int:
     """An upper bound on what ``branch_laws`` holds at its peak, the
@@ -457,14 +426,15 @@ def joint_law(instance: ProblemInstance, nodes: Chain, mode: str = "statevector"
 
 
 # Outcomes a chain's memo keeps (``joint_cdf``); a miss past it is computed
-# and not stored. By tracemalloc an entry (its key, the decoded int pairs,
-# the joined int estimates, the join's record fields and the
-# post-processing result) takes about 0.25 to 0.31 KB on a one-node chain
-# and 0.54 KB on two (N = 11 to 47). No law of three or more nodes fits the
-# byte cap: their prefixes come to at least 12 bits a register, a 2^24-entry
-# law. At a worst case of 0.75 KB an entry, a memo holds at most 3 MiB, and
-# ``joint_cdf``'s 8 entries 24 MiB.
-_OUTCOMES_CAP = 1 << 12
+# and not stored. By tracemalloc an entry (its key, its ``Outcome`` with the
+# int estimates, the post-processing result, the node pairs and, once a
+# record of it is written, its JSON fields) takes about 0.55 to 0.61 KB on a
+# one-node chain and 1.33 to 1.43 KB on two (N = 11 to 59, 1,024 to 4,096
+# entries); without the JSON fields, 0.17 to 0.34 KB. No law of three or more
+# nodes fits the byte cap: their prefixes come to at least 12 bits a
+# register, a 2^24-entry law. At a worst case of 2 KB an entry, a memo holds
+# at most 2 MiB, and ``joint_cdf``'s 8 entries 16 MiB.
+_OUTCOMES_CAP = 1 << 10
 
 
 @lru_cache(maxsize=8)
@@ -473,7 +443,7 @@ def joint_cdf(instance: ProblemInstance, nodes: Chain) -> tuple[np.ndarray, dict
     with the memo of the chain's drawn outcomes.
 
     ``solve_chain`` fills the memo: per (join, flat index), the attempt's
-    ``(m_a, m_b, extra, detail)``, at most ``_OUTCOMES_CAP`` of them. It
+    ``Outcome``, at most ``_OUTCOMES_CAP`` of them. It
     lives in the same cache entry as the CDF, so ``cache_clear`` empties both.
     """
     cdf = np.cumsum(joint_law(instance, nodes))
@@ -580,13 +550,134 @@ def recover_exponent(mhat_a: int, mhat_b: int, instance: ProblemInstance) -> int
     return g_hat if mod_pow(instance.a, g_hat, instance.N) == instance.b % instance.N else None
 
 
-def _outcome(
-    instance: ProblemInstance, pairs: Pairs, join: Join, width: int
-) -> tuple[int, int, dict, PostprocessResult]:
-    """One attempt's ``(m_a, m_b, extra, detail)``: the drawn pairs joined
-    into two ``width``-bit estimates, rounded, inverted and verified."""
+@dataclass(frozen=True, slots=True)
+class RecordHeader:
+    """The record fields a solve fixes for all its trials, with their JSON
+    fields, built once with it and shared by every record of the solve.
+
+    ``width`` is the estimates' width (t for Alg. 2, the plan's total width
+    for Alg. 4), ``measured`` Alg. 4's node widths and ``comm_qubits`` its
+    hand-off cost; ``json`` holds ``mode``, ``resources`` and, for Alg. 4,
+    ``comm_qubits``. Alg. 2 keeps one per (L, t, mode)
+    (``single_node_header``), Alg. 4 one per plan, r, L and mode
+    (``dist.record_header``).
+    """
+
+    width: int
+    mode: str
+    measured: tuple[int, ...] | None = None
+    comm_qubits: int = 0
+    resources: ResourceReport | None = None
+    json: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        fields: dict = {"mode": self.mode}
+        if self.measured is not None:
+            fields["comm_qubits"] = self.comm_qubits
+        if self.resources is not None:
+            fields["resources"] = self.resources.to_json_dict()
+        object.__setattr__(self, "json", fields)
+
+
+@dataclass(frozen=True, slots=True)
+class Outcome:
+    """One attempt's result, a pure function of the drawn pairs and the
+    join: the two joined estimates, their post-processing, and for Alg. 4
+    the node pairs and the alignment's fallback flag. The memo of
+    ``joint_cdf``'s entry keeps one per drawn flat index, which every record
+    that draws it shares. It compares by value; its JSON fields, built on
+    the first ``json_fields`` call and kept, take no part."""
+
+    m_a: int
+    m_b: int
+    detail: PostprocessResult
+    node_measurements: Pairs | None = None
+    correct_fallback: bool = False
+    _json: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def success(self) -> bool:
+        return self.detail.g_hat is not None
+
+    def json_fields(self, header: RecordHeader) -> dict:
+        """The outcome's record fields, read-only: each estimate and node
+        pair written as a zero-padded bit string of the ``header``'s width,
+        the rounded values, the verdict and the fallback flag. The header is
+        that of the solve that made the outcome, and a memo entry is only
+        drawn by solves of one join, which fixes both widths."""
+        fields = self._json
+        if fields is None:
+            width, detail = header.width, self.detail
+            fields = {
+                "m_a": bin(self.m_a)[2:].zfill(width),
+                "m_b": bin(self.m_b)[2:].zfill(width),
+                "mhat_a": detail.mhat_a,
+                "mhat_b": detail.mhat_b,
+                "g_hat": detail.g_hat,
+                "success": self.success,
+            }
+            if self.node_measurements is not None:
+                fields["node_measurements"] = [
+                    {"m_a": bin(ma)[2:].zfill(m), "m_b": bin(mb)[2:].zfill(m)}
+                    for (ma, mb), m in zip(self.node_measurements, header.measured)
+                ]
+                fields["correct_fallback"] = self.correct_fallback
+            object.__setattr__(self, "_json", fields)
+        return fields
+
+
+@dataclass(slots=True)
+class RunRecord:
+    """One end-to-end solve: the last attempt's ``outcome``, the solve's
+    ``header`` and the trial's own counters.
+
+    Every field of the old flat record (``m_a``, ``g_hat``, ``success``,
+    ``mode``, ``resources``, ...) reads through as a read-only property.
+    Each solve builds a fresh record, and ``harness.run_batch`` sets its
+    ``seed`` in place, so it is not frozen; ``dataclasses.replace`` works.
+    """
+
+    outcome: Outcome
+    retries: int
+    header: RecordHeader
+    seed: int | None = None
+    latent_s: int | None = None
+
+    m_a = property(attrgetter("outcome.m_a"))
+    m_b = property(attrgetter("outcome.m_b"))
+    mhat_a = property(attrgetter("outcome.detail.mhat_a"))
+    mhat_b = property(attrgetter("outcome.detail.mhat_b"))
+    g_hat = property(attrgetter("outcome.detail.g_hat"))
+    success = property(attrgetter("outcome.success"))
+    node_measurements = property(attrgetter("outcome.node_measurements"))
+    correct_fallback = property(attrgetter("outcome.correct_fallback"))
+    width = property(attrgetter("header.width"))
+    mode = property(attrgetter("header.mode"))
+    measured = property(attrgetter("header.measured"))
+    comm_qubits = property(attrgetter("header.comm_qubits"))
+    resources = property(attrgetter("header.resources"))
+
+    def to_json_dict(self) -> dict:
+        """A fresh dict of the header's and the outcome's shared JSON fields
+        and the trial's ``retries``, ``seed`` and, if set, ``latent_s``."""
+        record = {
+            **self.header.json,
+            **self.outcome.json_fields(self.header),
+            "retries": self.retries,
+            "seed": self.seed,
+        }
+        if self.latent_s is not None:
+            record["latent_s"] = self.latent_s
+        return record
+
+
+def _outcome(instance: ProblemInstance, pairs: Pairs, join: Join, width: int) -> Outcome:
+    """One attempt's ``Outcome``: the drawn pairs joined into two
+    ``width``-bit estimates, rounded, inverted and verified."""
     m_a, m_b, extra = join(pairs)
-    return m_a, m_b, extra, postprocess_detail(m_a, m_b, width, instance)
+    return Outcome(m_a, m_b, postprocess_detail(m_a, m_b, width, instance), **extra)
 
 
 def identity_join(pairs: Pairs) -> tuple[int, int, dict]:
@@ -595,36 +686,36 @@ def identity_join(pairs: Pairs) -> tuple[int, int, dict]:
 
 
 def solve_chain(
-    instance: ProblemInstance, nodes: Chain, rng: np.random.Generator, mode: str,
-    max_retries: int, reuse_state: bool, join: Join, width: int, **fields,
+    instance: ProblemInstance, nodes: Chain, rng: np.random.Generator, max_retries: int,
+    reuse_state: bool, join: Join, header: RecordHeader,
 ) -> RunRecord:
     """The one solve loop of both solvers: the chain's quantum stage,
     ``join``, post-processing, retried up to max_retries attempts.
 
-    Each attempt draws the chain's pairs by ``sample_chain`` (analytic),
-    from the cached ``joint_cdf`` (state-vector with reuse_state) or by
-    ``measure_chain`` (state-vector, fresh). A cached law over its byte
-    cap falls back to fresh runs on every attempt, so an oversize circuit
-    is refused by its qubit cap. ``join(pairs)`` returns the two
-    ``width``-bit int estimates (m_a, m_b) with the record fields that
-    attempt sets; the record reports the last attempt. ``width`` and
-    ``fields`` are the record fields fixed for the whole solve.
+    ``header`` holds what the solve fixes: the backend ``mode`` and the
+    estimates' ``width``. Each attempt draws the chain's pairs by
+    ``sample_chain`` (analytic), from the cached ``joint_cdf`` (state-vector
+    with reuse_state) or by ``measure_chain`` (state-vector, fresh). A
+    cached law over its byte cap falls back to fresh runs on every attempt,
+    so an oversize circuit is refused by its qubit cap. ``join(pairs)``
+    returns the two ``width``-bit int estimates (m_a, m_b) with the outcome
+    fields that attempt sets; the record holds the last attempt's
+    ``Outcome`` and the header.
 
-    A cached attempt's outcome, ``(m_a, m_b, extra, detail)``, is a pure
-    function of the drawn flat index and the join, so it is kept in the
-    memo of ``joint_cdf``'s entry under ``(join, index)``: each index is
-    decoded, joined and verified by ``postprocess_detail`` once per chain
-    and join, and a repeat draw costs one ``statevec.sample_cdf`` and one
-    lookup. Records share the memo's ints, tuples and results. Past
-    ``_OUTCOMES_CAP`` entries a miss is computed and not kept. ``join``
-    is hashed by identity, so it should be one object per join rule (the
-    module-level ``identity_join``, a plan's bound ``join``). The generator
-    is read as without the memo: one ``rng.random()`` per cached attempt.
+    A cached attempt's ``Outcome`` is a pure function of the drawn flat
+    index and the join, so it is kept in the memo of ``joint_cdf``'s entry
+    under ``(join, index)``: each index is decoded, joined and verified by
+    ``postprocess_detail`` once per chain and join, its JSON fields are
+    built once, and a repeat draw costs one ``statevec.sample_cdf`` and one
+    lookup. Past ``_OUTCOMES_CAP`` entries a miss is computed and not kept.
+    ``join`` is hashed by identity, so it should be one object per join
+    rule (the module-level ``identity_join``, a plan's bound ``join``). The
+    generator is read as without the memo: one ``rng.random()`` per cached
+    attempt.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if max_retries < 1:
         raise ValueError(f"max_retries must be >= 1, got {max_retries}")
+    mode, width = header.mode, header.width
     cdf = None
     if mode == "statevector" and reuse_state:
         try:
@@ -645,23 +736,9 @@ def solve_chain(
                 outcome = _outcome(instance, decode_joint_index(key[1], nodes), join, width)
                 if len(outcomes) < _OUTCOMES_CAP:
                     outcomes[key] = outcome
-        m_a, m_b, extra, detail = outcome
-        if detail.g_hat is not None:
+        if outcome.detail.g_hat is not None:
             break
-    return RunRecord(
-        m_a=m_a,
-        m_b=m_b,
-        width=width,
-        mhat_a=detail.mhat_a,
-        mhat_b=detail.mhat_b,
-        g_hat=detail.g_hat,
-        retries=attempts - 1,
-        success=detail.g_hat is not None,
-        mode=mode,
-        latent_s=latent_s,
-        **extra,
-        **fields,
-    )
+    return RunRecord(outcome, attempts - 1, header, latent_s=latent_s)
 
 
 def solve(
@@ -677,26 +754,42 @@ def solve(
     from the cached exact measurement law of the pre-measurement state,
     which is distribution-identical to re-running the circuit per attempt.
     """
-    t = config.t
     return solve_chain(
-        instance, config.nodes, rng, config.mode, config.max_retries, reuse_state,
-        identity_join, t, resources=single_node_report(instance.L, t, config.mode),
+        instance, config.nodes, rng, config.max_retries, reuse_state, identity_join,
+        single_node_header(instance.L, config.t, config.mode),
     )
 
 
 @lru_cache(maxsize=64)
-def single_node_report(L: int, t: int, mode: str) -> ResourceReport:
-    """The accounting every record of a single-node solve carries, built
-    once per (L, t, mode) and shared by the records: with
+def single_node_header(L: int, t: int, mode: str) -> RecordHeader:
+    """The header every record of a single-node solve carries, built once
+    per (L, t, mode) and shared by the records: with
     t = counting_width(r, epsilon), single_node_qubits(r, L, epsilon) is
     2t + L, so r enters only through t."""
     width = 2 * t + L
-    return ResourceReport(
+    return RecordHeader(t, mode, resources=ResourceReport(
         qubits_single_node_alg2=width,
         qubits_per_node_alg4=None,
         comm_qubits=communication_qubits(1, L),
         simulated_qubits_actual=width if mode == "statevector" else 0,
-    )
+    ))
+
+
+def _mass_bytes(instance: ProblemInstance, nodes: Chain, mode: str) -> int:
+    """An upper bound on what ``success_mass`` holds at its peak: the
+    register laws' build (analytic: the widest node's ``(r, 2^t)`` row
+    tables at ``_ROW_BYTES`` per entry; state-vector: ``branch_laws``' bound
+    ``_build_bytes``), the kept ``(r, 2^m)`` marginals, the prefix tuples
+    with their join and classes at ``_TUPLE_BYTES`` each, the r x r
+    success table and a fixed ``_MASS_SLACK``."""
+    r = instance.r
+    if mode == "analytic":
+        laws = _ROW_BYTES * r * max(1 << t for t, _, _ in nodes)
+    else:
+        laws = _build_bytes(instance, nodes, mode)
+    kept = 16 * r * sum(1 << m for _, _, m in nodes)
+    tuples = 1 << sum(m for _, _, m in nodes)
+    return laws + kept + _TUPLE_BYTES * tuples + r * r + _MASS_SLACK
 
 
 def success_mass(
@@ -704,7 +797,9 @@ def success_mass(
 ) -> float:
     """Exact one-attempt success probability of either solver, by summation:
     (1/r) sum_s mass_a(s)^T success mass_b(s), for a chain whose prefixes
-    the solver's ``join`` turns into ``width``-bit estimates.
+    the solver's ``join`` turns into ``width``-bit estimates. Refused with
+    ValueError before any table is built when its bound ``_mass_bytes``
+    passes the byte cap.
 
     Every prefix tuple goes through ``join`` at once, as int64 arrays
     (``np.indices``) given as both families, which the join treats alike,
@@ -712,8 +807,13 @@ def success_mass(
     mass_f(s) bins by class the product of the nodes' register-f laws on
     branch s (given s the registers are independent): ``register_laws``, or
     the marginals of the ``branch_laws`` tables, which read no ``hidden_g``.
-    success[v_a, v_b] is ``recover_exponent``'s check of a^g_hat = b.
+    success is ``success_table``.
     """
+    nbytes = _mass_bytes(instance, nodes, mode)
+    if nbytes > _LAW_BYTES_CAP:
+        raise ValueError(
+            f"exact success mass needs about {nbytes >> 20} MiB (cap {_LAW_BYTES_CAP >> 20} MiB)"
+        )
     r = instance.r
     values = list(np.indices([1 << m for _, _, m in nodes], np.int64).reshape(len(nodes), -1))
     classes = round_scaled(join(tuple(zip(values, values)))[0], width, r) % r
@@ -723,15 +823,28 @@ def success_mass(
         tables = zip(branch_laws(instance, nodes, mode), nodes)
         grids = (law.reshape(r, 1 << m, -1) for law, (_, _, m) in tables)
         laws = [(p.sum(axis=2), p.sum(axis=1)) for p in grids]
-    success = np.array(
-        [[recover_exponent(va, vb, instance) is not None for vb in range(r)] for va in range(r)]
-    )
+    success = success_table(instance)
     total = 0.0
     for s in range(r):  # row -s mod r of every law is branch s
         weights = (reduce(np.multiply.outer, [law[f][-s % r] for law in laws]) for f in (0, 1))
         mass_a, mass_b = (np.bincount(classes, w.ravel(), r) for w in weights)
         total += float(mass_a @ success @ mass_b)
     return total / r
+
+
+def success_table(instance: ProblemInstance) -> np.ndarray:
+    """The r x r table of ``recover_exponent``'s verdicts: success[v_a, v_b]
+    holds iff the rounded values (v_a, v_b) give an exponent g_hat with
+    a^g_hat = b. Row v_a = 1 checks every g_hat = v_b, and r is prime, so
+    the other rows follow from it without r^2 checks: success[v_a, v_b]
+    holds iff v_a != 0 and v_b = g v_a mod r for a g that passes."""
+    r = instance.r
+    success = np.zeros((r, r), dtype=bool)
+    v_a = np.arange(1, r, dtype=np.int64)
+    for g in range(r):
+        if recover_exponent(1, g, instance) is not None:
+            success[v_a, g * v_a % r] = True
+    return success
 
 
 def single_shot_success_mass(instance: ProblemInstance, epsilon: Fraction | float | str) -> float:

@@ -644,6 +644,22 @@ class TestVerifyCommand:
         assert out == ""
         assert "100000000 alignment cases need about 12969 MiB (cap 256 MiB)" in err
 
+    def test_oversized_mass_refused_before_any_table(self, capsys, monkeypatch):
+        """At epsilon = 10^-6 the masses' counting registers reach t = 24:
+        exit 2 before any table of them is built."""
+        from distdlog import dlp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a table before checking its bytes")
+
+        for name in ("register_laws", "branch_laws", "success_table"):
+            monkeypatch.setattr(dlp, name, refuse)
+        code, out, err = run_cli(capsys, ["verify", "--suite", "dlp-mass", "--epsilon", "0.000001"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: exact success mass needs about ")
+        assert err.endswith(" MiB (cap 256 MiB)\n")
+
     def test_alignment_facts_equal_loop_reference(self):
         from alignfacts import alignment_facts_loops
         from distdlog import verify

@@ -11,7 +11,7 @@ import pytest
 
 import fullwidth
 from alignscan import scan_values
-from distdlog import dist, dlp, phase, verify
+from distdlog import cli, dist, dlp, phase, verify
 from distdlog.bits import BitString, circ_dist
 from distdlog.dist import (
     DistPlan,
@@ -874,7 +874,7 @@ class TestSolveDistributed:
             for i in range(2)
         )
         report = first.resources
-        assert second.resources is report
+        assert second.resources is report and second.header is first.header
         assert report.qubits_single_node_alg2 == single_node_qubits(
             instance.r, instance.L, acceptance_plan.epsilon
         )
@@ -1037,8 +1037,11 @@ class TestCachedOutcomes:
     def chains(instance, plan):
         config = ShorConfig.for_instance(instance, "0.25")
         return {
-            "alg2": (((config.t, 0, config.t),), dlp.identity_join, config.t, {}),
-            "alg4": (plan.nodes, plan.join, plan.total_width, {"measured": plan.measured}),
+            "alg2": (
+                ((config.t, 0, config.t),), dlp.identity_join,
+                dlp.single_node_header(instance.L, config.t, "statevector"),
+            ),
+            "alg4": (plan.nodes, plan.join, dist.record_header(instance, plan, "statevector")),
         }
 
     @staticmethod
@@ -1048,16 +1051,12 @@ class TestCachedOutcomes:
         monkeypatch.setattr(dlp.statevec, "sample_cdf", lambda rng, cdf: next(flats))
 
     @staticmethod
-    def expected(instance, nodes, join, width, fields, flat):
+    def expected(instance, nodes, join, header, flat):
         """A fresh decode, join and post-processing of one flat index, as a
         one-attempt record."""
         m_a, m_b, extra = join(decode_joint_index(flat, nodes))
-        detail = dlp.postprocess_detail(m_a, m_b, width, instance)
-        return dlp.RunRecord(
-            m_a=m_a, m_b=m_b, width=width, mhat_a=detail.mhat_a, mhat_b=detail.mhat_b,
-            g_hat=detail.g_hat, retries=0, success=detail.g_hat is not None,
-            mode="statevector", **extra, **fields,
-        )
+        detail = dlp.postprocess_detail(m_a, m_b, header.width, instance)
+        return dlp.RunRecord(dlp.Outcome(m_a, m_b, detail, **extra), retries=0, header=header)
 
     @pytest.mark.parametrize("which", ["alg2", "alg4"])
     def test_every_index_equals_a_fresh_outcome(
@@ -1068,20 +1067,18 @@ class TestCachedOutcomes:
         its outcome and the second reuses it without decoding or verifying
         again, and both records equal a fresh decode, join and
         post-processing of that index."""
-        nodes, join, width, fields = self.chains(instance, acceptance_plan)[which]
+        nodes, join, header = self.chains(instance, acceptance_plan)[which]
         size = len(dlp.joint_law(instance, nodes))
         assert size == (1 << 14 if which == "alg2" else 1 << 16)
         monkeypatch.setattr(dlp, "_OUTCOMES_CAP", size)
         flats = range(size)
         rng = np.random.default_rng(0)  # unread: the draws are patched
-        run = lambda: dlp.solve_chain(
-            instance, nodes, rng, "statevector", 1, True, join, width, **fields
-        )
+        run = lambda: dlp.solve_chain(instance, nodes, rng, 1, True, join, header)
         self.draw_in_turn(monkeypatch, flats)
         records = []
         for flat in flats:
             records.append(run())
-            assert records[-1] == self.expected(instance, nodes, join, width, fields, flat)
+            assert records[-1] == self.expected(instance, nodes, join, header, flat)
         _, outcomes = dlp.joint_cdf(instance, nodes)
         assert list(outcomes) == [(join, flat) for flat in flats]
 
@@ -1099,34 +1096,40 @@ class TestCachedOutcomes:
     def test_repeat_draws_give_distinct_records(
         self, instance, acceptance_plan, monkeypatch, which
     ):
-        """Two cached solves that draw the same flat index build two records:
-        setting one's seed, as ``harness.run_batch`` does, or its m_a leaves
-        the other record and the memo's outcome as they were."""
-        nodes, join, width, fields = self.chains(instance, acceptance_plan)[which]
+        """Two cached solves that draw the same flat index build two records
+        on the memo's one outcome: setting one's seed, as
+        ``harness.run_batch`` does, leaves the other record and the outcome
+        as they were, and neither its m_a nor the outcome's can be set."""
+        nodes, join, header = self.chains(instance, acceptance_plan)[which]
         flat = 12345 % len(dlp.joint_law(instance, nodes))
         self.draw_in_turn(monkeypatch, [flat, flat])
         rng = np.random.default_rng(0)  # unread: the draws are patched
         first, second = (
-            dlp.solve_chain(instance, nodes, rng, "statevector", 1, True, join, width, **fields)
-            for _ in range(2)
+            dlp.solve_chain(instance, nodes, rng, 1, True, join, header) for _ in range(2)
         )
         _, outcomes = dlp.joint_cdf(instance, nodes)
         outcome = outcomes[(join, flat)]
-        fresh = self.expected(instance, nodes, join, width, fields, flat)
+        fresh = self.expected(instance, nodes, join, header, flat)
         assert first is not second and first == second == fresh
+        assert first.outcome is second.outcome is outcome
         first.seed = 7
-        first.m_a ^= 1
+        with pytest.raises(AttributeError):
+            first.m_a ^= 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcome.m_a ^= 1
         assert second == fresh and second.seed is None
         assert outcomes[(join, flat)] is outcome
-        assert outcome == dlp._outcome(instance, decode_joint_index(flat, nodes), join, width)
-        assert outcome[0] == fresh.m_a != first.m_a
+        assert outcome == dlp._outcome(
+            instance, decode_joint_index(flat, nodes), join, header.width
+        )
+        assert outcome.m_a == fresh.m_a == first.m_a
 
     def test_memo_bounded_and_cleared(self, instance, acceptance_plan, monkeypatch):
         """A uniform CDF over the acceptance plan's 65,536 indices drives the
         memo past its cap: it never holds more than ``_OUTCOMES_CAP``
         outcomes, a miss past the cap is still decoded and verified afresh,
         and ``joint_cdf.cache_clear()`` drops the memo with the CDF."""
-        nodes, join, width, fields = self.chains(instance, acceptance_plan)["alg4"]
+        nodes, join, header = self.chains(instance, acceptance_plan)["alg4"]
         cap = dlp._OUTCOMES_CAP
         size = 1 << (2 * sum(acceptance_plan.measured))
         uniform = np.arange(1, size + 1) / size
@@ -1137,10 +1140,8 @@ class TestCachedOutcomes:
             rng = np.random.default_rng((22, i))
             flat = dlp.statevec.sample_cdf(np.random.default_rng((22, i)), uniform)
             drawn.add(flat)
-            record = dlp.solve_chain(
-                instance, nodes, rng, "statevector", 1, True, join, width, **fields
-            )
-            assert record == self.expected(instance, nodes, join, width, fields, flat)
+            record = dlp.solve_chain(instance, nodes, rng, 1, True, join, header)
+            assert record == self.expected(instance, nodes, join, header, flat)
             assert len(outcomes) <= cap
         assert len(drawn) > cap and len(outcomes) == cap
         monkeypatch.undo()
@@ -1152,11 +1153,14 @@ class TestCachedOutcomes:
     def test_entry_bytes_within_stated_worst_case(
         self, instance, acceptance_plan, monkeypatch, which
     ):
-        """A memo filled to its cap by distinct draws takes at most the
-        0.75 KB an entry that ``dlp._OUTCOMES_CAP``'s comment states
-        (tracemalloc; the records are dropped as they come)."""
-        nodes, join, width, fields = self.chains(instance, acceptance_plan)[which]
+        """A memo filled to its cap by distinct draws, each written out as
+        the CLI does, so that every entry carries its JSON fields, takes at
+        most the 2 KB an entry that ``dlp._OUTCOMES_CAP``'s comment states,
+        and 8 such memos fit in 16 MiB (tracemalloc; the records are dropped
+        as they come)."""
+        nodes, join, header = self.chains(instance, acceptance_plan)[which]
         cap = dlp._OUTCOMES_CAP
+        assert 8 * cap * 2048 <= 16 << 20
         _, outcomes = dlp.joint_cdf(instance, nodes)
         flats = np.random.default_rng(23).permutation(1 << (2 * sum(m for _, _, m in nodes)))
         self.draw_in_turn(monkeypatch, (int(f) for f in flats))
@@ -1165,12 +1169,13 @@ class TestCachedOutcomes:
         try:
             before, _ = tracemalloc.get_traced_memory()
             for _ in range(cap):
-                dlp.solve_chain(instance, nodes, rng, "statevector", 1, True, join, width, **fields)
+                dlp.solve_chain(instance, nodes, rng, 1, True, join, header).to_json_dict()
             after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(outcomes) == cap
-        assert (after - before) / cap <= 768
+        assert all(outcome._json is not None for outcome in outcomes.values())
+        assert (after - before) / cap <= 2048
 
     def test_equal_plans_share_one_memo(self, instance):
         """Two batches in one process, each with its own ``make_plan`` on the
@@ -1204,7 +1209,7 @@ class TestCachedOutcomes:
         chains = self.chains(instance, acceptance_plan)
         memos = [dlp.joint_cdf(instance, nodes)[1] for nodes, *_ in chains.values()]
         assert memos[0] is not memos[1]
-        for (_, join, _, _), memo in zip(chains.values(), memos):
+        for (_, join, _), memo in zip(chains.values(), memos):
             assert memo and {key[0] for key in memo} == {join}
 
         nodes = acceptance_plan.nodes
@@ -1219,7 +1224,8 @@ class TestCachedOutcomes:
             for _ in range(2):
                 width = acceptance_plan.measured[0] if name == "first pair" else twin.total_width
                 records.setdefault(name, []).append(dlp.solve_chain(
-                    instance, nodes, np.random.default_rng(0), "statevector", 1, True, join, width
+                    instance, nodes, np.random.default_rng(0), 1, True, join,
+                    dlp.RecordHeader(width, "statevector"),
                 ))
         _, outcomes = dlp.joint_cdf(instance, nodes)
         assert set(outcomes) == {(acceptance_plan.join, 7), (twin.join, 7), (first_pair, 7)}
@@ -1227,6 +1233,126 @@ class TestCachedOutcomes:
         assert records["plan"][0] == records["plan"][1]
         assert records["first pair"][0].m_a < 1 << acceptance_plan.measured[0]
         assert records["plan"][0].width == acceptance_plan.total_width
+
+
+def flat_record_json(record) -> dict:
+    """A record's ndjson fields written out afresh from its attributes, field
+    by field, as records wrote them before they shared their solve's and
+    their outcome's JSON fields: the reference for ``to_json_dict``."""
+    bits = lambda value, width: bin(value)[2:].zfill(width)
+    payload = {
+        "m_a": bits(record.m_a, record.width),
+        "m_b": bits(record.m_b, record.width),
+        "mhat_a": record.mhat_a,
+        "mhat_b": record.mhat_b,
+        "g_hat": record.g_hat,
+        "retries": record.retries,
+        "success": record.success,
+        "mode": record.mode,
+        "seed": record.seed,
+    }
+    if record.latent_s is not None:
+        payload["latent_s"] = record.latent_s
+    if record.node_measurements is not None:
+        payload["node_measurements"] = [
+            {"m_a": bits(ma, m), "m_b": bits(mb, m)}
+            for (ma, mb), m in zip(record.node_measurements, record.measured)
+        ]
+        payload["comm_qubits"] = record.comm_qubits
+        payload["correct_fallback"] = record.correct_fallback
+    if record.resources is not None:
+        payload["resources"] = record.resources.to_json_dict()
+    return payload
+
+
+class TestSharedOutcomes:
+    """A record holds its solve's ``RecordHeader`` and its last attempt's
+    ``Outcome``, which a cached solve shares with every record that draws
+    the same memo entry, JSON fields included; only ``retries``, ``seed``
+    and ``latent_s`` are its own."""
+
+    SOLVERS = [f"{alg}-{path}" for alg in ("alg2", "alg4") for path in ("cached", "fresh", "analytic")]
+
+    @staticmethod
+    def solver(instance, plan, name):
+        algorithm, path = name.split("-")
+        mode = "analytic" if path == "analytic" else "statevector"
+        reuse = path != "fresh"
+        if algorithm == "alg2":
+            config = ShorConfig.for_instance(instance, "0.25", max_retries=2, mode=mode)
+            return lambda rng: solve(instance, config, rng, reuse_state=reuse)
+        return lambda rng: solve_distributed(
+            instance, plan, rng, mode=mode, max_retries=2, reuse_state=reuse
+        )
+
+    @pytest.mark.parametrize("name", SOLVERS)
+    def test_lines_equal_flat_records(self, instance, acceptance_plan, name):
+        """Over 60 seeded trials, each record's line, with its seed set by
+        ``dataclasses.replace`` or in place as ``harness.run_batch`` does, is
+        the line of its fields written out afresh."""
+        solve_one = self.solver(instance, acceptance_plan, name)
+        for i in range(60):
+            record = solve_one(np.random.default_rng((31, i)))
+            want = cli._json_line({**flat_record_json(record), "seed": i})
+            assert cli._json_line(dataclasses.replace(record, seed=i).to_json_dict()) == want
+            assert record.seed is None
+            record.seed = i
+            assert cli._json_line(record.to_json_dict()) == want
+
+    @pytest.mark.parametrize("name", SOLVERS)
+    def test_one_header_per_solve(self, instance, acceptance_plan, name):
+        """Every record of one solver configuration holds the same header."""
+        solve_one = self.solver(instance, acceptance_plan, name)
+        first, second = (solve_one(np.random.default_rng((32, i))) for i in range(2))
+        assert first.header is second.header
+        assert first.header.json is second.header.json
+
+    def test_records_of_one_entry_equal_by_value(self, instance, acceptance_plan, monkeypatch):
+        """Records drawn from one memo entry hold its one ``Outcome`` and
+        equal each other, and a record on an equal, freshly made outcome
+        whose JSON fields were never built: the cached fields take no part
+        in equality or hashing."""
+        plan = acceptance_plan
+        dlp.joint_cdf.cache_clear()
+        flats = iter([7] * 3)
+        monkeypatch.setattr(dlp.statevec, "sample_cdf", lambda rng, cdf: next(flats))
+        records = [
+            solve_distributed(instance, plan, np.random.default_rng(0), max_retries=1)
+            for _ in range(3)
+        ]
+        records[0].to_json_dict()  # builds the entry's JSON fields
+        fresh = dlp._outcome(instance, decode_joint_index(7, plan.nodes), plan.join, plan.total_width)
+        shared = records[0].outcome
+        assert all(record.outcome is shared for record in records)
+        assert fresh._json is None and shared._json is not None
+        assert fresh == shared and hash(fresh) == hash(shared)
+        assert records[0] == records[1] == records[2] == dlp.RunRecord(fresh, 0, records[0].header)
+        dlp.joint_cdf.cache_clear()
+
+    def test_json_dict_is_fresh(self, instance, acceptance_plan, monkeypatch):
+        """``to_json_dict`` returns a new top-level dict on every call, so
+        changing one leaves the shared fields, and the next record's line,
+        as they were."""
+        plan = acceptance_plan
+        dlp.joint_cdf.cache_clear()
+        flats = iter([7] * 2)
+        monkeypatch.setattr(dlp.statevec, "sample_cdf", lambda rng, cdf: next(flats))
+        first, second = (
+            solve_distributed(instance, plan, np.random.default_rng(0), max_retries=1)
+            for _ in range(2)
+        )
+        assert first.outcome is second.outcome
+        line = cli._json_line(second.to_json_dict())
+        payload = first.to_json_dict()
+        assert payload is not first.to_json_dict()
+        payload["m_a"] = "0"
+        payload["g_hat"] = -1
+        del payload["mode"], payload["resources"]
+        payload["extra"] = True
+        assert cli._json_line(second.to_json_dict()) == line
+        assert line == cli._json_line(flat_record_json(second))
+        assert first.to_json_dict() == flat_record_json(first)
+        dlp.joint_cdf.cache_clear()
 
 
 def test_statevector_solvers_never_read_hidden_g(small_instance, small_plan):
@@ -1409,3 +1535,66 @@ class TestSuccessMass:
         config = ShorConfig.for_instance(instance, "0.25")
         with pytest.raises(ValueError, match="mode must be"):
             dlp.success_mass(instance, config.nodes, dlp.identity_join, config.t, mode="dense")
+
+    @pytest.mark.parametrize("triple", [(7, 2, 4), (11, 3, 9), (23, 2, 3), (47, 2, 4)])
+    def test_success_table_equals_every_check(self, triple):
+        """The table built from the v_a = 1 row is ``recover_exponent``'s
+        verdict on each of the r^2 rounded pairs."""
+        instance = validate_instance(*triple)
+        r = instance.r
+        want = [[dlp.recover_exponent(va, vb, instance) is not None for vb in range(r)]
+                for va in range(r)]
+        assert dlp.success_table(instance).tolist() == want
+
+    @pytest.mark.parametrize("mode", ["analytic", "statevector"])
+    def test_refused_before_any_table(self, instance, acceptance_plan, monkeypatch, mode):
+        """With the byte cap one below a chain's bound ``_mass_bytes``, the
+        mass is refused with ValueError before any prefix tuple or law is
+        built; at the bound it runs."""
+        chains = (_mass_chain(instance, 1, "0.25", None),
+                  (acceptance_plan.nodes, acceptance_plan.join, acceptance_plan.total_width))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was built before the bytes were checked")
+
+        for nodes, join, width in chains:
+            nbytes = dlp._mass_bytes(instance, nodes, mode)
+            want = dlp.success_mass(instance, nodes, join, width, mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(dlp, "_LAW_BYTES_CAP", nbytes - 1)
+                for name in ("register_laws", "branch_laws", "success_table"):
+                    patch.setattr(dlp, name, refuse)
+                patch.setattr(dlp.np, "indices", refuse)
+                with pytest.raises(ValueError, match="exact success mass needs about"):
+                    dlp.success_mass(instance, nodes, join, width, mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(dlp, "_LAW_BYTES_CAP", nbytes)
+                assert dlp.success_mass(instance, nodes, join, width, mode) == want
+
+    @pytest.mark.parametrize(
+        "triple, k, epsilon, epsilon_prime, mode",
+        [
+            ((11, 3, 9), 1, "0.5", None, "statevector"),
+            ((11, 3, 9), 2, "0.25", "0.2", "statevector"),
+            ((23, 2, 3), 2, "0.25", "0.2", "analytic"),
+            ((23, 2, 3), 3, "0.5", "0.25", "analytic"),
+            ((47, 2, 4), 1, "0.05", None, "analytic"),
+            ((167, 4, 16), 1, "0.25", None, "analytic"),
+        ],
+    )
+    def test_peak_within_bound(self, triple, k, epsilon, epsilon_prime, mode):
+        """The mass's tracemalloc peak, from cold node caches, stays within
+        ``_mass_bytes``, on the smallest chains (where its fixed part
+        counts) and on the widest analytic ones (rows and tuples)."""
+        instance = validate_instance(*triple)
+        chain = _mass_chain(instance, k, epsilon, epsilon_prime)
+        for cached in (dlp.live_orbit, dlp.node_tables):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            dlp.success_mass(instance, *chain, mode=mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= dlp._mass_bytes(instance, chain[0], mode)

@@ -375,6 +375,24 @@ class TestLiveOrbit:
             with pytest.raises(ValueError, match="read-only"):
                 live[0] = live[0]
 
+    @pytest.mark.parametrize("N, a, b", [(11, 3, 9), (23, 2, 3), (47, 2, 4)])
+    def test_equals_union1d_closure(self, N, a, b):
+        """The sort-and-dedupe closure gives the very array, dtype included,
+        that the ``np.union1d`` closure it replaced gives, on every input
+        support and exponent 0 to 3."""
+        instance = validate_instance(N, a, b)
+        for work in node_inputs(instance):
+            support = np.flatnonzero(work) if isinstance(work, np.ndarray) else [work]
+            support = np.asarray(support, dtype=np.intp).tobytes()
+            for exponent in range(4):
+                want = np.frombuffer(support, dtype=np.intp)
+                for c in (pow(a, 1 << exponent, N), pow(b, 1 << exponent, N)):
+                    for _ in range(N.bit_length()):
+                        want = np.union1d(want, np.where(want < N, want * c % N, want))
+                        c = c * c % N
+                got = dlp.live_orbit.__wrapped__(instance, exponent, support)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_one_miss_per_exponent_and_support(self, instance, acceptance_plan, monkeypatch):
         """Fresh runs of both solvers compute each closure once: every node
         makes one lookup of ``node_tables``, which reads the closure only

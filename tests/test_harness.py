@@ -102,3 +102,25 @@ def test_importing_distdlog_leaves_numpy_random_unloaded():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_cached_solve_dist_leaves_numpy_ma_unloaded(tmp_path):
+    """``np.union1d`` imports ``numpy.ma`` on its first call (about 1 MiB of
+    resident memory), so the live-orbit closure does without it: a cached
+    ``solve-dist`` run, which closes the orbits of its nodes' law build,
+    never loads it."""
+    code = (
+        "import sys\n"
+        "from distdlog import cli\n"
+        "assert cli.main(['solve-dist', '--N', '11', '--a', '3', '--b', '9', '--k', '2',\n"
+        "                 '--h', '2', '--epsilon', '0.25', '--epsilon-prime', '0.2',\n"
+        "                 '--trials', '20', '--seed', '7', '--output', sys.argv[1]]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, sorted(sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code, str(tmp_path / "records.ndjson")], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert len((tmp_path / "records.ndjson").read_text().splitlines()) == 21
