@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from functools import partial
 
@@ -29,12 +28,12 @@ from .resources import (
 )
 
 
-# json.dumps(payload, sort_keys=True) builds this encoder anew on every call.
-_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
 def _json_line(payload: dict) -> str:
-    return _ENCODER.encode(payload)
+    """``json.dumps(payload, sort_keys=True)``: the line a record mapping
+    carries (``dlp.SplicedRecord``) while it is unchanged, else the one
+    encoder's."""
+    line = getattr(payload, "line", None)
+    return dlp.JSON_ENCODER.encode(payload) if line is None else line
 
 
 # The widest bit length whose integers all print within Python's default

@@ -13,13 +13,17 @@ join, and ``dist`` runs its plan's chain through it with the alignment pass
 as the join. ``success_mass`` is both solvers' exact one-attempt success
 mass, through the same chain, join, rounding and check.
 A ``RunRecord`` is three parts: the solve's ``RecordHeader`` (width, mode,
-node widths, resources and their JSON fields, built once per solver
-configuration), the last attempt's ``Outcome`` (the joined estimates, their
-post-processing, the node pairs and the fallback flag) and the trial's
-own retries, seed and latent branch. Every prefix is a plain int from the
-draw to the record, whose ndjson form alone writes it as a bit string of
-its width; an outcome builds those JSON fields once, on its first record's
-``to_json_dict``.
+node widths, resources and their JSON fields, each also encoded once as
+text, built once per solver configuration), the last attempt's ``Outcome``
+(the joined estimates, their post-processing, the node pairs and the
+fallback flag) and the trial's own retries, seed and latent branch. Every
+prefix is a plain int from the draw to the record, whose ndjson form alone
+writes it as a bit string of its width; an outcome builds those JSON fields
+once, on its first record's ``to_json_dict``. A memoised outcome also
+encodes them once as text, and its records' lines are spliced: the header's
+texts and the outcome's, in the sorted encoder's order (the header's
+``_layout``), around the trial's retries and seed. Fresh and analytic
+outcomes are written once each, so their records are encoded whole.
 The node circuit is a fused kernel in two stages on the live work values
 alone: ``node_columns`` runs it to the end of register a's inverse QFT on
 the (2^t, |live|) live columns, and ``node_rows`` runs the b stage on the
@@ -37,7 +41,8 @@ instance's hidden exponent. Cached runs draw a flat index from
 ``joint_cdf``; the first draw of an index in a chain splits it with
 ``decode_joint_index``, joins and verifies it, and the outcome is kept in
 the memo of ``joint_cdf``'s entry, so a repeat draw is one CDF search and
-one lookup, and its record shares the outcome, JSON fields included.
+one lookup, and its record shares the outcome, JSON fields and text
+included.
 ``node_cells`` is the one source of the circuit's per-branch amplitudes
 (one run of a node on |1>, one m_a cell of its block at a time, split into
 branches by an r-point FFT along the orbit of a);
@@ -55,11 +60,12 @@ the circuit exactly.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator
 
 import numpy as np
@@ -425,15 +431,16 @@ def joint_law(instance: ProblemInstance, nodes: Chain, mode: str = "statevector"
     return law
 
 
-# Outcomes a chain's memo keeps (``joint_cdf``); a miss past it is computed
-# and not stored. By tracemalloc an entry (its key, its ``Outcome`` with the
-# int estimates, the post-processing result, the node pairs and, once a
-# record of it is written, its JSON fields) takes about 0.55 to 0.61 KB on a
-# one-node chain and 1.33 to 1.43 KB on two (N = 11 to 59, 1,024 to 4,096
-# entries); without the JSON fields, 0.17 to 0.34 KB. No law of three or more
-# nodes fits the byte cap: their prefixes come to at least 12 bits a
-# register, a 2^24-entry law. At a worst case of 2 KB an entry, a memo holds
-# at most 2 MiB, and ``joint_cdf``'s 8 entries 16 MiB.
+# Outcomes a chain's memo keeps (``joint_cdf``); a miss past it is computed,
+# not stored and not spliced. By tracemalloc an entry (its key, its
+# ``Outcome`` with the int estimates, the post-processing result, the node
+# pairs and, once a record of it is written, its JSON fields and their text;
+# the header's texts are shared, not copied) takes about 0.74 to 0.79 KB on
+# a one-node chain and 1.63 to 1.74 KB on two (N = 11 to 59, 1,024
+# entries); without the JSON fields and text, 0.17 to 0.34 KB. No law of
+# three or more nodes fits the byte cap: their prefixes come to at least 12
+# bits a register, a 2^24-entry law. At a worst case of 2 KB an entry, a
+# memo holds at most 2 MiB, and ``joint_cdf``'s 8 entries 16 MiB.
 _OUTCOMES_CAP = 1 << 10
 
 
@@ -550,6 +557,93 @@ def recover_exponent(mhat_a: int, mhat_b: int, instance: ProblemInstance) -> int
     return g_hat if mod_pow(instance.a, g_hat, instance.N) == instance.b % instance.N else None
 
 
+# The one encoder of record lines and of the header and outcome texts spliced
+# into them: json.dumps(payload, sort_keys=True) builds its encoder anew on
+# every call, and no record holds a cycle to check for.
+JSON_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+# The record keys that are not an outcome's: the header's and the trial's.
+# An outcome's text is cut into runs wherever one of them sorts between two
+# of its keys, so that a line can put each of them between two runs.
+_CUT_KEYS = ("comm_qubits", "latent_s", "mode", "resources", "retries", "seed")
+
+
+def _field_text(key: str, value) -> str:
+    """One field as the sorted encoder writes it inside an object."""
+    return f"{JSON_ENCODER.encode(key)}: {JSON_ENCODER.encode(value)}"
+
+
+def _runs(keys) -> list[list[str]]:
+    """An outcome's keys in sorted order, cut into runs at the ``_CUT_KEYS``."""
+    runs: list[list[str]] = []
+    for key in sorted(keys):
+        if runs and not any(runs[-1][-1] < cut < key for cut in _CUT_KEYS):
+            runs[-1].append(key)
+        else:
+            runs.append([key])
+    return runs
+
+
+def _layout(texts: dict, keys, latent: bool) -> tuple[itemgetter, list[str]]:
+    """The sorted layout of a memoised outcome's record line: ``(pick,
+    literals)``, for a header with field ``texts``, an outcome with ``keys``
+    and ``latent_s`` present or not.
+
+    The line is ``"".join(pick(parts))``, where ``parts`` lists the outcome's
+    runs (``Outcome.text`` split at NUL), the trial slots' values as text
+    (``latent_s`` if present, ``retries``, ``seed``) and then ``literals``:
+    the braces, the header texts, the trial slots' keys and the separators
+    between the runs and the values, in the order the sorted encoder writes
+    them.
+    """
+    slots = ("latent_s", "retries", "seed") if latent else ("retries", "seed")
+    runs = [run[0] for run in _runs(keys)]  # each run sorts at its first key
+    values = runs + list(slots)  # the parts before the literals: run i is part i
+    items = sorted([*texts.items(), *((key, i) for i, key in enumerate(values))])
+    base = len(values)
+    literals, picks, text = [], [], "{"
+    for n, (key, item) in enumerate(items):
+        text += ", " if n else ""
+        if isinstance(item, str):
+            text += item
+            continue
+        if key in slots:
+            text += JSON_ENCODER.encode(key) + ": "
+        picks += (base + len(literals), item)
+        literals.append(text)
+        text = ""
+    picks.append(base + len(literals))
+    literals.append(text + "}")
+    return itemgetter(*picks), literals
+
+
+class SplicedRecord(dict):
+    """A memoised outcome's record mapping with its ndjson ``line``, spliced
+    from the header's and the outcome's texts; every mutator sets ``line``
+    to None, so ``cli._json_line`` encodes a changed mapping afresh. The
+    nested ``resources`` and ``node_measurements`` values are shared with
+    the header and the outcome, read-only, as in a plain record dict."""
+
+    __slots__ = ("line",)
+
+
+def _dropping_line(name: str):
+    method = getattr(dict, name)
+
+    def mutate(self, *args, **kwargs):
+        self.line = None
+        return method(self, *args, **kwargs)
+
+    mutate.__name__ = mutate.__qualname__ = name
+    return mutate
+
+
+for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem",
+              "setdefault", "update"):
+    setattr(SplicedRecord, _name, _dropping_line(_name))
+del _name
+
+
 @dataclass(frozen=True, slots=True)
 class RecordHeader:
     """The record fields a solve fixes for all its trials, with their JSON
@@ -558,9 +652,11 @@ class RecordHeader:
     ``width`` is the estimates' width (t for Alg. 2, the plan's total width
     for Alg. 4), ``measured`` Alg. 4's node widths and ``comm_qubits`` its
     hand-off cost; ``json`` holds ``mode``, ``resources`` and, for Alg. 4,
-    ``comm_qubits``. Alg. 2 keeps one per (L, t, mode)
-    (``single_node_header``), Alg. 4 one per plan, r, L and mode
-    (``dist.record_header``).
+    ``comm_qubits``, and ``texts`` each of them encoded once as ``"key":
+    value``. ``layouts`` keeps the sorted layouts (``_layout``) of the
+    lines of memoised outcomes, per outcome key set and ``latent_s``
+    presence. Alg. 2 keeps one per (L, t, mode) (``single_node_header``),
+    Alg. 4 one per plan, r, L and mode (``dist.record_header``).
     """
 
     width: int
@@ -569,6 +665,8 @@ class RecordHeader:
     comm_qubits: int = 0
     resources: ResourceReport | None = None
     json: dict = field(init=False, repr=False, compare=False)
+    texts: dict = field(init=False, repr=False, compare=False)
+    layouts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -579,6 +677,8 @@ class RecordHeader:
         if self.resources is not None:
             fields["resources"] = self.resources.to_json_dict()
         object.__setattr__(self, "json", fields)
+        object.__setattr__(self, "texts", {key: _field_text(key, v) for key, v in fields.items()})
+        object.__setattr__(self, "layouts", {})
 
 
 @dataclass(frozen=True, slots=True)
@@ -586,16 +686,19 @@ class Outcome:
     """One attempt's result, a pure function of the drawn pairs and the
     join: the two joined estimates, their post-processing, and for Alg. 4
     the node pairs and the alignment's fallback flag. The memo of
-    ``joint_cdf``'s entry keeps one per drawn flat index, which every record
-    that draws it shares. It compares by value; its JSON fields, built on
-    the first ``json_fields`` call and kept, take no part."""
+    ``joint_cdf``'s entry keeps one per drawn flat index, ``memoised``,
+    which every record that draws it shares. It compares by value; its JSON
+    fields and, once memoised, their text, built on the first
+    ``json_fields`` and ``text`` calls and kept, take no part."""
 
     m_a: int
     m_b: int
     detail: PostprocessResult
     node_measurements: Pairs | None = None
     correct_fallback: bool = False
+    memoised: bool = field(default=False, repr=False, compare=False)
     _json: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def success(self) -> bool:
@@ -626,6 +729,19 @@ class Outcome:
                 fields["correct_fallback"] = self.correct_fallback
             object.__setattr__(self, "_json", fields)
         return fields
+
+    def text(self, header: RecordHeader) -> str:
+        """The outcome's JSON fields as text, read-only: each written as
+        ``"key": value``, the fields of each run (``_runs``) joined by ", "
+        and the runs by NUL, which no JSON text holds."""
+        text = self._text
+        if text is None:
+            fields = self.json_fields(header)
+            text = "\0".join(
+                ", ".join(_field_text(key, fields[key]) for key in run) for run in _runs(fields)
+            )
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 @dataclass(slots=True)
@@ -661,23 +777,51 @@ class RunRecord:
 
     def to_json_dict(self) -> dict:
         """A fresh dict of the header's and the outcome's shared JSON fields
-        and the trial's ``retries``, ``seed`` and, if set, ``latent_s``."""
-        record = {
-            **self.header.json,
-            **self.outcome.json_fields(self.header),
-            "retries": self.retries,
-            "seed": self.seed,
-        }
-        if self.latent_s is not None:
-            record["latent_s"] = self.latent_s
+        and the trial's ``retries``, ``seed`` and, if set, ``latent_s``.
+
+        For a memoised outcome it is a ``SplicedRecord`` that carries its
+        line: the header's layout filled with the outcome's text and the
+        trial's values. A trial value is spliced only when it is exactly an
+        int, or None for ``seed``; any other leaves a plain dict to the
+        encoder, which writes it, or refuses it, as ``json.dumps`` does.
+        Fresh and analytic outcomes are written once each, so they go to the
+        encoder whole."""
+        header, outcome = self.header, self.outcome
+        retries, seed, latent_s = self.retries, self.seed, self.latent_s
+        fields = outcome.json_fields(header)
+        record = {**header.json, **fields, "retries": retries, "seed": seed}
+        if latent_s is not None:
+            record["latent_s"] = latent_s
+        if not (
+            outcome.memoised and type(retries) is int
+            and (seed is None or type(seed) is int)
+            and (latent_s is None or type(latent_s) is int)
+        ):
+            return record
+        key = (outcome.node_measurements is None, latent_s is None)
+        layout = header.layouts.get(key)
+        if layout is None:
+            layout = header.layouts[key] = _layout(header.texts, fields, latent_s is not None)
+        pick, literals = layout
+        parts = outcome.text(header).split("\0")
+        if latent_s is not None:
+            parts.append(str(latent_s))
+        parts.append(str(retries))
+        parts.append("null" if seed is None else str(seed))
+        parts += literals
+        record = SplicedRecord(record)
+        record.line = "".join(pick(parts))
         return record
 
 
-def _outcome(instance: ProblemInstance, pairs: Pairs, join: Join, width: int) -> Outcome:
+def _outcome(
+    instance: ProblemInstance, pairs: Pairs, join: Join, width: int, memoised: bool = False
+) -> Outcome:
     """One attempt's ``Outcome``: the drawn pairs joined into two
     ``width``-bit estimates, rounded, inverted and verified."""
     m_a, m_b, extra = join(pairs)
-    return Outcome(m_a, m_b, postprocess_detail(m_a, m_b, width, instance), **extra)
+    detail = postprocess_detail(m_a, m_b, width, instance)
+    return Outcome(m_a, m_b, detail, **extra, memoised=memoised)
 
 
 def identity_join(pairs: Pairs) -> tuple[int, int, dict]:
@@ -705,9 +849,11 @@ def solve_chain(
     A cached attempt's ``Outcome`` is a pure function of the drawn flat
     index and the join, so it is kept in the memo of ``joint_cdf``'s entry
     under ``(join, index)``: each index is decoded, joined and verified by
-    ``postprocess_detail`` once per chain and join, its JSON fields are
-    built once, and a repeat draw costs one ``statevec.sample_cdf`` and one
-    lookup. Past ``_OUTCOMES_CAP`` entries a miss is computed and not kept.
+    ``postprocess_detail`` once per chain and join, its JSON fields and
+    their text are built once, lazily, on its first record's line, and a
+    repeat draw costs one ``statevec.sample_cdf`` and one lookup. A kept
+    outcome is ``memoised``, so its records' lines are spliced. Past
+    ``_OUTCOMES_CAP`` entries a miss is computed and not kept.
     ``join`` is hashed by identity, so it should be one object per join
     rule (the module-level ``identity_join``, a plan's bound ``join``). The
     generator is read as without the memo: one ``rng.random()`` per cached
@@ -733,8 +879,10 @@ def solve_chain(
             key = (join, statevec.sample_cdf(rng, cdf))
             outcome = outcomes.get(key)
             if outcome is None:
-                outcome = _outcome(instance, decode_joint_index(key[1], nodes), join, width)
-                if len(outcomes) < _OUTCOMES_CAP:
+                keep = len(outcomes) < _OUTCOMES_CAP
+                pairs = decode_joint_index(key[1], nodes)
+                outcome = _outcome(instance, pairs, join, width, memoised=keep)
+                if keep:
                     outcomes[key] = outcome
         if outcome.detail.g_hat is not None:
             break

@@ -8,7 +8,7 @@ every downstream quantity independently verified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -109,6 +109,10 @@ class ProblemInstance:
     validation. Tests assert against it, and the analytic backends read it
     as their oracle for the branch phases s g / r. The state-vector
     backends never read it.
+
+    Its hash is computed once, with the instance: every cached solve looks
+    its law up by instance, and the generated ``__hash__`` would hash the
+    six fields anew on each lookup.
     """
 
     N: int
@@ -117,6 +121,14 @@ class ProblemInstance:
     r: int
     L: int
     hidden_g: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        fields = (self.N, self.a, self.b, self.r, self.L, self.hidden_g)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def validate_instance(N: int, a: int, b: int) -> ProblemInstance:

@@ -1,6 +1,8 @@
 import dataclasses
 import inspect
+import json
 import math
+import operator
 import textwrap
 import tracemalloc
 import weakref
@@ -1352,6 +1354,106 @@ class TestSharedOutcomes:
         assert cli._json_line(second.to_json_dict()) == line
         assert line == cli._json_line(flat_record_json(second))
         assert first.to_json_dict() == flat_record_json(first)
+        dlp.joint_cdf.cache_clear()
+
+    @staticmethod
+    def memoised_record(instance, plan, monkeypatch, flat=7):
+        """A one-attempt Alg. 4 record on the memo entry of ``flat``, from an
+        emptied memo, with seed 3."""
+        dlp.joint_cdf.cache_clear()
+        monkeypatch.setattr(dlp.statevec, "sample_cdf", lambda rng, cdf: flat)
+        record = solve_distributed(instance, plan, np.random.default_rng(0), max_retries=1)
+        record.seed = 3
+        assert record.outcome.memoised
+        return record
+
+    MUTATORS = {
+        "setitem": lambda d: d.__setitem__("g_hat", -1),
+        "delitem": lambda d: d.__delitem__("mode"),
+        "update": lambda d: d.update(extra=True),
+        "pop": lambda d: d.pop("resources"),
+        "popitem": lambda d: d.popitem(),
+        "setdefault": lambda d: d.setdefault("extra", [1, 2]),
+        "clear": lambda d: d.clear(),
+        "ior": lambda d: operator.ior(d, {"m_a": "0", "seed": None}),
+    }
+
+    @pytest.mark.parametrize("mutate", MUTATORS)
+    def test_mutators_drop_the_line(self, instance, acceptance_plan, monkeypatch, mutate):
+        """A memoised record's mapping carries its spliced line, and after any
+        mutator it is encoded afresh, as ``json.dumps(payload,
+        sort_keys=True)``; the next record's line is as before."""
+        record = self.memoised_record(instance, acceptance_plan, monkeypatch)
+        payload = record.to_json_dict()
+        assert isinstance(payload, dlp.SplicedRecord) and payload.line is not None
+        line = cli._json_line(payload)
+        assert line == json.dumps(payload, sort_keys=True)
+        self.MUTATORS[mutate](payload)
+        assert payload.line is None
+        assert cli._json_line(payload) == json.dumps(payload, sort_keys=True) != line
+        assert cli._json_line(record.to_json_dict()) == line
+        dlp.joint_cdf.cache_clear()
+
+    def test_trial_values_other_than_ints_go_to_the_encoder(
+        self, instance, acceptance_plan, monkeypatch
+    ):
+        """Only an exact int, or a None seed, is spliced: ``seed=True`` writes
+        ``true`` and an int subclass its JSON form, as ``json.dumps`` does, and
+        a ``numpy.int64`` seed or retry count raises TypeError."""
+        record = self.memoised_record(instance, acceptance_plan, monkeypatch)
+        record.seed = True
+        line = cli._json_line(record.to_json_dict())
+        assert '"seed": true' in line
+        assert line == json.dumps(flat_record_json(record), sort_keys=True)
+        record.seed, record.retries = None, True
+        assert cli._json_line(record.to_json_dict()) == json.dumps(
+            flat_record_json(record), sort_keys=True
+        )
+        record.retries = 0
+        for name in ("seed", "retries"):
+            setattr(record, name, np.int64(3))
+            with pytest.raises(TypeError):
+                cli._json_line(record.to_json_dict())
+            setattr(record, name, 3)
+        assert cli._json_line(record.to_json_dict()) == json.dumps(
+            flat_record_json(record), sort_keys=True
+        )
+        dlp.joint_cdf.cache_clear()
+
+    def test_draw_past_the_cap_writes_the_flat_line(self, instance, acceptance_plan, monkeypatch):
+        """With the memo full, a new draw is computed, not kept and not
+        spliced; its line and the memoised one both equal their flat records."""
+        dlp.joint_cdf.cache_clear()
+        monkeypatch.setattr(dlp, "_OUTCOMES_CAP", 1)
+        flats = iter([7, 8, 7])
+        monkeypatch.setattr(dlp.statevec, "sample_cdf", lambda rng, cdf: next(flats))
+        kept, past, again = (
+            solve_distributed(instance, acceptance_plan, np.random.default_rng(0), max_retries=1)
+            for _ in range(3)
+        )
+        _, outcomes = dlp.joint_cdf(instance, acceptance_plan.nodes)
+        assert list(outcomes.values()) == [kept.outcome] and again.outcome is kept.outcome
+        assert kept.outcome.memoised and not past.outcome.memoised
+        for i, record in enumerate((kept, past, again)):
+            record.seed = i
+            payload = record.to_json_dict()
+            assert (type(payload) is dlp.SplicedRecord) == (record is not past)
+            assert cli._json_line(payload) == json.dumps(flat_record_json(record), sort_keys=True)
+        dlp.joint_cdf.cache_clear()
+
+    @pytest.mark.parametrize("name", ["alg2-cached", "alg4-cached"])
+    def test_spliced_lines_equal_flat_records(self, instance, acceptance_plan, name):
+        """From an emptied memo, 200 seeded trials of each cached solver (most
+        draws repeat an entry) and a ``latent_s`` set on each: every record
+        carries a spliced line, and it is the line of its flat record."""
+        dlp.joint_cdf.cache_clear()
+        solve_one = self.solver(instance, acceptance_plan, name)
+        for i in range(200):
+            record = solve_one(np.random.default_rng((34, i)))
+            for record.seed, record.latent_s in ((i, None), (None, i % 5)):
+                payload = record.to_json_dict()
+                assert type(payload) is dlp.SplicedRecord
+                assert payload.line == json.dumps(flat_record_json(record), sort_keys=True)
         dlp.joint_cdf.cache_clear()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -120,6 +121,29 @@ class TestValidateInstance:
         assert is_prime(instance.r) and instance.r > 2
         assert mod_pow(a, instance.hidden_g, N) == b
         assert instance.L == N.bit_length()
+
+    def test_hash_computed_once_and_by_value(self):
+        """Equal instances hash equal, and as the tuple of their fields, as
+        the generated hash did; ``dataclasses.replace`` gives an instance with
+        its own hash, and the cached hash is not a field to compare or show."""
+        first, second = validate_instance(11, 3, 9), validate_instance(11, 3, 9)
+        assert first is not second and first == second and hash(first) == hash(second)
+        assert hash(first) == hash((11, 3, 9, 5, 4, 2))
+        assert {first: 1}[second] == 1
+        wrong = dataclasses.replace(first, hidden_g=3)
+        assert wrong != first and wrong.hidden_g == 3
+        assert hash(wrong) == hash((11, 3, 9, 5, 4, 3))
+        assert dataclasses.replace(wrong, hidden_g=2) == first
+        assert hash(dataclasses.replace(wrong, hidden_g=2)) == hash(first)
+        assert "_hash" not in repr(first)
+        stored = dataclasses.replace(first)
+        object.__setattr__(stored, "_hash", 1)
+        assert hash(stored) == 1 and stored == first  # read, not recomputed
+        assert [f.name for f in dataclasses.fields(first) if f.compare] == [
+            "N", "a", "b", "r", "L", "hidden_g"
+        ]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.r = 7
 
 
 class TestExactLogs:
