@@ -71,7 +71,7 @@ from .resources import (
     single_node_qubits,
     slack_bits_distributed,
 )
-from .statevec import QubitBudgetError
+from .statevec import QubitBudgetError, Rng
 
 class PlanError(ValueError):
     pass
@@ -327,7 +327,7 @@ def brute_force_correct_oracle(w, perturbations, plan: DistPlan):
 def run_distributed_quantum(
     instance: ProblemInstance,
     plan: DistPlan,
-    rng: np.random.Generator,
+    rng: Rng,
     mode: str = "statevector",
 ) -> tuple[Pairs, int | None]:
     """One pass of the k-node quantum stage: ``dlp.measure_chain`` or
@@ -378,7 +378,7 @@ def record_header(instance: ProblemInstance, plan: DistPlan, mode: str) -> Recor
 def solve_distributed(
     instance: ProblemInstance,
     plan: DistPlan,
-    rng: np.random.Generator,
+    rng: Rng,
     mode: str = "statevector",
     max_retries: int = 64,
     reuse_state: bool = True,

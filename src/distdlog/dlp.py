@@ -23,7 +23,10 @@ once, on its first record's ``to_json_dict``. A memoised outcome also
 encodes them once as text, and its records' lines are spliced: the header's
 texts and the outcome's, in the sorted encoder's order (the header's
 ``_layout``), around the trial's retries and seed. Fresh and analytic
-outcomes are written once each, so their records are encoded whole.
+outcomes are written once each, so their records are encoded whole. The
+nested values records share, ``resources`` and ``node_measurements``, are
+read-only (``ReadOnlyDict``, ``ReadOnlyList``), so no line can disagree
+with its mapping.
 The node circuit is a fused kernel in two stages on the live work values
 alone: ``node_columns`` runs it to the end of register a's inverse QFT on
 the (2^t, |live|) live columns, and ``node_rows`` runs the b stage on the
@@ -246,7 +249,7 @@ def node_rows(cols: np.ndarray, places: np.ndarray) -> np.ndarray:
 
 def measure_node(
     instance: ProblemInstance, t: int, exponent: int, work: int | np.ndarray,
-    rng: np.random.Generator,
+    rng: statevec.Rng,
 ) -> tuple[int, int, np.ndarray]:
     """Run the node circuit once and measure both counting registers in full.
 
@@ -275,7 +278,7 @@ def measure_node(
     return j_a, j_b, work_out
 
 
-def measure_chain(instance: ProblemInstance, nodes: Chain, rng: np.random.Generator) -> Pairs:
+def measure_chain(instance: ProblemInstance, nodes: Chain, rng: statevec.Rng) -> Pairs:
     """Run the chain afresh: ``measure_node`` on each node in turn, from |1>
     and then on the work vector the node before hands on; each node keeps
     the leading ``measured`` bits of its two t-bit outcomes."""
@@ -468,7 +471,7 @@ def decode_joint_index(flat: int, nodes: Chain) -> Pairs:
 
 
 def quantum_stage_statevector(
-    instance: ProblemInstance, config: ShorConfig, rng: np.random.Generator
+    instance: ProblemInstance, config: ShorConfig, rng: statevec.Rng
 ) -> tuple[int, int]:
     """Run the circuit once and measure both counting registers in full:
     ``measure_chain`` on the one-node chain."""
@@ -488,7 +491,7 @@ def node_numerators(
 
 
 def sample_chain(
-    instance: ProblemInstance, nodes: Chain, rng: np.random.Generator
+    instance: ProblemInstance, nodes: Chain, rng: statevec.Rng
 ) -> tuple[Pairs, int]:
     """Draw the chain's prefixes from the closed form; returns them and s.
 
@@ -512,7 +515,7 @@ def sample_chain(
 
 
 def quantum_stage_analytic(
-    instance: ProblemInstance, config: ShorConfig, rng: np.random.Generator
+    instance: ProblemInstance, config: ShorConfig, rng: statevec.Rng
 ) -> tuple[int, int, int]:
     """Sample (m_a, m_b) from the closed-form joint law; returns latent s:
     ``sample_chain`` on the one-node chain."""
@@ -617,12 +620,52 @@ def _layout(texts: dict, keys, latent: bool) -> tuple[itemgetter, list[str]]:
     return itemgetter(*picks), literals
 
 
+_DICT_MUTATORS = ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault",
+                  "update")
+_LIST_MUTATORS = ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "clear", "extend",
+                  "insert", "pop", "remove", "reverse", "sort")
+
+
+class ReadOnlyDict(dict):
+    """A dict whose mutators raise TypeError: the nested JSON values a
+    record shares with its header (``resources``) and its outcome
+    (``node_measurements``' entries), which a spliced line has already
+    written. It equals, and encodes as, the plain dict; its copies, pickled
+    or not, are plain, as they are no longer shared."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+class ReadOnlyList(list):
+    """A list whose mutators raise TypeError, as ``ReadOnlyDict``: the
+    shared ``node_measurements`` of an outcome's JSON fields."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
+def _read_only(self, *args, **kwargs):
+    raise TypeError(f"a record's shared {type(self).__name__} is read-only; copy it to change it")
+
+
+for _cls, _names in ((ReadOnlyDict, _DICT_MUTATORS), (ReadOnlyList, _LIST_MUTATORS)):
+    for _name in _names:
+        setattr(_cls, _name, _read_only)
+del _cls, _names, _name
+
+
 class SplicedRecord(dict):
     """A memoised outcome's record mapping with its ndjson ``line``, spliced
     from the header's and the outcome's texts; every mutator sets ``line``
     to None, so ``cli._json_line`` encodes a changed mapping afresh. The
     nested ``resources`` and ``node_measurements`` values are shared with
-    the header and the outcome, read-only, as in a plain record dict."""
+    the header and the outcome, and read-only (``ReadOnlyDict``,
+    ``ReadOnlyList``), so the line cannot disagree with them."""
 
     __slots__ = ("line",)
 
@@ -638,8 +681,7 @@ def _dropping_line(name: str):
     return mutate
 
 
-for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem",
-              "setdefault", "update"):
+for _name in _DICT_MUTATORS:
     setattr(SplicedRecord, _name, _dropping_line(_name))
 del _name
 
@@ -675,7 +717,7 @@ class RecordHeader:
         if self.measured is not None:
             fields["comm_qubits"] = self.comm_qubits
         if self.resources is not None:
-            fields["resources"] = self.resources.to_json_dict()
+            fields["resources"] = ReadOnlyDict(self.resources.to_json_dict())
         object.__setattr__(self, "json", fields)
         object.__setattr__(self, "texts", {key: _field_text(key, v) for key, v in fields.items()})
         object.__setattr__(self, "layouts", {})
@@ -722,10 +764,10 @@ class Outcome:
                 "success": self.success,
             }
             if self.node_measurements is not None:
-                fields["node_measurements"] = [
-                    {"m_a": bin(ma)[2:].zfill(m), "m_b": bin(mb)[2:].zfill(m)}
+                fields["node_measurements"] = ReadOnlyList([
+                    ReadOnlyDict(m_a=bin(ma)[2:].zfill(m), m_b=bin(mb)[2:].zfill(m))
                     for (ma, mb), m in zip(self.node_measurements, header.measured)
-                ]
+                ])
                 fields["correct_fallback"] = self.correct_fallback
             object.__setattr__(self, "_json", fields)
         return fields
@@ -830,7 +872,7 @@ def identity_join(pairs: Pairs) -> tuple[int, int, dict]:
 
 
 def solve_chain(
-    instance: ProblemInstance, nodes: Chain, rng: np.random.Generator, max_retries: int,
+    instance: ProblemInstance, nodes: Chain, rng: statevec.Rng, max_retries: int,
     reuse_state: bool, join: Join, header: RecordHeader,
 ) -> RunRecord:
     """The one solve loop of both solvers: the chain's quantum stage,
@@ -892,7 +934,7 @@ def solve_chain(
 def solve(
     instance: ProblemInstance,
     config: ShorConfig,
-    rng: np.random.Generator,
+    rng: statevec.Rng,
     reuse_state: bool = True,
 ) -> RunRecord:
     """The single-node solver: ``solve_chain`` on the one-node chain, whose

@@ -3,10 +3,16 @@
 The solver is a function of one random generator. Every trial derives its
 own generator from (seed, trial index), so a trial's record depends only
 on the seed and its index, never on the trials run before it. That
-generator equals ``np.random.default_rng((seed, index))`` bit for bit. Its
-``SeedSequence`` hashing is derived here a block of 1,024 consecutive
-indices at a time, in array arithmetic, so a trial pays only for seeding
-PCG64 with its cached row.
+generator, a ``TrialGenerator``, offers the solvers' only two draws,
+``random()`` and ``integers(high)``, and its stream equals that of
+``np.random.default_rng((seed, index))`` bit for bit: numpy's PCG64 and
+the two draws run on plain Python ints, so no solve process loads
+``numpy.random`` (which brings in ``secrets``, ``hashlib`` and OpenSSL,
+about 5.5 MiB resident). Its ``SeedSequence`` hashing is derived here a
+block of 1,024 consecutive indices at a time, in array arithmetic, so a
+trial pays only for seeding PCG64 with its cached row. NEP 19 lets numpy
+change ``Generator`` streams between versions, while these stay pinned;
+``tests/test_harness.py`` reports any divergence from the installed numpy.
 
 A batch hands each record on as it is made and keeps only running counts,
 so its memory does not grow with the number of trials.
@@ -15,7 +21,7 @@ so its memory does not grow with the number of trials.
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -99,45 +105,89 @@ def _block_words(seed: int, block: int) -> np.ndarray:
     return words
 
 
-@cache
-def _seed_words_type() -> type:
-    """The seed sequence class of trial generators, defined on the first
-    trial, so that importing this module does not load ``numpy.random``:
-    numpy defers that import, and ``default_rng`` made it on the first
-    trial too."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        """Hands PCG64 one cached row of ``_block_words``; it is what
-        ``rng.bit_generator.seed_seq`` holds for a trial generator."""
-
-        __slots__ = ("words",)
-
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            if (n_words, dtype) != (4, np.uint64):
-                raise ValueError("trial seed words hold PCG64's four uint64 words only")
-            return self.words
-
-        def __reduce__(self):
-            return _seed_words, (self.words,)
-
-    return SeedWords
+# PCG64 (O'Neill 2014, numpy's 128-bit XSL-RR variant): its multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_MASK53 = (1 << 53) - 1
 
 
-def _seed_words(words: np.ndarray):
-    """A trial generator's seed sequence, as unpickling rebuilds it."""
-    return _seed_words_type()(words)
+class TrialGenerator:
+    """numpy's ``Generator(PCG64)`` stream for the two draws the solvers
+    make, ``random()`` and ``integers(high)``, in plain Python ints.
+
+    ``state`` and ``inc`` are PCG64's 128-bit state and increment, and
+    ``half`` is the upper 32-bit half of a 64-bit word that ``next32``
+    buffered, or None: numpy's ``state``, ``inc`` and, when ``has_uint32``
+    is set, ``uinteger``. A step is ``state = state * M + inc`` mod 2^128,
+    and a 64-bit word is the step's XSL-RR output, ``hi ^ lo`` rotated
+    right by the state's top six bits.
+    """
+
+    __slots__ = ("state", "inc", "half")
+
+    def __init__(self, words: list[int]) -> None:
+        """PCG64 seeded with four uint64 words, as numpy seeds it from
+        ``generate_state(4, np.uint64)``: from state 0, step, add the
+        initial state ``w0 w1``, step again, with the increment
+        ``(w2 w3 << 1) | 1``."""
+        w0, w1, w2, w3 = words
+        self.inc = inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        self.state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+        self.half = None
+
+    def _next64(self) -> int:
+        self.state = state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        word = state >> 64 ^ state & _MASK64
+        return (word << 64 | word) >> (state >> 122) & _MASK64
+
+    def _next32(self) -> int:
+        half = self.half
+        if half is not None:
+            self.half = None
+            return half
+        word = self._next64()
+        self.half = word >> 32
+        return word & _MASK32
+
+    def random(self) -> float:
+        """A float in [0, 1), numpy's ``next_double``: the top 53 bits of a
+        64-bit word times 2^-53. It neither reads nor clears ``half``."""
+        # _next64 inlined: this is the solvers' most frequent draw.
+        self.state = state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        word = state >> 64 ^ state & _MASK64
+        return ((word << 64 | word) >> ((state >> 122) + 11) & _MASK53) * 2.0**-53
+
+    def integers(self, high: int) -> int:
+        """An int uniform on [0, high), numpy's int64 ``integers(high)``,
+        1 <= high <= 2^63: nothing is drawn at high = 1; one raw 32-bit word
+        at high = 2^32; Lemire's bounded rejection on 32-bit words below it
+        and on 64-bit words above it."""
+        if high <= _MASK32:
+            if high == 1:
+                return 0
+            m = self._next32() * high
+            if m & _MASK32 < high:
+                threshold = (1 << 32) % high
+                while m & _MASK32 < threshold:
+                    m = self._next32() * high
+            return m >> 32
+        if high == 1 << 32:
+            return self._next32()
+        m = self._next64() * high
+        if m & _MASK64 < high:
+            threshold = (1 << 64) % high
+            while m & _MASK64 < threshold:
+                m = self._next64() * high
+        return m >> 64
 
 
-def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Trial ``index``'s generator at ``seed``: ``default_rng((seed, index))``."""
+def trial_rng(seed: int, index: int) -> TrialGenerator:
+    """Trial ``index``'s generator at ``seed``, whose draws are those of
+    ``default_rng((seed, index))``."""
     if seed < 0 or index < 0:
         raise ValueError("expected non-negative integer")
-    words = _block_words(seed, index // _BLOCK)[index % _BLOCK]
-    return np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+    return TrialGenerator(_block_words(seed, index // _BLOCK)[index % _BLOCK].tolist())
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -153,7 +203,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def run_batch(
-    solve: Callable[[np.random.Generator], RunRecord],
+    solve: Callable[[TrialGenerator], RunRecord],
     trials: int,
     seed: int,
     emit: Callable[[RunRecord], object],

@@ -37,10 +37,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .numtheory import ceil_log2_ratio, to_fraction
+
+if TYPE_CHECKING:
+    from .statevec import Rng
 
 _MAX_T = 26
 
@@ -147,7 +151,7 @@ def phase_outcome_distribution(omega: Fraction, t: int) -> np.ndarray:
     return probs
 
 
-def sample_phase_outcome(rng: np.random.Generator, num: int, den: int, t: int) -> int:
+def sample_phase_outcome(rng: Rng, num: int, den: int, t: int) -> int:
     """Draw one outcome of a t-qubit estimation of the phase w = num/den,
     exactly, in O(1) expected time and without building the 2^t law.
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Mapping
+from typing import Mapping, Protocol
 
 import numpy as np
 
@@ -281,18 +281,28 @@ def marginal_distribution(state: QuantumState, register: str, prefix_width: int)
     return cube.sum(axis=(0, 2))
 
 
-def sample_outcome(rng: np.random.Generator, probabilities: np.ndarray) -> int:
+class Rng(Protocol):
+    """A random generator with the solvers' two draws: ``random()``, a
+    float in [0, 1), and ``integers(high)``, an int in [0, high). Trials get
+    a ``harness.TrialGenerator``; a numpy ``Generator`` works too."""
+
+    def random(self) -> float: ...
+
+    def integers(self, high: int) -> int: ...
+
+
+def sample_outcome(rng: Rng, probabilities: np.ndarray) -> int:
     """Draw an index from a probability vector (normalising float drift)."""
     cdf = np.cumsum(probabilities)
     return sample_cdf(rng, cdf)
 
 
-def sample_cdf(rng: np.random.Generator, cdf: np.ndarray) -> int:
+def sample_cdf(rng: Rng, cdf: np.ndarray) -> int:
     u = rng.random() * cdf[-1]
     return min(int(cdf.searchsorted(u, side="right")), len(cdf) - 1)
 
 
-def draw_outcome(rng: np.random.Generator, probabilities: np.ndarray) -> tuple[int, float]:
+def draw_outcome(rng: Rng, probabilities: np.ndarray) -> tuple[int, float]:
     """One measurement draw and its probability; refuses an unsupported outcome."""
     outcome = sample_outcome(rng, probabilities)
     p = float(probabilities[outcome])
@@ -302,7 +312,7 @@ def draw_outcome(rng: np.random.Generator, probabilities: np.ndarray) -> tuple[i
 
 
 def measure_prefix(
-    state: QuantumState, register: str, prefix_width: int, rng: np.random.Generator
+    state: QuantumState, register: str, prefix_width: int, rng: Rng
 ) -> tuple[MeasurementOutcome, QuantumState]:
     """Measure the first prefix_width qubits of a register.
 
@@ -320,7 +330,7 @@ def measure_prefix(
 
 
 def measure_register(
-    state: QuantumState, register: str, rng: np.random.Generator
+    state: QuantumState, register: str, rng: Rng
 ) -> tuple[MeasurementOutcome, QuantumState]:
     """Measure every qubit of a register."""
     return measure_prefix(state, register, state.layout.width_of(register), rng)

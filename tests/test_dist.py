@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import inspect
 import json
 import math
 import operator
+import pickle
 import textwrap
 import tracemalloc
 import weakref
@@ -1394,6 +1396,70 @@ class TestSharedOutcomes:
         assert cli._json_line(record.to_json_dict()) == line
         dlp.joint_cdf.cache_clear()
 
+    NESTED_MUTATORS = {
+        "resources-setitem": lambda d: d["resources"].__setitem__("comm_qubits", 99),
+        "resources-delitem": lambda d: d["resources"].__delitem__("comm_qubits"),
+        "resources-update": lambda d: d["resources"].update(comm_qubits=99),
+        "resources-pop": lambda d: d["resources"].pop("comm_qubits"),
+        "resources-popitem": lambda d: d["resources"].popitem(),
+        "resources-setdefault": lambda d: d["resources"].setdefault("extra", 1),
+        "resources-clear": lambda d: d["resources"].clear(),
+        "resources-ior": lambda d: operator.ior(d["resources"], {"comm_qubits": 99}),
+        "nodes-setitem": lambda d: d["node_measurements"].__setitem__(0, {}),
+        "nodes-delitem": lambda d: d["node_measurements"].__delitem__(0),
+        "nodes-iadd": lambda d: operator.iadd(d["node_measurements"], [{}]),
+        "nodes-imul": lambda d: operator.imul(d["node_measurements"], 2),
+        "nodes-append": lambda d: d["node_measurements"].append({}),
+        "nodes-clear": lambda d: d["node_measurements"].clear(),
+        "nodes-extend": lambda d: d["node_measurements"].extend([{}]),
+        "nodes-insert": lambda d: d["node_measurements"].insert(0, {}),
+        "nodes-pop": lambda d: d["node_measurements"].pop(),
+        "nodes-remove": lambda d: d["node_measurements"].remove(d["node_measurements"][0]),
+        "nodes-reverse": lambda d: d["node_measurements"].reverse(),
+        "nodes-sort": lambda d: d["node_measurements"].sort(key=len),
+        "node-setitem": lambda d: d["node_measurements"][0].__setitem__("m_a", "0"),
+        "node-update": lambda d: d["node_measurements"][1].update(m_b="0"),
+    }
+
+    @pytest.mark.parametrize("mutate", NESTED_MUTATORS)
+    def test_nested_values_are_read_only(self, instance, acceptance_plan, monkeypatch, mutate):
+        """The nested values a record shares with its header (``resources``)
+        and its outcome (``node_measurements`` and its entries) refuse every
+        mutator with TypeError, so the spliced line, this record's and the
+        next one's, stays ``json.dumps(payload, sort_keys=True)``."""
+        record = self.memoised_record(instance, acceptance_plan, monkeypatch)
+        payload = record.to_json_dict()
+        line = payload.line
+        with pytest.raises(TypeError, match="read-only"):
+            self.NESTED_MUTATORS[mutate](payload)
+        assert payload.line == line == json.dumps(payload, sort_keys=True)
+        assert payload == flat_record_json(record)
+        assert cli._json_line(record.to_json_dict()) == line
+        dlp.joint_cdf.cache_clear()
+
+    @pytest.mark.parametrize("name", SOLVERS)
+    def test_nested_values_read_only_on_every_path(self, instance, acceptance_plan, name):
+        """Cached, fresh and analytic records alike: the nested values refuse
+        a change and equal, and encode as, plain dicts and lists; a copy,
+        deep or pickled, is plain and can be changed."""
+        solve_one = self.solver(instance, acceptance_plan, name)
+        record = solve_one(np.random.default_rng((35, 0)))
+        payload = record.to_json_dict()
+        nested = [payload["resources"]]
+        if "node_measurements" in payload:
+            nested += [payload["node_measurements"], *payload["node_measurements"]]
+        for value in nested:
+            with pytest.raises(TypeError, match="read-only"):
+                value.clear()
+        assert cli._json_line(payload) == json.dumps(payload, sort_keys=True)
+        assert payload == flat_record_json(record)
+        for clone in (copy.deepcopy(payload), pickle.loads(pickle.dumps(payload))):
+            assert clone == payload
+            clone["resources"]["comm_qubits"] = 99
+            for node in clone.get("node_measurements", []):
+                node["m_a"] = "0"
+        assert payload == flat_record_json(record)
+
     def test_trial_values_other_than_ints_go_to_the_encoder(
         self, instance, acceptance_plan, monkeypatch
     ):
@@ -1454,6 +1520,7 @@ class TestSharedOutcomes:
                 payload = record.to_json_dict()
                 assert type(payload) is dlp.SplicedRecord
                 assert payload.line == json.dumps(flat_record_json(record), sort_keys=True)
+                assert payload.line == json.dumps(payload, sort_keys=True)
         dlp.joint_cdf.cache_clear()
 
 
