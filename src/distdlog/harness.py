@@ -14,6 +14,12 @@ trial pays only for seeding PCG64 with its cached row. NEP 19 lets numpy
 change ``Generator`` streams between versions, while these stay pinned;
 ``tests/test_harness.py`` reports any divergence from the installed numpy.
 
+``verify``'s random cases come from ``case_rng(seed)``, a ``CaseGenerator``:
+a counter-based stream (Salmon et al., SC 2011) of SplitMix64 words in
+uint64 array arithmetic, drawn as int64 arrays with Lemire's exact bounded
+draws. With it no distdlog command loads ``numpy.random``. Its streams are
+this module's own and do not follow numpy's.
+
 A batch hands each record on as it is made and keeps only running counts,
 so its memory does not grow with the number of trials.
 """
@@ -188,6 +194,95 @@ def trial_rng(seed: int, index: int) -> TrialGenerator:
     if seed < 0 or index < 0:
         raise ValueError("expected non-negative integer")
     return TrialGenerator(_block_words(seed, index // _BLOCK)[index % _BLOCK].tolist())
+
+
+# SplitMix64 (Steele, Lea and Flood 2014): the golden-ratio increment and the
+# finaliser's two multipliers.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_A, _MIX_B = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser, in place on a uint64 array, whose products
+    wrap mod 2^64."""
+    z ^= z >> 30
+    z *= _MIX_A
+    z ^= z >> 27
+    z *= _MIX_B
+    z ^= z >> 31
+    return z
+
+
+class CaseGenerator:
+    """A counter-based stream of int64 arrays for ``verify``'s random cases.
+
+    Word i of the stream is ``_mix64(key + (i + 1) * γ)`` mod 2^64, SplitMix64
+    keyed by ``key``; ``count`` is the number of 64-bit words used so far, so
+    each draw starts where the last one ended. A draw splits each 64-bit word into
+    two 32-bit words, low half first, and maps word w to low + (w * span >> 32)
+    (Lemire's multiply-shift), redrawing, as one vector per round, the words
+    whose low 32 bits of w * span fall below 2^32 mod span, so every value
+    is exact and uniform.
+    """
+
+    __slots__ = ("key", "count")
+
+    def __init__(self, key: int) -> None:
+        self.key = key
+        self.count = 0
+
+    def _words32(self, n: int) -> np.ndarray:
+        """The next n 32-bit words, from the next ceil(n / 2) 64-bit words."""
+        start = self.count
+        self.count += (n + 1) // 2
+        z = np.arange(start + 1, self.count + 1, dtype=np.uint64)
+        z *= _GAMMA
+        z += self.key
+        return _mix64(z).astype("<u8", copy=False).view("<u4")[:n]
+
+    def integers(self, low, high=None, size=None) -> np.ndarray:
+        """int64 values uniform on [low, high), or [0, low) when ``high`` is
+        None, as numpy's ``Generator.integers``: the bounds, ints or int64
+        arrays, broadcast against each other and against ``size``, which
+        defaults to their broadcast shape. Every span high - low must lie in
+        1..2^32."""
+        if high is None:
+            low, high = 0, low
+        low = np.asarray(low, dtype=np.int64)
+        span = np.asarray(high, dtype=np.int64) - low
+        if not ((span >= 1) & (span <= 1 << 32)).all():
+            raise ValueError("every span high - low must lie in 1..2^32")
+        shape = span.shape if size is None else (size,) if isinstance(size, int) else size
+        span = span.astype(np.uint64)
+        threshold = ((1 << 32) % span).astype(np.uint32)
+        m = np.multiply(self._words32(math.prod(shape)).reshape(shape), span, dtype=np.uint64)
+        redraw = np.flatnonzero(m.astype(np.uint32) < threshold)
+        if redraw.size:
+            flat = m.reshape(-1)
+            span = np.broadcast_to(span, shape).reshape(-1)
+            threshold = np.broadcast_to(threshold, shape).reshape(-1)
+            while redraw.size:
+                flat[redraw] = self._words32(redraw.size) * span[redraw]
+                redraw = redraw[flat[redraw].astype(np.uint32) < threshold[redraw]]
+        m >>= 32
+        values = m.view(np.int64)
+        values += low
+        return values
+
+
+def case_rng(seed: int) -> CaseGenerator:
+    """The case stream at ``seed``: its key folds the seed's 64-bit words,
+    low first, into SplitMix64's state, key = _mix64(key + word + γ) from
+    key 0, so every bit of any non-negative seed keys the stream."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    key = 0
+    while True:
+        state = np.array([(key + (seed & _MASK64) + _GAMMA) & _MASK64], dtype=np.uint64)
+        key = int(_mix64(state)[0])
+        seed >>= 64
+        if not seed:
+            return CaseGenerator(key)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

@@ -621,7 +621,7 @@ class TestVerifyCommand:
             def integers(self, *args, **kwargs):
                 raise AssertionError("drew cases before checking their size")
 
-        monkeypatch.setattr(verify.np.random, "default_rng", lambda *a, **k: NoDrawRng())
+        monkeypatch.setattr(verify, "case_rng", lambda *a, **k: NoDrawRng())
         code, out, err = run_cli(
             capsys, ["verify", "--suite", "correct", "--cases", "100000000"]
         )
