@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: solve, solve-dist, resources, verify, dist-compare.
-Records go out as newline-delimited JSON, each line as its trial ends; tables
-as CSV. Exit codes:
+Records go out as newline-delimited JSON, each line as its trial ends and
+written by ``records.json_line``; tables as CSV. Exit codes:
 0 ok, 1 a verified property failed, 2 configuration error.
 """
 
@@ -19,6 +19,7 @@ import numpy as np
 from . import dist, dlp, statevec, verify
 from .harness import run_batch
 from .numtheory import InstanceError, to_fraction, validate_instance
+from .records import json_line as _json_line  # bench/worker.py writes lines through it
 from .resources import (
     ResourceReport,
     communication_qubits,
@@ -26,14 +27,6 @@ from .resources import (
     per_node_qubits_formula,
     single_node_qubits,
 )
-
-
-def _json_line(payload: dict) -> str:
-    """``json.dumps(payload, sort_keys=True)``: the line a record mapping
-    carries (``dlp.SplicedRecord``) while it is unchanged, else the one
-    encoder's."""
-    line = getattr(payload, "line", None)
-    return dlp.JSON_ENCODER.encode(payload) if line is None else line
 
 
 # The widest bit length whose integers all print within Python's default

@@ -53,8 +53,6 @@ from .bits import BitString, circ_dist, wrap_add  # circ_dist: bench/tests check
 from .dlp import (  # decode_joint_index, postprocess_detail: bench/ binds them by these names
     Chain,
     Pairs,
-    RecordHeader,
-    RunRecord,
     decode_joint_index,
     joint_law,
     measure_chain,
@@ -64,6 +62,7 @@ from .dlp import (  # decode_joint_index, postprocess_detail: bench/ binds them 
     solve_chain,
 )
 from .numtheory import ProblemInstance, ceil_log2, to_fraction
+from .records import RecordHeader, RunRecord
 from .resources import (
     ResourceReport,
     communication_qubits,
@@ -355,20 +354,19 @@ def analytic_joint_distribution(instance: ProblemInstance, plan: DistPlan) -> np
 
 
 def record_header(instance: ProblemInstance, plan: DistPlan, mode: str) -> RecordHeader:
-    """The header every record of a distributed solve carries, its resource
-    report included. It depends only on the plan, the instance's r and L
-    and the mode, so it is built once for them and kept in
-    ``plan.headers``."""
+    """The ``records.RecordHeader`` every record of a distributed solve
+    carries, its resource report included, whose ``comm_qubits`` it reads.
+    It depends only on the plan, the instance's r and L and the mode, so it
+    is built once for them and kept in ``plan.headers``."""
     key = (instance.r, instance.L, mode)
     header = plan.headers.get(key)
     if header is None:
         per_node = per_node_qubits_from_widths(plan.t, instance.L)
-        comm = communication_qubits(plan.k, instance.L)
         header = plan.headers[key] = RecordHeader(
-            plan.total_width, mode, plan.measured, comm, ResourceReport(
+            plan.total_width, mode, plan.measured, ResourceReport(
                 qubits_single_node_alg2=single_node_qubits(instance.r, instance.L, plan.epsilon),
                 qubits_per_node_alg4=per_node,
-                comm_qubits=comm,
+                comm_qubits=communication_qubits(plan.k, instance.L),
                 simulated_qubits_actual=per_node if mode == "statevector" else 0,
             ),
         )

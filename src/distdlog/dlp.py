@@ -12,21 +12,9 @@ the one-node chain ``((t, 0, t),)`` (``ShorConfig.nodes``) with the identity
 join, and ``dist`` runs its plan's chain through it with the alignment pass
 as the join. ``success_mass`` is both solvers' exact one-attempt success
 mass, through the same chain, join, rounding and check.
-A ``RunRecord`` is three parts: the solve's ``RecordHeader`` (width, mode,
-node widths, resources and their JSON fields, each also encoded once as
-text, built once per solver configuration), the last attempt's ``Outcome``
-(the joined estimates, their post-processing, the node pairs and the
-fallback flag) and the trial's own retries, seed and latent branch. Every
-prefix is a plain int from the draw to the record, whose ndjson form alone
-writes it as a bit string of its width; an outcome builds those JSON fields
-once, on its first record's ``to_json_dict``. A memoised outcome also
-encodes them once as text, and its records' lines are spliced: the header's
-texts and the outcome's, in the sorted encoder's order (the header's
-``_layout``), around the trial's retries and seed. Fresh and analytic
-outcomes are written once each, so their records are encoded whole. The
-nested values records share, ``resources`` and ``node_measurements``, are
-read-only (``ReadOnlyDict``, ``ReadOnlyList``), so no line can disagree
-with its mapping.
+Each attempt's result is a ``records.Outcome`` and each solve's a
+``records.RunRecord`` on its solver's ``records.RecordHeader``; the record
+format and its encoder are ``records``'.
 The node circuit is a fused kernel in two stages on the live work values
 alone: ``node_columns`` runs it to the end of register a's inverse QFT on
 the (2^t, |live|) live columns, and ``node_rows`` runs the b stage on the
@@ -63,26 +51,23 @@ the circuit exactly.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from operator import attrgetter, itemgetter
 from typing import Callable, Iterator
 
 import numpy as np
 
 from . import phase, statevec
 from .numtheory import ProblemInstance, mod_inverse, mod_pow, to_fraction
+from .records import MODES, Outcome, RecordHeader, RunRecord
 from .resources import (
     ResourceReport,
     communication_qubits,
     order_register_width,
     slack_bits_single,
 )
-
-MODES = ("statevector", "analytic")
 
 Chain = tuple[tuple[int, int, int], ...]  # (t, exponent, measured) per node
 Pairs = tuple[tuple[int, int], ...]  # (m_a, m_b) prefixes per node, of its measured width
@@ -437,13 +422,14 @@ def joint_law(instance: ProblemInstance, nodes: Chain, mode: str = "statevector"
 # Outcomes a chain's memo keeps (``joint_cdf``); a miss past it is computed,
 # not stored and not spliced. By tracemalloc an entry (its key, its
 # ``Outcome`` with the int estimates, the post-processing result, the node
-# pairs and, once a record of it is written, its JSON fields and their text;
-# the header's texts are shared, not copied) takes about 0.74 to 0.79 KB on
-# a one-node chain and 1.63 to 1.74 KB on two (N = 11 to 59, 1,024
-# entries); without the JSON fields and text, 0.17 to 0.34 KB. No law of
-# three or more nodes fits the byte cap: their prefixes come to at least 12
-# bits a register, a 2^24-entry law. At a worst case of 2 KB an entry, a
-# memo holds at most 2 MiB, and ``joint_cdf``'s 8 entries 16 MiB.
+# pairs and, once a record of it is written, its JSON fields and their
+# values' text; the header's values are shared, not copied) takes about 0.69
+# to 0.74 KB on a one-node chain and 1.52 to 1.57 KB on two (N = 11 to 59,
+# 1,024 entries); without the JSON fields and text, 0.22 to 0.27 KB and 0.34
+# to 0.39 KB. No law of three or more nodes fits the byte cap: their
+# prefixes come to at least 12 bits a register, a 2^24-entry law. At a worst
+# case of 2 KB an entry, a memo holds at most 2 MiB, and ``joint_cdf``'s 8
+# entries 16 MiB.
 _OUTCOMES_CAP = 1 << 10
 
 
@@ -558,302 +544,6 @@ def recover_exponent(mhat_a: int, mhat_b: int, instance: ProblemInstance) -> int
         return None
     g_hat = (mod_inverse(v, r) * mhat_b) % r
     return g_hat if mod_pow(instance.a, g_hat, instance.N) == instance.b % instance.N else None
-
-
-# The one encoder of record lines and of the header and outcome texts spliced
-# into them: json.dumps(payload, sort_keys=True) builds its encoder anew on
-# every call, and no record holds a cycle to check for.
-JSON_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
-
-# The record keys that are not an outcome's: the header's and the trial's.
-# An outcome's text is cut into runs wherever one of them sorts between two
-# of its keys, so that a line can put each of them between two runs.
-_CUT_KEYS = ("comm_qubits", "latent_s", "mode", "resources", "retries", "seed")
-
-
-def _field_text(key: str, value) -> str:
-    """One field as the sorted encoder writes it inside an object."""
-    return f"{JSON_ENCODER.encode(key)}: {JSON_ENCODER.encode(value)}"
-
-
-def _runs(keys) -> list[list[str]]:
-    """An outcome's keys in sorted order, cut into runs at the ``_CUT_KEYS``."""
-    runs: list[list[str]] = []
-    for key in sorted(keys):
-        if runs and not any(runs[-1][-1] < cut < key for cut in _CUT_KEYS):
-            runs[-1].append(key)
-        else:
-            runs.append([key])
-    return runs
-
-
-def _layout(texts: dict, keys, latent: bool) -> tuple[itemgetter, list[str]]:
-    """The sorted layout of a memoised outcome's record line: ``(pick,
-    literals)``, for a header with field ``texts``, an outcome with ``keys``
-    and ``latent_s`` present or not.
-
-    The line is ``"".join(pick(parts))``, where ``parts`` lists the outcome's
-    runs (``Outcome.text`` split at NUL), the trial slots' values as text
-    (``latent_s`` if present, ``retries``, ``seed``) and then ``literals``:
-    the braces, the header texts, the trial slots' keys and the separators
-    between the runs and the values, in the order the sorted encoder writes
-    them.
-    """
-    slots = ("latent_s", "retries", "seed") if latent else ("retries", "seed")
-    runs = [run[0] for run in _runs(keys)]  # each run sorts at its first key
-    values = runs + list(slots)  # the parts before the literals: run i is part i
-    items = sorted([*texts.items(), *((key, i) for i, key in enumerate(values))])
-    base = len(values)
-    literals, picks, text = [], [], "{"
-    for n, (key, item) in enumerate(items):
-        text += ", " if n else ""
-        if isinstance(item, str):
-            text += item
-            continue
-        if key in slots:
-            text += JSON_ENCODER.encode(key) + ": "
-        picks += (base + len(literals), item)
-        literals.append(text)
-        text = ""
-    picks.append(base + len(literals))
-    literals.append(text + "}")
-    return itemgetter(*picks), literals
-
-
-_DICT_MUTATORS = ("__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault",
-                  "update")
-_LIST_MUTATORS = ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "clear", "extend",
-                  "insert", "pop", "remove", "reverse", "sort")
-
-
-class ReadOnlyDict(dict):
-    """A dict whose mutators raise TypeError: the nested JSON values a
-    record shares with its header (``resources``) and its outcome
-    (``node_measurements``' entries), which a spliced line has already
-    written. It equals, and encodes as, the plain dict; its copies, pickled
-    or not, are plain, as they are no longer shared."""
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return dict, (dict(self),)
-
-
-class ReadOnlyList(list):
-    """A list whose mutators raise TypeError, as ``ReadOnlyDict``: the
-    shared ``node_measurements`` of an outcome's JSON fields."""
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return list, (list(self),)
-
-
-def _read_only(self, *args, **kwargs):
-    raise TypeError(f"a record's shared {type(self).__name__} is read-only; copy it to change it")
-
-
-for _cls, _names in ((ReadOnlyDict, _DICT_MUTATORS), (ReadOnlyList, _LIST_MUTATORS)):
-    for _name in _names:
-        setattr(_cls, _name, _read_only)
-del _cls, _names, _name
-
-
-class SplicedRecord(dict):
-    """A memoised outcome's record mapping with its ndjson ``line``, spliced
-    from the header's and the outcome's texts; every mutator sets ``line``
-    to None, so ``cli._json_line`` encodes a changed mapping afresh. The
-    nested ``resources`` and ``node_measurements`` values are shared with
-    the header and the outcome, and read-only (``ReadOnlyDict``,
-    ``ReadOnlyList``), so the line cannot disagree with them."""
-
-    __slots__ = ("line",)
-
-
-def _dropping_line(name: str):
-    method = getattr(dict, name)
-
-    def mutate(self, *args, **kwargs):
-        self.line = None
-        return method(self, *args, **kwargs)
-
-    mutate.__name__ = mutate.__qualname__ = name
-    return mutate
-
-
-for _name in _DICT_MUTATORS:
-    setattr(SplicedRecord, _name, _dropping_line(_name))
-del _name
-
-
-@dataclass(frozen=True, slots=True)
-class RecordHeader:
-    """The record fields a solve fixes for all its trials, with their JSON
-    fields, built once with it and shared by every record of the solve.
-
-    ``width`` is the estimates' width (t for Alg. 2, the plan's total width
-    for Alg. 4), ``measured`` Alg. 4's node widths and ``comm_qubits`` its
-    hand-off cost; ``json`` holds ``mode``, ``resources`` and, for Alg. 4,
-    ``comm_qubits``, and ``texts`` each of them encoded once as ``"key":
-    value``. ``layouts`` keeps the sorted layouts (``_layout``) of the
-    lines of memoised outcomes, per outcome key set and ``latent_s``
-    presence. Alg. 2 keeps one per (L, t, mode) (``single_node_header``),
-    Alg. 4 one per plan, r, L and mode (``dist.record_header``).
-    """
-
-    width: int
-    mode: str
-    measured: tuple[int, ...] | None = None
-    comm_qubits: int = 0
-    resources: ResourceReport | None = None
-    json: dict = field(init=False, repr=False, compare=False)
-    texts: dict = field(init=False, repr=False, compare=False)
-    layouts: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        fields: dict = {"mode": self.mode}
-        if self.measured is not None:
-            fields["comm_qubits"] = self.comm_qubits
-        if self.resources is not None:
-            fields["resources"] = ReadOnlyDict(self.resources.to_json_dict())
-        object.__setattr__(self, "json", fields)
-        object.__setattr__(self, "texts", {key: _field_text(key, v) for key, v in fields.items()})
-        object.__setattr__(self, "layouts", {})
-
-
-@dataclass(frozen=True, slots=True)
-class Outcome:
-    """One attempt's result, a pure function of the drawn pairs and the
-    join: the two joined estimates, their post-processing, and for Alg. 4
-    the node pairs and the alignment's fallback flag. The memo of
-    ``joint_cdf``'s entry keeps one per drawn flat index, ``memoised``,
-    which every record that draws it shares. It compares by value; its JSON
-    fields and, once memoised, their text, built on the first
-    ``json_fields`` and ``text`` calls and kept, take no part."""
-
-    m_a: int
-    m_b: int
-    detail: PostprocessResult
-    node_measurements: Pairs | None = None
-    correct_fallback: bool = False
-    memoised: bool = field(default=False, repr=False, compare=False)
-    _json: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _text: str | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def success(self) -> bool:
-        return self.detail.g_hat is not None
-
-    def json_fields(self, header: RecordHeader) -> dict:
-        """The outcome's record fields, read-only: each estimate and node
-        pair written as a zero-padded bit string of the ``header``'s width,
-        the rounded values, the verdict and the fallback flag. The header is
-        that of the solve that made the outcome, and a memo entry is only
-        drawn by solves of one join, which fixes both widths."""
-        fields = self._json
-        if fields is None:
-            width, detail = header.width, self.detail
-            fields = {
-                "m_a": bin(self.m_a)[2:].zfill(width),
-                "m_b": bin(self.m_b)[2:].zfill(width),
-                "mhat_a": detail.mhat_a,
-                "mhat_b": detail.mhat_b,
-                "g_hat": detail.g_hat,
-                "success": self.success,
-            }
-            if self.node_measurements is not None:
-                fields["node_measurements"] = ReadOnlyList([
-                    ReadOnlyDict(m_a=bin(ma)[2:].zfill(m), m_b=bin(mb)[2:].zfill(m))
-                    for (ma, mb), m in zip(self.node_measurements, header.measured)
-                ])
-                fields["correct_fallback"] = self.correct_fallback
-            object.__setattr__(self, "_json", fields)
-        return fields
-
-    def text(self, header: RecordHeader) -> str:
-        """The outcome's JSON fields as text, read-only: each written as
-        ``"key": value``, the fields of each run (``_runs``) joined by ", "
-        and the runs by NUL, which no JSON text holds."""
-        text = self._text
-        if text is None:
-            fields = self.json_fields(header)
-            text = "\0".join(
-                ", ".join(_field_text(key, fields[key]) for key in run) for run in _runs(fields)
-            )
-            object.__setattr__(self, "_text", text)
-        return text
-
-
-@dataclass(slots=True)
-class RunRecord:
-    """One end-to-end solve: the last attempt's ``outcome``, the solve's
-    ``header`` and the trial's own counters.
-
-    Every field of the old flat record (``m_a``, ``g_hat``, ``success``,
-    ``mode``, ``resources``, ...) reads through as a read-only property.
-    Each solve builds a fresh record, and ``harness.run_batch`` sets its
-    ``seed`` in place, so it is not frozen; ``dataclasses.replace`` works.
-    """
-
-    outcome: Outcome
-    retries: int
-    header: RecordHeader
-    seed: int | None = None
-    latent_s: int | None = None
-
-    m_a = property(attrgetter("outcome.m_a"))
-    m_b = property(attrgetter("outcome.m_b"))
-    mhat_a = property(attrgetter("outcome.detail.mhat_a"))
-    mhat_b = property(attrgetter("outcome.detail.mhat_b"))
-    g_hat = property(attrgetter("outcome.detail.g_hat"))
-    success = property(attrgetter("outcome.success"))
-    node_measurements = property(attrgetter("outcome.node_measurements"))
-    correct_fallback = property(attrgetter("outcome.correct_fallback"))
-    width = property(attrgetter("header.width"))
-    mode = property(attrgetter("header.mode"))
-    measured = property(attrgetter("header.measured"))
-    comm_qubits = property(attrgetter("header.comm_qubits"))
-    resources = property(attrgetter("header.resources"))
-
-    def to_json_dict(self) -> dict:
-        """A fresh dict of the header's and the outcome's shared JSON fields
-        and the trial's ``retries``, ``seed`` and, if set, ``latent_s``.
-
-        For a memoised outcome it is a ``SplicedRecord`` that carries its
-        line: the header's layout filled with the outcome's text and the
-        trial's values. A trial value is spliced only when it is exactly an
-        int, or None for ``seed``; any other leaves a plain dict to the
-        encoder, which writes it, or refuses it, as ``json.dumps`` does.
-        Fresh and analytic outcomes are written once each, so they go to the
-        encoder whole."""
-        header, outcome = self.header, self.outcome
-        retries, seed, latent_s = self.retries, self.seed, self.latent_s
-        fields = outcome.json_fields(header)
-        record = {**header.json, **fields, "retries": retries, "seed": seed}
-        if latent_s is not None:
-            record["latent_s"] = latent_s
-        if not (
-            outcome.memoised and type(retries) is int
-            and (seed is None or type(seed) is int)
-            and (latent_s is None or type(latent_s) is int)
-        ):
-            return record
-        key = (outcome.node_measurements is None, latent_s is None)
-        layout = header.layouts.get(key)
-        if layout is None:
-            layout = header.layouts[key] = _layout(header.texts, fields, latent_s is not None)
-        pick, literals = layout
-        parts = outcome.text(header).split("\0")
-        if latent_s is not None:
-            parts.append(str(latent_s))
-        parts.append(str(retries))
-        parts.append("null" if seed is None else str(seed))
-        parts += literals
-        record = SplicedRecord(record)
-        record.line = "".join(pick(parts))
-        return record
 
 
 def _outcome(

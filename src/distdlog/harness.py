@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dlp import RunRecord
+from .records import RunRecord
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 

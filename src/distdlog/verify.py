@@ -394,10 +394,12 @@ def run_suite(
     cases: int = 10_000,
     seed: int = 1,
 ) -> list[CheckResult]:
-    """Run one suite, or all of them. A case count whose alignment arrays
-    would pass _CASES_BYTES_CAP, or an accuracy sweep of more than
-    _ACCURACY_ENTRIES_CAP law entries, is refused here, before any suite
-    runs."""
+    """Run one suite, or all of them. A negative seed, a case count whose
+    alignment arrays would pass _CASES_BYTES_CAP, or an accuracy sweep of
+    more than _ACCURACY_ENTRIES_CAP law entries, is refused here, before
+    any suite runs."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
     nbytes = cases * _CASE_BYTES
     if nbytes > _CASES_BYTES_CAP:
         raise ValueError(

@@ -6,6 +6,7 @@ import pytest
 from distdlog.cli import main
 from distdlog.dlp import ShorConfig, solve
 from distdlog.harness import run_batch, wilson_interval
+from distdlog.verify import SUITES
 
 
 def run_cli(capsys, argv):
@@ -784,6 +785,14 @@ class TestVerifyCommand:
             run_cli(capsys, ["verify"] + argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_negative_seed_refused_by_every_suite(self, capsys, suite):
+        """A negative seed is refused before any suite runs, also by the
+        suites that draw no random case."""
+        assert run_cli(capsys, ["verify", "--suite", suite, "--seed", "-1"]) == (
+            2, "", "error: expected non-negative integer\n"
+        )
 
 
 class TestDistCompareCommand:

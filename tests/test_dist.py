@@ -40,6 +40,7 @@ from distdlog.dlp import (
     solve,
 )
 from distdlog.numtheory import ProblemInstance, ceil_log2, mod_pow, validate_instance
+from distdlog.records import Outcome, RecordHeader, RunRecord, SplicedRecord
 from distdlog.resources import communication_qubits, per_node_qubits_from_widths, single_node_qubits
 from distdlog.statevec import QubitBudgetError
 from gatelevel import build_stage_state, node_block, whole_state_step7
@@ -1060,7 +1061,7 @@ class TestCachedOutcomes:
         one-attempt record."""
         m_a, m_b, extra = join(decode_joint_index(flat, nodes))
         detail = dlp.postprocess_detail(m_a, m_b, header.width, instance)
-        return dlp.RunRecord(dlp.Outcome(m_a, m_b, detail, **extra), retries=0, header=header)
+        return RunRecord(Outcome(m_a, m_b, detail, **extra), retries=0, header=header)
 
     @pytest.mark.parametrize("which", ["alg2", "alg4"])
     def test_every_index_equals_a_fresh_outcome(
@@ -1229,7 +1230,7 @@ class TestCachedOutcomes:
                 width = acceptance_plan.measured[0] if name == "first pair" else twin.total_width
                 records.setdefault(name, []).append(dlp.solve_chain(
                     instance, nodes, np.random.default_rng(0), 1, True, join,
-                    dlp.RecordHeader(width, "statevector"),
+                    RecordHeader(width, "statevector"),
                 ))
         _, outcomes = dlp.joint_cdf(instance, nodes)
         assert set(outcomes) == {(acceptance_plan.join, 7), (twin.join, 7), (first_pair, 7)}
@@ -1330,7 +1331,7 @@ class TestSharedOutcomes:
         assert all(record.outcome is shared for record in records)
         assert fresh._json is None and shared._json is not None
         assert fresh == shared and hash(fresh) == hash(shared)
-        assert records[0] == records[1] == records[2] == dlp.RunRecord(fresh, 0, records[0].header)
+        assert records[0] == records[1] == records[2] == RunRecord(fresh, 0, records[0].header)
         dlp.joint_cdf.cache_clear()
 
     def test_json_dict_is_fresh(self, instance, acceptance_plan, monkeypatch):
@@ -1387,7 +1388,7 @@ class TestSharedOutcomes:
         sort_keys=True)``; the next record's line is as before."""
         record = self.memoised_record(instance, acceptance_plan, monkeypatch)
         payload = record.to_json_dict()
-        assert isinstance(payload, dlp.SplicedRecord) and payload.line is not None
+        assert isinstance(payload, SplicedRecord) and payload.line is not None
         line = cli._json_line(payload)
         assert line == json.dumps(payload, sort_keys=True)
         self.MUTATORS[mutate](payload)
@@ -1503,7 +1504,7 @@ class TestSharedOutcomes:
         for i, record in enumerate((kept, past, again)):
             record.seed = i
             payload = record.to_json_dict()
-            assert (type(payload) is dlp.SplicedRecord) == (record is not past)
+            assert (type(payload) is SplicedRecord) == (record is not past)
             assert cli._json_line(payload) == json.dumps(flat_record_json(record), sort_keys=True)
         dlp.joint_cdf.cache_clear()
 
@@ -1518,7 +1519,7 @@ class TestSharedOutcomes:
             record = solve_one(np.random.default_rng((34, i)))
             for record.seed, record.latent_s in ((i, None), (None, i % 5)):
                 payload = record.to_json_dict()
-                assert type(payload) is dlp.SplicedRecord
+                assert type(payload) is SplicedRecord
                 assert payload.line == json.dumps(flat_record_json(record), sort_keys=True)
                 assert payload.line == json.dumps(payload, sort_keys=True)
         dlp.joint_cdf.cache_clear()
