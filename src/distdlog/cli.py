@@ -12,13 +12,15 @@ import argparse
 import csv
 import io
 import sys
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from . import dist, dlp, statevec, verify
 from .harness import run_batch
-from .numtheory import InstanceError, to_fraction, validate_instance
+from .numtheory import InstanceError, validate_instance
+from .records import MODES
 from .records import json_line as _json_line  # bench/worker.py writes lines through it
 from .resources import (
     ResourceReport,
@@ -105,6 +107,9 @@ def _cmd_solve(args: argparse.Namespace, distributed: bool) -> int:
         config = dlp.ShorConfig.for_instance(instance, args.epsilon, args.max_retries, args.mode)
         nodes = config.nodes
         solve = partial(dlp.solve, instance, config, reuse_state=not args.no_reuse)
+    for name, count in (("trials", args.trials), ("max_retries", args.max_retries)):
+        if count < 1:  # refused before the cached law below is built
+            raise ValueError(f"{name} must be >= 1, got {count}")
     if args.mode == "statevector" and not args.no_reuse:
         try:  # the solvers' own cached law, so a law that fits is built once
             dlp.joint_cdf(instance, nodes)
@@ -121,8 +126,8 @@ def _cmd_solve(args: argparse.Namespace, distributed: bool) -> int:
 
 
 def _cmd_resources(args: argparse.Namespace) -> int:
-    epsilon = to_fraction(args.epsilon)
-    epsilon_prime = to_fraction(args.epsilon_prime)
+    epsilon = Fraction(args.epsilon)
+    epsilon_prime = Fraction(args.epsilon_prime)
     rows = [
         [
             "r",
@@ -222,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run the single-node solver")
     _add_instance_args(solve)
     solve.add_argument("--epsilon", default="0.25")
-    solve.add_argument("--mode", choices=("statevector", "analytic"), default="statevector")
+    solve.add_argument("--mode", choices=MODES, default="statevector")
     solve.add_argument("--trials", type=int, default=100)
     solve.add_argument("--seed", type=int, required=True)
     solve.add_argument("--max-retries", type=int, default=64)
@@ -236,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve_dist.add_argument("--epsilon-prime", dest="epsilon_prime", default=None)
     solve_dist.add_argument("--k", type=int, default=2)
     solve_dist.add_argument("--h", type=int, default=None)
-    solve_dist.add_argument("--mode", choices=("statevector", "analytic"), default="statevector")
+    solve_dist.add_argument("--mode", choices=MODES, default="statevector")
     solve_dist.add_argument("--trials", type=int, default=100)
     solve_dist.add_argument("--seed", type=int, required=True)
     solve_dist.add_argument("--max-retries", type=int, default=64)
@@ -247,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     resources.add_argument("--r", type=_parse_bigint, nargs="+", required=True,
                            help="orders; accepts forms like 5 or 2**1024")
     resources.add_argument("--k", type=int, nargs="+", default=[2])
-    resources.add_argument("--L", type=int, default=None,
+    resources.add_argument("--L", type=_int_at_least(1), default=None,
                            help="synthetic work-register width (default: bits of r plus one)")
     resources.add_argument("--epsilon", default="0.25")
     resources.add_argument("--epsilon-prime", dest="epsilon_prime", default="0.125")

@@ -61,14 +61,15 @@ from .dlp import (  # decode_joint_index, postprocess_detail: bench/ binds them 
     sample_chain,
     solve_chain,
 )
-from .numtheory import ProblemInstance, ceil_log2, to_fraction
+from .numtheory import ProblemInstance
 from .records import RecordHeader, RunRecord
 from .resources import (
     ResourceReport,
     communication_qubits,
+    order_register_width,
     per_node_qubits_from_widths,
     single_node_qubits,
-    slack_bits_distributed,
+    slack_bits,
 )
 from .statevec import QubitBudgetError, Rng
 
@@ -140,13 +141,13 @@ def plan_for_order(
 ) -> DistPlan:
     """Derive a distributed plan from the order alone (no instance needed);
     cached, so equal requests share one plan, its join and its memo."""
-    eps = to_fraction(epsilon)
-    eps_prime = eps / 2 if epsilon_prime is None else to_fraction(epsilon_prime)
+    eps = Fraction(epsilon)
+    eps_prime = eps / 2 if epsilon_prime is None else Fraction(epsilon_prime)
     if not 0 < eps_prime < eps < 1:
         raise PlanError(f"need 0 < epsilon' < epsilon < 1, got {eps_prime} and {eps}")
     if k < 2:
         raise PlanError(f"need at least 2 nodes, got k = {k}")
-    W = ceil_log2(2 * r) + 1
+    W = order_register_width(r) + 1
     l = [1] + [(i - 1) * W // k for i in range(2, k + 1)] + [W]
     if any(l[i] >= l[i + 1] for i in range(k)):
         raise PlanError(f"plan infeasible: k = {k} exceeds {W // 2} for order {r}")
@@ -155,7 +156,7 @@ def plan_for_order(
         h = min(3, h_max)
     if not 2 <= h <= h_max:
         raise PlanError(f"h must be in 2..{h_max}, got {h}")
-    slack = slack_bits_distributed(k, eps_prime)
+    slack = slack_bits(k, eps_prime)
     t = tuple(l[j + 1] + 3 - l[j] + slack for j in range(k - 1)) + (l[k] + 1 - l[k - 1] + slack,)
     measured = tuple(l[j + 1] + h + 1 - l[j] for j in range(k - 1)) + (l[k] + 1 - l[k - 1],)
     if any(m > w for m, w in zip(measured, t)):

@@ -60,13 +60,13 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import phase, statevec
-from .numtheory import ProblemInstance, mod_inverse, mod_pow, to_fraction
+from .numtheory import ProblemInstance
 from .records import MODES, Outcome, RecordHeader, RunRecord
 from .resources import (
     ResourceReport,
     communication_qubits,
     order_register_width,
-    slack_bits_single,
+    slack_bits,
 )
 
 Chain = tuple[tuple[int, int, int], ...]  # (t, exponent, measured) per node
@@ -91,14 +91,12 @@ class ShorConfig:
         max_retries: int = 64,
         mode: str = "statevector",
     ) -> "ShorConfig":
-        eps = to_fraction(epsilon)
-        if not 0 < eps < 1:
-            raise ValueError(f"epsilon must be in (0,1), got {eps}")
+        eps = Fraction(epsilon)
+        t = counting_width(instance.r, eps)  # refuses an epsilon outside (0,1)
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if max_retries < 1:
             raise ValueError(f"max_retries must be >= 1, got {max_retries}")
-        t = counting_width(instance.r, eps)
         return cls(epsilon=eps, t=t, max_retries=max_retries, mode=mode)
 
     @cached_property
@@ -109,7 +107,7 @@ class ShorConfig:
 
 def counting_width(r: int, epsilon: Fraction) -> int:
     """t = ceil(log2 r + 1) + ceil(log2(2 + 1/epsilon)), computed exactly."""
-    return order_register_width(r) + slack_bits_single(epsilon)
+    return order_register_width(r) + slack_bits(1, epsilon)
 
 
 @lru_cache(maxsize=32)
@@ -542,8 +540,8 @@ def recover_exponent(mhat_a: int, mhat_b: int, instance: ProblemInstance) -> int
     v = mhat_a % r
     if v == 0:
         return None
-    g_hat = (mod_inverse(v, r) * mhat_b) % r
-    return g_hat if mod_pow(instance.a, g_hat, instance.N) == instance.b % instance.N else None
+    g_hat = pow(v, -1, r) * mhat_b % r
+    return g_hat if pow(instance.a, g_hat, instance.N) == instance.b % instance.N else None
 
 
 def _outcome(

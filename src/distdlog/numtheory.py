@@ -1,60 +1,18 @@
-"""Modular arithmetic, order finding, and validated discrete-log instances.
+"""Validated discrete-log instances and exact integer logarithms.
 
-Scale target is desk-size moduli: orders are found by brute-force iteration
-and the base-b promise is checked by exhaustive exponent search, which keeps
-every downstream quantity independently verified.
+Scale target is desk-size moduli: one pass over the powers of a finds both
+its order r and the exponent of b, which keeps every downstream quantity
+independently verified. Modular powers and inverses are Python's ``pow``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 
 class InstanceError(ValueError):
     """A problem instance violates one of its validity requirements."""
-
-
-class NotInvertibleError(ValueError):
-    """Modular inverse requested for a non-unit; carries the gcd witness."""
-
-    def __init__(self, x: int, modulus: int, witness: int):
-        super().__init__(f"{x} is not invertible mod {modulus} (gcd = {witness})")
-        self.gcd = witness
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus by square-and-multiply."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise ValueError(f"exponent must be non-negative, got {exp}")
-    return pow(base, exp, modulus)
-
-
-def mod_inverse(x: int, modulus: int) -> int:
-    """The y in (0, modulus) with x*y = 1 mod modulus."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    witness = math.gcd(x, modulus)
-    if witness != 1:
-        raise NotInvertibleError(x, modulus, witness)
-    return pow(x, -1, modulus)
-
-
-def multiplicative_order(a: int, N: int) -> int:
-    """Least r >= 1 with a**r = 1 mod N, by direct iteration."""
-    if N < 2:
-        raise InstanceError(f"modulus must be >= 2, got {N}")
-    if math.gcd(a, N) != 1:
-        raise InstanceError(f"{a} is not a unit mod {N} (gcd = {math.gcd(a, N)})")
-    current = a % N
-    r = 1
-    while current != 1:
-        current = (current * a) % N
-        r += 1
-    return r
 
 
 def is_prime(n: int) -> bool:
@@ -91,15 +49,6 @@ def ceil_log2_ratio(numerator: int, denominator: int) -> int:
     return ceil_log2(-(-numerator // denominator))
 
 
-def to_fraction(value: Fraction | float | int | str) -> Fraction:
-    """Normalise a user-supplied tolerance to an exact Fraction.
-
-    Strings are parsed as exact decimals, so CLI input like "0.1" means
-    one tenth rather than the nearest binary float.
-    """
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     """A validated discrete-log problem: find g with a**g = b mod N.
@@ -132,7 +81,8 @@ class ProblemInstance:
 
 
 def validate_instance(N: int, a: int, b: int) -> ProblemInstance:
-    """Check all instance requirements and derive (r, L, hidden_g).
+    """Check all instance requirements and derive (r, L, hidden_g): one pass
+    over the powers of a gives both r and the exponent of b.
 
     The order is always recomputed rather than trusted, since a wrong r
     silently corrupts every width and rounding rule built from it.
@@ -144,18 +94,17 @@ def validate_instance(N: int, a: int, b: int) -> ProblemInstance:
             raise InstanceError(f"{name} = {x} outside 0..{N - 1}")
         if math.gcd(x, N) != 1:
             raise InstanceError(f"{name} = {x} is not a unit mod {N} (gcd = {math.gcd(x, N)})")
-    r = multiplicative_order(a, N)
+    hidden_g = 0 if b == 1 else None
+    current, r = a, 1
+    while current != 1:
+        if current == b:  # a^1 .. a^(r-1) are distinct: at most one match
+            hidden_g = r
+        current = current * a % N
+        r += 1
     if r <= 2 or not is_prime(r):
         raise InstanceError(
             f"unsupported: the order of a must be a prime greater than 2, got r = {r}"
         )
-    hidden_g = None
-    current = 1
-    for g in range(r):
-        if current == b % N:
-            hidden_g = g
-            break
-        current = (current * a) % N
     if hidden_g is None:
         raise InstanceError(f"promise violated: {b} is not a power of {a} mod {N}")
     return ProblemInstance(N=N, a=a, b=b, r=r, L=N.bit_length(), hidden_g=hidden_g)

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .numtheory import ceil_log2_ratio, to_fraction
+from .numtheory import ceil_log2_ratio
 
 if TYPE_CHECKING:
     from .statevec import Rng
@@ -52,7 +52,7 @@ _MAX_T = 26
 def accuracy_width(n: int, epsilon: Fraction | float | str) -> int:
     """Counting width for n accurate bits with failure mass at most epsilon:
     t = n + ceil(log2(2 + 1/(2 eps)))."""
-    eps = to_fraction(epsilon)
+    eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError(f"epsilon must be in (0,1), got {eps}")
     if n < 1:
@@ -271,7 +271,7 @@ def check_accuracy_bound(
 ) -> AccuracyReport:
     """Verify both accuracy guarantees for one phase by exact mass summation:
     the one-phase case of ``accuracy_masses``."""
-    eps = to_fraction(epsilon)
+    eps = Fraction(epsilon)
     omega = Fraction(omega)
     dist = phase_outcome_distribution(omega, t)
     (masses,) = accuracy_masses(dist[None], omega.numerator, omega.denominator, n).tolist()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-from .numtheory import ceil_log2, ceil_log2_ratio, to_fraction
+from .numtheory import ceil_log2, ceil_log2_ratio
 
 
 def order_register_width(r: int) -> int:
@@ -25,20 +25,12 @@ def order_register_width(r: int) -> int:
     return ceil_log2(2 * r)
 
 
-def slack_bits_single(epsilon: Fraction | float | str) -> int:
-    """ceil(log2(2 + 1/epsilon)) extra counting bits for the one-node solver."""
-    eps = to_fraction(epsilon)
+def slack_bits(k: int, epsilon: Fraction | float | str) -> int:
+    """ceil(log2(2 + k/epsilon)) extra counting bits per node: k = 1 at
+    epsilon for the one-node solver, k nodes at epsilon' for the distributed one."""
+    eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError(f"epsilon must be in (0,1), got {eps}")
-    p, q = eps.numerator, eps.denominator
-    return ceil_log2_ratio(2 * p + q, p)
-
-
-def slack_bits_distributed(k: int, epsilon_prime: Fraction | float | str) -> int:
-    """ceil(log2(2 + k/epsilon')) extra counting bits per distributed node."""
-    eps = to_fraction(epsilon_prime)
-    if not 0 < eps < 1:
-        raise ValueError(f"epsilon' must be in (0,1), got {eps}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     p, q = eps.numerator, eps.denominator
@@ -47,7 +39,7 @@ def slack_bits_distributed(k: int, epsilon_prime: Fraction | float | str) -> int
 
 def single_node_qubits(r: int, L: int, epsilon: Fraction | float | str) -> int:
     """Work + counting qubits of the one-node solver (ancillas excluded)."""
-    return 2 * (order_register_width(r) + slack_bits_single(epsilon)) + L
+    return 2 * (order_register_width(r) + slack_bits(1, epsilon)) + L
 
 
 def per_node_qubits_from_widths(node_widths: tuple[int, ...] | list[int], L: int) -> int:
@@ -64,7 +56,7 @@ def per_node_qubits_formula(
     the expression is reproduced rather than re-rounded.
     """
     W = order_register_width(r) + 1
-    return 2 * (Fraction(W, k) + slack_bits_distributed(k, epsilon_prime)) + L
+    return 2 * (Fraction(W, k) + slack_bits(k, epsilon_prime)) + L
 
 
 def communication_qubits(k: int, L: int) -> int:

@@ -48,7 +48,7 @@ import numpy as np
 from . import dist, dlp, phase
 from .bits import circ_dist, wrap_add  # bench/tests checks verify's binding of both
 from .harness import case_rng
-from .numtheory import to_fraction, validate_instance
+from .numtheory import validate_instance
 
 # The sizes of the suites; the check names print most of them.
 PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -279,7 +279,7 @@ def suite_accuracy(
                 lows.append(float(phase.accuracy_masses(laws, nums[block], dens[block], n).min()))
     checks = []
     for eps_raw in epsilons:
-        eps = to_fraction(eps_raw)
+        eps = Fraction(eps_raw)
         bound = 1.0 - float(eps)
         worst = 1.0
         ok = True
@@ -303,7 +303,7 @@ def accuracy_entries(rs: tuple[int, ...], epsilons: tuple) -> int:
     r and eps. A width that several (eps, n) share is built once but counted
     once per (eps, n), as each takes its own masses from it."""
     return sum(rs) * sum(
-        1 << phase.accuracy_width(n, to_fraction(eps))
+        1 << phase.accuracy_width(n, eps)
         for eps in epsilons
         for n in range(1, ACCURACY_MAX_N + 1)
     )
@@ -372,7 +372,7 @@ def suite_dlp_mass(epsilons: tuple = ("0.5", "0.25")) -> list[CheckResult]:
         instance = validate_instance(N, a, b)
         r = instance.r
         for eps_raw in epsilons:
-            eps = to_fraction(eps_raw)
+            eps = Fraction(eps_raw)
             plan = dist.plan_for_order(r, 2, 2, eps)
             alg4 = dlp.success_mass(instance, plan.nodes, plan.join, plan.total_width)
             rows = (("", dlp.single_shot_success_mass(instance, eps), eps),

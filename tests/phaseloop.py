@@ -21,7 +21,7 @@ import numpy as np
 
 from distdlog.bits import MAX_WIDTH, BitString
 from distdlog.dlp import Chain, node_numerators
-from distdlog.numtheory import ProblemInstance, to_fraction
+from distdlog.numtheory import ProblemInstance
 from distdlog.phase import (
     AccuracyReport,
     _exact_phase,
@@ -86,7 +86,7 @@ def _window_mass(distribution, omega: Fraction, width: int, threshold: int, stri
 
 
 def accuracy_report(omega: Fraction, t: int, n: int, epsilon) -> AccuracyReport:
-    eps = to_fraction(epsilon)
+    eps = Fraction(epsilon)
     omega = Fraction(omega)
     dist = outcome_distribution(omega, t)
     bound = 1.0 - float(eps)
@@ -107,7 +107,7 @@ def suite_accuracy_loop(
 ) -> list[CheckResult]:
     checks = []
     for eps_raw in epsilons:
-        eps = to_fraction(eps_raw)
+        eps = Fraction(eps_raw)
         worst = 1.0
         ok = True
         widths = {n: accuracy_width(n, eps) for n in range(1, ACCURACY_MAX_N + 1)}

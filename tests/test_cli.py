@@ -95,6 +95,31 @@ class TestSolveCommand:
         assert (code, out) == (2, "")
         assert "trials must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "command, count, message",
+        [
+            ("solve", "--trials", "error: trials must be >= 1, got 0\n"),
+            ("solve-dist", "--trials", "error: trials must be >= 1, got 0\n"),
+            ("solve-dist", "--max-retries", "error: max_retries must be >= 1, got 0\n"),
+        ],
+        ids=["solve-trials", "solve-dist-trials", "solve-dist-max-retries"],
+    )
+    def test_zero_count_refused_before_the_law(self, capsys, monkeypatch, command, count, message):
+        """A zero trial or retry count is refused before the cached law of
+        the chain is built: at N = 59 both laws fit the byte cap, and each
+        takes tenths of a second and tens of MiB to build."""
+        from distdlog import dlp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("joint law built for a refused run")
+
+        dlp.joint_cdf.cache_clear()
+        monkeypatch.setattr(dlp, "joint_law", refuse)
+        argv = [command, "--N", "59", "--a", "3", "--b", "9", "--seed", "7", count, "0"]
+        if command == "solve-dist":
+            argv += ["--k", "2", "--h", "2", "--epsilon-prime", "0.2"]
+        assert run_cli(capsys, argv) == (2, "", message)
+
     def test_output_file(self, capsys, tmp_path):
         """--output gets the bytes stdout gets."""
         argv = ["solve", "--N", "11", "--a", "3", "--b", "9", "--trials", "300", "--seed", "2"]
@@ -436,6 +461,20 @@ class TestResourcesCommand:
     def test_bad_power_refused(self, capsys, power, message):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, ["resources", "--r", power, "--k", "2"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--L", "-3"], "argument --L: -3 is below the minimum 1"),
+            (["--L", "0"], "argument --L: 0 is below the minimum 1"),
+        ],
+        ids=["L-negative", "L-zero"],
+    )
+    def test_vacuous_input_refused(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, ["resources", "--r", "5", "--k", "2"] + argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 

@@ -39,7 +39,7 @@ from distdlog.dlp import (
     postprocess_detail,
     solve,
 )
-from distdlog.numtheory import ProblemInstance, ceil_log2, mod_pow, validate_instance
+from distdlog.numtheory import ProblemInstance, ceil_log2, validate_instance
 from distdlog.records import Outcome, RecordHeader, RunRecord, SplicedRecord
 from distdlog.resources import communication_qubits, per_node_qubits_from_widths, single_node_qubits
 from distdlog.statevec import QubitBudgetError
@@ -864,7 +864,7 @@ class TestSolveDistributed:
         )
         assert record.success
         assert record.g_hat == instance.hidden_g
-        assert mod_pow(instance.a, record.g_hat, instance.N) == instance.b
+        assert pow(instance.a, record.g_hat, instance.N) == instance.b
         assert record.width == acceptance_plan.total_width
         assert record.measured == acceptance_plan.measured
         assert record.comm_qubits == 4

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -7,14 +8,9 @@ from hypothesis import strategies as st
 
 from distdlog.numtheory import (
     InstanceError,
-    NotInvertibleError,
     ceil_log2,
     ceil_log2_ratio,
     is_prime,
-    mod_inverse,
-    mod_pow,
-    multiplicative_order,
-    to_fraction,
     validate_instance,
 )
 
@@ -27,56 +23,50 @@ def iterated_power(base, exp, modulus):
     return acc
 
 
-class TestModPow:
-    def test_examples(self):
-        assert iterated_power(3, 5, 11) == 1
-        assert mod_pow(3, 5, 11) == 1
-        assert mod_pow(7, 0, 11) == 1
-        assert mod_pow(3, 2, 11) == 9
-
-    @given(st.integers(0, 1000), st.integers(0, 50), st.integers(2, 500))
-    def test_matches_iteration(self, base, exp, modulus):
-        assert mod_pow(base, exp, modulus) == iterated_power(base, exp, modulus)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 1)
-        with pytest.raises(ValueError):
-            mod_pow(2, -1, 5)
+def order_of(a, N):
+    """The order of the unit a mod N, read from ``validate_instance(N, a, a)``:
+    its r, or the ``got r = ...`` of its refusal of an order that is not an
+    odd prime. Any other refusal propagates."""
+    try:
+        return validate_instance(N, a, a).r
+    except InstanceError as exc:
+        match = re.fullmatch(r"unsupported: .* got r = (\d+)", str(exc))
+        if match is None:
+            raise
+        return int(match[1])
 
 
-class TestModInverse:
-    def test_examples(self):
-        assert mod_inverse(2, 5) == 3
-        assert mod_inverse(1, 7) == 1
-        assert mod_inverse(4, 5) == 4
-
-    def test_gcd_witness(self):
-        with pytest.raises(NotInvertibleError) as exc:
-            mod_inverse(6, 9)
-        assert exc.value.gcd == 3
-
-    @given(st.integers(2, 10_000), st.data())
-    def test_involution(self, modulus, data):
-        x = data.draw(st.integers(1, modulus - 1))
-        if math.gcd(x, modulus) != 1:
-            return
-        y = mod_inverse(x, modulus)
-        assert (x * y) % modulus == 1
-        assert mod_inverse(y, modulus) == x % modulus
+def two_scans(N, a, b):
+    """Reference for ``validate_instance`` on N >= 3 and a, b in 0..N-1: its
+    fields, from the order found by iteration and then the exponent of b
+    found by search, or the InstanceError it raises."""
+    for name, x in (("a", a), ("b", b)):
+        if math.gcd(x, N) != 1:
+            raise InstanceError(f"{name} = {x} is not a unit mod {N} (gcd = {math.gcd(x, N)})")
+    r = 1
+    while iterated_power(a, r, N) != 1:
+        r += 1
+    if r <= 2 or not is_prime(r):
+        raise InstanceError(
+            f"unsupported: the order of a must be a prime greater than 2, got r = {r}"
+        )
+    for g in range(r):
+        if iterated_power(a, g, N) == b:
+            return (N, a, b, r, N.bit_length(), g)
+    raise InstanceError(f"promise violated: {b} is not a power of {a} mod {N}")
 
 
 class TestMultiplicativeOrder:
     def test_examples(self):
         powers = [iterated_power(3, e, 11) for e in range(1, 6)]
         assert powers == [3, 9, 5, 4, 1]
-        assert multiplicative_order(3, 11) == 5
-        assert multiplicative_order(1, 17) == 1
-        assert multiplicative_order(10, 11) == 2
+        assert order_of(3, 11) == 5
+        assert order_of(1, 17) == 1
+        assert order_of(10, 11) == 2
 
     def test_rejects_non_unit(self):
-        with pytest.raises(InstanceError):
-            multiplicative_order(6, 9)
+        with pytest.raises(InstanceError, match=r"a = 6 is not a unit mod 9 \(gcd = 3\)"):
+            order_of(6, 9)
 
     @pytest.mark.parametrize("N", range(3, 201))
     def test_order_divides_group_order(self, N):
@@ -84,15 +74,34 @@ class TestMultiplicativeOrder:
         units = [a for a in range(1, N) if math.gcd(a, N) == 1]
         sample = units if N <= 60 else units[:5] + units[-5:]
         for a in sample:
-            assert group_order % multiplicative_order(a, N) == 0
+            assert group_order % order_of(a, N) == 0
+
+
+@pytest.mark.parametrize("N", range(3, 51))
+def test_one_pass_equals_two_scans(N):
+    """The one pass over the powers of a finds what the order iteration and
+    the exponent search found, or refuses with the same message, for every
+    unit a and every b."""
+    units = [a for a in range(1, N) if math.gcd(a, N) == 1]
+    for a in units:
+        for b in range(N):
+            try:
+                expected = two_scans(N, a, b)
+            except InstanceError as exc:
+                with pytest.raises(InstanceError) as got:
+                    validate_instance(N, a, b)
+                assert str(got.value) == str(exc)
+                continue
+            instance = validate_instance(N, a, b)
+            assert dataclasses.astuple(instance)[:6] == expected
 
 
 class TestValidateInstance:
     def test_acceptance_instance(self):
         instance = validate_instance(11, 3, 9)
         assert (instance.r, instance.L, instance.hidden_g) == (5, 4, 2)
-        assert mod_pow(instance.a, instance.r, instance.N) == 1
-        assert mod_pow(instance.a, instance.hidden_g, instance.N) == instance.b
+        assert pow(instance.a, instance.r, instance.N) == 1
+        assert pow(instance.a, instance.hidden_g, instance.N) == instance.b
 
     def test_identity_target(self):
         assert validate_instance(11, 3, 1).hidden_g == 0
@@ -103,7 +112,7 @@ class TestValidateInstance:
             validate_instance(11, 3, 7)
 
     def test_composite_order_rejected(self):
-        assert multiplicative_order(2, 15) == 4
+        assert order_of(2, 15) == 4
         with pytest.raises(InstanceError, match="prime"):
             validate_instance(15, 2, 4)
 
@@ -119,7 +128,7 @@ class TestValidateInstance:
     def test_valid_instances_verify(self, N, a, b):
         instance = validate_instance(N, a, b)
         assert is_prime(instance.r) and instance.r > 2
-        assert mod_pow(a, instance.hidden_g, N) == b
+        assert pow(a, instance.hidden_g, N) == b
         assert instance.L == N.bit_length()
 
     def test_hash_computed_once_and_by_value(self):
@@ -166,10 +175,3 @@ class TestExactLogs:
         assert denominator * (1 << e) >= numerator
         if e > 0:
             assert denominator * (1 << (e - 1)) < numerator
-
-    def test_to_fraction_exact_decimal_strings(self):
-        from fractions import Fraction
-
-        assert to_fraction("0.1") == Fraction(1, 10)
-        assert to_fraction(0.25) == Fraction(1, 4)
-        assert to_fraction(Fraction(2, 7)) == Fraction(2, 7)
