@@ -28,6 +28,7 @@ from .resources import (
     per_node_qubits_from_widths,
     per_node_qubits_formula,
     single_node_qubits,
+    slack_bits,
 )
 
 
@@ -128,6 +129,9 @@ def _cmd_solve(args: argparse.Namespace, distributed: bool) -> int:
 def _cmd_resources(args: argparse.Namespace) -> int:
     epsilon = Fraction(args.epsilon)
     epsilon_prime = Fraction(args.epsilon_prime)
+    slack_bits(1, epsilon)  # an epsilon outside (0, 1) is refused first, with its own message
+    for k in args.k:  # refused before any row; a k above W/2 is a row, as W depends on r
+        dist.check_split(k, epsilon, epsilon_prime)
     rows = [
         [
             "r",

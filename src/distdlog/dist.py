@@ -131,6 +131,15 @@ class DistPlan:
         return {}
 
 
+def check_split(k: int, epsilon: Fraction, epsilon_prime: Fraction) -> None:
+    """Refuse a split that no order can plan: fewer than 2 nodes, or not
+    0 < epsilon' < epsilon < 1."""
+    if not 0 < epsilon_prime < epsilon < 1:
+        raise PlanError(f"need 0 < epsilon' < epsilon < 1, got {epsilon_prime} and {epsilon}")
+    if k < 2:
+        raise PlanError(f"need at least 2 nodes, got k = {k}")
+
+
 @lru_cache(maxsize=64)
 def plan_for_order(
     r: int,
@@ -143,10 +152,7 @@ def plan_for_order(
     cached, so equal requests share one plan, its join and its memo."""
     eps = Fraction(epsilon)
     eps_prime = eps / 2 if epsilon_prime is None else Fraction(epsilon_prime)
-    if not 0 < eps_prime < eps < 1:
-        raise PlanError(f"need 0 < epsilon' < epsilon < 1, got {eps_prime} and {eps}")
-    if k < 2:
-        raise PlanError(f"need at least 2 nodes, got k = {k}")
+    check_split(k, eps, eps_prime)
     W = order_register_width(r) + 1
     l = [1] + [(i - 1) * W // k for i in range(2, k + 1)] + [W]
     if any(l[i] >= l[i + 1] for i in range(k)):
@@ -258,14 +264,6 @@ def correct_with_flag(measurements: list[BitString], plan: DistPlan) -> tuple[Bi
     return wrap_add(BitString(plan.total_width, 0), value), fallback
 
 
-class AlignmentMismatch(AssertionError):
-    """The alignment pass moved the estimate on ``failures`` cases."""
-
-    def __init__(self, failures: int, message: str) -> None:
-        super().__init__(message)
-        self.failures = failures
-
-
 def _circ(diff, width: int):
     """Circular distance of a difference of ``width``-bit values (ints or arrays)."""
     d = diff & ((1 << width) - 1)
@@ -283,8 +281,8 @@ def brute_force_correct_oracle(w, perturbations, plan: DistPlan):
     each perturbation is an int or an int64 array broadcasting against
     ``w``. The windows are cut by shift and mask, the pass is
     ``align_values`` over all cases at once, and every case is checked.
-    Returns the output, an int64 scalar or array; raises
-    ``AlignmentMismatch`` carrying the number of failing cases.
+    Returns ``(output, failures)``: the output, an int64 scalar or array,
+    and the number of cases it moved off the ground truth.
     """
     width = plan.total_width
     if width > 62:
@@ -312,16 +310,7 @@ def brute_force_correct_oracle(w, perturbations, plan: DistPlan):
     got = _circ(output - values, width)
     want = _circ(inputs[-1] - windows[-1], plan.measured[-1])
     bad = (got != want) | (want != np.abs(offsets[-1]))
-    if bad.any():
-        got, want, p_k, bad = np.broadcast_arrays(got, want, np.abs(offsets[-1]), bad)
-        first = np.flatnonzero(bad)[0]
-        raise AlignmentMismatch(
-            int(bad.sum()),
-            f"alignment moved the estimate in {int(bad.sum())} of {bad.size} cases; "
-            f"first: d(out, w) = {got.flat[first]}, "
-            f"d(x_k, window) = {want.flat[first]}, |p_k| = {p_k.flat[first]}",
-        )
-    return output
+    return output, int(np.count_nonzero(bad))
 
 
 def run_distributed_quantum(
@@ -437,7 +426,7 @@ def _node_terms(
     r = instance.r
     nums = [node_numerators(instance, exponent, s) for s in range(r)]
     amps = [[phase.phase_state_amplitudes(Fraction(n, r), t) for n in pair] for pair in nums]
-    cols, places = dlp.orbit_columns(instance, t, exponent, instance.a)
+    cols, places = dlp.orbit_columns(instance, t, exponent, 1)
     rows = 1 << (t - m)
     square = 0.0
     terms = np.zeros((3, r))

@@ -17,14 +17,15 @@ Each attempt's result is a ``records.Outcome`` and each solve's a
 format and its encoder are ``records``'.
 The node circuit is a fused kernel in two stages on the live work values
 alone: ``node_columns`` runs it to the end of register a's inverse QFT on
-the (2^t, |live|) live columns, and ``node_rows`` runs the b stage on the
-rows it is given (the tests' ``gatelevel.node_block`` runs both on every
-row and holds them to the gate-level oracle). The live values, the
-closure of the input's support under a^(2^e) and b^(2^e), come from
-``live_orbit``, cached per (instance, exponent, support), and the a gather
-and the b positions on them from ``node_tables``, cached per (instance, t,
-exponent, support), so repeated fresh runs reuse them and only the circuit
-runs again: a fresh node run does O(2^t |live|) work and holds that much.
+the (2^t, r) live columns, and ``node_rows`` runs the b stage on the rows
+it is given (the tests' ``gatelevel.node_block`` runs both on every row
+and holds them to the gate-level oracle). The live values are the orbit
+of a: every node starts on |1> or on the hand-off of the node before, and
+powers of a and of b = a^g keep the work register on the r powers of a.
+``node_tables``, the kernel's one cache, per (instance, t, exponent), holds
+them sorted, each power's position among them, and the a gather and the b
+positions on them, so repeated fresh runs reuse them and only the circuit
+runs again: a fresh node run does O(2^t r) work and holds that much.
 Fresh runs measure node by node (``measure_chain``): ``measure_node`` draws
 register a from the a stage before b's transform, as nothing later acts on
 a, and runs the b stage on the drawn row alone. They never read the
@@ -111,58 +112,44 @@ def counting_width(r: int, epsilon: Fraction) -> int:
 
 
 @lru_cache(maxsize=32)
-def live_orbit(instance: ProblemInstance, exponent: int, support: bytes) -> np.ndarray:
-    """The closure of ``support`` under multiplication by a^(2^e) and
-    b^(2^e), values >= N fixed: every work value a node circuit on an input
-    with that support reaches, sorted.
-
-    ``support`` is the bytes of the input's ``np.flatnonzero``. Cached per
-    (instance, exponent, support), read-only: a fresh chain meets the same
-    few supports on every attempt. Each step sorts the values and their
-    images together and keeps the first of each run of equal values, which
-    is ``np.union1d``'s result; ``np.union1d`` itself is not called, as it
-    imports ``numpy.ma`` on its first call.
-    """
-    if exponent < 0:
-        raise ValueError(f"power exponent must be >= 0, got {exponent}")
-    N = instance.N
-    live = np.frombuffer(support, dtype=np.intp)
-    for c in (pow(instance.a, 1 << exponent, N), pow(instance.b, 1 << exponent, N)):
-        for _ in range(N.bit_length()):  # after step i: every power below 2^(i+1)
-            both = np.sort(np.concatenate((live, np.where(live < N, live * c % N, live))))
-            first = np.ones(len(both), dtype=bool)
-            first[1:] = both[1:] != both[:-1]
-            live = both[first]
-            c = c * c % N
-    live.setflags(write=False)
-    return live
-
-
-@lru_cache(maxsize=32)
 def node_tables(
-    instance: ProblemInstance, t: int, exponent: int, support: bytes
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The node circuit's two gathers on ``live``, ``live_orbit(instance,
-    exponent, support)``: returns ``(gather_a, place_b, live)``, where
-    ``gather_a[j_a, k]`` is the work value x with a^(j_a 2^e) x = live[k],
-    and ``place_b[j_b, k]`` the position in ``live`` of the x with
-    b^(j_b 2^e) x = live[k].
+    instance: ProblemInstance, t: int, exponent: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The node circuit's live work values and its two gathers on them:
+    returns ``(gather_a, place_b, live, order)``.
 
-    Cached per (instance, t, exponent, support), read-only. Both are built
-    on the live columns alone, with no (2^t, 2^L) modmul table, and laid
-    out with the live axis outermost: numpy lays out what it gathers
-    through an index array by that array's layout, and a later sum over
-    the live axis adds in an order that depends on it (with |live| >= 8,
-    numpy sums a contiguous axis pairwise).
+    ``live`` is the r powers of a, sorted: every node starts on |1> or on
+    the hand-off of the node before, and multiplications by powers of a and
+    of b = a^g keep the work register on them. ``order[k]`` is the position
+    of a^k in ``live``, ``gather_a[j_a, k]`` the work value x with
+    a^(j_a 2^e) x = live[k], and ``place_b[j_b, k]`` the position in
+    ``live`` of the x with b^(j_b 2^e) x = live[k].
+
+    Cached per (instance, t, exponent), read-only. The powers double in
+    log2 r numpy steps and one argsort orders them. The tables are built on
+    the live columns alone, with no (2^t, 2^L) modmul table, and laid out
+    with the live axis outermost: numpy lays out what it gathers through an
+    index array by that array's layout, and a later sum over the live axis
+    adds in an order that depends on it (with |live| >= 8, numpy sums a
+    contiguous axis pairwise).
     """
-    L, N = instance.L, instance.N
-    live = live_orbit(instance, exponent, support)
+    L, N, r = instance.L, instance.N, instance.r
+    powers = np.empty(r, dtype=np.intp)
+    powers[0] = done = 1
+    while done < r:  # a^done times the first powers gives the next ones
+        step = min(done, r - done)
+        powers[done : done + step] = powers[:step] * pow(instance.a, done, N) % N
+        done += step
+    by_value = np.argsort(powers)
+    live = powers[by_value]
+    order = np.empty_like(by_value)
+    order[by_value] = np.arange(r)
     gather_a = statevec.modmul_sources(t, L, instance.a, exponent, N, live)
     src_b = statevec.modmul_sources(t, L, instance.b, exponent, N, live)
     place_b = np.searchsorted(live, src_b.T).T
-    gather_a.setflags(write=False)
-    place_b.setflags(write=False)
-    return gather_a, place_b, live
+    for table in (gather_a, place_b, live, order):
+        table.setflags(write=False)
+    return gather_a, place_b, live, order
 
 
 def node_columns(
@@ -174,13 +161,13 @@ def node_columns(
     The counting registers control c^(j 2^exponent) for c = a and c = b on
     the work register, which starts in |work> or in the given vector: the
     single-node solver runs exponent 0 on |1>, node j of the distributed
-    solver exponent l_j - 1 on the previous node's hand-off. Returns
-    ``(cols, live, place_b)``: ``live``, the orbit of the input's support
-    under a^(2^e) and b^(2^e), holds every work value the state reaches
-    (``live_orbit``'s cached, read-only array), ``cols[j_a, k]`` is the
-    amplitude, before the b stage, of a-outcome j_a with the work register
-    at live[k], and ``place_b`` is ``node_tables``' b table, which
-    ``node_rows`` reads.
+    solver exponent l_j - 1 on the previous node's hand-off. The input must
+    lie on the orbit of a, the r powers of a mod N; a basis value or a
+    vector amplitude off it is refused with ``statevec.LayoutError``.
+    Returns ``(cols, live, place_b)`` from ``node_tables``' cache: ``live``
+    is the orbit, sorted, ``cols[j_a, k]`` the amplitude, before the b
+    stage, of a-outcome j_a with the work register at live[k], and
+    ``place_b`` the b table that ``node_rows`` reads.
 
     Both counting registers start in |0>, so the Hadamards only scale the
     work vector, and the a multiplications make ``cols`` the scaled work
@@ -195,20 +182,28 @@ def node_columns(
             f"circuit needs {required} qubits (cap {statevec.MAX_QUBITS}); use analytic mode"
         )
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    r, a, N = instance.r, instance.a, instance.N
     if isinstance(work, (int, np.integer)):
         statevec.check_basis("work", instance.L, work)
+        gather_a, place_b, live, _ = node_tables(instance, t, exponent)  # checks the exponent
+        at = live.searchsorted(work)  # ``work in live`` scans every power
+        if at == r or live[at] != work:
+            raise statevec.LayoutError(
+                f"work value {work} is not one of the {r} powers of {a} mod {N}"
+            )
         scale = 1.0
         for _ in range(2 * t):
             scale *= inv_sqrt2
-        support = np.array([work], dtype=np.intp).tobytes()
-        gather_a, place_b, live = node_tables(instance, t, exponent, support)  # checks the exponent
         gathered = np.where(gather_a == work, complex(scale), 0j)
     else:
         vec = statevec.register_factor("work", instance.L, work)
+        gather_a, place_b, live, _ = node_tables(instance, t, exponent)
+        if np.count_nonzero(vec) != np.count_nonzero(vec[live]):
+            raise statevec.LayoutError(
+                f"work vector has amplitude off the {r} powers of {a} mod {N}"
+            )
         for _ in range(2 * t):  # rounds exactly as one Hadamard on a |0> qubit
             vec = (vec + 0) * inv_sqrt2
-        support = np.flatnonzero(vec).tobytes()
-        gather_a, place_b, live = node_tables(instance, t, exponent, support)
         gathered = vec[gather_a]
     cols = np.fft.fft(gathered, axis=0)
     cols /= math.sqrt(1 << t)
@@ -312,17 +307,14 @@ def _build_bytes(instance: ProblemInstance, nodes: Chain, mode: str) -> int:
 
 
 def orbit_columns(
-    instance: ProblemInstance, t: int, exponent: int, work: int = 1
+    instance: ProblemInstance, t: int, exponent: int, power: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``node_columns`` on |work>, a power of a, with its b table read along
-    the orbit from work: returns ``(cols, places)``, and ``node_rows(cols,
-    places)[:, :, k]`` is the node's block at work a^k mod N."""
-    r, N = instance.r, instance.N
-    orbit = np.array([work * pow(instance.a, k, N) % N for k in range(r)])
-    cols, live, place_b = node_columns(instance, t, exponent, work)
-    if not np.array_equal(live, np.sort(orbit)):
-        raise statevec.LayoutError(f"live work values are not the {r} powers of {instance.a}")
-    return cols, place_b[:, np.searchsorted(live, orbit)]
+    """``node_columns`` on |a^power>, with its b table read along the orbit
+    from there: returns ``(cols, places)``, and ``node_rows(cols,
+    places)[:, :, k]`` is the node's block at work a^(power + k) mod N."""
+    cols, _, place_b = node_columns(instance, t, exponent, pow(instance.a, power, instance.N))
+    order = node_tables(instance, t, exponent)[3]
+    return cols, place_b[:, np.roll(order, -power)]
 
 
 def node_cells(instance: ProblemInstance, t: int, exponent: int, m: int) -> Iterator[np.ndarray]:

@@ -16,11 +16,11 @@ The solvers' kernel (``dlp.node_columns``, the a stage, and ``dlp.node_rows``,
 the b stage) and sampler ``dlp.measure_node`` use only check_basis,
 register_factor, modmul_sources and draw_outcome from here. Fresh runs
 measure register a before b's transform, so they never build the 2^t x
-2^t block, and they work on the live work values alone. Those come from
-``dlp.live_orbit``'s cache, and the two stages gather through (2^t,
-|live|) tables from ``dlp.node_tables``' cache, built by modmul_sources on
-the live columns alone: no solver builds a (2^t, 2^w) modmul table. Bit strings appear here
-only in the oracle's measurement outcomes.
+2^t block, and they work on the live work values alone, the r powers of a.
+The two stages gather through (2^t, r) tables from ``dlp.node_tables``'
+cache, built by modmul_sources on those columns alone: no solver builds a
+(2^t, 2^w) modmul table. Bit strings appear here only in the oracle's
+measurement outcomes.
 """
 
 from __future__ import annotations

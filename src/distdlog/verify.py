@@ -321,14 +321,6 @@ def feasible_correct_combos() -> list[dist.DistPlan]:
     return plans
 
 
-def _oracle_failures(w, perturbations, plan: dist.DistPlan) -> int:
-    try:
-        dist.brute_force_correct_oracle(w, perturbations, plan)
-    except dist.AlignmentMismatch as err:
-        return err.failures
-    return 0
-
-
 def suite_correct(cases: int = 10_000, seed: int = 1) -> list[CheckResult]:
     """The alignment oracle: randomized cases per feasible plan shape, plus
     exhaustive enumeration of every (word, perturbation) combination.
@@ -349,7 +341,7 @@ def suite_correct(cases: int = 10_000, seed: int = 1) -> list[CheckResult]:
         w = rng.integers(1 << plan.total_width, size=cases)
         perturbations = [rng.integers(-bound, bound + 1, size=cases) for _ in range(plan.k - 1)]
         perturbations.append(rng.integers(-1, 2, size=cases))
-        failures = _oracle_failures(w, perturbations, plan)
+        _, failures = dist.brute_force_correct_oracle(w, perturbations, plan)
         checks.append(_result(f"alignment oracle random {label} ({cases} cases)",
                               failures == 0, f"{failures} failures", "0 failures"))
 
@@ -357,7 +349,7 @@ def suite_correct(cases: int = 10_000, seed: int = 1) -> list[CheckResult]:
             spans = [np.arange(-bound, bound + 1)] * (plan.k - 1) + [np.arange(-1, 2)]
             grid = np.meshgrid(np.arange(1 << plan.total_width), *spans, indexing="ij")
             w, *perturbations = (axis.ravel() for axis in grid)
-            failures = _oracle_failures(w, perturbations, plan)
+            _, failures = dist.brute_force_correct_oracle(w, perturbations, plan)
             checks.append(_result(f"alignment oracle exhaustive {label}",
                                   failures == 0, f"{failures} failures", "0 failures"))
     return checks

@@ -2,8 +2,8 @@
 bitwise references for ``dlp``'s kernel and its cell-by-cell builds.
 
 ``dlp.node_columns`` gathers, transforms and scales only the (2^t, |live|)
-live work columns of the a stage, through tables cached per (instance, t,
-exponent, support). The kernel here runs the a stage on all 2^L work
+live work columns of the a stage, the orbit of a, through tables cached
+per (instance, t, exponent). The kernel here runs the a stage on all 2^L work
 columns through the (2^t, 2^L) modmul tables on every run and reads the
 live columns off that; the b stage gathers from the full columns. The
 tests hold every array and every draw of ``dlp``'s kernel to this one with
@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from distdlog import statevec
-from distdlog.dlp import Chain, live_orbit, node_numerators
+from distdlog.dlp import Chain, node_numerators, node_tables
 from distdlog.numtheory import ProblemInstance
 from distdlog.phase import phase_state_amplitudes
 
@@ -45,7 +45,7 @@ def node_columns(
         for _ in range(2 * t):
             vec = (vec + 0) * inv_sqrt2
     src_a = statevec.modmul_sources(t, instance.L, instance.a, exponent, instance.N)
-    live = live_orbit(instance, exponent, np.flatnonzero(vec).tobytes())
+    live = node_tables(instance, t, exponent)[2]
     cols = np.fft.fft(vec[src_a], axis=0) / math.sqrt(1 << t)
     return cols, live
 

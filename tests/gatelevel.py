@@ -8,7 +8,8 @@ amplitudes off one run of each node on |1>, one cell of ``dlp.node_cells``
 at a time, and the tests hold all three to these whole-state computations. The shared
 eigenvectors u_s are built here alone (``build_eigenstate``).
 ``build_stage_state`` scatters the live block onto the full (a, b, work)
-state, and ``whole_state_step7`` is the step-7 check done directly: every
+state, ``gate_stage_state`` builds that state gate by gate on any work
+input, and ``whole_state_step7`` is the step-7 check done directly: every
 node run on every u_s, r k runs, with the projection on u_s and its
 residual taken by a dense contraction over all 2^L work values. The
 one-register phase estimation circuit (``run_phase_estimation(t, unitary,
@@ -74,6 +75,21 @@ def build_stage_state(
     amps[:, :, live] = block
     del block  # before the norm check allocates its temporaries
     return QuantumState(layout, amps.reshape(-1))
+
+
+def gate_stage_state(
+    instance: ProblemInstance, t: int, exponent: int, work: int | np.ndarray
+) -> QuantumState:
+    """The node circuit applied gate by gate, on any work input: the oracle
+    for the fused kernel, which runs on the orbit of a alone."""
+    layout = statevec.RegisterLayout((("a", t), ("b", t), ("work", instance.L)))
+    state = statevec.init_product(layout, {"work": work})
+    state = statevec.hadamard_layer(state, "a")
+    state = statevec.hadamard_layer(state, "b")
+    state = statevec.controlled_modmul_power(state, "a", "work", instance.a, exponent, instance.N)
+    state = statevec.controlled_modmul_power(state, "b", "work", instance.b, exponent, instance.N)
+    state = statevec.inverse_qft(state, "a")
+    return statevec.inverse_qft(state, "b")
 
 
 class WholeStateStep7(NamedTuple):

@@ -479,6 +479,38 @@ class TestResourcesCommand:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--k", "0", "1"], "need at least 2 nodes, got k = 0"),
+            (["--k", "2", "1"], "need at least 2 nodes, got k = 1"),
+            (["--k", "2", "--epsilon-prime", "0"],
+             "need 0 < epsilon' < epsilon < 1, got 0 and 1/4"),
+            (["--k", "2", "--epsilon-prime", "0.3"],
+             "need 0 < epsilon' < epsilon < 1, got 3/10 and 1/4"),
+            (["--k", "2", "--epsilon", "2"], "epsilon must be in (0,1), got 2"),
+        ],
+        ids=["k-zero", "k-one", "epsilon-prime-zero", "epsilon-prime-above", "epsilon-above"],
+    )
+    def test_configuration_error_refused_before_any_row(self, capsys, argv, message):
+        """A node count below 2 or an epsilon' outside (0, epsilon) is
+        refused with exit 2 and ``plan_for_order``'s message before any row
+        is written, as ``solve-dist`` refuses it."""
+        code, out, err = run_cli(capsys, ["resources", "--r", "5", "2**64"] + argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_k_above_half_width_is_a_row(self, capsys):
+        """A plan that cannot split r's register depends on r, so it stays
+        an ``infeasible`` row of a table that exits 0."""
+        code, out, _ = run_cli(capsys, ["resources", "--r", "5", "2**64", "--k", "2", "99"])
+        assert code == 0
+        verdicts = [row.split(",", 11)[11] for row in out.splitlines()[1:-1]]
+        assert verdicts == [
+            "false", "infeasible: plan infeasible: k = 99 exceeds 2 for order 5",
+            "true", f"infeasible: plan infeasible: k = 99 exceeds 33 for order {2**64}",
+        ]
+
+
 class TestVerifyCommand:
     def test_suite_list_digest(self):
         """The names and bounds of every check of ``verify --suite all``

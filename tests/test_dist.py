@@ -43,7 +43,7 @@ from distdlog.numtheory import ProblemInstance, ceil_log2, validate_instance
 from distdlog.records import Outcome, RecordHeader, RunRecord, SplicedRecord
 from distdlog.resources import communication_qubits, per_node_qubits_from_widths, single_node_qubits
 from distdlog.statevec import QubitBudgetError
-from gatelevel import build_stage_state, node_block, whole_state_step7
+from gatelevel import build_stage_state, gate_stage_state, node_block, whole_state_step7
 from phaseloop import analytic_joint_law_loop, fraction_bits
 
 
@@ -248,18 +248,30 @@ class TestCorrect:
 class TestCorrectOracle:
     def test_zero_perturbations(self, acceptance_plan):
         w = 0b11010
-        assert brute_force_correct_oracle(w, [0, 0], acceptance_plan) == w
+        assert brute_force_correct_oracle(w, [0, 0], acceptance_plan) == (w, 0)
 
     def test_worked_perturbations(self, acceptance_plan):
         out = brute_force_correct_oracle(0b01101, [-1, 1], acceptance_plan)
-        assert out == 0b01110
+        assert out == (0b01110, 0)
 
     def test_randomized_small_batch(self, acceptance_plan):
         rng = np.random.default_rng(17)
         for _ in range(500):
             w = int(rng.integers(32))
             perturbations = [int(rng.integers(-1, 2)), int(rng.integers(-1, 2))]
-            brute_force_correct_oracle(w, perturbations, acceptance_plan)
+            _, failures = brute_force_correct_oracle(w, perturbations, acceptance_plan)
+            assert failures == 0
+
+    def test_counts_moved_cases(self, acceptance_plan, monkeypatch):
+        """A pass that moves the estimate fails every case it moves, and
+        the oracle returns that count."""
+        align = dist.align_values
+        monkeypatch.setattr(
+            dist, "align_values", lambda values, plan: ((align(values, plan)[0] + 2) & 31, False)
+        )
+        words = np.arange(32)
+        _, failures = brute_force_correct_oracle(words, [0, 0], acceptance_plan)
+        assert failures == 32
 
     def test_rejects_oversized_perturbation(self, acceptance_plan):
         with pytest.raises(ValueError):
@@ -487,14 +499,15 @@ class TestQuantumStage:
     def test_transfer_stack_equals_per_column_builds(
         self, instance, acceptance_plan, small_instance, small_plan
     ):
-        """The stack built from one simulation on |1> equals simulating the
-        node on every unit column, amplitude for amplitude."""
+        """The stack built from one simulation on |1> equals the gate-level
+        circuit on every unit column, amplitude for amplitude, also on the
+        units off the orbit of a, where the fused kernel does not run."""
         for inst, plan in ((small_instance, small_plan), (instance, acceptance_plan)):
             units = np.array([c for c in range(1, inst.N) if math.gcd(c, inst.N) == 1])
             for node in range(plan.k):
                 stack = _node_transfer_states(inst, plan, node, units)
                 for i, c in enumerate(units):
-                    state = build_stage_state(inst, plan.t[node], plan.l[node] - 1, int(c))
+                    state = gate_stage_state(inst, plan.t[node], plan.l[node] - 1, int(c))
                     assert np.array_equal(stack[:, :, i].reshape(-1), state.amps), (node, c)
 
     def test_transfer_stack_refuses_non_units(self, instance, acceptance_plan):
@@ -639,7 +652,7 @@ class TestBranchLaws:
 
         inst = validate_instance(N, a, a * a % N)
         dlp.branch_laws(validate_instance(7, 2, 4), ((3, 0, 3),), "statevector")  # imports
-        for cached in (statevec._modmul_destinations, dlp.node_tables, dlp.live_orbit):
+        for cached in (statevec._modmul_destinations, dlp.node_tables):
             cached.cache_clear()
         tracemalloc.start()
         try:
@@ -660,7 +673,7 @@ class TestBranchLaws:
         inst = validate_instance(47, 2, 4)
         nodes = make_plan(inst, k=2, h=2, epsilon="0.25", epsilon_prime="0.2").nodes
         dlp.branch_laws(validate_instance(7, 2, 4), ((3, 0, 3),), "statevector")  # imports
-        for cached in (statevec._modmul_destinations, dlp.node_tables, dlp.live_orbit):
+        for cached in (statevec._modmul_destinations, dlp.node_tables):
             cached.cache_clear()
         tracemalloc.start()
         try:
@@ -813,7 +826,6 @@ class TestStepSevenState:
         inst = validate_instance(N, a, b)
         plan = make_plan(inst, k=2, h=2, epsilon="0.25", epsilon_prime="0.2")
         statevec._modmul_destinations.cache_clear()
-        dlp.live_orbit.cache_clear()
         dlp.node_tables.cache_clear()
         tracemalloc.start()
         try:
@@ -1758,8 +1770,7 @@ class TestSuccessMass:
         counts) and on the widest analytic ones (rows and tuples)."""
         instance = validate_instance(*triple)
         chain = _mass_chain(instance, k, epsilon, epsilon_prime)
-        for cached in (dlp.live_orbit, dlp.node_tables):
-            cached.cache_clear()
+        dlp.node_tables.cache_clear()
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()

@@ -24,8 +24,9 @@ from distdlog.numtheory import validate_instance
 from distdlog.phase import phase_outcome_distribution
 
 import fullwidth
-from gatelevel import build_eigenstate, build_stage_state, joint_distribution, node_block
-from orbitbfs import bfs_closure
+from gatelevel import (
+    build_eigenstate, build_stage_state, gate_stage_state, joint_distribution, node_block,
+)
 from phaseloop import outcome_distribution
 
 
@@ -182,25 +183,15 @@ class TestStageEquivalence:
         assert s == 0 and m_a == 0 and m_b == 0
 
 
-def gate_stage_state(instance, t, exponent, work):
-    """The node circuit applied gate by gate: the oracle for the fused kernel."""
-    layout = statevec.RegisterLayout((("a", t), ("b", t), ("work", instance.L)))
-    state = statevec.init_product(layout, {"work": work})
-    state = statevec.hadamard_layer(state, "a")
-    state = statevec.hadamard_layer(state, "b")
-    state = statevec.controlled_modmul_power(state, "a", "work", instance.a, exponent, instance.N)
-    state = statevec.controlled_modmul_power(state, "b", "work", instance.b, exponent, instance.N)
-    state = statevec.inverse_qft(state, "a")
-    return statevec.inverse_qft(state, "b")
-
-
 def node_inputs(instance):
-    """|1>, a fixed point |x >= N>, every eigenvector u_s and a random
-    normalised vector with full support."""
+    """|1>, every eigenvector u_s and a random normalised vector on the
+    orbit of a."""
     rng = np.random.default_rng(2024)
-    full = rng.normal(size=1 << instance.L) + 1j * rng.normal(size=1 << instance.L)
+    orbit = [pow(instance.a, k, instance.N) for k in range(instance.r)]
+    rand = np.zeros(1 << instance.L, dtype=np.complex128)
+    rand[orbit] = rng.normal(size=instance.r) + 1j * rng.normal(size=instance.r)
     eigen = [build_eigenstate(instance, s) for s in range(instance.r)]
-    return [1, instance.N + 1, *eigen, full / np.linalg.norm(full)]
+    return [1, *eigen, rand / np.linalg.norm(rand)]
 
 
 class TestNodeKernel:
@@ -298,22 +289,21 @@ class TestNodeTables:
     def test_live_columns_of_the_full_tables(self, N, a, b):
         """The gather and the b positions are the full modmul tables' live
         columns, value for value, with the same dtype and Fortran layout,
-        for every input of ``node_inputs`` (a fixed point >= N included)."""
+        and every input of ``node_inputs`` runs on the one cached entry."""
         instance = validate_instance(N, a, b)
         for t, exponent in ((2, 0), (5, 1), (7, 3)):
             src_a = statevec.modmul_sources(t, instance.L, a, exponent, N)
             src_b = statevec.modmul_sources(t, instance.L, b, exponent, N)
+            gather_a, place_b, live, _ = dlp.node_tables(instance, t, exponent)
+            want_a = np.asfortranarray(src_a[:, live])
+            want_b = np.asfortranarray(np.searchsorted(live, src_b[:, live]))
+            for got, want in ((gather_a, want_a), (place_b, want_b)):
+                assert np.array_equal(got, want) and got.dtype == want.dtype
+                layout = lambda x: (x.flags.f_contiguous, x.flags.c_contiguous)
+                assert layout(got) == layout(want) and not got.flags.writeable
             for work in node_inputs(instance):
-                vec = statevec.register_factor("work", instance.L, work)
-                support = np.flatnonzero(vec).tobytes()
-                gather_a, place_b, live = dlp.node_tables(instance, t, exponent, support)
-                assert live is dlp.live_orbit(instance, exponent, support)
-                want_a = np.asfortranarray(src_a[:, live])
-                want_b = np.asfortranarray(np.searchsorted(live, src_b[:, live]))
-                for got, want in ((gather_a, want_a), (place_b, want_b)):
-                    assert np.array_equal(got, want) and got.dtype == want.dtype
-                    layout = lambda x: (x.flags.f_contiguous, x.flags.c_contiguous)
-                    assert layout(got) == layout(want) and not got.flags.writeable
+                _, got_live, got_b = node_columns(instance, t, exponent, work)
+                assert got_live is live and got_b is place_b
 
     def test_build_keeps_no_full_width_table(self):
         """A state-vector law build at N = 8209 (r = 3, L = 14, t = 5) builds
@@ -322,7 +312,7 @@ class TestNodeTables:
         inst = validate_instance(8209, 3265, pow(3265, 2, 8209))
         assert (inst.r, inst.L) == (3, 14)
         dlp.branch_laws(validate_instance(7, 2, 4), ((3, 0, 3),), "statevector")  # imports
-        for cached in (statevec._modmul_destinations, dlp.node_tables, dlp.live_orbit):
+        for cached in (statevec._modmul_destinations, dlp.node_tables):
             cached.cache_clear()
         tracemalloc.start()
         try:
@@ -341,7 +331,7 @@ class TestNodeTables:
         it once built (the peak was 288 KiB)."""
         inst = validate_instance(8209, 3265, pow(3265, 2, 8209))
         dlp.branch_laws(validate_instance(7, 2, 4), ((3, 0, 3),), "statevector")  # imports
-        for cached in (statevec._modmul_destinations, dlp.node_tables, dlp.live_orbit):
+        for cached in (statevec._modmul_destinations, dlp.node_tables):
             cached.cache_clear()
         tracemalloc.start()
         try:
@@ -360,47 +350,43 @@ class TestNodeTables:
 
 
 class TestLiveOrbit:
-    @pytest.mark.parametrize("exponent", [0, 1, 3])
+    @pytest.mark.parametrize("exponent", [0, 1, 2, 3])
     @pytest.mark.parametrize("t", range(2, 9))
-    @pytest.mark.parametrize("N, a, b", [(11, 3, 9), (23, 2, 3)])
-    def test_equals_bfs_closure(self, N, a, b, t, exponent):
-        """The cached closure is the breadth-first one for every input, on
-        orbits that are strict subsets of the units, and it is read-only."""
-        instance = validate_instance(N, a, b)
-        for work in node_inputs(instance):
-            _, live, _ = node_columns(instance, t, exponent, work)
-            support = [work] if isinstance(work, int) else np.flatnonzero(work)
-            assert live.tolist() == bfs_closure(instance, exponent, support)
-            assert not live.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                live[0] = live[0]
-
     @pytest.mark.parametrize("N, a, b", [(11, 3, 9), (23, 2, 3), (47, 2, 4)])
-    def test_equals_union1d_closure(self, N, a, b):
-        """The sort-and-dedupe closure gives the very array, dtype included,
-        that the ``np.union1d`` closure it replaced gives, on every input
-        support and exponent 0 to 3."""
+    def test_live_is_the_sorted_powers_of_a(self, N, a, b, t, exponent):
+        """``live`` is the r powers of a, sorted, as intp, read-only, and
+        ``order`` gives each power's position in it; at N = 23, a = 2 they
+        are 11 of the 22 units."""
         instance = validate_instance(N, a, b)
-        for work in node_inputs(instance):
-            support = np.flatnonzero(work) if isinstance(work, np.ndarray) else [work]
-            support = np.asarray(support, dtype=np.intp).tobytes()
-            for exponent in range(4):
-                want = np.frombuffer(support, dtype=np.intp)
-                for c in (pow(a, 1 << exponent, N), pow(b, 1 << exponent, N)):
-                    for _ in range(N.bit_length()):
-                        want = np.union1d(want, np.where(want < N, want * c % N, want))
-                        c = c * c % N
-                got = dlp.live_orbit.__wrapped__(instance, exponent, support)
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+        _, _, live, order = dlp.node_tables(instance, t, exponent)
+        powers = [pow(a, k, N) for k in range(instance.r)]
+        assert live.dtype == np.intp and live.tolist() == sorted(powers)
+        assert live[order].tolist() == powers
+        for table in (live, order):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = table[0]
+
+    @pytest.mark.parametrize("exponent", [0, 3])
+    def test_off_orbit_input_refused(self, exponent):
+        """A work input off the orbit of a is refused: the fixed point
+        N + 1, 5 at N = 23 (not a power of 2 mod 23) and a random vector
+        with full support."""
+        instance = validate_instance(23, 2, 3)
+        rng = np.random.default_rng(2024)
+        full = rng.normal(size=1 << instance.L) + 1j * rng.normal(size=1 << instance.L)
+        for work in (instance.N + 1, 5):
+            with pytest.raises(statevec.LayoutError, match="not one of the 11 powers of 2"):
+                node_columns(instance, 3, exponent, work)
+        with pytest.raises(statevec.LayoutError, match="amplitude off the 11 powers of 2"):
+            measure_node(instance, 3, exponent, full / np.linalg.norm(full), rng)
 
     def test_one_miss_per_exponent_and_support(self, instance, acceptance_plan, monkeypatch):
-        """Fresh runs of both solvers compute each closure once: every node
-        makes one lookup of ``node_tables``, which reads the closure only
-        when it misses, and every further node on the same (exponent,
-        support) is a cache hit."""
-        tables, orbits = dlp.node_tables, dlp.live_orbit
+        """Fresh runs of both solvers build each node's tables once,
+        whatever the support of its input: every node makes one lookup of
+        ``node_tables``, keyed by (instance, t, exponent), and only the first
+        lookup of each (t, exponent) misses."""
+        tables = dlp.node_tables
         tables.cache_clear()
-        orbits.cache_clear()
         keys = []
 
         def record(*key):
@@ -417,8 +403,7 @@ class TestLiveOrbit:
             )
         info = tables.cache_info()
         assert info.hits + info.misses == len(keys) >= 60
-        assert orbits.cache_info().hits + orbits.cache_info().misses == info.misses
-        assert orbits.cache_info().misses <= len({(e, support) for _, _, e, support in keys})
+        assert info.misses == len({(t, exponent) for _, t, exponent in keys}) >= 2
 
     def test_warm_cache_gives_cold_records(self, instance, acceptance_plan):
         """50 seeded fresh solves give the same records on a warm cache as
@@ -438,13 +423,12 @@ class TestLiveOrbit:
             return records
 
         batch()
-        misses = dlp.live_orbit.cache_info().misses
+        misses = dlp.node_tables.cache_info().misses
         warm = batch()
-        assert dlp.live_orbit.cache_info().misses == misses
-        dlp.live_orbit.cache_clear()
+        assert dlp.node_tables.cache_info().misses == misses
         dlp.node_tables.cache_clear()
         cold = batch()
-        assert dlp.live_orbit.cache_info().misses > 0
+        assert dlp.node_tables.cache_info().misses > 0
         assert warm == cold
 
 
