@@ -34,7 +34,8 @@ instance's hidden exponent. Cached runs draw a flat index from
 ``decode_joint_index``, joins and verifies it, and the outcome is kept in
 the memo of ``joint_cdf``'s entry, so a repeat draw is one CDF search and
 one lookup, and its record shares the outcome, JSON fields and text
-included.
+included. Every outcome, kept or not, writes its values' text once, and
+every record's line is spliced from it (``records``).
 ``node_cells`` is the one source of the circuit's per-branch amplitudes
 (one run of a node on |1>, one m_a cell of its block at a time, split into
 branches by an r-point FFT along the orbit of a);
@@ -43,9 +44,11 @@ P_j(. | s) in closed form, and ``joint_law``, cached per (instance, chain)
 with its CDF, is the one branch mixture (1/r) sum_s prod_j P_j(. | s) of
 either backend. The analytic backend draws the latent branch s and then
 each register exactly at its phase by one O(1) draw, most often of a
-single uniform (``sample_chain``). Every branch phase is an int numerator
-over r from ``node_numerators``, for one branch or an int64 array of
-them. The phases read the exponent g from ``hidden_g`` as an oracle. The
+single uniform (``sample_chain``, which checks each chain's widths and
+reads each node's 2^e mod r once per (r, chain), ``_chain_draws``, and
+calls the sampler's draw body per register). Every branch phase is an int
+numerator over r from ``node_numerators``, for one branch or an int64
+array of them. The phases read the exponent g from ``hidden_g`` as an oracle. The
 test suites hold the sampler to the closed form, and the closed form to
 the circuit exactly.
 """
@@ -409,17 +412,17 @@ def joint_law(instance: ProblemInstance, nodes: Chain, mode: str = "statevector"
     return law
 
 
-# Outcomes a chain's memo keeps (``joint_cdf``); a miss past it is computed,
-# not stored and not spliced. By tracemalloc an entry (its key, its
-# ``Outcome`` with the int estimates, the post-processing result, the node
-# pairs and, once a record of it is written, its JSON fields and their
-# values' text; the header's values are shared, not copied) takes about 0.69
-# to 0.74 KB on a one-node chain and 1.52 to 1.57 KB on two (N = 11 to 59,
-# 1,024 entries); without the JSON fields and text, 0.22 to 0.27 KB and 0.34
-# to 0.39 KB. No law of three or more nodes fits the byte cap: their
-# prefixes come to at least 12 bits a register, a 2^24-entry law. At a worst
-# case of 2 KB an entry, a memo holds at most 2 MiB, and ``joint_cdf``'s 8
-# entries 16 MiB.
+# Outcomes a chain's memo keeps (``joint_cdf``); a miss past it is computed
+# and not stored, and its record's line is spliced as any other. By
+# tracemalloc an entry (its key, its ``Outcome`` with the int estimates, the
+# post-processing result, the node pairs and, once a record of it is
+# written, its JSON fields and the tuple of their values' text; the header's
+# values are shared, not copied) takes about 0.82 to 0.96 KB on a one-node
+# chain and 1.69 to 1.85 KB on two (N = 11 to 59, 1,024 entries); without
+# the JSON fields and text, 0.21 to 0.26 KB and 0.33 to 0.38 KB. No law of
+# three or more nodes fits the byte cap: their prefixes come to at least 12
+# bits a register, a 2^24-entry law. At a worst case of 2 KB an entry, a
+# memo holds at most 2 MiB, and ``joint_cdf``'s 8 entries 16 MiB.
 _OUTCOMES_CAP = 1 << 10
 
 
@@ -466,6 +469,18 @@ def node_numerators(
     return s * shift % r, s * instance.hidden_g % r * shift % r
 
 
+@lru_cache(maxsize=16)
+def _chain_draws(r: int, nodes: Chain) -> tuple[tuple[int, int, int], ...]:
+    """Per node of the chain, ``(t, 2^exponent mod r, t - measured)``: what
+    ``sample_chain`` needs of it at order r, cached per (r, chain). Building
+    it checks every node's width against r (``phase.check_width``), so a
+    chain too wide for the sampler is refused, with its message, before
+    any draw."""
+    for t, _, _ in nodes:
+        phase.check_width(t, r)
+    return tuple((t, pow(2, exponent, r), t - m) for t, exponent, m in nodes)
+
+
 def sample_chain(
     instance: ProblemInstance, nodes: Chain, rng: statevec.Rng
 ) -> tuple[Pairs, int]:
@@ -473,20 +488,28 @@ def sample_chain(
 
     The branch s is uniform, the generator's first draw; given s the
     registers are independent at their phases. Node by node, a before b,
-    each full t-bit outcome is one ``phase.sample_phase_outcome`` draw on
-    the int numerator from ``node_numerators`` over r, with no 2^t array
-    and no Fraction: one uniform inverts the two outcomes next to the
-    peak, and only a draw past them rejects on the tail (about 2.3
-    uniforms per register at r = 16001).
+    each full t-bit outcome is one draw of ``phase.draw_from_peak``, the
+    sampler's body, on divmod(num 2^t, r) for the int numerator num of
+    ``node_numerators``, with no 2^t array and no Fraction: one uniform
+    inverts the two outcomes next to the peak, and only a draw past them
+    rejects on the tail (about 2.3 uniforms per register at r = 16001). It
+    draws exactly as ``phase.sample_phase_outcome`` on num/r would: r is
+    prime (``validate_instance``), so every nonzero num < r is in lowest
+    terms, num = 0 gives rem = 0 either way, and the widths are checked
+    once per (r, chain) (``_chain_draws``).
     """
     r = instance.r
+    draws = _chain_draws(r, nodes)
     s = int(rng.integers(r))
+    sg = s * instance.hidden_g % r
+    draw = phase.draw_from_peak
     pairs = []
-    for t, exponent, m in nodes:
-        num_a, num_b = node_numerators(instance, exponent, s)
-        a = phase.sample_phase_outcome(rng, num_a, r, t)
-        b = phase.sample_phase_outcome(rng, num_b, r, t)
-        pairs.append((a >> (t - m), b >> (t - m)))
+    for t, shift, drop in draws:
+        c, rem = divmod((s * shift % r) << t, r)
+        a = draw(rng, c, rem, r, t)
+        c, rem = divmod((sg * shift % r) << t, r)
+        b = draw(rng, c, rem, r, t)
+        pairs.append((a >> drop, b >> drop))
     return tuple(pairs), s
 
 
@@ -536,14 +559,12 @@ def recover_exponent(mhat_a: int, mhat_b: int, instance: ProblemInstance) -> int
     return g_hat if pow(instance.a, g_hat, instance.N) == instance.b % instance.N else None
 
 
-def _outcome(
-    instance: ProblemInstance, pairs: Pairs, join: Join, width: int, memoised: bool = False
-) -> Outcome:
+def _outcome(instance: ProblemInstance, pairs: Pairs, join: Join, width: int) -> Outcome:
     """One attempt's ``Outcome``: the drawn pairs joined into two
     ``width``-bit estimates, rounded, inverted and verified."""
     m_a, m_b, extra = join(pairs)
     detail = postprocess_detail(m_a, m_b, width, instance)
-    return Outcome(m_a, m_b, detail, **extra, memoised=memoised)
+    return Outcome(m_a, m_b, detail, **extra)
 
 
 def identity_join(pairs: Pairs) -> tuple[int, int, dict]:
@@ -573,9 +594,11 @@ def solve_chain(
     under ``(join, index)``: each index is decoded, joined and verified by
     ``postprocess_detail`` once per chain and join, its JSON fields and
     their text are built once, lazily, on its first record's line, and a
-    repeat draw costs one ``statevec.sample_cdf`` and one lookup. A kept
-    outcome is ``memoised``, so its records' lines are spliced. Past
-    ``_OUTCOMES_CAP`` entries a miss is computed and not kept.
+    repeat draw costs one ``statevec.sample_cdf`` and one lookup. Past
+    ``_OUTCOMES_CAP`` entries a miss is computed and not kept. Every
+    record's line, whatever the path, is spliced from its outcome's text
+    (``records.RunRecord.to_json_dict``), so nothing here marks an outcome
+    for it.
     ``join`` is hashed by identity, so it should be one object per join
     rule (the module-level ``identity_join``, a plan's bound ``join``). The
     generator is read as without the memo: one ``rng.random()`` per cached
@@ -601,10 +624,8 @@ def solve_chain(
             key = (join, statevec.sample_cdf(rng, cdf))
             outcome = outcomes.get(key)
             if outcome is None:
-                keep = len(outcomes) < _OUTCOMES_CAP
-                pairs = decode_joint_index(key[1], nodes)
-                outcome = _outcome(instance, pairs, join, width, memoised=keep)
-                if keep:
+                outcome = _outcome(instance, decode_joint_index(key[1], nodes), join, width)
+                if len(outcomes) < _OUTCOMES_CAP:
                     outcomes[key] = outcome
         if outcome.detail.g_hat is not None:
             break

@@ -9,8 +9,12 @@ analytic solvers draw from that law one outcome at a time
 inverts the two outcomes next to the peak, and only a draw past them
 rejects from a rounded Cauchy envelope on the tail. The sampler takes
 its phase as two ints, num and den, checks and reduces them in ints, and
-sets the weight's float constants once per draw; no Fraction is built on
-the way to an outcome.
+hands the split 2^t w = c + rem/den to its one draw body
+(``draw_from_peak``), which sets the weight's float constants once per
+draw; no Fraction is built on the way to an outcome. A caller whose
+phases are in lowest terms by construction, as ``dlp.sample_chain``'s over
+a prime order are, checks the width once (``check_width``) and calls the
+body itself.
 
 One row kernel builds the full laws: ``outcome_laws`` takes many phases at
 one width and returns their laws as one (rows, 2^t) array, the oracle for
@@ -67,13 +71,20 @@ def _exact_phase(num: int, den: int, t: int) -> tuple[int, int]:
     values. A Fraction is built only to format the error."""
     if not 0 <= num < den:
         raise ValueError(f"phase must be in [0,1), got {Fraction(num, den)}")
-    if not 1 <= t <= _MAX_T:
-        raise ValueError(f"register width must be in 1..{_MAX_T}, got {t}")
     common = math.gcd(num, den)
     num, den = num // common, den // common
+    check_width(t, den)
+    return num, den
+
+
+def check_width(t: int, den: int) -> None:
+    """Refuse, with the law's messages, a register width outside
+    1.._MAX_T, or one whose products with the reduced denominator den leave
+    the exact int64 range (t + bits(den) > 62)."""
+    if not 1 <= t <= _MAX_T:
+        raise ValueError(f"register width must be in 1..{_MAX_T}, got {t}")
     if t + den.bit_length() > 62:
         raise ValueError(f"width {t} with denominator {den} exceeds exact integer range")
-    return num, den
 
 
 def _peak_factor(res: int, den: int) -> float:
@@ -157,7 +168,8 @@ def sample_phase_outcome(rng: Rng, num: int, den: int, t: int) -> int:
 
     The phase is two ints, checked by int comparisons and reduced to lowest
     terms as the law reduces it, so the weights below are the law's entries
-    bit for bit; a bad phase or width raises the law's ValueError.
+    bit for bit; a bad phase or width raises the law's ValueError. The draw
+    is ``draw_from_peak`` on the split divmod(num 2^t, den).
 
     Write 2^t w = c + f with c an integer. If f = 0 the outcome is c with
     certainty and nothing is drawn. Otherwise outcome c + j (mod 2^t), for
@@ -188,8 +200,17 @@ def sample_phase_outcome(rng: Rng, num: int, den: int, t: int) -> int:
     p / (sin^2(pi f) Q) <= (d^2 + 3/4) / d^2 <= 7/4.
     """
     num, den = _exact_phase(num, den, t)
-    size = 1 << t
     c, rem = divmod(num << t, den)
+    return draw_from_peak(rng, c, rem, den, t)
+
+
+def draw_from_peak(rng: Rng, c: int, rem: int, den: int, t: int) -> int:
+    """``sample_phase_outcome``'s draw body, for a phase w whose split
+    2^t w = c + rem/den is given: w = num/den must be in [0, 1) and in lowest
+    terms (or rem = 0), and t must pass ``check_width(t, den)``. It checks
+    neither; given them, it draws exactly as ``sample_phase_outcome``
+    draws on num/den."""
+    size = 1 << t
     if rem == 0:
         return c % size
     peak = _peak_factor(rem, den)

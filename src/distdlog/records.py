@@ -6,16 +6,18 @@ configuration), the last attempt's ``Outcome`` (the joined estimates,
 their post-processing, the node pairs and the fallback flag) and the
 trial's own retries, seed and latent branch. Every prefix is a plain int
 from the draw to the record, whose ndjson form alone writes it as a bit
-string of its width; an outcome builds those JSON fields once, on its first
-record's ``to_json_dict``.
+string of its width.
 
-A memoised outcome also encodes its fields' values once as text, in key
-order and joined by NUL, and its records' lines are spliced by one rule:
-the header's layout (``_layout``) holds every key, the header's values and
-the separators, in the sorted encoder's order, and the outcome's values
-and the trial's retries, seed and latent branch fill its gaps. Fresh and
-analytic outcomes are written once each, so their records are encoded
-whole. The nested values records share, ``resources`` and
+Every outcome, cached, fresh or analytic, builds its JSON fields and its
+values' text in one pass, on its first record's ``to_json_dict``: a tuple
+of each value's JSON text in the fields' order, an exact int written by
+``str``, a bool or None as its literal, a bit string by the encoder's own
+string function and ``node_measurements`` from its entries. Every record
+line is spliced by one rule: the header's layout (``_layout``) holds every
+key, the header's values and the separators, in the sorted encoder's
+order, and the outcome's values and the trial's retries, seed and latent
+branch fill its gaps; a trial value that is not exactly an int leaves the
+record to the encoder. The nested values records share, ``resources`` and
 ``node_measurements``, are read-only (``ReadOnlyDict``, ``ReadOnlyList``),
 so no line can disagree with its mapping. Every line, spliced or encoded,
 equals ``json.dumps(payload, sort_keys=True)`` (``json_line``).
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_string
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
@@ -35,10 +38,26 @@ if TYPE_CHECKING:
 
 MODES = ("statevector", "analytic")
 
-# The one encoder of record lines and of the header's and outcomes' values
-# spliced into them: json.dumps(payload, sort_keys=True) builds its encoder
-# anew on every call, and no record holds a cycle to check for.
+# The one encoder of record lines and of the header's values spliced into
+# them: json.dumps(payload, sort_keys=True) builds its encoder anew on every
+# call, and no record holds a cycle to check for.
 JSON_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
+def _value_text(value) -> str:
+    """A scalar field value's JSON text, as ``JSON_ENCODER`` writes it: an
+    exact int by ``str``, a bool or None as its literal; any other value
+    goes to the encoder, which writes it, or refuses it, as ``json.dumps``
+    does."""
+    if type(value) is int:
+        return str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return JSON_ENCODER.encode(value)
 
 
 def json_line(payload: dict) -> str:
@@ -50,19 +69,19 @@ def json_line(payload: dict) -> str:
 
 
 def _layout(header: dict, keys, latent: bool) -> tuple[itemgetter, list[str]]:
-    """The sorted layout of a memoised outcome's record line: ``(pick,
-    literals)``, for a header with JSON fields ``header``, an outcome with
-    ``keys`` and ``latent_s`` present or not.
+    """The sorted layout of a record line: ``(pick, literals)``, for a
+    header with JSON fields ``header``, an outcome with ``keys`` (in the
+    order of its text) and ``latent_s`` present or not.
 
     The line is ``"".join(pick(parts))``, where ``parts`` lists the
-    outcome's values as text in key order (``Outcome.text`` split at NUL),
+    outcome's values as text in the order of ``keys`` (``Outcome.text``),
     the trial slots' values (``latent_s`` if present, ``retries``,
     ``seed``) and then ``literals``: the braces, every key, the header's
     values and the separators, in the order the sorted encoder writes
     them.
     """
     slots = ("latent_s", "retries", "seed") if latent else ("retries", "seed")
-    part = {key: i for i, key in enumerate([*sorted(keys), *slots])}  # the part of key's value
+    part = {key: i for i, key in enumerate([*keys, *slots])}  # the part of key's value
     base = len(part)
     literals, picks, text = [], [], "{"
     for n, key in enumerate(sorted([*header, *part])):
@@ -118,8 +137,8 @@ del _cls, _names, _name
 
 
 class SplicedRecord(dict):
-    """A memoised outcome's record mapping with its ndjson ``line``, spliced
-    from the header's layout and the outcome's values; every mutator sets
+    """A record mapping with its ndjson ``line``, spliced from the header's
+    layout, the outcome's values and the trial's; every mutator sets
     ``line`` to None, so ``json_line`` encodes a changed mapping afresh. The
     nested ``resources`` and ``node_measurements`` values are shared with
     the header and the outcome, and read-only (``ReadOnlyDict``,
@@ -153,7 +172,7 @@ class RecordHeader:
     for Alg. 4), ``measured`` Alg. 4's node widths; ``json`` holds
     ``mode``, ``resources`` and, for Alg. 4, ``comm_qubits``, its hand-off
     cost, read from the resources. ``layouts`` keeps the sorted layouts
-    (``_layout``) of the lines of memoised outcomes, per outcome key set and
+    (``_layout``) of its records' lines, per outcome key set and
     ``latent_s`` presence. Alg. 2 keeps one per (L, t, mode)
     (``dlp.single_node_header``), Alg. 4 one per plan, r, L and mode
     (``dist.record_header``).
@@ -188,19 +207,18 @@ class Outcome:
     """One attempt's result, a pure function of the drawn pairs and the
     join: the two joined estimates, their post-processing, and for Alg. 4
     the node pairs and the alignment's fallback flag. The memo of
-    ``dlp.joint_cdf``'s entry keeps one per drawn flat index, ``memoised``,
-    which every record that draws it shares. It compares by value; its JSON
-    fields and, once memoised, their values' text, built on the first
-    ``json_fields`` and ``text`` calls and kept, take no part."""
+    ``dlp.joint_cdf``'s entry keeps one per drawn flat index, which every
+    record that draws it shares. It compares by value; its JSON fields and
+    their values' text, built together on the first ``json_fields`` or
+    ``text`` call and kept, take no part."""
 
     m_a: int
     m_b: int
     detail: PostprocessResult
     node_measurements: Pairs | None = None
     correct_fallback: bool = False
-    memoised: bool = field(default=False, repr=False, compare=False)
     _json: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _text: str | None = field(default=None, init=False, repr=False, compare=False)
+    _text: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def success(self) -> bool:
@@ -212,36 +230,53 @@ class Outcome:
         the rounded values, the verdict and the fallback flag. The header is
         that of the solve that made the outcome, and a memo entry is only
         drawn by solves of one join, which fixes both widths."""
-        fields = self._json
-        if fields is None:
-            width, detail = header.width, self.detail
-            fields = {
-                "m_a": bin(self.m_a)[2:].zfill(width),
-                "m_b": bin(self.m_b)[2:].zfill(width),
-                "mhat_a": detail.mhat_a,
-                "mhat_b": detail.mhat_b,
-                "g_hat": detail.g_hat,
-                "success": self.success,
-            }
-            if self.node_measurements is not None:
-                fields["node_measurements"] = ReadOnlyList([
-                    ReadOnlyDict(m_a=bin(ma)[2:].zfill(m), m_b=bin(mb)[2:].zfill(m))
-                    for (ma, mb), m in zip(self.node_measurements, header.measured)
-                ])
-                fields["correct_fallback"] = self.correct_fallback
-            object.__setattr__(self, "_json", fields)
-        return fields
+        if self._json is None:
+            self._write(header)
+        return self._json
 
-    def text(self, header: RecordHeader) -> str:
-        """The values of the outcome's JSON fields as text, read-only: each
-        encoded once, in key order, joined by NUL, which no JSON text
-        holds."""
-        text = self._text
-        if text is None:
-            fields = self.json_fields(header)
-            text = "\0".join(JSON_ENCODER.encode(fields[key]) for key in sorted(fields))
-            object.__setattr__(self, "_text", text)
-        return text
+    def text(self, header: RecordHeader) -> tuple[str, ...]:
+        """The values of the outcome's JSON fields as JSON text, in the
+        fields' order, read-only."""
+        if self._text is None:
+            self._write(header)
+        return self._text
+
+    def _write(self, header: RecordHeader) -> None:
+        """Build the JSON fields and their values' text in one pass."""
+        width, detail, nodes = header.width, self.detail, self.node_measurements
+        m_a, m_b = bin(self.m_a)[2:].zfill(width), bin(self.m_b)[2:].zfill(width)
+        fields = {
+            "m_a": m_a,
+            "m_b": m_b,
+            "mhat_a": detail.mhat_a,
+            "mhat_b": detail.mhat_b,
+            "g_hat": detail.g_hat,
+            "success": self.success,
+        }
+        text = [
+            _encode_string(m_a),
+            _encode_string(m_b),
+            _value_text(detail.mhat_a),
+            _value_text(detail.mhat_b),
+            _value_text(detail.g_hat),
+            _value_text(self.success),
+        ]
+        if nodes is not None:
+            pairs = [
+                (bin(ma)[2:].zfill(m), bin(mb)[2:].zfill(m))
+                for (ma, mb), m in zip(nodes, header.measured)
+            ]
+            fields["node_measurements"] = ReadOnlyList(
+                [ReadOnlyDict(m_a=ma, m_b=mb) for ma, mb in pairs]
+            )
+            entries = [
+                f'{{"m_a": {_encode_string(ma)}, "m_b": {_encode_string(mb)}}}' for ma, mb in pairs
+            ]
+            text.append(f"[{', '.join(entries)}]")
+            fields["correct_fallback"] = self.correct_fallback
+            text.append(_value_text(self.correct_fallback))
+        object.__setattr__(self, "_json", fields)
+        object.__setattr__(self, "_text", tuple(text))
 
 
 @dataclass(slots=True)
@@ -279,13 +314,11 @@ class RunRecord:
         """A fresh dict of the header's and the outcome's shared JSON fields
         and the trial's ``retries``, ``seed`` and, if set, ``latent_s``.
 
-        For a memoised outcome it is a ``SplicedRecord`` that carries its
-        line: the header's layout filled with the outcome's values and the
-        trial's. A trial value is spliced only when it is exactly an int,
-        or None for ``seed``; any other leaves a plain dict to the encoder,
-        which writes it, or refuses it, as ``json.dumps`` does. Fresh and
-        analytic outcomes are written once each, so they go to the encoder
-        whole."""
+        It is a ``SplicedRecord`` that carries its line: the header's layout
+        filled with the outcome's values and the trial's. A trial value is
+        spliced only when it is exactly an int, or None for ``seed``; any
+        other leaves a plain dict to the encoder, which writes it, or
+        refuses it, as ``json.dumps`` does."""
         header, outcome = self.header, self.outcome
         retries, seed, latent_s = self.retries, self.seed, self.latent_s
         fields = outcome.json_fields(header)
@@ -293,7 +326,7 @@ class RunRecord:
         if latent_s is not None:
             record["latent_s"] = latent_s
         if not (
-            outcome.memoised and type(retries) is int
+            type(retries) is int
             and (seed is None or type(seed) is int)
             and (latent_s is None or type(latent_s) is int)
         ):
@@ -303,7 +336,7 @@ class RunRecord:
         if layout is None:
             layout = header.layouts[key] = _layout(header.json, fields, latent_s is not None)
         pick, literals = layout
-        parts = outcome.text(header).split("\0")
+        parts = [*outcome.text(header)]
         if latent_s is not None:
             parts.append(str(latent_s))
         parts.append(str(retries))

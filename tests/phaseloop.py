@@ -9,7 +9,10 @@ that one law around the window ``fraction_bits`` gives, and
 accuracy suite ran before it swept every s/r in one call.
 ``analytic_joint_law_loop`` is the closed-form joint law built branch by
 branch, the way ``dlp`` built it before ``dlp.branch_laws`` took every
-branch's laws in one row-kernel call per register.
+branch's laws in one row-kernel call per register. ``sample_chain_loop``
+draws a chain's prefixes by one checked ``sample_phase_outcome`` call per
+register, the way ``dlp.sample_chain`` drew them before it checked each
+chain's widths once and called the sampler's draw body itself.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from distdlog.phase import (
     _peak_factor,
     accuracy_width,
     phase_outcome_distribution,
+    sample_phase_outcome,
     prefix_marginal,
 )
 from distdlog.verify import ACCURACY_MAX_N, PRIMES_TO_31, CheckResult, _result
@@ -142,3 +146,18 @@ def analytic_joint_law_loop(instance: ProblemInstance, nodes: Chain) -> np.ndarr
                 term = np.kron(term, prefix_marginal(dist, m))
         law = term if law is None else law + term
     return law / r
+
+
+def sample_chain_loop(instance: ProblemInstance, nodes: Chain, rng) -> tuple[tuple, int]:
+    """``dlp.sample_chain``'s reference: the branch s, then per node, a
+    before b, one ``sample_phase_outcome`` draw on each register's
+    ``node_numerators`` entry over r, kept to its measured prefix."""
+    r = instance.r
+    s = int(rng.integers(r))
+    pairs = []
+    for t, exponent, m in nodes:
+        num_a, num_b = node_numerators(instance, exponent, s)
+        a = sample_phase_outcome(rng, num_a, r, t)
+        b = sample_phase_outcome(rng, num_b, r, t)
+        pairs.append((a >> (t - m), b >> (t - m)))
+    return tuple(pairs), s

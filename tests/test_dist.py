@@ -15,7 +15,7 @@ import pytest
 
 import fullwidth
 from alignscan import scan_values
-from distdlog import cli, dist, dlp, phase, verify
+from distdlog import cli, dist, dlp, phase, records, verify
 from distdlog.bits import BitString, circ_dist
 from distdlog.dist import (
     DistPlan,
@@ -1379,7 +1379,8 @@ class TestSharedOutcomes:
         monkeypatch.setattr(dlp.statevec, "sample_cdf", lambda rng, cdf: flat)
         record = solve_distributed(instance, plan, np.random.default_rng(0), max_retries=1)
         record.seed = 3
-        assert record.outcome.memoised
+        _, outcomes = dlp.joint_cdf(instance, plan.nodes)
+        assert outcomes[(plan.join, flat)] is record.outcome
         return record
 
     MUTATORS = {
@@ -1500,8 +1501,9 @@ class TestSharedOutcomes:
         dlp.joint_cdf.cache_clear()
 
     def test_draw_past_the_cap_writes_the_flat_line(self, instance, acceptance_plan, monkeypatch):
-        """With the memo full, a new draw is computed, not kept and not
-        spliced; its line and the memoised one both equal their flat records."""
+        """With the memo full, a new draw is computed and not kept; its
+        record, like the kept one's, carries a spliced line, and both lines
+        equal their flat records'."""
         dlp.joint_cdf.cache_clear()
         monkeypatch.setattr(dlp, "_OUTCOMES_CAP", 1)
         flats = iter([7, 8, 7])
@@ -1511,14 +1513,82 @@ class TestSharedOutcomes:
             for _ in range(3)
         )
         _, outcomes = dlp.joint_cdf(instance, acceptance_plan.nodes)
-        assert list(outcomes.values()) == [kept.outcome] and again.outcome is kept.outcome
-        assert kept.outcome.memoised and not past.outcome.memoised
+        assert list(outcomes) == [(acceptance_plan.join, 7)]
+        assert outcomes[(acceptance_plan.join, 7)] is kept.outcome is again.outcome
+        assert all(outcome is not past.outcome for outcome in outcomes.values())
         for i, record in enumerate((kept, past, again)):
             record.seed = i
             payload = record.to_json_dict()
-            assert (type(payload) is SplicedRecord) == (record is not past)
-            assert cli._json_line(payload) == json.dumps(flat_record_json(record), sort_keys=True)
+            assert type(payload) is SplicedRecord
+            assert payload.line == json.dumps(payload, sort_keys=True)
+            assert payload.line == json.dumps(flat_record_json(record), sort_keys=True)
         dlp.joint_cdf.cache_clear()
+
+    def contract_solvers(self, instance, plan):
+        """The six solver paths of ``SOLVERS`` on the acceptance plan, an
+        analytic k = 3 solve at r = 16001 and an analytic Alg. 4 solve with
+        up to 4 attempts at r = 5, which retries."""
+        solvers = {name: self.solver(instance, plan, name) for name in self.SOLVERS}
+        large = validate_instance(32003, 4, 17236)
+        k3 = make_plan(large, 3, None, "0.25", "0.2")
+        solvers["alg4-analytic-k3"] = lambda rng: solve_distributed(large, k3, rng, mode="analytic")
+        solvers["alg4-analytic-retried"] = lambda rng: solve_distributed(
+            instance, plan, rng, mode="analytic", max_retries=4
+        )
+        return solvers
+
+    def test_every_line_is_spliced(self, instance, acceptance_plan, monkeypatch):
+        """Every record, cached, fresh or analytic, with or without
+        ``latent_s``, retried or not, writes its line with no encoder call:
+        with ``JSON_ENCODER.encode`` made to raise, once each header's
+        layout is built, 40 trials of every path give ``SplicedRecord``
+        mappings whose lines equal ``json.dumps(payload, sort_keys=True)``."""
+        solvers = self.contract_solvers(instance, acceptance_plan)
+        for solve_one in solvers.values():  # builds every header's layouts
+            solve_one(np.random.default_rng((36, 0))).to_json_dict()
+
+        def refuse(payload):
+            raise AssertionError(f"the encoder was called on {payload!r}")
+
+        monkeypatch.setattr(records.JSON_ENCODER, "encode", refuse)
+        retried = 0
+        for name, solve_one in solvers.items():
+            for i in range(40):
+                record = solve_one(np.random.default_rng((36, i)))
+                retried += name == "alg4-analytic-retried" and record.retries > 0
+                record.seed = i
+                payload = record.to_json_dict()
+                assert type(payload) is SplicedRecord, name
+                assert payload.line == json.dumps(payload, sort_keys=True), name
+                assert payload == flat_record_json(record), name
+                assert cli._json_line(payload) == payload.line
+        assert retried
+
+    @pytest.mark.parametrize("name", SOLVERS)
+    @pytest.mark.parametrize("field, value", [
+        ("seed", True), ("seed", np.int64(3)), ("retries", True), ("retries", np.int64(0)),
+    ], ids=["seed-bool", "seed-int64", "retries-bool", "retries-int64"])
+    def test_other_trial_values_reach_the_encoder(self, instance, acceptance_plan, monkeypatch,
+                                                  name, field, value):
+        """On every solver path, a bool or ``numpy.int64`` seed or retry
+        count leaves the record to ``JSON_ENCODER``, whole: a bool is written
+        as ``json.dumps`` writes it, and a ``numpy.int64`` is refused with
+        its TypeError."""
+        solve_one = self.solver(instance, acceptance_plan, name)
+        record = solve_one(np.random.default_rng((37, 0)))
+        setattr(record, field, value)
+        encoded = []
+        encode = records.JSON_ENCODER.encode
+        monkeypatch.setattr(records.JSON_ENCODER, "encode",
+                            lambda payload: encoded.append(payload) or encode(payload))
+        payload = record.to_json_dict()
+        assert type(payload) is dict
+        if isinstance(value, bool):
+            assert cli._json_line(payload) == json.dumps(flat_record_json(record), sort_keys=True)
+        else:
+            with pytest.raises(TypeError):
+                cli._json_line(payload)
+        assert encoded == [payload]
 
     @pytest.mark.parametrize("name", ["alg2-cached", "alg4-cached"])
     def test_spliced_lines_equal_flat_records(self, instance, acceptance_plan, name):

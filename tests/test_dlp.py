@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ import fullwidth
 from gatelevel import (
     build_eigenstate, build_stage_state, gate_stage_state, joint_distribution, node_block,
 )
-from phaseloop import outcome_distribution
+from phaseloop import outcome_distribution, sample_chain_loop
 
 
 def bs(text):
@@ -590,6 +592,83 @@ class TestSolve:
         for key in ("m_a", "m_b", "mhat_a", "mhat_b", "g_hat", "retries", "success", "mode", "seed"):
             assert key in payload
         json.dumps(payload)  # serialisable
+
+
+# The orders the chain-draw test covers, with an instance of each.
+CHAIN_INSTANCES = {
+    5: (11, 3, 9), 11: (23, 2, 3), 23: (47, 2, 4), 16001: (32003, 4, 17236),
+    1000151: (2000303, 4, 482074),
+}
+# A three-node chain run at every order, so that a node's 2^e mod r is
+# read at several r for one chain.
+FIXED_CHAIN = ((6, 0, 6), (7, 3, 4), (5, 5, 2))
+
+
+@lru_cache(maxsize=None)
+def chain_instance(r):
+    return validate_instance(*CHAIN_INSTANCES[r])
+
+
+def chain_at(r, name):
+    """Alg. 2's chain (``k1``), a k = 2 or k = 3 plan's chain (``k2``,
+    ``k3``) or ``FIXED_CHAIN`` (``fixed-k3``) at order r."""
+    instance = chain_instance(r)
+    if name == "k1":
+        return ShorConfig.for_instance(instance, "0.25").nodes
+    if name == "fixed-k3":
+        return FIXED_CHAIN
+    return make_plan(instance, int(name[1]), None, "0.25", "0.2").nodes
+
+
+# Every order with every chain, but the k = 3 plan, infeasible at r = 5.
+CHAIN_CASES = [
+    (r, name) for r in CHAIN_INSTANCES for name in ("k1", "k2", "k3", "fixed-k3")
+    if (r, name) != (5, "k3")
+]
+
+
+class RefusingRng:
+    def random(self):
+        raise AssertionError("drew a uniform")
+
+    def integers(self, high):
+        raise AssertionError("drew the branch")
+
+
+class TestSampleChain:
+    @pytest.mark.parametrize(
+        "r, chain", CHAIN_CASES, ids=[f"r{r}-{name}" for r, name in CHAIN_CASES]
+    )
+    def test_equals_the_per_register_sampler(self, r, chain):
+        """Over 200 seeds, ``sample_chain`` draws what one checked
+        ``phase.sample_phase_outcome`` call per register draws
+        (``phaseloop.sample_chain_loop``): the same pairs and s, and the
+        same generator state after."""
+        instance, nodes = chain_instance(r), chain_at(r, chain)
+        for seed in range(200):
+            got_rng, want_rng = (np.random.default_rng((38, seed)) for _ in range(2))
+            assert dlp.sample_chain(instance, nodes, got_rng) == sample_chain_loop(
+                instance, nodes, want_rng
+            ), (r, chain, seed)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("nodes, r", [
+        (((27, 0, 27),), 5),
+        (((8, 0, 8), (0, 1, 0)), 11),
+        (((2, 0, 2),), (1 << 61) - 1),
+        (((4, 0, 4), (3, 2, 2)), (1 << 59) - 55),
+    ], ids=["t-above-cap", "t-zero", "den-61-bits", "den-59-bits"])
+    def test_over_wide_chain_refused_before_any_draw(self, nodes, r):
+        """A chain too wide for the sampler at r is refused with the message
+        ``sample_phase_outcome`` gives its first too-wide node's register,
+        before the branch or any register is drawn."""
+        instance = dataclasses.replace(chain_instance(5), r=r, hidden_g=1)
+        t = next(t for t, _, _ in nodes if not 1 <= t <= phase._MAX_T or t + r.bit_length() > 62)
+        with pytest.raises(ValueError) as sampler_error:
+            phase.sample_phase_outcome(RefusingRng(), 1, r, t)
+        with pytest.raises(ValueError) as chain_error:
+            dlp.sample_chain(instance, nodes, RefusingRng())
+        assert str(chain_error.value) == str(sampler_error.value)
 
 
 class TestExactMass:

@@ -44,7 +44,7 @@ def spliced(header: dict, outcome: dict, trial: dict) -> str:
     the trial slots' values, then the literals."""
     latent = "latent_s" in trial
     pick, literals = _layout(header, outcome, latent)
-    parts = [JSON_ENCODER.encode(outcome[key]) for key in sorted(outcome)]
+    parts = [JSON_ENCODER.encode(outcome[key]) for key in outcome]
     parts += [JSON_ENCODER.encode(trial[key]) for key in SLOTS if key in trial]
     return "".join(pick(parts + literals))
 
