@@ -19,11 +19,12 @@ simulates one node of 2 t_j + L logical qubits at a time:
 the state reaches, register a before the b stage and b on the one drawn
 row (measuring the unmeasured tail early changes no reported statistic,
 by the deferred measurement principle), and hands the then-pure work
-register to the next node. The per-node footprint therefore matches the
-claimed space cost max_j (2 t_j + L) exactly, and the hand-off is the
-(k-1) L communication cost. A single flat vector over all nodes' registers
-would need 2 (t_1 + ... + t_k) + L qubits, which exceeds the dense cap for
-every feasible plan.
+register to the next node as its r amplitudes on the orbit of a. The
+simulated circuit therefore has the claimed per-node width
+max_j (2 t_j + L) exactly, and the hand-off is the (k-1) L communication
+cost; each node run holds O(2^t_j r) values, whatever L is. A single flat
+vector over all nodes' registers would hold 2^(2 (t_1 + ... + t_k) + L)
+amplitudes.
 
 The cached backend needs no such vector either: given the branch s (an
 eigenvector of multiplication by a) the nodes are independent, so

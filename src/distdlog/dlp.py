@@ -23,13 +23,15 @@ and holds them to the gate-level oracle). The live values are the orbit
 of a: every node starts on |1> or on the hand-off of the node before, and
 powers of a and of b = a^g keep the work register on the r powers of a.
 ``node_tables``, the kernel's one cache, per (instance, t, exponent), holds
-them sorted, each power's position among them, and the a gather and the b
-positions on them, so repeated fresh runs reuse them and only the circuit
-runs again: a fresh node run does O(2^t r) work and holds that much.
+them sorted, each power's position among them, and the a and b positions
+on them, so repeated fresh runs reuse them and only the circuit runs
+again: a fresh node run does O(2^t r) work and holds that much, and one
+byte budget, checked before any table is built, refuses a larger run.
 Fresh runs measure node by node (``measure_chain``): ``measure_node`` draws
 register a from the a stage before b's transform, as nothing later acts on
-a, and runs the b stage on the drawn row alone. They never read the
-instance's hidden exponent. Cached runs draw a flat index from
+a, runs the b stage on the drawn row alone, and hands on the work register
+as its r amplitudes on the orbit. They never read the instance's hidden
+exponent. Cached runs draw a flat index from
 ``joint_cdf``; the first draw of an index in a chain splits it with
 ``decode_joint_index``, joins and verifies it, and the outcome is kept in
 the memo of ``joint_cdf``'s entry, so a repeat draw is one CDF search and
@@ -119,14 +121,14 @@ def node_tables(
     instance: ProblemInstance, t: int, exponent: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The node circuit's live work values and its two gathers on them:
-    returns ``(gather_a, place_b, live, order)``.
+    returns ``(place_a, place_b, live, order)``.
 
     ``live`` is the r powers of a, sorted: every node starts on |1> or on
     the hand-off of the node before, and multiplications by powers of a and
     of b = a^g keep the work register on them. ``order[k]`` is the position
-    of a^k in ``live``, ``gather_a[j_a, k]`` the work value x with
-    a^(j_a 2^e) x = live[k], and ``place_b[j_b, k]`` the position in
-    ``live`` of the x with b^(j_b 2^e) x = live[k].
+    of a^k in ``live``, and ``place_a[j_a, k]`` and ``place_b[j_b, k]`` the
+    positions in ``live`` of the x with a^(j_a 2^e) x = live[k] and
+    b^(j_b 2^e) x = live[k].
 
     Cached per (instance, t, exponent), read-only. The powers double in
     log2 r numpy steps and one argsort orders them. The tables are built on
@@ -134,9 +136,16 @@ def node_tables(
     with the live axis outermost: numpy lays out what it gathers through an
     index array by that array's layout, and a later sum over the live axis
     adds in an order that depends on it (with |live| >= 8, numpy sums a
-    contiguous axis pairwise).
+    contiguous axis pairwise). Both builds multiply two residues in int64,
+    exact only while (N - 1)^2 < 2^63, so a larger N is refused with
+    ``statevec.LayoutError`` before any table is built.
     """
     L, N, r = instance.L, instance.N, instance.r
+    if (N - 1) ** 2 >= 1 << 63:
+        raise statevec.LayoutError(
+            f"N = {N} is too large for the state-vector kernel's int64 residue products"
+            " ((N - 1)^2 >= 2^63); use analytic mode"
+        )
     powers = np.empty(r, dtype=np.intp)
     powers[0] = done = 1
     while done < r:  # a^done times the first powers gives the next ones
@@ -147,12 +156,13 @@ def node_tables(
     live = powers[by_value]
     order = np.empty_like(by_value)
     order[by_value] = np.arange(r)
-    gather_a = statevec.modmul_sources(t, L, instance.a, exponent, N, live)
-    src_b = statevec.modmul_sources(t, L, instance.b, exponent, N, live)
-    place_b = np.searchsorted(live, src_b.T).T
-    for table in (gather_a, place_b, live, order):
+    place_a, place_b = (
+        np.searchsorted(live, statevec.modmul_sources(t, L, c, exponent, N, live).T).T
+        for c in (instance.a, instance.b)
+    )
+    for table in (place_a, place_b, live, order):
         table.setflags(write=False)
-    return gather_a, place_b, live, order
+    return place_a, place_b, live, order
 
 
 def node_columns(
@@ -164,31 +174,34 @@ def node_columns(
     The counting registers control c^(j 2^exponent) for c = a and c = b on
     the work register, which starts in |work> or in the given vector: the
     single-node solver runs exponent 0 on |1>, node j of the distributed
-    solver exponent l_j - 1 on the previous node's hand-off. The input must
-    lie on the orbit of a, the r powers of a mod N; a basis value or a
-    vector amplitude off it is refused with ``statevec.LayoutError``.
-    Returns ``(cols, live, place_b)`` from ``node_tables``' cache: ``live``
-    is the orbit, sorted, ``cols[j_a, k]`` the amplitude, before the b
-    stage, of a-outcome j_a with the work register at live[k], and
-    ``place_b`` the b table that ``node_rows`` reads.
+    solver exponent l_j - 1 on the previous node's hand-off. A basis value
+    must lie on the orbit of a, the r powers of a mod N, and a vector holds
+    r amplitudes on them in ``live`` order, of unit norm to 1e-9; any other
+    input is refused with ``statevec.LayoutError``. Returns ``(cols, live,
+    place_b)`` from ``node_tables``' cache: ``live`` is the orbit, sorted,
+    ``cols[j_a, k]`` the amplitude, before the b stage, of a-outcome j_a
+    with the work register at live[k], and ``place_b`` the b table that
+    ``node_rows`` reads.
 
     Both counting registers start in |0>, so the Hadamards only scale the
     work vector, and the a multiplications make ``cols`` the scaled work
-    amplitude at a^(-j_a 2^e) live[k], transformed along j_a: O(2^t |live|)
-    work and memory. A basis input is scaled as one float and gathered
-    from the gather table alone, with no 2^L vector: its other entries
-    are 0, so the result is the same.
+    amplitude at a^(-j_a 2^e) live[k], transformed along j_a: O(2^t r) work
+    and memory. A basis input is scaled as one float and placed at its
+    position on the orbit. A run whose bound, ``_RUN_BYTES`` per entry of
+    its (2^t, r) arrays, passes the byte cap is refused with
+    ``statevec.QubitBudgetError`` before any table is built.
     """
-    required = 2 * t + instance.L
-    if required > statevec.MAX_QUBITS:
-        raise statevec.QubitBudgetError(
-            f"circuit needs {required} qubits (cap {statevec.MAX_QUBITS}); use analytic mode"
-        )
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     r, a, N = instance.r, instance.a, instance.N
+    nbytes = _RUN_BYTES * r << t
+    if nbytes > _LAW_BYTES_CAP:
+        raise statevec.QubitBudgetError(
+            f"node run needs about {nbytes >> 20} MiB (cap {_LAW_BYTES_CAP >> 20} MiB);"
+            " use analytic mode"
+        )
+    place_a, place_b, live, _ = node_tables(instance, t, exponent)  # checks the exponent
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     if isinstance(work, (int, np.integer)):
         statevec.check_basis("work", instance.L, work)
-        gather_a, place_b, live, _ = node_tables(instance, t, exponent)  # checks the exponent
         at = live.searchsorted(work)  # ``work in live`` scans every power
         if at == r or live[at] != work:
             raise statevec.LayoutError(
@@ -197,18 +210,21 @@ def node_columns(
         scale = 1.0
         for _ in range(2 * t):
             scale *= inv_sqrt2
-        gathered = np.where(gather_a == work, complex(scale), 0j)
+        vec = np.zeros(r, dtype=np.complex128)
+        vec[at] = scale
     else:
-        vec = statevec.register_factor("work", instance.L, work)
-        gather_a, place_b, live, _ = node_tables(instance, t, exponent)
-        if np.count_nonzero(vec) != np.count_nonzero(vec[live]):
+        vec = np.asarray(work, dtype=np.complex128)
+        if vec.shape != (r,):
             raise statevec.LayoutError(
-                f"work vector has amplitude off the {r} powers of {a} mod {N}"
+                f"work vector has shape {vec.shape}, not ({r},): one amplitude per power"
+                f" of {a} mod {N}"
             )
+        norm = math.sqrt(float(np.sum(vec.real**2 + vec.imag**2)))
+        if abs(norm - 1.0) > 1e-9:
+            raise statevec.LayoutError(f"work vector has norm {norm}")
         for _ in range(2 * t):  # rounds exactly as one Hadamard on a |0> qubit
             vec = (vec + 0) * inv_sqrt2
-        gathered = vec[gather_a]
-    cols = np.fft.fft(gathered, axis=0)
+    cols = np.fft.fft(vec[place_a], axis=0)
     cols /= math.sqrt(1 << t)
     return cols, live, place_b
 
@@ -234,15 +250,16 @@ def measure_node(
 ) -> tuple[int, int, np.ndarray]:
     """Run the node circuit once and measure both counting registers in full.
 
-    Returns the outcomes (j_a, j_b) and the renormalised 2^L work vector
-    they leave behind: the draws of measure_register on a, then b, then
-    register_vector (the tests hold it to that oracle). Register a is
+    Returns the outcomes (j_a, j_b) and the renormalised work vector they
+    leave behind, r amplitudes in ``live`` order: the draws of
+    measure_register on a, then b, then register_vector on the orbit (the
+    tests hold it to that oracle). Register a is
     measured before the b stage, which never acts on it: every row of the b
     table permutes the live values and the b transform is unitary, so by
     Parseval the a-marginal is 2^t sum_k |cols[j_a, k]|^2, and only the
     drawn row goes through the b stage. Its mass must equal that marginal.
     """
-    cols, live, place_b = node_columns(instance, t, exponent, work)
+    cols, _, place_b = node_columns(instance, t, exponent, work)
     marginal_a = (cols.real**2 + cols.imag**2).sum(axis=1) * (1 << t)
     norm2 = float(marginal_a.sum())
     if abs(norm2 - 1.0) > statevec.NORM_TOL:
@@ -254,9 +271,7 @@ def measure_node(
     if abs(mass - p_a) > statevec.NORM_TOL:
         raise statevec.LayoutError(f"row {j_a} mass {mass!r} differs from its marginal {p_a!r}")
     j_b, _ = statevec.draw_outcome(rng, marginal_b / p_a)
-    work_out = np.zeros(1 << instance.L, dtype=np.complex128)
-    work_out[live] = row[j_b] / math.sqrt(float(marginal_b[j_b]))
-    return j_a, j_b, work_out
+    return j_a, j_b, row[j_b] / math.sqrt(float(marginal_b[j_b]))
 
 
 def measure_chain(instance: ProblemInstance, nodes: Chain, rng: statevec.Rng) -> Pairs:
@@ -273,6 +288,19 @@ def measure_chain(instance: ProblemInstance, nodes: Chain, rng: statevec.Rng) ->
 
 _LAW_BYTES_CAP = 1 << 28
 
+# A fresh run's tracemalloc peak (``measure_chain``, every table built and
+# kept by ``node_tables``) is at most about 81 bytes per entry of its widest
+# node's (2^t, r) arrays from cold caches and 57 warm: the two kept intp
+# tables, their int64 builds, the complex columns, the drawn row and the
+# float squares of a marginal. That is over every chain of N < 128 (Alg. 2
+# at epsilon 1/2 and 1/4, k = 2 and 3 at h = 2) with 2^t r >= 2^14, N = 8209
+# (L = 14) and N = 2^31 - 1 (r = 7 and 31). The smallest runs hold a fixed
+# 10 KiB, and pass 100 bytes an entry by at most 731 bytes. Rounded up here.
+# The bound is per node: a longer chain also keeps each earlier node's two
+# tables, 16 bytes an entry (the k = 5 plan at r = 131 peaks at 104 bytes
+# per entry of its widest node).
+_RUN_BYTES = 100
+
 # branch_laws' analytic tracemalloc peak, less the (r, 4^m) tables it keeps,
 # is at most about 17.5 bytes per entry of the widest (r, 2^t) outcome_laws
 # table (r = 16001, t = 5 to 8, one or two nodes: the int64 offsets, the
@@ -280,9 +308,9 @@ _LAW_BYTES_CAP = 1 << 28
 _ROW_BYTES = 18
 
 # branch_laws' state-vector tracemalloc peak, less the kept tables and the
-# complex 2^L work vector, is about 75 bytes per entry of a node's widest m_a
-# cell (``node_cells``), 113 when the cell is one row and as large as the
-# node's (2^t, r) a-stage arrays, and 15 KiB more at the smallest cells;
+# complex r-entry work vector, is about 75 bytes per entry of a node's widest
+# m_a cell (``node_cells``), 113 when the cell is one row and as large as
+# the node's (2^t, r) a-stage arrays, and 15 KiB more at the smallest cells;
 # compare_step7_state's is about 77. Over every chain of N < 128 (prime r,
 # Alg. 2 at epsilon 1/2 and 1/4, k = 2 and 3 at h = 2) and N = 8209 (r = 3,
 # L = 14), from cold caches, the most is 193 per entry; rounded up here.
@@ -300,13 +328,14 @@ _MASS_SLACK = 1 << 20
 def _build_bytes(instance: ProblemInstance, nodes: Chain, mode: str) -> int:
     """An upper bound on what ``branch_laws`` holds at its peak, the
     ``(r, 4^m)`` tables it keeps included: the widest node's row tables
-    (analytic) or its widest m_a cell and the work vector (state-vector)."""
+    (analytic) or its widest m_a cell and the r-entry work vector
+    (state-vector)."""
     r = instance.r
     nbytes = 8 * r * sum(1 << (2 * m) for _, _, m in nodes)
     if mode == "analytic":
         return nbytes + _ROW_BYTES * r * max(1 << t for t, _, _ in nodes)
     cell = r * max(1 << (2 * t - m) for t, _, m in nodes)
-    return nbytes + (16 << instance.L) + _CELL_BYTES * cell
+    return nbytes + 16 * r + _CELL_BYTES * cell
 
 
 def orbit_columns(
@@ -584,10 +613,10 @@ def solve_chain(
     ``sample_chain`` (analytic), from the cached ``joint_cdf`` (state-vector
     with reuse_state) or by ``measure_chain`` (state-vector, fresh). A
     cached law over its byte cap falls back to fresh runs on every attempt,
-    so an oversize circuit is refused by its qubit cap. ``join(pairs)``
-    returns the two ``width``-bit int estimates (m_a, m_b) with the outcome
-    fields that attempt sets; the record holds the last attempt's
-    ``Outcome`` and the header.
+    so an oversize circuit is refused by the node run's byte bound
+    (``node_columns``). ``join(pairs)`` returns the two ``width``-bit int
+    estimates (m_a, m_b) with the outcome fields that attempt sets; the
+    record holds the last attempt's ``Outcome`` and the header.
 
     A cached attempt's ``Outcome`` is a pure function of the drawn flat
     index and the join, so it is kept in the memo of ``joint_cdf``'s entry

@@ -11,16 +11,17 @@ makes independent trials safe to run concurrently.
 
 The gates (init_product, hadamard_layer, controlled_modmul_power,
 inverse_qft) and measurements (measure_prefix, measure_register,
-register_vector) act on the whole vector: they are the gate-level oracle.
-The solvers' kernel (``dlp.node_columns``, the a stage, and ``dlp.node_rows``,
-the b stage) and sampler ``dlp.measure_node`` use only check_basis,
-register_factor, modmul_sources and draw_outcome from here. Fresh runs
-measure register a before b's transform, so they never build the 2^t x
-2^t block, and they work on the live work values alone, the r powers of a.
-The two stages gather through (2^t, r) tables from ``dlp.node_tables``'
-cache, built by modmul_sources on those columns alone: no solver builds a
-(2^t, 2^w) modmul table. Bit strings appear here only in the oracle's
-measurement outcomes.
+register_vector) act on the whole vector: they are the gate-level oracle,
+and MAX_QUBITS caps its layouts. The solvers' kernel (``dlp.node_columns``,
+the a stage, and ``dlp.node_rows``, the b stage) and sampler
+``dlp.measure_node`` use only check_basis, modmul_sources and draw_outcome
+from here, and ``dlp`` sizes them by bytes, not qubits. Fresh runs measure
+register a before b's transform, so they never build the 2^t x 2^t block,
+and they work on the live work values alone, the r powers of a: every work
+vector they hold or hand on has r entries. The two stages gather through
+(2^t, r) tables from ``dlp.node_tables``' cache, built by modmul_sources on
+those columns alone: no solver builds a (2^t, 2^w) modmul table. Bit
+strings appear here only in the oracle's measurement outcomes.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ class LayoutError(ValueError):
 
 
 class QubitBudgetError(LayoutError):
-    """The requested register layout exceeds the dense-vector qubit cap."""
+    """A run is over its budget: a gate-level oracle layout over MAX_QUBITS,
+    or a node run, law build or check of ``dlp`` and ``dist`` over the
+    byte cap ``dlp._LAW_BYTES_CAP``."""
 
 
 @dataclass(frozen=True)

@@ -33,19 +33,22 @@ def node_columns(
     instance: ProblemInstance, t: int, exponent: int = 0, work: int | np.ndarray = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(cols, live)``: the a stage on every work column, ``(2^t, 2^L)``,
-    0 off ``live``."""
-    vec = statevec.register_factor("work", instance.L, work)
+    0 off ``live``. A vector input, r amplitudes in ``live`` order, is
+    embedded on ``live`` in a 2^L work vector."""
+    live = node_tables(instance, t, exponent)[2]
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     if isinstance(work, (int, np.integer)):
+        vec = statevec.register_factor("work", instance.L, work)
         scale = 1.0
         for _ in range(2 * t):
             scale *= inv_sqrt2
         vec[work] = scale
     else:
+        vec = np.zeros(1 << instance.L, dtype=np.complex128)
+        vec[live] = work
         for _ in range(2 * t):
             vec = (vec + 0) * inv_sqrt2
     src_a = statevec.modmul_sources(t, instance.L, instance.a, exponent, instance.N)
-    live = node_tables(instance, t, exponent)[2]
     cols = np.fft.fft(vec[src_a], axis=0) / math.sqrt(1 << t)
     return cols, live
 
@@ -79,9 +82,7 @@ def measure_node(
     (row,) = node_rows(instance, t, exponent, cols[j_a : j_a + 1], live)
     marginal_b = (row.real**2 + row.imag**2).sum(axis=1)
     j_b, _ = statevec.draw_outcome(rng, marginal_b / p_a)
-    work_out = np.zeros(1 << instance.L, dtype=np.complex128)
-    work_out[live] = row[j_b] / math.sqrt(float(marginal_b[j_b]))
-    return j_a, j_b, work_out
+    return j_a, j_b, row[j_b] / math.sqrt(float(marginal_b[j_b]))
 
 
 def branch_amplitudes(instance: ProblemInstance, t: int, exponent: int) -> np.ndarray:

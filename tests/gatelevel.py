@@ -9,12 +9,14 @@ at a time, and the tests hold all three to these whole-state computations. The s
 eigenvectors u_s are built here alone (``build_eigenstate``).
 ``build_stage_state`` scatters the live block onto the full (a, b, work)
 state, ``gate_stage_state`` builds that state gate by gate on any work
-input, and ``whole_state_step7`` is the step-7 check done directly: every
-node run on every u_s, r k runs, with the projection on u_s and its
-residual taken by a dense contraction over all 2^L work values. The
-one-register phase estimation circuit (``run_phase_estimation(t, unitary,
-instance, s, rng)``, t counting qubits on u_s) is the gate-level oracle of
-the closed-form outcome law in ``phase``.
+input (a vector of the kernel's, r amplitudes in ``live`` order, is
+embedded on the r powers of a, ``live_values``), and ``whole_state_step7``
+is the step-7 check done directly: every node run on every u_s, r k runs,
+with the projection on u_s and its residual taken by a dense contraction
+over all 2^L work values. The one-register phase estimation circuit
+(``run_phase_estimation(t, unitary, instance, s, rng)``, t counting qubits
+on u_s) is the gate-level oracle of the closed-form outcome law in
+``phase``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,12 @@ from distdlog.dist import DistPlan
 from distdlog.dlp import node_columns, node_numerators, node_rows
 from distdlog.numtheory import ProblemInstance
 from distdlog.statevec import QuantumState
+
+
+def live_values(instance: ProblemInstance) -> np.ndarray:
+    """The r powers of a mod N, sorted: the work values, in order, of the
+    kernel's r-entry work vectors."""
+    return np.array(sorted(pow(instance.a, k, instance.N) for k in range(instance.r)))
 
 
 def build_eigenstate(instance: ProblemInstance, s: int) -> np.ndarray:
@@ -53,12 +61,14 @@ def node_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The node circuit's pre-measurement amplitudes on its live work values.
 
-    Returns ``(block, live)``: ``block[j_a, j_b, i]`` is the amplitude of
-    |j_a>|j_b>|live[i]>, the b stage (``dlp.node_rows``) run on every row of
-    the a stage (``dlp.node_columns``); work values outside ``live`` have
-    amplitude 0. The gate-level composition it equals amplitude for
-    amplitude is init_product, hadamard_layer on a and b,
-    controlled_modmul_power for a and b and inverse_qft on a and b.
+    ``work`` is a basis value or r amplitudes in ``live`` order, as
+    ``dlp.node_columns`` takes it. Returns ``(block, live)``:
+    ``block[j_a, j_b, i]`` is the amplitude of |j_a>|j_b>|live[i]>, the b
+    stage (``dlp.node_rows``) run on every row of the a stage
+    (``dlp.node_columns``); work values outside ``live`` have amplitude 0.
+    The gate-level composition it equals amplitude for amplitude is
+    init_product, hadamard_layer on a and b, controlled_modmul_power for a
+    and b and inverse_qft on a and b.
     """
     cols, live, place_b = node_columns(instance, t, exponent, work)
     return node_rows(cols, place_b), live
@@ -81,9 +91,16 @@ def gate_stage_state(
     instance: ProblemInstance, t: int, exponent: int, work: int | np.ndarray
 ) -> QuantumState:
     """The node circuit applied gate by gate, on any work input: the oracle
-    for the fused kernel, which runs on the orbit of a alone."""
+    for the fused kernel, which runs on the orbit of a alone. A basis value
+    is any value of the work register; a vector holds r amplitudes in
+    ``live`` order, embedded on the r powers of a as they are."""
     layout = statevec.RegisterLayout((("a", t), ("b", t), ("work", instance.L)))
-    state = statevec.init_product(layout, {"work": work})
+    if isinstance(work, (int, np.integer)):
+        state = statevec.init_product(layout, {"work": work})
+    else:  # a and b start in |0>: the first 2^L amplitudes are the work register's
+        amps = np.zeros(1 << layout.total_width, dtype=np.complex128)
+        amps[live_values(instance)] = work
+        state = QuantumState(layout, amps)
     state = statevec.hadamard_layer(state, "a")
     state = statevec.hadamard_layer(state, "b")
     state = statevec.controlled_modmul_power(state, "a", "work", instance.a, exponent, instance.N)
@@ -111,6 +128,7 @@ def whole_state_step7(instance: ProblemInstance, plan: DistPlan) -> WholeStateSt
     of |1> added to the bound."""
     r = instance.r
     dim_c = 1 << instance.L
+    live = live_values(instance)
     one = np.zeros(dim_c, dtype=np.complex128)
     one[1] = 1.0
     recon = sum(build_eigenstate(instance, s) for s in range(r)) / math.sqrt(r)
@@ -123,7 +141,9 @@ def whole_state_step7(instance: ProblemInstance, plan: DistPlan) -> WholeStateSt
         u = build_eigenstate(instance, s)
         max_w, max_a, dev = [], [], []
         for t, exponent, _ in plan.nodes:
-            cube = build_stage_state(instance, t, exponent, u).amps.reshape(1 << t, 1 << t, dim_c)
+            cube = build_stage_state(instance, t, exponent, u[live]).amps.reshape(
+                1 << t, 1 << t, dim_c
+            )
             w = np.tensordot(cube, u.conj(), axes=([2], [0]))
             residual = float(np.linalg.norm(cube - w[:, :, None] * u[None, None, :]))
             residual_sum += residual

@@ -75,17 +75,88 @@ class TestSolveCommand:
 
     def test_oversize_statevector_run_refused_by_qubit_cap(self, capsys, tmp_path):
         """At r = 16001 the cached law is over its byte cap, so the solver
-        falls back to fresh runs, and the circuit's qubit cap refuses them
+        falls back to fresh runs, and the node run's byte bound refuses them
         with the message ``solve-dist`` gives. The first trial is refused,
         so nothing is written: no stdout, and no --output file."""
         argv = ["solve", "--N", "32003", "--a", "4", "--b", "17236", "--epsilon", "0.25",
                 "--trials", "5", "--seed", "7"]
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
-        assert "circuit needs 51 qubits (cap 24); use analytic mode" in err
+        assert "error: node run needs about 400025 MiB (cap 256 MiB); use analytic mode" in err
         path = tmp_path / "records.ndjson"
         assert run_cli(capsys, argv + ["--output", str(path)])[:2] == (2, "")
         assert not path.exists()
+
+    def test_oversize_fresh_run_refused_before_it_allocates(self, capsys, tmp_path):
+        """The r = 16001 fresh solve (t = 18, 51 qubits) is refused by the
+        node run's byte bound before any table is built: the whole command
+        peaks under 1 MiB by tracemalloc, where the run would need about
+        400,025 MiB. It exits 2, writes nothing to stdout and creates no
+        --output file."""
+        import tracemalloc
+
+        from distdlog import dlp
+
+        path = tmp_path / "records.ndjson"
+        argv = ["solve", "--N", "32003", "--a", "4", "--b", "17236", "--epsilon", "0.25",
+                "--trials", "5", "--seed", "7", "--no-reuse"]
+        dlp.node_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, argv + ["--output", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (
+            2, "", "error: node run needs about 400025 MiB (cap 256 MiB); use analytic mode\n"
+        )
+        assert not path.exists()
+        assert dlp.node_tables.cache_info().misses == 0
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--no-reuse"], ["solve"], ["solve-dist", "--no-reuse"], ["dist-compare"]],
+        ids=["solve-fresh", "solve-cached", "solve-dist-fresh", "dist-compare"],
+    )
+    def test_int64_bound_of_the_statevector_kernel(self, capsys, argv):
+        """The kernel multiplies two residues in int64, exact only while
+        (N - 1)^2 < 2^63. At N = 3,037,000,500, the largest such N (a of
+        order 5), every state-vector command runs, and exactly: each trial
+        recovers g = 2, and the step-7 deviation and the joint-law TV are
+        within 1e-9. One past it, at N = 3,037,000,501 (a of order 3), and at
+        N = 1,099,511,627,803 (a of order 7), each is refused with exit 2
+        before any table is built, while analytic mode runs."""
+        from distdlog import dlp
+
+        command, *path = argv
+        trials = [] if command == "dist-compare" else ["--trials", "20", "--seed", "7"]
+        for N, a, b, code in [
+            (3037000500, 2429600401, 1822200301, 0),
+            (3037000501, 2361333562, 675666938, 2),
+            (1099511627803, 231197147670, 398764939913, 2),
+        ]:
+            assert ((N - 1) ** 2 < 1 << 63) == (code == 0)
+            instance = ["--N", str(N), "--a", str(a), "--b", str(b)]
+            dlp.node_tables.cache_clear()
+            got, out, err = run_cli(capsys, [command, *instance, *trials, *path])
+            if code == 0:
+                assert (got, err) == (0, "")
+                lines = [json.loads(line) for line in out.splitlines()]
+                if command == "dist-compare":
+                    assert lines[0]["max_amplitude_deviation"] <= 1e-9
+                else:
+                    assert [line["g_hat"] for line in lines[:-1]] == [2] * 20
+                continue
+            assert (got, out) == (2, "")
+            assert err.endswith(
+                f"error: N = {N} is too large for the state-vector kernel's int64 residue"
+                " products ((N - 1)^2 >= 2^63); use analytic mode\n"
+            )
+            assert dlp.node_tables.cache_info().currsize == 0
+            if command != "dist-compare":
+                analytic = [command, *instance, *trials, "--mode", "analytic"]
+                assert run_cli(capsys, analytic)[0] == 0
 
     @pytest.mark.parametrize("command", ["solve", "solve-dist"])
     def test_zero_trials_exit_2(self, capsys, command):

@@ -527,18 +527,26 @@ class TestQuantumStage:
             assert rebuilt == flat
 
 
-BRANCH_CHAINS = ["N7", "N11", "N23", "acceptance", "three_nodes", "N311"]
+BRANCH_CHAINS = [
+    "N7", "N11", "N23", "acceptance", "three_nodes", "N311", "N2147483647-r7", "N2147483647-r31",
+]
 
 
 def branch_chain(which: str) -> tuple[ProblemInstance, dlp.Chain]:
     """The one-node chains N = 7, 11 and 23 at eps = 1/4, the acceptance and
-    three-node plans on N = 11, and N = 311 (k = 2, h = 2, eps = 1/2,
-    eps' = 0.45), whose work register is the widest."""
-    one_node = {"N7": (7, 2, 4), "N11": (11, 3, 9), "N23": (23, 2, 8)}
+    three-node plans on N = 11, N = 311 (k = 2, h = 2, eps = 1/2,
+    eps' = 0.45), and N = 2^31 - 1 (L = 31), whose work register is the
+    widest: Alg. 2 at a of order 7 (45 qubits) and the k = 2, h = 2,
+    eps = 1/4, eps' = 1/5 plan at a of order 31 (49 qubits a node)."""
+    one_node = {"N7": (7, 2, 4), "N11": (11, 3, 9), "N23": (23, 2, 8),
+                "N2147483647-r7": (2147483647, 1205362885, 894255406)}
     if which in one_node:
         inst = validate_instance(*one_node[which])
         t = ShorConfig.for_instance(inst, "0.25").t
         return inst, ((t, 0, t),)
+    if which == "N2147483647-r31":
+        inst = validate_instance(2147483647, 512, 134217728)
+        return inst, make_plan(inst, k=2, h=2, epsilon="0.25", epsilon_prime="0.2").nodes
     if which == "N311":
         inst = validate_instance(311, 6, 36)
         return inst, make_plan(inst, k=2, h=2, epsilon="0.5", epsilon_prime="0.45").nodes
@@ -553,7 +561,8 @@ class TestBranchLaws:
     def test_backends_agree_row_for_row(self, which):
         """Row i of both backends is branch -i mod r: the circuit's and the
         closed form's per-branch laws agree row for row, and each row is a
-        law. The mixture cannot see a relabelling of the branches; this can."""
+        law. The mixture cannot see a relabelling of the branches; this can.
+        The joint laws mixed from them are within 1e-9 in TV."""
         inst, nodes = branch_chain(which)
         sv = dlp.branch_laws(inst, nodes, "statevector")
         an = dlp.branch_laws(inst, nodes, "analytic")
@@ -563,6 +572,9 @@ class TestBranchLaws:
             assert np.abs(got - want).max() <= 1e-12
             assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-12
             assert np.abs(want.sum(axis=1) - 1.0).max() <= 1e-12
+        sv = dlp.joint_law.__wrapped__(inst, nodes)
+        an = dlp.joint_law.__wrapped__(inst, nodes, "analytic")
+        assert 0.5 * np.abs(sv - an).sum() <= 1e-9
 
     def test_refuses_unknown_mode(self, instance, acceptance_plan):
         with pytest.raises(ValueError, match="mode must be one of"):
@@ -645,9 +657,10 @@ class TestBranchLaws:
         """``_build_bytes`` bounds ``branch_laws``' state-vector tracemalloc
         peak from cold modmul, orbit and table caches, kept tables included:
         ``_CELL_BYTES`` per entry of the widest m_a cell, plus the complex
-        work vector. At N = 8209 (r = 3, L = 14) the 2^L work vector
-        outweighs the cell; at N = 59 the one-node chain keeps 58 MiB of
-        tables, and the two-node chain's widest cell has 237,568 entries."""
+        r-entry work vector. At N = 8209 (r = 3, L = 14) the cell has 96
+        entries and the peak, 39,672 bytes, is within 10% of the bound; at
+        N = 59 the one-node chain keeps 58 MiB of tables, and the two-node
+        chain's widest cell has 237,568 entries."""
         from distdlog import statevec
 
         inst = validate_instance(N, a, a * a % N)
@@ -686,9 +699,9 @@ class TestBranchLaws:
     @pytest.mark.parametrize("chain", ["alg2", "k2"])
     def test_n59_laws_cached_and_exact(self, chain):
         """N = 59, a = 3 (r = 29, L = 6): Alg. 2 at epsilon = 1/4 (t = 9)
-        and the k = 2, h = 2 plan fit the qubit cap, and their 6 MiB and
-        24 MiB laws, built one cell at a time, fit the byte cap together with
-        their build and are within 1e-9 TV of the analytic laws."""
+        and the k = 2, h = 2 plan have 6 MiB and 24 MiB laws, which, built
+        one cell at a time, fit the byte cap together with their build and
+        are within 1e-9 TV of the analytic laws."""
         inst = validate_instance(59, 3, 9)
         nodes = {
             "alg2": ((ShorConfig.for_instance(inst, "0.25").t, 0, 9),),
@@ -704,14 +717,11 @@ class TestBranchLaws:
         below the N = 59 Alg. 2 law and its build together, the law is
         refused before the node runs (the solvers then run the chain
         fresh)."""
-        from distdlog import statevec
-
         def refuse(*args, **kwargs):
             raise AssertionError("the node ran")
 
         inst = validate_instance(59, 3, 9)
         nodes = ((9, 0, 9),)
-        assert 2 * 9 + inst.L <= statevec.MAX_QUBITS
         need = 3 * 8 * (1 << 18) + dlp._build_bytes(inst, nodes, "statevector")
         monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", need - 1)
         monkeypatch.setattr(dlp, "node_columns", refuse)
@@ -815,12 +825,18 @@ class TestStepSevenState:
         assert works == [instance.a, 1] * plan.k
         assert len(cells) == sum(1 << m for m in plan.measured)
 
-    @pytest.mark.parametrize("N, a, b", [(23, 2, 3), (47, 2, 4), (59, 3, 9)])
+    @pytest.mark.parametrize(
+        "N, a, b",
+        [(23, 2, 3), (47, 2, 4), (59, 3, 9),
+         (2147483647, 1205362885, 894255406), (2147483647, 512, 134217728)],
+    )
     def test_peak_memory_within_build_bound(self, N, a, b):
         """The check holds at most what the law build may, ``dlp._build_bytes``
         (``_CELL_BYTES`` per entry of the widest m_a cell), from cold caches:
         one cell of the |1> block and its transform, one row of the |a> run
-        and the closed-form amplitudes of every branch."""
+        and the closed-form amplitudes of every branch. Its certified
+        deviation is within 1e-9, also at N = 2^31 - 1 (L = 31, r = 7 and
+        31), whose nodes have 47 and 49 qubits."""
         from distdlog import statevec
 
         inst = validate_instance(N, a, b)
@@ -834,6 +850,7 @@ class TestStepSevenState:
         finally:
             tracemalloc.stop()
         assert report.factorization_residual == 0.0
+        assert report.max_amplitude_deviation <= 1e-9
         assert peak <= dlp._build_bytes(inst, plan.nodes, "statevector")
 
     def test_oversize_plan_refused_before_any_node_runs(self, monkeypatch):
@@ -1706,6 +1723,14 @@ MASS_CHAINS = [
     ((23, 2, 3), 3, "0.5", "0.25"),
 ]
 
+# N = 2^31 - 1 (L = 31) with a of order 7 and 31: Alg. 2 and k = 2 run 45-
+# to 49-qubit circuits, simulated exactly on the orbit of a.
+WIDE_MASS_CHAINS = {
+    f"N2147483647-r{r}-k{k}": (triple, k, "0.25", None if k == 1 else "0.2")
+    for r, triple in ((7, (2147483647, 1205362885, 894255406)), (31, (2147483647, 512, 134217728)))
+    for k in (1, 2)
+}
+
 
 def _mass_chain(instance, k, epsilon, epsilon_prime):
     """The solver's chain, join and width: Alg. 2's when k = 1, else the h = 2 plan's."""
@@ -1756,13 +1781,13 @@ class TestSuccessMass:
         assert abs(mass - total) <= 1e-12
 
     @pytest.mark.parametrize(
-        "triple, k, epsilon, epsilon_prime", MASS_CHAINS,
-        ids=[f"N{c[0][0]}-k{c[1]}" for c in MASS_CHAINS],
+        "triple, k, epsilon, epsilon_prime", MASS_CHAINS + list(WIDE_MASS_CHAINS.values()),
+        ids=[f"N{c[0][0]}-k{c[1]}" for c in MASS_CHAINS] + list(WIDE_MASS_CHAINS),
     )
     def test_backends_agree(self, triple, k, epsilon, epsilon_prime):
         """State-vector masses, from the marginals of ``branch_laws``' tables,
         equal the closed-form ones within 1e-9, also on the N = 23, k = 3
-        chain whose joint law is over its byte cap."""
+        chain whose joint law is over its byte cap, and at N = 2^31 - 1."""
         instance = validate_instance(*triple)
         chain = _mass_chain(instance, k, epsilon, epsilon_prime)
         analytic = dlp.success_mass(instance, *chain)

@@ -27,7 +27,8 @@ from distdlog.phase import phase_outcome_distribution
 
 import fullwidth
 from gatelevel import (
-    build_eigenstate, build_stage_state, gate_stage_state, joint_distribution, node_block,
+    build_eigenstate, build_stage_state, gate_stage_state, joint_distribution, live_values,
+    node_block,
 )
 from phaseloop import outcome_distribution, sample_chain_loop
 
@@ -45,10 +46,26 @@ class TestConfig:
         state = build_stage_state(instance, config.t)
         assert state.layout.total_width == 7 + 7 + 4
 
-    def test_budget_exceeded_suggests_analytic(self, instance):
-        config = ShorConfig.for_instance(instance, "0.001")
-        with pytest.raises(statevec.QubitBudgetError, match="analytic"):
+    def test_budget_exceeded_suggests_analytic(self, instance, monkeypatch):
+        """A node run over the byte cap is refused, with a message naming
+        analytic mode, before any table is built: at epsilon = 10^-5
+        (t = 21) its bound, ``_RUN_BYTES`` per entry of its (2^t, r) arrays,
+        is 1000 MiB. A run whose bound equals the cap runs."""
+        config = ShorConfig.for_instance(instance, "0.00001")
+        assert config.t == 21
+        dlp.node_tables.cache_clear()
+        with pytest.raises(
+            statevec.QubitBudgetError,
+            match=r"^node run needs about 1000 MiB \(cap 256 MiB\); use analytic mode$",
+        ):
             build_stage_state(instance, config.t)
+        assert dlp.node_tables.cache_info().misses == 0
+        need = dlp._RUN_BYTES * instance.r << 4
+        monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", need)
+        measure_node(instance, 4, 0, 1, np.random.default_rng(0))
+        monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", need - 1)
+        with pytest.raises(statevec.QubitBudgetError, match="node run needs"):
+            measure_node(instance, 4, 0, 1, np.random.default_rng(0))
 
     def test_rejects_bad_parameters(self, instance):
         with pytest.raises(ValueError):
@@ -187,12 +204,12 @@ class TestStageEquivalence:
 
 def node_inputs(instance):
     """|1>, every eigenvector u_s and a random normalised vector on the
-    orbit of a."""
+    orbit of a, each vector as the kernel takes it: its r amplitudes on the
+    powers of a, in ``live`` order."""
     rng = np.random.default_rng(2024)
-    orbit = [pow(instance.a, k, instance.N) for k in range(instance.r)]
-    rand = np.zeros(1 << instance.L, dtype=np.complex128)
-    rand[orbit] = rng.normal(size=instance.r) + 1j * rng.normal(size=instance.r)
-    eigen = [build_eigenstate(instance, s) for s in range(instance.r)]
+    live = live_values(instance)
+    rand = rng.normal(size=instance.r) + 1j * rng.normal(size=instance.r)
+    eigen = [build_eigenstate(instance, s)[live] for s in range(instance.r)]
     return [1, *eigen, rand / np.linalg.norm(rand)]
 
 
@@ -210,7 +227,7 @@ class TestNodeKernel:
         with pytest.raises(statevec.LayoutError):
             build_stage_state(instance, 3, 0, 1 << instance.L)
         with pytest.raises(statevec.LayoutError):
-            build_stage_state(instance, 3, 0, np.ones(1 << instance.L))
+            build_stage_state(instance, 3, 0, np.ones(instance.r))
         with pytest.raises(ValueError, match="power exponent"):
             build_stage_state(instance, 3, -1)
 
@@ -232,7 +249,10 @@ class TestMeasureNode:
     @pytest.mark.parametrize("t", range(2, 9))
     def test_equals_gate_measurements(self, instance, t, exponent):
         """The same draws as measuring a then b on the full state and reading
-        the work register off the collapsed state."""
+        the work register off the collapsed state, on the powers of a: it
+        has no amplitude off them."""
+        live = live_values(instance)
+        off = np.setdiff1d(np.arange(1 << instance.L), live)
         for work in node_inputs(instance):
             for seed in range(3):
                 m_a, m_b, handoff = measure_node(
@@ -246,7 +266,8 @@ class TestMeasureNode:
                     state, "work", {"a": out_a.bits.value, "b": out_b.bits.value}
                 )
                 assert (m_a, m_b) == (out_a.bits.value, out_b.bits.value)
-                assert np.allclose(handoff, want, rtol=0, atol=1e-12)
+                assert handoff.shape == (instance.r,) and not want[off].any()
+                assert np.allclose(handoff, want[live], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("exponent", [0, 1, 3])
     @pytest.mark.parametrize("t", range(2, 9))
@@ -273,33 +294,41 @@ class TestMeasureNode:
         and with its tables warm its peak is at most four (2^t, |live|)
         complex arrays: the live columns, the drawn row (its gather and its
         transform) and the float squares summed for a marginal (about 3.6 of
-        them at t = 9). No array spans all 2^L work values."""
+        them at t = 9). No array spans all 2^L work values. From cold caches,
+        its tables built, it stays within the run's bound, ``_RUN_BYTES`` per
+        entry."""
         t = 9  # 2 t + L = 22 qubits
         measure_node(instance, t, 0, 1, np.random.default_rng(0))  # tables and FFT plans
         _, live, _ = node_columns(instance, t, 0, 1)
-        tracemalloc.start()
-        try:
-            measure_node(instance, t, 0, 1, np.random.default_rng(0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * (16 << t) * len(live)  # bytes of four live-column arrays
+        peaks = []
+        for cold in (False, True):
+            if cold:
+                dlp.node_tables.cache_clear()
+            tracemalloc.start()
+            try:
+                measure_node(instance, t, 0, 1, np.random.default_rng(0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 4 * (16 << t) * len(live)  # bytes of four live-column arrays
+        assert peaks[1] <= dlp._RUN_BYTES * len(live) << t
 
 
 class TestNodeTables:
     @pytest.mark.parametrize("N, a, b", [(11, 3, 9), (23, 2, 3)])
     def test_live_columns_of_the_full_tables(self, N, a, b):
-        """The gather and the b positions are the full modmul tables' live
-        columns, value for value, with the same dtype and Fortran layout,
+        """The a and b positions are the full modmul tables' live columns
+        placed in ``live``, value for value, with the same dtype and Fortran
+        layout,
         and every input of ``node_inputs`` runs on the one cached entry."""
         instance = validate_instance(N, a, b)
         for t, exponent in ((2, 0), (5, 1), (7, 3)):
             src_a = statevec.modmul_sources(t, instance.L, a, exponent, N)
             src_b = statevec.modmul_sources(t, instance.L, b, exponent, N)
-            gather_a, place_b, live, _ = dlp.node_tables(instance, t, exponent)
-            want_a = np.asfortranarray(src_a[:, live])
+            place_a, place_b, live, _ = dlp.node_tables(instance, t, exponent)
+            want_a = np.asfortranarray(np.searchsorted(live, src_a[:, live]))
             want_b = np.asfortranarray(np.searchsorted(live, src_b[:, live]))
-            for got, want in ((gather_a, want_a), (place_b, want_b)):
+            for got, want in ((place_a, want_a), (place_b, want_b)):
                 assert np.array_equal(got, want) and got.dtype == want.dtype
                 layout = lambda x: (x.flags.f_contiguous, x.flags.c_contiguous)
                 assert layout(got) == layout(want) and not got.flags.writeable
@@ -327,10 +356,10 @@ class TestNodeTables:
         assert held < 2 << 20
 
     def test_basis_input_builds_no_work_vector(self):
-        """A basis input is gathered from the gather table alone: the cold
-        N = 8209 (r = 3, L = 14, t = 5) build peaks at about 39 KiB by
-        tracemalloc, under a quarter of the 256 KiB complex 2^L work vector
-        it once built (the peak was 288 KiB)."""
+        """A basis input is placed in an r-entry work vector and gathered
+        through the a table: the cold N = 8209 (r = 3, L = 14, t = 5) build
+        peaks at about 39 KiB by tracemalloc, under a quarter of the 256 KiB
+        complex 2^L work vector it once built (the peak was 288 KiB)."""
         inst = validate_instance(8209, 3265, pow(3265, 2, 8209))
         dlp.branch_laws(validate_instance(7, 2, 4), ((3, 0, 3),), "statevector")  # imports
         for cached in (statevec._modmul_destinations, dlp.node_tables):
@@ -370,17 +399,23 @@ class TestLiveOrbit:
 
     @pytest.mark.parametrize("exponent", [0, 3])
     def test_off_orbit_input_refused(self, exponent):
-        """A work input off the orbit of a is refused: the fixed point
-        N + 1, 5 at N = 23 (not a power of 2 mod 23) and a random vector
-        with full support."""
+        """A basis input off the orbit of a is refused: the fixed point
+        N + 1 and 5 at N = 23 (not a power of 2 mod 23). A vector has one
+        amplitude per power, so a unit vector over all 2^L work values, or
+        one entry short, is refused by its length, and one of norm 1.01 by
+        its norm."""
         instance = validate_instance(23, 2, 3)
         rng = np.random.default_rng(2024)
-        full = rng.normal(size=1 << instance.L) + 1j * rng.normal(size=1 << instance.L)
         for work in (instance.N + 1, 5):
             with pytest.raises(statevec.LayoutError, match="not one of the 11 powers of 2"):
                 node_columns(instance, 3, exponent, work)
-        with pytest.raises(statevec.LayoutError, match="amplitude off the 11 powers of 2"):
-            measure_node(instance, 3, exponent, full / np.linalg.norm(full), rng)
+        for size in (1 << instance.L, instance.r - 1):
+            vec = rng.normal(size=size) + 1j * rng.normal(size=size)
+            with pytest.raises(statevec.LayoutError, match=r"shape \(%d,\), not \(11,\)" % size):
+                measure_node(instance, 3, exponent, vec / np.linalg.norm(vec), rng)
+        vec = rng.normal(size=instance.r) + 1j * rng.normal(size=instance.r)
+        with pytest.raises(statevec.LayoutError, match="work vector has norm 1.01"):
+            measure_node(instance, 3, exponent, 1.01 * vec / np.linalg.norm(vec), rng)
 
     def test_one_miss_per_exponent_and_support(self, instance, acceptance_plan, monkeypatch):
         """Fresh runs of both solvers build each node's tables once,
