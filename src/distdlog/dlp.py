@@ -25,8 +25,9 @@ powers of a and of b = a^g keep the work register on the r powers of a.
 ``node_tables``, the kernel's one cache, per (instance, t, exponent), holds
 them sorted, each power's position among them, and the a and b positions
 on them, so repeated fresh runs reuse them and only the circuit runs
-again: a fresh node run does O(2^t r) work and holds that much, and one
-byte budget, checked before any table is built, refuses a larger run.
+again: a fresh node run does O(2^t r) work and holds that much, in a
+number of numpy calls that does not grow with t, and one byte budget,
+checked before any table is built, refuses a larger run or chain.
 Fresh runs measure node by node (``measure_chain``): ``measure_node`` draws
 register a from the a stage before b's transform, as nothing later acts on
 a, runs the b stage on the drawn row alone, and hands on the work register
@@ -187,17 +188,15 @@ def node_columns(
     work vector, and the a multiplications make ``cols`` the scaled work
     amplitude at a^(-j_a 2^e) live[k], transformed along j_a: O(2^t r) work
     and memory. A basis input is scaled as one float and placed at its
-    position on the orbit. A run whose bound, ``_RUN_BYTES`` per entry of
-    its (2^t, r) arrays, passes the byte cap is refused with
-    ``statevec.QubitBudgetError`` before any table is built.
+    position on the orbit. A vector input is scaled by one ufunc call, a
+    running product down 2t + 1 rows (its floats, then 1/sqrt(2) in every
+    row), which rounds exactly as the 2t Hadamards one at a time, so the
+    numpy calls of a node run do not grow with t. A run whose bound,
+    ``_RUN_BYTES`` per entry of its (2^t, r) arrays, passes the byte cap is
+    refused with ``statevec.QubitBudgetError`` before any table is built.
     """
     r, a, N = instance.r, instance.a, instance.N
-    nbytes = _RUN_BYTES * r << t
-    if nbytes > _LAW_BYTES_CAP:
-        raise statevec.QubitBudgetError(
-            f"node run needs about {nbytes >> 20} MiB (cap {_LAW_BYTES_CAP >> 20} MiB);"
-            " use analytic mode"
-        )
+    _check_run_bytes("node run", _RUN_BYTES * r << t)
     place_a, place_b, live, _ = node_tables(instance, t, exponent)  # checks the exponent
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     if isinstance(work, (int, np.integer)):
@@ -219,11 +218,18 @@ def node_columns(
                 f"work vector has shape {vec.shape}, not ({r},): one amplitude per power"
                 f" of {a} mod {N}"
             )
-        norm = math.sqrt(float(np.sum(vec.real**2 + vec.imag**2)))
+        # Row 0 holds the input's floats, + 0 turning -0 into +0, and every
+        # later row 1/sqrt(2): the running product down the rows rounds, step
+        # for step, as (vec + 0) * inv_sqrt2 once per Hadamard on a |0> qubit.
+        steps = np.empty((2 * t + 1, 2 * r))
+        np.add(vec, 0, out=steps[0].view(np.complex128))
+        squares = np.add.reduce((steps[0] * steps[0]).reshape(r, 2), axis=1)
+        norm = math.sqrt(float(np.add.reduce(squares)))
         if abs(norm - 1.0) > 1e-9:
             raise statevec.LayoutError(f"work vector has norm {norm}")
-        for _ in range(2 * t):  # rounds exactly as one Hadamard on a |0> qubit
-            vec = (vec + 0) * inv_sqrt2
+        steps[1:] = inv_sqrt2
+        np.multiply.accumulate(steps, axis=0, out=steps)
+        vec = steps[-1].view(np.complex128)
     cols = np.fft.fft(vec[place_a], axis=0)
     cols /= math.sqrt(1 << t)
     return cols, live, place_b
@@ -258,26 +264,43 @@ def measure_node(
     table permutes the live values and the b transform is unitary, so by
     Parseval the a-marginal is 2^t sum_k |cols[j_a, k]|^2, and only the
     drawn row goes through the b stage. Its mass must equal that marginal.
+    Each register's law is cumulated once, and that sum serves both its
+    norm or mass check and its draw (``statevec.draw_outcome``).
     """
     cols, _, place_b = node_columns(instance, t, exponent, work)
-    marginal_a = (cols.real**2 + cols.imag**2).sum(axis=1) * (1 << t)
-    norm2 = float(marginal_a.sum())
+    marginal_a = _row_masses(cols)
+    marginal_a *= 1 << t
+    cdf = marginal_a.cumsum()
+    norm2 = float(cdf[-1])
     if abs(norm2 - 1.0) > statevec.NORM_TOL:
         raise statevec.LayoutError(f"node norm**2 = {norm2!r} drifted beyond {statevec.NORM_TOL}")
-    j_a, p_a = statevec.draw_outcome(rng, marginal_a)
+    j_a, p_a = statevec.draw_outcome(rng, marginal_a, cdf)
     (row,) = node_rows(cols[j_a : j_a + 1], place_b)
-    marginal_b = (row.real**2 + row.imag**2).sum(axis=1)  # [j_b]: mass over the work register
-    mass = float(marginal_b.sum())
+    marginal_b = _row_masses(row)  # [j_b]: mass over the work register
+    law_b = marginal_b / p_a
+    cdf = law_b.cumsum()
+    mass = float(cdf[-1]) * p_a
     if abs(mass - p_a) > statevec.NORM_TOL:
         raise statevec.LayoutError(f"row {j_a} mass {mass!r} differs from its marginal {p_a!r}")
-    j_b, _ = statevec.draw_outcome(rng, marginal_b / p_a)
+    j_b, _ = statevec.draw_outcome(rng, law_b, cdf)
     return j_a, j_b, row[j_b] / math.sqrt(float(marginal_b[j_b]))
+
+
+def _row_masses(amps: np.ndarray) -> np.ndarray:
+    """sum_k |amps[j, k]|^2 per row j, added in the layout of ``amps``."""
+    squares = amps.real**2
+    squares += amps.imag**2
+    return np.add.reduce(squares, axis=1)
 
 
 def measure_chain(instance: ProblemInstance, nodes: Chain, rng: statevec.Rng) -> Pairs:
     """Run the chain afresh: ``measure_node`` on each node in turn, from |1>
     and then on the work vector the node before hands on; each node keeps
-    the leading ``measured`` bits of its two t-bit outcomes."""
+    the leading ``measured`` bits of its two t-bit outcomes. A chain of two
+    or more nodes whose bound ``_chain_bytes`` passes the byte cap is
+    refused before its first table is built."""
+    if len(nodes) > 1:
+        _check_run_bytes("chain run", _chain_bytes(instance.r, nodes))
     work: int | np.ndarray = 1
     pairs = []
     for t, exponent, m in nodes:
@@ -296,10 +319,32 @@ _LAW_BYTES_CAP = 1 << 28
 # at epsilon 1/2 and 1/4, k = 2 and 3 at h = 2) with 2^t r >= 2^14, N = 8209
 # (L = 14) and N = 2^31 - 1 (r = 7 and 31). The smallest runs hold a fixed
 # 10 KiB, and pass 100 bytes an entry by at most 731 bytes. Rounded up here.
-# The bound is per node: a longer chain also keeps each earlier node's two
-# tables, 16 bytes an entry (the k = 5 plan at r = 131 peaks at 104 bytes
-# per entry of its widest node).
+# The bound is per node run; a chain of more nodes also keeps each other
+# node's two tables, 16 bytes an entry (``_chain_bytes``).
 _RUN_BYTES = 100
+
+
+def _check_run_bytes(what: str, nbytes: int) -> None:
+    """Refuse a fresh run whose bound passes the byte cap."""
+    if nbytes > _LAW_BYTES_CAP:
+        raise statevec.QubitBudgetError(
+            f"{what} needs about {nbytes >> 20} MiB (cap {_LAW_BYTES_CAP >> 20} MiB);"
+            " use analytic mode"
+        )
+
+
+@lru_cache(maxsize=16)
+def _chain_bytes(r: int, nodes: Chain) -> int:
+    """The bound of a fresh run of the chain, cached per (r, chain): its
+    widest node's run at ``_RUN_BYTES`` per entry of its (2^t, r) arrays,
+    and the two intp tables, 16 bytes an entry, that ``node_tables`` keeps
+    of every other node for the rest of the chain. The k = 5, h = 2 plan at
+    r = 131 (t = 9, 10, 10, 10, 8 at epsilon' = 1/5, each one wider at 1/8)
+    peaks at about 104.2 bytes per entry of its widest node from cold
+    caches, within the 144 this charges it."""
+    entries = sorted(r << t for t, _, _ in nodes)
+    return _RUN_BYTES * entries[-1] + 16 * sum(entries[:-1])
+
 
 # branch_laws' analytic tracemalloc peak, less the (r, 4^m) tables it keeps,
 # is at most about 17.5 bytes per entry of the widest (r, 2^t) outcome_laws
@@ -613,10 +658,11 @@ def solve_chain(
     ``sample_chain`` (analytic), from the cached ``joint_cdf`` (state-vector
     with reuse_state) or by ``measure_chain`` (state-vector, fresh). A
     cached law over its byte cap falls back to fresh runs on every attempt,
-    so an oversize circuit is refused by the node run's byte bound
-    (``node_columns``). ``join(pairs)`` returns the two ``width``-bit int
-    estimates (m_a, m_b) with the outcome fields that attempt sets; the
-    record holds the last attempt's ``Outcome`` and the header.
+    so an oversize circuit is refused by the fresh run's byte bounds
+    (``measure_chain``'s for a chain, ``node_columns``' for a node).
+    ``join(pairs)`` returns the two ``width``-bit int estimates (m_a, m_b)
+    with the outcome fields that attempt sets; the record holds the last
+    attempt's ``Outcome`` and the header.
 
     A cached attempt's ``Outcome`` is a pure function of the drawn flat
     index and the join, so it is kept in the memo of ``joint_cdf``'s entry

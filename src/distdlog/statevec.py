@@ -296,8 +296,7 @@ class Rng(Protocol):
 
 def sample_outcome(rng: Rng, probabilities: np.ndarray) -> int:
     """Draw an index from a probability vector (normalising float drift)."""
-    cdf = np.cumsum(probabilities)
-    return sample_cdf(rng, cdf)
+    return sample_cdf(rng, probabilities.cumsum())
 
 
 def sample_cdf(rng: Rng, cdf: np.ndarray) -> int:
@@ -305,9 +304,12 @@ def sample_cdf(rng: Rng, cdf: np.ndarray) -> int:
     return min(int(cdf.searchsorted(u, side="right")), len(cdf) - 1)
 
 
-def draw_outcome(rng: Rng, probabilities: np.ndarray) -> tuple[int, float]:
-    """One measurement draw and its probability; refuses an unsupported outcome."""
-    outcome = sample_outcome(rng, probabilities)
+def draw_outcome(
+    rng: Rng, probabilities: np.ndarray, cdf: np.ndarray | None = None
+) -> tuple[int, float]:
+    """One measurement draw and its probability; refuses an unsupported
+    outcome. ``cdf``, if given, is ``probabilities.cumsum()``, already taken."""
+    outcome = sample_outcome(rng, probabilities) if cdf is None else sample_cdf(rng, cdf)
     p = float(probabilities[outcome])
     if p < 1e-15:
         raise LayoutError(f"sampled outcome {outcome} has no support (p = {p!r})")

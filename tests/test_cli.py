@@ -76,7 +76,7 @@ class TestSolveCommand:
     def test_oversize_statevector_run_refused_by_qubit_cap(self, capsys, tmp_path):
         """At r = 16001 the cached law is over its byte cap, so the solver
         falls back to fresh runs, and the node run's byte bound refuses them
-        with the message ``solve-dist`` gives. The first trial is refused,
+        with a message naming analytic mode. The first trial is refused,
         so nothing is written: no stdout, and no --output file."""
         argv = ["solve", "--N", "32003", "--a", "4", "--b", "17236", "--epsilon", "0.25",
                 "--trials", "5", "--seed", "7"]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -223,6 +224,50 @@ class TestNodeKernel:
             assert got.layout == want.layout
             assert np.array_equal(got.amps, want.amps)
 
+    def test_vector_scaling_rounds_as_each_hadamard(self, small_instance):
+        """A vector input's 2t Hadamards scale it in one running product;
+        the columns equal, bit for bit, those of scaling it one Hadamard at
+        a time, (vec + 0) * (1 / sqrt(2)) each, on signed zeros, subnormals
+        and magnitudes from 1e-300 to 1, at every t the byte cap admits (1
+        to 19 at r = 3)."""
+        inst = small_instance
+        rng = np.random.default_rng(38)
+        specials = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-300,
+                    -1e-300, 3e-150, -1e-20, 7e-5, -0.25]
+        vectors = []
+        for i in range(0, len(specials), 4):
+            rest = np.array(specials[i : i + 4])
+            head = math.sqrt(1.0 - float(np.sum(rest**2)))
+            for sign in (1, -1):
+                vec = np.empty(inst.r, dtype=np.complex128)
+                vec.real[0], vec.imag[0] = sign * head * 0.6, -sign * head * 0.8
+                vec.real[1:], vec.imag[1:] = rest[0::2], rest[1::2]
+                vectors.append(vec)
+        # every real or every imaginary part a zero, some of them -0
+        vectors.append(np.array([complex(-0.0, 0.6), complex(0.0, -0.8), complex(-0.0, 0.0)]))
+        vectors.append(np.array([complex(0.8, -0.0), complex(-0.0, -0.0), complex(-0.6, 0.0)]))
+        for _ in range(4):
+            parts = 10.0 ** rng.uniform(-300, 0, size=(2, inst.r)) * rng.choice([-1, 1], (2, inst.r))
+            vec = parts[0] + 1j * parts[1]
+            vectors.append(vec / math.sqrt(float(np.sum(vec.real**2 + vec.imag**2))))
+        inv_sqrt2 = 1.0 / math.sqrt(2.0)
+        t = 1
+        while dlp._RUN_BYTES * inst.r << t <= dlp._LAW_BYTES_CAP:
+            place_a = dlp.node_tables(inst, t, 0)[0]
+            for vec in vectors:
+                cols, _, _ = node_columns(inst, t, 0, vec)
+                step = vec
+                for _ in range(2 * t):
+                    step = (step + 0) * inv_sqrt2
+                want = np.fft.fft(step[place_a], axis=0)
+                want /= math.sqrt(1 << t)
+                assert np.array_equal(cols, want) and cols.tobytes() == want.tobytes()
+                del cols, want
+            del place_a
+            dlp.node_tables.cache_clear()
+            t += 1
+        assert t == 20
+
     def test_input_checks(self, instance):
         with pytest.raises(statevec.LayoutError):
             build_stage_state(instance, 3, 0, 1 << instance.L)
@@ -312,6 +357,49 @@ class TestMeasureNode:
                 tracemalloc.stop()
         assert peaks[0] < 4 * (16 << t) * len(live)  # bytes of four live-column arrays
         assert peaks[1] <= dlp._RUN_BYTES * len(live) << t
+
+    def test_chain_peak_within_chain_bound(self):
+        """From cold caches, a fresh run of the k = 5, h = 2 plan at N = 263
+        (r = 131, t = 9, 10, 10, 10, 8) keeps every node's tables and stays
+        within the chain's bound: its widest node's run at ``_RUN_BYTES`` per
+        entry and 16 bytes per entry for each other node."""
+        inst = validate_instance(263, 2, 32)
+        nodes = make_plan(inst, k=5, h=2, epsilon="0.25", epsilon_prime="0.2").nodes
+        assert [t for t, _, _ in nodes] == [9, 10, 10, 10, 8]
+        want = 100 * (131 << 10) + 16 * 131 * ((1 << 9) + (2 << 10) + (1 << 8))
+        assert dlp._chain_bytes(inst.r, nodes) == want
+        dlp.measure_chain(inst, nodes, np.random.default_rng(0))  # FFT plans
+        dlp.node_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            dlp.measure_chain(inst, nodes, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= want
+
+    def test_chain_over_cap_refused_before_any_table(self, monkeypatch):
+        """A chain whose bound passes the byte cap is refused before its
+        first table is built, with a message naming analytic mode, though
+        every node alone fits; at the bound it runs."""
+        inst = validate_instance(263, 2, 32)
+        nodes = make_plan(inst, k=5, h=2, epsilon="0.25", epsilon_prime="0.2").nodes
+        need = dlp._chain_bytes(inst.r, nodes)
+        monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", need - 1)
+        dlp.node_tables.cache_clear()
+        with pytest.raises(
+            statevec.QubitBudgetError,
+            match=r"^chain run needs about 18 MiB \(cap 18 MiB\); use analytic mode$",
+        ):
+            dlp.measure_chain(inst, nodes, np.random.default_rng(0))
+        assert dlp.node_tables.cache_info().misses == 0
+        for t, exponent, _ in nodes:
+            assert dlp._RUN_BYTES * inst.r << t < need - 1
+            node_columns(inst, t, exponent)
+            dlp.node_tables.cache_clear()
+        monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", need)
+        pairs = dlp.measure_chain(inst, nodes, np.random.default_rng(0))
+        assert [max(pair) < 1 << m for pair, (_, _, m) in zip(pairs, nodes)] == [True] * 5
 
 
 class TestNodeTables:
