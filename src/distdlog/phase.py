@@ -27,7 +27,10 @@ one-row case ``phase_outcome_distribution`` is filled by no solver or law
 path; the cache stays for the tests and ``bench/worker.py``'s ``CACHES``.
 Likewise ``accuracy_masses`` takes the window and prefix accuracy masses of
 many phases at once, and ``check_accuracy_bound`` is its one-phase case; the
-accuracy suite sweeps every phase s/r through the two kernels.
+accuracy suite sweeps every phase s/r through the two kernels. Each mass
+gathers only the law entries in its phase's circular window, in outcome
+order, so it builds no (rows, 2^t) mask and folds no whole row, and it
+equals the boolean-mask sum over the row bit for bit.
 
 Phases are exact rationals throughout: Fractions at the law's interface,
 and int numerators and denominators in the sampler and the kernels.
@@ -315,27 +318,42 @@ def accuracy_masses(
     Column 1 + m - n, for each m in [n, t], is the prefix form: the mass of
     outcomes whose m-bit prefix lies within circular distance 2^(m-n) of the
     phase's m-bit window w_m = floor(2^m w).
+
+    Each mass reads only the entries in its window (``_window_mass``) and
+    adds them in the order a boolean mask over the row would, so it equals
+    that mask's sum bit for bit; no (rows, 2^t) mask or whole-row fold is
+    built.
     """
-    t = laws.shape[1].bit_length() - 1
-    columns = [_window_mass(laws, nums, dens, t, 1 << (t - n), strict=True)]
+    rows, size = laws.shape
+    t = size.bit_length() - 1
+    targets = (np.asarray(nums, dtype=np.int64) << t) // np.asarray(dens, dtype=np.int64)
+    targets = np.reshape(targets, (-1, 1))  # floor(2^t w); floor(2^m w) is targets >> (t - m)
+    lines = np.arange(rows)[:, None]
+    masses = np.empty((rows, t - n + 2))
+    outcomes = laws.reshape(rows << t, 1)
+    masses[:, 0] = _window_mass(outcomes, targets, lines << t, t, (1 << (t - n)) - 1)
     for m in range(n, t + 1):
-        folded = laws.reshape(len(laws), 1 << m, -1).sum(axis=2)  # prefix_marginal per row
-        columns.append(_window_mass(folded, nums, dens, m, 1 << (m - n), strict=False))
-    return np.stack(columns, axis=1)
+        cells = laws.reshape(rows << m, -1)
+        masses[:, 1 + m - n] = _window_mass(cells, targets >> (t - m), lines << m, m, 1 << (m - n))
+    return masses
 
 
 def _window_mass(
-    laws: np.ndarray, nums: np.ndarray | int, dens: np.ndarray | int, width: int,
-    threshold: int, strict: bool,
+    cells: np.ndarray, targets: np.ndarray, lines: np.ndarray, width: int, reach: int
 ) -> np.ndarray:
-    """Per row, the mass of the outcomes within circular distance
-    ``threshold`` (strictly below it if ``strict``) of the integer target
-    floor(2^width num / den). Every row's mask selects the same number of
-    outcomes, so the masked entries split evenly into rows and each row sums
-    its own in outcome order."""
+    """Per row, the mass of the outcomes whose ``width``-bit prefix lies
+    within circular distance ``reach`` of the row's integer target
+    floor(2^width w). ``cells`` holds the laws as (rows 2^width, 2^(t - width)),
+    one line per prefix with its outcomes in order, and ``lines`` holds each
+    row's first line. Each row's window is its min(2 reach + 1, 2^width)
+    prefixes around the target, sorted ascending; their cells are gathered
+    as (rows, count, 2^(t - width)) and summed over the cells, then over the
+    window, so every outcome is added in the order a boolean mask over the
+    row would add it."""
     size = 1 << width
-    targets = (np.asarray(nums, dtype=np.int64) << width) // np.asarray(dens, dtype=np.int64)
-    diff = np.abs(np.arange(size, dtype=np.int64) - np.reshape(targets, (-1, 1)))
-    circ = np.minimum(diff, size - diff)
-    mask = circ < threshold if strict else circ <= threshold
-    return laws[mask].reshape(len(laws), -1).sum(axis=1)
+    offsets = np.arange(-reach, reach + 1) if 2 * reach + 1 < size else np.arange(size)
+    window = targets + offsets
+    window &= size - 1
+    window.sort(axis=1)
+    window += lines
+    return cells.take(window, axis=0).sum(axis=2).sum(axis=1)

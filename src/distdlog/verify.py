@@ -20,12 +20,14 @@ per-case ``BitString`` loops they replaced (``tests/metricloop.py``).
 The accuracy suite (``suite_accuracy``) sweeps every phase s/r at once
 through ``phase``'s row kernels: ``outcome_laws`` builds their 2^t laws
 once per width t, in row blocks, and ``accuracy_masses`` takes the window
-and prefix masses of every (t, n) that the epsilons need from each block.
-``run_suite`` refuses, before any suite runs, a sweep of more law entries
-than _ACCURACY_ENTRIES_CAP, as it refuses a case count whose alignment
-arrays would pass _CASES_BYTES_CAP. Every temporary of the prefix and
-accuracy suites is at most 128 KiB, glibc's default mmap threshold, so a
-warm pass reuses the heap instead of faulting its working set back in.
+and prefix masses of every (t, n) that the epsilons need from each block,
+gathering only the entries in each phase's window. Each epsilon is parsed,
+and its widths found, once per sweep. ``run_suite`` refuses, before any
+suite runs, a sweep of more law entries than _ACCURACY_ENTRIES_CAP, as it
+refuses a case count whose alignment arrays would pass _CASES_BYTES_CAP.
+Every temporary of the prefix and accuracy suites is at most 128 KiB,
+glibc's default mmap threshold, so a warm pass reuses the heap instead of
+faulting its working set back in.
 
 The alignment oracle (``suite_correct``) runs the solvers' own alignment
 pass, ``dist.align_values``, on int64 arrays: one oracle call per sweep.
@@ -76,13 +78,13 @@ _CASES_BYTES_CAP = 1 << 28
 # the sweep's memory stays on the heap between passes instead of being
 # unmapped and faulted back in (1,000 to 1,500 minor faults per warm
 # default pass at 256 KiB, 0 to 16 at 64 KiB, counted with getrusage), and
-# its tracemalloc peak is 335 KiB.
+# its tracemalloc peak is 334 KiB.
 _ACCURACY_BLOCK_BYTES = 1 << 16
 # The most law entries (accuracy_entries) one accuracy sweep may take: about
-# 1.8 s of sweep at 55 ns per counted entry with the default epsilons, which
-# share widths (r = 8009), and 2.9 s at 85 ns with one epsilon, which shares
-# none (r = 16001); shared 2-core machine. The default sweep counts 322,560;
-# the cap admits r up to 16,644 at the default epsilons.
+# 0.65 s of sweep at 20 ns per counted entry with the default epsilons, which
+# share widths (r = 8009), and 1.2 s at 35 ns with one epsilon, which shares
+# none (r = 16001, epsilon 0.1); shared 2-core machine. The default sweep
+# counts 322,560; the cap admits r up to 16,644 at the default epsilons.
 _ACCURACY_ENTRIES_CAP = 1 << 25
 
 
@@ -265,11 +267,12 @@ def suite_accuracy(
     """
     nums = np.concatenate([np.arange(r, dtype=np.int64) for r in rs])
     dens = np.repeat(np.asarray(rs, dtype=np.int64), rs)
+    sweeps = _accuracy_sweeps(epsilons)
     # per width t, each n it serves mapped to the block minima of that (t, n)
     widths: dict[int, dict[int, list[float]]] = {}
-    for eps_raw in epsilons:
-        for n in range(1, ACCURACY_MAX_N + 1):
-            widths.setdefault(phase.accuracy_width(n, eps_raw), {})[n] = []
+    for _, ts in sweeps:
+        for n, t in enumerate(ts, 1):
+            widths.setdefault(t, {})[n] = []
     for t, minima in widths.items():
         rows = max(1, _ACCURACY_BLOCK_BYTES >> (t + 3))
         for start in range(0, len(nums), rows):
@@ -278,13 +281,12 @@ def suite_accuracy(
             for n, lows in minima.items():
                 lows.append(float(phase.accuracy_masses(laws, nums[block], dens[block], n).min()))
     checks = []
-    for eps_raw in epsilons:
-        eps = Fraction(eps_raw)
+    for eps, ts in sweeps:
         bound = 1.0 - float(eps)
         worst = 1.0
         ok = True
-        for n in range(1, ACCURACY_MAX_N + 1):
-            for low in widths[phase.accuracy_width(n, eps)][n]:
+        for n, t in enumerate(ts, 1):
+            for low in widths[t][n]:
                 ok &= low >= bound - phase.MASS_SLACK
                 worst = min(worst, low)
         checks.append(
@@ -298,15 +300,22 @@ def suite_accuracy(
     return checks
 
 
+def _accuracy_sweeps(epsilons: tuple) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """Each epsilon, parsed once, with its widths accuracy_width(n, eps) for
+    n = 1..ACCURACY_MAX_N."""
+    sweeps = []
+    for eps_raw in epsilons:
+        eps = Fraction(eps_raw)
+        ts = tuple(phase.accuracy_width(n, eps) for n in range(1, ACCURACY_MAX_N + 1))
+        sweeps.append((eps, ts))
+    return sweeps
+
+
 def accuracy_entries(rs: tuple[int, ...], epsilons: tuple) -> int:
     """Law entries an accuracy sweep takes masses over: r * sum_n 2^(t_n) per
     r and eps. A width that several (eps, n) share is built once but counted
     once per (eps, n), as each takes its own masses from it."""
-    return sum(rs) * sum(
-        1 << phase.accuracy_width(n, eps)
-        for eps in epsilons
-        for n in range(1, ACCURACY_MAX_N + 1)
-    )
+    return sum(rs) * sum(1 << t for _, ts in _accuracy_sweeps(epsilons) for t in ts)
 
 
 def feasible_correct_combos() -> list[dist.DistPlan]:

@@ -255,6 +255,47 @@ class TestAccuracyMasses:
                         report = accuracy_report(Fraction(s, r), t, n, eps)
                         assert row == [report.window_mass, *report.prefix_masses.values()], (s, r, n)
 
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_window_gather_equals_boolean_masks_bytewise(self, t):
+        """Every 1 <= n <= t: each row's masses have the bytes of the
+        boolean-mask sums. The rows are every s/r for r = 1, 2, 12, 31, 97,
+        and (2^t - 1)/2^t, so some windows wrap below 0 (target 0) and some
+        past 2^w - 1 (target 2^w - 1) at every width w; at n = 1 each prefix
+        window is the whole circle."""
+        rs = (1, 2, 12, 31, 97)
+        nums = np.array([s for r in rs for s in range(r)] + [(1 << t) - 1])
+        dens = np.array([r for r in rs for _ in range(r)] + [1 << t])
+        laws = phase.outcome_laws(nums, dens, t)
+        targets = (nums << t) // dens
+        assert targets.min() == 0 and targets.max() == (1 << t) - 1
+        omegas = [Fraction(int(num), int(den)) for num, den in zip(nums, dens)]
+        for n in range(1, t + 1):
+            masses = phase.accuracy_masses(laws, nums, dens, n)
+            assert masses.shape == (len(nums), t - n + 2)
+            for row, omega in zip(masses, omegas):
+                report = accuracy_report(omega, t, n, "0.5")
+                want = np.array([report.window_mass, *report.prefix_masses.values()])
+                assert row.tobytes() == want.tobytes(), (omega, t, n)
+
+    def test_working_set_is_the_windows(self):
+        """At n = 13 and the eps = 0.1 width t = 16, four rows of law take
+        2 MiB; the masses' temporaries stay under 64 KiB, where a
+        (rows, 2^16) int64 mask would take 2 MiB."""
+        import tracemalloc
+
+        t = accuracy_width(13, "0.1")
+        assert t == 16
+        nums = np.array([0, 1, 48, 96])
+        laws = phase.outcome_laws(nums, 97, t)
+        phase.accuracy_masses(laws, nums, 97, 13)
+        tracemalloc.start()
+        try:
+            phase.accuracy_masses(laws, nums, 97, 13)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, peak
+
     def test_one_phase_report_equals_reference(self):
         for r in range(2, 25):
             for s in range(r):
