@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dist, dlp, statevec, verify
 from .harness import run_batch
-from .numtheory import InstanceError, validate_instance
+from .numtheory import validate_instance
 from .records import MODES
 from .records import json_line as _json_line  # bench/worker.py writes lines through it
 from .resources import (
@@ -295,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "dist-compare":
             return _cmd_dist_compare(args)
         parser.error(f"unknown command {args.command!r}")
-    except (InstanceError, dist.PlanError, ValueError) as exc:
+    except ValueError as exc:  # InstanceError, PlanError and QubitBudgetError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

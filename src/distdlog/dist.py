@@ -72,7 +72,7 @@ from .resources import (
     single_node_qubits,
     slack_bits,
 )
-from .statevec import QubitBudgetError, Rng
+from .statevec import Rng, check_bytes
 
 class PlanError(ValueError):
     pass
@@ -449,12 +449,9 @@ def compare_step7_state(instance: ProblemInstance, plan: DistPlan) -> Step7Repor
     bounded as ``Step7Report`` says: each node runs on |1> and on |a>
     (``_node_terms``), 2k runs in all, one m_a cell of its block on |1> at a
     time, within the law build's bound ``dlp._build_bytes``. A plan whose
-    bound passes ``dlp``'s byte cap is refused before any node runs."""
-    build_bytes = dlp._build_bytes(instance, plan.nodes, "statevector")
-    if build_bytes > dlp._LAW_BYTES_CAP:
-        raise QubitBudgetError(
-            f"step-7 check needs {build_bytes >> 20} MiB (cap {dlp._LAW_BYTES_CAP >> 20} MiB)"
-        )
+    bound passes the byte cap is refused by ``statevec.check_bytes`` before
+    any node runs."""
+    check_bytes("step-7 check", dlp._build_bytes(instance, plan.nodes, "statevector"))
     r = instance.r
     per_node = [_node_terms(instance, t, exponent, m) for t, exponent, m in plan.nodes]
     max_w, max_a, dev = np.array([terms for terms, _ in per_node]).transpose(1, 0, 2)

@@ -193,10 +193,10 @@ def node_columns(
     row), which rounds exactly as the 2t Hadamards one at a time, so the
     numpy calls of a node run do not grow with t. A run whose bound,
     ``_RUN_BYTES`` per entry of its (2^t, r) arrays, passes the byte cap is
-    refused with ``statevec.QubitBudgetError`` before any table is built.
+    refused by ``statevec.check_bytes`` before any table is built.
     """
     r, a, N = instance.r, instance.a, instance.N
-    _check_run_bytes("node run", _RUN_BYTES * r << t)
+    statevec.check_bytes("node run", _RUN_BYTES * r << t, "; use analytic mode")
     place_a, place_b, live, _ = node_tables(instance, t, exponent)  # checks the exponent
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     if isinstance(work, (int, np.integer)):
@@ -300,7 +300,7 @@ def measure_chain(instance: ProblemInstance, nodes: Chain, rng: statevec.Rng) ->
     or more nodes whose bound ``_chain_bytes`` passes the byte cap is
     refused before its first table is built."""
     if len(nodes) > 1:
-        _check_run_bytes("chain run", _chain_bytes(instance.r, nodes))
+        statevec.check_bytes("chain run", _chain_bytes(instance.r, nodes), "; use analytic mode")
     work: int | np.ndarray = 1
     pairs = []
     for t, exponent, m in nodes:
@@ -308,8 +308,6 @@ def measure_chain(instance: ProblemInstance, nodes: Chain, rng: statevec.Rng) ->
         pairs.append((j_a >> (t - m), j_b >> (t - m)))
     return tuple(pairs)
 
-
-_LAW_BYTES_CAP = 1 << 28
 
 # A fresh run's tracemalloc peak (``measure_chain``, every table built and
 # kept by ``node_tables``) is at most about 81 bytes per entry of its widest
@@ -322,15 +320,6 @@ _LAW_BYTES_CAP = 1 << 28
 # The bound is per node run; a chain of more nodes also keeps each other
 # node's two tables, 16 bytes an entry (``_chain_bytes``).
 _RUN_BYTES = 100
-
-
-def _check_run_bytes(what: str, nbytes: int) -> None:
-    """Refuse a fresh run whose bound passes the byte cap."""
-    if nbytes > _LAW_BYTES_CAP:
-        raise statevec.QubitBudgetError(
-            f"{what} needs about {nbytes >> 20} MiB (cap {_LAW_BYTES_CAP >> 20} MiB);"
-            " use analytic mode"
-        )
 
 
 @lru_cache(maxsize=16)
@@ -456,21 +445,17 @@ def joint_law(instance: ProblemInstance, nodes: Chain, mode: str = "statevector"
     leading ``measured`` bits of both counting registers. Flat index
     concatenates (m_1a, m_1b, ..., m_ka, m_kb), first node most significant.
     It is the branch mixture (1/r) sum_s prod_j P_j(. | s) of either
-    backend's ``branch_laws``, refused before any row is built when the law
-    and its build (``_build_bytes``) would pass the cap together.
+    backend's ``branch_laws``, refused by ``statevec.check_bytes`` before
+    any row is built when the law and its build (``_build_bytes``) would
+    pass the cap together.
 
     Cached per (instance, chain, mode), read-only: both solvers' cached draws
     and ``dist.statevector_joint_distribution`` pass no mode, so they share
     the one state-vector entry per chain.
     """
     size = 1 << (2 * sum(m for _, _, m in nodes))
-    law_bytes = 3 * 8 * size  # the law, one branch term and joint_cdf's cumsum
-    build_bytes = _build_bytes(instance, nodes, mode)
-    if law_bytes + build_bytes > _LAW_BYTES_CAP:
-        raise statevec.QubitBudgetError(
-            f"joint law needs {law_bytes >> 20} MiB and its build {build_bytes >> 20} MiB"
-            f" more (cap {_LAW_BYTES_CAP >> 20} MiB)"
-        )
+    # the law, one branch term and joint_cdf's cumsum, then the build
+    statevec.check_bytes("joint law", 3 * 8 * size + _build_bytes(instance, nodes, mode))
     branches = branch_laws(instance, nodes, mode)
     law = np.zeros(size)
     for s in range(instance.r):
@@ -763,9 +748,9 @@ def success_mass(
 ) -> float:
     """Exact one-attempt success probability of either solver, by summation:
     (1/r) sum_s mass_a(s)^T success mass_b(s), for a chain whose prefixes
-    the solver's ``join`` turns into ``width``-bit estimates. Refused with
-    ValueError before any table is built when its bound ``_mass_bytes``
-    passes the byte cap.
+    the solver's ``join`` turns into ``width``-bit estimates. Refused by
+    ``statevec.check_bytes`` before any table is built when its bound
+    ``_mass_bytes`` passes the byte cap.
 
     Every prefix tuple goes through ``join`` at once, as int64 arrays
     (``np.indices``) given as both families, which the join treats alike,
@@ -775,11 +760,7 @@ def success_mass(
     the marginals of the ``branch_laws`` tables, which read no ``hidden_g``.
     success is ``success_table``.
     """
-    nbytes = _mass_bytes(instance, nodes, mode)
-    if nbytes > _LAW_BYTES_CAP:
-        raise ValueError(
-            f"exact success mass needs about {nbytes >> 20} MiB (cap {_LAW_BYTES_CAP >> 20} MiB)"
-        )
+    statevec.check_bytes("exact success mass", _mass_bytes(instance, nodes, mode))
     r = instance.r
     values = list(np.indices([1 << m for _, _, m in nodes], np.int64).reshape(len(nodes), -1))
     classes = round_scaled(join(tuple(zip(values, values)))[0], width, r) % r

@@ -118,14 +118,9 @@ def outcome_laws(nums: np.ndarray | int, dens: np.ndarray | int, t: int) -> np.n
     if outside.any():
         i = int(np.argmax(outside))
         raise ValueError(f"phase must be in [0,1), got {Fraction(int(nums[i]), int(dens[i]))}")
-    if not 1 <= t <= _MAX_T:
-        raise ValueError(f"register width must be in 1..{_MAX_T}, got {t}")
     common = np.gcd(nums, dens)
     nums, dens = nums // common, dens // common
-    wide = dens >= 1 << (62 - t)  # t + bits(den) > 62
-    if wide.any():
-        den = int(dens[np.argmax(wide)])
-        raise ValueError(f"width {t} with denominator {den} exceeds exact integer range")
+    check_width(t, int(dens.max(initial=1)))
     size, lift = 1 << t, (1 << (t - 1)) - 1
     peaks_at, rems = np.divmod(nums << t, dens)  # 2^t w = c + rem/den
     # Outcome m sits at offset j = m - c from the peak, taken mod 2^t in

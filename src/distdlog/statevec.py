@@ -11,11 +11,14 @@ makes independent trials safe to run concurrently.
 
 The gates (init_product, hadamard_layer, controlled_modmul_power,
 inverse_qft) and measurements (measure_prefix, measure_register,
-register_vector) act on the whole vector: they are the gate-level oracle,
-and MAX_QUBITS caps its layouts. The solvers' kernel (``dlp.node_columns``,
-the a stage, and ``dlp.node_rows``, the b stage) and sampler
-``dlp.measure_node`` use only check_basis, modmul_sources and draw_outcome
-from here, and ``dlp`` sizes them by bytes, not qubits. Fresh runs measure
+register_vector) act on the whole vector: they are the gate-level oracle.
+Every dense build, an oracle layout or a run, law or check of ``dlp``,
+``dist`` and ``verify``, is sized by an upper bound in bytes and refused
+by ``check_bytes``, the one comparison with the one cap BYTES_CAP, before
+it allocates; an oracle layout's bound is its 16-byte amplitudes. The
+solvers' kernel (``dlp.node_columns``, the a stage, and ``dlp.node_rows``,
+the b stage) and sampler ``dlp.measure_node`` use only check_basis,
+modmul_sources and draw_outcome from here. Fresh runs measure
 register a before b's transform, so they never build the 2^t x 2^t block,
 and they work on the live work values alone, the r powers of a: every work
 vector they hold or hand on has r entries. The two stages gather through
@@ -35,7 +38,7 @@ import numpy as np
 
 from .bits import BitString
 
-MAX_QUBITS = 24
+BYTES_CAP = 1 << 28
 NORM_TOL = 1e-12
 
 
@@ -44,9 +47,17 @@ class LayoutError(ValueError):
 
 
 class QubitBudgetError(LayoutError):
-    """A run is over its budget: a gate-level oracle layout over MAX_QUBITS,
-    or a node run, law build or check of ``dlp`` and ``dist`` over the
-    byte cap ``dlp._LAW_BYTES_CAP``."""
+    """A dense build whose byte bound passes BYTES_CAP (``check_bytes``)."""
+
+
+def check_bytes(what: str, nbytes: int, advice: str = "") -> None:
+    """Refuse, before it allocates, a build whose upper bound ``nbytes``
+    passes BYTES_CAP; a bound equal to the cap runs. The message names
+    ``what``, the bound in MiB and the cap, then ``advice``."""
+    if nbytes > BYTES_CAP:
+        raise QubitBudgetError(
+            f"{what} needs about {nbytes >> 20} MiB (cap {BYTES_CAP >> 20} MiB){advice}"
+        )
 
 
 @dataclass(frozen=True)
@@ -62,10 +73,7 @@ class RegisterLayout:
             raise LayoutError(f"duplicate register names in {names}")
         if any(w < 1 for _, w in self.registers):
             raise LayoutError("register widths must be >= 1")
-        if self.total_width > MAX_QUBITS:
-            raise QubitBudgetError(
-                f"layout needs {self.total_width} qubits, cap is {MAX_QUBITS}"
-            )
+        check_bytes("gate-level layout", 16 << self.total_width)
 
     @property
     def total_width(self) -> int:

@@ -22,9 +22,10 @@ through ``phase``'s row kernels: ``outcome_laws`` builds their 2^t laws
 once per width t, in row blocks, and ``accuracy_masses`` takes the window
 and prefix masses of every (t, n) that the epsilons need from each block,
 gathering only the entries in each phase's window. Each epsilon is parsed,
-and its widths found, once per sweep. ``run_suite`` refuses, before any
-suite runs, a sweep of more law entries than _ACCURACY_ENTRIES_CAP, as it
-refuses a case count whose alignment arrays would pass _CASES_BYTES_CAP.
+and its widths found, once per sweep. ``run_suite`` refuses, once and before
+any suite runs, a sweep of more law entries than _ACCURACY_ENTRIES_CAP, and
+a case count whose alignment arrays would pass the byte cap
+(``statevec.check_bytes``).
 Every temporary of the prefix and accuracy suites is at most 128 KiB,
 glibc's default mmap threshold, so a warm pass reuses the heap instead of
 faulting its working set back in.
@@ -47,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import dist, dlp, phase
+from . import dist, dlp, phase, statevec
 from .bits import circ_dist, wrap_add  # bench/tests checks verify's binding of both
 from .harness import case_rng
 from .numtheory import validate_instance
@@ -67,10 +68,9 @@ DLP_MASS_INSTANCES = ((7, 2, 4), (11, 3, 9))
 
 # suite_correct's tracemalloc peak is about 131 bytes per random case at 10^5
 # and 10^6 cases (w, the perturbations, and the oracle's windows, inputs and
-# pass temporaries, all int64 arrays of that length); rounded up here. The cap
-# admits about two million cases.
+# pass temporaries, all int64 arrays of that length); rounded up here. The
+# byte cap admits about two million cases.
 _CASE_BYTES = 136
-_CASES_BYTES_CAP = 1 << 28
 
 # suite_accuracy builds the laws of one width in row blocks of at most this
 # many bytes. Each temporary of the law and mass kernels is at most one
@@ -395,18 +395,14 @@ def run_suite(
     cases: int = 10_000,
     seed: int = 1,
 ) -> list[CheckResult]:
-    """Run one suite, or all of them. A negative seed, a case count whose
-    alignment arrays would pass _CASES_BYTES_CAP, or an accuracy sweep of
-    more than _ACCURACY_ENTRIES_CAP law entries, is refused here, before
-    any suite runs."""
+    """Run one suite, or all of them in ``SUITES`` order. A negative seed, a
+    case count whose alignment arrays would pass the byte cap
+    (``statevec.check_bytes``), or an accuracy sweep of more than
+    _ACCURACY_ENTRIES_CAP law entries, is refused here, once, before any
+    suite runs."""
     if seed < 0:
         raise ValueError("expected non-negative integer")
-    nbytes = cases * _CASE_BYTES
-    if nbytes > _CASES_BYTES_CAP:
-        raise ValueError(
-            f"{cases} alignment cases need about {nbytes >> 20} MiB "
-            f"(cap {_CASES_BYTES_CAP >> 20} MiB)"
-        )
+    statevec.check_bytes(f"an alignment sweep of {cases} cases", cases * _CASE_BYTES)
     rs = (r,) if r is not None else PRIMES_TO_31
     accuracy_eps = (epsilon,) if epsilon else ACCURACY_EPSILONS
     if name in ("accuracy", "all"):
@@ -415,22 +411,16 @@ def run_suite(
             raise ValueError(
                 f"accuracy sweep needs {entries} law entries (cap {_ACCURACY_ENTRIES_CAP})"
             )
-    if name == "metric":
-        return suite_metric(seed=seed)
-    if name == "prefix":
-        return suite_prefix_bound()
-    if name == "alignment":
-        return suite_alignment_facts()
-    if name == "accuracy":
-        return suite_accuracy(rs=rs, epsilons=accuracy_eps)
-    if name == "correct":
-        return suite_correct(cases=cases, seed=seed)
-    if name == "dlp-mass":
-        eps = (epsilon,) if epsilon else ("0.5", "0.25")
-        return suite_dlp_mass(epsilons=eps)
+    suites = {
+        "metric": lambda: suite_metric(seed=seed),
+        "prefix": suite_prefix_bound,
+        "alignment": suite_alignment_facts,
+        "accuracy": lambda: suite_accuracy(rs=rs, epsilons=accuracy_eps),
+        "correct": lambda: suite_correct(cases=cases, seed=seed),
+        "dlp-mass": lambda: suite_dlp_mass(epsilons=(epsilon,) if epsilon else ("0.5", "0.25")),
+    }
     if name == "all":
-        results = []
-        for sub in ("metric", "prefix", "alignment", "accuracy", "correct", "dlp-mass"):
-            results.extend(run_suite(sub, r=r, epsilon=epsilon, cases=cases, seed=seed))
-        return results
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+        return [check for run in suites.values() for check in run()]
+    if name not in suites:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    return suites[name]()

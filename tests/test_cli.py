@@ -227,7 +227,7 @@ class TestSolveDistCommand:
         assert fresh == (0, out, "")
         assert code == 0
         assert err.splitlines() == [
-            "note: joint law needs 384 MiB and its build 17 MiB more (cap 256 MiB),"
+            "note: joint law needs about 401 MiB (cap 256 MiB),"
             " so it is not cached; every attempt reruns the circuit"
         ]
         code, _, err = run_cli(
@@ -770,7 +770,7 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert out == ""
-        assert "100000000 alignment cases need about 12969 MiB (cap 256 MiB)" in err
+        assert "an alignment sweep of 100000000 cases needs about 12969 MiB (cap 256 MiB)" in err
 
     def test_oversized_cases_refused_before_any_suite(self, capsys, monkeypatch):
         """``--suite all`` refuses the count before the suites that ignore it."""
@@ -785,7 +785,7 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert out == ""
-        assert "100000000 alignment cases need about 12969 MiB (cap 256 MiB)" in err
+        assert "an alignment sweep of 100000000 cases needs about 12969 MiB (cap 256 MiB)" in err
 
     def test_oversized_mass_refused_before_any_table(self, capsys, monkeypatch):
         """At epsilon = 10^-6 the masses' counting registers reach t = 24:
@@ -956,7 +956,7 @@ class TestDistCompareCommand:
             (["--N", "32003", "--a", "4", "--b", "17236", "--k", "2",
               "--epsilon", "0.25", "--epsilon-prime", "0.2"], "joint law needs"),
             (["--N", "23", "--a", "2", "--b", "3", "--k", "3", "--h", "2",
-              "--epsilon", "0.5", "--epsilon-prime", "0.25"], "joint law needs 384 MiB"),
+              "--epsilon", "0.5", "--epsilon-prime", "0.25"], "joint law needs about 401 MiB"),
         ],
         ids=["r16001", "N23-k3"],
     )

@@ -15,7 +15,7 @@ import pytest
 
 import fullwidth
 from alignscan import scan_values
-from distdlog import cli, dist, dlp, phase, records, verify
+from distdlog import cli, dist, dlp, phase, records, statevec, verify
 from distdlog.bits import BitString, circ_dist
 from distdlog.dist import (
     DistPlan,
@@ -609,7 +609,7 @@ class TestBranchLaws:
             raise AssertionError("a law row was built")
 
         law_bytes = 3 * 8 * (1 << (2 * sum(acceptance_plan.measured)))
-        monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", law_bytes - 1)
+        monkeypatch.setattr(statevec, "BYTES_CAP", law_bytes - 1)
         monkeypatch.setattr(phase, "outcome_laws", refuse)
         with pytest.raises(QubitBudgetError, match="joint law needs"):
             dlp.joint_law.__wrapped__(instance, acceptance_plan.nodes, "analytic")
@@ -723,9 +723,9 @@ class TestBranchLaws:
         inst = validate_instance(59, 3, 9)
         nodes = ((9, 0, 9),)
         need = 3 * 8 * (1 << 18) + dlp._build_bytes(inst, nodes, "statevector")
-        monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", need - 1)
+        monkeypatch.setattr(statevec, "BYTES_CAP", need - 1)
         monkeypatch.setattr(dlp, "node_columns", refuse)
-        with pytest.raises(QubitBudgetError, match="joint law needs 6 MiB and its build 60 MiB more"):
+        with pytest.raises(QubitBudgetError, match=r"^joint law needs about 66 MiB \(cap 66"):
             dlp.joint_law.__wrapped__(inst, nodes)
 
 
@@ -1015,7 +1015,7 @@ class TestSolveChain:
             nodes, width = acceptance_plan.nodes, acceptance_plan.total_width
             run = lambda rng: solve_distributed(instance, acceptance_plan, rng, max_retries=3)
         law_bytes = 3 * 8 * (1 << (2 * sum(m for _, _, m in nodes)))
-        monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", law_bytes - 1)
+        monkeypatch.setattr(statevec, "BYTES_CAP", law_bytes - 1)
         dlp.joint_law.cache_clear()
         dlp.joint_cdf.cache_clear()
         calls = []
@@ -1838,14 +1838,14 @@ class TestSuccessMass:
             nbytes = dlp._mass_bytes(instance, nodes, mode)
             want = dlp.success_mass(instance, nodes, join, width, mode)
             with monkeypatch.context() as patch:
-                patch.setattr(dlp, "_LAW_BYTES_CAP", nbytes - 1)
+                patch.setattr(statevec, "BYTES_CAP", nbytes - 1)
                 for name in ("register_laws", "branch_laws", "success_table"):
                     patch.setattr(dlp, name, refuse)
                 patch.setattr(dlp.np, "indices", refuse)
                 with pytest.raises(ValueError, match="exact success mass needs about"):
                     dlp.success_mass(instance, nodes, join, width, mode)
             with monkeypatch.context() as patch:
-                patch.setattr(dlp, "_LAW_BYTES_CAP", nbytes)
+                patch.setattr(statevec, "BYTES_CAP", nbytes)
                 assert dlp.success_mass(instance, nodes, join, width, mode) == want
 
     @pytest.mark.parametrize(

@@ -62,9 +62,9 @@ class TestConfig:
             build_stage_state(instance, config.t)
         assert dlp.node_tables.cache_info().misses == 0
         need = dlp._RUN_BYTES * instance.r << 4
-        monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", need)
+        monkeypatch.setattr(statevec, "BYTES_CAP", need)
         measure_node(instance, 4, 0, 1, np.random.default_rng(0))
-        monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", need - 1)
+        monkeypatch.setattr(statevec, "BYTES_CAP", need - 1)
         with pytest.raises(statevec.QubitBudgetError, match="node run needs"):
             measure_node(instance, 4, 0, 1, np.random.default_rng(0))
 
@@ -252,7 +252,7 @@ class TestNodeKernel:
             vectors.append(vec / math.sqrt(float(np.sum(vec.real**2 + vec.imag**2))))
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         t = 1
-        while dlp._RUN_BYTES * inst.r << t <= dlp._LAW_BYTES_CAP:
+        while dlp._RUN_BYTES * inst.r << t <= statevec.BYTES_CAP:
             place_a = dlp.node_tables(inst, t, 0)[0]
             for vec in vectors:
                 cols, _, _ = node_columns(inst, t, 0, vec)
@@ -385,7 +385,7 @@ class TestMeasureNode:
         inst = validate_instance(263, 2, 32)
         nodes = make_plan(inst, k=5, h=2, epsilon="0.25", epsilon_prime="0.2").nodes
         need = dlp._chain_bytes(inst.r, nodes)
-        monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", need - 1)
+        monkeypatch.setattr(statevec, "BYTES_CAP", need - 1)
         dlp.node_tables.cache_clear()
         with pytest.raises(
             statevec.QubitBudgetError,
@@ -397,7 +397,7 @@ class TestMeasureNode:
             assert dlp._RUN_BYTES * inst.r << t < need - 1
             node_columns(inst, t, exponent)
             dlp.node_tables.cache_clear()
-        monkeypatch.setattr(dlp, "_LAW_BYTES_CAP", need)
+        monkeypatch.setattr(statevec, "BYTES_CAP", need)
         pairs = dlp.measure_chain(inst, nodes, np.random.default_rng(0))
         assert [max(pair) < 1 << m for pair, (_, _, m) in zip(pairs, nodes)] == [True] * 5
 

@@ -232,6 +232,29 @@ class TestOutcomeLaws:
             phase.outcome_laws([0, omega.numerator], [1, omega.denominator], t)
         assert str(row_error.value) == str(law_error.value)
 
+    def test_width_refusals_are_check_widths(self):
+        """The row kernel, the one-row law and the sampler refuse a width
+        by ``check_width`` on the reduced denominator, with its message: t
+        below 1 or above the cap, t + bits(den) past 62, and a denominator
+        that is too wide once reduced. Among several rows too wide, the
+        kernel names the widest denominator."""
+        for num, den, t in [(1, 5, 0), (1, 5, 27), (1, (1 << 40) + 1, 22),
+                            (3, 3 * ((1 << 43) + 1), 20)]:
+            with pytest.raises(ValueError) as want:
+                phase.check_width(t, den // math.gcd(num, den))
+            refusals = (
+                lambda: phase.outcome_laws([0, num, 1], [1, den, 3], t),
+                lambda: phase_outcome_distribution(Fraction(num, den), t),
+                lambda: sample_phase_outcome(NoDrawRng(), num, den, t),
+            )
+            for refuse in refusals:
+                with pytest.raises(ValueError) as got:
+                    refuse()
+                assert str(got.value) == str(want.value), (num, den, t)
+        widest = (1 << 44) + 1
+        with pytest.raises(ValueError, match=f"^width 20 with denominator {widest} exceeds"):
+            phase.outcome_laws([1, 1, 1], [(1 << 42) + 1, widest, 3], 20)
+
     def test_one_row_law_is_cached_read_only(self):
         law = phase_outcome_distribution(Fraction(2, 7), 6)
         assert phase_outcome_distribution(Fraction(2, 7), 6) is law

@@ -7,7 +7,6 @@ from distdlog import statevec
 from distdlog.numtheory import validate_instance
 from distdlog.statevec import (
     LayoutError,
-    MAX_QUBITS,
     QuantumState,
     QubitBudgetError,
     RegisterLayout,
@@ -45,7 +44,7 @@ class TestLayout:
         with pytest.raises(LayoutError):
             RegisterLayout((("a", 0),))
         with pytest.raises(QubitBudgetError):
-            RegisterLayout((("a", MAX_QUBITS + 1),))
+            RegisterLayout((("a", 25),))
 
     def test_unknown_register(self):
         layout = RegisterLayout((("a", 2),))
