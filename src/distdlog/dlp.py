@@ -131,35 +131,33 @@ def node_tables(
     positions in ``live`` of the x with a^(j_a 2^e) x = live[k] and
     b^(j_b 2^e) x = live[k].
 
-    Cached per (instance, t, exponent), read-only. The powers double in
-    log2 r numpy steps and one argsort orders them. The tables are built on
-    the live columns alone, with no (2^t, 2^L) modmul table, and laid out
-    with the live axis outermost: numpy lays out what it gathers through an
-    index array by that array's layout, and a later sum over the live axis
-    adds in an order that depends on it (with |live| >= 8, numpy sums a
-    contiguous axis pairwise). Both builds multiply two residues in int64,
-    exact only while (N - 1)^2 < 2^63, so a larger N is refused with
-    ``statevec.LayoutError`` before any table is built.
+    Cached per (instance, t, exponent), read-only. The r powers, built as
+    Python ints, are the only residue products, and one argsort orders them.
+    Every live value is a power of a, so the tables follow from indices on
+    the orbit: with live[k] = a^p_k and b^(2^e) = a^d, d looked up among the
+    powers, the x of place_a is a^(p_k - j_a 2^e) and that of place_b
+    a^(p_k - j_b d), exponents mod r. So any N runs: ``live`` is intp while
+    N <= 2^63 and object above, a dtype numpy is never left to pick. The
+    tables are laid out with the live axis outermost: numpy lays out
+    what it gathers through an index array by that array's layout, and a
+    later sum over the live axis adds in an order that depends on it (with
+    |live| >= 8, numpy sums a contiguous axis pairwise).
     """
-    L, N, r = instance.L, instance.N, instance.r
-    if (N - 1) ** 2 >= 1 << 63:
-        raise statevec.LayoutError(
-            f"N = {N} is too large for the state-vector kernel's int64 residue products"
-            " ((N - 1)^2 >= 2^63); use analytic mode"
-        )
-    powers = np.empty(r, dtype=np.intp)
-    powers[0] = done = 1
-    while done < r:  # a^done times the first powers gives the next ones
-        step = min(done, r - done)
-        powers[done : done + step] = powers[:step] * pow(instance.a, done, N) % N
-        done += step
-    by_value = np.argsort(powers)
-    live = powers[by_value]
+    if exponent < 0:
+        raise ValueError(f"power exponent must be >= 0, got {exponent}")
+    N, r = instance.N, instance.r
+    powers = [1]
+    for _ in range(r - 1):
+        powers.append(powers[-1] * instance.a % N)
+    d = powers.index(pow(instance.b, 1 << exponent, N))
+    live = np.array(powers, dtype=np.intp if N <= 1 << 63 else object)
+    by_value = np.argsort(live)
+    live = live[by_value]
     order = np.empty_like(by_value)
     order[by_value] = np.arange(r)
+    j = np.arange(1 << t)
     place_a, place_b = (
-        np.searchsorted(live, statevec.modmul_sources(t, L, c, exponent, N, live).T).T
-        for c in (instance.a, instance.b)
+        order[(by_value[:, None] - j * step) % r].T for step in (pow(2, exponent, r), d)
     )
     for table in (place_a, place_b, live, order):
         table.setflags(write=False)
@@ -310,15 +308,16 @@ def measure_chain(instance: ProblemInstance, nodes: Chain, rng: statevec.Rng) ->
 
 
 # A fresh run's tracemalloc peak (``measure_chain``, every table built and
-# kept by ``node_tables``) is at most about 81 bytes per entry of its widest
-# node's (2^t, r) arrays from cold caches and 57 warm: the two kept intp
-# tables, their int64 builds, the complex columns, the drawn row and the
-# float squares of a marginal. That is over every chain of N < 128 (Alg. 2
-# at epsilon 1/2 and 1/4, k = 2 and 3 at h = 2) with 2^t r >= 2^14, N = 8209
-# (L = 14) and N = 2^31 - 1 (r = 7 and 31). The smallest runs hold a fixed
-# 10 KiB, and pass 100 bytes an entry by at most 731 bytes. Rounded up here.
-# The bound is per node run; a chain of more nodes also keeps each other
-# node's two tables, 16 bytes an entry (``_chain_bytes``).
+# kept by ``node_tables``) is at most about 69 bytes per entry of its widest
+# node's (2^t, r) arrays from cold caches and 49 warm: the two kept intp
+# tables, the complex columns, the drawn row and the float squares of a
+# marginal (a table's build by index arithmetic peaks at about 24 bytes an
+# entry, the kept tables included). That is over every chain of N < 128
+# (Alg. 2 at epsilon 1/2 and 1/4, k = 2 and 3 at h = 2) with 2^t r >= 2^14,
+# N = 8209 (L = 14) and N = 2^31 - 1 (r = 7 and 31). The smallest runs hold
+# a fixed 10 KiB, and pass 100 bytes an entry by at most 1,035 bytes.
+# Rounded up here. The bound is per node run; a chain of more nodes also
+# keeps each other node's two tables, 16 bytes an entry (``_chain_bytes``).
 _RUN_BYTES = 100
 
 

@@ -18,12 +18,13 @@ by ``check_bytes``, the one comparison with the one cap BYTES_CAP, before
 it allocates; an oracle layout's bound is its 16-byte amplitudes. The
 solvers' kernel (``dlp.node_columns``, the a stage, and ``dlp.node_rows``,
 the b stage) and sampler ``dlp.measure_node`` use only check_basis,
-modmul_sources and draw_outcome from here. Fresh runs measure
+check_bytes and draw_outcome from here. Fresh runs measure
 register a before b's transform, so they never build the 2^t x 2^t block,
 and they work on the live work values alone, the r powers of a: every work
 vector they hold or hand on has r entries. The two stages gather through
-(2^t, r) tables from ``dlp.node_tables``' cache, built by modmul_sources on
-those columns alone: no solver builds a (2^t, 2^w) modmul table. Bit
+(2^t, r) tables from ``dlp.node_tables``' cache, placed by index arithmetic
+on the orbit of a, with no residue multiplied past its r powers: only the
+oracle's controlled_modmul_power reads modmul_sources' (2^t, 2^w) table. Bit
 strings appear here only in the oracle's measurement outcomes.
 """
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache, reduce
 from typing import Mapping, Protocol
 
@@ -53,10 +55,12 @@ class QubitBudgetError(LayoutError):
 def check_bytes(what: str, nbytes: int, advice: str = "") -> None:
     """Refuse, before it allocates, a build whose upper bound ``nbytes``
     passes BYTES_CAP; a bound equal to the cap runs. The message names
-    ``what``, the bound in MiB and the cap, then ``advice``."""
+    ``what``, the bound in MiB and the cap, then ``advice``. The MiB figure
+    is written as a ``Decimal``, which Python's limit on the digits of an
+    int's text does not reach, so a bound of any size is printed."""
     if nbytes > BYTES_CAP:
         raise QubitBudgetError(
-            f"{what} needs about {nbytes >> 20} MiB (cap {BYTES_CAP >> 20} MiB){advice}"
+            f"{what} needs about {Decimal(nbytes >> 20)} MiB (cap {BYTES_CAP >> 20} MiB){advice}"
         )
 
 
@@ -191,17 +195,6 @@ def _modmul_destinations(t: int, w: int, base: int, power_exponent: int, N: int)
     c = base^(2^power_exponent) mod N; work values >= N are fixed points,
     so every row is a permutation of range(2^w).
     """
-    xs = np.arange(1 << w, dtype=np.int64)
-    table = np.ascontiguousarray(_destination_columns(t, w, base, power_exponent, N, xs))
-    table.setflags(write=False)
-    return table
-
-
-def _destination_columns(
-    t: int, w: int, base: int, power_exponent: int, N: int, xs: np.ndarray
-) -> np.ndarray:
-    """The columns ``xs`` of ``_modmul_destinations``' table, built on them
-    alone, in Fortran order."""
     if (1 << w) < N:
         raise LayoutError(f"work register of width {w} cannot hold residues mod {N}")
     c = pow(base, 1 << power_exponent, N)
@@ -210,15 +203,14 @@ def _destination_columns(
     for j in range(1 << t):
         powers[j] = acc
         acc = (acc * c) % N
-    col = xs[:, None]
-    return np.where(col < N, col * powers % N, col).T
+    xs = np.arange(1 << w, dtype=np.int64)
+    table = np.where(xs < N, powers[:, None] * xs % N, xs)
+    table.setflags(write=False)
+    return table
 
 
-def modmul_sources(
-    t: int, w: int, base: int, power_exponent: int, N: int, xs: np.ndarray | None = None
-) -> np.ndarray:
-    """The (2^t, 2^w) table whose entry [j, y] is the x with c^j x = y mod N,
-    or, given ``xs``, its columns ``xs`` built on them alone (Fortran order).
+def modmul_sources(t: int, w: int, base: int, power_exponent: int, N: int) -> np.ndarray:
+    """The (2^t, 2^w) table whose entry [j, y] is the x with c^j x = y mod N.
 
     Gathering a work axis through row j applies the multiplication by c^j,
     with c = base^(2^power_exponent) mod N.
@@ -231,9 +223,7 @@ def modmul_sources(
         )
     if power_exponent < 0:
         raise ValueError(f"power exponent must be >= 0, got {power_exponent}")
-    if xs is None:
-        return _modmul_destinations(t, w, pow(base, -1, N), power_exponent, N)
-    return _destination_columns(t, w, pow(base, -1, N), power_exponent, N, xs)
+    return _modmul_destinations(t, w, pow(base, -1, N), power_exponent, N)
 
 
 def controlled_modmul_power(

@@ -1,6 +1,12 @@
 """The full-width node kernel and the whole-block builds on it, the
 bitwise references for ``dlp``'s kernel and its cell-by-cell builds.
 
+``dlp.node_tables`` places every gather of the kernel by index arithmetic
+on the orbit of a. ``node_tables`` here multiplies each live value out, in
+Python ints at any N, and places the product in ``live`` by
+``searchsorted``: the tests hold the two builds equal, value, dtype and
+layout.
+
 ``dlp.node_columns`` gathers, transforms and scales only the (2^t, |live|)
 live work columns of the a stage, the orbit of a, through tables cached
 per (instance, t, exponent). The kernel here runs the a stage on all 2^L work
@@ -27,6 +33,27 @@ from distdlog import statevec
 from distdlog.dlp import Chain, node_numerators, node_tables
 from distdlog.numtheory import ProblemInstance
 from distdlog.phase import phase_state_amplitudes
+
+
+def node_tables(
+    instance: ProblemInstance, t: int, exponent: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``dlp.node_tables`` by residue products: for c = a and c = b, the x
+    = c^(-j 2^e) live[k] mod N of every entry, found in ``live``. The
+    (r, 2^t) products are placed and transposed, the live axis outermost."""
+    N, r = instance.N, instance.r
+    powers = [pow(instance.a, k, N) for k in range(r)]
+    live = np.array(sorted(powers), dtype=np.intp if N <= 1 << 63 else object)
+    order = live.searchsorted(np.array(powers, dtype=live.dtype))
+    tables = []
+    for c in (instance.a, instance.b):
+        step = pow(c, -(1 << exponent), N)
+        steps = np.array([pow(step, j, N) for j in range(1 << t)], dtype=object)
+        sources = np.array(live.tolist(), dtype=object)[:, None] * steps % N
+        tables.append(live.searchsorted(sources.astype(live.dtype)).T)
+    for table in (*tables, live, order):
+        table.setflags(write=False)
+    return tables[0], tables[1], live, order
 
 
 def node_columns(

@@ -119,44 +119,57 @@ class TestSolveCommand:
         [["solve", "--no-reuse"], ["solve"], ["solve-dist", "--no-reuse"], ["dist-compare"]],
         ids=["solve-fresh", "solve-cached", "solve-dist-fresh", "dist-compare"],
     )
-    def test_int64_bound_of_the_statevector_kernel(self, capsys, argv):
-        """The kernel multiplies two residues in int64, exact only while
-        (N - 1)^2 < 2^63. At N = 3,037,000,500, the largest such N (a of
-        order 5), every state-vector command runs, and exactly: each trial
-        recovers g = 2, and the step-7 deviation and the joint-law TV are
-        within 1e-9. One past it, at N = 3,037,000,501 (a of order 3), and at
-        N = 1,099,511,627,803 (a of order 7), each is refused with exit 2
-        before any table is built, while analytic mode runs."""
+    def test_statevector_commands_run_at_large_moduli(self, capsys, argv):
+        """The kernel's tables come from indices on the orbit of a, with no
+        residue product past its r powers, so no state-vector command
+        refuses on the size of N. At N = 3,037,000,500 (a of order 5), one
+        past it, where (N - 1)^2 passes 2^63 (order 3), at N =
+        1,099,511,627,803 (order 7) and at N = 2^127 - 1 (order 7, live
+        values past int64), every command runs with nothing on stderr: each
+        trial recovers g, the step-7 deviation and the joint-law TV are
+        within 1e-9, and analytic mode runs on the same instance."""
         from distdlog import dlp
+        from distdlog.numtheory import validate_instance
 
         command, *path = argv
         trials = [] if command == "dist-compare" else ["--trials", "20", "--seed", "7"]
-        for N, a, b, code in [
-            (3037000500, 2429600401, 1822200301, 0),
-            (3037000501, 2361333562, 675666938, 2),
-            (1099511627803, 231197147670, 398764939913, 2),
+        m127 = (1 << 127) - 1
+        a127 = pow(3, (m127 - 1) // 7, m127)
+        for N, a, b in [
+            (3037000500, 2429600401, 1822200301),
+            (3037000501, 2361333562, 675666938),
+            (1099511627803, 231197147670, 398764939913),
+            (m127, a127, a127 * a127 % m127),
         ]:
-            assert ((N - 1) ** 2 < 1 << 63) == (code == 0)
+            g = validate_instance(N, a, b).hidden_g
             instance = ["--N", str(N), "--a", str(a), "--b", str(b)]
             dlp.node_tables.cache_clear()
             got, out, err = run_cli(capsys, [command, *instance, *trials, *path])
-            if code == 0:
-                assert (got, err) == (0, "")
-                lines = [json.loads(line) for line in out.splitlines()]
-                if command == "dist-compare":
-                    assert lines[0]["max_amplitude_deviation"] <= 1e-9
-                else:
-                    assert [line["g_hat"] for line in lines[:-1]] == [2] * 20
+            assert (got, err) == (0, "")
+            lines = [json.loads(line) for line in out.splitlines()]
+            if command == "dist-compare":
+                assert lines[0]["max_amplitude_deviation"] <= 1e-9
+                assert lines[0]["joint_total_variation"] <= 1e-9
                 continue
-            assert (got, out) == (2, "")
-            assert err.endswith(
-                f"error: N = {N} is too large for the state-vector kernel's int64 residue"
-                " products ((N - 1)^2 >= 2^63); use analytic mode\n"
-            )
-            assert dlp.node_tables.cache_info().currsize == 0
-            if command != "dist-compare":
-                analytic = [command, *instance, *trials, "--mode", "analytic"]
-                assert run_cli(capsys, analytic)[0] == 0
+            assert [line["g_hat"] for line in lines[:-1]] == [g] * 20
+            analytic = [command, *instance, *trials, "--mode", "analytic"]
+            assert run_cli(capsys, analytic)[0] == 0
+
+    def test_refusal_figure_past_the_int_digit_limit(self, capsys):
+        """At epsilon = 10^-5000 the node run's bound has a MiB figure of 4,998
+        digits, past Python's default limit of 4,300 on an int's text: the
+        solve still exits 2 with no stdout and one ``error:`` line of the
+        one refusal shape."""
+        import re
+
+        from test_budget import SHAPE
+
+        argv = ["solve", "--N", "11", "--a", "3", "--b", "9", "--epsilon", "1e-5000",
+                "--trials", "1", "--seed", "1", "--no-reuse"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(f"error: node run {SHAPE}\n", err)
+        assert len(err.split()[5]) == 4998
 
     @pytest.mark.parametrize("command", ["solve", "solve-dist"])
     def test_zero_trials_exit_2(self, capsys, command):

@@ -468,6 +468,94 @@ class TestNodeTables:
             dlp.node_columns(inst, 3, 0, 1 << inst.L)
 
 
+def _of_order(N, r, x):
+    """(N, a, a^5 mod N) with a = x^((N - 1)/r) mod N, of order r."""
+    a = pow(x, (N - 1) // r, N)
+    return N, a, pow(a, 5, N)
+
+
+# Moduli far past (N - 1)^2 < 2^63: live values past 2^63 at the first two,
+# and Alg. 2 circuits of 145 and 537 qubits at epsilon 1/2 at the last two.
+LARGE_MODULI = {
+    "2^63+3341-r31": _of_order((1 << 63) + 3341, 31, 2),
+    "2^64-323-r7": (18446744073709551293, 10207159125660657730, 11652433177934702572),
+    "2^127-1-r43": _of_order((1 << 127) - 1, 43, 3),
+    "2^521-1-r31": _of_order((1 << 521) - 1, 31, 3),
+}
+# Every valid instance the tests use, and N = 2^31 - 1 with a of order 7 and 31.
+TABLE_INSTANCES = {
+    f"N{N}-{a}-{b}": (N, a, b)
+    for N, a, b in [
+        (7, 2, 4), (11, 3, 1), (11, 3, 9), (23, 2, 3), (23, 2, 8), (29, 16, 24), (47, 2, 4),
+        (59, 3, 9), (167, 4, 16), (263, 2, 32), (311, 6, 36), (8209, 3265, 4943),
+        (32003, 4, 17236), (2000303, 4, 482074), (2147483647, 1205362885, 894255406),
+        (2147483647, 512, 134217728), (3037000500, 2429600401, 1822200301),
+        (3037000501, 2361333562, 675666938), (1099511627803, 231197147670, 398764939913),
+    ]
+} | LARGE_MODULI
+
+
+class TestNodeTablesByIndex:
+    """``node_tables`` by index arithmetic on the orbit of a, held to the
+    residue-product build it replaced (``fullwidth.node_tables``), and the
+    kernel run on it at moduli that build could not reach."""
+
+    @pytest.mark.parametrize("triple", TABLE_INSTANCES.values(), ids=TABLE_INSTANCES)
+    def test_equals_residue_products(self, triple):
+        """At t = 3, 6, 9 and exponent 0, 2, 5, every table equals the
+        reference in value, dtype, strides and read-only flag; ``live`` is
+        intp while N <= 2^63 and object above. Grid points of more than 2^20
+        table entries are skipped: r = 16001 runs at t = 3 and 6, and r =
+        1,000,151 at none."""
+        instance = validate_instance(*triple)
+        built = 0
+        for t in (3, 6, 9):
+            for exponent in (0, 2, 5):
+                if instance.r << t > 1 << 20:
+                    continue
+                got = dlp.node_tables(instance, t, exponent)
+                want = fullwidth.node_tables(instance, t, exponent)
+                for table, ref in zip(got, want):
+                    assert np.array_equal(table, ref)
+                    assert (table.dtype, table.strides) == (ref.dtype, ref.strides)
+                    assert not table.flags.writeable and not ref.flags.writeable
+                assert got[2].dtype == (np.intp if instance.N <= 1 << 63 else object)
+                built += 1
+        dlp.node_tables.cache_clear()
+        assert built == {16001: 6, 1000151: 0}.get(instance.r, 9)
+
+    @pytest.mark.parametrize("triple", LARGE_MODULI.values(), ids=LARGE_MODULI)
+    def test_backends_agree_past_int64(self, triple):
+        """Alg. 2's exact success mass at epsilon = 1/2 is the same in both
+        modes within 1e-12, and 4,000 seeded fresh draws of the one-node chain
+        ((6, 0, 3),) pass a chi-square test against its exact state-vector
+        law; outcomes expected fewer than 5 times share one pooled cell."""
+        from test_phase import chi_square_critical
+
+        instance = validate_instance(*triple)
+        config = ShorConfig.for_instance(instance, "0.5")
+        chain = (config.nodes, dlp.identity_join, config.t)
+        analytic = dlp.success_mass(instance, *chain)
+        assert abs(dlp.success_mass(instance, *chain, mode="statevector") - analytic) <= 1e-12
+        nodes = ((6, 0, 3),)
+        law = joint_law(instance, nodes)
+        draws = 4000
+        rng = np.random.default_rng(2024)
+        counts = np.zeros(law.size)
+        for _ in range(draws):
+            ((m_a, m_b),) = dlp.measure_chain(instance, nodes, rng)
+            counts[m_a << 3 | m_b] += 1
+        expected = law * draws
+        big = expected >= 5
+        observed = np.append(counts[big], counts[~big].sum())
+        wanted = np.append(expected[big], expected[~big].sum())
+        keep = wanted > 0
+        stat = float((((observed - wanted) ** 2)[keep] / wanted[keep]).sum())
+        assert stat <= chi_square_critical(int(keep.sum()) - 1)
+        dlp.node_tables.cache_clear()
+        joint_law.cache_clear()
+
+
 class TestLiveOrbit:
     @pytest.mark.parametrize("exponent", [0, 1, 2, 3])
     @pytest.mark.parametrize("t", range(2, 9))

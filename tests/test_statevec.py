@@ -46,6 +46,23 @@ class TestLayout:
         with pytest.raises(QubitBudgetError):
             RegisterLayout((("a", 25),))
 
+    def test_refusal_figure_past_the_int_digit_limit(self):
+        """A 15,000-qubit layout's bound, 16 << 15000 bytes, has a MiB figure
+        of 4,511 digits, past Python's default limit of 4,300 on an int's
+        text: the refusal still has the one message shape, with the exact
+        figure."""
+        import re
+        from decimal import Decimal
+
+        from test_budget import SHAPE
+
+        with pytest.raises(QubitBudgetError) as refused:
+            RegisterLayout((("a", 15000),))
+        message = str(refused.value)
+        assert re.fullmatch(f"gate-level layout {SHAPE}", message)
+        figure = message.split()[4]
+        assert len(figure) == 4511 and int(Decimal(figure)) == (16 << 15000) >> 20
+
     def test_unknown_register(self):
         layout = RegisterLayout((("a", 2),))
         with pytest.raises(LayoutError):
