@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from . import dist, dlp, statevec, verify
+from . import dist, dlp, verify
 from .harness import run_batch
 from .numtheory import validate_instance
 from .records import MODES
@@ -112,10 +112,10 @@ def _cmd_solve(args: argparse.Namespace, distributed: bool) -> int:
         if count < 1:  # refused before the cached law below is built
             raise ValueError(f"{name} must be >= 1, got {count}")
     if args.mode == "statevector" and not args.no_reuse:
-        try:  # the solvers' own cached law, so a law that fits is built once
-            dlp.joint_cdf(instance, nodes)
-        except statevec.QubitBudgetError as exc:
-            print(f"note: {exc}, so it is not cached; every attempt reruns the circuit",
+        # the solvers' own cached law, so a law that fits is built once
+        cdf, refusal = dlp.joint_cdf(instance, nodes)
+        if cdf is None:
+            print(f"note: {refusal}, so it is not cached; every attempt reruns the circuit",
                   file=sys.stderr)
     with _Lines(args.output) as write:
         summary = run_batch(

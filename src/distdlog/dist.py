@@ -197,12 +197,13 @@ def align_values(values, plan: DistPlan):
     ``values`` holds one value per node, node j of width ``plan.measured[j]``.
     The body uses only ``+ - >> & <<``, comparisons and bool-times-int
     arithmetic, so it runs unchanged on Python ints (returning an ``int`` and
-    a ``bool``) and elementwise on int64 arrays (returning two arrays). Every
-    reduction mod 2^k is ``& (2^k - 1)``, which gives the same residue in
-    [0, 2^k) as ``%`` for negative values too, on ints (infinite two's
-    complement) and on int64 arrays, and costs a fraction of an array ``%``.
-    Arrays hold ``plan.total_width`` bits, so they need a plan narrower than
-    63 bits.
+    a ``bool``) and elementwise on signed integer arrays (returning two
+    arrays): int64 in the solvers, ``oracle_dtype(plan.total_width)`` in the
+    oracle. Every reduction mod 2^k is ``& (2^k - 1)``, which gives the same
+    residue in [0, 2^k) as ``%`` for negative values too, on ints (infinite
+    two's complement) and on two's complement arrays, and costs a fraction
+    of an array ``%``. Arrays hold ``plan.total_width`` bits, so they need a
+    plan narrower than 63 bits.
 
     Walking from the last node back, node j's trailing h + 1 bits are moved
     onto the leading h + 1 bits of the part already assembled. The needed
@@ -271,6 +272,29 @@ def _circ(diff, width: int):
     return np.minimum(d, (1 << width) - d)
 
 
+def oracle_dtype(width: int) -> type[np.signedinteger]:
+    """The narrowest signed integer type the alignment oracle runs a plan of
+    ``width`` total bits on: int16 up to 14 bits, int32 up to 30 and int64
+    up to 62. The oracle's values reach 2^width in magnitude (a window
+    nudged past its top, 2^width - d in a circular distance), so a type of
+    b bits holds the width, a carry bit and the sign when width + 2 <= b."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if width + 2 <= np.iinfo(dtype).bits:
+            return dtype
+    raise ValueError(f"plan width {width} overflows the int64 oracle (at most 62)")
+
+
+def _int_array(x) -> np.ndarray:
+    """``x`` as an integer array: as given when it is one, else as int64."""
+    x = np.asarray(x)
+    return x if x.dtype.kind in "iu" else x.astype(np.int64)
+
+
+def _magnitude(x: np.ndarray) -> int:
+    """max |x|, in Python ints, so the most negative value of a type counts."""
+    return max(-int(x.min()), int(x.max()))
+
+
 def brute_force_correct_oracle(w, perturbations, plan: DistPlan):
     """Independent check of the alignment pass against a known ground truth.
 
@@ -278,28 +302,31 @@ def brute_force_correct_oracle(w, perturbations, plan: DistPlan):
     offsets; the reassembled output must sit at exactly the last node's
     deviation from its window, which is |perturbations[-1]|.
 
-    ``w`` is an int or an int64 array of values of the plan's total width;
-    each perturbation is an int or an int64 array broadcasting against
-    ``w``. The windows are cut by shift and mask, the pass is
+    ``w`` is an int or an integer array of values of the plan's total width;
+    each perturbation is an int or an integer array broadcasting against
+    ``w``. Every input is range-checked as given, then narrowed to
+    ``oracle_dtype(plan.total_width)``, so a value out of range is refused
+    rather than wrapped. The windows are cut by shift and mask, the pass is
     ``align_values`` over all cases at once, and every case is checked.
-    Returns ``(output, failures)``: the output, an int64 scalar or array,
-    and the number of cases it moved off the ground truth.
+    Returns ``(output, failures)``: the output, a scalar or array of the
+    oracle type, and the number of cases it moved off the ground truth.
     """
     width = plan.total_width
-    if width > 62:
-        raise ValueError(f"plan width {width} overflows the int64 oracle (at most 62)")
-    values = np.asarray(w, dtype=np.int64)
+    dtype = oracle_dtype(width)
+    values = _int_array(w)
     if ((values < 0) | (values >> width != 0)).any():
         raise ValueError(f"w has values outside {width} bits")
     if len(perturbations) != plan.k:
         raise ValueError(f"expected {plan.k} perturbations")
-    offsets = [np.asarray(p, dtype=np.int64) for p in perturbations]
+    offsets = [_int_array(p) for p in perturbations]
     bound = 1 << (plan.h - 2)
     for p in offsets[:-1]:
-        if (np.abs(p) > bound).any():
-            raise ValueError(f"perturbation {np.abs(p).max()} exceeds bound {bound}")
-    if (np.abs(offsets[-1]) > 1).any():
-        raise ValueError(f"last perturbation {np.abs(offsets[-1]).max()} exceeds 1")
+        if ((p < -bound) | (p > bound)).any():
+            raise ValueError(f"perturbation {_magnitude(p)} exceeds bound {bound}")
+    if ((offsets[-1] < -1) | (offsets[-1] > 1)).any():
+        raise ValueError(f"last perturbation {_magnitude(offsets[-1])} exceeds 1")
+    values = values.astype(dtype, copy=False)
+    offsets = [p.astype(dtype, copy=False) for p in offsets]
 
     ends = [plan.l[j + 1] + plan.h for j in range(plan.k - 1)] + [plan.l[plan.k]]
     windows = [

@@ -229,7 +229,7 @@ def node_columns(
         np.multiply.accumulate(steps, axis=0, out=steps)
         vec = steps[-1].view(np.complex128)
     cols = np.fft.fft(vec[place_a], axis=0)
-    cols /= math.sqrt(1 << t)
+    _scale(cols, 1 << t)
     return cols, live, place_b
 
 
@@ -244,8 +244,17 @@ def node_rows(cols: np.ndarray, places: np.ndarray) -> np.ndarray:
     at b^(-j_b 2^e) w_k, and the b-register transform runs along j_b.
     """
     rows = np.fft.fft(cols[:, places], axis=1)
-    rows /= math.sqrt(len(places))
+    _scale(rows, len(places))
     return rows
+
+
+def _scale(amps: np.ndarray, n: int) -> None:
+    """Divide ``amps`` by sqrt(n) in place, as numpy's complex-by-real
+    division does it: a multiply by 1 / sqrt(n). Every nonzero entry rounds
+    as in ``amps /= math.sqrt(n)``, in about half the time; a zero may keep
+    a - sign that the division would clear, which no magnitude reads and
+    the hand-off's + 0 clears."""
+    np.multiply(amps, 1.0 / math.sqrt(n), out=amps)
 
 
 def measure_node(
@@ -485,15 +494,24 @@ _OUTCOMES_CAP = 1 << 10
 
 
 @lru_cache(maxsize=8)
-def joint_cdf(instance: ProblemInstance, nodes: Chain) -> tuple[np.ndarray, dict]:
+def joint_cdf(instance: ProblemInstance, nodes: Chain) -> tuple[np.ndarray, dict] | tuple[None, str]:
     """Cumulative form of ``joint_law(instance, nodes)``, cached for sampling,
-    with the memo of the chain's drawn outcomes.
+    with the memo of the chain's drawn outcomes; ``(None, reason)`` when the
+    law is refused by the byte cap, ``reason`` being the refusal's text.
 
     ``solve_chain`` fills the memo: per (join, flat index), the attempt's
     ``Outcome``, at most ``_OUTCOMES_CAP`` of them. It
     lives in the same cache entry as the CDF, so ``cache_clear`` empties both.
+    A refusal is cached too, so it is decided once per chain under the cap
+    of its first call, and every solve of the chain makes one lookup here
+    whether or not its law fits; after changing ``statevec.BYTES_CAP``,
+    ``cache_clear`` decides again.
     """
-    cdf = np.cumsum(joint_law(instance, nodes))
+    try:
+        law = joint_law(instance, nodes)
+    except statevec.QubitBudgetError as exc:
+        return None, str(exc)
+    cdf = np.cumsum(law)
     cdf.setflags(write=False)
     return cdf, {}
 
@@ -643,7 +661,8 @@ def solve_chain(
     with reuse_state) or by ``measure_chain`` (state-vector, fresh). A
     cached law over its byte cap falls back to fresh runs on every attempt,
     so an oversize circuit is refused by the fresh run's byte bounds
-    (``measure_chain``'s for a chain, ``node_columns``' for a node).
+    (``measure_chain``'s for a chain, ``node_columns``' for a node);
+    ``joint_cdf`` keeps that refusal, so it is decided once per chain.
     ``join(pairs)`` returns the two ``width``-bit int estimates (m_a, m_b)
     with the outcome fields that attempt sets; the record holds the last
     attempt's ``Outcome`` and the header.
@@ -668,10 +687,7 @@ def solve_chain(
     mode, width = header.mode, header.width
     cdf = None
     if mode == "statevector" and reuse_state:
-        try:
-            cdf, outcomes = joint_cdf(instance, nodes)
-        except statevec.QubitBudgetError:
-            pass  # cached law too large; run the chain per attempt
+        cdf, outcomes = joint_cdf(instance, nodes)  # cdf None: over the cap, run afresh
     latent_s = None
     for attempts in range(1, max_retries + 1):
         if mode == "analytic":

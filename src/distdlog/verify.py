@@ -12,10 +12,16 @@ counts, so it does not depend on which cases a seed draws.
 The distance suites (``suite_metric``, ``suite_prefix_bound``) compute every
 circular distance through one formula, ``_circ_dist``. The metric suite
 draws its random cases as arrays (``_metric_cases``) and checks them in one
-pass; the prefix suite builds each prefix-distance table once per width and
-checks it against every shorter prefix. Their exhaustive tables are int16,
-a quarter of the int64 size (128 KiB at t = 8). The tests hold them to the
-per-case ``BitString`` loops they replaced (``tests/metricloop.py``).
+pass. The distance of a pair (x, y) of t-bit words depends only on the
+offset d = y - x mod 2^t, so each prefix check runs on per-offset maxima:
+``_prefix_table`` holds the t1-bit prefix distances of every pair
+(x, x + d), built once per (t, t1) and reduced to one maximum per d, and
+each shorter prefix t0 checks those 2^t maxima at the offsets closer than
+2^(t - t0). The metric suite's one-bit prefix row reads the same maxima.
+Their exhaustive tables are int16, a quarter of the int64 size (128 KiB at
+t = 8). The tests hold the random metric row and the prefix suite to the
+per-case ``BitString`` loop and the triple loop of pair masks they replaced
+(``tests/metricloop.py``).
 
 The accuracy suite (``suite_accuracy``) sweeps every phase s/r at once
 through ``phase``'s row kernels: ``outcome_laws`` builds their 2^t laws
@@ -26,12 +32,17 @@ and its widths found, once per sweep. ``run_suite`` refuses, once and before
 any suite runs, a sweep of more law entries than _ACCURACY_ENTRIES_CAP, and
 a case count whose alignment arrays would pass the byte cap
 (``statevec.check_bytes``).
-Every temporary of the prefix and accuracy suites is at most 128 KiB,
-glibc's default mmap threshold, so a warm pass reuses the heap instead of
-faulting its working set back in.
+Every temporary of the prefix, accuracy and alignment-oracle suites is at
+most 128 KiB, glibc's default mmap threshold, so a warm pass reuses the
+heap instead of faulting its working set back in: a warm default pass
+counts no minor faults (getrusage).
 
 The alignment oracle (``suite_correct``) runs the solvers' own alignment
-pass, ``dist.align_values``, on int64 arrays: one oracle call per sweep.
+pass, ``dist.align_values``, on the narrowest signed integer type that
+holds the plan's width with a carry bit and the sign
+(``dist.oracle_dtype``: int16 for every plan the suite checks, whose widths
+are 5 and 6): its cases are narrowed once per plan, and each sweep is one
+oracle call.
 That pass is closed form: each node's shift is the signed residue
 s = 2^h - ((2^h - (target - tail)) mod 2^(h+1)), in (-2^h, 2^h], clamped
 to [-2^(h-1), 2^(h-1)], with the fallback flag set when |s| > 2^(h-1); the
@@ -66,20 +77,23 @@ CORRECT_KS = (2, 3)
 CORRECT_HS = (2, 3)
 DLP_MASS_INSTANCES = ((7, 2, 4), (11, 3, 9))
 
-# suite_correct's tracemalloc peak is about 131 bytes per random case at 10^5
-# and 10^6 cases (w, the perturbations, and the oracle's windows, inputs and
-# pass temporaries, all int64 arrays of that length); rounded up here. The
-# byte cap admits about two million cases.
+# suite_correct's tracemalloc peak is about 37 bytes per random case at 10^5
+# cases and 35 at 10^6 (one int64 draw before it is narrowed, then w, the
+# perturbations, and the oracle's windows, inputs and pass temporaries, all
+# int16 arrays of that length); it was 131 when they were int64. The bound
+# keeps that old figure, rounded up, so that no refusal moves: the byte cap
+# admits about two million cases.
 _CASE_BYTES = 136
 
 # suite_accuracy builds the laws of one width in row blocks of at most this
 # many bytes. Each temporary of the law and mass kernels is at most one
-# block, so at 64 KiB none reaches glibc's default 128 KiB mmap threshold:
-# the sweep's memory stays on the heap between passes instead of being
-# unmapped and faulted back in (1,000 to 1,500 minor faults per warm
-# default pass at 256 KiB, 0 to 16 at 64 KiB, counted with getrusage), and
-# its tracemalloc peak is 334 KiB.
-_ACCURACY_BLOCK_BYTES = 1 << 16
+# block, no more than glibc's default 128 KiB mmap threshold, so the
+# sweep's memory stays on the heap between passes instead of being unmapped
+# and faulted back in. Per warm default pass, counted with getrusage on a
+# shared 2-core machine: 0 minor faults and 6.0 ms at 128 KiB, against 0
+# and 6.8 ms at 64 KiB and 295 and 6.2 ms at 256 KiB. Its tracemalloc peak
+# is 525 KiB (333 KiB at 64 KiB).
+_ACCURACY_BLOCK_BYTES = 1 << 17
 # The most law entries (accuracy_entries) one accuracy sweep may take: about
 # 0.65 s of sweep at 20 ns per counted entry with the default epsilons, which
 # share widths (r = 8009), and 1.2 s at 35 ns with one epsilon, which shares
@@ -115,10 +129,15 @@ def _circ_table(t: int) -> np.ndarray:
 
 
 def _prefix_table(t: int, t1: int) -> np.ndarray:
-    """Circular distances of the t1-bit prefixes of every pair of t-bit
-    words, as int16 (see ``_circ_table``)."""
-    prefix = np.arange(1 << t, dtype=np.int16) >> (t - t1)
-    return _circ_dist(prefix[:, None], prefix[None, :], t1)
+    """Circular distances of the t1-bit prefixes of the pairs (x, x + d mod
+    2^t) of t-bit words, row x and column d, as int16 (see ``_circ_table``).
+    The distance of a pair (x, y) depends on y - x mod 2^t alone, so the
+    maxima of column d bound every pair at that offset."""
+    vals = np.arange(1 << t, dtype=np.int16)
+    ends = vals[:, None] + vals[None, :]
+    ends &= (1 << t) - 1
+    ends >>= t - t1
+    return _circ_dist(vals[:, None] >> (t - t1), ends, t1)
 
 
 def _metric_cases(seed: int) -> tuple[np.ndarray, ...]:
@@ -136,10 +155,12 @@ def suite_metric(seed: int = 0) -> list[CheckResult]:
     """Distance axioms, the minimal-shift characterisation, and the one-bit
     prefix consequence, exhaustively for small widths and sampled above.
 
-    Every row runs on int64 arrays through one distance formula,
-    ``_circ_dist``. The minimal-shift scan is one ``np.minimum.at`` over
-    every (word, shift) pair, and the random cases (``_metric_cases``) are
-    checked in one pass. The tests hold the random row to the per-case
+    Every row runs through one distance formula, ``_circ_dist``: the
+    exhaustive rows on int16 tables, the random row on int64 cases. The
+    minimal-shift scan is one ``np.minimum.at`` over every (word, shift)
+    pair, the one-bit prefix row checks the per-offset maxima of
+    ``_prefix_table``, and the random cases (``_metric_cases``) are checked
+    in one pass. The tests hold the random row to the per-case
     ``BitString`` loop it replaced (``tests/metricloop.py``).
     """
     checks: list[CheckResult] = []
@@ -163,8 +184,8 @@ def suite_metric(seed: int = 0) -> list[CheckResult]:
         shift_ok &= bool((best == D).all())
 
         for t0 in range(1, t):
-            mask = D < (1 << (t - t0))
-            prefix_ok &= bool((_prefix_table(t, t0)[mask] <= 1).all())
+            close = D[0] < (1 << (t - t0))  # the offsets d = y - x closer than 2^(t - t0)
+            prefix_ok &= bool((_prefix_table(t, t0).max(axis=0)[close] <= 1).all())
 
     checks.append(_result(f"distance axioms exhaustive t<={METRIC_EXHAUSTIVE_T}", axioms_ok, axioms_ok, "all hold"))
     checks.append(_result(f"minimal-shift form exhaustive t<={METRIC_EXHAUSTIVE_T}", shift_ok, shift_ok, "all hold"))
@@ -188,19 +209,21 @@ def suite_prefix_bound() -> list[CheckResult]:
     """Exhaustive check of the general prefix-distance bound:
     d_t(x,y) < 2^(t-t0) implies d_t1(prefixes) <= 2^(t1-t0) for t0 <= t1 <= t.
 
-    Every (t, t0, t1) and every pair of t-bit words is checked. Each t1's
-    prefix-distance table is built once and checked against every t0 <= t1.
-    The tests hold it to the t0-outer triple loop it replaced
+    Every (t, t0, t1) and every pair of t-bit words is checked. Each
+    (t, t1)'s prefix distances of the pairs (x, x + d) are built once and
+    reduced to one maximum per offset d; d_t(x, y) depends on d alone, so
+    each t0 <= t1 checks the maxima of the offsets closer than 2^(t - t0).
+    The tests hold it to the t0-outer triple loop of pair masks it replaced
     (``tests/metricloop.py``).
     """
     ok = True
     for t in range(2, PREFIX_MAX_T + 1):
-        D = _circ_table(t)
+        reach = _circ_dist(np.arange(1 << t, dtype=np.int16), 0, t)  # d_t(x, x + d) per offset d
         for t1 in range(1, t + 1):
-            pd = _prefix_table(t, t1)
+            peaks = _prefix_table(t, t1).max(axis=0)
             for t0 in range(1, t1 + 1):
-                mask = D < (1 << (t - t0))
-                ok &= bool((pd[mask] <= (1 << (t1 - t0))).all())
+                close = reach < (1 << (t - t0))
+                ok &= bool((peaks[close] <= (1 << (t1 - t0))).all())
     return [_result(f"prefix-distance bound exhaustive t<={PREFIX_MAX_T}", ok, ok, "all hold")]
 
 
@@ -334,9 +357,10 @@ def suite_correct(cases: int = 10_000, seed: int = 1) -> list[CheckResult]:
     """The alignment oracle: randomized cases per feasible plan shape, plus
     exhaustive enumeration of every (word, perturbation) combination.
 
-    Each check is one ``dist.brute_force_correct_oracle`` call on int64
-    arrays: the random cases are drawn as arrays, the exhaustive sweep is a
-    ``np.meshgrid`` over w and every perturbation. The oracle runs the
+    Each check is one ``dist.brute_force_correct_oracle`` call on arrays of
+    the plan's ``dist.oracle_dtype``: the random cases are drawn as arrays
+    and narrowed once, the exhaustive sweep is a ``np.meshgrid`` over w and
+    every perturbation in that type. The oracle runs the
     solvers' own closed-form pass, ``dist.align_values`` (the shift is the
     signed residue of target - tail mod 2^(h+1) clamped to
     [-2^(h-1), 2^(h-1)], +2^(h-1) at the midpoint), elementwise, and the
@@ -346,17 +370,20 @@ def suite_correct(cases: int = 10_000, seed: int = 1) -> list[CheckResult]:
     rng = case_rng(seed)
     for plan in feasible_correct_combos():
         label = f"r={plan.r} k={plan.k} h={plan.h}"
+        dtype = dist.oracle_dtype(plan.total_width)
         bound = 1 << (plan.h - 2)
-        w = rng.integers(1 << plan.total_width, size=cases)
-        perturbations = [rng.integers(-bound, bound + 1, size=cases) for _ in range(plan.k - 1)]
-        perturbations.append(rng.integers(-1, 2, size=cases))
+        w = rng.integers(1 << plan.total_width, size=cases).astype(dtype)
+        perturbations = [rng.integers(-bound, bound + 1, size=cases).astype(dtype)
+                         for _ in range(plan.k - 1)]
+        perturbations.append(rng.integers(-1, 2, size=cases).astype(dtype))
         _, failures = dist.brute_force_correct_oracle(w, perturbations, plan)
         checks.append(_result(f"alignment oracle random {label} ({cases} cases)",
                               failures == 0, f"{failures} failures", "0 failures"))
 
         if plan.total_width <= 8:
-            spans = [np.arange(-bound, bound + 1)] * (plan.k - 1) + [np.arange(-1, 2)]
-            grid = np.meshgrid(np.arange(1 << plan.total_width), *spans, indexing="ij")
+            spans = [np.arange(-bound, bound + 1, dtype=dtype)] * (plan.k - 1)
+            spans.append(np.arange(-1, 2, dtype=dtype))
+            grid = np.meshgrid(np.arange(1 << plan.total_width, dtype=dtype), *spans, indexing="ij")
             w, *perturbations = (axis.ravel() for axis in grid)
             _, failures = dist.brute_force_correct_oracle(w, perturbations, plan)
             checks.append(_result(f"alignment oracle exhaustive {label}",

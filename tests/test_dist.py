@@ -289,6 +289,70 @@ class TestCorrectOracle:
         with pytest.raises(ValueError):
             brute_force_correct_oracle(words + 1, [0, 0], acceptance_plan)
 
+    @pytest.mark.parametrize(
+        "width, dtype",
+        [(1, np.int16), (14, np.int16), (15, np.int32), (30, np.int32), (31, np.int64),
+         (62, np.int64)],
+    )
+    def test_narrowest_type_by_width(self, width, dtype):
+        assert dist.oracle_dtype(width) is dtype
+        assert 1 << width <= np.iinfo(dtype).max  # the oracle's values reach 2^width
+
+    def test_past_62_bits_refused(self):
+        with pytest.raises(ValueError, match="plan width 63 overflows the int64 oracle"):
+            dist.oracle_dtype(63)
+
+    def test_out_of_range_inputs_refused_before_narrowing(self):
+        """Each input is range-checked as given: a value that the plan's
+        int16 would wrap into range is refused, not wrapped."""
+        plan = plan_for_order(11, 2, 2, "0.25", "0.2")
+        assert plan.total_width == 6 and dist.oracle_dtype(6) is np.int16
+        words = np.arange(64)
+        for w in (1 << 20, (1 << 16) + 5, -(1 << 16), np.array([3, 1 << 20]), words - (1 << 16)):
+            with pytest.raises(ValueError, match="w has values outside 6 bits"):
+                brute_force_correct_oracle(w, [0, 0], plan)
+        for first in ((1 << 16) + 1, -(1 << 16), np.full(64, 1 << 16), np.int16(-(1 << 15))):
+            with pytest.raises(ValueError, match="exceeds bound 1"):
+                brute_force_correct_oracle(words, [first, 0], plan)
+        for last in ((1 << 16) + 1, -(1 << 16) - 1, np.full(64, 1 << 32), np.int16(-(1 << 15))):
+            with pytest.raises(ValueError, match="last perturbation .* exceeds 1"):
+                brute_force_correct_oracle(words, [0, last], plan)
+        out, failures = brute_force_correct_oracle(words.astype(np.uint8), [np.int8(1), 0], plan)
+        assert out.dtype == np.int16 and failures == 0
+
+    @pytest.mark.parametrize(
+        "r, k, h, width",
+        [(1025, 2, 2, 13), (2049, 2, 2, 14), (4097, 2, 2, 15), (2**26 + 1, 2, 2, 29),
+         (2**27 + 1, 2, 2, 30), (2**27 + 1, 3, 3, 30), (2**28 + 1, 2, 2, 31)],
+        ids=["w13", "w14", "w15", "w29", "w30", "w30-k3", "w31"],
+    )
+    @pytest.mark.parametrize("moved", [False, True], ids=["pass", "moved-pass"])
+    def test_narrowed_oracle_equals_int64(self, monkeypatch, r, k, h, width, moved):
+        """At and past the widest plan of int16 (14 bits) and of int32 (30
+        bits) the narrowed oracle gives the int64 oracle's output and
+        failure count, for the pass and for a pass that moves every estimate
+        by 2."""
+        plan = plan_for_order(r, k, h, "0.25", "0.2")
+        assert plan.total_width == width
+        rng = np.random.default_rng(width)
+        bound = 1 << (h - 2)
+        w = rng.integers(1 << width, size=20_000)
+        perturbations = [rng.integers(-bound, bound + 1, size=w.size) for _ in range(k - 1)]
+        perturbations.append(rng.integers(-1, 2, size=w.size))
+        if moved:
+            align = dist.align_values
+            mask = (1 << width) - 1
+            monkeypatch.setattr(
+                dist, "align_values", lambda values, plan: ((align(values, plan)[0] + 2) & mask, False)
+            )
+        out, failures = brute_force_correct_oracle(w, perturbations, plan)
+        assert out.dtype == dist.oracle_dtype(width)
+        monkeypatch.setattr(dist, "oracle_dtype", lambda width: np.int64)
+        want, want_failures = brute_force_correct_oracle(w, perturbations, plan)
+        assert want.dtype == np.int64
+        assert np.array_equal(out, want) and failures == want_failures
+        assert (failures > 0) if moved else (failures == 0)
+
 
 # Every feasible (r, k, h) with h from 2 to h_max for these orders.
 ALIGNMENT_PLANS = [
@@ -1006,7 +1070,8 @@ class TestSolveChain:
         """A joint law whose three float64 arrays (law, branch term, CDF)
         exceed the byte cap is refused before any node runs, and either
         solver then runs the nodes per attempt, with full-width pairs,
-        and keeps no memo of cached outcomes."""
+        and keeps no memo of cached outcomes: ``joint_cdf``'s one entry is
+        the refusal."""
         if algorithm == "alg2":
             config = ShorConfig.for_instance(instance, "0.25", max_retries=3)
             nodes, width = ((config.t, 0, config.t),), config.t
@@ -1036,7 +1101,11 @@ class TestSolveChain:
         monkeypatch.setattr(dlp, "decode_joint_index", refuse)
         record = run(np.random.default_rng(3))
         assert len(calls) == len(nodes) * (record.retries + 1)  # fresh runs
-        assert dlp.joint_cdf.cache_info().currsize == 0  # no memo made or filled
+        info = dlp.joint_cdf.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)  # decided once, on the first attempt
+        cdf, refusal = dlp.joint_cdf(instance, nodes)  # no CDF, no memo made or filled
+        assert cdf is None and refusal.startswith("joint law needs about ")
+        dlp.joint_cdf.cache_clear()  # the refusal was decided under the patched cap
         assert record.width == width and max(record.m_a, record.m_b) < 1 << width
         pairs = record.node_measurements or ((record.m_a, record.m_b),)
         assert len(pairs) == len(nodes)

@@ -268,6 +268,33 @@ class TestNodeKernel:
             t += 1
         assert t == 20
 
+    @pytest.mark.parametrize("t", range(1, 15))
+    def test_scaling_multiplies_as_the_division(self, instance, monkeypatch, t):
+        """``node_columns`` and ``node_rows`` scale by a multiply by 1 / sqrt(n):
+        on basis and vector inputs every nonzero float equals, bit for bit,
+        that of ``amps / math.sqrt(n)``, the division it replaced, and every
+        array is ``np.array_equal`` to it."""
+        seen = []
+        scale = dlp._scale
+
+        def spy(amps, n):
+            old = amps / math.sqrt(n)
+            scale(amps, n)
+            seen.append((old, amps))
+
+        monkeypatch.setattr(dlp, "_scale", spy)
+        vec = np.exp(2j * np.pi * np.arange(instance.r) / 7) / math.sqrt(instance.r)
+        for exponent, work in ((0, 1), (2, 4), (1, vec)):
+            cols, _, place_b = node_columns(instance, t, exponent, work)
+            dlp.node_rows(cols[:3], place_b)
+        assert len(seen) == 6
+        for old, new in seen:
+            assert np.array_equal(old, new)
+            old_floats, new_floats = (np.stack([a.real, a.imag]) for a in (old, new))
+            nonzero = old_floats != 0
+            assert nonzero.any()
+            assert (old_floats[nonzero].view(np.uint64) == new_floats[nonzero].view(np.uint64)).all()
+
     def test_input_checks(self, instance):
         with pytest.raises(statevec.LayoutError):
             build_stage_state(instance, 3, 0, 1 << instance.L)
